@@ -3,8 +3,9 @@
 Step order: rain/drain/diffuse the water field, step every non-terminal
 agent against the fresh snapshot (ids ascending), write the aggregated
 car density back, then spawn new demand (newly spawned agents wait until
-the next step). Passability and connected components are recomputed once
-per step since they only depend on depth and closures.
+the next step). Passability, routing costs and connected components are
+built as arrays once per step, since they only depend on depth, closures
+and penalties; every route planned in the step reads those arrays.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .mobility import (
     AgentRecord,
     Poi,
     Role,
+    Router,
     Status,
     TripLog,
     aggregate_flows,
@@ -61,6 +63,7 @@ class SimulationEngine:
         self.trip_log = TripLog()
         self.agents: list[AgentRecord] = []
         self._next_id = 0
+        self._departed = 0  # agents that have left WAITING
         self._detour_rng = pystream(config.seed, "detour-coins")
         self.pois: list[Poi] = default_pois(self.world, config.mobility.n_pois, config.seed)
         self.step_records: list[StepRecord] = []
@@ -79,37 +82,25 @@ class SimulationEngine:
 
     # --- passability -----------------------------------------------------
 
-    def _passable_fn(self, role: Role):
-        mc = self.config.mobility
-        depth_limit = mc.resident_block_depth if role is Role.RESIDENT else mc.bus_block_depth
-        world = self.world
-        closed = self.board.closed_cells(world.step)
-
-        def passable(cell) -> bool:
-            return bool(world.is_road[cell]) and world.water_depth[cell] < depth_limit and cell not in closed
-
-        return passable
-
-    def _step_cost_fn(self):
-        penalties = self.board.region_penalties(self.world.step)
-        if not penalties:
-            return None
-        region_id = self.world.region_id
-
-        def cost(cell) -> float:
-            return 1.0 + penalties.get(int(region_id[cell]), 0.0)
-
-        return cost
-
-    def _component_labels(self, role: Role):
+    def _passable_mask(self, role: Role, closed: set[tuple[int, int]]) -> np.ndarray:
         mc = self.config.mobility
         depth_limit = mc.resident_block_depth if role is Role.RESIDENT else mc.bus_block_depth
         mask = self.world.is_road & (self.world.water_depth < depth_limit)
-        closed = self.board.closed_cells(self.world.step)
-        if closed:
-            mask = mask.copy()
-            for cell in closed:
-                mask[cell] = False
+        for cell in closed:
+            mask[cell] = False
+        return mask
+
+    def _cost_grid(self, penalties: dict[int, float]) -> np.ndarray | None:
+        """1 + the routing penalty of each cell's region; None when no penalty is active."""
+        if not penalties:
+            return None
+        penalty = np.zeros(self.world.n_regions)
+        for region, value in penalties.items():
+            penalty[region] = value
+        return 1.0 + penalty[self.world.region_id]
+
+    @staticmethod
+    def _component_labels(mask: np.ndarray) -> np.ndarray:
         labels, _ = ndimage.label(mask, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
         return labels
 
@@ -117,15 +108,14 @@ class SimulationEngine:
 
     def _spawn_initial(self) -> None:
         mc = self.config.mobility
-        passable = self._passable_fn(Role.RESIDENT)
+        closed = self.board.closed_cells(self.world.step)
         if self.pois and mc.initial_population > 0:
             agents = spawn_demand(
                 self.pois,
                 mc.initial_population,
                 self.config.seed,
                 step=0,
-                passable=passable,
-                shape=self.world.shape,
+                router=Router(self._passable_mask(Role.RESIDENT, closed)),
                 id_start=self._next_id,
                 stagger=mc.initial_stagger,
             )
@@ -134,19 +124,21 @@ class SimulationEngine:
             self.trip_log.note_spawn(len(agents))
         bus_rng = pystream(self.config.seed, "bus-lines")
         road = self.world.road_cells()
-        bus_passable = self._passable_fn(Role.BUS)
+        bus_router = Router(self._passable_mask(Role.BUS, closed))
         for b in range(mc.n_buses):
             if len(road) < mc.bus_stops:
                 break
             stops = bus_rng.sample(road, mc.bus_stops)
-            bus = make_bus(self._next_id, stops, 0, bus_passable, self.world.shape)
+            bus = make_bus(self._next_id, stops, 0, bus_router)
             self._next_id += 1
             self.agents.append(bus)
             self.trip_log.note_spawn(1)
 
     def trip_counts(self) -> tuple[int, int, int, int]:
-        enroute = sum(1 for a in self.agents if a.status is Status.ENROUTE)
-        return (self.trip_log.spawned, self.trip_log.arrived, self.trip_log.cancelled, enroute)
+        log = self.trip_log
+        # every agent that left WAITING is enroute until it is closed into the log
+        enroute = self._departed - len(log.records)
+        return (log.spawned, log.arrived, log.cancelled, enroute)
 
     # --- stepping ---------------------------------------------------------
 
@@ -156,42 +148,43 @@ class SimulationEngine:
     def step(self) -> StepRecord:
         step_idx = self.world.step
         intensity = self.scenario.curve[step_idx] if step_idx < len(self.scenario.curve) else 0.0
+        self.board.prune(step_idx)
         drain_mult = self.board.drain_multipliers(step_idx)
         if np.all(drain_mult == 1.0):
             drain_mult = None
         self.world = step_hydrology(self.world, intensity, drain_mult)
 
         now = self.world.step  # post-hydrology step index
-        passable_res = self._passable_fn(Role.RESIDENT)
-        passable_bus = self._passable_fn(Role.BUS)
-        cost = self._step_cost_fn()
-        labels_res = self._component_labels(Role.RESIDENT)
-        labels_bus = self._component_labels(Role.BUS)
-
-        def reachable_factory(labels):
-            def reachable(a, b) -> bool:
-                return labels[a] != 0 and labels[a] == labels[b]
-
-            return reachable
-
-        reach_res = reachable_factory(labels_res)
-        reach_bus = reachable_factory(labels_bus)
+        # this step's routing arrays; they stay fixed while the agents move
+        closed = self.board.closed_cells(now)
+        cost = self._cost_grid(self.board.region_penalties(now))
+        mask_res = self._passable_mask(Role.RESIDENT, closed)
+        mask_bus = self._passable_mask(Role.BUS, closed)
+        router_res = Router(mask_res, cost)
+        router_bus = Router(mask_bus, cost)
+        labels_res = self._component_labels(mask_res)
+        labels_bus = self._component_labels(mask_bus)
         held = lambda region: self.board.bus_held(region, now)
+        not_held = lambda _region: False
+        wait_probability = self.config.mobility.wait_probability
 
         event_counts: dict[str, int] = {}
         for agent in self.agents:
-            if agent.status.terminal:
+            status = agent.status
+            if status.terminal:
                 continue
             if agent.role is Role.BUS:
                 events = step_agent(
-                    agent, self.world, passable_bus, cost, held, self._detour_rng, now, self.trip_log,
-                    wait_probability=self.config.mobility.wait_probability, reachable=reach_bus,
+                    agent, self.world, router_bus, held, self._detour_rng, now, self.trip_log,
+                    wait_probability=wait_probability, labels=labels_bus,
                 )
             else:
                 events = step_agent(
-                    agent, self.world, passable_res, cost, lambda _r: False, self._detour_rng, now, self.trip_log,
-                    wait_probability=self.config.mobility.wait_probability, reachable=reach_res,
+                    agent, self.world, router_res, not_held, self._detour_rng, now, self.trip_log,
+                    wait_probability=wait_probability, labels=labels_res,
                 )
+            if status is Status.WAITING and agent.status is not Status.WAITING:
+                self._departed += 1
             for ev in events:
                 event_counts[ev.kind] = event_counts.get(ev.kind, 0) + 1
 
@@ -205,8 +198,7 @@ class SimulationEngine:
                 mc.spawn_rate,
                 self.config.seed,
                 step=now,
-                passable=passable_res,
-                shape=self.world.shape,
+                router=router_res if cost is None else Router(mask_res),
                 id_start=self._next_id,
             )
             self._next_id += mc.spawn_rate

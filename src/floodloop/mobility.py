@@ -108,92 +108,120 @@ class TripRecord:
 
 
 class TripLog:
-    """Terminal trip outcomes plus live counts for the rate metrics."""
+    """Terminal trip outcomes plus running counts for the rate metrics."""
 
     def __init__(self):
         self.records: list[TripRecord] = []
         self.spawned = 0
+        self.arrived = 0
+        self.arrived_on_time = 0
+        self.cancelled = 0
 
     def note_spawn(self, n: int = 1) -> None:
         self.spawned += n
 
     def close(self, agent: AgentRecord) -> None:
-        self.records.append(
-            TripRecord(
-                agent_id=agent.id,
-                role=agent.role,
-                departure_step=agent.departure_step,
-                outcome=agent.status,
-                travel_steps=agent.travel_steps,
-                planned_steps=agent.planned_steps,
-            )
+        record = TripRecord(
+            agent_id=agent.id,
+            role=agent.role,
+            departure_step=agent.departure_step,
+            outcome=agent.status,
+            travel_steps=agent.travel_steps,
+            planned_steps=agent.planned_steps,
         )
-
-    @property
-    def cancelled(self) -> int:
-        return sum(1 for r in self.records if r.outcome is Status.CANCELLED)
-
-    @property
-    def arrived_on_time(self) -> int:
-        return sum(1 for r in self.records if r.on_time)
-
-    @property
-    def arrived(self) -> int:
-        return sum(1 for r in self.records if r.outcome is Status.ARRIVED)
+        self.records.append(record)
+        if record.outcome is Status.ARRIVED:
+            self.arrived += 1
+            if record.on_time:
+                self.arrived_on_time += 1
+        elif record.outcome is Status.CANCELLED:
+            self.cancelled += 1
 
 
-def plan_path(
-    origin: Cell,
-    destination: Cell,
-    passable: Callable[[Cell], bool],
-    shape: tuple[int, int],
-    step_cost: Callable[[Cell], float] | None = None,
-) -> list[Cell] | None:
-    """A*, 4-connected, Manhattan heuristic, unit base cost.
+class Router:
+    """One step's routing arrays for one role, with a path memo.
 
-    Expansion ties break on (f, row, col) so equal-cost routes are
-    reproducible. Returns the full cell sequence including origin and
-    destination, or None when unreachable. Extra per-cell costs from
-    `step_cost` must be >= 1 to keep the heuristic admissible.
+    Built from a boolean passable mask and an optional per-cell cost grid
+    (values >= 1; None means unit cost). Both are copied into flat arrays
+    over the grid padded by one blocked cell on every side, so A* needs no
+    bounds checks. `route` memoises `plan_path` by (origin, destination);
+    the memo is only as valid as the arrays, so build a new Router whenever
+    the mask or the costs change.
+    """
+
+    def __init__(self, passable: np.ndarray, cost: np.ndarray | None = None):
+        height, width = passable.shape
+        self.width = width + 2
+        blocked = np.ones((height + 2, width + 2), dtype=np.uint8)
+        blocked[1:-1, 1:-1] = np.logical_not(passable)
+        self.blocked = blocked.tobytes()
+        if cost is None:
+            self.cost = [1.0] * blocked.size
+        else:
+            padded = np.ones(blocked.shape)
+            padded[1:-1, 1:-1] = cost
+            self.cost = padded.ravel().tolist()
+        self._paths: dict[tuple[Cell, Cell], tuple[Cell, ...] | None] = {}
+
+    def passable(self, cell: Cell) -> bool:
+        return not self.blocked[(cell[0] + 1) * self.width + cell[1] + 1]
+
+    def route(self, origin: Cell, destination: Cell) -> list[Cell] | None:
+        key = (origin, destination)
+        if key not in self._paths:
+            path = plan_path(origin, destination, self)
+            self._paths[key] = None if path is None else tuple(path)
+        path = self._paths[key]
+        return None if path is None else list(path)
+
+
+def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | None:
+    """A*, 4-connected, Manhattan heuristic, over `router`'s arrays.
+
+    Cells are flat indices into the padded grid, so the heap's (f, index)
+    orders exactly like (f, row, col): expansion ties break on row, then
+    column, and equal-cost routes are reproducible. Neighbours go up,
+    down, left, right. Returns the full cell sequence including origin and
+    destination, or None when unreachable. The origin itself need not be
+    passable.
     """
     if origin == destination:
         return [origin]
-    h_rows, h_cols = shape
-
-    def heuristic(cell: Cell) -> int:
-        return abs(cell[0] - destination[0]) + abs(cell[1] - destination[1])
-
-    g_score: dict[Cell, float] = {origin: 0.0}
-    came_from: dict[Cell, Cell] = {}
-    open_heap: list[tuple[float, int, int]] = [(float(heuristic(origin)), origin[0], origin[1])]
-    closed: set[Cell] = set()
+    width, cost = router.width, router.cost
+    tr, tc = destination[0] + 1, destination[1] + 1
+    start = (origin[0] + 1) * width + origin[1] + 1
+    goal = tr * width + tc
+    closed = bytearray(router.blocked)  # impassable or expanded
+    closed[start] = 0  # an agent may stand on a cell that has since flooded
+    g_score = [float("inf")] * len(closed)
+    g_score[start] = 0.0
+    came_from: dict[int, int] = {}
+    open_heap = [(float(abs(origin[0] - destination[0]) + abs(origin[1] - destination[1])), start)]
+    pop, push = heapq.heappop, heapq.heappush
 
     while open_heap:
-        _, r, c = heapq.heappop(open_heap)
-        current = (r, c)
-        if current in closed:
+        current = pop(open_heap)[1]
+        if closed[current]:
             continue
-        closed.add(current)
-        if current == destination:
+        if current == goal:
             path = [current]
             while current in came_from:
                 current = came_from[current]
                 path.append(current)
             path.reverse()
-            return path
+            return [(i // width - 1, i % width - 1) for i in path]
+        closed[current] = 1
         base_g = g_score[current]
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            nb = (r + dr, c + dc)
-            if not (0 <= nb[0] < h_rows and 0 <= nb[1] < h_cols):
+        for nb in (current - width, current + width, current - 1, current + 1):
+            if closed[nb]:
                 continue
-            if nb in closed or not passable(nb):
-                continue
-            cost = 1.0 if step_cost is None else step_cost(nb)
-            tentative = base_g + cost
-            if tentative < g_score.get(nb, float("inf")):
+            tentative = base_g + cost[nb]
+            if tentative < g_score[nb]:
                 g_score[nb] = tentative
                 came_from[nb] = current
-                heapq.heappush(open_heap, (tentative + heuristic(nb), nb[0], nb[1]))
+                r, c = divmod(nb, width)
+                # f = g + (integer heuristic), added in that order
+                push(open_heap, (tentative + (abs(r - tr) + abs(c - tc)), nb))
     return None
 
 
@@ -240,8 +268,7 @@ def spawn_demand(
     rate: int,
     seed: int,
     step: int,
-    passable: Callable[[Cell], bool],
-    shape: tuple[int, int],
+    router: Router,
     id_start: int,
     stagger: int = 0,
 ) -> list[AgentRecord]:
@@ -267,7 +294,7 @@ def spawn_demand(
                 break
         if destination == origin:
             continue
-        path = plan_path(origin, destination, passable, shape)
+        path = router.route(origin, destination)
         manhattan = abs(origin[0] - destination[0]) + abs(origin[1] - destination[1])
         planned = path_steps(path) if path else manhattan
         departure = step
@@ -299,8 +326,7 @@ def make_bus(
     bus_id: int,
     stops: Sequence[Cell],
     step: int,
-    passable: Callable[[Cell], bool],
-    shape: tuple[int, int],
+    router: Router,
 ) -> AgentRecord:
     """Bus visiting its stops in order; the first leg is planned at spawn."""
     stops = list(stops)
@@ -308,14 +334,14 @@ def make_bus(
     total = 0
     ok = True
     for a, b in zip(stops, stops[1:]):
-        leg = plan_path(a, b, passable, shape)
+        leg = router.route(a, b)
         if leg is None:
             ok = False
             total += abs(a[0] - b[0]) + abs(a[1] - b[1])
         else:
             total += path_steps(leg)
             legs.append(leg)
-    first_leg = legs[0] if (ok and legs) else plan_path(stops[0], stops[1], passable, shape) or [stops[0]]
+    first_leg = legs[0] if (ok and legs) else router.route(stops[0], stops[1]) or [stops[0]]
     return AgentRecord(
         id=bus_id,
         role=Role.BUS,
@@ -332,12 +358,7 @@ def make_bus(
     )
 
 
-def reroute_bus(
-    bus: AgentRecord,
-    passable: Callable[[Cell], bool],
-    shape: tuple[int, int],
-    step_cost: Callable[[Cell], float] | None = None,
-) -> tuple[AgentRecord, list[Cell]]:
+def reroute_bus(bus: AgentRecord, router: Router) -> tuple[AgentRecord, list[Cell]]:
     """Recompute the bus route over its remaining stops.
 
     Unreachable stops are skipped and returned for logging; the bus is
@@ -349,7 +370,7 @@ def reroute_bus(
     kept: list[Cell] = []
     first_leg: list[Cell] | None = None
     for stop in targets:
-        leg = plan_path(current, stop, passable, shape, step_cost)
+        leg = router.route(current, stop)
         if leg is None:
             skipped.append(stop)
             continue
@@ -375,22 +396,25 @@ class StepEvent:
     kind: str  # advanced | waited | replanned | blocked | arrived | cancelled | held
     agent_id: int
     region: int
-    local_max_depth: float
+    local_max_depth: float = 0.0
 
 
 def step_agent(
     agent: AgentRecord,
     world: WorldState,
-    passable: Callable[[Cell], bool],
-    step_cost: Callable[[Cell], float] | None,
+    router: Router,
     bus_held: Callable[[int], bool],
     rng,
     step: int,
     trip_log: TripLog,
     wait_probability: float = WAIT_PROBABILITY,
-    reachable: Callable[[Cell, Cell], bool] | None = None,
+    labels: np.ndarray | None = None,
 ) -> list[StepEvent]:
     """Advance one non-terminal agent by one step.
+
+    `router` holds this step's passable mask and costs for the agent's
+    role; `labels` are the connected components of that mask (0 marks an
+    impassable cell), used to skip replans that cannot succeed.
 
     The transition is deterministic given the chosen action; the only coin
     is the wait-vs-replan choice when blocked. Patience burns on every
@@ -401,8 +425,6 @@ def step_agent(
         return []
     events: list[StepEvent] = []
     region = world.region_of(agent.pos)
-    obs = agent.observe(world)
-    local_max = float(obs["water_depth"].max()) if obs["water_depth"].size else 0.0
 
     if agent.status is Status.WAITING:
         if step < agent.departure_step:
@@ -411,53 +433,52 @@ def step_agent(
 
     if agent.role is Role.BUS and bus_held(region):
         agent.travel_steps += 1
-        events.append(StepEvent("held", agent.id, region, local_max))
+        events.append(StepEvent("held", agent.id, region))
         return events
 
     agent.travel_steps += 1
 
     if agent.pos == agent.destination:
         _arrive(agent, step, trip_log)
-        events.append(StepEvent("arrived", agent.id, region, local_max))
+        events.append(StepEvent("arrived", agent.id, region))
         return events
 
     if agent.role is Role.BUS and agent.path_index + 1 >= len(agent.path):
         # at an intermediate stop with the leg exhausted: open the next leg
-        _advance_bus_leg(agent, passable, step_cost, world.shape)
+        _advance_bus_leg(agent, router)
 
     nxt = agent.path[agent.path_index + 1] if agent.path_index + 1 < len(agent.path) else None
     advanced = False
-    if nxt is not None and passable(nxt):
+    if nxt is not None and router.passable(nxt):
         agent.pos = nxt
         agent.path_index += 1
         advanced = True
-        events.append(StepEvent("advanced", agent.id, region, local_max))
+        events.append(StepEvent("advanced", agent.id, region))
     else:
-        blocked_cell = nxt
         dist = agent.action_distribution(blocked=True, wait_probability=wait_probability)
         action = "wait" if rng.random() < dist.get("wait", 0.0) else "replan"
         if action == "replan":
-            replanned = _replan(agent, passable, step_cost, world.shape, blocked_cell, reachable)
+            replanned = _replan(agent, router, labels)
             if agent.status is Status.CANCELLED:
                 # bus rerouting found every remaining stop unreachable
                 trip_log.close(agent)
-                events.append(StepEvent("cancelled", agent.id, region, local_max))
+                events.append(StepEvent("cancelled", agent.id, region))
                 return events
             if replanned:
-                events.append(StepEvent("replanned", agent.id, region, local_max))
+                events.append(StepEvent("replanned", agent.id, region))
                 nxt2 = agent.path[agent.path_index + 1] if agent.path_index + 1 < len(agent.path) else None
-                if nxt2 is not None and passable(nxt2):
+                if nxt2 is not None and router.passable(nxt2):
                     agent.pos = nxt2
                     agent.path_index += 1
                     advanced = True
             else:
-                events.append(StepEvent("blocked", agent.id, region, local_max))
+                events.append(StepEvent("blocked", agent.id, region))
         else:
-            events.append(StepEvent("waited", agent.id, region, local_max))
+            events.append(StepEvent("waited", agent.id, region))
 
     if agent.pos == agent.destination:
         _arrive(agent, step, trip_log)
-        events.append(StepEvent("arrived", agent.id, region, local_max))
+        events.append(StepEvent("arrived", agent.id, region))
         return events
 
     if not advanced:
@@ -465,7 +486,7 @@ def step_agent(
         if agent.patience <= 0:
             agent.status = Status.CANCELLED
             trip_log.close(agent)
-            events.append(StepEvent("cancelled", agent.id, region, local_max))
+            events.append(StepEvent("cancelled", agent.id, region))
     return events
 
 
@@ -475,7 +496,7 @@ def _arrive(agent: AgentRecord, step: int, trip_log: TripLog) -> None:
     trip_log.close(agent)
 
 
-def _advance_bus_leg(agent: AgentRecord, passable, step_cost, shape) -> bool:
+def _advance_bus_leg(agent: AgentRecord, router: Router) -> bool:
     """Open the leg to the next stop once the current one is exhausted.
 
     stop_index tracks the stop the bus most recently reached; the active
@@ -487,7 +508,7 @@ def _advance_bus_leg(agent: AgentRecord, passable, step_cost, shape) -> bool:
         agent.stop_index += 1
     if agent.stop_index + 1 >= len(agent.stops):
         return False
-    nxt_leg = plan_path(agent.pos, agent.stops[agent.stop_index + 1], passable, shape, step_cost)
+    nxt_leg = router.route(agent.pos, agent.stops[agent.stop_index + 1])
     if nxt_leg is None:
         return False
     agent.path = nxt_leg
@@ -495,25 +516,16 @@ def _advance_bus_leg(agent: AgentRecord, passable, step_cost, shape) -> bool:
     return True
 
 
-def _replan(
-    agent: AgentRecord,
-    passable: Callable[[Cell], bool],
-    step_cost: Callable[[Cell], float] | None,
-    shape: tuple[int, int],
-    blocked_cell: Cell | None,
-    reachable: Callable[[Cell, Cell], bool] | None,
-) -> bool:
-    def patched(cell: Cell) -> bool:
-        if blocked_cell is not None and cell == blocked_cell:
-            return False
-        return passable(cell)
-
+def _replan(agent: AgentRecord, router: Router, labels: np.ndarray | None) -> bool:
+    # the blocked next cell already fails this step's mask, so A* avoids it
     if agent.role is Role.BUS and len(agent.remaining_stops) >= 2:
-        bus, _ = reroute_bus(agent, patched, shape, step_cost)
+        bus, _ = reroute_bus(agent, router)
         return bus.status is not Status.CANCELLED
-    if reachable is not None and not reachable(agent.pos, agent.destination):
-        return False
-    path = plan_path(agent.pos, agent.destination, patched, shape, step_cost)
+    if labels is not None:
+        a = labels[agent.pos]
+        if not (a != 0 and a == labels[agent.destination]):
+            return False  # standing on a blocked cell, or cut off from the destination
+    path = router.route(agent.pos, agent.destination)
     if path is None:
         return False
     agent.path = path
@@ -524,7 +536,7 @@ def _replan(
 def aggregate_flows(agents: Iterable[AgentRecord], world: WorldState) -> np.ndarray:
     """Per-cell count of enroute agents this step."""
     density = np.zeros(world.shape, dtype=np.float64)
-    for agent in agents:
-        if agent.status is Status.ENROUTE:
-            density[agent.pos] += 1.0
+    cells = [agent.pos for agent in agents if agent.status is Status.ENROUTE]
+    if cells:
+        np.add.at(density, tuple(zip(*cells)), 1.0)
     return density

@@ -203,6 +203,15 @@ class InstructionBoard:
             else:
                 self.noops.append(instr)
 
+    def prune(self, step: int) -> None:
+        """Drop instructions whose window ended before `step`.
+
+        Valid while queries never ask for an earlier step than `step`, as
+        the engine's step order guarantees; future windows are kept.
+        """
+        for group in (self.obstacles, self.routings, self.stops, self.reliefs, self.noops):
+            group[:] = [i for i in group if i.window[1] >= step]
+
     @staticmethod
     def _active(instr: Instruction, step: int) -> bool:
         return instr.window[0] <= step <= instr.window[1]

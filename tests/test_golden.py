@@ -1,0 +1,82 @@
+"""Golden end-to-end runs: small configs whose artifacts must stay byte-identical.
+
+Each run's `metrics.csv`, `cycles.csv`, `trips.csv`, `instructions.csv` and
+`prompts.jsonl` are hashed (sha256) and compared with `tests/golden/digests.json`.
+A change that moves a digest changes behaviour; re-baseline deliberately with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and name the behaviour change, with its metric deltas, in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from floodloop import harness
+from floodloop.config import RunConfig
+
+GOLDEN = Path(__file__).parent / "golden" / "digests.json"
+ARTIFACTS = ("metrics.csv", "cycles.csv", "trips.csv", "instructions.csv", "prompts.jsonl")
+
+# name -> (strategy, ablations); all share the config in `golden_config`
+RUNS = {
+    "empty": ("empty", ()),
+    "ruled": ("ruled", ()),
+    "scripted": ("scripted", ()),
+    "ruled-no-dual-indexing": ("ruled", ("dual_indexing",)),
+    "ruled-no-entropy-control": ("ruled", ("entropy_control",)),
+    "ruled-no-feedback-loop": ("ruled", ("feedback_loop",)),
+}
+
+
+def golden_config(strategy: str, ablations: tuple[str, ...], out_dir: str) -> RunConfig:
+    """32x32, 30 steps, extreme rain, seed 1: the ruled run closes a cell,
+    adds routing penalties and holds buses, so every board effect reaches
+    the agents."""
+    cfg = RunConfig(seed=1, out_dir=out_dir, strategy=strategy, ablations=ablations, scenario="extreme", steps=30)
+    cfg.world.width = cfg.world.height = 32
+    cfg.world.n_regions = 16
+    cfg.mobility.initial_population = 120
+    cfg.mobility.initial_stagger = 15
+    cfg.mobility.spawn_rate = 2
+    cfg.mobility.n_pois = 12
+    cfg.mobility.n_buses = 3
+    cfg.heatmap_steps = (10,)
+    return cfg
+
+
+def run_digests(name: str, out_dir: Path) -> dict[str, str]:
+    strategy, ablations = RUNS[name]
+    harness.run(golden_config(strategy, ablations, str(out_dir)))
+    return {a: hashlib.sha256((out_dir / a).read_bytes()).hexdigest() for a in ARTIFACTS}
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_golden_digests(name, tmp_path):
+    expected = json.loads(GOLDEN.read_text())[name]
+    assert run_digests(name, tmp_path) == expected
+
+
+def test_ruled_golden_run_exercises_closures_and_penalties(tmp_path):
+    strategy, ablations = RUNS["ruled"]
+    harness.run(golden_config(strategy, ablations, str(tmp_path)))
+    with open(tmp_path / "instructions.csv", newline="") as fh:
+        accepted = {row["tag"] for row in csv.DictReader(fh) if row["status"] == "accepted"}
+    assert {"obstacle", "routing", "stop"} <= accepted
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: run_digests(name, Path(tmp) / name) for name in sorted(RUNS)}
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN}", file=sys.stderr)

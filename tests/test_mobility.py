@@ -13,19 +13,30 @@ from floodloop.errors import NoDemandSource
 from floodloop.rng import pystream
 
 
-def open_passable(blocked=()):
-    blocked = set(blocked)
-
-    def passable(cell):
-        return cell not in blocked
-
-    return passable
+def open_mask(shape, blocked=()):
+    mask = np.ones(shape, dtype=bool)
+    for cell in blocked:
+        mask[cell] = False
+    return mask
 
 
-def bfs_steps(origin, destination, passable, shape):
+def open_router(shape, blocked=()):
+    return mob.Router(open_mask(shape, blocked))
+
+
+def road_mask(ws, blocked=()):
+    return ws.is_road & open_mask(ws.shape, blocked)
+
+
+def road_router(ws, blocked=()):
+    return mob.Router(road_mask(ws, blocked))
+
+
+def bfs_steps(origin, destination, mask):
     """Independent shortest-path oracle."""
     if origin == destination:
         return 0
+    shape = mask.shape
     seen = {origin}
     queue = deque([(origin, 0)])
     while queue:
@@ -34,7 +45,7 @@ def bfs_steps(origin, destination, passable, shape):
             nb = (r + dr, c + dc)
             if not (0 <= nb[0] < shape[0] and 0 <= nb[1] < shape[1]):
                 continue
-            if nb in seen or not passable(nb):
+            if nb in seen or not mask[nb]:
                 continue
             if nb == destination:
                 return d + 1
@@ -46,7 +57,7 @@ def bfs_steps(origin, destination, passable, shape):
 # --- planning -------------------------------------------------------------------
 
 def test_open_grid_manhattan_length():
-    path = mob.plan_path((0, 0), (3, 4), open_passable(), (10, 10))
+    path = mob.plan_path((0, 0), (3, 4), open_router((10, 10)))
     assert mob.path_steps(path) == 7
     assert path[0] == (0, 0) and path[-1] == (3, 4)
 
@@ -54,16 +65,16 @@ def test_open_grid_manhattan_length():
 def test_wall_with_gap_matches_bfs():
     shape = (12, 12)
     wall = {(r, 6) for r in range(12) if r != 9}
-    passable = open_passable(wall)
-    path = mob.plan_path((5, 2), (5, 10), passable, shape)
+    mask = open_mask(shape, wall)
+    path = mob.plan_path((5, 2), (5, 10), mob.Router(mask))
     assert path is not None
-    oracle = bfs_steps((5, 2), (5, 10), passable, shape)
+    oracle = bfs_steps((5, 2), (5, 10), mask)
     assert mob.path_steps(path) == oracle
 
 
 def test_enclosed_destination_no_path():
     box = {(3, 3), (3, 5), (2, 4), (4, 4)}
-    assert mob.plan_path((0, 0), (3, 4), open_passable(box), (8, 8)) is None
+    assert mob.plan_path((0, 0), (3, 4), open_router((8, 8), box)) is None
 
 
 def test_random_mazes_match_bfs():
@@ -75,32 +86,32 @@ def test_random_mazes_match_bfs():
             for r, c in zip(rng.integers(0, 15, 40), rng.integers(0, 15, 40))
         }
         blocked -= {(0, 0), (14, 14)}
-        passable = open_passable(blocked)
-        path = mob.plan_path((0, 0), (14, 14), passable, shape)
-        oracle = bfs_steps((0, 0), (14, 14), passable, shape)
+        mask = open_mask(shape, blocked)
+        path = mob.plan_path((0, 0), (14, 14), mob.Router(mask))
+        oracle = bfs_steps((0, 0), (14, 14), mask)
         if oracle is None:
             assert path is None
         else:
             assert mob.path_steps(path) == oracle
             for a, b in zip(path, path[1:]):  # 4-adjacent, passable moves only
                 assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
-                assert passable(b)
+                assert mask[b]
 
 
 def test_plan_path_deterministic_ties():
     shape = (6, 6)
-    a = mob.plan_path((0, 0), (5, 5), open_passable(), shape)
-    b = mob.plan_path((0, 0), (5, 5), open_passable(), shape)
+    a = mob.plan_path((0, 0), (5, 5), open_router(shape))
+    b = mob.plan_path((0, 0), (5, 5), open_router(shape))
     assert a == b
 
 
 def test_step_cost_biases_route():
     shape = (5, 9)
 
-    def cost(cell):
-        return 9.0 if cell[0] == 0 and 2 <= cell[1] <= 6 else 1.0
+    cost = np.ones(shape)
+    cost[0, 2:7] = 9.0
 
-    path = mob.plan_path((0, 0), (0, 8), open_passable(), shape, step_cost=cost)
+    path = mob.plan_path((0, 0), (0, 8), mob.Router(open_mask(shape), cost))
     assert any(cell[0] > 0 for cell in path)  # detoured off the taxed row
 
 
@@ -111,12 +122,12 @@ def make_pois():
 
 
 def test_spawn_rate_zero():
-    assert mob.spawn_demand(make_pois(), 0, 1, 0, open_passable(), (10, 10), 0) == []
+    assert mob.spawn_demand(make_pois(), 0, 1, 0, open_router((10, 10)), 0) == []
 
 
 def test_spawn_deterministic():
-    a = mob.spawn_demand(make_pois(), 5, 42, 3, open_passable(), (10, 10), 100)
-    b = mob.spawn_demand(make_pois(), 5, 42, 3, open_passable(), (10, 10), 100)
+    a = mob.spawn_demand(make_pois(), 5, 42, 3, open_router((10, 10)), 100)
+    b = mob.spawn_demand(make_pois(), 5, 42, 3, open_router((10, 10)), 100)
     assert [(x.origin, x.destination, x.departure_step) for x in a] == [
         (x.origin, x.destination, x.departure_step) for x in b
     ]
@@ -125,14 +136,14 @@ def test_spawn_deterministic():
 
 def test_spawn_empty_pois():
     with pytest.raises(NoDemandSource):
-        mob.spawn_demand([], 1, 0, 0, open_passable(), (10, 10), 0)
+        mob.spawn_demand([], 1, 0, 0, open_router((10, 10)), 0)
 
 
 def test_spawn_weight_ratio():
     # with two POIs the distinct origin/destination rule pins the pair, so
     # the 3:1 weighting shows up in the origin draws
     pois = [mob.Poi((0, 0), 3.0), mob.Poi((9, 9), 1.0)]
-    agents = mob.spawn_demand(pois, 10_000, 7, 0, open_passable(), (10, 10), 0)
+    agents = mob.spawn_demand(pois, 10_000, 7, 0, open_router((10, 10)), 0)
     heavy = sum(1 for a in agents if a.origin == (0, 0))
     share = heavy / len(agents)
     assert abs(share - 0.75) < 0.05 * 0.75
@@ -144,7 +155,7 @@ def test_spawn_pair_frequencies_match_independent_oracle():
     import random
 
     pois = [mob.Poi((0, 0), 3.0), mob.Poi((9, 9), 1.0), mob.Poi((0, 9), 2.0)]
-    agents = mob.spawn_demand(pois, 10_000, 7, 0, open_passable(), (10, 10), 0)
+    agents = mob.spawn_demand(pois, 10_000, 7, 0, open_router((10, 10)), 0)
     got = {}
     for a in agents:
         got[(a.origin, a.destination)] = got.get((a.origin, a.destination), 0) + 1
@@ -167,7 +178,7 @@ def test_spawn_pair_frequencies_match_independent_oracle():
 
 
 def test_spawn_plans_and_patience():
-    agents = mob.spawn_demand(make_pois(), 20, 5, 0, open_passable(), (10, 10), 0)
+    agents = mob.spawn_demand(make_pois(), 20, 5, 0, open_router((10, 10)), 0)
     for a in agents:
         assert a.planned_steps >= 1
         assert 2 <= a.patience <= 50
@@ -184,7 +195,7 @@ def simple_world(width=10, height=3):
 
 
 def make_agent(origin, destination, ws, patience=10):
-    path = mob.plan_path(origin, destination, lambda c: bool(ws.is_road[c]), ws.shape)
+    path = mob.plan_path(origin, destination, road_router(ws))
     return mob.AgentRecord(
         id=0,
         role=mob.Role.RESIDENT,
@@ -199,19 +210,17 @@ def make_agent(origin, destination, ws, patience=10):
     )
 
 
-def run_step(agent, ws, blocked=(), rng=None, step=1, log=None, reachable=None):
+def run_step(agent, ws, blocked=(), rng=None, step=1, log=None, labels=None):
     log = log if log is not None else mob.TripLog()
-    blocked = set(blocked)
     return mob.step_agent(
         agent,
         ws,
-        lambda c: bool(ws.is_road[c]) and c not in blocked,
-        None,
+        road_router(ws, blocked),
         lambda region: False,
         rng or pystream(0, "coin"),
         step,
         log,
-        reachable=reachable,
+        labels=labels,
     ), log
 
 
@@ -238,8 +247,7 @@ def test_blocked_corridor_cancels_after_patience():
         mob.step_agent(
             agent,
             ws,
-            lambda c: bool(ws.is_road[c]) and c not in blocked,
-            None,
+            road_router(ws, blocked),
             lambda r: False,
             rng,
             steps,
@@ -316,13 +324,13 @@ def grid_world():
 def test_bus_visits_stops_in_order():
     ws = grid_world()
     stops = [(0, 0), (0, 4), (4, 4)]
-    bus = mob.make_bus(1, stops, 0, lambda c: bool(ws.is_road[c]), ws.shape)
+    bus = mob.make_bus(1, stops, 0, road_router(ws))
     log = mob.TripLog()
     log.note_spawn()
     rng = pystream(3, "coin")
     visited = []
     for step in range(1, 40):
-        mob.step_agent(bus, ws, lambda c: bool(ws.is_road[c]), None, lambda r: False, rng, step, log)
+        mob.step_agent(bus, ws, road_router(ws), lambda r: False, rng, step, log)
         visited.append(bus.pos)
         if bus.status.terminal:
             break
@@ -333,10 +341,10 @@ def test_bus_visits_stops_in_order():
 
 def test_reroute_skips_unreachable_stop():
     ws = grid_world()
-    bus = mob.make_bus(1, [(0, 0), (0, 4), (4, 4)], 0, lambda c: bool(ws.is_road[c]), ws.shape)
+    bus = mob.make_bus(1, [(0, 0), (0, 4), (4, 4)], 0, road_router(ws))
     # isolate (0, 4) completely
     walls = {(0, 3), (0, 5), (1, 4)}
-    bus, skipped = mob.reroute_bus(bus, lambda c: bool(ws.is_road[c]) and c not in walls, ws.shape)
+    bus, skipped = mob.reroute_bus(bus, road_router(ws, walls))
     assert skipped == [(0, 4)]
     assert bus.status is not mob.Status.CANCELLED
     assert bus.destination == (4, 4)
@@ -345,18 +353,17 @@ def test_reroute_skips_unreachable_stop():
 
 def test_reroute_all_unreachable_cancels():
     ws = grid_world()
-    bus = mob.make_bus(1, [(0, 0), (0, 4), (4, 4)], 0, lambda c: bool(ws.is_road[c]), ws.shape)
-    bus, skipped = mob.reroute_bus(bus, lambda c: False, ws.shape)
+    bus = mob.make_bus(1, [(0, 0), (0, 4), (4, 4)], 0, road_router(ws))
+    bus, skipped = mob.reroute_bus(bus, mob.Router(np.zeros(ws.shape, dtype=bool)))
     assert bus.status is mob.Status.CANCELLED
     assert len(skipped) == 2
 
 
 def test_no_flooding_reroute_keeps_legs():
     ws = grid_world()
-    passable = lambda c: bool(ws.is_road[c])
-    bus = mob.make_bus(1, [(0, 0), (0, 4), (4, 4)], 0, passable, ws.shape)
+    bus = mob.make_bus(1, [(0, 0), (0, 4), (4, 4)], 0, road_router(ws))
     original_first_leg = list(bus.path)
-    bus, skipped = mob.reroute_bus(bus, passable, ws.shape)
+    bus, skipped = mob.reroute_bus(bus, road_router(ws))
     assert skipped == []
     assert bus.stops[1:] == [(0, 4), (4, 4)]
     assert bus.path == original_first_leg
@@ -364,12 +371,12 @@ def test_no_flooding_reroute_keeps_legs():
 
 def test_held_bus_stays_put_keeps_patience():
     ws = grid_world()
-    bus = mob.make_bus(1, [(0, 0), (0, 4)], 0, lambda c: bool(ws.is_road[c]), ws.shape)
+    bus = mob.make_bus(1, [(0, 0), (0, 4)], 0, road_router(ws))
     bus.status = mob.Status.ENROUTE
     before = (bus.pos, bus.patience)
     log = mob.TripLog()
     events = mob.step_agent(
-        bus, ws, lambda c: bool(ws.is_road[c]), None, lambda region: True, pystream(0, "x"), 1, log
+        bus, ws, road_router(ws), lambda region: True, pystream(0, "x"), 1, log
     )
     assert [e.kind for e in events] == ["held"]
     assert (bus.pos, bus.patience) == before
@@ -416,13 +423,13 @@ def test_trip_accounting_identity():
     ws = simple_world(width=20, height=3)
     log = mob.TripLog()
     pois = [mob.Poi((1, 0), 1.0), mob.Poi((1, 10), 1.0), mob.Poi((1, 19), 1.0)]
-    agents = mob.spawn_demand(pois, 30, 11, 0, lambda c: bool(ws.is_road[c]), ws.shape, 0)
+    agents = mob.spawn_demand(pois, 30, 11, 0, road_router(ws), 0)
     log.note_spawn(len(agents))
     rng = pystream(5, "coin")
     for step in range(1, 60):
         for agent in agents:
             if not agent.status.terminal:
-                mob.step_agent(agent, ws, lambda c: bool(ws.is_road[c]), None, lambda r: False, rng, step, log)
+                mob.step_agent(agent, ws, road_router(ws), lambda r: False, rng, step, log)
         states = {s: sum(1 for a in agents if a.status is s) for s in mob.Status}
         assert sum(states.values()) == log.spawned
 

@@ -202,7 +202,7 @@ def test_board_stop_and_routing_queries():
 
 
 def test_obstacle_changes_route():
-    from floodloop.mobility import plan_path
+    from floodloop.mobility import Router, plan_path
 
     ws = small_world()
     board = tr.InstructionBoard(4)
@@ -210,9 +210,10 @@ def test_obstacle_changes_route():
     corridor_cell = (0, 4)
     board.dispatch([tr.Instruction(tr.Tag.OBSTACLE, ws.region_of(corridor_cell), corridor_cell, (), (0, 9))])
 
-    def passable(cell):
-        return bool(ws.is_road[cell]) and cell not in board.closed_cells(3)
+    mask = ws.is_road.copy()
+    for cell in board.closed_cells(3):
+        mask[cell] = False
 
-    path = plan_path(origin, destination, passable, ws.shape)
+    path = plan_path(origin, destination, Router(mask))
     assert path is not None
     assert corridor_cell not in path
