@@ -10,15 +10,19 @@ falls back to a local backend and logs the event.
 
 from __future__ import annotations
 
+import http.client
+import json
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from .errors import BackendUnavailable
 from .knowledge import HybridPrompt
-from .policy import HighLevelAction, PolicyDistribution, Verb, action_vocabulary
+from .policy import HighLevelAction, PolicyDistribution, Verb, action_keys, action_vocabulary
 from .state import StateSummary
 
 
@@ -165,22 +169,35 @@ class ExternalBackend(StrategyBackend):
     name = "external"
 
     def __init__(self, endpoint: str, timeout: float = 5.0):
+        # urllib would also open file:// and ftp:// URLs; the protocol is HTTP only
+        if urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
+            raise ValueError(f"external endpoint must be an http(s) URL, got {endpoint!r}")
         self.endpoint = endpoint
         self.timeout = timeout
+        # honours the proxy environment as it stands when the backend is made
+        self._opener = urllib.request.build_opener()
 
     def propose(self, prompt, n_regions, tau, cycle):
         vocab = action_vocabulary(n_regions)
         payload = {
             "prompt": prompt.text,
-            "vocabulary": [a.key() for a in vocab],
+            "vocabulary": action_keys(n_regions),
             "tau": tau,
             "cycle": cycle,
         }
         try:
-            resp = requests.post(self.endpoint, json=payload, timeout=self.timeout)
-            resp.raise_for_status()
-            body = resp.json()
-        except Exception as exc:
+            data = json.dumps(payload, allow_nan=False).encode("utf-8")
+            request = urllib.request.Request(
+                self.endpoint, data=data, headers={"Content-Type": "application/json"}, method="POST"
+            )
+            with self._opener.open(request, timeout=self.timeout) as resp:
+                body = json.loads(resp.read())
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            raise BackendUnavailable(f"external backend failed: {exc}") from exc
+        except (OSError, ValueError, http.client.HTTPException) as exc:
+            # OSError: refused connections, URLError and timeouts;
+            # ValueError: NaN in the payload, a body that is not JSON
             raise BackendUnavailable(f"external backend failed: {exc}") from exc
         planned = body.get("planned") if isinstance(body, dict) else None
         if planned is not None:

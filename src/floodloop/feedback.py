@@ -13,7 +13,8 @@ boundary, never mid-cycle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -44,7 +45,6 @@ from .metrics import (
     execution_deviation,
     flood_scores,
 )
-from .mobility import StepEvent
 from .policy import (
     EntropyController,
     RegionalObservation,
@@ -58,7 +58,7 @@ from .rng import pystream
 from .semeval import ResponseSet
 from .state import StateSummary, summarize_world
 from .translate import Instruction, Rejection, translate, wrap_accuracy
-from .world import RainfallScenario, generate_scenario
+from .world import RainfallScenario, WorldState, generate_scenario
 
 TASK_DIRECTIVE = (
     "Coordinate flood dispatch for the coming cycle: lower flood exposure and "
@@ -72,23 +72,20 @@ CONSISTENCY_PROBES = 3
 
 @dataclass(frozen=True)
 class CycleAccumulator:
-    """Order-insensitive fold of agent feedback items."""
+    """Order-insensitive sum of agent event counts over a cycle."""
 
     counts: tuple[tuple[str, int], ...] = ()
-    max_local_depth: float = 0.0
 
     def count_map(self) -> dict[str, int]:
         return dict(self.counts)
 
 
-def aggregate(acc: CycleAccumulator, item: StepEvent) -> CycleAccumulator:
-    """Fold one agent feedback item into the accumulator; commutative."""
+def aggregate(acc: CycleAccumulator, events: Mapping[str, int]) -> CycleAccumulator:
+    """Add one step's event counts (kind -> count) to the accumulator; commutative."""
     counts = acc.count_map()
-    counts[item.kind] = counts.get(item.kind, 0) + 1
-    return CycleAccumulator(
-        counts=tuple(sorted(counts.items())),
-        max_local_depth=max(acc.max_local_depth, item.local_max_depth),
-    )
+    for kind, count in events.items():
+        counts[kind] = counts.get(kind, 0) + count
+    return CycleAccumulator(counts=tuple(sorted(counts.items())))
 
 
 def should_replan(
@@ -174,6 +171,24 @@ def trigger_replanning(
             )
             new_edges.append(Edge(src=spot_id, dst=f"region:{region}", type=EdgeType.RISKS))
     return note, update_graph(graph, new_nodes, new_edges)
+
+
+def worst_road_cells(world: WorldState) -> list[tuple[int, int] | None]:
+    """Per region, its deepest road cell, or None for a region without roads.
+
+    One pass over the road cells: sort by (region, depth descending, flat
+    index), then take the first cell of each region, so depth ties go to
+    the first cell in row-major order.
+    """
+    flat = np.flatnonzero(world.is_road)
+    regions = world.region_id.ravel()[flat]
+    order = np.lexsort((flat, -world.water_depth.ravel()[flat], regions))
+    sorted_regions = regions[order]
+    first = np.flatnonzero(np.diff(sorted_regions, prepend=-1))  # region ids are >= 0
+    worst: list[tuple[int, int] | None] = [None] * world.n_regions
+    for region, index in zip(sorted_regions[first].tolist(), flat[order[first]].tolist()):
+        worst[region] = divmod(index, world.width)
+    return worst
 
 
 # --- knowledge bootstrap ----------------------------------------------------
@@ -300,7 +315,7 @@ class DecisionLoop:
 
     @property
     def n_cycles(self) -> int:
-        return self.config.steps // self.config.feedback.cycle_len
+        return -(-self.config.steps // self.config.feedback.cycle_len)
 
     def ablated(self, name: str) -> bool:
         return name in self.config.ablations
@@ -335,7 +350,8 @@ class DecisionLoop:
             planned_metrics=proposal.planned_metrics,
         )
         cap = min(plan.h_projected, self.controller.tau)
-        observations = {r: self._observe_region(summary, r) for r in range(cfg.world.n_regions)}
+        worst = worst_road_cells(eng.world)
+        observations = {r: self._observe_region(summary, r, worst[r]) for r in range(cfg.world.n_regions)}
         plans: list[RegionalPlan] = []
         for region in range(cfg.world.n_regions):
             plans.append(
@@ -358,9 +374,7 @@ class DecisionLoop:
             for action, p in zip(plan.projected.support, plan.projected.probs)
             if p > 0
         }
-        h_cond = conditional_entropy(
-            {a: _probs_as_dist(ps) for a, ps in locals_map.items()}, plan.projected
-        )
+        h_cond = conditional_entropy(locals_map, plan.projected)
         self._probe_diversity(cycle, plans)
 
         instructions: list[Instruction] = []
@@ -398,9 +412,7 @@ class DecisionLoop:
 
         acc = CycleAccumulator()
         for record in records:
-            for kind, count in sorted(record.events.items()):
-                for _ in range(count):
-                    acc = aggregate(acc, StepEvent(kind, -1, -1, 0.0))
+            acc = aggregate(acc, record.events)
 
         report = CycleReport(
             cycle=cycle,
@@ -508,15 +520,9 @@ class DecisionLoop:
             )
         )
 
-    def _observe_region(self, summary: StateSummary, region: int) -> RegionalObservation:
-        world = self.engine.world
-        mask = (world.region_id == region) & world.is_road
-        rows, cols = np.nonzero(mask)
-        worst = None
-        if len(rows):
-            depths = world.water_depth[rows, cols]
-            best_idx = int(np.argmax(depths))  # ties resolve row-major via nonzero order
-            worst = (int(rows[best_idx]), int(cols[best_idx]))
+    def _observe_region(
+        self, summary: StateSummary, region: int, worst: tuple[int, int] | None
+    ) -> RegionalObservation:
         return RegionalObservation(
             region=region,
             flood_score=summary.region_flood[region],
@@ -540,13 +546,6 @@ class DecisionLoop:
                 "reason": reason,
             }
         )
-
-
-def _probs_as_dist(probs: tuple[float, ...]):
-    from .policy import HighLevelAction, PolicyDistribution, Verb
-
-    support = tuple(HighLevelAction(Verb.NOOP, i) for i in range(len(probs)))
-    return PolicyDistribution(support=support, probs=probs)
 
 
 def _proposal_text(proposal: BackendProposal) -> str:

@@ -34,20 +34,30 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 class HashingEmbedder:
-    """Signed feature hashing of tokens into a fixed-dimension unit vector."""
+    """Signed feature hashing of tokens into a fixed-dimension unit vector.
+
+    Each token's (slot, sign) is hashed once per embedder and memoised.
+    """
 
     def __init__(self, dim: int = EMBED_DIM):
         self.dim = dim
+        self._slots: dict[str, tuple[int, float]] = {}
+
+    def _slot(self, token: str) -> tuple[int, float]:
+        h = int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
+        slot = self._slots[token] = (h % self.dim, 1.0 if (h >> 63) & 1 else -1.0)
+        return slot
 
     def embed(self, text: str) -> np.ndarray:
         tokens = _TOKEN_RE.findall(text.lower())
         if not tokens:
             raise EmptyQuery("cannot embed empty text")
-        vec = np.zeros(self.dim, dtype=np.float64)
+        slots = self._slots
+        acc = [0.0] * self.dim
         for token in tokens:
-            h = int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
-            sign = 1.0 if (h >> 63) & 1 else -1.0
-            vec[h % self.dim] += sign
+            index, sign = slots.get(token) or self._slot(token)
+            acc[index] += sign
+        vec = np.array(acc, dtype=np.float64)
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             # pathological sign cancellation; pin a single deterministic axis

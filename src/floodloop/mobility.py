@@ -1,11 +1,12 @@
-"""Resident and transit agents: perception, A* routing, trip lifecycle.
+"""Resident and transit agents: A* routing and the trip lifecycle.
 
-Agents realize a 4-tuple of local observation, feasible action set,
-deterministic transition, and an action distribution. Movement is
-4-connected over road cells; a cell is passable while its water depth
-stays under the role's blocking threshold and no obstacle instruction
-closes it. Blocked agents flip a seeded coin between waiting and
-replanning around the blockage; running out of patience cancels the trip.
+Agents realize a feasible action set, a deterministic transition and an
+action distribution; what they perceive is whether their next cell is
+passable this step. Movement is 4-connected over road cells; a cell is
+passable while its water depth stays under the role's blocking threshold
+and no obstacle instruction closes it. Blocked agents flip a seeded coin
+between waiting and replanning around the blockage; running out of
+patience cancels the trip.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ WAIT_PROBABILITY = 0.2
 PATIENCE_FACTOR = 2.0
 PATIENCE_CAP = 50
 ON_TIME_FACTOR = 3.0
-PERCEPTION_RADIUS = 3
 
 
 class Role(str, Enum):
@@ -65,18 +65,6 @@ class AgentRecord:
     travel_steps: int = 0
     stops: list[Cell] = field(default_factory=list)
     stop_index: int = 0
-    perception_radius: int = PERCEPTION_RADIUS
-
-    def observe(self, world: WorldState) -> dict[str, np.ndarray]:
-        """Local window of depth and density within the perception radius."""
-        r, c = self.pos
-        k = self.perception_radius
-        rs = slice(max(0, r - k), min(world.height, r + k + 1))
-        cs = slice(max(0, c - k), min(world.width, c + k + 1))
-        return {
-            "water_depth": world.water_depth[rs, cs].copy(),
-            "car_density": world.car_density[rs, cs].copy(),
-        }
 
     def action_distribution(self, blocked: bool, wait_probability: float = WAIT_PROBABILITY) -> dict[str, float]:
         """Probabilities over the feasible actions in the current situation."""
@@ -396,7 +384,6 @@ class StepEvent:
     kind: str  # advanced | waited | replanned | blocked | arrived | cancelled | held
     agent_id: int
     region: int
-    local_max_depth: float = 0.0
 
 
 def step_agent(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,9 +51,16 @@ class HighLevelAction:
         return HighLevelAction(Verb(verb), int(region))
 
 
+@lru_cache(maxsize=8)
 def action_vocabulary(n_regions: int) -> tuple[HighLevelAction, ...]:
     """Verb-major canonical ordering; index 0 is the first verb at region 0."""
     return tuple(HighLevelAction(verb, region) for verb in VERB_ORDER for region in range(n_regions))
+
+
+@lru_cache(maxsize=8)
+def action_keys(n_regions: int) -> tuple[str, ...]:
+    """`key()` of every entry of `action_vocabulary(n_regions)`, in order."""
+    return tuple(a.key() for a in action_vocabulary(n_regions))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
@@ -178,14 +179,22 @@ def test_ranking_softmax_over_negative_ranks():
 # --- external over HTTP ------------------------------------------------------------------
 
 class _Handler(BaseHTTPRequestHandler):
+    """Answers each POST with the next queued (status, body); a bytes body
+    is sent as is, anything else as JSON, after `delay` seconds."""
+
     responses = []
     requests = []
+    raw_requests = []
+    delay = 0.0
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
-        _Handler.requests.append(json.loads(self.rfile.read(length)))
+        raw = self.rfile.read(length)
+        _Handler.raw_requests.append((self.headers["Content-Type"], raw))
+        _Handler.requests.append(json.loads(raw))
         status, body = _Handler.responses.pop(0)
-        payload = json.dumps(body).encode()
+        payload = body if isinstance(body, bytes) else json.dumps(body).encode()
+        time.sleep(_Handler.delay)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -203,8 +212,11 @@ def http_backend():
     thread.start()
     _Handler.responses = []
     _Handler.requests = []
+    _Handler.raw_requests = []
+    _Handler.delay = 0.0
     yield f"http://127.0.0.1:{server.server_port}/", _Handler
     server.shutdown()
+    server.server_close()
 
 
 def test_external_probability_vector(http_backend):
@@ -222,6 +234,9 @@ def test_external_probability_vector(http_backend):
     assert sent["tau"] == 1.2
     assert len(sent["vocabulary"]) == vocab_size
     assert "## STATE" in sent["prompt"]
+    # the wire body is the default json.dumps of the request, UTF-8 encoded
+    expected = {"prompt": sent["prompt"], "vocabulary": [a.key() for a in p.action_vocabulary(4)], "tau": 1.2, "cycle": 0}
+    assert handler.raw_requests[0] == ("application/json", json.dumps(expected).encode("utf-8"))
 
 
 def test_external_ranking_response(http_backend):
@@ -239,6 +254,8 @@ def test_external_ranking_response(http_backend):
         (200, {"ranking": []}),
         (200, {"nothing": True}),
         (200, {"probabilities": []}),
+        (503, {}),
+        (200, b"<html>not json</html>"),
     ],
 )
 def test_external_failures_raise(http_backend, response):
@@ -246,6 +263,20 @@ def test_external_failures_raise(http_backend, response):
     handler.responses.append(response)
     with pytest.raises(BackendUnavailable):
         b.ExternalBackend(url, timeout=2.0).propose(prompt_for(summary_with()), 4, 1.2, 0)
+
+
+def test_external_timeout_raises(http_backend):
+    url, handler = http_backend
+    handler.delay = 0.5
+    # a valid answer, so only the timeout can make the call fail
+    handler.responses.append((200, {"ranking": ["noop@0"]}))
+    with pytest.raises(BackendUnavailable):
+        b.ExternalBackend(url, timeout=0.1).propose(prompt_for(summary_with()), 4, 1.2, 0)
+
+
+def test_external_rejects_non_http_endpoint():
+    with pytest.raises(ValueError):
+        b.ExternalBackend("file:///srv/answer.json")
 
 
 def test_external_unreachable_raises():

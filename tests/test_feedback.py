@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from floodloop import feedback as fb
+from floodloop import harness
 from floodloop import metrics as m
 from floodloop.backends import BackendProposal, EmptyBackend, RuledBackend, ScriptedBackend, StrategyBackend
 from floodloop.config import RunConfig
 from floodloop.errors import BackendUnavailable, NotTriggered
 from floodloop.knowledge import HashingEmbedder, KnowledgeGraph, Node, NodeType
-from floodloop.mobility import StepEvent
 from floodloop.policy import HighLevelAction, PolicyDistribution, Verb
 
 
@@ -47,32 +47,35 @@ def make_loop(cfg, backend=None, fallback=None):
 def test_aggregate_identity():
     acc = fb.CycleAccumulator()
     assert acc.count_map() == {}
-    assert acc.max_local_depth == 0.0
+    assert fb.aggregate(acc, {}) == acc
+    one = fb.aggregate(acc, {"advanced": 2, "waited": 1})
+    assert fb.aggregate(one, {}) == one
 
 
 def test_aggregate_permutation_invariant():
-    items = [
-        StepEvent("advanced", 1, 0, 0.1),
-        StepEvent("cancelled", 2, 1, 0.5),
-        StepEvent("advanced", 3, 2, 0.3),
-        StepEvent("waited", 4, 0, 0.9),
+    steps = [
+        {"advanced": 1},
+        {"cancelled": 1, "advanced": 1},
+        {"waited": 1},
+        {"advanced": 3, "replanned": 2},
     ]
     a = fb.CycleAccumulator()
-    for item in items:
-        a = fb.aggregate(a, item)
+    for events in steps:
+        a = fb.aggregate(a, events)
     b = fb.CycleAccumulator()
-    for item in reversed(items):
-        b = fb.aggregate(b, item)
+    for events in reversed(steps):
+        b = fb.aggregate(b, dict(reversed(list(events.items()))))
     assert a == b
-    assert a.count_map() == {"advanced": 2, "cancelled": 1, "waited": 1}
-    assert a.max_local_depth == 0.9
+    assert a.count_map() == {"advanced": 5, "cancelled": 1, "replanned": 2, "waited": 1}
 
 
 def test_aggregate_counts_cancellations():
     acc = fb.CycleAccumulator()
-    for i in range(5):
-        acc = fb.aggregate(acc, StepEvent("cancelled", i, 0, 0.0))
+    for _ in range(5):
+        acc = fb.aggregate(acc, {"cancelled": 1})
     assert acc.count_map()["cancelled"] == 5
+    acc = fb.aggregate(acc, {"cancelled": 4})
+    assert acc.count_map() == {"cancelled": 9}
 
 
 # --- should_replan ------------------------------------------------------------------
@@ -239,6 +242,23 @@ def test_cycle_reports_complete_and_deterministic():
     assert [r.snapshot for r in ra] == [r.snapshot for r in rb]
     assert a.instruction_rows == b.instruction_rows
     assert [t for _, t in a.prompt_log] == [t for _, t in b.prompt_log]
+
+
+def test_partial_last_cycle_runs_every_step(tmp_path):
+    cfg = tiny_config(steps=15, cycle_len=10, strategy="ruled")
+    cfg.out_dir = str(tmp_path)
+    result = harness.run(cfg, keep_loop=True)
+    loop = result.loop
+    assert len(loop.engine.step_records) == 15
+    assert len(loop.reports) == 2
+    assert result.summary["horizon_note"] == "15 steps in 2 cycles of 10"
+    # each cycle's accumulator is the sum of its own steps' event counts
+    for report, records in zip(loop.reports, (loop.engine.step_records[:10], loop.engine.step_records[10:])):
+        expected: dict[str, int] = {}
+        for record in records:
+            for kind, count in record.events.items():
+                expected[kind] = expected.get(kind, 0) + count
+        assert report.accumulator.count_map() == expected
 
 
 class ExplodingBackend(StrategyBackend):

@@ -1,0 +1,32 @@
+"""The strategy x scenario matrix."""
+
+from __future__ import annotations
+
+import json
+
+from floodloop import harness
+from floodloop.config import RunConfig
+
+
+def tiny_matrix_config(out_dir: str, workers: int) -> RunConfig:
+    cfg = RunConfig(seed=5, steps=10, out_dir=out_dir, workers=workers)
+    cfg.world.width = cfg.world.height = 16
+    cfg.world.n_regions = 4
+    cfg.mobility.initial_population = 20
+    cfg.mobility.spawn_rate = 1
+    cfg.mobility.n_pois = 6
+    cfg.mobility.n_buses = 1
+    cfg.feedback.cycle_len = 5
+    return cfg
+
+
+def test_matrix_summaries_do_not_depend_on_workers(tmp_path):
+    results = {}
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        result = harness.run_matrix(tiny_matrix_config(str(out), workers), ["empty", "ruled"], ["extreme"], repeats=2)
+        cells = {p.parent.name: json.loads(p.read_text()) for p in sorted(out.glob("*/summary.json"))}
+        results[workers] = (result["rows"], cells)
+    rows, cells = results[1]
+    assert len(cells) == 4
+    assert results[2] == (rows, cells)

@@ -1,0 +1,92 @@
+"""Decision-loop shortcuts against the per-call code they replaced: the
+one-pass worst road cell per region and the memoised hashing embedder."""
+
+from __future__ import annotations
+
+import hashlib
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from floodloop import feedback as fb
+from floodloop.errors import EmptyQuery
+from floodloop.knowledge import _TOKEN_RE, HashingEmbedder
+
+
+def per_region_worst(world, region: int) -> tuple[int, int] | None:
+    """The per-region scan `worst_road_cells` replaced, kept verbatim as the oracle."""
+    mask = (world.region_id == region) & world.is_road
+    rows, cols = np.nonzero(mask)
+    worst = None
+    if len(rows):
+        depths = world.water_depth[rows, cols]
+        best_idx = int(np.argmax(depths))  # ties resolve row-major via nonzero order
+        worst = (int(rows[best_idx]), int(cols[best_idx]))
+    return worst
+
+
+@st.composite
+def worlds(draw):
+    """The attributes `worst_road_cells` reads. Depths come from three
+    values, so ties are common, and one region loses all its roads."""
+    height = draw(st.integers(1, 10))
+    width = draw(st.integers(1, 10))
+    n_regions = draw(st.integers(1, 6))
+    shape = (height, width)
+    region_id = draw(hnp.arrays(np.int64, shape, elements=st.integers(0, n_regions - 1)))
+    is_road = draw(hnp.arrays(np.bool_, shape))
+    is_road &= region_id != draw(st.integers(0, n_regions - 1))
+    water_depth = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.25, 0.5])))
+    return SimpleNamespace(
+        width=width, height=height, n_regions=n_regions,
+        region_id=region_id, is_road=is_road, water_depth=water_depth,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(worlds())
+def test_worst_road_cells_equal_per_region_scan(world):
+    assert fb.worst_road_cells(world) == [per_region_worst(world, r) for r in range(world.n_regions)]
+
+
+def per_call_embed(text: str, dim: int) -> np.ndarray:
+    """`HashingEmbedder.embed` before memoisation, kept verbatim as the oracle."""
+    tokens = _TOKEN_RE.findall(text.lower())
+    if not tokens:
+        raise EmptyQuery("cannot embed empty text")
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in tokens:
+        h = int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
+        sign = 1.0 if (h >> 63) & 1 else -1.0
+        vec[h % dim] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        h = int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+        vec[h % dim] = 1.0
+        norm = 1.0
+    return vec / norm
+
+
+# few distinct words, so later texts reuse tokens memoised by earlier ones
+_WORDS = st.sampled_from(["region", "flood", "7", "42", "p", "0", "1250", "Reroute", "noop@3", "x-y", " ", "\n"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_WORDS, max_size=30).map(" ".join), min_size=1, max_size=8), st.sampled_from([4, 16, 64]))
+def test_memoised_embeddings_are_bit_identical(texts, dim):
+    memoised = HashingEmbedder(dim)
+    for text in texts:
+        if not _TOKEN_RE.findall(text.lower()):
+            with pytest.raises(EmptyQuery):
+                memoised.embed(text)
+            continue
+        got = memoised.embed(text)
+        assert got.tobytes() == HashingEmbedder(dim).embed(text).tobytes()
+        assert got.tobytes() == per_call_embed(text, dim).tobytes()

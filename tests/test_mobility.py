@@ -306,13 +306,6 @@ def test_waiting_agent_respects_departure_step():
     assert agent.pos == (0, 1)
 
 
-def test_observation_window_radius():
-    ws = simple_world(width=12, height=3)
-    agent = make_agent((1, 6), (1, 8), ws)
-    obs = agent.observe(ws)
-    assert obs["water_depth"].shape == (3, 7)  # clipped rows, full 2k+1 cols
-
-
 # --- buses --------------------------------------------------------------------------
 
 def grid_world():
