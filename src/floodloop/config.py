@@ -40,7 +40,6 @@ class MobilityConfig:
     n_pois: int = 16
     n_buses: int = 8
     bus_stops: int = 4
-    perception_radius: int = 3
     resident_block_depth: float = 0.3
     bus_block_depth: float = 0.25
     wait_probability: float = 0.2

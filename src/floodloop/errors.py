@@ -37,10 +37,6 @@ class EmptyQuery(FloodloopError):
     """Embedding requested for empty text."""
 
 
-class NodeNotFound(FloodloopError):
-    """Graph operation referenced a node id that does not exist."""
-
-
 class EmptySeed(FloodloopError):
     """Subgraph extraction found no seed nodes in the state summary."""
 

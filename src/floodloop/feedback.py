@@ -130,11 +130,7 @@ class CycleReport:
     region_flood_end: tuple[float, ...]
 
 
-def trigger_replanning(
-    report: CycleReport,
-    graph: KnowledgeGraph,
-    embedder: HashingEmbedder,
-) -> tuple[FeedbackNote, KnowledgeGraph]:
+def trigger_replanning(report: CycleReport, graph: KnowledgeGraph) -> tuple[FeedbackNote, KnowledgeGraph]:
     """Build the failure feedback for the next prompt and persist flood
     spots for badly flooded regions into the graph (idempotent)."""
     if not report.triggered:
@@ -160,15 +156,7 @@ def trigger_replanning(
     for region, score in enumerate(report.region_flood_end):
         if score > FLOOD_SPOT_SCORE and f"region:{region}" in graph:
             spot_id = f"floodspot:{region}"
-            text = f"flood spot region {region} severe waterlogging"
-            new_nodes.append(
-                Node(
-                    id=spot_id,
-                    type=NodeType.FLOOD_SPOT,
-                    attrs=(("region", str(region)),),
-                    feature=tuple(embedder.embed(text)),
-                )
-            )
+            new_nodes.append(Node(id=spot_id, type=NodeType.FLOOD_SPOT, attrs=(("region", str(region)),)))
             new_edges.append(Edge(src=spot_id, dst=f"region:{region}", type=EdgeType.RISKS))
     return note, update_graph(graph, new_nodes, new_edges)
 
@@ -217,7 +205,7 @@ def build_knowledge_context(engine: SimulationEngine, config: RunConfig) -> Know
     if kc.graph_file:
         graph = load_graph(kc.graph_file)
     else:
-        graph = _default_graph(engine, embedder)
+        graph = _default_graph(engine)
     if kc.segments_file:
         store = load_segments(kc.segments_file, embedder)
     else:
@@ -225,7 +213,7 @@ def build_knowledge_context(engine: SimulationEngine, config: RunConfig) -> Know
     return KnowledgeContext(graph=graph, store=store, embedder=embedder)
 
 
-def _default_graph(engine: SimulationEngine, embedder: HashingEmbedder) -> KnowledgeGraph:
+def _default_graph(engine: SimulationEngine) -> KnowledgeGraph:
     world = engine.world
     side = math.isqrt(world.n_regions)
     graph = KnowledgeGraph()
@@ -233,13 +221,11 @@ def _default_graph(engine: SimulationEngine, embedder: HashingEmbedder) -> Knowl
         world.region_id[world.is_road].ravel(), minlength=world.n_regions
     )
     for region in range(world.n_regions):
-        text = f"region {region} roads {int(road_counts[region])}"
         graph.add_node(
             Node(
                 id=f"region:{region}",
                 type=NodeType.REGION,
                 attrs=(("road_cells", str(int(road_counts[region]))),),
-                feature=tuple(embedder.embed(text)),
             )
         )
     for region in range(world.n_regions):
@@ -253,14 +239,7 @@ def _default_graph(engine: SimulationEngine, embedder: HashingEmbedder) -> Knowl
     for kind, extent in (("row", world.height), ("col", world.width)):
         for idx in range(0, extent, spacing):
             road_id = f"road:{kind}:{idx}"
-            graph.add_node(
-                Node(
-                    id=road_id,
-                    type=NodeType.ROAD,
-                    attrs=((kind, str(idx)),),
-                    feature=tuple(embedder.embed(f"road {kind} {idx}")),
-                )
-            )
+            graph.add_node(Node(id=road_id, type=NodeType.ROAD, attrs=((kind, str(idx)),)))
             touched = (
                 np.unique(world.region_id[idx, :]) if kind == "row" else np.unique(world.region_id[:, idx])
             )
@@ -349,31 +328,26 @@ class DecisionLoop:
             entropy_control=entropy_on,
             planned_metrics=proposal.planned_metrics,
         )
-        cap = min(plan.h_projected, self.controller.tau)
+        cap = min(plan.h_projected, self.controller.tau) if entropy_on else math.inf
         worst = worst_road_cells(eng.world)
         observations = {r: self._observe_region(summary, r, worst[r]) for r in range(cfg.world.n_regions)}
-        plans: list[RegionalPlan] = []
-        for region in range(cfg.world.n_regions):
-            plans.append(
-                generate_regional(
-                    plan.sampled[region],
-                    observations[region],
-                    self.controller,
-                    cfg.seed,
-                    cycle,
-                    cap,
-                    window=(start, end),
-                    n_regions=cfg.world.n_regions,
-                    entropy_control=entropy_on,
-                )
-            )
         locals_map = {
-            action: local_distribution_for(
-                action, observations[action.region], self.controller, cap, entropy_control=entropy_on
-            )
+            action: local_distribution_for(action, observations[action.region], cap)
             for action, p in zip(plan.projected.support, plan.projected.probs)
             if p > 0
         }
+        plans = [
+            generate_regional(
+                action,
+                observations[region],
+                locals_map.get(action, (1.0,)),
+                cfg.seed,
+                cycle,
+                window=(start, end),
+                n_regions=cfg.world.n_regions,
+            )
+            for region, action in sorted(plan.sampled.items())
+        ]
         h_cond = conditional_entropy(locals_map, plan.projected)
         self._probe_diversity(cycle, plans)
 
@@ -438,7 +412,7 @@ class DecisionLoop:
         self.reports.append(report)
         self._prev_snapshot = executed
         if triggered:
-            note, new_graph = trigger_replanning(report, self.knowledge.graph, self.knowledge.embedder)
+            note, new_graph = trigger_replanning(report, self.knowledge.graph)
             self.knowledge.graph = new_graph
             self.pending_feedback = note
         else:

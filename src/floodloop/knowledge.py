@@ -1,8 +1,8 @@
 """Dual-channel knowledge indexing.
 
-One channel is a typed graph (regions, roads, flood spots) with
-neighborhood-aggregation embeddings; the other is a text segment store
-with top-K cosine retrieval. Both feed a canonical hybrid prompt.
+One channel is a typed graph (regions, roads, flood spots) from which
+the seed regions' neighbourhood is extracted; the other is a text segment
+store with top-K cosine retrieval. Both feed a canonical hybrid prompt.
 
 Embeddings come from one pluggable interface whose default is
 deterministic feature hashing: no training, no model downloads, yet
@@ -26,7 +26,6 @@ from .errors import (
     EmptyQuery,
     EmptySeed,
     MissingTask,
-    NodeNotFound,
 )
 
 EMBED_DIM = 64
@@ -91,7 +90,6 @@ class Node:
     id: str
     type: NodeType
     attrs: tuple[tuple[str, str], ...] = ()
-    feature: tuple[float, ...] = ()
 
     def attr_map(self) -> dict[str, str]:
         return dict(self.attrs)
@@ -140,7 +138,7 @@ class KnowledgeGraph:
         self._neighbors[edge.dst].add(edge.src)
 
     def neighbors(self, node_id: str) -> set[str]:
-        """Undirected neighbor view used by aggregation and extraction."""
+        """Undirected neighbor view used by extraction."""
         return self._neighbors.get(node_id, set())
 
     def copy(self) -> "KnowledgeGraph":
@@ -171,28 +169,6 @@ def update_graph(
 def _normalized(vec: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     return vec / norm if norm > 0 else vec
-
-
-def neighborhood_embed(graph: KnowledgeGraph, node_id: str, depth: int) -> np.ndarray:
-    """Depth-k structural embedding: at each hop, average the node's own
-    previous-level vector (weight 0.5) with the mean of its neighbors'
-    (weight 0.5), then renormalize. Depth 0 is the node's own feature."""
-    if node_id not in graph.nodes:
-        raise NodeNotFound(node_id)
-    if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
-    level = {nid: _normalized(np.asarray(n.feature, dtype=np.float64)) for nid, n in graph.nodes.items()}
-    for _ in range(depth):
-        nxt = {}
-        for nid in graph.nodes:
-            nbrs = sorted(graph.neighbors(nid))
-            if not nbrs:
-                nxt[nid] = level[nid]
-                continue
-            neighbor_mean = np.mean([level[m] for m in nbrs], axis=0)
-            nxt[nid] = _normalized(0.5 * level[nid] + 0.5 * neighbor_mean)
-        level = nxt
-    return level[node_id]
 
 
 def extract_subgraph(graph: KnowledgeGraph, seed_ids: Sequence[str], hops: int) -> KnowledgeGraph:
@@ -369,7 +345,6 @@ def graph_to_json(graph: KnowledgeGraph) -> dict:
                 "id": n.id,
                 "type": n.type.value,
                 "attributes": dict(n.attrs),
-                "feature": list(n.feature),
             }
             for n in (graph.nodes[i] for i in sorted(graph.nodes))
         ],
@@ -388,7 +363,6 @@ def graph_from_json(data: dict) -> KnowledgeGraph:
                 id=rec["id"],
                 type=NodeType(rec["type"]),
                 attrs=tuple(sorted((str(k), str(v)) for k, v in rec.get("attributes", {}).items())),
-                feature=tuple(float(v) for v in rec.get("feature", [])),
             )
         )
     for rec in data.get("edges", []):

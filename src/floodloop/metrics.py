@@ -108,14 +108,6 @@ def objective_j(f: float, t: float, c: float, r: float, weights: WeightVector | 
     return w1 * f + w2 * t + w3 * c + w4 * (1.0 - r)
 
 
-def objective_gap(history: Sequence[float], j_now: float) -> float:
-    """j_now minus the historical best; 0 on an empty history so the first
-    cycle can never trigger. Negative when j_now is a new best."""
-    if not history:
-        return 0.0
-    return j_now - min(history)
-
-
 def adaptive_threshold(window_values: Sequence[float], lam_thr: float, floor: float = TRIGGER_FLOOR) -> float:
     """mu + lam_thr * sigma over the recent window, floored.
 
@@ -166,12 +158,13 @@ class FeedbackWindow:
         self.snapshots: deque[MetricsSnapshot] = deque(maxlen=length)
         self.gaps: deque[float] = deque(maxlen=length)
         self.best_j: float | None = None
-        self.history_js: list[float] = []
 
     def __len__(self) -> int:
         return len(self.snapshots)
 
     def gap_for(self, j_now: float) -> float:
+        """j_now minus the historical best; 0 on an empty history so the first
+        cycle can never trigger. Negative when j_now is a new best."""
         if self.best_j is None:
             return 0.0
         return j_now - self.best_j
@@ -179,7 +172,6 @@ class FeedbackWindow:
     def push(self, snapshot: MetricsSnapshot, gap: float) -> None:
         self.snapshots.append(snapshot)
         self.gaps.append(gap)
-        self.history_js.append(snapshot.j)
         if self.best_j is None or snapshot.j < self.best_j:
             self.best_j = snapshot.j
 

@@ -1,8 +1,7 @@
 """Resident and transit agents: A* routing and the trip lifecycle.
 
-Agents realize a feasible action set, a deterministic transition and an
-action distribution; what they perceive is whether their next cell is
-passable this step. Movement is 4-connected over road cells; a cell is
+Agents realize a feasible action set and a deterministic transition;
+what they perceive is whether their next cell is passable this step. Movement is 4-connected over road cells; a cell is
 passable while its water depth stays under the role's blocking threshold
 and no obstacle instruction closes it. Blocked agents flip a seeded coin
 between waiting and replanning around the blockage; running out of
@@ -24,8 +23,6 @@ from .world import WorldState
 
 Cell = tuple[int, int]
 
-RESIDENT_BLOCK_DEPTH = 0.3
-BUS_BLOCK_DEPTH = 0.25
 WAIT_PROBABILITY = 0.2
 PATIENCE_FACTOR = 2.0
 PATIENCE_CAP = 50
@@ -65,16 +62,6 @@ class AgentRecord:
     travel_steps: int = 0
     stops: list[Cell] = field(default_factory=list)
     stop_index: int = 0
-
-    def action_distribution(self, blocked: bool, wait_probability: float = WAIT_PROBABILITY) -> dict[str, float]:
-        """Probabilities over the feasible actions in the current situation."""
-        if self.status.terminal:
-            return {}
-        if self.status is Status.WAITING:
-            return {"depart": 1.0}
-        if blocked:
-            return {"replan": 1.0 - wait_probability, "wait": wait_probability}
-        return {"advance": 1.0}
 
     @property
     def remaining_stops(self) -> list[Cell]:
@@ -442,8 +429,7 @@ def step_agent(
         advanced = True
         events.append(StepEvent("advanced", agent.id, region))
     else:
-        dist = agent.action_distribution(blocked=True, wait_probability=wait_probability)
-        action = "wait" if rng.random() < dist.get("wait", 0.0) else "replan"
+        action = "wait" if rng.random() < wait_probability else "replan"
         if action == "replan":
             replanned = _replan(agent, router, labels)
             if agent.status is Status.CANCELLED:

@@ -83,19 +83,6 @@ class PolicyDistribution:
         if abs(float(arr.sum()) - 1.0) > 1e-9:
             raise InvalidDistribution(f"probabilities sum to {float(arr.sum())!r}")
 
-    @property
-    def entropy(self) -> float:
-        return entropy_of(self.probs)
-
-    def argmax(self) -> HighLevelAction:
-        return self.support[int(np.argmax(self.probs))]
-
-    def prob_of(self, action: HighLevelAction) -> float:
-        for a, p in zip(self.support, self.probs):
-            if a == action:
-                return p
-        return 0.0
-
     @staticmethod
     def onehot(action: HighLevelAction) -> "PolicyDistribution":
         return PolicyDistribution(support=(action,), probs=(1.0,))
@@ -113,13 +100,8 @@ def entropy_of(probs: Sequence[float]) -> float:
     return float(-np.sum(nz * np.log(nz)))
 
 
-def entropy(dist: PolicyDistribution) -> float:
-    dist.validate()
-    return entropy_of(dist.probs)
-
-
 def conditional_entropy(
-    locals_map: Mapping[HighLevelAction, "PolicyDistribution | Sequence[float]"],
+    locals_map: Mapping[HighLevelAction, Sequence[float]],
     global_dist: PolicyDistribution,
 ) -> float:
     """Expected local entropy under the global distribution."""
@@ -130,9 +112,7 @@ def conditional_entropy(
             continue
         if action not in locals_map:
             raise MissingLocalPolicy(f"no local distribution for {action.key()}")
-        local = locals_map[action]
-        h = local.entropy if isinstance(local, PolicyDistribution) else entropy_of(local)
-        total += p * h
+        total += p * entropy_of(locals_map[action])
     return total
 
 
@@ -142,24 +122,20 @@ def _mix_toward_argmax(probs: np.ndarray, beta: float) -> np.ndarray:
     return (1.0 - beta) * probs + beta * onehot
 
 
-def project_entropy(dist: PolicyDistribution, tau: float) -> PolicyDistribution:
-    """Cap the distribution's entropy at tau while preserving its argmax.
+def project_entropy(probs: np.ndarray, tau: float) -> np.ndarray:
+    """Cap the entropy of a probability array at tau while preserving its argmax.
 
-    Returns the input unchanged when already within budget; otherwise mixes
+    Returns `probs` itself when already within budget; otherwise mixes
     toward the one-hot argmax, with the mixing weight found by bisection so
-    the result lands in [tau - 1e-4, tau]. Mixing only ever adds mass to
-    the argmax, so the mode never moves. A convex mix is used instead of
-    temperature scaling because temperature cannot lower the entropy of a
-    uniform distribution.
+    the result lands in [tau - 1e-4, tau] (the one-hot itself when tau is
+    no more than 1e-4). Mixing only ever adds mass to the argmax, so the
+    mode never moves. A convex mix is used instead of temperature scaling
+    because temperature cannot lower the entropy of a uniform distribution.
     """
-    dist.validate()
-    h = entropy_of(dist.probs)
-    if h <= tau:
-        return dist
-    probs = np.asarray(dist.probs, dtype=np.float64)
+    if entropy_of(probs) <= tau:
+        return probs
     if tau <= PROJECTION_BAND:
-        out = _mix_toward_argmax(probs, 1.0)
-        return PolicyDistribution(support=dist.support, probs=tuple(out))
+        return _mix_toward_argmax(probs, 1.0)
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -169,17 +145,7 @@ def project_entropy(dist: PolicyDistribution, tau: float) -> PolicyDistribution:
             hi = mid
         if entropy_of(_mix_toward_argmax(probs, hi)) >= tau - PROJECTION_BAND:
             break
-    out = _mix_toward_argmax(probs, hi)
-    return PolicyDistribution(support=dist.support, probs=tuple(out))
-
-
-def entropy_loss(avg_log_prob: float, h: float, tau: float, lam: float) -> float:
-    """Log-likelihood term minus lambda times the absolute entropy gap.
-
-    Exposed for external trainers; local backends only use it for
-    diagnostics, no gradients are taken here.
-    """
-    return avg_log_prob - lam * abs(h - tau)
+    return _mix_toward_argmax(probs, hi)
 
 
 def update_lambda(lam: float, alpha: float, h: float, tau: float) -> float:
@@ -288,23 +254,32 @@ def _candidate_directives(action: HighLevelAction, obs: RegionalObservation) -> 
     return []
 
 
+def local_distribution_for(action: HighLevelAction, obs: RegionalObservation, cap: float) -> tuple[float, ...]:
+    """Local directive probabilities for one action, entropy capped at `cap`.
+
+    The decision loop passes cap = min(global entropy, tau), so uncertainty
+    never grows while descending the hierarchy and a deterministic parent
+    forces a deterministic child; `math.inf` leaves the weights uncapped.
+    An action without candidate directives gets the point mass (1.0,).
+    """
+    candidates = _candidate_directives(action, obs)
+    if not candidates:
+        return (1.0,)
+    weights = np.array([w for _, w, _ in candidates], dtype=np.float64)
+    return tuple(project_entropy(weights / weights.sum(), cap).tolist())
+
+
 def generate_regional(
     action: HighLevelAction,
     obs: RegionalObservation,
-    controller: EntropyController,
+    probs: Sequence[float],
     seed: int,
     cycle: int,
-    entropy_cap: float,
     window: tuple[int, int],
     n_regions: int,
-    entropy_control: bool = True,
 ) -> RegionalPlan:
-    """Refine one sampled global action into local directives.
-
-    The local distribution is capped at min(global entropy, tau) so
-    uncertainty never grows while descending the hierarchy; a deterministic
-    parent therefore forces a deterministic child.
-    """
+    """Refine one sampled global action into one local directive, drawn
+    from `probs`, the action's `local_distribution_for` probabilities."""
     if not (0 <= action.region < n_regions):
         raise UnknownRegion(f"region {action.region} outside [0, {n_regions})")
     candidates = _candidate_directives(action, obs)
@@ -317,59 +292,16 @@ def generate_regional(
             provenance=action,
             window=window,
         )
-    kinds = tuple(kind for kind, _, _ in candidates)
-    weights = np.array([w for _, w, _ in candidates], dtype=np.float64)
-    probs = weights / weights.sum()
-    if entropy_control:
-        cap = min(entropy_cap, controller.tau)
-        if cap <= PROJECTION_BAND:
-            onehot = np.zeros_like(probs)
-            onehot[int(np.argmax(probs))] = 1.0
-            probs = onehot
-        elif entropy_of(probs) > cap:
-            fake_support = tuple(HighLevelAction(Verb.NOOP, i) for i in range(len(probs)))
-            projected = project_entropy(PolicyDistribution(fake_support, tuple(probs)), cap)
-            probs = np.asarray(projected.probs)
     rng = pystream(seed, "regional", cycle, action.region)
-    pick = rng.choices(range(len(kinds)), weights=probs.tolist(), k=1)[0]
-    directive = candidates[pick][2]
+    pick = rng.choices(range(len(candidates)), weights=probs, k=1)[0]
     return RegionalPlan(
         region=action.region,
-        directive_kinds=kinds,
-        directive_probs=tuple(float(p) for p in probs),
-        directives=(directive,),
+        directive_kinds=tuple(kind for kind, _, _ in candidates),
+        directive_probs=tuple(probs),
+        directives=(candidates[pick][2],),
         provenance=action,
         window=window,
     )
-
-
-def local_distribution_for(
-    action: HighLevelAction,
-    obs: RegionalObservation,
-    controller: EntropyController,
-    entropy_cap: float,
-    entropy_control: bool = True,
-) -> tuple[float, ...]:
-    """Capped local directive probabilities for one action, without sampling.
-
-    Used to evaluate the conditional entropy of the full hierarchy.
-    """
-    candidates = _candidate_directives(action, obs)
-    if not candidates:
-        return (1.0,)
-    weights = np.array([w for _, w, _ in candidates], dtype=np.float64)
-    probs = weights / weights.sum()
-    if entropy_control:
-        cap = min(entropy_cap, controller.tau)
-        if cap <= PROJECTION_BAND:
-            onehot = np.zeros_like(probs)
-            onehot[int(np.argmax(probs))] = 1.0
-            return tuple(onehot)
-        if entropy_of(probs) > cap:
-            fake_support = tuple(HighLevelAction(Verb.NOOP, i) for i in range(len(probs)))
-            projected = project_entropy(PolicyDistribution(fake_support, tuple(probs)), cap)
-            return tuple(projected.probs)
-    return tuple(float(p) for p in probs)
 
 
 # --- global generation ------------------------------------------------------
@@ -428,12 +360,13 @@ def generate_global(
     """
     proposal_dist.validate()
     h_raw = entropy_of(proposal_dist.probs)
+    projected = proposal_dist
+    lam_after = controller.lam
     if entropy_control:
-        projected = project_entropy(proposal_dist, controller.tau)
+        if h_raw > controller.tau:
+            probs = project_entropy(np.asarray(proposal_dist.probs, dtype=np.float64), controller.tau)
+            projected = PolicyDistribution(proposal_dist.support, tuple(probs))
         lam_after = controller.observe(h_raw)
-    else:
-        projected = proposal_dist
-        lam_after = controller.lam
     sampled = sample_per_region(projected, n_regions, seed, cycle)
     return GlobalPlan(
         raw=proposal_dist,

@@ -10,7 +10,6 @@ window closes.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -19,8 +18,6 @@ import numpy as np
 from .errors import UnknownDirective
 from .policy import Directive, RegionalPlan
 from .world import WorldState
-
-log = logging.getLogger(__name__)
 
 DEFAULT_RELIEF_MULTIPLIER = 3.0
 DEFAULT_ROUTING_PENALTY = 4.0
@@ -67,27 +64,6 @@ _DIRECTIVE_TABLE: dict[str, tuple[Tag, float]] = {
     "deploy_pumps_surge": (Tag.RELIEF, 0.5),
     "noop": (Tag.NOOP, 1.0),
 }
-
-_KEYWORD_TABLE: tuple[tuple[Tag, tuple[str, ...]], ...] = (
-    (Tag.ROUTING, ("reroute", "detour", "avoid", "redirect", "divert")),
-    (Tag.OBSTACLE, ("close", "block", "obstacle", "barricade", "shut")),
-    (Tag.STOP, ("stop", "suspend", "hold", "halt", "pause")),
-    (Tag.RELIEF, ("relief", "pump", "drain", "dispatch")),
-)
-
-
-def classify_command(text: str) -> Tag:
-    """Keyword rule table standing in for a zero-shot tagger; unmatched
-    text degrades to NoOp with a logged warning."""
-    if not text or not text.strip():
-        raise ValueError("cannot classify empty command text")
-    lowered = text.lower()
-    for tag, keywords in _KEYWORD_TABLE:
-        if any(kw in lowered for kw in keywords):
-            return tag
-    log.warning("unclassifiable command %r, tagging as noop", text)
-    return Tag.NOOP
-
 
 def translate(plan: RegionalPlan) -> list[Instruction]:
     """Map each directive to exactly one instruction, order preserved."""

@@ -313,8 +313,3 @@ def region_means(values: np.ndarray, region_id: np.ndarray, n_regions: int) -> n
     counts = np.bincount(ids, minlength=n_regions)
     return sums / np.maximum(counts, 1)
 
-
-def water_depth_stats(world: WorldState) -> tuple[float, float]:
-    """Population mean and stddev of per-region mean water depths."""
-    means = region_means(world.water_depth, world.region_id, world.n_regions)
-    return float(np.mean(means)), float(np.std(means))

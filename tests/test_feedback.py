@@ -11,7 +11,7 @@ from floodloop import metrics as m
 from floodloop.backends import BackendProposal, EmptyBackend, RuledBackend, ScriptedBackend, StrategyBackend
 from floodloop.config import RunConfig
 from floodloop.errors import BackendUnavailable, NotTriggered
-from floodloop.knowledge import HashingEmbedder, KnowledgeGraph, Node, NodeType
+from floodloop.knowledge import KnowledgeGraph, Node, NodeType
 from floodloop.policy import HighLevelAction, PolicyDistribution, Verb
 
 
@@ -164,15 +164,14 @@ def report_with(**kw):
 
 def region_graph(n=4):
     g = KnowledgeGraph()
-    embedder = HashingEmbedder(16)
     for i in range(n):
-        g.add_node(Node(f"region:{i}", NodeType.REGION, feature=tuple(embedder.embed(f"region {i}"))))
-    return g, embedder
+        g.add_node(Node(f"region:{i}", NodeType.REGION))
+    return g
 
 
 def test_trigger_replanning_note_contents():
-    g, embedder = region_graph()
-    note, g2 = fb.trigger_replanning(report_with(), g, embedder)
+    g = region_graph()
+    note, g2 = fb.trigger_replanning(report_with(), g)
     assert note.deviation_rms == pytest.approx(0.1581)
     assert dict(note.metric_deltas)["c"] == pytest.approx(0.1)
     assert set(note.degraded_metrics) == {"c", "r"}
@@ -180,24 +179,24 @@ def test_trigger_replanning_note_contents():
 
 
 def test_trigger_replanning_adds_floodspot_idempotent():
-    g, embedder = region_graph()
-    _, g2 = fb.trigger_replanning(report_with(), g, embedder)
+    g = region_graph()
+    _, g2 = fb.trigger_replanning(report_with(), g)
     assert "floodspot:1" in g2.nodes
     assert g2.n_nodes() == g.n_nodes() + 1
-    _, g3 = fb.trigger_replanning(report_with(), g2, embedder)
+    _, g3 = fb.trigger_replanning(report_with(), g2)
     assert g3.n_nodes() == g2.n_nodes()
     assert g3.n_edges() == g2.n_edges()
 
 
 def test_trigger_replanning_requires_trigger():
-    g, embedder = region_graph()
+    g = region_graph()
     with pytest.raises(NotTriggered):
-        fb.trigger_replanning(report_with(triggered=False), g, embedder)
+        fb.trigger_replanning(report_with(triggered=False), g)
 
 
 def test_no_rejections_only_metric_deltas():
-    g, embedder = region_graph()
-    note, _ = fb.trigger_replanning(report_with(rejected_reasons=()), g, embedder)
+    g = region_graph()
+    note, _ = fb.trigger_replanning(report_with(rejected_reasons=()), g)
     assert note.rejected_reasons == ()
     assert len(note.metric_deltas) == 4
 

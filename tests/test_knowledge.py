@@ -1,4 +1,4 @@
-"""Embedding, graph aggregation, subgraph extraction, retrieval, prompts."""
+"""Embedding, subgraph extraction, retrieval, prompts."""
 
 from __future__ import annotations
 
@@ -11,20 +11,17 @@ from floodloop.errors import (
     EmptyQuery,
     EmptySeed,
     MissingTask,
-    NodeNotFound,
 )
 
 
-def make_node(nid, ntype=k.NodeType.REGION, feature=None, dim=8):
-    if feature is None:
-        feature = k.HashingEmbedder(dim).embed(nid)
-    return k.Node(id=nid, type=ntype, feature=tuple(feature))
+def make_node(nid, ntype=k.NodeType.REGION):
+    return k.Node(id=nid, type=ntype, attrs=(("label", nid),))
 
 
-def path_graph(n, dim=8):
+def path_graph(n):
     g = k.KnowledgeGraph()
     for i in range(n):
-        g.add_node(make_node(f"n{i}", dim=dim))
+        g.add_node(make_node(f"n{i}"))
     for i in range(n - 1):
         g.add_edge(k.Edge(f"n{i}", f"n{i+1}", k.EdgeType.ADJACENT))
     return g
@@ -57,64 +54,6 @@ def test_embed_state_empty_rejected():
         k.embed_state("   ")
     with pytest.raises(EmptyQuery):
         k.HashingEmbedder().embed("!!!")
-
-
-# --- neighborhood aggregation -----------------------------------------------------
-
-def test_isolated_node_any_depth():
-    g = k.KnowledgeGraph()
-    feature = np.array([3.0, 4.0, 0.0, 0.0])
-    g.add_node(k.Node(id="solo", type=k.NodeType.REGION, feature=tuple(feature)))
-    expected = feature / 5.0
-    for depth in (0, 1, 5):
-        assert np.allclose(k.neighborhood_embed(g, "solo", depth), expected)
-
-
-def test_identical_features_fixed_point():
-    g = k.KnowledgeGraph()
-    feature = tuple(k.HashingEmbedder(8).embed("same text"))
-    g.add_node(k.Node(id="a", type=k.NodeType.REGION, feature=feature))
-    g.add_node(k.Node(id="b", type=k.NodeType.REGION, feature=feature))
-    g.add_edge(k.Edge("a", "b", k.EdgeType.ADJACENT))
-    out = k.neighborhood_embed(g, "a", 3)
-    assert np.allclose(out, np.asarray(feature), atol=1e-12)
-
-
-def test_three_node_path_matches_recursion_oracle():
-    g = path_graph(3)
-
-    def oracle(node_id, depth):
-        feats = {nid: np.asarray(g.nodes[nid].feature) / np.linalg.norm(g.nodes[nid].feature) for nid in g.nodes}
-        if depth == 0:
-            return feats[node_id]
-        nbrs = sorted(g.neighbors(node_id))
-        if not nbrs:
-            return oracle(node_id, depth - 1)
-        mean = np.mean([oracle(nb, depth - 1) for nb in nbrs], axis=0)
-        v = 0.5 * oracle(node_id, depth - 1) + 0.5 * mean
-        return v / np.linalg.norm(v)
-
-    for node in ("n0", "n1", "n2"):
-        for depth in (0, 1, 2):
-            assert np.allclose(k.neighborhood_embed(g, node, depth), oracle(node, depth), atol=1e-12)
-
-
-def test_neighborhood_permutation_invariant():
-    def build(order):
-        g = k.KnowledgeGraph()
-        for nid in ["hub", "s1", "s2", "s3"]:
-            g.add_node(make_node(nid))
-        for nid in order:
-            g.add_edge(k.Edge("hub", nid, k.EdgeType.ADJACENT))
-        return k.neighborhood_embed(g, "hub", 2)
-
-    assert np.allclose(build(["s1", "s2", "s3"]), build(["s3", "s1", "s2"]), atol=1e-12)
-
-
-def test_unknown_node():
-    g = path_graph(2)
-    with pytest.raises(NodeNotFound):
-        k.neighborhood_embed(g, "ghost", 1)
 
 
 # --- subgraph extraction ------------------------------------------------------------
@@ -340,8 +279,12 @@ def test_graph_file_roundtrip(tmp_path):
     back = k.load_graph(path)
     assert set(back.nodes) == set(g.nodes)
     assert back._edge_keys == g._edge_keys
-    node = back.nodes["n1"]
-    assert np.allclose(node.feature, g.nodes["n1"].feature)
+    assert {nid: n.attrs for nid, n in back.nodes.items()} == {nid: n.attrs for nid, n in g.nodes.items()}
+    # files written while nodes carried a "feature" embedding still load
+    data = k.graph_to_json(g)
+    for rec in data["nodes"]:
+        rec["feature"] = [0.6, 0.8]
+    assert k.graph_from_json(data).nodes == g.nodes
 
 
 def test_segments_file_roundtrip(tmp_path):

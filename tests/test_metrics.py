@@ -128,17 +128,32 @@ def test_objective_affine_argmin_invariance():
 
 # --- gap and threshold -----------------------------------------------------------
 
+def objective_gap(history, j_now):
+    """Oracle for `FeedbackWindow.gap_for`: j_now minus the minimum of the
+    full J history, 0 on an empty history."""
+    if not history:
+        return 0.0
+    return j_now - min(history)
+
+
+def window_after(js, length=10):
+    window = m.FeedbackWindow(length=length)
+    for j in js:
+        window.push(m.MetricsSnapshot(0, 0, 0, 0, j, 0), window.gap_for(j))
+    return window
+
+
 def test_gap_basic():
-    assert m.objective_gap([0.50, 0.40, 0.45], 0.45) == pytest.approx(0.05)
+    assert window_after([0.50, 0.40, 0.45]).gap_for(0.45) == pytest.approx(0.05)
 
 
 def test_gap_at_min_and_new_best():
-    assert m.objective_gap([0.40, 0.50], 0.40) == pytest.approx(0.0)
-    assert m.objective_gap([0.40, 0.50], 0.35) == pytest.approx(-0.05)
+    assert window_after([0.40, 0.50]).gap_for(0.40) == pytest.approx(0.0)
+    assert window_after([0.40, 0.50]).gap_for(0.35) == pytest.approx(-0.05)
 
 
 def test_gap_empty_history():
-    assert m.objective_gap([], 0.7) == 0.0
+    assert window_after([]).gap_for(0.7) == 0.0
 
 
 def test_gap_incremental_equals_brute_force():
@@ -147,11 +162,13 @@ def test_gap_incremental_equals_brute_force():
         n = rng.integers(1, 30)
         js = rng.uniform(0, 1, size=n)
         window = m.FeedbackWindow(length=10)
+        history = []
         for j in js:
             gap_inc = window.gap_for(j)
-            gap_bf = m.objective_gap(list(window.history_js), j)
+            gap_bf = objective_gap(history, j)
             assert gap_inc == pytest.approx(gap_bf, abs=1e-12)
             window.push(m.MetricsSnapshot(0, 0, 0, 0, j, 0), gap_inc)
+            history.append(j)
 
 
 def test_adaptive_threshold_constant_gaps():

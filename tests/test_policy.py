@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floodloop import policy as p
 from floodloop.errors import InvalidDistribution, MissingLocalPolicy, UnknownRegion
@@ -32,20 +34,20 @@ def obs(region=0, flood=0.5, congestion=0.5, depth=0.0, blocked=0, cell=(0, 0)):
 # --- entropy ---------------------------------------------------------------------
 
 def test_entropy_uniform_four():
-    assert p.entropy(dist_over([0.25] * 4)) == pytest.approx(math.log(4), abs=1e-12)
+    assert p.entropy_of([0.25] * 4) == pytest.approx(math.log(4), abs=1e-12)
 
 
 def test_entropy_deterministic():
-    assert p.entropy(dist_over([1.0])) == 0.0
+    assert p.entropy_of([1.0]) == 0.0
 
 
 def test_entropy_hand_value():
     # -(0.5 ln 0.5 + 2 * 0.25 ln 0.25) = 1.0397207708399179
-    assert p.entropy(dist_over([0.5, 0.25, 0.25])) == pytest.approx(1.0397207708399179, abs=1e-9)
+    assert p.entropy_of([0.5, 0.25, 0.25]) == pytest.approx(1.0397207708399179, abs=1e-9)
 
 
 def test_entropy_zero_prob_terms_ignored():
-    assert p.entropy(dist_over([0.5, 0.5, 0.0])) == pytest.approx(math.log(2), abs=1e-12)
+    assert p.entropy_of([0.5, 0.5, 0.0]) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_entropy_bounds_random():
@@ -119,22 +121,22 @@ def test_conditional_entropy_missing_local():
 # --- projection -----------------------------------------------------------------------
 
 def test_projection_noop_when_within_budget():
-    d = dist_over([0.7, 0.2, 0.1])
-    assert p.project_entropy(d, 2.0) is d
+    probs = np.array([0.7, 0.2, 0.1])
+    assert p.project_entropy(probs, 2.0) is probs
 
 
 def test_projection_deterministic_unchanged():
-    d = dist_over([1.0, 0.0, 0.0])
-    assert p.project_entropy(d, 0.5) is d
+    probs = np.array([1.0, 0.0, 0.0])
+    assert p.project_entropy(probs, 0.5) is probs
 
 
 def test_projection_uniform_eight():
-    d = dist_over([0.125] * 8)
-    assert p.entropy(d) == pytest.approx(2.0794415416798357, abs=1e-9)
-    out = p.project_entropy(d, 1.2)
-    h = p.entropy_of(out.probs)
+    probs = np.full(8, 0.125)
+    assert p.entropy_of(probs) == pytest.approx(2.0794415416798357, abs=1e-9)
+    out = p.project_entropy(probs, 1.2)
+    h = p.entropy_of(out)
     assert 1.2 - 1e-4 <= h <= 1.2
-    assert out.argmax() == d.support[0]  # ties break to the lowest action index
+    assert int(np.argmax(out)) == 0  # ties break to the lowest index
 
 
 def test_projection_soundness_random():
@@ -144,11 +146,10 @@ def test_projection_soundness_random():
             n = int(rng.integers(2, 20))
             raw = rng.uniform(0, 1, size=n) + 1e-12
             probs = raw / raw.sum()
-            d = dist_over(list(probs), n_regions=n)
-            out = p.project_entropy(d, tau)
-            h = p.entropy_of(out.probs)
+            out = p.project_entropy(probs, tau)
+            h = p.entropy_of(out)
             assert h <= tau + 1e-4
-            assert int(np.argmax(out.probs)) == int(np.argmax(probs))
+            assert int(np.argmax(out)) == int(np.argmax(probs))
             if p.entropy_of(probs) > tau:
                 assert h >= tau - 1e-4
 
@@ -161,19 +162,7 @@ def test_projection_monotone_in_mix():
     assert all(b <= a + 1e-12 for a, b in zip(hs, hs[1:]))
 
 
-# --- loss and lambda ---------------------------------------------------------------------
-
-def test_loss_vanishes_at_tau():
-    assert p.entropy_loss(-0.7, 1.2, 1.2, 2.0) == pytest.approx(-0.7)
-
-
-def test_loss_zero_lambda():
-    assert p.entropy_loss(-0.7, 3.0, 1.2, 0.0) == pytest.approx(-0.7)
-
-
-def test_loss_hand_arithmetic():
-    assert p.entropy_loss(-1.0, 1.4, 1.2, 1.0) == pytest.approx(-1.2, abs=1e-12)
-
+# --- lambda ------------------------------------------------------------------------------
 
 def test_lambda_fixed_point():
     assert p.update_lambda(0.8, 0.05, 1.2, 1.2) == pytest.approx(0.8)
@@ -250,52 +239,193 @@ def test_sample_per_region_covers_all_regions():
 
 # --- regional refinement -----------------------------------------------------------------------
 
+def regional(action, observation, cap, seed=1, n_regions=4):
+    probs = p.local_distribution_for(action, observation, cap)
+    return p.generate_regional(action, observation, probs, seed=seed, cycle=0, window=(0, 9), n_regions=n_regions)
+
+
 def test_regional_noop_empty_directives():
-    ctl = p.EntropyController()
-    plan = p.generate_regional(
-        p.HighLevelAction(p.Verb.NOOP, 2), obs(2), ctl, seed=1, cycle=0,
-        entropy_cap=1.2, window=(0, 9), n_regions=4,
-    )
+    plan = regional(p.HighLevelAction(p.Verb.NOOP, 2), obs(2), cap=1.2)
     assert plan.directives == ()
     assert plan.local_entropy == 0.0
 
 
 def test_regional_deterministic_parent_forces_deterministic_local():
-    ctl = p.EntropyController()
-    plan = p.generate_regional(
-        p.HighLevelAction(p.Verb.DISPATCH_RELIEF, 1), obs(1, depth=0.4), ctl,
-        seed=3, cycle=0, entropy_cap=0.0, window=(0, 9), n_regions=4,
-    )
+    plan = regional(p.HighLevelAction(p.Verb.DISPATCH_RELIEF, 1), obs(1, depth=0.4), cap=0.0, seed=3)
     assert plan.local_entropy == pytest.approx(0.0, abs=1e-12)
     assert len(plan.directives) == 1
 
 
 def test_regional_close_names_the_flooded_cell():
-    ctl = p.EntropyController()
-    plan = p.generate_regional(
-        p.HighLevelAction(p.Verb.CLOSE_ROAD, 0), obs(0, depth=0.5, blocked=1, cell=(3, 4)),
-        ctl, seed=2, cycle=0, entropy_cap=1.2, window=(0, 9), n_regions=4,
-    )
+    plan = regional(p.HighLevelAction(p.Verb.CLOSE_ROAD, 0), obs(0, depth=0.5, blocked=1, cell=(3, 4)), cap=1.2, seed=2)
     assert plan.directives[0].cell == (3, 4)
 
 
 def test_regional_unknown_region():
-    ctl = p.EntropyController()
     with pytest.raises(UnknownRegion):
-        p.generate_regional(
-            p.HighLevelAction(p.Verb.NOOP, 64), obs(64), ctl, seed=1, cycle=0,
-            entropy_cap=1.0, window=(0, 9), n_regions=64,
-        )
+        regional(p.HighLevelAction(p.Verb.NOOP, 64), obs(64), cap=1.0, n_regions=64)
 
 
 def test_constraint_chain_local_capped_by_parent():
-    ctl = p.EntropyController(tau=1.2)
     rng = np.random.default_rng(12)
     for _ in range(100):
         cap = float(rng.uniform(0, 1.2))
         action = p.HighLevelAction(p.Verb.REROUTE_REGION, 0)
-        probs = p.local_distribution_for(action, obs(0, flood=float(rng.uniform(0, 1))), ctl, cap)
+        probs = p.local_distribution_for(action, obs(0, flood=float(rng.uniform(0, 1))), cap)
         assert p.entropy_of(probs) <= cap + 1e-4
+
+
+# --- properties of the single entropy cap ------------------------------------------------------
+#
+# `_before_*` are verbatim copies of the pre-array code, where
+# `generate_regional` and `local_distribution_for` each capped the local
+# probabilities themselves through a `PolicyDistribution` over a fake
+# support; the single `local_distribution_for` must reproduce them bit for bit.
+
+def _before_project_entropy(dist, tau):
+    dist.validate()
+    h = p.entropy_of(dist.probs)
+    if h <= tau:
+        return dist
+    probs = np.asarray(dist.probs, dtype=np.float64)
+    if tau <= p.PROJECTION_BAND:
+        out = p._mix_toward_argmax(probs, 1.0)
+        return p.PolicyDistribution(support=dist.support, probs=tuple(out))
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if p.entropy_of(p._mix_toward_argmax(probs, mid)) > tau:
+            lo = mid
+        else:
+            hi = mid
+        if p.entropy_of(p._mix_toward_argmax(probs, hi)) >= tau - p.PROJECTION_BAND:
+            break
+    out = p._mix_toward_argmax(probs, hi)
+    return p.PolicyDistribution(support=dist.support, probs=tuple(out))
+
+
+def _before_generate_regional(action, obs, controller, seed, cycle, entropy_cap, window, n_regions, entropy_control=True):
+    if not (0 <= action.region < n_regions):
+        raise UnknownRegion(f"region {action.region} outside [0, {n_regions})")
+    candidates = p._candidate_directives(action, obs)
+    if not candidates:
+        return p.RegionalPlan(
+            region=action.region,
+            directive_kinds=("noop",),
+            directive_probs=(1.0,),
+            directives=(),
+            provenance=action,
+            window=window,
+        )
+    kinds = tuple(kind for kind, _, _ in candidates)
+    weights = np.array([w for _, w, _ in candidates], dtype=np.float64)
+    probs = weights / weights.sum()
+    if entropy_control:
+        cap = min(entropy_cap, controller.tau)
+        if cap <= p.PROJECTION_BAND:
+            onehot = np.zeros_like(probs)
+            onehot[int(np.argmax(probs))] = 1.0
+            probs = onehot
+        elif p.entropy_of(probs) > cap:
+            fake_support = tuple(p.HighLevelAction(p.Verb.NOOP, i) for i in range(len(probs)))
+            projected = _before_project_entropy(p.PolicyDistribution(fake_support, tuple(probs)), cap)
+            probs = np.asarray(projected.probs)
+    rng = p.pystream(seed, "regional", cycle, action.region)
+    pick = rng.choices(range(len(kinds)), weights=probs.tolist(), k=1)[0]
+    directive = candidates[pick][2]
+    return p.RegionalPlan(
+        region=action.region,
+        directive_kinds=kinds,
+        directive_probs=tuple(float(p) for p in probs),
+        directives=(directive,),
+        provenance=action,
+        window=window,
+    )
+
+
+def _before_local_distribution_for(action, obs, controller, entropy_cap, entropy_control=True):
+    candidates = p._candidate_directives(action, obs)
+    if not candidates:
+        return (1.0,)
+    weights = np.array([w for _, w, _ in candidates], dtype=np.float64)
+    probs = weights / weights.sum()
+    if entropy_control:
+        cap = min(entropy_cap, controller.tau)
+        if cap <= p.PROJECTION_BAND:
+            onehot = np.zeros_like(probs)
+            onehot[int(np.argmax(probs))] = 1.0
+            return tuple(onehot)
+        if p.entropy_of(probs) > cap:
+            fake_support = tuple(p.HighLevelAction(p.Verb.NOOP, i) for i in range(len(probs)))
+            projected = _before_project_entropy(p.PolicyDistribution(fake_support, tuple(probs)), cap)
+            return tuple(projected.probs)
+    return tuple(float(p) for p in probs)
+
+
+N_REGIONS = 4
+TAU = 1.2
+
+# flood and congestion scores are sigmoid indices, so they lie in [0, 1]
+observations = st.builds(
+    obs,
+    region=st.integers(0, N_REGIONS - 1),
+    flood=st.floats(0.0, 1.0),
+    congestion=st.floats(0.0, 1.0),
+    depth=st.floats(0.0, 2.0),
+    blocked=st.integers(0, 6),
+    cell=st.one_of(st.none(), st.tuples(st.integers(0, 31), st.integers(0, 31))),
+)
+# below the projection band, between the band and tau (and above it), and uncapped
+caps = st.one_of(st.floats(0.0, p.PROJECTION_BAND), st.floats(p.PROJECTION_BAND, 1.5), st.just(math.inf))
+probability_arrays = st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=24).map(
+    lambda ws: np.asarray(ws) / np.sum(ws)
+)
+
+
+def _bits(probs):
+    return [float(x).hex() for x in probs]
+
+
+@settings(deadline=None, max_examples=400)
+@given(observations, st.sampled_from(list(p.Verb)), caps, st.integers(0, 2**31), st.integers(0, 50))
+def test_single_cap_matches_both_former_copies_bit_for_bit(observation, verb, cap, seed, cycle):
+    action = p.HighLevelAction(verb, observation.region)
+    ctl = p.EntropyController(tau=TAU)
+    control = not math.isinf(cap)
+    probs = p.local_distribution_for(action, observation, min(cap, TAU))
+    before = _before_local_distribution_for(action, observation, ctl, cap, entropy_control=control)
+    assert _bits(probs) == _bits(before)
+    plan = p.generate_regional(action, observation, probs, seed, cycle, (0, 9), N_REGIONS)
+    before_plan = _before_generate_regional(action, observation, ctl, seed, cycle, cap, (0, 9), N_REGIONS, control)
+    assert _bits(plan.directive_probs) == _bits(before_plan.directive_probs)
+    assert plan == before_plan
+
+
+@settings(deadline=None, max_examples=400)
+@given(probability_arrays, st.floats(0.05, 3.0))
+def test_projected_array_lands_in_band_and_keeps_argmax(probs, tau):
+    out = p.project_entropy(probs, tau)
+    h = p.entropy_of(out)
+    assert h <= tau
+    if p.entropy_of(probs) > tau:
+        assert h >= tau - p.PROJECTION_BAND
+    assert int(np.argmax(out)) == int(np.argmax(probs))
+    assert math.isclose(float(out.sum()), 1.0, abs_tol=1e-9)
+
+
+@settings(deadline=None, max_examples=300)
+@given(probability_arrays, observations, st.sampled_from(list(p.Verb)))
+def test_local_entropy_within_global_and_tau(global_probs, observation, verb):
+    plan = p.generate_global(
+        dist_over(list(global_probs), n_regions=len(global_probs)),
+        p.EntropyController(tau=TAU),
+        seed=0,
+        cycle=0,
+        n_regions=len(global_probs),
+    )
+    cap = min(plan.h_projected, TAU)
+    local = p.local_distribution_for(p.HighLevelAction(verb, observation.region), observation, cap)
+    assert p.entropy_of(local) <= min(plan.h_projected, TAU)
 
 
 def test_vocab_ordering_verb_major():

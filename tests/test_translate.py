@@ -1,5 +1,5 @@
-"""Directive translation, command classification, the accuracy wrapper,
-and the instruction board's reversible effects."""
+"""Directive translation, the accuracy wrapper, and the instruction
+board's reversible effects."""
 
 from __future__ import annotations
 
@@ -70,31 +70,6 @@ def test_translate_brief_variant_shortens_window():
     d = Directive("close_cell_brief", 0, cell=(0, 0))
     out = tr.translate(plan_with([d], window=(10, 19)))
     assert out[0].window == (10, 14)  # half of the 9-step span, rounded
-
-
-# --- classification -----------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "text,tag",
-    [
-        ("reroute buses around region 5", tr.Tag.ROUTING),
-        ("please detour northbound traffic", tr.Tag.ROUTING),
-        ("close the underpass at 12th", tr.Tag.OBSTACLE),
-        ("barricade the junction", tr.Tag.OBSTACLE),
-        ("suspend service", tr.Tag.STOP),
-        ("hold all lines", tr.Tag.STOP),
-        ("dispatch pumps to the market", tr.Tag.RELIEF),
-        ("drain the underpass", tr.Tag.RELIEF),
-        ("sing a cheerful song", tr.Tag.NOOP),
-    ],
-)
-def test_classify_keyword_table(text, tag):
-    assert tr.classify_command(text) is tag
-
-
-def test_classify_empty_rejected():
-    with pytest.raises(ValueError):
-        tr.classify_command("   ")
 
 
 # --- accuracy wrapper ------------------------------------------------------------------

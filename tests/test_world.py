@@ -233,11 +233,12 @@ def test_partition_errors():
         w.partition_regions(8, 8, 12)
 
 
-# --- depth stats ---------------------------------------------------------------
+# --- depth stats over region means ---------------------------------------------
 
 def test_depth_stats_all_zero():
     ws = flat_world(depth=0.0)
-    assert w.water_depth_stats(ws) == (0.0, 0.0)
+    means = w.region_means(ws.water_depth, ws.region_id, ws.n_regions)
+    assert (float(np.mean(means)), float(np.std(means))) == (0.0, 0.0)
 
 
 def test_depth_stats_hand_computed():
@@ -254,6 +255,7 @@ def test_depth_stats_hand_computed():
 
 def test_depth_stats_single_region():
     ws = flat_world(width=4, height=4, n_regions=1, depth=0.42)
-    mu, sigma = w.water_depth_stats(ws)
+    means = w.region_means(ws.water_depth, ws.region_id, 1)
+    mu, sigma = float(np.mean(means)), float(np.std(means))
     assert mu == pytest.approx(0.42)
     assert sigma == pytest.approx(0.0)
