@@ -42,12 +42,14 @@ def _unit_rows(embeddings: Sequence[Sequence[float]]) -> np.ndarray:
 
 
 def _mean_pairwise_cosine(embeddings: Sequence[Sequence[float]]) -> float:
+    """In [-1, 1]: the identity can leave that range by a few ulps, for
+    example 1.0000000000000002 for identical responses, so it is clamped."""
     n = len(embeddings)
     if n < 2:
         raise InsufficientResponses(f"need >= 2 responses, got {n}")
     unit = _unit_rows(embeddings)
     total = unit.sum(axis=0)
-    return float((np.dot(total, total) - n) / (n * (n - 1)))
+    return min(1.0, max(-1.0, float((np.dot(total, total) - n) / (n * (n - 1)))))
 
 
 def scs(sets: Sequence[ResponseSet]) -> float:

@@ -30,6 +30,14 @@ def test_scs_identical_responses():
     assert se.scs([rset([e, e, e])]) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_identical_non_unit_responses_score_exactly_one():
+    # the sum identity gives 1 + 2 ulps and 1 + 6 ulps for these before clamping
+    for e in ((3.0, 4.0), (0.5, 0.5, 0.5)):
+        sets = [rset([e, e, e])]
+        assert se.scs(sets) == 1.0
+        assert se.sds(sets) == 0.0
+
+
 def test_scs_orthogonal():
     sets = [rset([(1, 0, 0), (0, 1, 0)])]
     assert se.scs(sets) == pytest.approx(0.0, abs=1e-12)
