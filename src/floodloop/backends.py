@@ -4,14 +4,16 @@ Four interchangeable sources sit behind one interface: Empty (do nothing),
 Ruled (threshold rule table over the current state summary), Scripted
 (replays recorded distributions, for tests and ablation diffs), and
 External (an HTTP endpoint speaking the wire protocol below). Any failure
-of the external endpoint raises BackendUnavailable; the decision loop
-falls back to a local backend and logs the event.
+of the external endpoint, or a response entry it cannot use as stated,
+raises BackendUnavailable; the decision loop falls back to a local backend
+and logs the event.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import math
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -160,10 +162,11 @@ class ExternalBackend(StrategyBackend):
     """HTTP wire protocol for out-of-process strategy generators.
 
     Request JSON: {"prompt": str, "vocabulary": [action keys], "tau": float,
-    "cycle": int}. Response JSON carries either "probabilities" (one float
-    per vocabulary entry) or "ranking" (action keys, best first, converted
-    to a distribution by softmax over negative ranks), plus an optional
-    "planned" map of expected f/t/c/r.
+    "cycle": int}. Response JSON carries either "probabilities" (one finite,
+    non-negative float per vocabulary entry; zeros are dropped) or
+    "ranking" (action keys of regions in [0, n_regions), best first,
+    converted to a distribution by softmax over negative ranks), plus an
+    optional "planned" map of expected f/t/c/r.
     """
 
     name = "external"
@@ -212,6 +215,8 @@ class ExternalBackend(StrategyBackend):
                     raise ValueError(f"expected {len(vocab)} probabilities, got {len(probs)}")
                 support, kept = [], []
                 for action, p in zip(vocab, probs):
+                    if not (math.isfinite(p) and p >= 0):
+                        raise ValueError(f"probability of {action.key()} is {p!r}, not finite and non-negative")
                     if p > 0:
                         support.append(action)
                         kept.append(p)
@@ -221,6 +226,9 @@ class ExternalBackend(StrategyBackend):
                 dist = PolicyDistribution(tuple(support), tuple(p / total for p in kept))
             elif "ranking" in body:
                 dist = ranking_to_distribution([str(k) for k in body["ranking"]])
+                for action in dist.support:
+                    if not 0 <= action.region < n_regions:
+                        raise ValueError(f"ranked action {action.key()} is outside regions [0, {n_regions})")
             else:
                 raise ValueError("response carries neither probabilities nor ranking")
             dist.validate()

@@ -256,13 +256,21 @@ def test_external_ranking_response(http_backend):
         (200, {"probabilities": []}),
         (503, {}),
         (200, b"<html>not json</html>"),
+        (200, {"probabilities": [float("nan")] + [0.05] * 19}, "probability of reroute_region@0 is nan"),
+        (200, {"probabilities": [-0.25, 1.25] + [0.0] * 18}, "probability of reroute_region@0 is -0.25"),
+        (200, {"probabilities": [float("inf")] + [0.0] * 19}, "probability of reroute_region@0 is inf"),
+        (200, {"ranking": ["close_road@1", "noop@4"]}, "ranked action noop@4 is outside regions [0, 4)"),
+        (200, {"ranking": ["close_road@-1"]}, "ranked action close_road@-1 is outside regions [0, 4)"),
     ],
 )
 def test_external_failures_raise(http_backend, response):
     url, handler = http_backend
-    handler.responses.append(response)
-    with pytest.raises(BackendUnavailable):
+    status, body, *reason = response
+    handler.responses.append((status, body))
+    with pytest.raises(BackendUnavailable) as failure:
         b.ExternalBackend(url, timeout=2.0).propose(prompt_for(summary_with()), 4, 1.2, 0)
+    for text in reason:
+        assert text in str(failure.value)
 
 
 def test_external_timeout_raises(http_backend):
