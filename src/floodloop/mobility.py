@@ -1,7 +1,8 @@
 """Resident and transit agents: A* routing and the trip lifecycle.
 
-Agents realize a feasible action set and a deterministic transition;
-what they perceive is whether their next cell is passable this step. Movement is 4-connected over road cells; a cell is
+Agents realize a feasible action set, a deterministic transition and an
+action distribution; what they perceive is whether their next cell is
+passable this step. Movement is 4-connected over road cells; a cell is
 passable while its water depth stays under the role's blocking threshold
 and no obstacle instruction closes it. Blocked agents flip a seeded coin
 between waiting and replanning around the blockage; running out of
