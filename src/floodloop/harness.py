@@ -5,7 +5,8 @@ Every run writes the same artifact set into its own directory: per-step
 metrics CSV, cycle log, trip log, instruction log, prompt log, scenario
 record, density dumps with SVG heatmaps, and a JSON summary. Runs are
 fully determined by their config, so equal configs produce byte-identical
-CSVs.
+CSVs. Every float in the metrics, cycle, comparison and semantic CSVs is
+written by `_csv_float`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .config import RunConfig, config_from_dict
 from .feedback import DecisionLoop
 from .heatmap import save_density_dump, write_heatmap
 from .mobility import Status
-from .semeval import SemanticRow, scs, sds, stability_report, write_semantic_table
+from .semeval import SemanticRow, scs, sds, stability_report
 from .world import RainfallScenario, load_scenario, save_scenario
 
 METRICS_HEADER = ("step", "f", "t", "c", "r", "J", "gap", "delta", "triggered")
@@ -52,6 +54,13 @@ CYCLE_HEADER = (
 )
 TRIP_HEADER = ("id", "role", "departure_step", "outcome", "travel_steps", "planned_steps")
 INSTRUCTION_HEADER = ("cycle", "region", "tag", "anchor", "window_start", "window_end", "status", "reason")
+
+
+def _csv_float(value: float) -> str:
+    """repr of the value as a Python float, with -0.0 written as 0.0, so a
+    cell always parses with float() and equal values are spelled alike."""
+    value = float(value)
+    return "0.0" if value == 0 else repr(value)
 
 
 @dataclass
@@ -109,13 +118,11 @@ def _write_metrics_csv(path: Path, loop: DecisionLoop) -> None:
             cycle = (rec.step - 1) // cycle_len
             report = by_cycle.get(cycle)
             is_boundary = report is not None and rec.step == report.snapshot.step
-            gap = repr(report.gap) if is_boundary else ""
-            delta = repr(report.delta) if is_boundary else ""
+            gap = _csv_float(report.gap) if is_boundary else ""
+            delta = _csv_float(report.delta) if is_boundary else ""
             trig = str(int(report.triggered)) if is_boundary else ""
             s = rec.snapshot
-            writer.writerow(
-                [rec.step, repr(s.f), repr(s.t), repr(s.c), repr(s.r), repr(s.j), gap, delta, trig]
-            )
+            writer.writerow([rec.step, *map(_csv_float, (s.f, s.t, s.c, s.r, s.j)), gap, delta, trig])
 
 
 def _write_cycle_csv(path: Path, loop: DecisionLoop) -> None:
@@ -131,19 +138,19 @@ def _write_cycle_csv(path: Path, loop: DecisionLoop) -> None:
                     r.snapshot.step,
                     r.backend_used,
                     int(r.fallback_used),
-                    repr(r.h_raw),
-                    repr(r.h_projected),
-                    repr(r.h_conditional),
-                    repr(r.lam),
-                    repr(r.snapshot.f),
-                    repr(r.snapshot.t),
-                    repr(r.snapshot.c),
-                    repr(r.snapshot.r),
-                    repr(r.snapshot.j),
-                    repr(r.gap),
-                    repr(r.delta),
+                    _csv_float(r.h_raw),
+                    _csv_float(r.h_projected),
+                    _csv_float(r.h_conditional),
+                    _csv_float(r.lam),
+                    _csv_float(r.snapshot.f),
+                    _csv_float(r.snapshot.t),
+                    _csv_float(r.snapshot.c),
+                    _csv_float(r.snapshot.r),
+                    _csv_float(r.snapshot.j),
+                    _csv_float(r.gap),
+                    _csv_float(r.delta),
                     int(r.triggered),
-                    repr(r.delta_e),
+                    _csv_float(r.delta_e),
                     r.n_instructions,
                     r.n_rejected,
                 ]
@@ -316,9 +323,42 @@ def _write_comparison_csv(path: Path, rows: list[dict]) -> None:
         writer = csv.writer(fh)
         writer.writerow(COMPARISON_HEADER)
         for row in rows:
-            writer.writerow([row["strategy"], row["scenario"], row["repeats"]] + [
-                repr(row[k]) for k in COMPARISON_HEADER[3:-1]
-            ] + [repr(row["triggers_mean"])])
+            writer.writerow(
+                [row["strategy"], row["scenario"], row["repeats"]] + [_csv_float(row[k]) for k in COMPARISON_HEADER[3:]]
+            )
+
+
+SEMANTIC_TABLE_HEADER = ("module_setting", "stability", "scs", "sds")
+
+
+def write_semantic_table(path: str | Path, rows: Sequence[SemanticRow]) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(SEMANTIC_TABLE_HEADER)
+        for row in rows:
+            writer.writerow(
+                [
+                    row.setting,
+                    _csv_float(row.stability),
+                    "" if row.scs is None else _csv_float(row.scs),
+                    "" if row.sds is None else _csv_float(row.sds),
+                ]
+            )
+
+
+def read_semantic_table(path: str | Path) -> list[dict[str, float | str | None]]:
+    out = []
+    with open(path, newline="") as fh:
+        for rec in csv.DictReader(fh):
+            out.append(
+                {
+                    "module_setting": rec["module_setting"],
+                    "stability": float(rec["stability"]),
+                    "scs": float(rec["scs"]) if rec["scs"] else None,
+                    "sds": float(rec["sds"]) if rec["sds"] else None,
+                }
+            )
+    return out
 
 
 # --- ablation diffs ----------------------------------------------------------

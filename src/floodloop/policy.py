@@ -363,9 +363,8 @@ def generate_global(
     projected = proposal_dist
     lam_after = controller.lam
     if entropy_control:
-        if h_raw > controller.tau:
-            probs = project_entropy(np.asarray(proposal_dist.probs, dtype=np.float64), controller.tau)
-            projected = PolicyDistribution(proposal_dist.support, tuple(probs))
+        probs = project_entropy(np.asarray(proposal_dist.probs, dtype=np.float64), controller.tau)
+        projected = PolicyDistribution(proposal_dist.support, tuple(probs.tolist()))
         lam_after = controller.observe(h_raw)
     sampled = sample_per_region(projected, n_regions, seed, cycle)
     return GlobalPlan(

@@ -10,9 +10,7 @@ mean pairwise cosine = (|sum e|^2 - n) / (n (n - 1)).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -98,36 +96,3 @@ def stability_report(
             )
         )
     return rows
-
-
-SEMANTIC_TABLE_HEADER = ("module_setting", "stability", "scs", "sds")
-
-
-def write_semantic_table(path: str | Path, rows: Sequence[SemanticRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SEMANTIC_TABLE_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.setting,
-                    repr(row.stability),
-                    "" if row.scs is None else repr(row.scs),
-                    "" if row.sds is None else repr(row.sds),
-                ]
-            )
-
-
-def read_semantic_table(path: str | Path) -> list[dict[str, float | str | None]]:
-    out = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            out.append(
-                {
-                    "module_setting": rec["module_setting"],
-                    "stability": float(rec["stability"]),
-                    "scs": float(rec["scs"]) if rec["scs"] else None,
-                    "sds": float(rec["sds"]) if rec["sds"] else None,
-                }
-            )
-    return out

@@ -72,6 +72,18 @@ def test_ruled_golden_run_exercises_closures_and_penalties(tmp_path):
     assert {"obstacle", "routing", "stop"} <= accepted
 
 
+def test_ruled_golden_csv_floats_parse(tmp_path):
+    strategy, ablations = RUNS["ruled"]
+    harness.run(golden_config(strategy, ablations, str(tmp_path)))
+    for name, text_columns in (("metrics.csv", ()), ("cycles.csv", ("backend",))):
+        with open(tmp_path / name, newline="") as fh:
+            for row in csv.DictReader(fh):
+                for column, cell in row.items():
+                    if column not in text_columns and cell:
+                        assert cell != "-0.0", (name, column)
+                        float(cell)
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from floodloop import harness
 from floodloop import semeval as se
 from floodloop.errors import InsufficientResponses
 
@@ -126,8 +127,8 @@ def test_semantic_table_roundtrip_reference_row(tmp_path):
     # the published-style reference row is a parsing fixture only
     rows = [se.SemanticRow("full framework", 0.0047, (("f", 0.0047),), 0.872, 0.443)]
     path = tmp_path / "semantic.csv"
-    se.write_semantic_table(path, rows)
-    back = se.read_semantic_table(path)
+    harness.write_semantic_table(path, rows)
+    back = harness.read_semantic_table(path)
     assert back[0]["stability"] == pytest.approx(0.0047)
     assert back[0]["scs"] == pytest.approx(0.872)
     assert back[0]["sds"] == pytest.approx(0.443)
