@@ -1,7 +1,8 @@
 """Golden end-to-end runs: small configs whose artifacts must stay byte-identical.
 
-Each run's `metrics.csv`, `cycles.csv`, `trips.csv`, `instructions.csv` and
-`prompts.jsonl` are hashed (sha256) and compared with `tests/golden/digests.json`.
+Each run's `metrics.csv`, `cycles.csv`, `trips.csv`, `instructions.csv`,
+`prompts.jsonl` and `summary.json` are hashed (sha256) and compared with
+`tests/golden/digests.json`.
 A change that moves a digest changes behaviour; re-baseline deliberately with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -23,7 +24,7 @@ from floodloop import harness
 from floodloop.config import RunConfig
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
-ARTIFACTS = ("metrics.csv", "cycles.csv", "trips.csv", "instructions.csv", "prompts.jsonl")
+ARTIFACTS = ("metrics.csv", "cycles.csv", "trips.csv", "instructions.csv", "prompts.jsonl", "summary.json")
 
 # name -> (strategy, ablations); all share the config in `golden_config`
 RUNS = {
