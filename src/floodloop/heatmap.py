@@ -69,9 +69,12 @@ def emit_heatmap(values: np.ndarray, palette_name: str = "density") -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height_px}" '
         f'viewBox="0 0 {width_px} {height_px}">'
     ]
-    for r in range(h):
-        for c in range(w):
-            color = _color(float(values[r, c]), lo, hi, palette)
+    colors: dict[float, str] = {}  # densities are mostly small counts, so few distinct values
+    for r, row in enumerate(values.tolist()):
+        for c, value in enumerate(row):
+            color = colors.get(value)
+            if color is None:
+                color = colors[value] = _color(value, lo, hi, palette)
             parts.append(
                 f'<rect x="{c * CELL_PX}" y="{r * CELL_PX}" width="{CELL_PX}" height="{CELL_PX}" fill="{color}"/>'
             )
