@@ -468,9 +468,7 @@ class DecisionLoop:
                 )
             except BackendUnavailable:
                 proposals.append(first)
-        embeddings = tuple(
-            tuple(self.knowledge.embedder.embed(_proposal_text(p))) for p in proposals
-        )
+        embeddings = tuple(self.knowledge.embedder.embed(_proposal_text(p)) for p in proposals)
         self.consistency_sets.append(
             ResponseSet(
                 prompt_id=f"cycle:{cycle}",
@@ -490,7 +488,7 @@ class DecisionLoop:
             ResponseSet(
                 prompt_id=f"cycle:{cycle}",
                 producers=tuple(str(rp.region) for rp in plans),
-                embeddings=tuple(tuple(self.knowledge.embedder.embed(t)) for t in texts),
+                embeddings=tuple(self.knowledge.embedder.embed(t) for t in texts),
             )
         )
 

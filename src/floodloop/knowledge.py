@@ -35,12 +35,15 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 class HashingEmbedder:
     """Signed feature hashing of tokens into a fixed-dimension unit vector.
 
-    Each token's (slot, sign) is hashed once per embedder and memoised.
+    Each token's (slot, sign) and each text's vector are computed once per
+    embedder and memoised; feature hashing is a pure function of the text.
+    The returned vectors are shared, so they are read-only.
     """
 
     def __init__(self, dim: int = EMBED_DIM):
         self.dim = dim
         self._slots: dict[str, tuple[int, float]] = {}
+        self._vectors: dict[str, np.ndarray] = {}
 
     def _slot(self, token: str) -> tuple[int, float]:
         h = int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
@@ -48,6 +51,13 @@ class HashingEmbedder:
         return slot
 
     def embed(self, text: str) -> np.ndarray:
+        vec = self._vectors.get(text)
+        if vec is None:
+            vec = self._vectors[text] = self._hash(text)
+            vec.flags.writeable = False
+        return vec
+
+    def _hash(self, text: str) -> np.ndarray:
         tokens = _TOKEN_RE.findall(text.lower())
         if not tokens:
             raise EmptyQuery("cannot embed empty text")
@@ -94,6 +104,10 @@ class Node:
     def attr_map(self) -> dict[str, str]:
         return dict(self.attrs)
 
+    def line(self) -> str:
+        attrs = " ".join(f"{k}={v}" for k, v in self.attrs)
+        return f"node {self.id} type={self.type.value}" + (f" {attrs}" if attrs else "")
+
 
 @dataclass(frozen=True)
 class Edge:
@@ -101,15 +115,29 @@ class Edge:
     dst: str
     type: EdgeType
 
+    def line(self) -> str:
+        return f"edge {self.src} -> {self.dst} type={self.type.value}"
+
+
+# per node id, in id order: the node's line, then (dst, line) of its
+# out-edges in (dst, type) order; concatenated, they render the graph
+RenderIndex = dict[str, tuple[str, list[tuple[str, str]]]]
+
 
 class KnowledgeGraph:
-    """Typed directed graph; duplicate (src, dst, type) triples are ignored."""
+    """Typed directed graph; duplicate (src, dst, type) triples are ignored.
+
+    Beside its node and edge lists it keeps an out-edge index, source ->
+    (dst, type) -> edge, and a render index that is built on first use and
+    dropped by any change.
+    """
 
     def __init__(self):
         self.nodes: dict[str, Node] = {}
         self.edges: list[Edge] = []
-        self._edge_keys: set[tuple[str, str, str]] = set()
         self._neighbors: dict[str, set[str]] = {}
+        self._out: dict[str, dict[tuple[str, str], Edge]] = {}
+        self._rendered: RenderIndex | None = None
 
     def __contains__(self, node_id: str) -> bool:
         return node_id in self.nodes
@@ -124,18 +152,22 @@ class KnowledgeGraph:
         if node.id in self.nodes:
             return
         self.nodes[node.id] = node
-        self._neighbors.setdefault(node.id, set())
+        self._neighbors[node.id] = set()
+        self._out[node.id] = {}
+        self._rendered = None
 
     def add_edge(self, edge: Edge) -> None:
         if edge.src not in self.nodes or edge.dst not in self.nodes:
             raise DanglingEdge(f"edge {edge.src}->{edge.dst} references a missing node")
-        key = (edge.src, edge.dst, edge.type.value)
-        if key in self._edge_keys:
+        out = self._out[edge.src]
+        key = (edge.dst, edge.type.value)
+        if key in out:
             return
-        self._edge_keys.add(key)
+        out[key] = edge
         self.edges.append(edge)
         self._neighbors[edge.src].add(edge.dst)
         self._neighbors[edge.dst].add(edge.src)
+        self._rendered = None
 
     def neighbors(self, node_id: str) -> set[str]:
         """Undirected neighbor view used by extraction."""
@@ -145,9 +177,35 @@ class KnowledgeGraph:
         g = KnowledgeGraph()
         g.nodes = dict(self.nodes)
         g.edges = list(self.edges)
-        g._edge_keys = set(self._edge_keys)
         g._neighbors = {k: set(v) for k, v in self._neighbors.items()}
+        g._out = {k: dict(v) for k, v in self._out.items()}
+        g._rendered = self._rendered  # never changed in place, only dropped
         return g
+
+    def render_index(self) -> RenderIndex:
+        if self._rendered is None:
+            self._rendered = {
+                nid: (self.nodes[nid].line(), [(dst, e.line()) for (dst, _), e in sorted(self._out[nid].items())])
+                for nid in sorted(self.nodes)
+            }
+        return self._rendered
+
+    def induced(self, keep: set[str]) -> "KnowledgeGraph":
+        """Subgraph induced on `keep` (ids of this graph), with its slice of
+        this graph's render index. Built from the indexes: `add_edge`'s
+        dangling and duplicate checks hold by construction."""
+        rendered = self.render_index()
+        sub = KnowledgeGraph()
+        sub._rendered = {}
+        for nid in sorted(keep):
+            out = {key: e for key, e in self._out[nid].items() if key[0] in keep}
+            sub.nodes[nid] = self.nodes[nid]
+            sub.edges.extend(out.values())
+            sub._neighbors[nid] = self._neighbors[nid] & keep
+            sub._out[nid] = out
+            line, edge_lines = rendered[nid]
+            sub._rendered[nid] = (line, [pair for pair in edge_lines if pair[0] in keep])
+        return sub
 
 
 def update_graph(
@@ -188,13 +246,7 @@ def extract_subgraph(graph: KnowledgeGraph, seed_ids: Sequence[str], hops: int) 
         frontier = nxt
         if not frontier:
             break
-    sub = KnowledgeGraph()
-    for nid in sorted(retained):
-        sub.add_node(graph.nodes[nid])
-    for edge in graph.edges:
-        if edge.src in retained and edge.dst in retained:
-            sub.add_edge(edge)
-    return sub
+    return graph.induced(retained)
 
 
 @dataclass(frozen=True)
@@ -205,11 +257,15 @@ class Segment:
 
 
 class SegmentStore:
-    """Flat store of text segments with their embeddings; ids are unique."""
+    """Flat store of text segments with their embeddings; ids are unique.
+
+    Each segment's unit vector is computed once, when it is added.
+    """
 
     def __init__(self, embedder: HashingEmbedder | None = None):
         self.embedder = embedder or HashingEmbedder()
         self.segments: list[Segment] = []
+        self._units: list[np.ndarray] = []
         self._ids: set[str] = set()
 
     def __len__(self) -> int:
@@ -220,6 +276,7 @@ class SegmentStore:
             raise ValueError(f"duplicate segment id {seg_id!r}")
         seg = Segment(id=seg_id, text=text, embedding=tuple(self.embedder.embed(text)))
         self.segments.append(seg)
+        self._units.append(_normalized(np.asarray(seg.embedding, dtype=np.float64)))
         self._ids.add(seg_id)
         return seg
 
@@ -229,10 +286,7 @@ def retrieve_topk(query: np.ndarray, store: SegmentStore, k: int) -> list[tuple[
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     q = _normalized(np.asarray(query, dtype=np.float64))
-    scored = []
-    for seg in store.segments:
-        e = _normalized(np.asarray(seg.embedding, dtype=np.float64))
-        scored.append((seg, float(np.dot(q, e))))
+    scored = [(seg, float(np.dot(q, unit))) for seg, unit in zip(store.segments, store._units)]
     scored.sort(key=lambda pair: (-pair[1], pair[0].id))
     return scored[:k]
 
@@ -296,16 +350,13 @@ def _render_feedback(note: FeedbackNote | None) -> str:
 
 
 def render_subgraph(sub: KnowledgeGraph | None) -> str:
+    """Node lines in id order, then edge lines in (src, dst, type) order."""
     if sub is None or sub.n_nodes() == 0:
         return "(none)"
-    lines = []
-    for nid in sorted(sub.nodes):
-        node = sub.nodes[nid]
-        attrs = " ".join(f"{k}={v}" for k, v in node.attrs)
-        lines.append(f"node {nid} type={node.type.value}" + (f" {attrs}" if attrs else ""))
-    for edge in sorted(sub.edges, key=lambda e: (e.src, e.dst, e.type.value)):
-        lines.append(f"edge {edge.src} -> {edge.dst} type={edge.type.value}")
-    return "\n".join(lines)
+    rendered = sub.render_index().values()
+    nodes = "\n".join(line for line, _ in rendered)
+    edges = "\n".join(line for _, edge_lines in rendered for _, line in edge_lines)
+    return f"{nodes}\n{edges}" if edges else nodes
 
 
 def render_segments(segments: Sequence[tuple[Segment, float]]) -> str:

@@ -21,11 +21,12 @@ from .metrics import run_stability
 
 @dataclass(frozen=True)
 class ResponseSet:
-    """Responses gathered for one prompt."""
+    """Responses gathered for one prompt: one embedding (a float sequence
+    or a 1-D float64 array) per producer."""
 
     prompt_id: str
     producers: tuple[str, ...]
-    embeddings: tuple[tuple[float, ...], ...]
+    embeddings: tuple[Sequence[float], ...]
 
     def __post_init__(self):
         if len(self.producers) != len(self.embeddings):

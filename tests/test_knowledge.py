@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from floodloop import knowledge as k
 from floodloop.errors import (
@@ -12,6 +17,7 @@ from floodloop.errors import (
     EmptySeed,
     MissingTask,
 )
+from floodloop.semeval import ResponseSet, scs, sds
 
 
 def make_node(nid, ntype=k.NodeType.REGION):
@@ -95,7 +101,7 @@ def test_bfs_frontier_oracle_random_graphs():
         assert set(sub.nodes) == expected
         for edge in g.edges:  # induced: every original edge among retained nodes kept
             if edge.src in expected and edge.dst in expected:
-                assert (edge.src, edge.dst, edge.type.value) in sub._edge_keys
+                assert edge in sub.edges
 
 
 def test_empty_seed_rejected():
@@ -278,7 +284,7 @@ def test_graph_file_roundtrip(tmp_path):
     k.save_graph(path, g)
     back = k.load_graph(path)
     assert set(back.nodes) == set(g.nodes)
-    assert back._edge_keys == g._edge_keys
+    assert set(back.edges) == set(g.edges)
     assert {nid: n.attrs for nid, n in back.nodes.items()} == {nid: n.attrs for nid, n in g.nodes.items()}
     # files written while nodes carried a "feature" embedding still load
     data = k.graph_to_json(g)
@@ -302,3 +308,168 @@ def test_duplicate_segment_id_rejected():
     store.add("seg:1", "first")
     with pytest.raises(ValueError):
         store.add("seg:1", "again")
+
+
+# --- indexes against the per-call code they replaced -------------------------------------
+
+def per_call_extract(graph, seed_ids, hops):
+    """`extract_subgraph` before the out-edge index, kept verbatim as the oracle."""
+    if hops < 0:
+        raise ValueError(f"hops must be >= 0, got {hops}")
+    seeds = [s for s in seed_ids if s in graph.nodes]
+    if not seeds:
+        raise EmptySeed("no seed nodes present in the graph")
+    retained = set(seeds)
+    frontier = set(seeds)
+    for _ in range(hops):
+        nxt = set()
+        for nid in frontier:
+            nxt |= graph.neighbors(nid) - retained
+        retained |= nxt
+        frontier = nxt
+        if not frontier:
+            break
+    sub = k.KnowledgeGraph()
+    for nid in sorted(retained):
+        sub.add_node(graph.nodes[nid])
+    for edge in graph.edges:
+        if edge.src in retained and edge.dst in retained:
+            sub.add_edge(edge)
+    return sub
+
+
+def per_call_render(sub):
+    """`render_subgraph` before the render index, kept verbatim as the oracle."""
+    if sub is None or sub.n_nodes() == 0:
+        return "(none)"
+    lines = []
+    for nid in sorted(sub.nodes):
+        node = sub.nodes[nid]
+        attrs = " ".join(f"{k}={v}" for k, v in node.attrs)
+        lines.append(f"node {nid} type={node.type.value}" + (f" {attrs}" if attrs else ""))
+    for edge in sorted(sub.edges, key=lambda e: (e.src, e.dst, e.type.value)):
+        lines.append(f"edge {edge.src} -> {edge.dst} type={edge.type.value}")
+    return "\n".join(lines)
+
+
+def per_call_normalized(vec):
+    norm = float(np.linalg.norm(vec))
+    return vec / norm if norm > 0 else vec
+
+
+def per_call_retrieve_topk(query, store, k):
+    """`retrieve_topk` before segments were normalised once, kept verbatim as the oracle."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    q = per_call_normalized(np.asarray(query, dtype=np.float64))
+    scored = []
+    for seg in store.segments:
+        e = per_call_normalized(np.asarray(seg.embedding, dtype=np.float64))
+        scored.append((seg, float(np.dot(q, e))))
+    scored.sort(key=lambda pair: (-pair[1], pair[0].id))
+    return scored[:k]
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+# ids whose string order differs from their numeric order
+_IDS = ["n0", "n1", "n2", "n10", "n11", "n20", "region:1", "road:row:0", "floodspot:3"]
+_EDGES = st.tuples(st.sampled_from(_IDS), st.sampled_from(_IDS), st.sampled_from(list(k.EdgeType)))
+_SEEDS = st.lists(st.sampled_from(_IDS + ["ghost"]), max_size=4)
+_TEXTS = st.lists(st.sampled_from(["region", "flood", "bus", "7", "42", "pump", "x-y"]), min_size=1, max_size=8).map(" ".join)
+_DIMS = st.sampled_from([4, 16, 64])
+
+
+@st.composite
+def graphs(draw):
+    """Every id of `_IDS` with a random type and attributes, and random
+    edges among them: duplicates and self-loops included."""
+    g = k.KnowledgeGraph()
+    for nid in _IDS:
+        attrs = draw(st.lists(st.tuples(st.sampled_from(["label", "region"]), st.sampled_from(["0", "7", "a b"])), max_size=2))
+        g.add_node(k.Node(nid, draw(st.sampled_from(list(k.NodeType))), tuple(attrs)))
+    for src, dst, etype in draw(st.lists(_EDGES, max_size=30)):
+        g.add_edge(k.Edge(src, dst, etype))
+    return g
+
+
+def assert_extracts_like_per_call_code(graph, seeds, hops):
+    assert k.render_subgraph(graph) == per_call_render(graph)
+    try:
+        expected = per_call_extract(graph, seeds, hops)
+    except EmptySeed:
+        with pytest.raises(EmptySeed):
+            k.extract_subgraph(graph, seeds, hops)
+        return
+    sub = k.extract_subgraph(graph, seeds, hops)
+    assert k.render_subgraph(sub) == per_call_render(expected)
+    assert sub.nodes == expected.nodes
+    assert set(sub.edges) == set(expected.edges)
+    assert {nid: sub.neighbors(nid) for nid in sub.nodes} == {nid: expected.neighbors(nid) for nid in expected.nodes}
+    # the sub's own indexes: extracting from it again
+    assert k.render_subgraph(k.extract_subgraph(sub, list(sub.nodes)[:2], hops)) == per_call_render(
+        per_call_extract(expected, list(expected.nodes)[:2], hops)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs(), st.data())
+def test_subgraph_text_equals_per_call_code(g, data):
+    hops = st.integers(0, 3)
+    assert_extracts_like_per_call_code(g, data.draw(_SEEDS), data.draw(hops))
+    # grow it after a render: a copy with new nodes and edges, then one edge in place
+    spots = data.draw(st.lists(st.sampled_from(["floodspot:3", "floodspot:9"]), max_size=2))
+    new_nodes = [k.Node(nid, k.NodeType.FLOOD_SPOT, (("region", "1"),)) for nid in spots]
+    ids = sorted(set(_IDS) | set(spots))
+    edge = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(list(k.EdgeType)))
+    grown = k.update_graph(g, new_nodes, [k.Edge(*e) for e in data.draw(st.lists(edge, max_size=4))])
+    assert_extracts_like_per_call_code(grown, data.draw(_SEEDS), data.draw(hops))
+    grown.add_edge(k.Edge(*data.draw(edge)))
+    assert_extracts_like_per_call_code(grown, data.draw(_SEEDS), data.draw(hops))
+    assert_extracts_like_per_call_code(g, data.draw(_SEEDS), data.draw(hops))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TEXTS, max_size=25), st.data(), _DIMS)
+def test_retrieval_equals_per_call_code_bitwise(texts, data, dim):
+    embedder = k.HashingEmbedder(dim)
+    store = k.SegmentStore(embedder)
+    for i, text in zip(data.draw(st.permutations(range(len(texts)))), texts):
+        store.add(f"seg:{i:02d}", text)  # ids out of insertion order; equal texts tie exactly
+    query = data.draw(
+        st.one_of(_TEXTS.map(embedder.embed), hnp.arrays(np.float64, dim, elements=st.integers(-3, 3).map(float)))
+    )
+    top_k = data.draw(st.integers(1, 30))
+    got = k.retrieve_topk(query, store, top_k)
+    expected = per_call_retrieve_topk(query, store, top_k)
+    assert [seg.id for seg, _ in got] == [seg.id for seg, _ in expected]
+    assert [bits(sim) for _, sim in got] == [bits(sim) for _, sim in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_TEXTS, min_size=2, max_size=6), min_size=1, max_size=5), _DIMS)
+def test_scores_of_array_embeddings_equal_tuple_embeddings_bitwise(prompts, dim):
+    embedder = k.HashingEmbedder(dim)
+
+    def response_sets(as_row):
+        return [
+            ResponseSet(f"p{i}", tuple(str(j) for j in range(len(texts))), tuple(as_row(embedder.embed(t)) for t in texts))
+            for i, texts in enumerate(prompts)
+        ]
+
+    arrays, tuples = response_sets(lambda v: v), response_sets(tuple)
+    assert bits(scs(arrays)) == bits(scs(tuples))
+    assert bits(sds(arrays)) == bits(sds(tuples))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_TEXTS, _DIMS)
+def test_memoised_vector_is_shared_and_read_only(text, dim):
+    embedder = k.HashingEmbedder(dim)
+    vec = embedder.embed(text)
+    assert embedder.embed(text) is vec
+    assert vec.tobytes() == k.HashingEmbedder(dim).embed(text).tobytes()
+    with pytest.raises(ValueError):
+        vec[0] = 1.0
