@@ -8,7 +8,6 @@ and exits nonzero.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path

@@ -187,7 +187,3 @@ def load_config(path: str | Path) -> RunConfig:
     cfg = config_from_dict(data)
     cfg.validate()
     return cfg
-
-
-def save_config(path: str | Path, cfg: RunConfig) -> None:
-    Path(path).write_text(cfg.to_json() + "\n")

@@ -32,7 +32,7 @@ from .mobility import (
 )
 from .rng import pystream
 from .translate import InstructionBoard
-from .world import RainfallScenario, WorldState, build_world, step_hydrology
+from .world import RainfallScenario, build_world, step_hydrology
 
 
 @dataclass

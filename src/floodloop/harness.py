@@ -27,7 +27,7 @@ from .feedback import DecisionLoop
 from .heatmap import save_density_dump, write_heatmap
 from .mobility import Status
 from .semeval import SemanticRow, scs, sds, stability_report
-from .world import RainfallScenario, load_scenario, save_scenario
+from .world import load_scenario, save_scenario
 
 METRICS_HEADER = ("step", "f", "t", "c", "r", "J", "gap", "delta", "triggered")
 CYCLE_HEADER = (

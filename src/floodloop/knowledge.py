@@ -101,9 +101,6 @@ class Node:
     type: NodeType
     attrs: tuple[tuple[str, str], ...] = ()
 
-    def attr_map(self) -> dict[str, str]:
-        return dict(self.attrs)
-
     def line(self) -> str:
         attrs = " ".join(f"{k}={v}" for k, v in self.attrs)
         return f"node {self.id} type={self.type.value}" + (f" {attrs}" if attrs else "")

@@ -87,11 +87,6 @@ class PolicyDistribution:
     def onehot(action: HighLevelAction) -> "PolicyDistribution":
         return PolicyDistribution(support=(action,), probs=(1.0,))
 
-    @staticmethod
-    def uniform(support: Sequence[HighLevelAction]) -> "PolicyDistribution":
-        n = len(support)
-        return PolicyDistribution(support=tuple(support), probs=tuple([1.0 / n] * n))
-
 
 def entropy_of(probs: Sequence[float]) -> float:
     """Shannon entropy in nats with the 0*ln(0) = 0 convention."""
@@ -216,10 +211,6 @@ class RegionalPlan:
     directives: tuple[Directive, ...]
     provenance: HighLevelAction
     window: tuple[int, int]
-
-    @property
-    def local_entropy(self) -> float:
-        return entropy_of(self.directive_probs)
 
 
 def _candidate_directives(action: HighLevelAction, obs: RegionalObservation) -> list[tuple[str, float, Directive]]:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import congestion_scores, flood_scores
-from .world import WorldState, region_means
+from .world import WorldState
 
 SEED_SCORE_THRESHOLD = 0.7
 

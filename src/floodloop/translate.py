@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import UnknownDirective
-from .policy import Directive, RegionalPlan
+from .policy import RegionalPlan
 from .world import WorldState
 
 DEFAULT_RELIEF_MULTIPLIER = 3.0

@@ -304,7 +304,7 @@ def test_feedback_ablation_never_triggers():
 
 def test_entropy_chain_all_backends():
     for backend in (EmptyBackend(), RuledBackend(), ScriptedBackend([
-        BackendProposal(PolicyDistribution.uniform(tuple(HighLevelAction(Verb.NOOP, i) for i in range(8))))
+        BackendProposal(PolicyDistribution(tuple(HighLevelAction(Verb.NOOP, i) for i in range(8)), (1.0 / 8,) * 8))
     ])):
         cfg = tiny_config(steps=20)
         loop = fb.DecisionLoop(cfg, backend, RuledBackend())

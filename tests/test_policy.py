@@ -101,15 +101,10 @@ def test_conditional_entropy_hand_expectation():
 
 
 def test_conditional_entropy_uniform_two_hand_values():
-    # global uniform over 2, local entropies 1.0 and 0.5 -> 0.75
-    class Fake:
-        def __init__(self, h):
-            self.entropy = h
-
+    # global uniform over 2, local entropies 0 (one-hot) and ln 2 -> ln 2 / 2
     g = dist_over([0.5, 0.5])
-    locals_map = {g.support[0]: Fake(1.0), g.support[1]: Fake(0.5)}
-    total = sum(prob * locals_map[a].entropy for a, prob in zip(g.support, g.probs))
-    assert total == pytest.approx(0.75)
+    locals_map = {g.support[0]: (1.0,), g.support[1]: (0.5, 0.5)}
+    assert p.conditional_entropy(locals_map, g) == pytest.approx(math.log(2) / 2, abs=1e-15)
 
 
 def test_conditional_entropy_missing_local():
@@ -247,12 +242,12 @@ def regional(action, observation, cap, seed=1, n_regions=4):
 def test_regional_noop_empty_directives():
     plan = regional(p.HighLevelAction(p.Verb.NOOP, 2), obs(2), cap=1.2)
     assert plan.directives == ()
-    assert plan.local_entropy == 0.0
+    assert p.entropy_of(plan.directive_probs) == 0.0
 
 
 def test_regional_deterministic_parent_forces_deterministic_local():
     plan = regional(p.HighLevelAction(p.Verb.DISPATCH_RELIEF, 1), obs(1, depth=0.4), cap=0.0, seed=3)
-    assert plan.local_entropy == pytest.approx(0.0, abs=1e-12)
+    assert p.entropy_of(plan.directive_probs) == pytest.approx(0.0, abs=1e-12)
     assert len(plan.directives) == 1
 
 
