@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from floodloop import world as w
 from floodloop.errors import InvalidHorizon, InvalidPartition
@@ -149,6 +152,35 @@ def test_mass_balance_with_drainage():
     expected = total * (1 - 0.05) + intensity * 0.01 * ws.is_road.sum()
     nxt = w.step_hydrology(ws, intensity)
     assert nxt.water_depth.sum() == pytest.approx(expected, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mass_balance_identity_random_fields(data):
+    """The `step_hydrology` docstring identity, total' = total + rain - drained,
+    within 1e-9 of the step's water budget (total + rain)."""
+    params = w.HydrologyParams(*(data.draw(st.floats(0.0, 1.0)) for _ in range(3)))
+    n_regions = data.draw(st.sampled_from([1, 4, 9]))
+    ws = w.build_world(
+        width=data.draw(st.integers(3, 16)),
+        height=data.draw(st.integers(3, 16)),
+        seed=data.draw(st.integers(0, 2**16)),
+        n_regions=n_regions,
+        params=params,
+        road_spacing=data.draw(st.integers(1, 4)),
+    )
+    ws.water_depth = data.draw(hnp.arrays(np.float64, ws.shape, elements=st.floats(0.0, 5.0)))
+    intensity = data.draw(st.floats(0.0, 1.0))
+    mult = data.draw(st.none() | hnp.arrays(np.float64, n_regions, elements=st.floats(0.0, 30.0)))
+
+    d = np.full(ws.shape, params.drainage_rate)
+    if mult is not None:
+        d = np.clip(d * mult[ws.region_id], 0.0, 1.0)
+    total = ws.water_depth.sum()
+    rain = intensity * params.inflow_coeff * ws.is_road.sum()
+    expected = total + rain - (d * ws.water_depth).sum()
+    got = w.step_hydrology(ws, intensity, mult).water_depth.sum()
+    assert abs(got - expected) <= 1e-9 * (total + rain)
 
 
 def test_conservation_over_many_steps():
