@@ -51,7 +51,6 @@ class PolicyConfig:
     lambda_init: float = 1.0
     alpha: float = 0.05
     score_threshold: float = 0.7
-    routing_penalty: float = 4.0
 
 
 @dataclass

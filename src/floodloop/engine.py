@@ -59,7 +59,7 @@ class SimulationEngine:
             elevation_smoothing=wc.elevation_smoothing,
             road_depression=wc.road_depression,
         )
-        self.board = InstructionBoard(wc.n_regions, routing_penalty=config.policy.routing_penalty)
+        self.board = InstructionBoard(wc.n_regions)
         self.trip_log = TripLog()
         self.agents: list[AgentRecord] = []
         self._next_id = 0

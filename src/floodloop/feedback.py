@@ -55,7 +55,6 @@ from .policy import (
     local_distribution_for,
 )
 from .rng import pystream
-from .semeval import ResponseSet
 from .state import StateSummary, summarize_world
 from .translate import Instruction, Rejection, translate, wrap_accuracy
 from .world import RainfallScenario, WorldState, generate_scenario
@@ -288,8 +287,9 @@ class DecisionLoop:
         self.reports: list[CycleReport] = []
         self.prompt_log: list[tuple[int, str]] = []
         self.instruction_rows: list[dict] = []
-        self.consistency_sets: list[ResponseSet] = []
-        self.diversity_sets: list[ResponseSet] = []
+        # one tuple of response embeddings per cycle, for `scs` and `sds`
+        self.consistency_sets: list[tuple[np.ndarray, ...]] = []
+        self.diversity_sets: list[tuple[np.ndarray, ...]] = []
         self._prev_snapshot = self.engine.metrics_snapshot()
 
     @property
@@ -326,7 +326,6 @@ class DecisionLoop:
             cycle,
             cfg.world.n_regions,
             entropy_control=entropy_on,
-            planned_metrics=proposal.planned_metrics,
         )
         cap = min(plan.h_projected, self.controller.tau) if entropy_on else math.inf
         worst = worst_road_cells(eng.world)
@@ -349,7 +348,7 @@ class DecisionLoop:
             for region, action in sorted(plan.sampled.items())
         ]
         h_cond = conditional_entropy(locals_map, plan.projected)
-        self._probe_diversity(cycle, plans)
+        self._probe_diversity(plans)
 
         instructions: list[Instruction] = []
         rejections: list[Rejection] = []
@@ -468,41 +467,25 @@ class DecisionLoop:
                 )
             except BackendUnavailable:
                 proposals.append(first)
-        embeddings = tuple(self.knowledge.embedder.embed(_proposal_text(p)) for p in proposals)
-        self.consistency_sets.append(
-            ResponseSet(
-                prompt_id=f"cycle:{cycle}",
-                producers=tuple(str(i) for i in range(len(proposals))),
-                embeddings=embeddings,
-            )
-        )
+        self.consistency_sets.append(tuple(self.knowledge.embedder.embed(_proposal_text(p)) for p in proposals))
 
-    def _probe_diversity(self, cycle: int, plans: list[RegionalPlan]) -> None:
+    def _probe_diversity(self, plans: list[RegionalPlan]) -> None:
         texts = []
         for rp in plans:
             if rp.directives:
                 texts.append(" ".join(d.text() for d in rp.directives))
             else:
                 texts.append(f"noop region={rp.region}")
-        self.diversity_sets.append(
-            ResponseSet(
-                prompt_id=f"cycle:{cycle}",
-                producers=tuple(str(rp.region) for rp in plans),
-                embeddings=tuple(self.knowledge.embedder.embed(t) for t in texts),
-            )
-        )
+        self.diversity_sets.append(tuple(self.knowledge.embedder.embed(t) for t in texts))
 
     def _observe_region(
         self, summary: StateSummary, region: int, worst: tuple[int, int] | None
     ) -> RegionalObservation:
         return RegionalObservation(
-            region=region,
             flood_score=summary.region_flood[region],
             congestion_score=summary.region_congestion[region],
-            max_depth=summary.region_max_depth[region],
             blocked_roads=summary.region_blocked_roads[region],
             worst_road_cell=worst,
-            has_roads=worst is not None,
         )
 
     def _log_instruction(self, cycle: int, instr: Instruction, status: str, reason: str) -> None:

@@ -154,7 +154,6 @@ class FeedbackWindow:
     """
 
     def __init__(self, length: int = 10):
-        self.length = length
         self.snapshots: deque[MetricsSnapshot] = deque(maxlen=length)
         self.gaps: deque[float] = deque(maxlen=length)
         self.best_j: float | None = None

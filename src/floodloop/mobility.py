@@ -50,7 +50,6 @@ class Status(str, Enum):
 class AgentRecord:
     id: int
     role: Role
-    origin: Cell
     destination: Cell
     pos: Cell
     path: list[Cell] = field(default_factory=list)
@@ -58,7 +57,6 @@ class AgentRecord:
     status: Status = Status.WAITING
     patience: int = PATIENCE_CAP
     departure_step: int = 0
-    arrival_step: int | None = None
     planned_steps: int = 1
     travel_steps: int = 0
     stops: list[Cell] = field(default_factory=list)
@@ -285,7 +283,6 @@ def spawn_demand(
             AgentRecord(
                 id=id_start + i,
                 role=Role.RESIDENT,
-                origin=origin,
                 destination=destination,
                 pos=origin,
                 path=path or [origin],
@@ -321,7 +318,6 @@ def make_bus(
     return AgentRecord(
         id=bus_id,
         role=Role.BUS,
-        origin=stops[0],
         destination=stops[-1],
         pos=stops[0],
         path=first_leg,
@@ -414,7 +410,7 @@ def step_agent(
     agent.travel_steps += 1
 
     if agent.pos == agent.destination:
-        _arrive(agent, step, trip_log)
+        _arrive(agent, trip_log)
         events.append(StepEvent("arrived", agent.id, region))
         return events
 
@@ -451,7 +447,7 @@ def step_agent(
             events.append(StepEvent("waited", agent.id, region))
 
     if agent.pos == agent.destination:
-        _arrive(agent, step, trip_log)
+        _arrive(agent, trip_log)
         events.append(StepEvent("arrived", agent.id, region))
         return events
 
@@ -464,9 +460,8 @@ def step_agent(
     return events
 
 
-def _arrive(agent: AgentRecord, step: int, trip_log: TripLog) -> None:
+def _arrive(agent: AgentRecord, trip_log: TripLog) -> None:
     agent.status = Status.ARRIVED
-    agent.arrival_step = step
     trip_log.close(agent)
 
 

@@ -179,13 +179,10 @@ class EntropyController:
 class RegionalObservation:
     """What a region's local agent sees when refining a global action."""
 
-    region: int
     flood_score: float
     congestion_score: float
-    max_depth: float
     blocked_roads: int
     worst_road_cell: tuple[int, int] | None
-    has_roads: bool
 
 
 @dataclass(frozen=True)
@@ -206,10 +203,7 @@ class Directive:
 @dataclass(frozen=True)
 class RegionalPlan:
     region: int
-    directive_kinds: tuple[str, ...]
-    directive_probs: tuple[float, ...]
     directives: tuple[Directive, ...]
-    provenance: HighLevelAction
     window: tuple[int, int]
 
 
@@ -275,24 +269,10 @@ def generate_regional(
         raise UnknownRegion(f"region {action.region} outside [0, {n_regions})")
     candidates = _candidate_directives(action, obs)
     if not candidates:
-        return RegionalPlan(
-            region=action.region,
-            directive_kinds=("noop",),
-            directive_probs=(1.0,),
-            directives=(),
-            provenance=action,
-            window=window,
-        )
+        return RegionalPlan(region=action.region, directives=(), window=window)
     rng = pystream(seed, "regional", cycle, action.region)
     pick = rng.choices(range(len(candidates)), weights=probs, k=1)[0]
-    return RegionalPlan(
-        region=action.region,
-        directive_kinds=tuple(kind for kind, _, _ in candidates),
-        directive_probs=tuple(probs),
-        directives=(candidates[pick][2],),
-        provenance=action,
-        window=window,
-    )
+    return RegionalPlan(region=action.region, directives=(candidates[pick][2],), window=window)
 
 
 # --- global generation ------------------------------------------------------
@@ -301,13 +281,10 @@ def generate_regional(
 class GlobalPlan:
     """Outcome of one global generation pass."""
 
-    raw: PolicyDistribution
     projected: PolicyDistribution
     sampled: dict[int, HighLevelAction]
     h_raw: float
     h_projected: float
-    lam_after: float
-    planned_metrics: dict[str, float] | None
 
 
 def sample_per_region(
@@ -342,7 +319,6 @@ def generate_global(
     cycle: int,
     n_regions: int,
     entropy_control: bool = True,
-    planned_metrics: dict[str, float] | None = None,
 ) -> GlobalPlan:
     """Project a backend's raw distribution, sample actions, update lambda.
 
@@ -352,18 +328,14 @@ def generate_global(
     proposal_dist.validate()
     h_raw = entropy_of(proposal_dist.probs)
     projected = proposal_dist
-    lam_after = controller.lam
     if entropy_control:
         probs = project_entropy(np.asarray(proposal_dist.probs, dtype=np.float64), controller.tau)
         projected = PolicyDistribution(proposal_dist.support, tuple(probs.tolist()))
-        lam_after = controller.observe(h_raw)
+        controller.observe(h_raw)
     sampled = sample_per_region(projected, n_regions, seed, cycle)
     return GlobalPlan(
-        raw=proposal_dist,
         projected=projected,
         sampled=sampled,
         h_raw=h_raw,
         h_projected=entropy_of(projected.probs),
-        lam_after=lam_after,
-        planned_metrics=planned_metrics,
     )

@@ -19,20 +19,6 @@ from .errors import InsufficientResponses
 from .metrics import run_stability
 
 
-@dataclass(frozen=True)
-class ResponseSet:
-    """Responses gathered for one prompt: one embedding (a float sequence
-    or a 1-D float64 array) per producer."""
-
-    prompt_id: str
-    producers: tuple[str, ...]
-    embeddings: tuple[Sequence[float], ...]
-
-    def __post_init__(self):
-        if len(self.producers) != len(self.embeddings):
-            raise ValueError("producers and embeddings must align")
-
-
 def _unit_rows(embeddings: Sequence[Sequence[float]]) -> np.ndarray:
     arr = np.asarray(embeddings, dtype=np.float64)
     norms = np.linalg.norm(arr, axis=1, keepdims=True)
@@ -51,25 +37,28 @@ def _mean_pairwise_cosine(embeddings: Sequence[Sequence[float]]) -> float:
     return min(1.0, max(-1.0, float((np.dot(total, total) - n) / (n * (n - 1)))))
 
 
-def scs(sets: Sequence[ResponseSet]) -> float:
-    """Mean over prompts of mean pairwise cosine similarity; in [-1, 1]."""
+def scs(sets: Sequence[Sequence[Sequence[float]]]) -> float:
+    """Mean over prompts of mean pairwise cosine similarity; in [-1, 1].
+
+    `sets` holds, per prompt, one embedding (a float sequence or a 1-D
+    float64 array) per response.
+    """
     if not sets:
         raise InsufficientResponses("no response sets")
-    return float(np.mean([_mean_pairwise_cosine(s.embeddings) for s in sets]))
+    return float(np.mean([_mean_pairwise_cosine(s) for s in sets]))
 
 
-def sds(sets: Sequence[ResponseSet]) -> float:
-    """Mean over prompts of mean pairwise (1 - cosine); in [0, 2]."""
+def sds(sets: Sequence[Sequence[Sequence[float]]]) -> float:
+    """Mean over prompts of mean pairwise (1 - cosine); in [0, 2]; `sets` as for `scs`."""
     if not sets:
         raise InsufficientResponses("no response sets")
-    return float(np.mean([1.0 - _mean_pairwise_cosine(s.embeddings) for s in sets]))
+    return float(np.mean([1.0 - _mean_pairwise_cosine(s) for s in sets]))
 
 
 @dataclass(frozen=True)
 class SemanticRow:
     setting: str
     stability: float
-    per_metric_variance: tuple[tuple[str, float], ...]
     scs: float | None
     sds: float | None
 
@@ -86,12 +75,10 @@ def stability_report(
     rows = []
     for setting, runs in settings.items():
         variances = run_stability(runs)
-        items = tuple(sorted(variances.items()))
         rows.append(
             SemanticRow(
                 setting=setting,
-                stability=float(np.mean([v for _, v in items])),
-                per_metric_variance=items,
+                stability=float(np.mean([v for _, v in sorted(variances.items())])),
                 scs=scs_scores.get(setting),
                 sds=sds_scores.get(setting),
             )

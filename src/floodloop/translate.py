@@ -157,9 +157,8 @@ class InstructionBoard:
     equal the pre-window ones absent other causes.
     """
 
-    def __init__(self, n_regions: int, routing_penalty: float = DEFAULT_ROUTING_PENALTY):
+    def __init__(self, n_regions: int):
         self.n_regions = n_regions
-        self.routing_penalty = routing_penalty
         self.obstacles: list[Instruction] = []
         self.routings: list[Instruction] = []
         self.stops: list[Instruction] = []
@@ -199,7 +198,7 @@ class InstructionBoard:
         out: dict[int, float] = {}
         for i in self.routings:
             if self._active(i, step):
-                penalty = i.param("penalty", self.routing_penalty)
+                penalty = i.param("penalty", DEFAULT_ROUTING_PENALTY)
                 out[i.region] = max(out.get(i.region, 0.0), penalty)
         return out
 

@@ -17,7 +17,7 @@ from floodloop.errors import (
     EmptySeed,
     MissingTask,
 )
-from floodloop.semeval import ResponseSet, scs, sds
+from floodloop.semeval import scs, sds
 
 
 def make_node(nid, ntype=k.NodeType.REGION):
@@ -454,10 +454,7 @@ def test_scores_of_array_embeddings_equal_tuple_embeddings_bitwise(prompts, dim)
     embedder = k.HashingEmbedder(dim)
 
     def response_sets(as_row):
-        return [
-            ResponseSet(f"p{i}", tuple(str(j) for j in range(len(texts))), tuple(as_row(embedder.embed(t)) for t in texts))
-            for i, texts in enumerate(prompts)
-        ]
+        return [tuple(as_row(embedder.embed(t)) for t in texts) for texts in prompts]
 
     arrays, tuples = response_sets(lambda v: v), response_sets(tuple)
     assert bits(scs(arrays)) == bits(scs(tuples))

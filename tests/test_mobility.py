@@ -128,8 +128,9 @@ def test_spawn_rate_zero():
 def test_spawn_deterministic():
     a = mob.spawn_demand(make_pois(), 5, 42, 3, open_router((10, 10)), 100)
     b = mob.spawn_demand(make_pois(), 5, 42, 3, open_router((10, 10)), 100)
-    assert [(x.origin, x.destination, x.departure_step) for x in a] == [
-        (x.origin, x.destination, x.departure_step) for x in b
+    # a spawned agent stands on its origin
+    assert [(x.pos, x.destination, x.departure_step) for x in a] == [
+        (x.pos, x.destination, x.departure_step) for x in b
     ]
     assert [x.id for x in a] == list(range(100, 105))
 
@@ -144,7 +145,7 @@ def test_spawn_weight_ratio():
     # the 3:1 weighting shows up in the origin draws
     pois = [mob.Poi((0, 0), 3.0), mob.Poi((9, 9), 1.0)]
     agents = mob.spawn_demand(pois, 10_000, 7, 0, open_router((10, 10)), 0)
-    heavy = sum(1 for a in agents if a.origin == (0, 0))
+    heavy = sum(1 for a in agents if a.pos == (0, 0))
     share = heavy / len(agents)
     assert abs(share - 0.75) < 0.05 * 0.75
 
@@ -158,7 +159,7 @@ def test_spawn_pair_frequencies_match_independent_oracle():
     agents = mob.spawn_demand(pois, 10_000, 7, 0, open_router((10, 10)), 0)
     got = {}
     for a in agents:
-        got[(a.origin, a.destination)] = got.get((a.origin, a.destination), 0) + 1
+        got[(a.pos, a.destination)] = got.get((a.pos, a.destination), 0) + 1
 
     rng = random.Random(424242)
     cells = [p.cell for p in pois]
@@ -183,7 +184,7 @@ def test_spawn_plans_and_patience():
         assert a.planned_steps >= 1
         assert 2 <= a.patience <= 50
         assert a.status is mob.Status.WAITING
-        assert a.origin != a.destination
+        assert a.pos != a.destination
 
 
 # --- agent stepping ----------------------------------------------------------------
@@ -199,7 +200,6 @@ def make_agent(origin, destination, ws, patience=10):
     return mob.AgentRecord(
         id=0,
         role=mob.Role.RESIDENT,
-        origin=origin,
         destination=destination,
         pos=origin,
         path=path,
@@ -266,7 +266,6 @@ def test_one_step_from_destination_arrives():
     log.note_spawn()
     events, _ = run_step(agent, ws, log=log)
     assert agent.status is mob.Status.ARRIVED
-    assert agent.arrival_step == 1
     assert any(e.kind == "arrived" for e in events)
     assert log.arrived == 1
 

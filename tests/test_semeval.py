@@ -10,14 +10,12 @@ import pytest
 from floodloop import harness
 from floodloop import semeval as se
 from floodloop.errors import InsufficientResponses
+from floodloop.metrics import run_stability
 
 
-def rset(embeddings, prompt_id="p0"):
-    return se.ResponseSet(
-        prompt_id=prompt_id,
-        producers=tuple(str(i) for i in range(len(embeddings))),
-        embeddings=tuple(tuple(float(v) for v in e) for e in embeddings),
-    )
+def rset(embeddings):
+    """One prompt's responses: a tuple of float-tuple embeddings."""
+    return tuple(tuple(float(v) for v in e) for e in embeddings)
 
 
 def brute_force_mean_cosine(embeddings):
@@ -92,8 +90,8 @@ def test_reorder_invariance():
 
 
 def test_mean_over_prompts():
-    s1 = rset([(1, 0), (1, 0)], "p0")      # scs 1
-    s2 = rset([(1, 0), (0, 1)], "p1")      # scs 0
+    s1 = rset([(1, 0), (1, 0)])      # scs 1
+    s2 = rset([(1, 0), (0, 1)])      # scs 0
     assert se.scs([s1, s2]) == pytest.approx(0.5)
 
 
@@ -102,8 +100,6 @@ def test_insufficient_responses():
         se.scs([rset([(1, 0)])])
     with pytest.raises(InsufficientResponses):
         se.sds([])
-    with pytest.raises(ValueError):
-        se.ResponseSet("p", ("a",), ())
 
 
 # --- stability report -----------------------------------------------------------------
@@ -112,7 +108,7 @@ def test_stability_identical_runs_zero():
     runs = [{"f": [0.4], "t": [0.5], "c": [0.0], "r": [1.0]}] * 3
     rows = se.stability_report({"full": runs})
     assert rows[0].stability == 0.0
-    assert dict(rows[0].per_metric_variance) == {"f": 0.0, "t": 0.0, "c": 0.0, "r": 0.0}
+    assert run_stability(runs) == {"f": 0.0, "t": 0.0, "c": 0.0, "r": 0.0}
 
 
 def test_stability_hand_variance():
@@ -125,7 +121,7 @@ def test_stability_hand_variance():
 
 def test_semantic_table_roundtrip_reference_row(tmp_path):
     # the published-style reference row is a parsing fixture only
-    rows = [se.SemanticRow("full framework", 0.0047, (("f", 0.0047),), 0.872, 0.443)]
+    rows = [se.SemanticRow("full framework", 0.0047, 0.872, 0.443)]
     path = tmp_path / "semantic.csv"
     harness.write_semantic_table(path, rows)
     back = harness.read_semantic_table(path)

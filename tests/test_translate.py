@@ -9,18 +9,11 @@ import pytest
 from floodloop import translate as tr
 from floodloop import world as w
 from floodloop.errors import UnknownDirective
-from floodloop.policy import Directive, HighLevelAction, RegionalPlan, Verb
+from floodloop.policy import Directive, RegionalPlan
 
 
 def plan_with(directives, region=0, window=(0, 9)):
-    return RegionalPlan(
-        region=region,
-        directive_kinds=tuple(d.kind for d in directives) or ("noop",),
-        directive_probs=tuple([1.0 / max(len(directives), 1)] * max(len(directives), 1)),
-        directives=tuple(directives),
-        provenance=HighLevelAction(Verb.NOOP, region),
-        window=window,
-    )
+    return RegionalPlan(region=region, directives=tuple(directives), window=window)
 
 
 def small_world(**kw):
@@ -161,18 +154,20 @@ def test_board_relief_trace_reversible():
 
 
 def test_board_stop_and_routing_queries():
-    board = tr.InstructionBoard(8, routing_penalty=4.0)
+    board = tr.InstructionBoard(8)
     board.dispatch(
         [
             tr.Instruction(tr.Tag.STOP, 3, None, (), (0, 4)),
             tr.Instruction(tr.Tag.ROUTING, 5, None, (("penalty", 8.0),), (0, 4)),
             tr.Instruction(tr.Tag.ROUTING, 5, None, (), (0, 4)),
+            tr.Instruction(tr.Tag.ROUTING, 6, None, (), (0, 4)),
         ]
     )
     assert board.bus_held(3, 2)
     assert not board.bus_held(3, 6)
-    assert board.region_penalties(2) == {5: 8.0}  # strongest active penalty wins
-    assert board.active_regions(2) == (3, 5)
+    # strongest active penalty wins; a param-less instruction takes the default
+    assert board.region_penalties(2) == {5: 8.0, 6: tr.DEFAULT_ROUTING_PENALTY}
+    assert board.active_regions(2) == (3, 5, 6)
     assert board.active_regions(9) == ()
 
 
