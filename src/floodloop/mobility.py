@@ -303,18 +303,11 @@ def make_bus(
 ) -> AgentRecord:
     """Bus visiting its stops in order; the first leg is planned at spawn."""
     stops = list(stops)
-    legs = []
     total = 0
-    ok = True
     for a, b in zip(stops, stops[1:]):
         leg = router.route(a, b)
-        if leg is None:
-            ok = False
-            total += abs(a[0] - b[0]) + abs(a[1] - b[1])
-        else:
-            total += path_steps(leg)
-            legs.append(leg)
-    first_leg = legs[0] if (ok and legs) else router.route(stops[0], stops[1]) or [stops[0]]
+        total += abs(a[0] - b[0]) + abs(a[1] - b[1]) if leg is None else path_steps(leg)
+    first_leg = router.route(stops[0], stops[1]) or [stops[0]]
     return AgentRecord(
         id=bus_id,
         role=Role.BUS,
