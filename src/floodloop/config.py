@@ -113,8 +113,14 @@ class RunConfig:
             raise ConfigError("world.width", "grid must be at least 4x4")
         if self.world.n_regions < 1:
             raise ConfigError("world.n_regions", "must be >= 1")
+        if self.world.road_spacing < 1:
+            raise ConfigError("world.road_spacing", "must be >= 1")
         if self.mobility.initial_population < 0:
             raise ConfigError("mobility.initial_population", "must be >= 0")
+        if self.mobility.n_buses > 0 and self.mobility.bus_stops < 2:
+            raise ConfigError("mobility.bus_stops", f"a bus line needs >= 2 stops, got {self.mobility.bus_stops}")
+        if self.knowledge.embed_dim < 1:
+            raise ConfigError("knowledge.embed_dim", "must be >= 1")
         if not (0 < self.policy.tau):
             raise ConfigError("policy.tau", "must be positive")
         if not (0 < self.policy.alpha < 1):

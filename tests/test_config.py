@@ -1,0 +1,28 @@
+"""Config values that cannot run are rejected before the run starts."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from floodloop import cli
+
+
+@pytest.mark.parametrize(
+    "field, data",
+    [
+        ("mobility.bus_stops", {"mobility": {"n_buses": 2, "bus_stops": 1}}),
+        ("knowledge.embed_dim", {"knowledge": {"embed_dim": 0}}),
+        ("world.road_spacing", {"world": {"road_spacing": 0}}),
+        ("policy.routing_penalty", {"policy": {"routing_penalty": 4.0}}),
+    ],
+)
+def test_run_rejects_config_naming_the_field(tmp_path, capsys, field, data):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"steps": 10, "out_dir": str(tmp_path / "out"), **data}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"{field}: ")
+    assert not (tmp_path / "out").exists()
