@@ -3,9 +3,12 @@
 Step order: rain/drain/diffuse the water field, step every non-terminal
 agent against the fresh snapshot (ids ascending), write the aggregated
 car density back, then spawn new demand (newly spawned agents wait until
-the next step). Passability, routing costs and connected components are
-built as arrays once per step, since they only depend on depth, closures
-and penalties; every route planned in the step reads those arrays.
+the next step). Passability and routing costs are built as arrays once
+per step, since they only depend on depth, closures and penalties; each
+role's `Router` holds them with their connected components, and every
+route planned in the step reads those arrays. `agents` keeps every agent
+ever spawned; `active` keeps, in id order, the ones not yet terminal, and
+only those are stepped and counted into the car density.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .config import RunConfig
 from .metrics import MetricsSnapshot, WeightVector, congestion_index, flood_index, objective_j, trip_rates
@@ -62,6 +64,7 @@ class SimulationEngine:
         self.board = InstructionBoard(wc.n_regions)
         self.trip_log = TripLog()
         self.agents: list[AgentRecord] = []
+        self.active: list[AgentRecord] = []
         self._next_id = 0
         self._departed = 0  # agents that have left WAITING
         self._detour_rng = pystream(config.seed, "detour-coins")
@@ -99,11 +102,6 @@ class SimulationEngine:
             penalty[region] = value
         return 1.0 + penalty[self.world.region_id]
 
-    @staticmethod
-    def _component_labels(mask: np.ndarray) -> np.ndarray:
-        labels, _ = ndimage.label(mask, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
-        return labels
-
     # --- population ------------------------------------------------------
 
     def _spawn_initial(self) -> None:
@@ -121,6 +119,7 @@ class SimulationEngine:
             )
             self._next_id += mc.initial_population
             self.agents.extend(agents)
+            self.active.extend(agents)
             self.trip_log.note_spawn(len(agents))
         bus_rng = pystream(self.config.seed, "bus-lines")
         road = self.world.road_cells()
@@ -132,6 +131,7 @@ class SimulationEngine:
             bus = make_bus(self._next_id, stops, 0, bus_router)
             self._next_id += 1
             self.agents.append(bus)
+            self.active.append(bus)
             self.trip_log.note_spawn(1)
 
     def trip_counts(self) -> tuple[int, int, int, int]:
@@ -162,33 +162,33 @@ class SimulationEngine:
         mask_bus = self._passable_mask(Role.BUS, closed)
         router_res = Router(mask_res, cost)
         router_bus = Router(mask_bus, cost)
-        labels_res = self._component_labels(mask_res)
-        labels_bus = self._component_labels(mask_bus)
         held = lambda region: self.board.bus_held(region, now)
         not_held = lambda _region: False
         wait_probability = self.config.mobility.wait_probability
 
         event_counts: dict[str, int] = {}
-        for agent in self.agents:
+        still_active = []
+        for agent in self.active:
             status = agent.status
-            if status.terminal:
-                continue
             if agent.role is Role.BUS:
                 events = step_agent(
                     agent, self.world, router_bus, held, self._detour_rng, now, self.trip_log,
-                    wait_probability=wait_probability, labels=labels_bus,
+                    wait_probability=wait_probability,
                 )
             else:
                 events = step_agent(
                     agent, self.world, router_res, not_held, self._detour_rng, now, self.trip_log,
-                    wait_probability=wait_probability, labels=labels_res,
+                    wait_probability=wait_probability,
                 )
             if status is Status.WAITING and agent.status is not Status.WAITING:
                 self._departed += 1
             for ev in events:
                 event_counts[ev.kind] = event_counts.get(ev.kind, 0) + 1
+            if not agent.status.terminal:
+                still_active.append(agent)
+        self.active = still_active
 
-        density = aggregate_flows(self.agents, self.world)
+        density = aggregate_flows(self.active, self.world)
         self.world = replace(self.world, car_density=density)
 
         mc = self.config.mobility
@@ -203,6 +203,7 @@ class SimulationEngine:
             )
             self._next_id += mc.spawn_rate
             self.agents.extend(new_agents)
+            self.active.extend(new_agents)
             self.trip_log.note_spawn(len(new_agents))
 
         snapshot = self.metrics_snapshot()

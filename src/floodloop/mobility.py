@@ -7,6 +7,14 @@ passable while its water depth stays under the role's blocking threshold
 and no obstacle instruction closes it. Blocked agents flip a seeded coin
 between waiting and replanning around the blockage; running out of
 patience cancels the trip.
+
+Routing is exact A* over one `Router` per step and role. The router owns
+the step's flat padded arrays: the blocked cells, the costs, the
+4-connected component labels, and the row and column of every flat
+index (one table pair per padded grid shape, shared by every router of
+that shape). The labels answer unreachable pairs without a search.
+`plan_path` expands in (f, index) order from a bucket queue keyed by f,
+so equal-cost routes break ties on row, then column.
 """
 
 from __future__ import annotations
@@ -14,9 +22,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import NoDemandSource
 from .rng import pystream
@@ -118,21 +128,28 @@ class Router:
     Built from a boolean passable mask and an optional per-cell cost grid
     (values >= 1; None means unit cost). Both are copied into flat arrays
     over the grid padded by one blocked cell on every side, so A* needs no
-    bounds checks. `route` memoises `plan_path` by (origin, destination);
-    the memo is only as valid as the arrays, so build a new Router whenever
-    the mask or the costs change.
+    bounds checks. The padded mask's 4-connected component labels (0 on
+    blocked cells) decide reachability: `route(o, d)` searches only when
+    o == d, or when d's label is non-zero and equals the label of o or of
+    one of o's four neighbours. That is exactly when A* succeeds, since A*
+    may step off a blocked origin; every other pair is None without a
+    search. `route` memoises `plan_path` by (origin, destination); the memo
+    is only as valid as the arrays, so build a new Router whenever the mask
+    or the costs change.
     """
 
     def __init__(self, passable: np.ndarray, cost: np.ndarray | None = None):
         height, width = passable.shape
         self.width = width + 2
-        blocked = np.ones((height + 2, width + 2), dtype=np.uint8)
-        blocked[1:-1, 1:-1] = np.logical_not(passable)
-        self.blocked = blocked.tobytes()
+        free = np.zeros((height + 2, width + 2), dtype=bool)
+        free[1:-1, 1:-1] = passable
+        self.blocked = np.logical_not(free).view(np.uint8).tobytes()
+        self.labels = ndimage.label(free, structure=_FOUR_CONNECTED)[0].ravel().tolist()
+        self.rows, self.cols = _row_col_tables(height + 2, width + 2)
         if cost is None:
-            self.cost = [1.0] * blocked.size
+            self.cost = [1.0] * free.size
         else:
-            padded = np.ones(blocked.shape)
+            padded = np.ones(free.shape)
             padded[1:-1, 1:-1] = cost
             self.cost = padded.ravel().tolist()
         self._paths: dict[tuple[Cell, Cell], tuple[Cell, ...] | None] = {}
@@ -140,29 +157,57 @@ class Router:
     def passable(self, cell: Cell) -> bool:
         return not self.blocked[(cell[0] + 1) * self.width + cell[1] + 1]
 
+    def _reachable(self, origin: Cell, destination: Cell) -> bool:
+        if origin == destination:
+            return True
+        width, labels = self.width, self.labels
+        label = labels[(destination[0] + 1) * width + destination[1] + 1]
+        start = (origin[0] + 1) * width + origin[1] + 1
+        return label != 0 and label in (
+            labels[start], labels[start - width], labels[start + width], labels[start - 1], labels[start + 1]
+        )
+
     def route(self, origin: Cell, destination: Cell) -> list[Cell] | None:
         key = (origin, destination)
         if key not in self._paths:
-            path = plan_path(origin, destination, self)
+            path = plan_path(origin, destination, self) if self._reachable(origin, destination) else None
             self._paths[key] = None if path is None else tuple(path)
         path = self._paths[key]
         return None if path is None else list(path)
 
 
+_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+
+
+@lru_cache(maxsize=8)
+def _row_col_tables(height: int, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Row and column of every flat index of a padded height x width grid;
+    tuples, since every router of that shape shares them."""
+    rows, cols = np.divmod(np.arange(height * width), width)
+    return tuple(rows.tolist()), tuple(cols.tolist())
+
+
 def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | None:
     """A*, 4-connected, Manhattan heuristic, over `router`'s arrays.
 
-    Cells are flat indices into the padded grid, so the heap's (f, index)
-    orders exactly like (f, row, col): expansion ties break on row, then
-    column, and equal-cost routes are reproducible. Neighbours go up,
-    down, left, right. Returns the full cell sequence including origin and
+    Cells are flat indices into the padded grid, and nodes are expanded in
+    lexicographic (f, index) order, which is (f, row, col): expansion ties
+    break on row, then column, and equal-cost routes are reproducible. The
+    open set is a bucket queue (Dial 1969): a dict from f to a min-heap of
+    the indices queued at that f, and a min-heap of the distinct f values.
+    The heuristic of a flat index is `hr[rows[i]] + hc[cols[i]]`, from the
+    router's per-shape row/column tables and two per-call lists of
+    distances to the destination's row and column. Neighbours go up, down,
+    left, right. Returns the full cell sequence including origin and
     destination, or None when unreachable. The origin itself need not be
     passable.
     """
     if origin == destination:
         return [origin]
-    width, cost = router.width, router.cost
+    width, cost, rows, cols = router.width, router.cost, router.rows, router.cols
     tr, tc = destination[0] + 1, destination[1] + 1
+    hr = [abs(r - tr) for r in range(len(cost) // width)]
+    hc = [abs(c - tc) for c in range(width)]
     start = (origin[0] + 1) * width + origin[1] + 1
     goal = tr * width + tc
     closed = bytearray(router.blocked)  # impassable or expanded
@@ -170,11 +215,18 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
     g_score = [float("inf")] * len(closed)
     g_score[start] = 0.0
     came_from: dict[int, int] = {}
-    open_heap = [(float(abs(origin[0] - destination[0]) + abs(origin[1] - destination[1])), start)]
+    f_start = float(hr[rows[start]] + hc[cols[start]])
+    buckets = {f_start: [start]}
+    f_heap = [f_start]
     pop, push = heapq.heappop, heapq.heappush
 
-    while open_heap:
-        current = pop(open_heap)[1]
+    while f_heap:
+        f = f_heap[0]
+        bucket = buckets[f]
+        current = pop(bucket)
+        if not bucket:
+            del buckets[f]
+            pop(f_heap)
         if closed[current]:
             continue
         if current == goal:
@@ -183,7 +235,7 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
                 current = came_from[current]
                 path.append(current)
             path.reverse()
-            return [(i // width - 1, i % width - 1) for i in path]
+            return [(rows[i] - 1, cols[i] - 1) for i in path]
         closed[current] = 1
         base_g = g_score[current]
         for nb in (current - width, current + width, current - 1, current + 1):
@@ -193,9 +245,14 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
             if tentative < g_score[nb]:
                 g_score[nb] = tentative
                 came_from[nb] = current
-                r, c = divmod(nb, width)
                 # f = g + (integer heuristic), added in that order
-                push(open_heap, (tentative + (abs(r - tr) + abs(c - tc)), nb))
+                f = tentative + (hr[rows[nb]] + hc[cols[nb]])
+                bucket = buckets.get(f)
+                if bucket is None:
+                    buckets[f] = [nb]
+                    push(f_heap, f)
+                else:
+                    push(bucket, nb)
     return None
 
 
@@ -372,13 +429,11 @@ def step_agent(
     step: int,
     trip_log: TripLog,
     wait_probability: float = WAIT_PROBABILITY,
-    labels: np.ndarray | None = None,
 ) -> list[StepEvent]:
     """Advance one non-terminal agent by one step.
 
-    `router` holds this step's passable mask and costs for the agent's
-    role; `labels` are the connected components of that mask (0 marks an
-    impassable cell), used to skip replans that cannot succeed.
+    `router` holds this step's passable mask, costs and components for the
+    agent's role; it answers a replan that cannot succeed without a search.
 
     The transition is deterministic given the chosen action; the only coin
     is the wait-vs-replan choice when blocked. Patience burns on every
@@ -421,7 +476,7 @@ def step_agent(
     else:
         action = "wait" if rng.random() < wait_probability else "replan"
         if action == "replan":
-            replanned = _replan(agent, router, labels)
+            replanned = _replan(agent, router)
             if agent.status is Status.CANCELLED:
                 # bus rerouting found every remaining stop unreachable
                 trip_log.close(agent)
@@ -478,15 +533,13 @@ def _advance_bus_leg(agent: AgentRecord, router: Router) -> bool:
     return True
 
 
-def _replan(agent: AgentRecord, router: Router, labels: np.ndarray | None) -> bool:
+def _replan(agent: AgentRecord, router: Router) -> bool:
     # the blocked next cell already fails this step's mask, so A* avoids it
     if agent.role is Role.BUS and len(agent.remaining_stops) >= 2:
         bus, _ = reroute_bus(agent, router)
         return bus.status is not Status.CANCELLED
-    if labels is not None:
-        a = labels[agent.pos]
-        if not (a != 0 and a == labels[agent.destination]):
-            return False  # standing on a blocked cell, or cut off from the destination
+    if not router.passable(agent.pos):
+        return False  # standing on a blocked cell
     path = router.route(agent.pos, agent.destination)
     if path is None:
         return False

@@ -50,3 +50,14 @@ def test_cost_grid_matches_per_cell_penalty_lookup():
     for cell in np.ndindex(region_id.shape):
         assert grid[cell] == 1.0 + penalties.get(int(region_id[cell]), 0.0)
     assert engine._cost_grid({}) is None
+
+
+def test_active_list_holds_the_non_terminal_agents_in_id_order():
+    engine = small_engine()
+    for _ in range(30):
+        engine.step()
+        assert engine.active == [a for a in engine.agents if not a.status.terminal]
+        assert [a.id for a in engine.agents] == list(range(len(engine.agents)))
+        # `agents` still holds every agent ever spawned, terminal ones included
+        assert len(engine.agents) == engine.trip_log.spawned
+    assert 0 < len(engine.active) < len(engine.agents)

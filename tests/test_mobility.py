@@ -210,7 +210,7 @@ def make_agent(origin, destination, ws, patience=10):
     )
 
 
-def run_step(agent, ws, blocked=(), rng=None, step=1, log=None, labels=None):
+def run_step(agent, ws, blocked=(), rng=None, step=1, log=None):
     log = log if log is not None else mob.TripLog()
     return mob.step_agent(
         agent,
@@ -220,7 +220,6 @@ def run_step(agent, ws, blocked=(), rng=None, step=1, log=None, labels=None):
         rng or pystream(0, "coin"),
         step,
         log,
-        labels=labels,
     ), log
 
 

@@ -1,4 +1,5 @@
-"""Flat-index A* against the callable A* it replaced, and the per-step path memo."""
+"""Flat-index A* against the callable A* it replaced, its bucket-queue
+expansion order, the router's reachability rule and the per-step path memo."""
 
 from __future__ import annotations
 
@@ -152,7 +153,48 @@ def test_unreachable_result_is_memoised(monkeypatch):
     router = mob.Router(mask)
     assert router.route((0, 0), (0, 2)) is None
     assert router.route((0, 0), (0, 2)) is None
-    assert len(calls) == 1
+    assert calls == []  # the component labels answer without a search
+    assert router._paths == {((0, 0), (0, 2)): None}
+
+
+@settings(deadline=None, max_examples=300)
+@given(routing_cases(n_pairs=4))
+def test_route_searches_exactly_the_pairs_astar_can_join(case):
+    # blocked origins and destinations included: A* may leave a blocked
+    # origin, so its open neighbours' components count as reachable
+    mask, cost, pairs = case
+    plan = mob.plan_path
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_plans(mp)
+        for origin, destination in pairs:
+            found = plan(origin, destination, mob.Router(mask, cost)) is not None
+            calls.clear()
+            assert (mob.Router(mask, cost).route(origin, destination) is not None) == found
+            assert calls == ([(origin, destination)] if found else [])
+
+
+class ReadLog(list):
+    """A cost list that records the flat index of every read."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.reads: list[int] = []
+
+    def __getitem__(self, index):
+        self.reads.append(index)
+        return super().__getitem__(index)
+
+
+def test_bucket_ties_expand_the_lower_index_first():
+    # on the open 3x3 grid (0, 1) and (1, 0) both enter the f = 4 bucket;
+    # (0, 1) has the lower flat index, so it is expanded first and its
+    # neighbours (1, 1) and (0, 2) are relaxed before (1, 0)'s (2, 0)
+    router = mob.Router(np.ones((3, 3), dtype=bool))
+    router.cost = ReadLog(router.cost)
+    mob.plan_path((0, 0), (2, 2), router)
+    relaxed = [(i // router.width - 1, i % router.width - 1) for i in router.cost.reads]
+    assert relaxed[:5] == [(1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
+    assert relaxed.index((0, 2)) < relaxed.index((2, 0))
 
 
 def test_new_step_router_recomputes(monkeypatch):
