@@ -179,17 +179,28 @@ class ExternalBackend(StrategyBackend):
         self.timeout = timeout
         # honours the proxy environment as it stands when the backend is made
         self._opener = urllib.request.build_opener()
+        self._body_key: tuple | None = None
+        self._body = b""
+
+    def _request_body(self, prompt, n_regions, tau, cycle) -> bytes:
+        """The UTF-8 JSON request; the first call and the probes of one
+        cycle send the same body, so the last one is kept."""
+        key = (prompt.text, n_regions, tau, cycle)
+        if key != self._body_key:
+            payload = {
+                "prompt": prompt.text,
+                "vocabulary": action_keys(n_regions),
+                "tau": tau,
+                "cycle": cycle,
+            }
+            self._body = json.dumps(payload, allow_nan=False).encode("utf-8")
+            self._body_key = key
+        return self._body
 
     def propose(self, prompt, n_regions, tau, cycle):
         vocab = action_vocabulary(n_regions)
-        payload = {
-            "prompt": prompt.text,
-            "vocabulary": action_keys(n_regions),
-            "tau": tau,
-            "cycle": cycle,
-        }
         try:
-            data = json.dumps(payload, allow_nan=False).encode("utf-8")
+            data = self._request_body(prompt, n_regions, tau, cycle)
             request = urllib.request.Request(
                 self.endpoint, data=data, headers={"Content-Type": "application/json"}, method="POST"
             )

@@ -225,7 +225,8 @@ def test_external_probability_vector(http_backend):
     probs = [0.0] * vocab_size
     probs[0] = 0.75
     probs[1] = 0.25
-    handler.responses.append((200, {"probabilities": probs, "planned": {"f": 0.5, "t": 0.5, "c": 0.0, "r": 0.9}}))
+    response = (200, {"probabilities": probs, "planned": {"f": 0.5, "t": 0.5, "c": 0.0, "r": 0.9}})
+    handler.responses += [response] * 3
     backend = b.ExternalBackend(url, timeout=2.0)
     proposal = backend.propose(prompt_for(summary_with()), 4, 1.2, 0)
     assert proposal.distribution.probs == (0.75, 0.25)
@@ -237,6 +238,12 @@ def test_external_probability_vector(http_backend):
     # the wire body is the default json.dumps of the request, UTF-8 encoded
     expected = {"prompt": sent["prompt"], "vocabulary": [a.key() for a in p.action_vocabulary(4)], "tau": 1.2, "cycle": 0}
     assert handler.raw_requests[0] == ("application/json", json.dumps(expected).encode("utf-8"))
+    # a probe of the same cycle sends the same bytes; the next cycle a new body
+    backend.propose(prompt_for(summary_with()), 4, 1.2, 0)
+    backend.propose(prompt_for(summary_with()), 4, 1.2, 1)
+    assert handler.raw_requests[1] == handler.raw_requests[0]
+    expected["cycle"] = 1
+    assert handler.raw_requests[2] == ("application/json", json.dumps(expected).encode("utf-8"))
 
 
 def test_external_ranking_response(http_backend):
