@@ -261,7 +261,7 @@ def _diffuse(depth: np.ndarray, elevation: np.ndarray, masks, counts, rate: floa
     into basins and ponds there instead of merely smoothing the depth
     field. All transfers are computed from the pre-step field and applied
     at once; every unit leaving a cell lands in a neighbor, so the total
-    is conserved exactly.
+    is conserved up to the rounding of `outflow / counts`.
     """
     if rate <= 0:
         return depth
