@@ -118,9 +118,7 @@ class SimulationEngine:
                 stagger=mc.initial_stagger,
             )
             self._next_id += mc.initial_population
-            self.agents.extend(agents)
-            self.active.extend(agents)
-            self.trip_log.note_spawn(len(agents))
+            self._admit(agents)
         bus_rng = pystream(self.config.seed, "bus-lines")
         road = self.world.road_cells()
         bus_router = Router(self._passable_mask(Role.BUS, closed))
@@ -130,9 +128,13 @@ class SimulationEngine:
             stops = bus_rng.sample(road, mc.bus_stops)
             bus = make_bus(self._next_id, stops, 0, bus_router)
             self._next_id += 1
-            self.agents.append(bus)
-            self.active.append(bus)
-            self.trip_log.note_spawn(1)
+            self._admit([bus])
+
+    def _admit(self, agents: list[AgentRecord]) -> None:
+        """Add newly spawned agents, in id order; they stay active until terminal."""
+        self.agents.extend(agents)
+        self.active.extend(agents)
+        self.trip_log.note_spawn(len(agents))
 
     def trip_counts(self) -> tuple[int, int, int, int]:
         log = self.trip_log
@@ -202,9 +204,7 @@ class SimulationEngine:
                 id_start=self._next_id,
             )
             self._next_id += mc.spawn_rate
-            self.agents.extend(new_agents)
-            self.active.extend(new_agents)
-            self.trip_log.note_spawn(len(new_agents))
+            self._admit(new_agents)
 
         snapshot = self.metrics_snapshot()
         record = StepRecord(step=now, snapshot=snapshot, events=event_counts)
