@@ -144,7 +144,8 @@ class Router:
         free = np.zeros((height + 2, width + 2), dtype=bool)
         free[1:-1, 1:-1] = passable
         self.blocked = np.logical_not(free).view(np.uint8).tobytes()
-        self.labels = ndimage.label(free, structure=_FOUR_CONNECTED)[0].ravel().tolist()
+        # a flat view that indexes to Python ints, without a per-router tolist()
+        self.labels = memoryview(ndimage.label(free, structure=_FOUR_CONNECTED)[0].ravel())
         self.rows, self.cols = _row_col_tables(height + 2, width + 2)
         if cost is None:
             self.cost = [1.0] * free.size
