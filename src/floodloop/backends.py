@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import BackendUnavailable
 from .knowledge import HybridPrompt
-from .policy import HighLevelAction, PolicyDistribution, Verb, action_keys, action_vocabulary
+from .policy import VERB_INDEX, HighLevelAction, PolicyDistribution, Verb, action_keys, action_vocabulary
 from .state import StateSummary
 
 
@@ -125,9 +125,6 @@ class RuledBackend(StrategyBackend):
         probs = weights / weights.sum()
         dist = PolicyDistribution(support=tuple(actions), probs=tuple(float(p) for p in probs))
         return BackendProposal(distribution=dist)
-
-
-VERB_INDEX = {verb: i for i, verb in enumerate(Verb)}
 
 
 class ScriptedBackend(StrategyBackend):

@@ -47,7 +47,6 @@ from .metrics import (
 )
 from .policy import (
     EntropyController,
-    RegionalObservation,
     RegionalPlan,
     conditional_entropy,
     generate_global,
@@ -328,18 +327,15 @@ class DecisionLoop:
             entropy_control=entropy_on,
         )
         cap = min(plan.h_projected, self.controller.tau) if entropy_on else math.inf
+        local = local_distribution_for(
+            plan.projected, summary.region_flood, summary.region_congestion, summary.region_blocked_roads, cap
+        )
         worst = worst_road_cells(eng.world)
-        observations = {r: self._observe_region(summary, r, worst[r]) for r in range(cfg.world.n_regions)}
-        locals_map = {
-            action: local_distribution_for(action, observations[action.region], cap)
-            for action, p in zip(plan.projected.support, plan.projected.probs)
-            if p > 0
-        }
         plans = [
             generate_regional(
                 action,
-                observations[region],
-                locals_map.get(action, (1.0,)),
+                worst[region],
+                local.probs.get(action, (1.0,)),
                 cfg.seed,
                 cycle,
                 window=(start, end),
@@ -347,7 +343,7 @@ class DecisionLoop:
             )
             for region, action in sorted(plan.sampled.items())
         ]
-        h_cond = conditional_entropy(locals_map, plan.projected)
+        h_cond = conditional_entropy(local.entropies, plan.projected)
         self._probe_diversity(plans)
 
         instructions: list[Instruction] = []
@@ -477,16 +473,6 @@ class DecisionLoop:
             else:
                 texts.append(f"noop region={rp.region}")
         self.diversity_sets.append(tuple(self.knowledge.embedder.embed(t) for t in texts))
-
-    def _observe_region(
-        self, summary: StateSummary, region: int, worst: tuple[int, int] | None
-    ) -> RegionalObservation:
-        return RegionalObservation(
-            flood_score=summary.region_flood[region],
-            congestion_score=summary.region_congestion[region],
-            blocked_roads=summary.region_blocked_roads[region],
-            worst_road_cell=worst,
-        )
 
     def _log_instruction(self, cycle: int, instr: Instruction, status: str, reason: str) -> None:
         self.instruction_rows.append(

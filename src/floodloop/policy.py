@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,6 +35,7 @@ class Verb(str, Enum):
 
 
 VERB_ORDER = tuple(Verb)
+VERB_INDEX = {verb: i for i, verb in enumerate(VERB_ORDER)}
 
 
 @dataclass(frozen=True, order=True)
@@ -75,7 +76,7 @@ class PolicyDistribution:
             raise InvalidDistribution("empty support")
         if len(self.support) != len(self.probs):
             raise InvalidDistribution("support/probs length mismatch")
-        if len(set(self.support)) != len(self.support):
+        if not self._duplicate_free:
             raise InvalidDistribution("duplicate actions in support")
         arr = np.asarray(self.probs, dtype=np.float64)
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
@@ -87,6 +88,19 @@ class PolicyDistribution:
     def onehot(action: HighLevelAction) -> "PolicyDistribution":
         return PolicyDistribution(support=(action,), probs=(1.0,))
 
+    @cached_property
+    def _duplicate_free(self) -> bool:
+        # hashes every action, so it is computed at most once per distribution
+        return len(set(self.support)) == len(self.support)
+
+    def reweighted(self, probs: tuple[float, ...]) -> "PolicyDistribution":
+        """The same support tuple with new probabilities; a duplicate check
+        already made on that tuple carries over instead of running again."""
+        out = PolicyDistribution(self.support, probs)
+        if "_duplicate_free" in self.__dict__:
+            out.__dict__["_duplicate_free"] = self._duplicate_free
+        return out
+
 
 def entropy_of(probs: Sequence[float]) -> float:
     """Shannon entropy in nats with the 0*ln(0) = 0 convention."""
@@ -96,18 +110,24 @@ def entropy_of(probs: Sequence[float]) -> float:
 
 
 def conditional_entropy(
-    locals_map: Mapping[HighLevelAction, Sequence[float]],
+    local_entropies: Mapping[HighLevelAction, float],
     global_dist: PolicyDistribution,
 ) -> float:
-    """Expected local entropy under the global distribution."""
+    """Expected local entropy under the global distribution.
+
+    `local_entropies` maps each positive-mass action to the entropy of its
+    local distribution, as `local_distribution_for` computes them; the sum
+    of p * H runs in support order.
+    """
     global_dist.validate()
     total = 0.0
     for action, p in zip(global_dist.support, global_dist.probs):
         if p <= 0:
             continue
-        if action not in locals_map:
+        h = local_entropies.get(action)
+        if h is None:
             raise MissingLocalPolicy(f"no local distribution for {action.key()}")
-        total += p * entropy_of(locals_map[action])
+        total += p * h
     return total
 
 
@@ -131,14 +151,16 @@ def project_entropy(probs: np.ndarray, tau: float) -> np.ndarray:
         return probs
     if tau <= PROJECTION_BAND:
         return _mix_toward_argmax(probs, 1.0)
-    lo, hi = 0.0, 1.0
+    # the one-hot at hi = 1 has entropy 0, below tau - PROJECTION_BAND
+    lo, hi, h_hi = 0.0, 1.0, 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if entropy_of(_mix_toward_argmax(probs, mid)) > tau:
+        h_mid = entropy_of(_mix_toward_argmax(probs, mid))
+        if h_mid > tau:
             lo = mid
         else:
-            hi = mid
-        if entropy_of(_mix_toward_argmax(probs, hi)) >= tau - PROJECTION_BAND:
+            hi, h_hi = mid, h_mid
+        if h_hi >= tau - PROJECTION_BAND:
             break
     return _mix_toward_argmax(probs, hi)
 
@@ -176,16 +198,6 @@ class EntropyController:
 # --- regional refinement ---------------------------------------------------
 
 @dataclass(frozen=True)
-class RegionalObservation:
-    """What a region's local agent sees when refining a global action."""
-
-    flood_score: float
-    congestion_score: float
-    blocked_roads: int
-    worst_road_cell: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
 class Directive:
     """One region-local executable intent produced by refinement."""
 
@@ -207,56 +219,102 @@ class RegionalPlan:
     window: tuple[int, int]
 
 
-def _candidate_directives(action: HighLevelAction, obs: RegionalObservation) -> list[tuple[str, float, Directive]]:
-    """Refinement table: (kind, weight, directive) candidates per verb.
-
-    Weights lean on the local observation so wetter or more congested
-    regions prefer the stronger variant.
-    """
+def _candidate_directives(action: HighLevelAction, cell: tuple[int, int] | None) -> list[Directive]:
+    """Refinement table: the candidate directives of each verb, in the
+    column order of `_candidate_weights`; NoOp has none. `cell` is the
+    region's worst road cell, which closures anchor on."""
     r = action.region
-    cell = obs.worst_road_cell
     if action.verb is Verb.REROUTE_REGION:
         return [
-            ("avoid_region", 1.0 + obs.congestion_score, Directive("avoid_region", r, params=(("penalty", 4.0),))),
-            ("avoid_region_strong", 0.5 + obs.flood_score, Directive("avoid_region_strong", r, params=(("penalty", 8.0),))),
+            Directive("avoid_region", r, params=(("penalty", 4.0),)),
+            Directive("avoid_region_strong", r, params=(("penalty", 8.0),)),
         ]
     if action.verb is Verb.CLOSE_ROAD:
-        return [
-            ("close_cell", 1.0 + obs.flood_score, Directive("close_cell", r, cell=cell)),
-            ("close_cell_brief", 0.5, Directive("close_cell_brief", r, cell=cell)),
-        ]
+        return [Directive("close_cell", r, cell=cell), Directive("close_cell_brief", r, cell=cell)]
     if action.verb is Verb.HOLD_TRANSIT:
-        return [
-            ("hold_buses", 1.0 + obs.flood_score, Directive("hold_buses", r)),
-            ("hold_buses_brief", 0.75, Directive("hold_buses_brief", r)),
-        ]
+        return [Directive("hold_buses", r), Directive("hold_buses_brief", r)]
     if action.verb is Verb.DISPATCH_RELIEF:
-        surge_w = 0.25 + obs.flood_score + (1.0 if obs.blocked_roads >= 3 else 0.0)
         return [
-            ("deploy_pumps", 1.0, Directive("deploy_pumps", r, params=(("multiplier", 1.5),))),
-            ("deploy_pumps_surge", surge_w, Directive("deploy_pumps_surge", r, params=(("multiplier", 5.0),))),
+            Directive("deploy_pumps", r, params=(("multiplier", 1.5),)),
+            Directive("deploy_pumps_surge", r, params=(("multiplier", 5.0),)),
         ]
     return []
 
 
-def local_distribution_for(action: HighLevelAction, obs: RegionalObservation, cap: float) -> tuple[float, ...]:
-    """Local directive probabilities for one action, entropy capped at `cap`.
+def _candidate_weights(
+    verbs: np.ndarray, flood: np.ndarray, congestion: np.ndarray, blocked_roads: np.ndarray
+) -> np.ndarray:
+    """(n, 2) weights of the candidate directives of n actions that are not
+    NoOp, from their verb codes (`VERB_INDEX`) and their regions' scores.
 
-    The decision loop passes cap = min(global entropy, tau), so uncertainty
+    Weights lean on the local observation so wetter or more congested
+    regions prefer the stronger variant.
+    """
+    reroute = verbs == VERB_INDEX[Verb.REROUTE_REGION]
+    relief = verbs == VERB_INDEX[Verb.DISPATCH_RELIEF]
+    first = np.select([reroute, relief], [1.0 + congestion, 1.0], 1.0 + flood)
+    surge = (0.25 + flood) + np.where(blocked_roads >= 3, 1.0, 0.0)
+    second = np.select(
+        [reroute, verbs == VERB_INDEX[Verb.CLOSE_ROAD], verbs == VERB_INDEX[Verb.HOLD_TRANSIT]],
+        [0.5 + flood, 0.5, 0.75],
+        surge,
+    )
+    return np.stack((first, second), axis=1)
+
+
+@dataclass(frozen=True)
+class LocalPolicies:
+    """The capped local directive probabilities of each positive-mass
+    action of one global distribution, and their entropies."""
+
+    probs: dict[HighLevelAction, tuple[float, ...]]
+    entropies: dict[HighLevelAction, float]
+
+
+def local_distribution_for(
+    dist: PolicyDistribution,
+    flood: Sequence[float],
+    congestion: Sequence[float],
+    blocked_roads: Sequence[int],
+    cap: float,
+) -> LocalPolicies:
+    """Local directive probabilities of every positive-mass action of
+    `dist`, each with its entropy capped at `cap`, in one array pass.
+
+    `flood`, `congestion` and `blocked_roads` are indexed by region. The
+    decision loop passes cap = min(global entropy, tau), so uncertainty
     never grows while descending the hierarchy and a deterministic parent
     forces a deterministic child; `math.inf` leaves the weights uncapped.
-    An action without candidate directives gets the point mass (1.0,).
+    A NoOp has no candidate directives and gets the point mass (1.0,).
+    Only rows whose entropy exceeds `cap` go through `project_entropy`.
     """
-    candidates = _candidate_directives(action, obs)
-    if not candidates:
-        return (1.0,)
-    weights = np.array([w for _, w, _ in candidates], dtype=np.float64)
-    return tuple(project_entropy(weights / weights.sum(), cap).tolist())
+    actions = [a for a, p in zip(dist.support, dist.probs) if p > 0]
+    probs = dict.fromkeys(actions, (1.0,))
+    entropies = dict.fromkeys(actions, 0.0)
+    refined = [a for a in actions if a.verb is not Verb.NOOP]
+    if refined:
+        regions = np.array([a.region for a in refined])
+        weights = _candidate_weights(
+            np.array([VERB_INDEX[a.verb] for a in refined]),
+            np.asarray(flood, dtype=np.float64)[regions],
+            np.asarray(congestion, dtype=np.float64)[regions],
+            np.asarray(blocked_roads)[regions],
+        )
+        rows = weights / (weights[:, 0] + weights[:, 1])[:, None]
+        terms = rows * np.log(rows)  # weights are positive, so no 0 * ln(0)
+        h = -(terms[:, 0] + terms[:, 1])
+        local, hs = rows.tolist(), h.tolist()
+        for i in np.flatnonzero(h > cap).tolist():
+            capped = project_entropy(rows[i], cap)
+            local[i], hs[i] = capped.tolist(), entropy_of(capped)
+        probs.update(zip(refined, map(tuple, local)))
+        entropies.update(zip(refined, hs))
+    return LocalPolicies(probs, entropies)
 
 
 def generate_regional(
     action: HighLevelAction,
-    obs: RegionalObservation,
+    cell: tuple[int, int] | None,
     probs: Sequence[float],
     seed: int,
     cycle: int,
@@ -264,15 +322,16 @@ def generate_regional(
     n_regions: int,
 ) -> RegionalPlan:
     """Refine one sampled global action into one local directive, drawn
-    from `probs`, the action's `local_distribution_for` probabilities."""
+    from `probs`, the action's probabilities from `local_distribution_for`.
+    `cell` is the region's worst road cell, or None without roads."""
     if not (0 <= action.region < n_regions):
         raise UnknownRegion(f"region {action.region} outside [0, {n_regions})")
-    candidates = _candidate_directives(action, obs)
+    candidates = _candidate_directives(action, cell)
     if not candidates:
         return RegionalPlan(region=action.region, directives=(), window=window)
     rng = pystream(seed, "regional", cycle, action.region)
     pick = rng.choices(range(len(candidates)), weights=probs, k=1)[0]
-    return RegionalPlan(region=action.region, directives=(candidates[pick][2],), window=window)
+    return RegionalPlan(region=action.region, directives=(candidates[pick],), window=window)
 
 
 # --- global generation ------------------------------------------------------
@@ -330,7 +389,7 @@ def generate_global(
     projected = proposal_dist
     if entropy_control:
         probs = project_entropy(np.asarray(proposal_dist.probs, dtype=np.float64), controller.tau)
-        projected = PolicyDistribution(proposal_dist.support, tuple(probs.tolist()))
+        projected = proposal_dist.reweighted(tuple(probs.tolist()))
         controller.observe(h_raw)
     sampled = sample_per_region(projected, n_regions, seed, cycle)
     return GlobalPlan(

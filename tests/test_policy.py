@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -19,13 +20,32 @@ def dist_over(probs, n_regions=None):
     return p.PolicyDistribution(support=tuple(vocab[: len(probs)]), probs=tuple(probs))
 
 
+@dataclass(frozen=True)
+class Observation:
+    """What the former per-action code read of one region."""
+
+    flood_score: float
+    congestion_score: float
+    blocked_roads: int
+    worst_road_cell: tuple[int, int] | None
+
+
 def obs(flood=0.5, congestion=0.5, blocked=0, cell=(0, 0)):
-    return p.RegionalObservation(
-        flood_score=flood,
-        congestion_score=congestion,
-        blocked_roads=blocked,
-        worst_road_cell=cell,
-    )
+    return Observation(flood_score=flood, congestion_score=congestion, blocked_roads=blocked, worst_road_cell=cell)
+
+
+def local_for(action, observation, cap, n_regions=4):
+    """`local_distribution_for` of a point mass on `action`, whose region sees `observation`."""
+    flood, congestion, blocked = [0.0] * n_regions, [0.0] * n_regions, [0] * n_regions
+    flood[action.region] = observation.flood_score
+    congestion[action.region] = observation.congestion_score
+    blocked[action.region] = observation.blocked_roads
+    local = p.local_distribution_for(p.PolicyDistribution.onehot(action), flood, congestion, blocked, cap)
+    return local.probs[action]
+
+
+def entropies(locals_map):
+    return {action: p.entropy_of(probs) for action, probs in locals_map.items()}
 
 
 # --- entropy ---------------------------------------------------------------------
@@ -70,6 +90,24 @@ def test_invalid_distributions_rejected():
     )
     with pytest.raises(InvalidDistribution):
         dup.validate()
+    with pytest.raises(InvalidDistribution):
+        dup.reweighted((1.0, 0.0)).validate()
+
+
+def test_reweighted_support_is_checked_for_duplicates_once(monkeypatch):
+    d = dist_over([0.5, 0.5])
+    d.validate()
+    hashed = []
+    monkeypatch.setattr(p.HighLevelAction, "__hash__", lambda a: hashed.append(a) or a.region)
+    d.validate()
+    d.reweighted((0.25, 0.75)).validate()
+    assert hashed == []
+    with pytest.raises(InvalidDistribution):
+        d.reweighted((0.5, 0.6)).validate()
+    with pytest.raises(InvalidDistribution):
+        d.reweighted((float("nan"), 1.0)).validate()
+    dist_over([0.5, 0.5]).validate()  # a new distribution runs the check
+    assert len(hashed) == 2
 
 
 # --- conditional entropy ------------------------------------------------------------
@@ -77,13 +115,13 @@ def test_invalid_distributions_rejected():
 def test_conditional_entropy_deterministic_locals():
     g = dist_over([0.3, 0.7])
     locals_map = {a: (1.0,) for a in g.support}
-    assert p.conditional_entropy(locals_map, g) == 0.0
+    assert p.conditional_entropy(entropies(locals_map), g) == 0.0
 
 
 def test_conditional_entropy_collapses_on_deterministic_global():
     g = dist_over([1.0, 0.0])
     locals_map = {g.support[0]: (0.5, 0.5), g.support[1]: (0.25, 0.25, 0.25, 0.25)}
-    assert p.conditional_entropy(locals_map, g) == pytest.approx(math.log(2), abs=1e-12)
+    assert p.conditional_entropy(entropies(locals_map), g) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_conditional_entropy_hand_expectation():
@@ -94,20 +132,20 @@ def test_conditional_entropy_hand_expectation():
         g.support[1]: (0.77469009, 0.22530991),  # entropy 0.5341...
     }
     expected = 0.5 * math.log(2) + 0.5 * p.entropy_of(locals_map[g.support[1]])
-    assert p.conditional_entropy(locals_map, g) == pytest.approx(expected, abs=1e-12)
+    assert p.conditional_entropy(entropies(locals_map), g) == pytest.approx(expected, abs=1e-12)
 
 
 def test_conditional_entropy_uniform_two_hand_values():
     # global uniform over 2, local entropies 0 (one-hot) and ln 2 -> ln 2 / 2
     g = dist_over([0.5, 0.5])
     locals_map = {g.support[0]: (1.0,), g.support[1]: (0.5, 0.5)}
-    assert p.conditional_entropy(locals_map, g) == pytest.approx(math.log(2) / 2, abs=1e-15)
+    assert p.conditional_entropy(entropies(locals_map), g) == pytest.approx(math.log(2) / 2, abs=1e-15)
 
 
 def test_conditional_entropy_missing_local():
     g = dist_over([0.5, 0.5])
     with pytest.raises(MissingLocalPolicy):
-        p.conditional_entropy({g.support[0]: (1.0,)}, g)
+        p.conditional_entropy({g.support[0]: 0.0}, g)
 
 
 # --- projection -----------------------------------------------------------------------
@@ -231,21 +269,23 @@ def test_sample_per_region_covers_all_regions():
 # --- regional refinement -----------------------------------------------------------------------
 
 def regional(action, observation, cap, seed=1, n_regions=4):
-    probs = p.local_distribution_for(action, observation, cap)
-    return p.generate_regional(action, observation, probs, seed=seed, cycle=0, window=(0, 9), n_regions=n_regions)
+    probs = local_for(action, observation, cap, n_regions=max(n_regions, action.region + 1))
+    return p.generate_regional(
+        action, observation.worst_road_cell, probs, seed=seed, cycle=0, window=(0, 9), n_regions=n_regions
+    )
 
 
 def test_regional_noop_empty_directives():
     action = p.HighLevelAction(p.Verb.NOOP, 2)
     plan = regional(action, obs(), cap=1.2)
     assert plan.directives == ()
-    assert p.local_distribution_for(action, obs(), 1.2) == (1.0,)
+    assert local_for(action, obs(), 1.2) == (1.0,)
 
 
 def test_regional_deterministic_parent_forces_deterministic_local():
     action = p.HighLevelAction(p.Verb.DISPATCH_RELIEF, 1)
     plan = regional(action, obs(), cap=0.0, seed=3)
-    assert p.entropy_of(p.local_distribution_for(action, obs(), 0.0)) == pytest.approx(0.0, abs=1e-12)
+    assert p.entropy_of(local_for(action, obs(), 0.0)) == pytest.approx(0.0, abs=1e-12)
     assert len(plan.directives) == 1
 
 
@@ -264,7 +304,7 @@ def test_constraint_chain_local_capped_by_parent():
     for _ in range(100):
         cap = float(rng.uniform(0, 1.2))
         action = p.HighLevelAction(p.Verb.REROUTE_REGION, 0)
-        probs = p.local_distribution_for(action, obs(flood=float(rng.uniform(0, 1))), cap)
+        probs = local_for(action, obs(flood=float(rng.uniform(0, 1))), cap)
         assert p.entropy_of(probs) <= cap + 1e-4
 
 
@@ -274,6 +314,33 @@ def test_constraint_chain_local_capped_by_parent():
 # `generate_regional` and `local_distribution_for` each capped the local
 # probabilities themselves through a `PolicyDistribution` over a fake
 # support; the single `local_distribution_for` must reproduce them bit for bit.
+
+def _before_candidate_directives(action, obs):
+    r = action.region
+    cell = obs.worst_road_cell
+    if action.verb is p.Verb.REROUTE_REGION:
+        return [
+            ("avoid_region", 1.0 + obs.congestion_score, p.Directive("avoid_region", r, params=(("penalty", 4.0),))),
+            ("avoid_region_strong", 0.5 + obs.flood_score, p.Directive("avoid_region_strong", r, params=(("penalty", 8.0),))),
+        ]
+    if action.verb is p.Verb.CLOSE_ROAD:
+        return [
+            ("close_cell", 1.0 + obs.flood_score, p.Directive("close_cell", r, cell=cell)),
+            ("close_cell_brief", 0.5, p.Directive("close_cell_brief", r, cell=cell)),
+        ]
+    if action.verb is p.Verb.HOLD_TRANSIT:
+        return [
+            ("hold_buses", 1.0 + obs.flood_score, p.Directive("hold_buses", r)),
+            ("hold_buses_brief", 0.75, p.Directive("hold_buses_brief", r)),
+        ]
+    if action.verb is p.Verb.DISPATCH_RELIEF:
+        surge_w = 0.25 + obs.flood_score + (1.0 if obs.blocked_roads >= 3 else 0.0)
+        return [
+            ("deploy_pumps", 1.0, p.Directive("deploy_pumps", r, params=(("multiplier", 1.5),))),
+            ("deploy_pumps_surge", surge_w, p.Directive("deploy_pumps_surge", r, params=(("multiplier", 5.0),))),
+        ]
+    return []
+
 
 def _before_project_entropy(dist, tau):
     dist.validate()
@@ -300,7 +367,7 @@ def _before_project_entropy(dist, tau):
 def _before_generate_regional(action, obs, controller, seed, cycle, entropy_cap, window, n_regions, entropy_control=True):
     if not (0 <= action.region < n_regions):
         raise UnknownRegion(f"region {action.region} outside [0, {n_regions})")
-    candidates = p._candidate_directives(action, obs)
+    candidates = _before_candidate_directives(action, obs)
     if not candidates:
         return p.RegionalPlan(region=action.region, directives=(), window=window)
     weights = np.array([w for _, w, _ in candidates], dtype=np.float64)
@@ -321,7 +388,7 @@ def _before_generate_regional(action, obs, controller, seed, cycle, entropy_cap,
 
 
 def _before_local_distribution_for(action, obs, controller, entropy_cap, entropy_control=True):
-    candidates = p._candidate_directives(action, obs)
+    candidates = _before_candidate_directives(action, obs)
     if not candidates:
         return (1.0,)
     weights = np.array([w for _, w, _ in candidates], dtype=np.float64)
@@ -374,10 +441,10 @@ def test_single_cap_matches_both_former_copies_bit_for_bit(observation, verb, re
     action = p.HighLevelAction(verb, region)
     ctl = p.EntropyController(tau=TAU)
     control = not math.isinf(cap)
-    probs = p.local_distribution_for(action, observation, min(cap, TAU))
+    probs = local_for(action, observation, min(cap, TAU), N_REGIONS)
     before = _before_local_distribution_for(action, observation, ctl, cap, entropy_control=control)
     assert _bits(probs) == _bits(before)
-    plan = p.generate_regional(action, observation, probs, seed, cycle, (0, 9), N_REGIONS)
+    plan = p.generate_regional(action, observation.worst_road_cell, probs, seed, cycle, (0, 9), N_REGIONS)
     before_plan = _before_generate_regional(action, observation, ctl, seed, cycle, cap, (0, 9), N_REGIONS, control)
     assert plan == before_plan
 
@@ -405,9 +472,110 @@ def test_local_entropy_within_global_and_tau(global_probs, observation, verb):
         n_regions=len(global_probs),
     )
     cap = min(plan.h_projected, TAU)
-    local = p.local_distribution_for(p.HighLevelAction(verb, 0), observation, cap)
+    local = local_for(p.HighLevelAction(verb, 0), observation, cap)
     assert p.entropy_of(local) <= min(plan.h_projected, TAU)
 
+
+
+# --- one array pass per cycle -------------------------------------------------------------------
+#
+# `_per_action_*` are verbatim copies of the code before the batch: one
+# `local_distribution_for` call per positive-mass action, the
+# `conditional_entropy` loop that recomputed every local entropy, and the
+# bisection that computed two entropies per iteration. The batch must
+# reproduce them bit for bit.
+
+def _per_action_project_entropy(probs, tau):
+    if p.entropy_of(probs) <= tau:
+        return probs
+    if tau <= p.PROJECTION_BAND:
+        return p._mix_toward_argmax(probs, 1.0)
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if p.entropy_of(p._mix_toward_argmax(probs, mid)) > tau:
+            lo = mid
+        else:
+            hi = mid
+        if p.entropy_of(p._mix_toward_argmax(probs, hi)) >= tau - p.PROJECTION_BAND:
+            break
+    return p._mix_toward_argmax(probs, hi)
+
+
+def _per_action_local_distribution_for(action, obs, cap):
+    candidates = _before_candidate_directives(action, obs)
+    if not candidates:
+        return (1.0,)
+    weights = np.array([w for _, w, _ in candidates], dtype=np.float64)
+    return tuple(_per_action_project_entropy(weights / weights.sum(), cap).tolist())
+
+
+def _per_action_conditional_entropy(locals_map, global_dist):
+    global_dist.validate()
+    total = 0.0
+    for action, prob in zip(global_dist.support, global_dist.probs):
+        if prob <= 0:
+            continue
+        if action not in locals_map:
+            raise MissingLocalPolicy(f"no local distribution for {action.key()}")
+        total += prob * p.entropy_of(locals_map[action])
+    return total
+
+
+@st.composite
+def cycles(draw):
+    """A global distribution over a random vocabulary, with zeros kept in
+    the support or dropped from it, the regions' observations and a cap.
+    Caps come from below the band, from between the band and ln 2 (every
+    two-way row is projected) and above, and `inf`; some supports carry
+    mass on NoOps only."""
+    n_regions = draw(st.integers(1, 6))
+    vocab = p.action_vocabulary(n_regions)
+    weights = draw(st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=len(vocab), max_size=len(vocab)))
+    if draw(st.booleans()):
+        weights = [w if a.verb is p.Verb.NOOP else 0.0 for a, w in zip(vocab, weights)]
+    if not any(weights):
+        weights[-1] = 1.0  # noop at the last region
+    pairs = [(a, w) for a, w in zip(vocab, weights)]
+    if draw(st.booleans()):
+        pairs = [(a, w) for a, w in pairs if w > 0]
+    total = sum(w for _, w in pairs)
+    dist = p.PolicyDistribution(tuple(a for a, _ in pairs), tuple(w / total for _, w in pairs))
+    region_obs = draw(st.lists(observations, min_size=n_regions, max_size=n_regions))
+    cap = draw(
+        st.floats(0.0, p.PROJECTION_BAND)
+        | st.floats(p.PROJECTION_BAND, math.log(2))
+        | st.floats(math.log(2), 1.5)
+        | st.just(math.inf)
+    )
+    return dist, region_obs, cap
+
+
+@settings(deadline=None, max_examples=400)
+@given(cycles())
+def test_batched_locals_and_conditional_entropy_equal_per_action_code_bit_for_bit(cycle):
+    dist, region_obs, cap = cycle
+    local = p.local_distribution_for(
+        dist,
+        [o.flood_score for o in region_obs],
+        [o.congestion_score for o in region_obs],
+        [o.blocked_roads for o in region_obs],
+        cap,
+    )
+    before = {
+        a: _per_action_local_distribution_for(a, region_obs[a.region], cap)
+        for a, prob in zip(dist.support, dist.probs)
+        if prob > 0
+    }
+    assert {a: _bits(v) for a, v in local.probs.items()} == {a: _bits(v) for a, v in before.items()}
+    h_cond = p.conditional_entropy(local.entropies, dist)
+    assert h_cond.hex() == _per_action_conditional_entropy(before, dist).hex()
+
+
+@settings(deadline=None, max_examples=400)
+@given(probability_arrays, st.floats(0.0, 3.5))
+def test_project_entropy_equals_the_two_entropy_bisection_bit_for_bit(probs, tau):
+    assert _bits(p.project_entropy(probs, tau)) == _bits(_per_action_project_entropy(probs, tau))
 
 def test_vocab_ordering_verb_major():
     vocab = p.action_vocabulary(3)
