@@ -88,25 +88,14 @@ def translate(plan: RegionalPlan) -> list[Instruction]:
     return out
 
 
-def _region_road_cells(world: WorldState, region: int) -> list[tuple[int, int]]:
-    mask = (world.region_id == region) & world.is_road
-    rows, cols = np.nonzero(mask)
-    return list(zip(rows.tolist(), cols.tolist()))  # nonzero scans row-major
-
-
 def snap_to_road(world: WorldState, region: int, cell: tuple[int, int]) -> tuple[int, int] | None:
     """Nearest road cell within the region by Manhattan distance; ties
     resolve in row-major scan order."""
-    road_cells = _region_road_cells(world, region)
+    road_cells = world.region_roads[region][1]
     if not road_cells:
         return None
-    best = None
-    best_d = None
-    for rc in road_cells:
-        d = abs(rc[0] - cell[0]) + abs(rc[1] - cell[1])
-        if best_d is None or d < best_d:
-            best, best_d = rc, d
-    return best
+    # min keeps the first of equal distances, and the cells are row-major
+    return min(road_cells, key=lambda rc: abs(rc[0] - cell[0]) + abs(rc[1] - cell[1]))
 
 
 def wrap_accuracy(
@@ -133,11 +122,10 @@ def wrap_accuracy(
         out = replace(out, cell=anchor)
 
     if instr.tag is Tag.ROUTING:
-        road_cells = _region_road_cells(world, instr.region)
-        if not road_cells:
+        flat = world.region_roads[instr.region][0]
+        if not len(flat):
             return Rejection(out, f"routing infeasible: region {instr.region} has no road cells")
-        depths = [world.water_depth[c] for c in road_cells]
-        if all(d >= resident_block_depth for d in depths):
+        if np.all(world.water_depth.take(flat) >= resident_block_depth):
             return Rejection(out, f"routing infeasible: region {instr.region} fully flooded")
     return out
 

@@ -190,6 +190,8 @@ class WorldState:
     params: HydrologyParams
     downhill_masks: tuple[np.ndarray, ...] = field(repr=False, default=())
     downhill_counts: np.ndarray | None = field(repr=False, default=None)
+    # per region: its road cells as flat indices and as (row, col), row-major
+    region_roads: tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...] = field(repr=False, default=())
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -214,6 +216,21 @@ def _downhill_structure(elevation: np.ndarray):
         masks.append(neighbor < elevation)
     counts = np.sum(masks, axis=0)
     return tuple(masks), counts
+
+
+def region_road_index(
+    is_road: np.ndarray, region_id: np.ndarray, n_regions: int
+) -> tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...]:
+    """Per region, its road cells in row-major order, as flat indices and
+    as (row, col) pairs; roads and regions never change during a run."""
+    flat = np.flatnonzero(is_road)
+    regions = region_id.ravel()[flat]
+    order = np.argsort(regions, kind="stable")  # stable keeps row-major order within a region
+    flat = flat[order]
+    bounds = np.searchsorted(regions[order], np.arange(n_regions + 1)).tolist()
+    rows, cols = np.divmod(flat, is_road.shape[1])
+    cells = tuple(zip(rows.tolist(), cols.tolist()))
+    return tuple((flat[a:b], cells[a:b]) for a, b in zip(bounds, bounds[1:]))
 
 
 def build_world(
@@ -250,6 +267,7 @@ def build_world(
         params=params,
         downhill_masks=masks,
         downhill_counts=counts,
+        region_roads=region_road_index(is_road, region_id, n_regions),
     )
 
 

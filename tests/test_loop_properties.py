@@ -1,5 +1,6 @@
 """Decision-loop shortcuts against the per-call code they replaced: the
-one-pass worst road cell per region and the memoised hashing embedder."""
+one-pass worst road cell per region, the per-region road index and the
+memoised hashing embedder."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 from floodloop import feedback as fb
 from floodloop.errors import EmptyQuery
 from floodloop.knowledge import _TOKEN_RE, HashingEmbedder
+from floodloop.world import region_road_index
 
 
 def per_region_worst(world, region: int) -> tuple[int, int] | None:
@@ -55,6 +57,18 @@ def worlds(draw):
 def test_worst_road_cells_equal_per_region_scan(world):
     assert fb.worst_road_cells(world) == [per_region_worst(world, r) for r in range(world.n_regions)]
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(worlds())
+def test_region_road_index_equals_per_region_scan(world):
+    index = region_road_index(world.is_road, world.region_id, world.n_regions)
+    assert len(index) == world.n_regions
+    for region, (flat, cells) in enumerate(index):
+        # the scan `wrap_accuracy` and `snap_to_road` ran per instruction
+        rows, cols = np.nonzero((world.region_id == region) & world.is_road)
+        assert cells == tuple(zip(rows.tolist(), cols.tolist()))
+        assert flat.tolist() == (rows * world.width + cols).tolist()
 
 def per_call_embed(text: str, dim: int) -> np.ndarray:
     """`HashingEmbedder.embed` before memoisation, kept verbatim as the oracle."""
