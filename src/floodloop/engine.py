@@ -200,7 +200,7 @@ class SimulationEngine:
                 mc.spawn_rate,
                 self.config.seed,
                 step=now,
-                router=router_res if cost is None else Router(mask_res),
+                router=router_res if cost is None else router_res.with_unit_cost(),
                 id_start=self._next_id,
             )
             self._next_id += mc.spawn_rate

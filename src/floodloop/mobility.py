@@ -19,6 +19,7 @@ so equal-cost routes break ties on row, then column.
 
 from __future__ import annotations
 
+import copy
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
@@ -154,6 +155,15 @@ class Router:
             padded[1:-1, 1:-1] = cost
             self.cost = padded.ravel().tolist()
         self._paths: dict[tuple[Cell, Cell], tuple[Cell, ...] | None] = {}
+
+    def with_unit_cost(self) -> "Router":
+        """A router over the same mask with unit costs and its own path
+        memo; it shares this router's blocked bytes and component labels
+        instead of labelling the mask again."""
+        twin = copy.copy(self)
+        twin.cost = [1.0] * len(self.blocked)
+        twin._paths = {}
+        return twin
 
     def passable(self, cell: Cell) -> bool:
         return not self.blocked[(cell[0] + 1) * self.width + cell[1] + 1]

@@ -1,5 +1,6 @@
 """Flat-index A* against the callable A* it replaced, its bucket-queue
-expansion order, the router's reachability rule and the per-step path memo."""
+expansion order, the router's reachability rule, the per-step path memo
+and the unit-cost twin that shares a router's component labels."""
 
 from __future__ import annotations
 
@@ -114,6 +115,22 @@ def test_route_memo_returns_the_planned_path(case, data):
     for origin, destination in pairs + data.draw(st.permutations(pairs)):
         assert router.route(origin, destination) == oracle(mask, cost, origin, destination)
 
+
+
+@settings(deadline=None, max_examples=200)
+@given(routing_cases(n_pairs=4), st.data())
+def test_unit_cost_twin_routes_like_a_fresh_router(case, data):
+    # the spawn router of a step with routing penalties shares the costed
+    # router's labels; its answers and memo must be those of its own router
+    mask, cost, pairs = case
+    costed = mob.Router(mask, cost)
+    twin = costed.with_unit_cost()
+    fresh = mob.Router(mask)
+    assert twin.labels is costed.labels and twin.blocked is costed.blocked
+    for origin, destination in pairs + data.draw(st.permutations(pairs)):
+        assert twin.route(origin, destination) == fresh.route(origin, destination)
+        assert costed.route(origin, destination) == oracle(mask, cost, origin, destination)
+    assert twin._paths == fresh._paths
 
 def test_open_grid_ties_break_on_row_then_column():
     # all monotone routes tie at f = 4; (0, 1) is expanded before (1, 0) and
