@@ -6,9 +6,12 @@ car density back, then spawn new demand (newly spawned agents wait until
 the next step). Passability and routing costs are built as arrays once
 per step, since they only depend on depth, closures and penalties; each
 role's `Router` holds them with their connected components, and every
-route planned in the step reads those arrays. `agents` keeps every agent
-ever spawned; `active` keeps, in id order, the ones not yet terminal, and
-only those are stepped and counted into the car density.
+route planned in the step reads those arrays. The board's held regions
+are likewise asked once per step. One `step_agent` call per agent takes
+its role's router and returns event kinds, which the step counts into
+`StepRecord.events`. `agents` keeps every agent ever spawned; `active`
+keeps, in id order, the ones not yet terminal, and only those are
+stepped and counted into the car density.
 """
 
 from __future__ import annotations
@@ -160,32 +163,24 @@ class SimulationEngine:
         # this step's routing arrays; they stay fixed while the agents move
         closed = self.board.closed_cells(now)
         cost = self._cost_grid(self.board.region_penalties(now))
-        mask_res = self._passable_mask(Role.RESIDENT, closed)
-        mask_bus = self._passable_mask(Role.BUS, closed)
-        router_res = Router(mask_res, cost)
-        router_bus = Router(mask_bus, cost)
-        held = lambda region: self.board.bus_held(region, now)
-        not_held = lambda _region: False
+        router_res = Router(self._passable_mask(Role.RESIDENT, closed), cost)
+        router_bus = Router(self._passable_mask(Role.BUS, closed), cost)
+        held = self.board.bus_held(now)
         wait_probability = self.config.mobility.wait_probability
 
         event_counts: dict[str, int] = {}
         still_active = []
         for agent in self.active:
             status = agent.status
-            if agent.role is Role.BUS:
-                events = step_agent(
-                    agent, self.world, router_bus, held, self._detour_rng, now, self.trip_log,
-                    wait_probability=wait_probability,
-                )
-            else:
-                events = step_agent(
-                    agent, self.world, router_res, not_held, self._detour_rng, now, self.trip_log,
-                    wait_probability=wait_probability,
-                )
+            router = router_bus if agent.role is Role.BUS else router_res
+            kinds = step_agent(
+                agent, self.world, router, held, self._detour_rng, now, self.trip_log,
+                wait_probability=wait_probability,
+            )
             if status is Status.WAITING and agent.status is not Status.WAITING:
                 self._departed += 1
-            for ev in events:
-                event_counts[ev.kind] = event_counts.get(ev.kind, 0) + 1
+            for kind in kinds:
+                event_counts[kind] = event_counts.get(kind, 0) + 1
             if not agent.status.terminal:
                 still_active.append(agent)
         self.active = still_active

@@ -68,22 +68,10 @@ DEGRADED_EPS = 0.01
 CONSISTENCY_PROBES = 3
 
 
-@dataclass(frozen=True)
-class CycleAccumulator:
-    """Order-insensitive sum of agent event counts over a cycle."""
-
-    counts: tuple[tuple[str, int], ...] = ()
-
-    def count_map(self) -> dict[str, int]:
-        return dict(self.counts)
-
-
-def aggregate(acc: CycleAccumulator, events: Mapping[str, int]) -> CycleAccumulator:
-    """Add one step's event counts (kind -> count) to the accumulator; commutative."""
-    counts = acc.count_map()
+def aggregate(counts: dict[str, int], events: Mapping[str, int]) -> None:
+    """Add one step's event counts (kind -> count) into `counts`; commutative."""
     for kind, count in events.items():
         counts[kind] = counts.get(kind, 0) + count
-    return CycleAccumulator(counts=tuple(sorted(counts.items())))
 
 
 def should_replan(
@@ -124,7 +112,7 @@ class CycleReport:
     lam: float
     n_instructions: int
     n_rejected: int
-    accumulator: CycleAccumulator
+    accumulator: dict[str, int]  # event kind -> count over the cycle's steps
     region_flood_end: tuple[float, ...]
 
 
@@ -379,9 +367,9 @@ class DecisionLoop:
         triggered = bool(feedback_on and crossed)
         self.window.push(executed, gap)
 
-        acc = CycleAccumulator()
+        acc: dict[str, int] = {}
         for record in records:
-            acc = aggregate(acc, record.events)
+            aggregate(acc, record.events)
 
         report = CycleReport(
             cycle=cycle,

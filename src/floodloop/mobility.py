@@ -6,7 +6,10 @@ passable this step. Movement is 4-connected over road cells; a cell is
 passable while its water depth stays under the role's blocking threshold
 and no obstacle instruction closes it. Blocked agents flip a seeded coin
 between waiting and replanning around the blockage; running out of
-patience cancels the trip.
+patience cancels the trip. A bus in a region that a stop instruction
+holds neither moves nor loses patience. `step_agent` reports what an
+agent did as event kinds (advanced, waited, replanned, blocked, arrived,
+cancelled, held), the only part of an event that feedback reads.
 
 Routing is exact A* over one `Router` per step and role. The router owns
 the step's flat padded arrays: the blocked cells, the costs, the
@@ -24,7 +27,7 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -72,10 +75,6 @@ class AgentRecord:
     travel_steps: int = 0
     stops: list[Cell] = field(default_factory=list)
     stop_index: int = 0
-
-    @property
-    def remaining_stops(self) -> list[Cell]:
-        return self.stops[self.stop_index :]
 
 
 @dataclass(frozen=True)
@@ -391,21 +390,19 @@ def make_bus(
     )
 
 
-def reroute_bus(bus: AgentRecord, router: Router) -> tuple[AgentRecord, list[Cell]]:
-    """Recompute the bus route over its remaining stops.
+def reroute_bus(bus: AgentRecord, router: Router) -> bool:
+    """Recompute the bus route over its remaining stops, in place.
 
-    Unreachable stops are skipped and returned for logging; the bus is
-    cancelled only when no remaining stop can be reached.
+    Unreachable stops are dropped. Returns False, with the bus cancelled,
+    only when no remaining stop can be reached.
     """
     targets = [s for s in bus.stops[bus.stop_index :] if s != bus.pos]
-    skipped: list[Cell] = []
     current = bus.pos
     kept: list[Cell] = []
     first_leg: list[Cell] | None = None
     for stop in targets:
         leg = router.route(current, stop)
         if leg is None:
-            skipped.append(stop)
             continue
         kept.append(stop)
         if first_leg is None:
@@ -413,38 +410,33 @@ def reroute_bus(bus: AgentRecord, router: Router) -> tuple[AgentRecord, list[Cel
         current = stop
     if first_leg is None:
         bus.status = Status.CANCELLED
-        return bus, skipped
+        return False
     bus.stops = [bus.pos] + kept
     bus.stop_index = 0
     bus.destination = kept[-1]
     bus.path = first_leg
     bus.path_index = 0
-    return bus, skipped
-
-
-@dataclass
-class StepEvent:
-    """Feedback item an agent reports after acting."""
-
-    kind: str  # advanced | waited | replanned | blocked | arrived | cancelled | held
-    agent_id: int
-    region: int
+    return True
 
 
 def step_agent(
     agent: AgentRecord,
     world: WorldState,
     router: Router,
-    bus_held: Callable[[int], bool],
+    held_regions: set[int],
     rng,
     step: int,
     trip_log: TripLog,
     wait_probability: float = WAIT_PROBABILITY,
-) -> list[StepEvent]:
-    """Advance one non-terminal agent by one step.
+) -> list[str]:
+    """Advance one non-terminal agent by one step; return the kinds of the
+    events it produced, in the order produced (advanced, waited, replanned,
+    blocked, arrived, cancelled, held).
 
     `router` holds this step's passable mask, costs and components for the
     agent's role; it answers a replan that cannot succeed without a search.
+    A bus whose current region is in `held_regions` is held; residents
+    ignore the set.
 
     The transition is deterministic given the chosen action; the only coin
     is the wait-vs-replan choice when blocked. Patience burns on every
@@ -453,102 +445,80 @@ def step_agent(
     """
     if agent.status.terminal:
         return []
-    events: list[StepEvent] = []
-    region = world.region_of(agent.pos)
-
     if agent.status is Status.WAITING:
         if step < agent.departure_step:
             return []
         agent.status = Status.ENROUTE
-
-    if agent.role is Role.BUS and bus_held(region):
-        agent.travel_steps += 1
-        events.append(StepEvent("held", agent.id, region))
-        return events
-
     agent.travel_steps += 1
 
+    if agent.role is Role.BUS and world.region_of(agent.pos) in held_regions:
+        return ["held"]
     if agent.pos == agent.destination:
-        _arrive(agent, trip_log)
-        events.append(StepEvent("arrived", agent.id, region))
-        return events
-
+        return _finish(agent, Status.ARRIVED, trip_log, [])
     if agent.role is Role.BUS and agent.path_index + 1 >= len(agent.path):
         # at an intermediate stop with the leg exhausted: open the next leg
         _advance_bus_leg(agent, router)
 
-    nxt = agent.path[agent.path_index + 1] if agent.path_index + 1 < len(agent.path) else None
-    advanced = False
-    if nxt is not None and router.passable(nxt):
-        agent.pos = nxt
-        agent.path_index += 1
-        advanced = True
-        events.append(StepEvent("advanced", agent.id, region))
+    advanced = _advance(agent, router)
+    if advanced:
+        kinds = ["advanced"]
+    elif rng.random() < wait_probability:
+        kinds = ["waited"]
+    elif _replan(agent, router):
+        kinds = ["replanned"]
+        advanced = _advance(agent, router)
+    elif agent.status is Status.CANCELLED:
+        # bus rerouting found every remaining stop unreachable
+        return _finish(agent, Status.CANCELLED, trip_log, [])
     else:
-        action = "wait" if rng.random() < wait_probability else "replan"
-        if action == "replan":
-            replanned = _replan(agent, router)
-            if agent.status is Status.CANCELLED:
-                # bus rerouting found every remaining stop unreachable
-                trip_log.close(agent)
-                events.append(StepEvent("cancelled", agent.id, region))
-                return events
-            if replanned:
-                events.append(StepEvent("replanned", agent.id, region))
-                nxt2 = agent.path[agent.path_index + 1] if agent.path_index + 1 < len(agent.path) else None
-                if nxt2 is not None and router.passable(nxt2):
-                    agent.pos = nxt2
-                    agent.path_index += 1
-                    advanced = True
-            else:
-                events.append(StepEvent("blocked", agent.id, region))
-        else:
-            events.append(StepEvent("waited", agent.id, region))
+        kinds = ["blocked"]
 
     if agent.pos == agent.destination:
-        _arrive(agent, trip_log)
-        events.append(StepEvent("arrived", agent.id, region))
-        return events
-
+        return _finish(agent, Status.ARRIVED, trip_log, kinds)
     if not advanced:
         agent.patience -= 1
         if agent.patience <= 0:
-            agent.status = Status.CANCELLED
-            trip_log.close(agent)
-            events.append(StepEvent("cancelled", agent.id, region))
-    return events
+            return _finish(agent, Status.CANCELLED, trip_log, kinds)
+    return kinds
 
 
-def _arrive(agent: AgentRecord, trip_log: TripLog) -> None:
-    agent.status = Status.ARRIVED
+def _finish(agent: AgentRecord, status: Status, trip_log: TripLog, kinds: list[str]) -> list[str]:
+    """End the trip with a terminal status: close it and add its event."""
+    agent.status = status
     trip_log.close(agent)
+    kinds.append(status.value)
+    return kinds
 
 
-def _advance_bus_leg(agent: AgentRecord, router: Router) -> bool:
+def _advance(agent: AgentRecord, router: Router) -> bool:
+    """Move one cell along the path if the next cell is passable."""
+    i = agent.path_index + 1
+    if i < len(agent.path) and router.passable(agent.path[i]):
+        agent.pos = agent.path[i]
+        agent.path_index = i
+        return True
+    return False
+
+
+def _advance_bus_leg(agent: AgentRecord, router: Router) -> None:
     """Open the leg to the next stop once the current one is exhausted.
 
     stop_index tracks the stop the bus most recently reached; the active
     path always runs stops[stop_index] -> stops[stop_index + 1].
     """
-    if agent.stop_index + 1 >= len(agent.stops):
-        return False
-    if agent.pos == agent.stops[agent.stop_index + 1]:
+    if agent.stop_index + 1 < len(agent.stops) and agent.pos == agent.stops[agent.stop_index + 1]:
         agent.stop_index += 1
-    if agent.stop_index + 1 >= len(agent.stops):
-        return False
-    nxt_leg = router.route(agent.pos, agent.stops[agent.stop_index + 1])
-    if nxt_leg is None:
-        return False
-    agent.path = nxt_leg
-    agent.path_index = 0
-    return True
+    if agent.stop_index + 1 < len(agent.stops):
+        leg = router.route(agent.pos, agent.stops[agent.stop_index + 1])
+        if leg is not None:
+            agent.path = leg
+            agent.path_index = 0
 
 
 def _replan(agent: AgentRecord, router: Router) -> bool:
     # the blocked next cell already fails this step's mask, so A* avoids it
-    if agent.role is Role.BUS and len(agent.remaining_stops) >= 2:
-        bus, _ = reroute_bus(agent, router)
-        return bus.status is not Status.CANCELLED
+    if agent.role is Role.BUS and len(agent.stops) - agent.stop_index >= 2:
+        return reroute_bus(agent, router)
     if not router.passable(agent.pos):
         return False  # standing on a blocked cell
     path = router.route(agent.pos, agent.destination)

@@ -190,8 +190,10 @@ class InstructionBoard:
                 out[i.region] = max(out.get(i.region, 0.0), penalty)
         return out
 
-    def bus_held(self, region: int, step: int) -> bool:
-        return any(i.region == region and self._active(i, step) for i in self.stops)
+    def bus_held(self, step: int) -> set[int]:
+        """The regions whose buses are held at `step`; the engine asks once
+        per step and hands the set to every `step_agent` call."""
+        return {i.region for i in self.stops if self._active(i, step)}
 
     def drain_multipliers(self, step: int) -> np.ndarray:
         mult = np.ones(self.n_regions)

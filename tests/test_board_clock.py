@@ -6,7 +6,7 @@ decision loop dispatches at a cycle boundary. Each effect is observed
 where the engine hands it on, by wrapping the name where
 `floodloop.engine` looks it up: the drain multiplier passed to
 `step_hydrology`, the mask and the cost passed to `Router`, and the
-bus-held callable passed to `step_agent`. The world gets no rain, so the
+held-region set passed to `step_agent`. The world gets no rain, so the
 closed road cell stays dry and only the closure can block it.
 """
 
@@ -23,7 +23,7 @@ from floodloop.world import RainfallScenario, ScenarioKind
 
 START, END = 3, 6
 STEPS = 10
-UNFIXED = pytest.mark.xfail(strict=True, reason="ROADMAP 2b")
+UNFIXED = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 2b")
 
 
 def dry_engine() -> SimulationEngine:
@@ -91,7 +91,7 @@ def test_routing_penalises_for_every_step_of_its_window(monkeypatch):
 
 @UNFIXED
 def test_stop_holds_buses_for_every_step_of_its_window(monkeypatch):
-    def applied(cell, region, agent, world, router, bus_held, *args, **kwargs):
-        return agent.role is Role.BUS and bus_held(region)
+    def applied(cell, region, agent, world, router, held_regions, *args, **kwargs):
+        return agent.role is Role.BUS and region in held_regions
 
     assert steps_in_force(monkeypatch, Tag.STOP, (), "step_agent", applied) == list(range(START, END + 1))

@@ -46,8 +46,7 @@ def test_pruned_board_answers_like_the_full_one(schedule):
         now = k + 1
         assert pruned.closed_cells(now) == full.closed_cells(now)
         assert pruned.region_penalties(now) == full.region_penalties(now)
-        for region in range(N_REGIONS):
-            assert pruned.bus_held(region, now) == full.bus_held(region, now)
+        assert pruned.bus_held(now) == full.bus_held(now)
         assert pruned.active_regions(now) == full.active_regions(now)
 
 

@@ -45,11 +45,12 @@ def make_loop(cfg, backend=None, fallback=None):
 # --- aggregate --------------------------------------------------------------------
 
 def test_aggregate_identity():
-    acc = fb.CycleAccumulator()
-    assert acc.count_map() == {}
-    assert fb.aggregate(acc, {}) == acc
-    one = fb.aggregate(acc, {"advanced": 2, "waited": 1})
-    assert fb.aggregate(one, {}) == one
+    acc: dict[str, int] = {}
+    fb.aggregate(acc, {})
+    assert acc == {}
+    fb.aggregate(acc, {"advanced": 2, "waited": 1})
+    fb.aggregate(acc, {})
+    assert acc == {"advanced": 2, "waited": 1}
 
 
 def test_aggregate_permutation_invariant():
@@ -59,23 +60,22 @@ def test_aggregate_permutation_invariant():
         {"waited": 1},
         {"advanced": 3, "replanned": 2},
     ]
-    a = fb.CycleAccumulator()
+    a: dict[str, int] = {}
     for events in steps:
-        a = fb.aggregate(a, events)
-    b = fb.CycleAccumulator()
+        fb.aggregate(a, events)
+    b: dict[str, int] = {}
     for events in reversed(steps):
-        b = fb.aggregate(b, dict(reversed(list(events.items()))))
-    assert a == b
-    assert a.count_map() == {"advanced": 5, "cancelled": 1, "replanned": 2, "waited": 1}
+        fb.aggregate(b, dict(reversed(list(events.items()))))
+    assert a == b == {"advanced": 5, "cancelled": 1, "replanned": 2, "waited": 1}
 
 
 def test_aggregate_counts_cancellations():
-    acc = fb.CycleAccumulator()
+    acc: dict[str, int] = {}
     for _ in range(5):
-        acc = fb.aggregate(acc, {"cancelled": 1})
-    assert acc.count_map()["cancelled"] == 5
-    acc = fb.aggregate(acc, {"cancelled": 4})
-    assert acc.count_map() == {"cancelled": 9}
+        fb.aggregate(acc, {"cancelled": 1})
+    assert acc["cancelled"] == 5
+    fb.aggregate(acc, {"cancelled": 4})
+    assert acc == {"cancelled": 9}
 
 
 # --- should_replan ------------------------------------------------------------------
@@ -155,7 +155,7 @@ def report_with(**kw):
         lam=1.0,
         n_instructions=4,
         n_rejected=1,
-        accumulator=fb.CycleAccumulator(),
+        accumulator={},
         region_flood_end=(0.5, 0.95, 0.5, 0.5),
     )
     defaults.update(kw)
@@ -257,7 +257,7 @@ def test_partial_last_cycle_runs_every_step(tmp_path):
         for record in records:
             for kind, count in record.events.items():
                 expected[kind] = expected.get(kind, 0) + count
-        assert report.accumulator.count_map() == expected
+        assert report.accumulator == expected
 
 
 class ExplodingBackend(StrategyBackend):

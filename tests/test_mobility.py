@@ -216,7 +216,7 @@ def run_step(agent, ws, blocked=(), rng=None, step=1, log=None):
         agent,
         ws,
         road_router(ws, blocked),
-        lambda region: False,
+        set(),
         rng or pystream(0, "coin"),
         step,
         log,
@@ -230,7 +230,7 @@ def test_clear_path_advances_patience_untouched():
     events, _ = run_step(agent, ws)
     assert agent.pos == (0, 1)
     assert agent.patience == before
-    assert [e.kind for e in events] == ["advanced"]
+    assert events == ["advanced"]
 
 
 def test_blocked_corridor_cancels_after_patience():
@@ -247,7 +247,7 @@ def test_blocked_corridor_cancels_after_patience():
             agent,
             ws,
             road_router(ws, blocked),
-            lambda r: False,
+            set(),
             rng,
             steps,
             log,
@@ -265,7 +265,7 @@ def test_one_step_from_destination_arrives():
     log.note_spawn()
     events, _ = run_step(agent, ws, log=log)
     assert agent.status is mob.Status.ARRIVED
-    assert any(e.kind == "arrived" for e in events)
+    assert events == ["advanced", "arrived"]
     assert log.arrived == 1
 
 
@@ -275,7 +275,7 @@ def test_blocked_agent_detours_around_obstacle():
     blocked = {(1, 1)}
     rng = pystream(99, "coin")  # first draw > 0.2 so the agent replans
     events, _ = run_step(agent, ws, blocked=blocked, rng=rng)
-    kinds = {e.kind for e in events}
+    kinds = set(events)
     assert "replanned" in kinds or "waited" in kinds
     if "replanned" in kinds:
         assert agent.pos != (1, 1)
@@ -321,7 +321,7 @@ def test_bus_visits_stops_in_order():
     rng = pystream(3, "coin")
     visited = []
     for step in range(1, 40):
-        mob.step_agent(bus, ws, road_router(ws), lambda r: False, rng, step, log)
+        mob.step_agent(bus, ws, road_router(ws), set(), rng, step, log)
         visited.append(bus.pos)
         if bus.status.terminal:
             break
@@ -335,27 +335,25 @@ def test_reroute_skips_unreachable_stop():
     bus = mob.make_bus(1, [(0, 0), (0, 4), (4, 4)], 0, road_router(ws))
     # isolate (0, 4) completely
     walls = {(0, 3), (0, 5), (1, 4)}
-    bus, skipped = mob.reroute_bus(bus, road_router(ws, walls))
-    assert skipped == [(0, 4)]
+    assert mob.reroute_bus(bus, road_router(ws, walls))
     assert bus.status is not mob.Status.CANCELLED
     assert bus.destination == (4, 4)
-    assert (0, 4) not in bus.stops
+    assert bus.stops == [(0, 0), (4, 4)]
 
 
 def test_reroute_all_unreachable_cancels():
     ws = grid_world()
     bus = mob.make_bus(1, [(0, 0), (0, 4), (4, 4)], 0, road_router(ws))
-    bus, skipped = mob.reroute_bus(bus, mob.Router(np.zeros(ws.shape, dtype=bool)))
+    assert not mob.reroute_bus(bus, mob.Router(np.zeros(ws.shape, dtype=bool)))
     assert bus.status is mob.Status.CANCELLED
-    assert len(skipped) == 2
+    assert bus.stops == [(0, 0), (0, 4), (4, 4)]
 
 
 def test_no_flooding_reroute_keeps_legs():
     ws = grid_world()
     bus = mob.make_bus(1, [(0, 0), (0, 4), (4, 4)], 0, road_router(ws))
     original_first_leg = list(bus.path)
-    bus, skipped = mob.reroute_bus(bus, road_router(ws))
-    assert skipped == []
+    assert mob.reroute_bus(bus, road_router(ws))
     assert bus.stops[1:] == [(0, 4), (4, 4)]
     assert bus.path == original_first_leg
 
@@ -366,11 +364,14 @@ def test_held_bus_stays_put_keeps_patience():
     bus.status = mob.Status.ENROUTE
     before = (bus.pos, bus.patience)
     log = mob.TripLog()
-    events = mob.step_agent(
-        bus, ws, road_router(ws), lambda region: True, pystream(0, "x"), 1, log
-    )
-    assert [e.kind for e in events] == ["held"]
+    events = mob.step_agent(bus, ws, road_router(ws), {ws.region_of(bus.pos)}, pystream(0, "x"), 1, log)
+    assert events == ["held"]
     assert (bus.pos, bus.patience) == before
+    # a resident at the same cell ignores the held regions
+    resident = mob.AgentRecord(2, mob.Role.RESIDENT, (0, 4), (0, 0), list(bus.path), status=mob.Status.ENROUTE)
+    assert mob.step_agent(resident, ws, road_router(ws), {ws.region_of(resident.pos)}, pystream(0, "x"), 1, log) == [
+        "advanced"
+    ]
 
 
 # --- flows and accounting -------------------------------------------------------------
@@ -420,7 +421,7 @@ def test_trip_accounting_identity():
     for step in range(1, 60):
         for agent in agents:
             if not agent.status.terminal:
-                mob.step_agent(agent, ws, road_router(ws), lambda r: False, rng, step, log)
+                mob.step_agent(agent, ws, road_router(ws), set(), rng, step, log)
         states = {s: sum(1 for a in agents if a.status is s) for s in mob.Status}
         assert sum(states.values()) == log.spawned
 

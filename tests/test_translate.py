@@ -128,7 +128,7 @@ def test_board_noop_records_only():
     board.dispatch([tr.Instruction(tr.Tag.NOOP, 0, None, (), (0, 9))])
     assert board.closed_cells(5) == set()
     assert board.region_penalties(5) == {}
-    assert not board.bus_held(0, 5)
+    assert board.bus_held(5) == set()
     assert np.all(board.drain_multipliers(5) == 1.0)
 
 
@@ -163,8 +163,8 @@ def test_board_stop_and_routing_queries():
             tr.Instruction(tr.Tag.ROUTING, 6, None, (), (0, 4)),
         ]
     )
-    assert board.bus_held(3, 2)
-    assert not board.bus_held(3, 6)
+    assert board.bus_held(2) == {3}
+    assert board.bus_held(6) == set()
     # strongest active penalty wins; a param-less instruction takes the default
     assert board.region_penalties(2) == {5: 8.0, 6: tr.DEFAULT_ROUTING_PENALTY}
     assert board.active_regions(2) == (3, 5, 6)

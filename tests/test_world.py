@@ -183,7 +183,9 @@ def test_mass_balance_identity_random_fields(data):
     assert abs(got - expected) <= 1e-9 * (total + rain)
 
 
-@pytest.mark.xfail(strict=True, reason="_diffuse splits outflow / counts, which loses subnormal units")
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError, reason="_diffuse splits outflow / counts, which loses subnormal units"
+)
 def test_mass_balance_identity_subnormal_depths():
     # the example hypothesis found for the property above: all-subnormal
     # depths, no rain or drainage, diffusion 1.0; the identity expects
