@@ -292,9 +292,10 @@ def default_pois(world: WorldState, n_pois: int, seed: int, cluster_size: int = 
     cells: set[Cell] = set()
     for center in centers:
         nearby = [c for c in road if abs(c[0] - center[0]) + abs(c[1] - center[1]) <= cluster_radius]
-        take = min(cluster_size, len(nearby))
-        for c in rng.sample(nearby, take):
-            cells.add(c)
+        # the cap honours an n below cluster_size; otherwise it never binds, since
+        # before cluster k < n // cluster_size at most k * cluster_size cells exist
+        take = min(cluster_size, len(nearby), n - len(cells))
+        cells.update(rng.sample(nearby, take))
     while len(cells) < n:
         cells.add(rng.choice(road))
     return [Poi(cell=c, weight=float(rng.randint(1, 5))) for c in sorted(cells)]

@@ -140,6 +140,16 @@ def test_spawn_empty_pois():
         mob.spawn_demand([], 1, 0, 0, open_router((10, 10)), 0)
 
 
+@pytest.mark.parametrize("n_pois", range(9))
+def test_default_pois_count_is_n_pois_capped_by_road_cells(n_pois):
+    small = w.build_world(width=5, height=1, seed=1, n_regions=1, road_spacing=1)
+    for ws in (w.build_world(width=32, height=32, seed=3), small):
+        road = ws.road_cells()
+        pois = mob.default_pois(ws, n_pois, seed=11)
+        assert len(pois) == min(n_pois, len(road))
+        assert {p.cell for p in pois} <= set(road)
+
+
 def test_spawn_weight_ratio():
     # with two POIs the distinct origin/destination rule pins the pair, so
     # the 3:1 weighting shows up in the origin draws
