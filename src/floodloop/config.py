@@ -115,12 +115,25 @@ class RunConfig:
             raise ConfigError("world.n_regions", "must be >= 1")
         if self.world.road_spacing < 1:
             raise ConfigError("world.road_spacing", "must be >= 1")
+        for name in ("inflow_coeff", "drainage_rate", "diffusion_rate"):
+            if not 0.0 <= getattr(self.world, name) <= 1.0:
+                raise ConfigError(f"world.{name}", "must be in [0, 1]")
         if self.mobility.initial_population < 0:
             raise ConfigError("mobility.initial_population", "must be >= 0")
+        if self.mobility.spawn_rate < 0:
+            raise ConfigError("mobility.spawn_rate", "must be >= 0")
+        if self.mobility.n_pois < 0:
+            raise ConfigError("mobility.n_pois", "must be >= 0")
+        if not 0.0 <= self.mobility.wait_probability <= 1.0:
+            raise ConfigError("mobility.wait_probability", "must be in [0, 1]")
         if self.mobility.n_buses > 0 and self.mobility.bus_stops < 2:
             raise ConfigError("mobility.bus_stops", f"a bus line needs >= 2 stops, got {self.mobility.bus_stops}")
         if self.knowledge.embed_dim < 1:
             raise ConfigError("knowledge.embed_dim", "must be >= 1")
+        if self.knowledge.top_k < 1:
+            raise ConfigError("knowledge.top_k", "must be >= 1")
+        if self.knowledge.subgraph_hops < 0:
+            raise ConfigError("knowledge.subgraph_hops", "must be >= 0")
         if not (0 < self.policy.tau):
             raise ConfigError("policy.tau", "must be positive")
         if not (0 < self.policy.alpha < 1):
@@ -137,6 +150,8 @@ class RunConfig:
             raise ConfigError("feedback.weights", "need four non-negative weights")
         if abs(sum(self.feedback.weights) - 1.0) > 1e-9:
             raise ConfigError("feedback.weights", f"must sum to 1, got {sum(self.feedback.weights)}")
+        if not self.external_timeout > 0:
+            raise ConfigError("external_timeout", f"must be > 0 seconds, got {self.external_timeout}")
         if self.strategy == "external" and not self.resolved_endpoint():
             raise ConfigError(
                 "external_endpoint", f"external strategy needs an endpoint (flag or ${ENDPOINT_ENV_VAR})"

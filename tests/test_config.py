@@ -16,6 +16,16 @@ from floodloop import cli
         ("knowledge.embed_dim", {"knowledge": {"embed_dim": 0}}),
         ("world.road_spacing", {"world": {"road_spacing": 0}}),
         ("policy.routing_penalty", {"policy": {"routing_penalty": 4.0}}),
+        ("knowledge.top_k", {"knowledge": {"top_k": 0}}),
+        ("knowledge.subgraph_hops", {"knowledge": {"subgraph_hops": -1}}),
+        ("world.inflow_coeff", {"world": {"inflow_coeff": 1.5}}),
+        ("world.drainage_rate", {"world": {"drainage_rate": 3.0}}),
+        ("world.diffusion_rate", {"world": {"diffusion_rate": -1.0}}),
+        ("external_timeout", {"external_timeout": 0}),
+        ("external_timeout", {"external_timeout": -1}),
+        ("mobility.spawn_rate", {"mobility": {"spawn_rate": -2}}),
+        ("mobility.n_pois", {"mobility": {"n_pois": -1}}),
+        ("mobility.wait_probability", {"mobility": {"wait_probability": 1.5}}),
     ],
 )
 def test_run_rejects_config_naming_the_field(tmp_path, capsys, field, data):
