@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -245,6 +247,34 @@ def test_trajectory_determinism():
 
     a, b = run(), run()
     assert np.array_equal(a, b)
+
+
+# --- elevation smoothing -------------------------------------------------------
+
+BOX_SHAPES = ((1, 7), (2, 2), (5, 9), (64, 64))
+
+
+def box_filter_passes():
+    """Three passes of `box_filter` over one fixed normal field per shape,
+    with the field each pass was applied to."""
+    for i, shape in enumerate(BOX_SHAPES):
+        z = np.random.default_rng(i).standard_normal(shape)
+        for _ in range(3):
+            out = w.box_filter(z)
+            yield z, out
+            z = out
+
+
+def test_box_filter_matches_scipy_uniform_filter_bytes():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    for z, out in box_filter_passes():
+        assert out.tobytes() == ndimage.uniform_filter(z, size=5, mode="nearest").tobytes()
+
+
+def test_box_filter_bytes_are_pinned():
+    # the comparison above, frozen into a digest that needs no scipy
+    digest = hashlib.sha256(b"".join(out.tobytes() for _, out in box_filter_passes()))
+    assert digest.hexdigest() == "3470d60944d84b4d06d39f2671e9d9ba167005361bbfa7f6792e0a96c8f086d6"
 
 
 # --- partitioning --------------------------------------------------------------
