@@ -117,16 +117,12 @@ def generate_scenario(kind: ScenarioKind, steps: int, seed: int) -> RainfallScen
 
 @dataclass(frozen=True)
 class HydrologyParams:
-    """Per-step fractions; clamped into [0, 1] at construction."""
+    """Per-step fractions, each in [0, 1]. They are taken as given:
+    `RunConfig.validate` is where a value outside that range is rejected."""
 
     inflow_coeff: float = 0.01
     drainage_rate: float = 0.05
     diffusion_rate: float = 0.2
-
-    def __post_init__(self):
-        for name in ("inflow_coeff", "drainage_rate", "diffusion_rate"):
-            v = getattr(self, name)
-            object.__setattr__(self, name, float(min(max(v, 0.0), 1.0)))
 
 
 def partition_regions(width: int, height: int, n_regions: int) -> np.ndarray:
