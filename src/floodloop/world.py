@@ -296,8 +296,11 @@ def _diffuse(depth: np.ndarray, elevation: np.ndarray, masks, counts, rate: floa
     Flow is driven by the free surface (elevation + depth) so water runs
     into basins and ponds there instead of merely smoothing the depth
     field. All transfers are computed from the pre-step field and applied
-    at once; every unit leaving a cell lands in a neighbor, so the total
-    is conserved up to the rounding of `outflow / counts`.
+    at once. A cell loses exactly the shares it sends, `share * counts`,
+    not the `outflow` they were split from: at subnormal depths
+    `outflow / counts` drops whole units, and the total would drop them
+    too. Where `share * counts` rounds above the water present, the cell
+    empties instead of going negative.
     """
     if rate <= 0:
         return depth
@@ -310,7 +313,7 @@ def _diffuse(depth: np.ndarray, elevation: np.ndarray, masks, counts, rate: floa
     excess = np.where(counts > 0, np.maximum(surface - neighbor_mean, 0.0), 0.0)
     outflow = np.minimum(rate * excess, depth)
     share = outflow / safe_counts
-    new_depth = depth - outflow
+    new_depth = np.maximum(depth - share * counts, 0.0)
     for (dr, dc), mask in zip(_DIRECTIONS, masks):
         # flow from each cell to its downhill neighbor in (dr, dc): the
         # neighbor at offset (dr, dc) receives it, so shift back by (-dr, -dc)

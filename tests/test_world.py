@@ -185,13 +185,11 @@ def test_mass_balance_identity_random_fields(data):
     assert abs(got - expected) <= 1e-9 * (total + rain)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="_diffuse splits outflow / counts, which loses subnormal units"
-)
 def test_mass_balance_identity_subnormal_depths():
     # the example hypothesis found for the property above: all-subnormal
     # depths, no rain or drainage, diffusion 1.0; the identity expects
-    # 4.4e-323 and `step_hydrology` returns 2.5e-323
+    # 4.4e-323, which `step_hydrology` kept only 2.5e-323 of while a cell
+    # lost its whole outflow but sent `outflow / counts` rounded down
     params = w.HydrologyParams(0.0, 0.0, 1.0)
     ws = w.build_world(width=3, height=3, seed=0, n_regions=1, params=params, road_spacing=1)
     ws.water_depth = np.full(ws.shape, 5e-324)
