@@ -6,7 +6,9 @@ car density back, then spawn new demand (newly spawned agents wait until
 the next step). Passability and routing costs are built as arrays once
 per step, since they only depend on depth, closures and penalties; each
 role's `Router` holds them with their connected components, and every
-route planned in the step reads those arrays. The board's held regions
+route planned in the step reads those arrays. The road graph the routers
+search is contracted once, when the engine is built, since roads never
+change during a run. The board's held regions
 are likewise asked once per step. One `step_agent` call per agent takes
 its role's router and returns event kinds, which the step counts into
 `StepRecord.events`. `agents` keeps every agent ever spawned; `active`
@@ -32,6 +34,7 @@ from .mobility import (
     aggregate_flows,
     default_pois,
     make_bus,
+    road_graph,
     spawn_demand,
     step_agent,
 )
@@ -64,6 +67,7 @@ class SimulationEngine:
             elevation_smoothing=wc.elevation_smoothing,
             road_depression=wc.road_depression,
         )
+        self.graph = road_graph(self.world.is_road)
         self.board = InstructionBoard(wc.n_regions)
         self.trip_log = TripLog()
         self.agents: list[AgentRecord] = []
@@ -116,7 +120,7 @@ class SimulationEngine:
                 mc.initial_population,
                 self.config.seed,
                 step=0,
-                router=Router(self._passable_mask(Role.RESIDENT, closed)),
+                router=Router(self._passable_mask(Role.RESIDENT, closed), graph=self.graph),
                 id_start=self._next_id,
                 stagger=mc.initial_stagger,
             )
@@ -124,7 +128,7 @@ class SimulationEngine:
             self._admit(agents)
         bus_rng = pystream(self.config.seed, "bus-lines")
         road = self.world.road_cells()
-        bus_router = Router(self._passable_mask(Role.BUS, closed))
+        bus_router = Router(self._passable_mask(Role.BUS, closed), graph=self.graph)
         for b in range(mc.n_buses):
             if len(road) < mc.bus_stops:
                 break
@@ -163,8 +167,8 @@ class SimulationEngine:
         # this step's routing arrays; they stay fixed while the agents move
         closed = self.board.closed_cells(now)
         cost = self._cost_grid(self.board.region_penalties(now))
-        router_res = Router(self._passable_mask(Role.RESIDENT, closed), cost)
-        router_bus = Router(self._passable_mask(Role.BUS, closed), cost)
+        router_res = Router(self._passable_mask(Role.RESIDENT, closed), cost, self.graph)
+        router_bus = Router(self._passable_mask(Role.BUS, closed), cost, self.graph)
         held = self.board.bus_held(now)
         wait_probability = self.config.mobility.wait_probability
 

@@ -11,19 +11,23 @@ holds neither moves nor loses patience. `step_agent` reports what an
 agent did as event kinds (advanced, waited, replanned, blocked, arrived,
 cancelled, held), the only part of an event that feedback reads.
 
-Routing is exact A* over one `Router` per step and role. The router owns
-the step's flat padded arrays: the blocked cells, the costs, the
-4-connected component labels, and the row and column of every flat
-index (one table pair per padded grid shape, shared by every router of
-that shape). The labels answer unreachable pairs without a search.
-`plan_path` expands in (f, index) order from a bucket queue keyed by f,
-so equal-cost routes break ties on row, then column.
+Routing is exact A* over the road graph, contracted once per road mask:
+nodes are junctions and dead ends, and each edge is a chain of degree-2
+cells (`RoadGraph`, built by `road_graph` and memoised per mask). One
+`Router` per step and role holds the step's flat padded arrays: the
+blocked cells, the costs and the 4-connected component labels, which
+answer unreachable pairs without a search. It derives which edges are
+blocked and what each costs on its first search. `plan_path` searches
+between nodes, enters and leaves chains at the origin and destination,
+and returns the full cell list; equal-cost routes break ties the way
+cell-by-cell A* in (f, row, column) order would, on all but rare ties.
 """
 
 from __future__ import annotations
 
 import copy
 import heapq
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -122,23 +126,127 @@ class TripLog:
             self.cancelled += 1
 
 
+class RoadGraph:
+    """A road mask contracted at its degree-2 chains, in flat indices of the
+    grid padded by one off-road cell on every side.
+
+    Nodes are the road cells whose road degree is not 2 (junctions, dead
+    ends, isolated cells); a loop of degree-2 cells with no node gets one,
+    at its lowest index. Each directed edge is one chain: the cells it
+    enters, in order, ending at the far node. All chains sit in one flat
+    list, `chain`, edge `e` at `chain[offsets[e]:offsets[e + 1]]`, so an
+    edge costs at least its length and Manhattan distance stays a
+    consistent heuristic.
+
+    `out[i]` is, for a node `i`, its out-edges as (edge, head) pairs in
+    up, down, left, right order of their first cell, and None for any other
+    cell. `tail[e]` is the node an edge leaves and `pred[e]` the cell it
+    enters its head from. `interior[i]` gives, for a cell inside a chain,
+    its two sides: for each direction of the chain, (start, index, end)
+    with `chain[index] == i` and the edge spanning `chain[start:end]`.
+    """
+
+    def __init__(self, road: np.ndarray):
+        height, width = road.shape
+        self.road = road
+        self.width = width + 2
+        self.rows, self.cols = _row_col_tables(height + 2, width + 2)
+        self.cells = tuple(zip([r - 1 for r in self.rows], [c - 1 for c in self.cols]))
+        padded = np.zeros((height + 2, width + 2), dtype=np.int8)
+        padded[1:-1, 1:-1] = road
+        degree = np.zeros_like(padded)
+        degree[1:-1, 1:-1] = padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2] + padded[1:-1, 2:]
+        is_road = padded.ravel().tolist()
+        cells = np.flatnonzero(padded).tolist()
+        self.out: list[tuple[tuple[int, int], ...] | None] = [None] * padded.size
+        for i in np.flatnonzero(padded.ravel() * (degree.ravel() != 2)).tolist():
+            self.out[i] = ()
+        steps = (-self.width, self.width, -1, 1)
+        self.chain: list[int] = []
+        self.offsets = [0]
+        self.tail: list[int] = []
+        self.interior: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]] = {}
+        out: dict[int, list[tuple[int, int, int]]] = {i: [] for i in cells if self.out[i] is not None}
+        walked: set[tuple[int, int]] = set()
+
+        def contract(u: int, first: int) -> None:
+            """Walk the chain that leaves node u through `first`, and add it in
+            both directions."""
+            inner, prev, cur = [], u, first
+            while self.out[cur] is None:
+                inner.append(cur)
+                a, b = [cur + d for d in steps if is_road[cur + d]]
+                prev, cur = cur, b if a == prev else a
+            v, k = cur, len(inner)
+            walked.add((u, first))
+            walked.add((v, inner[-1] if inner else u))
+            sides = []
+            for a, b, cells_ab in ((u, v, inner + [v]), (v, u, inner[::-1] + [u])):
+                e, s = len(self.tail), len(self.chain)
+                self.chain.extend(cells_ab)
+                self.offsets.append(len(self.chain))
+                self.tail.append(a)
+                out[a].append((steps.index(cells_ab[0] - a), e, b))
+                sides.append((s, s + k + 1))
+            (sf, ef), (sr, er) = sides
+            for m, cell in enumerate(inner):
+                self.interior[cell] = ((sf, sf + m, ef), (sr, sr + k - 1 - m, er))
+
+        for u in cells:
+            if self.out[u] is not None:
+                for d in steps:
+                    if is_road[u + d] and (u, u + d) not in walked:
+                        contract(u, u + d)
+        for u in cells:
+            if self.out[u] is None and u not in self.interior:
+                # a loop of degree-2 cells with no node: u is its lowest index
+                self.out[u] = ()
+                out[u] = []
+                contract(u, next(u + d for d in steps if is_road[u + d]))
+        for u, edges in out.items():
+            self.out[u] = tuple((e, v) for _, e, v in sorted(edges))
+        self.pred = [self.chain[hi - 2] if hi - lo >= 2 else a for lo, hi, a in zip(self.offsets, self.offsets[1:], self.tail)]
+        self.lengths = np.diff(self.offsets).astype(np.float64).tolist()
+        self.chain_array = np.array(self.chain, dtype=np.intp)
+        self.starts = np.array(self.offsets[:-1], dtype=np.intp)
+
+
+def road_graph(road: np.ndarray) -> RoadGraph:
+    """The contracted graph of a road mask, built once per mask."""
+    road = np.asarray(road, dtype=bool)
+    return _road_graph(road.shape, road.tobytes())
+
+
+@lru_cache(maxsize=8)
+def _road_graph(shape: tuple[int, int], road: bytes) -> RoadGraph:
+    return RoadGraph(np.frombuffer(road, dtype=bool).reshape(shape))
+
+
 class Router:
     """One step's routing arrays for one role, with a path memo.
 
-    Built from a boolean passable mask and an optional per-cell cost grid
-    (values >= 1; None means unit cost). Both are copied into flat arrays
-    over the grid padded by one blocked cell on every side, so A* needs no
-    bounds checks. The padded mask's 4-connected component labels (0 on
-    blocked cells) decide reachability: `route(o, d)` searches only when
-    o == d, or when d's label is non-zero and equals the label of o or of
-    one of o's four neighbours. That is exactly when A* succeeds, since A*
-    may step off a blocked origin; every other pair is None without a
-    search. `route` memoises `plan_path` by (origin, destination); the memo
-    is only as valid as the arrays, so build a new Router whenever the mask
-    or the costs change.
+    Built from a boolean passable mask, an optional per-cell cost grid
+    (values >= 1; None means unit cost) and the `RoadGraph` of a road mask
+    that covers every passable cell (by default, the passable mask's own).
+    The mask and costs are copied into flat arrays over the grid padded by
+    one blocked cell on every side. The edge weights over the graph, which
+    edges hold a blocked cell and what each costs, are computed on the
+    first search, so a router that never searches pays nothing for them.
+
+    The padded mask's 4-connected component labels (0 on blocked cells)
+    decide reachability: `route(o, d)` searches only when o == d, or when
+    d's label is non-zero and equals the label of o or of one of o's four
+    neighbours. That is exactly when A* succeeds, since A* may step off a
+    blocked origin; every other pair is None without a search. `route`
+    memoises `plan_path` by (origin, destination); the memo is only as
+    valid as the arrays, so build a new Router whenever the mask or the
+    costs change.
     """
 
-    def __init__(self, passable: np.ndarray, cost: np.ndarray | None = None):
+    def __init__(self, passable: np.ndarray, cost: np.ndarray | None = None, graph: RoadGraph | None = None):
+        self.graph = road_graph(passable) if graph is None else graph
+        if np.any(passable & ~self.graph.road):
+            raise ValueError("the road graph must cover every passable cell")
         height, width = passable.shape
         self.width = width + 2
         free = np.zeros((height + 2, width + 2), dtype=bool)
@@ -146,26 +254,42 @@ class Router:
         self.blocked = np.logical_not(free).view(np.uint8).tobytes()
         # a flat view that indexes to Python ints, without a per-router tolist()
         self.labels = memoryview(ndimage.label(free, structure=_FOUR_CONNECTED)[0].ravel())
-        self.rows, self.cols = _row_col_tables(height + 2, width + 2)
-        if cost is None:
-            self.cost = [1.0] * free.size
-        else:
-            padded = np.ones(free.shape)
-            padded[1:-1, 1:-1] = cost
-            self.cost = padded.ravel().tolist()
+        self.cost: np.ndarray | None = None
+        if cost is not None:
+            self.cost = np.ones(free.shape)
+            self.cost[1:-1, 1:-1] = cost
+            self.cost = self.cost.ravel()
+        self._blocked_weights: tuple[bytes, list[bool]] | None = None
+        self._cost_weights: tuple[list[float] | None, list[float]] | None = None
         self._paths: dict[tuple[Cell, Cell], tuple[Cell, ...] | None] = {}
 
     def with_unit_cost(self) -> "Router":
         """A router over the same mask with unit costs and its own path
-        memo; it shares this router's blocked bytes and component labels
-        instead of labelling the mask again."""
+        memo; it shares this router's blocked bytes, component labels and
+        blocked edges instead of computing them again."""
         twin = copy.copy(self)
-        twin.cost = [1.0] * len(self.blocked)
+        twin.cost = None
+        twin._cost_weights = None
         twin._paths = {}
         return twin
 
     def passable(self, cell: Cell) -> bool:
         return not self.blocked[(cell[0] + 1) * self.width + cell[1] + 1]
+
+    def weights(self) -> tuple[bytes, list[bool], list[float] | None, list[float]]:
+        """The blocked flag of each chain cell, of each edge, the cost of each
+        chain cell (None at unit cost) and of each edge."""
+        graph = self.graph
+        if self._blocked_weights is None:
+            blocked = np.frombuffer(self.blocked, dtype=np.uint8)[graph.chain_array]
+            self._blocked_weights = (blocked.tobytes(), np.logical_or.reduceat(blocked, graph.starts).tolist())
+        if self._cost_weights is None:
+            if self.cost is None:
+                self._cost_weights = (None, graph.lengths)
+            else:
+                cost = self.cost[graph.chain_array]
+                self._cost_weights = (cost.tolist(), np.add.reduceat(cost, graph.starts).tolist())
+        return self._blocked_weights + self._cost_weights
 
     def _reachable(self, origin: Cell, destination: Cell) -> bool:
         if origin == destination:
@@ -192,78 +316,141 @@ _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 @lru_cache(maxsize=8)
 def _row_col_tables(height: int, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Row and column of every flat index of a padded height x width grid;
-    tuples, since every router of that shape shares them."""
+    tuples, since every graph of that shape shares them."""
     rows, cols = np.divmod(np.arange(height * width), width)
     return tuple(rows.tolist()), tuple(cols.tolist())
 
 
 def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | None:
-    """A*, 4-connected, Manhattan heuristic, over `router`'s arrays.
+    """A* over `router`'s road graph, Manhattan heuristic; exact, since each
+    edge costs what its cells cost to enter.
 
-    Cells are flat indices into the padded grid, and nodes are expanded in
-    lexicographic (f, index) order, which is (f, row, col): expansion ties
-    break on row, then column, and equal-cost routes are reproducible. The
-    open set is a bucket queue (Dial 1969): a dict from f to a min-heap of
-    the indices queued at that f, and a min-heap of the distinct f values.
-    The heuristic of a flat index is `hr[rows[i]] + hc[cols[i]]`, from the
-    router's per-shape row/column tables and two per-call lists of
-    distances to the destination's row and column. Neighbours go up, down,
-    left, right. Returns the full cell sequence including origin and
-    destination, or None when unreachable. The origin itself need not be
-    passable.
+    An origin inside a chain leaves it through the partial segments to the
+    chain's two end nodes; a destination inside a chain is entered from
+    them, or straight along the chain when the origin lies on it too. The
+    origin itself need not be passable, and an origin off the graph starts
+    from its open neighbours. Nodes are expanded in (f, index) order. Among
+    equal-cost ways into a cell, the one entering it from the neighbour of
+    lower (heuristic, index) wins, the neighbour cell-by-cell A* would have
+    expanded first. Returns the full cell sequence including origin and
+    destination, or None when unreachable.
     """
     if origin == destination:
         return [origin]
-    width, cost, rows, cols = router.width, router.cost, router.rows, router.cols
-    tr, tc = destination[0] + 1, destination[1] + 1
-    hr = [abs(r - tr) for r in range(len(cost) // width)]
-    hc = [abs(c - tc) for c in range(width)]
+    graph = router.graph
+    width, rows, cols, chain, out = graph.width, graph.rows, graph.cols, graph.chain, graph.out
+    blocked = router.blocked
+    goal = (destination[0] + 1) * width + destination[1] + 1
+    if blocked[goal]:
+        return None
     start = (origin[0] + 1) * width + origin[1] + 1
-    goal = tr * width + tc
-    closed = bytearray(router.blocked)  # impassable or expanded
-    closed[start] = 0  # an agent may stand on a cell that has since flooded
-    g_score = [float("inf")] * len(closed)
-    g_score[start] = 0.0
-    came_from: dict[int, int] = {}
-    f_start = float(hr[rows[start]] + hc[cols[start]])
-    buckets = {f_start: [start]}
-    f_heap = [f_start]
-    pop, push = heapq.heappop, heapq.heappush
+    chain_blocked, edge_blocked, chain_cost, edge_cost = router.weights()
+    hr = [abs(r - destination[0] - 1) for r in range(len(blocked) // width)]
+    hc = [abs(c - destination[1] - 1) for c in range(width)]
+    g = [math.inf] * len(blocked)
+    came: dict[int, int] = {}  # edge e >= 0, or partial segment -1 - k
+    segments: list[tuple[int, int, int]] = []  # (cell left, start, end) in `chain`
+    heap: list[tuple[float, int]] = []
 
-    while f_heap:
-        f = f_heap[0]
-        bucket = buckets[f]
-        current = pop(bucket)
-        if not bucket:
-            del buckets[f]
-            pop(f_heap)
-        if closed[current]:
-            continue
-        if current == goal:
-            path = [current]
-            while current in came_from:
-                current = came_from[current]
-                path.append(current)
-            path.reverse()
-            return [(rows[i] - 1, cols[i] - 1) for i in path]
-        closed[current] = 1
-        base_g = g_score[current]
-        for nb in (current - width, current + width, current - 1, current + 1):
-            if closed[nb]:
+    def entry_key(code: int) -> tuple[int, int]:
+        if code >= 0:
+            cell = graph.pred[code]
+        else:
+            left, lo, hi = segments[-1 - code]
+            cell = chain[hi - 2] if hi - lo >= 2 else left
+        return hr[rows[cell]] + hc[cols[cell]], cell
+
+    def offer(cell: int, cost: float, code: int | None) -> None:
+        if cost < g[cell]:
+            g[cell] = cost
+            if code is None:  # a source: the origin's neighbour
+                came.pop(cell, None)
+            else:
+                came[cell] = code
+            heapq.heappush(heap, (cost + (hr[rows[cell]] + hc[cols[cell]]), cell))
+        elif cost == g[cell] and code is not None and entry_key(code) < entry_key(came[cell]):
+            came[cell] = code
+
+    def segment(left: int, lo: int, hi: int) -> tuple[int, float] | None:
+        """The code and cost of entering chain[lo:hi] from `left`; None if blocked."""
+        if chain_blocked.find(1, lo, hi) != -1:
+            return None
+        segments.append((left, lo, hi))
+        return -len(segments), float(hi - lo) if chain_cost is None else sum(chain_cost[lo:hi])
+
+    into_goal: dict[int, list[tuple[int, float]]] = {}
+    goal_sides = graph.interior.get(goal, ())
+    for (lo, i, _), (_, _, back) in zip(goal_sides, goal_sides[::-1]):
+        entry = segment(chain[back - 1], lo, i + 1)
+        if entry is not None:
+            into_goal.setdefault(chain[back - 1], []).append(entry)
+
+    def leave(cell: int, base: float) -> None:
+        """Offer the far node of each side of `cell`'s chain, and the goal
+        where it lies ahead on that side."""
+        for lo, i, hi in graph.interior[cell]:
+            for j in [hi - 1] + [j for s, j, _ in goal_sides if s == lo and j > i]:
+                entry = segment(cell, i + 1, j + 1)
+                if entry is not None:
+                    offer(chain[j], base + entry[1], entry[0])
+
+    if out[start] is not None:
+        offer(start, 0.0, None)
+    elif start in graph.interior:
+        leave(start, 0.0)
+    else:  # off the graph: start from the open neighbours
+        for nb in (start - width, start + width, start - 1, start + 1):
+            if blocked[nb]:
                 continue
-            tentative = base_g + cost[nb]
-            if tentative < g_score[nb]:
-                g_score[nb] = tentative
-                came_from[nb] = current
-                # f = g + (integer heuristic), added in that order
-                f = tentative + (hr[rows[nb]] + hc[cols[nb]])
-                bucket = buckets.get(f)
-                if bucket is None:
-                    buckets[f] = [nb]
-                    push(f_heap, f)
-                else:
-                    push(bucket, nb)
+            if nb == goal:
+                return [origin, destination]
+            base = 1.0 if router.cost is None else float(router.cost[nb])
+            if out[nb] is None:
+                leave(nb, base)
+            else:
+                offer(nb, base, None)
+
+    closed = bytearray(len(blocked))
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        _, u = pop(heap)
+        if closed[u]:
+            continue
+        if u == goal:
+            return _unfold(goal, start, came, segments, graph)
+        closed[u] = 1
+        base = g[u]
+        for e, v in out[u]:
+            if edge_blocked[e] or closed[v]:
+                continue
+            cost = base + edge_cost[e]
+            if cost < g[v]:
+                g[v] = cost
+                came[v] = e
+                push(heap, (cost + (hr[rows[v]] + hc[cols[v]]), v))
+            elif cost == g[v] and entry_key(e) < entry_key(came[v]):
+                came[v] = e
+        for code, cost in into_goal.get(u, ()):
+            offer(goal, base + cost, code)
     return None
+
+
+def _unfold(goal: int, start: int, came: dict[int, int], segments: list[tuple[int, int, int]], graph: RoadGraph) -> list[Cell]:
+    """The cells from `start` to `goal`, back along the edges and segments
+    each node was reached by."""
+    chain, offsets = graph.chain, graph.offsets
+    path, cell = [], goal
+    while cell in came:
+        code = came[cell]
+        left, lo, hi = (graph.tail[code], offsets[code], offsets[code + 1]) if code >= 0 else segments[-1 - code]
+        path.extend(reversed(chain[lo:hi]))
+        cell = left
+    path.append(cell)
+    if cell != start:  # an origin off the graph, left through `cell`
+        path.append(start)
+    path.reverse()
+    cells = graph.cells
+    return [cells[i] for i in path]
 
 
 def path_steps(path: Sequence[Cell]) -> int:

@@ -5,7 +5,8 @@ The instruction goes on the board right before step s executes, as the
 decision loop dispatches at a cycle boundary. Each effect is observed
 where the engine hands it on, by wrapping the name where
 `floodloop.engine` looks it up: the drain multiplier passed to
-`step_hydrology`, the mask and the cost passed to `Router`, and the
+`step_hydrology`, the mask and the cost passed to `Router` (beside the
+road graph), and the
 held-region set passed to `step_agent`. The world gets no rain, so the
 closed road cell stays dry and only the closure can block it.
 """
@@ -74,7 +75,7 @@ def test_relief_drains_for_every_step_of_its_window(monkeypatch):
 
 @UNFIXED
 def test_obstacle_closes_for_every_step_of_its_window(monkeypatch):
-    def applied(cell, region, passable, cost=None):
+    def applied(cell, region, passable, cost=None, graph=None):
         return not passable[cell]
 
     assert steps_in_force(monkeypatch, Tag.OBSTACLE, (), "Router", applied) == list(range(START, END + 1))
@@ -82,7 +83,7 @@ def test_obstacle_closes_for_every_step_of_its_window(monkeypatch):
 
 @UNFIXED
 def test_routing_penalises_for_every_step_of_its_window(monkeypatch):
-    def applied(cell, region, passable, cost=None):
+    def applied(cell, region, passable, cost=None, graph=None):
         return cost is not None and cost[cell] == 1.0 + 8.0
 
     got = steps_in_force(monkeypatch, Tag.ROUTING, (("penalty", 8.0),), "Router", applied)

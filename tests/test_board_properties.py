@@ -78,9 +78,10 @@ def step_inputs(engine) -> tuple[list[tuple], object]:
     seen, worlds = [], []
     real_router, real_hydrology = engine_module.Router, engine_module.step_hydrology
 
-    def router(passable, cost=None):
+    def router(passable, cost=None, graph=None):
         seen.append(("router", passable.copy(), cost))
-        return real_router(passable, cost)
+        assert graph is engine.graph
+        return real_router(passable, cost, graph)
 
     def hydrology(world, intensity, drain_multiplier=None):
         seen.append(("drain", drain_multiplier))

@@ -1,6 +1,8 @@
-"""Flat-index A* against the callable A* it replaced, its bucket-queue
-expansion order, the router's reachability rule, the per-step path memo
-and the unit-cost twin that shares a router's component labels."""
+"""A* over the contracted road graph against the two cell-level A*s it
+replaced, kept here as oracles: the per-cell-callable A* and the
+flat-index A* on a bucket queue. Also the graph's structure, the router's
+reachability rule, the per-step path memo and the unit-cost twin that
+shares a router's component labels."""
 
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floodloop import mobility as mob
+from floodloop.world import build_world
 
 Cell = tuple[int, int]
 
@@ -27,7 +30,7 @@ def callable_plan_path(
     shape: tuple[int, int],
     step_cost: Callable[[Cell], float] | None = None,
 ) -> list[Cell] | None:
-    """The per-cell-callable A* that `mob.plan_path` replaced, kept verbatim as the oracle."""
+    """The first A* of the package, over per-cell callables, kept verbatim as an oracle."""
     if origin == destination:
         return [origin]
     h_rows, h_cols = shape
@@ -69,12 +72,89 @@ def callable_plan_path(
     return None
 
 
+class FlatArrays:
+    """The arrays the flat-index A* read: the mask and costs over the grid
+    padded by one blocked cell, and the row and column of each flat index."""
+
+    def __init__(self, mask: np.ndarray, cost: np.ndarray | None = None):
+        height, width = mask.shape
+        self.width = width + 2
+        free = np.zeros((height + 2, width + 2), dtype=bool)
+        free[1:-1, 1:-1] = mask
+        self.blocked = np.logical_not(free).view(np.uint8).tobytes()
+        rows, cols = np.divmod(np.arange(free.size), self.width)
+        self.rows, self.cols = rows.tolist(), cols.tolist()
+        padded = np.ones(free.shape)
+        if cost is not None:
+            padded[1:-1, 1:-1] = cost
+        self.cost = padded.ravel().tolist()
+
+
+def flat_plan_path(origin: Cell, destination: Cell, arrays: FlatArrays) -> list[Cell] | None:
+    """The flat-index, bucket-queue A* that the contracted search replaced,
+    kept verbatim as an oracle: it expands cells in (f, index) order, so
+    equal-cost routes break ties on row, then column."""
+    if origin == destination:
+        return [origin]
+    width, cost, rows, cols = arrays.width, arrays.cost, arrays.rows, arrays.cols
+    tr, tc = destination[0] + 1, destination[1] + 1
+    hr = [abs(r - tr) for r in range(len(cost) // width)]
+    hc = [abs(c - tc) for c in range(width)]
+    start = (origin[0] + 1) * width + origin[1] + 1
+    goal = tr * width + tc
+    closed = bytearray(arrays.blocked)  # impassable or expanded
+    closed[start] = 0  # an agent may stand on a cell that has since flooded
+    g_score = [float("inf")] * len(closed)
+    g_score[start] = 0.0
+    came_from: dict[int, int] = {}
+    f_start = float(hr[rows[start]] + hc[cols[start]])
+    buckets = {f_start: [start]}
+    f_heap = [f_start]
+    pop, push = heapq.heappop, heapq.heappush
+
+    while f_heap:
+        f = f_heap[0]
+        bucket = buckets[f]
+        current = pop(bucket)
+        if not bucket:
+            del buckets[f]
+            pop(f_heap)
+        if closed[current]:
+            continue
+        if current == goal:
+            path = [current]
+            while current in came_from:
+                current = came_from[current]
+                path.append(current)
+            path.reverse()
+            return [(rows[i] - 1, cols[i] - 1) for i in path]
+        closed[current] = 1
+        base_g = g_score[current]
+        for nb in (current - width, current + width, current - 1, current + 1):
+            if closed[nb]:
+                continue
+            tentative = base_g + cost[nb]
+            if tentative < g_score[nb]:
+                g_score[nb] = tentative
+                came_from[nb] = current
+                # f = g + (integer heuristic), added in that order
+                f = tentative + (hr[rows[nb]] + hc[cols[nb]])
+                bucket = buckets.get(f)
+                if bucket is None:
+                    buckets[f] = [nb]
+                    push(f_heap, f)
+                else:
+                    push(bucket, nb)
+    return None
+
+
 @st.composite
 def routing_cases(draw, cost_values=st.integers(1, 4), n_pairs=1):
     """A random mask, costs >= 1 (or none), and `n_pairs` (origin, destination) pairs.
 
-    Small integer costs make equal-cost routes plentiful, so the tie-break
-    order is what decides most paths. Origin and destination may be blocked.
+    Small integer costs make equal-cost routes plentiful. Origin and
+    destination may be blocked; a blocked cell lies off the mask's own road
+    graph.
     """
     h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     cells = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
@@ -92,18 +172,46 @@ def oracle(mask, cost, origin, destination):
     return callable_plan_path(origin, destination, lambda cell: bool(mask[cell]), mask.shape, step_cost)
 
 
-@settings(deadline=None, max_examples=400)
+def path_cost(path, cost) -> float:
+    return sum(1.0 if cost is None else float(cost[cell]) for cell in path[1:])
+
+
+def assert_same_route_cost(got, expected, mask, cost, origin, destination, rel=0.0):
+    """`got` is found exactly when `expected` is, costs what it costs, and is
+    a 4-connected walk from origin to destination over passable cells."""
+    assert (got is None) == (expected is None)
+    if got is None:
+        return
+    assert got[0] == origin and got[-1] == destination
+    for a, b in zip(got, got[1:]):
+        assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
+        assert mask[b]
+    assert path_cost(got, cost) == pytest.approx(path_cost(expected, cost), rel=rel, abs=0.0)
+
+
+@settings(deadline=None, max_examples=200)
 @given(routing_cases())
 def test_flat_astar_returns_the_callable_astar_path(case):
     mask, cost, [(origin, destination)] = case
-    assert mob.plan_path(origin, destination, mob.Router(mask, cost)) == oracle(mask, cost, origin, destination)
+    assert flat_plan_path(origin, destination, FlatArrays(mask, cost)) == oracle(mask, cost, origin, destination)
+
+
+@settings(deadline=None, max_examples=400)
+@given(routing_cases())
+def test_contracted_path_costs_what_cell_astar_finds(case):
+    mask, cost, [(origin, destination)] = case
+    got = mob.plan_path(origin, destination, mob.Router(mask, cost))
+    assert_same_route_cost(got, oracle(mask, cost, origin, destination), mask, cost, origin, destination)
 
 
 @settings(deadline=None, max_examples=200)
 @given(routing_cases(cost_values=st.sampled_from([1.0, 1.1, 1.7, 3.3, 5.0])))
 def test_fractional_costs_accumulate_like_the_callable_astar(case):
+    # edge costs are summed in another order than cell-level g, so they
+    # agree to rounding, and a near-tie may pick another route
     mask, cost, [(origin, destination)] = case
-    assert mob.plan_path(origin, destination, mob.Router(mask, cost)) == oracle(mask, cost, origin, destination)
+    got = mob.plan_path(origin, destination, mob.Router(mask, cost))
+    assert_same_route_cost(got, oracle(mask, cost, origin, destination), mask, cost, origin, destination, rel=1e-12)
 
 
 @settings(deadline=None, max_examples=100)
@@ -113,8 +221,7 @@ def test_route_memo_returns_the_planned_path(case, data):
     mask, cost, pairs = case
     router = mob.Router(mask, cost)
     for origin, destination in pairs + data.draw(st.permutations(pairs)):
-        assert router.route(origin, destination) == oracle(mask, cost, origin, destination)
-
+        assert router.route(origin, destination) == mob.plan_path(origin, destination, mob.Router(mask, cost))
 
 
 @settings(deadline=None, max_examples=200)
@@ -129,16 +236,152 @@ def test_unit_cost_twin_routes_like_a_fresh_router(case, data):
     assert twin.labels is costed.labels and twin.blocked is costed.blocked
     for origin, destination in pairs + data.draw(st.permutations(pairs)):
         assert twin.route(origin, destination) == fresh.route(origin, destination)
-        assert costed.route(origin, destination) == oracle(mask, cost, origin, destination)
+        got = costed.route(origin, destination)
+        assert_same_route_cost(got, oracle(mask, cost, origin, destination), mask, cost, origin, destination)
     assert twin._paths == fresh._paths
 
+
 def test_open_grid_ties_break_on_row_then_column():
-    # all monotone routes tie at f = 4; (0, 1) is expanded before (1, 0) and
-    # claims (0, 2) and (1, 1) first, and (0, 2) then claims (1, 2)
+    # all monotone routes tie at f = 4; cell-level A* expands (0, 1) before
+    # (1, 0), which claims (0, 2) and (1, 1) first, and (0, 2) then claims
+    # (1, 2); the contracted search picks the same route
     path = mob.plan_path((0, 0), (2, 2), mob.Router(np.ones((3, 3), dtype=bool)))
     assert path == [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)]
     assert path == callable_plan_path((0, 0), (2, 2), lambda c: True, (3, 3))
 
+
+# --- the contracted graph -----------------------------------------------------------
+
+def padded(cell, graph) -> int:
+    return (cell[0] + 1) * graph.width + cell[1] + 1
+
+
+def unpadded(i, graph) -> Cell:
+    return graph.rows[i] - 1, graph.cols[i] - 1
+
+
+def nodes_of(graph) -> set[Cell]:
+    return {unpadded(i, graph) for i, edges in enumerate(graph.out) if edges is not None}
+
+
+@settings(deadline=None, max_examples=200)
+@given(routing_cases())
+def test_graph_covers_the_road_in_chains_between_nodes(case):
+    mask = case[0]
+    graph = mob.RoadGraph(mask)
+    road = {(int(r), int(c)) for r, c in zip(*np.nonzero(mask))}
+    nodes = nodes_of(graph)
+    inner = {unpadded(i, graph) for i in graph.interior}
+    assert nodes | inner == road and not nodes & inner
+    for e, (lo, hi) in enumerate(zip(graph.offsets, graph.offsets[1:])):
+        cells = [unpadded(graph.tail[e], graph)] + [unpadded(i, graph) for i in graph.chain[lo:hi]]
+        assert cells[0] in nodes and cells[-1] in nodes and set(cells[1:-1]) <= inner
+        assert all(abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1 for a, b in zip(cells, cells[1:]))
+        assert (e, graph.chain[hi - 1]) in graph.out[graph.tail[e]]
+        assert graph.pred[e] == padded(cells[-2], graph)
+    for i, sides in graph.interior.items():
+        for lo, index, hi in sides:
+            assert graph.chain[index] == i and lo <= index < hi - 1
+        # the two sides run the same chain in opposite directions
+        (lo_a, i_a, hi_a), (lo_b, i_b, hi_b) = sides
+        assert graph.chain[lo_a:hi_a - 1] == graph.chain[lo_b:hi_b - 1][::-1]
+
+
+def test_lattice_contracts_to_its_junctions_and_dead_ends():
+    # 16 road rows and 16 road columns: 256 junctions, 32 dead ends at the
+    # far edges, and the corner (0, 0), of degree 2, inside a chain
+    world = build_world(width=64, height=64, seed=7)
+    graph = mob.road_graph(world.is_road)
+    assert int(world.is_road.sum()) == 1792
+    assert len(nodes_of(graph)) == 287 and len(graph.tail) == 1022
+    assert (0, 0) not in nodes_of(graph)
+    assert mob.road_graph(world.is_road.copy()) is graph  # one build per road mask
+
+
+def test_spacing_one_makes_every_cell_but_the_corners_a_node():
+    world = build_world(width=8, height=6, seed=1, n_regions=4, road_spacing=1)
+    graph = mob.road_graph(world.is_road)
+    corners = {(0, 0), (0, 7), (5, 0), (5, 7)}
+    assert nodes_of(graph) == {(r, c) for r in range(6) for c in range(8)} - corners
+    assert max(hi - lo for lo, hi in zip(graph.offsets, graph.offsets[1:])) == 2
+
+
+@pytest.mark.parametrize("spacing", [1, 2, 3])
+def test_small_spacings_route_like_cell_astar(spacing):
+    world = build_world(width=13, height=11, seed=spacing, n_regions=1, road_spacing=spacing)
+    rng = np.random.default_rng(spacing)
+    road = world.road_cells()
+    mask = world.is_road.copy()
+    for k in rng.choice(len(road), len(road) // 6, replace=False):
+        mask[road[k]] = False  # flooded cells
+    cost = rng.integers(1, 4, world.shape).astype(np.float64)
+    for c in (None, cost):
+        router = mob.Router(mask, c, mob.road_graph(world.is_road))
+        for a, b in rng.choice(len(road), (60, 2)):
+            o, d = road[a], road[b]
+            got = mob.plan_path(o, d, router)
+            assert_same_route_cost(got, oracle(mask, c, o, d), mask, c, o, d)
+
+
+def lattice_router(blocked=(), cost=None):
+    world = build_world(width=16, height=16, seed=3, n_regions=4)
+    mask = world.is_road.copy()
+    for cell in blocked:
+        mask[cell] = False
+    return mask, mob.Router(mask, cost, mob.road_graph(world.is_road))
+
+
+def test_mid_chain_and_same_chain_pairs():
+    # (0, 3)..(0, 1), the corner (0, 0) and (1, 0)..(3, 0) make up the
+    # chain from junction (0, 4) to junction (4, 0); every pair among some
+    # of them, in both directions, and to and from cells of other chains
+    mask, router = lattice_router()
+    cells = [(0, 1), (0, 2), (0, 3), (2, 4), (4, 6), (7, 0), (0, 0)]
+    for o in cells:
+        for d in cells:
+            assert_same_route_cost(mob.plan_path(o, d, router), oracle(mask, None, o, d), mask, None, o, d)
+    assert mob.plan_path((0, 1), (0, 3), router) == [(0, 1), (0, 2), (0, 3)]
+    assert mob.plan_path((0, 3), (0, 1), router) == [(0, 3), (0, 2), (0, 1)]
+
+
+def test_same_chain_pair_goes_around_a_block_between_them():
+    cost = np.ones((16, 16))
+    cost[5:8, :] = 2.0
+    mask, router = lattice_router(blocked=[(4, 2)], cost=cost)
+    for o, d in (((4, 1), (4, 3)), ((4, 3), (4, 1)), ((4, 1), (4, 2)), ((1, 4), (3, 4))):
+        assert_same_route_cost(mob.plan_path(o, d, router), oracle(mask, cost, o, d), mask, cost, o, d)
+    assert mob.plan_path((4, 1), (4, 2), router) is None
+
+
+@pytest.mark.parametrize("origin", [(4, 2), (4, 4), (0, 0)])
+def test_blocked_origin_leaves_through_its_open_neighbours(origin):
+    # an agent may stand on a cell that has since flooded: inside a chain,
+    # on a junction, and on the lattice corner
+    mask, router = lattice_router(blocked=[origin])
+    for d in [(4, 0), (4, 3), (12, 9), (0, 15), origin]:
+        assert_same_route_cost(mob.plan_path(origin, d, router), oracle(mask, None, origin, d), mask, None, origin, d)
+
+
+def test_nodeless_loop_gets_one_node_at_its_lowest_index():
+    ring = np.zeros((5, 6), dtype=bool)
+    ring[1, 1:5] = ring[3, 1:5] = ring[1:4, 1] = ring[1:4, 4] = True
+    graph = mob.RoadGraph(ring)
+    assert nodes_of(graph) == {(1, 1)}
+    assert len(graph.tail) == 2 and graph.tail == [padded((1, 1), graph)] * 2
+    cells = [(int(r), int(c)) for r, c in zip(*np.nonzero(ring))]
+    router = mob.Router(ring)
+    for o in cells:
+        for d in cells:
+            assert_same_route_cost(mob.plan_path(o, d, router), oracle(ring, None, o, d), ring, None, o, d)
+
+
+def test_router_rejects_a_graph_that_misses_a_passable_cell():
+    mask = np.ones((4, 4), dtype=bool)
+    with pytest.raises(ValueError):
+        mob.Router(mask, graph=mob.road_graph(np.eye(4, dtype=bool)))
+
+
+# --- memo and reachability -------------------------------------------------------------
 
 def count_plans(monkeypatch) -> list[tuple[Cell, Cell]]:
     calls = []
@@ -190,6 +433,21 @@ def test_route_searches_exactly_the_pairs_astar_can_join(case):
             assert calls == ([(origin, destination)] if found else [])
 
 
+def test_new_step_router_recomputes(monkeypatch):
+    calls = count_plans(monkeypatch)
+    mask = np.ones((5, 5), dtype=bool)
+    before = mob.Router(mask).route((0, 0), (0, 4))
+    assert before == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
+    mask = mask.copy()
+    mask[0, 2] = False  # the next step closes a cell on that route
+    after = mob.Router(mask).route((0, 0), (0, 4))
+    assert (0, 2) not in after
+    assert_same_route_cost(after, oracle(mask, None, (0, 0), (0, 4)), mask, None, (0, 0), (0, 4))
+    assert len(calls) == 2
+
+
+# --- the flat oracle's expansion order -------------------------------------------------
+
 class ReadLog(list):
     """A cost list that records the flat index of every read."""
 
@@ -206,25 +464,12 @@ def test_bucket_ties_expand_the_lower_index_first():
     # on the open 3x3 grid (0, 1) and (1, 0) both enter the f = 4 bucket;
     # (0, 1) has the lower flat index, so it is expanded first and its
     # neighbours (1, 1) and (0, 2) are relaxed before (1, 0)'s (2, 0)
-    router = mob.Router(np.ones((3, 3), dtype=bool))
-    router.cost = ReadLog(router.cost)
-    mob.plan_path((0, 0), (2, 2), router)
-    relaxed = [(i // router.width - 1, i % router.width - 1) for i in router.cost.reads]
+    arrays = FlatArrays(np.ones((3, 3), dtype=bool))
+    arrays.cost = ReadLog(arrays.cost)
+    flat_plan_path((0, 0), (2, 2), arrays)
+    relaxed = [(i // arrays.width - 1, i % arrays.width - 1) for i in arrays.cost.reads]
     assert relaxed[:5] == [(1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
     assert relaxed.index((0, 2)) < relaxed.index((2, 0))
-
-
-def test_new_step_router_recomputes(monkeypatch):
-    calls = count_plans(monkeypatch)
-    mask = np.ones((5, 5), dtype=bool)
-    before = mob.Router(mask).route((0, 0), (0, 4))
-    assert before == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
-    mask = mask.copy()
-    mask[0, 2] = False  # the next step closes a cell on that route
-    after = mob.Router(mask).route((0, 0), (0, 4))
-    assert (0, 2) not in after
-    assert after == oracle(mask, None, (0, 0), (0, 4))
-    assert len(calls) == 2
 
 
 def test_heuristic_is_added_to_g_in_one_piece():
@@ -257,4 +502,4 @@ def test_heuristic_is_added_to_g_in_one_piece():
         ]
     )
     expected = oracle(mask, cost, (0, 0), (7, 4))
-    assert mob.plan_path((0, 0), (7, 4), mob.Router(mask, cost)) == expected
+    assert flat_plan_path((0, 0), (7, 4), FlatArrays(mask, cost)) == expected
