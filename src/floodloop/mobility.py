@@ -144,6 +144,8 @@ class RoadGraph:
     enters its head from. `interior[i]` gives, for a cell inside a chain,
     its two sides: for each direction of the chain, (start, index, end)
     with `chain[index] == i` and the edge spanning `chain[start:end]`.
+    `cells[i]` is the (row, col) of flat index `i`, and `distances[j][i]`
+    is |i - j|, the row and column terms of the heuristic.
     """
 
     def __init__(self, road: np.ndarray):
@@ -152,6 +154,8 @@ class RoadGraph:
         self.width = width + 2
         self.rows, self.cols = _row_col_tables(height + 2, width + 2)
         self.cells = tuple(zip([r - 1 for r in self.rows], [c - 1 for c in self.cols]))
+        span = range(max(height, width) + 2)
+        self.distances = tuple([abs(i - j) for i in span] for j in span)
         padded = np.zeros((height + 2, width + 2), dtype=np.int8)
         padded[1:-1, 1:-1] = road
         degree = np.zeros_like(padded)
@@ -345,8 +349,7 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
         return None
     start = (origin[0] + 1) * width + origin[1] + 1
     chain_blocked, edge_blocked, chain_cost, edge_cost = router.weights()
-    hr = [abs(r - destination[0] - 1) for r in range(len(blocked) // width)]
-    hc = [abs(c - destination[1] - 1) for c in range(width)]
+    hr, hc = graph.distances[destination[0] + 1], graph.distances[destination[1] + 1]
     g = [math.inf] * len(blocked)
     came: dict[int, int] = {}  # edge e >= 0, or partial segment -1 - k
     segments: list[tuple[int, int, int]] = []  # (cell left, start, end) in `chain`
