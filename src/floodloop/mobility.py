@@ -152,32 +152,32 @@ class RoadGraph:
         height, width = road.shape
         self.road = road
         self.width = width + 2
-        self.rows, self.cols = _row_col_tables(height + 2, width + 2)
-        self.cells = tuple(zip([r - 1 for r in self.rows], [c - 1 for c in self.cols]))
+        padded = np.zeros((height + 2, width + 2), dtype=np.int8)
+        rows, cols = np.divmod(np.arange(padded.size), self.width)
+        self.rows, self.cols = tuple(rows.tolist()), tuple(cols.tolist())
+        self.cells = tuple(zip((rows - 1).tolist(), (cols - 1).tolist()))
         span = range(max(height, width) + 2)
         self.distances = tuple([abs(i - j) for i in span] for j in span)
-        padded = np.zeros((height + 2, width + 2), dtype=np.int8)
         padded[1:-1, 1:-1] = road
         degree = np.zeros_like(padded)
         degree[1:-1, 1:-1] = padded[:-2, 1:-1] + padded[2:, 1:-1] + padded[1:-1, :-2] + padded[1:-1, 2:]
         is_road = padded.ravel().tolist()
-        cells = np.flatnonzero(padded).tolist()
-        self.out: list[tuple[tuple[int, int], ...] | None] = [None] * padded.size
-        for i in np.flatnonzero(padded.ravel() * (degree.ravel() != 2)).tolist():
-            self.out[i] = ()
         steps = (-self.width, self.width, -1, 1)
+        # node -> its out-edges as (direction, edge, head), filled in as chains are walked
+        out: dict[int, list[tuple[int, int, int]]] = {
+            i: [] for i in np.flatnonzero(padded.ravel() * (degree.ravel() != 2)).tolist()
+        }
         self.chain: list[int] = []
         self.offsets = [0]
         self.tail: list[int] = []
         self.interior: dict[int, tuple[tuple[int, int, int], tuple[int, int, int]]] = {}
-        out: dict[int, list[tuple[int, int, int]]] = {i: [] for i in cells if self.out[i] is not None}
         walked: set[tuple[int, int]] = set()
 
         def contract(u: int, first: int) -> None:
             """Walk the chain that leaves node u through `first`, and add it in
             both directions."""
             inner, prev, cur = [], u, first
-            while self.out[cur] is None:
+            while cur not in out:
                 inner.append(cur)
                 a, b = [cur + d for d in steps if is_road[cur + d]]
                 prev, cur = cur, b if a == prev else a
@@ -185,28 +185,27 @@ class RoadGraph:
             walked.add((u, first))
             walked.add((v, inner[-1] if inner else u))
             sides = []
-            for a, b, cells_ab in ((u, v, inner + [v]), (v, u, inner[::-1] + [u])):
+            for a, b, cells in ((u, v, inner + [v]), (v, u, inner[::-1] + [u])):
                 e, s = len(self.tail), len(self.chain)
-                self.chain.extend(cells_ab)
+                self.chain.extend(cells)
                 self.offsets.append(len(self.chain))
                 self.tail.append(a)
-                out[a].append((steps.index(cells_ab[0] - a), e, b))
+                out[a].append((steps.index(cells[0] - a), e, b))
                 sides.append((s, s + k + 1))
             (sf, ef), (sr, er) = sides
             for m, cell in enumerate(inner):
                 self.interior[cell] = ((sf, sf + m, ef), (sr, sr + k - 1 - m, er))
 
-        for u in cells:
-            if self.out[u] is not None:
-                for d in steps:
-                    if is_road[u + d] and (u, u + d) not in walked:
-                        contract(u, u + d)
-        for u in cells:
-            if self.out[u] is None and u not in self.interior:
+        for u in list(out):
+            for d in steps:
+                if is_road[u + d] and (u, u + d) not in walked:
+                    contract(u, u + d)
+        for u in np.flatnonzero(padded).tolist():
+            if u not in out and u not in self.interior:
                 # a loop of degree-2 cells with no node: u is its lowest index
-                self.out[u] = ()
                 out[u] = []
                 contract(u, next(u + d for d in steps if is_road[u + d]))
+        self.out: list[tuple[tuple[int, int], ...] | None] = [None] * padded.size
         for u, edges in out.items():
             self.out[u] = tuple((e, v) for _, e, v in sorted(edges))
         self.pred = [self.chain[hi - 2] if hi - lo >= 2 else a for lo, hi, a in zip(self.offsets, self.offsets[1:], self.tail)]
@@ -260,9 +259,9 @@ class Router:
         self.labels = memoryview(ndimage.label(free, structure=_FOUR_CONNECTED)[0].ravel())
         self.cost: np.ndarray | None = None
         if cost is not None:
-            self.cost = np.ones(free.shape)
-            self.cost[1:-1, 1:-1] = cost
-            self.cost = self.cost.ravel()
+            padded = np.ones(free.shape)
+            padded[1:-1, 1:-1] = cost
+            self.cost = padded.ravel()
         self._blocked_weights: tuple[bytes, list[bool]] | None = None
         self._cost_weights: tuple[list[float] | None, list[float]] | None = None
         self._paths: dict[tuple[Cell, Cell], tuple[Cell, ...] | None] = {}
@@ -315,14 +314,6 @@ class Router:
 
 
 _FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-
-
-@lru_cache(maxsize=8)
-def _row_col_tables(height: int, width: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Row and column of every flat index of a padded height x width grid;
-    tuples, since every graph of that shape shares them."""
-    rows, cols = np.divmod(np.arange(height * width), width)
-    return tuple(rows.tolist()), tuple(cols.tolist())
 
 
 def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | None:
