@@ -8,12 +8,12 @@ per step, since they only depend on depth, closures and penalties; each
 role's `Router` holds them with their connected components, and every
 route planned in the step reads those arrays. The road graph the routers
 search is contracted once, when the engine is built, since roads never
-change during a run. The board's held regions
-are likewise asked once per step. One `step_agent` call per agent takes
-its role's router and returns event kinds, which the step counts into
-`StepRecord.events`. `agents` keeps every agent ever spawned; `active`
-keeps, in id order, the ones not yet terminal, and only those are
-stepped and counted into the car density.
+change during a run. The board's held regions are likewise asked once
+per step. One `step_agent` call per agent takes its role's router and
+returns event kinds, which the step counts into `StepRecord.events`.
+`agents` keeps every agent ever spawned; `active` keeps, in id order,
+the ones not yet terminal, and only those are stepped and counted into
+the car density.
 """
 
 from __future__ import annotations
