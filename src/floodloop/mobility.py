@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import copy
 import heapq
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -341,7 +340,7 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
     start = (origin[0] + 1) * width + origin[1] + 1
     chain_blocked, edge_blocked, chain_cost, edge_cost = router.weights()
     hr, hc = graph.distances[destination[0] + 1], graph.distances[destination[1] + 1]
-    g = [math.inf] * len(blocked)
+    g = [float("inf")] * len(blocked)
     came: dict[int, int] = {}  # edge e >= 0, or partial segment -1 - k
     segments: list[tuple[int, int, int]] = []  # (cell left, start, end) in `chain`
     heap: list[tuple[float, int]] = []
