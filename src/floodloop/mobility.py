@@ -235,41 +235,52 @@ class Router:
     edges hold a blocked cell and what each costs, are computed on the
     first search, so a router that never searches pays nothing for them.
 
-    The padded mask's 4-connected component labels (0 on blocked cells)
-    decide reachability: `route(o, d)` searches only when o == d, or when
-    d's label is non-zero and equals the label of o or of one of o's four
-    neighbours. That is exactly when A* succeeds, since A* may step off a
-    blocked origin; every other pair is None without a search. `route`
-    memoises `plan_path` by (origin, destination); the memo is only as
-    valid as the arrays, so build a new Router whenever the mask or the
-    costs change.
+    The padded mask's 4-connected component labels (0 on blocked cells),
+    also computed on first use, decide reachability: `route(o, d)`
+    searches only when o == d, or when d's label is non-zero and equals
+    the label of o or of one of o's four neighbours. That is exactly when
+    A* succeeds, since A* may step off a blocked origin; every other pair
+    is None without a search. `route` memoises `plan_path` by (origin,
+    destination); the memo is only as valid as the arrays, so build a new
+    Router whenever the mask or the costs change.
     """
 
     def __init__(self, passable: np.ndarray, cost: np.ndarray | None = None, graph: RoadGraph | None = None):
         self.graph = road_graph(passable) if graph is None else graph
-        if np.any(passable & ~self.graph.road):
+        if (passable > self.graph.road).any():
             raise ValueError("the road graph must cover every passable cell")
         height, width = passable.shape
         self.width = width + 2
         free = np.zeros((height + 2, width + 2), dtype=bool)
         free[1:-1, 1:-1] = passable
         self.blocked = np.logical_not(free).view(np.uint8).tobytes()
-        # a flat view that indexes to Python ints, without a per-router tolist()
-        self.labels = memoryview(ndimage.label(free, structure=_FOUR_CONNECTED)[0].ravel())
+        self._labels: memoryview | None = None
         self.cost: np.ndarray | None = None
         if cost is not None:
             padded = np.ones(free.shape)
             padded[1:-1, 1:-1] = cost
             self.cost = padded.ravel()
-        self._blocked_weights: tuple[bytes, list[bool]] | None = None
+        self._blocked_weights: tuple[bytes, bytes] | None = None
         self._cost_weights: tuple[list[float] | None, list[float]] | None = None
         self._paths: dict[tuple[Cell, Cell], tuple[Cell, ...] | None] = {}
+
+    @property
+    def labels(self) -> memoryview:
+        """The component labels, computed on first use: a router that is
+        never asked for a route pays nothing for them. A flat view that
+        indexes to Python ints, without a per-router tolist()."""
+        if self._labels is None:
+            free = np.frombuffer(self.blocked, dtype=np.uint8).reshape(-1, self.width) == 0
+            self._labels = memoryview(ndimage.label(free, structure=_FOUR_CONNECTED)[0].ravel())
+        return self._labels
 
     def with_unit_cost(self) -> "Router":
         """A router over the same mask with unit costs and its own path
         memo; it shares this router's blocked bytes, component labels and
-        blocked edges instead of computing them again."""
+        blocked edges instead of computing them again. The labels are
+        computed here if need be, since the twin is made to route."""
         twin = copy.copy(self)
+        twin._labels = self.labels
         twin.cost = None
         twin._cost_weights = None
         twin._paths = {}
@@ -278,13 +289,13 @@ class Router:
     def passable(self, cell: Cell) -> bool:
         return not self.blocked[(cell[0] + 1) * self.width + cell[1] + 1]
 
-    def weights(self) -> tuple[bytes, list[bool], list[float] | None, list[float]]:
+    def weights(self) -> tuple[bytes, bytes, list[float] | None, list[float]]:
         """The blocked flag of each chain cell, of each edge, the cost of each
         chain cell (None at unit cost) and of each edge."""
         graph = self.graph
         if self._blocked_weights is None:
             blocked = np.frombuffer(self.blocked, dtype=np.uint8)[graph.chain_array]
-            self._blocked_weights = (blocked.tobytes(), np.logical_or.reduceat(blocked, graph.starts).tolist())
+            self._blocked_weights = (blocked.tobytes(), np.logical_or.reduceat(blocked, graph.starts).tobytes())
         if self._cost_weights is None:
             if self.cost is None:
                 self._cost_weights = (None, graph.lengths)
