@@ -21,6 +21,7 @@ from .errors import InvalidHorizon, InvalidPartition
 from .rng import substream
 
 NOISE_AMPLITUDE = 0.05
+SMOOTHING_WINDOW = 5  # the side of box_filter's square window; odd, so it centres on the cell
 
 
 class ScenarioKind(str, Enum):
@@ -154,19 +155,20 @@ def synth_elevation(width: int, height: int, seed: int, relief: float = 5.0, smo
     return (z / span) * relief
 
 
-def box_filter(z: np.ndarray, size: int = 5) -> np.ndarray:
-    """Mean over a size x size window, edges repeated outward.
+def box_filter(z: np.ndarray) -> np.ndarray:
+    """Mean over the 5x5 window (`SMOOTHING_WINDOW`) centred on each cell,
+    edges repeated outward.
 
-    The same bytes as `scipy.ndimage.uniform_filter(z, size, mode="nearest")`,
+    The same bytes as `scipy.ndimage.uniform_filter(z, 5, mode="nearest")`,
     by the same arithmetic: along axis 0, then axis 1, a running sum that
     starts from the first window summed left to right, adds each window's
-    entering value minus its leaving one, and is divided by `size`.
+    entering value minus its leaving one, and is divided by 5.
     """
-    before = size // 2
+    size, half = SMOOTHING_WINDOW, SMOOTHING_WINDOW // 2
     for axis in (0, 1):
         z = np.moveaxis(z, axis, -1)
         n = z.shape[-1]
-        padded = np.pad(z, [(0, 0), (before, size - before - 1)], mode="edge")
+        padded = np.pad(z, [(0, 0), (half, half)], mode="edge")
         first = 0.0
         for k in range(size):
             first = first + padded[:, k]
