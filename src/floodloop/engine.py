@@ -120,7 +120,7 @@ class SimulationEngine:
                 mc.initial_population,
                 self.config.seed,
                 step=0,
-                router=Router(self._passable_mask(Role.RESIDENT, closed), graph=self.graph),
+                router=Router(self._passable_mask(Role.RESIDENT, closed), self.graph),
                 id_start=self._next_id,
                 stagger=mc.initial_stagger,
             )
@@ -128,7 +128,7 @@ class SimulationEngine:
             self._admit(agents)
         bus_rng = pystream(self.config.seed, "bus-lines")
         road = self.world.road_cells()
-        bus_router = Router(self._passable_mask(Role.BUS, closed), graph=self.graph)
+        bus_router = Router(self._passable_mask(Role.BUS, closed), self.graph)
         for b in range(mc.n_buses):
             if len(road) < mc.bus_stops:
                 break
@@ -167,8 +167,8 @@ class SimulationEngine:
         # this step's routing arrays; they stay fixed while the agents move
         closed = self.board.closed_cells(now)
         cost = self._cost_grid(self.board.region_penalties(now))
-        router_res = Router(self._passable_mask(Role.RESIDENT, closed), cost, self.graph)
-        router_bus = Router(self._passable_mask(Role.BUS, closed), cost, self.graph)
+        router_res = Router(self._passable_mask(Role.RESIDENT, closed), self.graph, cost)
+        router_bus = Router(self._passable_mask(Role.BUS, closed), self.graph, cost)
         held = self.board.bus_held(now)
         wait_probability = self.config.mobility.wait_probability
 

@@ -227,9 +227,10 @@ def _road_graph(shape: tuple[int, int], road: bytes) -> RoadGraph:
 class Router:
     """One step's routing arrays for one role, with a path memo.
 
-    Built from a boolean passable mask, an optional per-cell cost grid
-    (values >= 1; None means unit cost) and the `RoadGraph` of a road mask
-    that covers every passable cell (by default, the passable mask's own).
+    Built from a boolean passable mask, the `RoadGraph` of a road mask that
+    covers every passable cell (the engine's, of the world's unflooded
+    road) and an optional per-cell cost grid (values >= 1; None means unit
+    cost).
     The mask and costs are copied into flat arrays over the grid padded by
     one blocked cell on every side. The edge weights over the graph, which
     edges hold a blocked cell and what each costs, are computed on the
@@ -245,9 +246,9 @@ class Router:
     Router whenever the mask or the costs change.
     """
 
-    def __init__(self, passable: np.ndarray, cost: np.ndarray | None = None, graph: RoadGraph | None = None):
-        self.graph = road_graph(passable) if graph is None else graph
-        if (passable > self.graph.road).any():
+    def __init__(self, passable: np.ndarray, graph: RoadGraph, cost: np.ndarray | None = None):
+        self.graph = graph
+        if (passable > graph.road).any():
             raise ValueError("the road graph must cover every passable cell")
         height, width = passable.shape
         self.width = width + 2
@@ -333,12 +334,12 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
     An origin inside a chain leaves it through the partial segments to the
     chain's two end nodes; a destination inside a chain is entered from
     them, or straight along the chain when the origin lies on it too. The
-    origin itself need not be passable, and an origin off the graph starts
-    from its open neighbours. Nodes are expanded in (f, index) order. Among
-    equal-cost ways into a cell, the one entering it from the neighbour of
-    lower (heuristic, index) wins, the neighbour cell-by-cell A* would have
-    expanded first. Returns the full cell sequence including origin and
-    destination, or None when unreachable.
+    origin must lie on the graph but need not be passable: an agent may
+    stand on a cell that has since flooded. Nodes are expanded in (f, index)
+    order. Among equal-cost ways into a cell, the one entering it from the
+    neighbour of lower (heuristic, index) wins, the neighbour cell-by-cell
+    A* would have expanded first. Returns the full cell sequence including
+    origin and destination, or None when unreachable.
     """
     if origin == destination:
         return [origin]
@@ -364,15 +365,12 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
             cell = chain[hi - 2] if hi - lo >= 2 else left
         return hr[rows[cell]] + hc[cols[cell]], cell
 
-    def offer(cell: int, cost: float, code: int | None) -> None:
+    def offer(cell: int, cost: float, code: int) -> None:
         if cost < g[cell]:
             g[cell] = cost
-            if code is None:  # a source: the origin's neighbour
-                came.pop(cell, None)
-            else:
-                came[cell] = code
+            came[cell] = code
             heapq.heappush(heap, (cost + (hr[rows[cell]] + hc[cols[cell]]), cell))
-        elif cost == g[cell] and code is not None and entry_key(code) < entry_key(came[cell]):
+        elif cost == g[cell] and entry_key(code) < entry_key(came[cell]):
             came[cell] = code
 
     def segment(left: int, lo: int, hi: int) -> tuple[int, float] | None:
@@ -389,30 +387,15 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
         if entry is not None:
             into_goal.setdefault(chain[back - 1], []).append(entry)
 
-    def leave(cell: int, base: float) -> None:
-        """Offer the far node of each side of `cell`'s chain, and the goal
-        where it lies ahead on that side."""
-        for lo, i, hi in graph.interior[cell]:
-            for j in [hi - 1] + [j for s, j, _ in goal_sides if s == lo and j > i]:
-                entry = segment(cell, i + 1, j + 1)
-                if entry is not None:
-                    offer(chain[j], base + entry[1], entry[0])
-
     if out[start] is not None:
-        offer(start, 0.0, None)
-    elif start in graph.interior:
-        leave(start, 0.0)
-    else:  # off the graph: start from the open neighbours
-        for nb in (start - width, start + width, start - 1, start + 1):
-            if blocked[nb]:
-                continue
-            if nb == goal:
-                return [origin, destination]
-            base = 1.0 if router.cost is None else float(router.cost[nb])
-            if out[nb] is None:
-                leave(nb, base)
-            else:
-                offer(nb, base, None)
+        g[start] = 0.0
+        heap.append((0.0, start))
+    else:  # inside a chain: offer the far node of each side, and the goal where it lies ahead
+        for lo, i, hi in graph.interior[start]:
+            for j in [hi - 1] + [j for s, j, _ in goal_sides if s == lo and j > i]:
+                entry = segment(start, i + 1, j + 1)
+                if entry is not None:
+                    offer(chain[j], entry[1], entry[0])
 
     closed = bytearray(len(blocked))
     pop, push = heapq.heappop, heapq.heappush
@@ -421,7 +404,7 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
         if closed[u]:
             continue
         if u == goal:
-            return _unfold(goal, start, came, segments, graph)
+            return _unfold(goal, came, segments, graph)
         closed[u] = 1
         base = g[u]
         for e, v in out[u]:
@@ -439,9 +422,9 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
     return None
 
 
-def _unfold(goal: int, start: int, came: dict[int, int], segments: list[tuple[int, int, int]], graph: RoadGraph) -> list[Cell]:
-    """The cells from `start` to `goal`, back along the edges and segments
-    each node was reached by."""
+def _unfold(goal: int, came: dict[int, int], segments: list[tuple[int, int, int]], graph: RoadGraph) -> list[Cell]:
+    """The cells from the origin to `goal`, back along the edges and
+    segments each node was reached by."""
     chain, offsets = graph.chain, graph.offsets
     path, cell = [], goal
     while cell in came:
@@ -450,8 +433,6 @@ def _unfold(goal: int, start: int, came: dict[int, int], segments: list[tuple[in
         path.extend(reversed(chain[lo:hi]))
         cell = left
     path.append(cell)
-    if cell != start:  # an origin off the graph, left through `cell`
-        path.append(start)
     path.reverse()
     cells = graph.cells
     return [cells[i] for i in path]

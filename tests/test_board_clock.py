@@ -75,7 +75,7 @@ def test_relief_drains_for_every_step_of_its_window(monkeypatch):
 
 @UNFIXED
 def test_obstacle_closes_for_every_step_of_its_window(monkeypatch):
-    def applied(cell, region, passable, cost=None, graph=None):
+    def applied(cell, region, passable, graph, cost=None):
         return not passable[cell]
 
     assert steps_in_force(monkeypatch, Tag.OBSTACLE, (), "Router", applied) == list(range(START, END + 1))
@@ -83,7 +83,7 @@ def test_obstacle_closes_for_every_step_of_its_window(monkeypatch):
 
 @UNFIXED
 def test_routing_penalises_for_every_step_of_its_window(monkeypatch):
-    def applied(cell, region, passable, cost=None, graph=None):
+    def applied(cell, region, passable, graph, cost=None):
         return cost is not None and cost[cell] == 1.0 + 8.0
 
     got = steps_in_force(monkeypatch, Tag.ROUTING, (("penalty", 8.0),), "Router", applied)

@@ -78,10 +78,10 @@ def step_inputs(engine) -> tuple[list[tuple], object]:
     seen, worlds = [], []
     real_router, real_hydrology = engine_module.Router, engine_module.step_hydrology
 
-    def router(passable, cost=None, graph=None):
+    def router(passable, graph, cost=None):
         seen.append(("router", passable.copy(), cost))
         assert graph is engine.graph
-        return real_router(passable, cost, graph)
+        return real_router(passable, graph, cost)
 
     def hydrology(world, intensity, drain_multiplier=None):
         seen.append(("drain", drain_multiplier))

@@ -20,8 +20,9 @@ def open_mask(shape, blocked=()):
     return mask
 
 
-def open_router(shape, blocked=()):
-    return mob.Router(open_mask(shape, blocked))
+def open_router(shape, blocked=(), cost=None):
+    # the road graph is the unflooded one, as in the engine: here every cell
+    return mob.Router(open_mask(shape, blocked), mob.road_graph(open_mask(shape)), cost)
 
 
 def road_mask(ws, blocked=()):
@@ -29,7 +30,7 @@ def road_mask(ws, blocked=()):
 
 
 def road_router(ws, blocked=()):
-    return mob.Router(road_mask(ws, blocked))
+    return mob.Router(road_mask(ws, blocked), mob.road_graph(ws.is_road))
 
 
 def bfs_steps(origin, destination, mask):
@@ -66,7 +67,7 @@ def test_wall_with_gap_matches_bfs():
     shape = (12, 12)
     wall = {(r, 6) for r in range(12) if r != 9}
     mask = open_mask(shape, wall)
-    path = mob.plan_path((5, 2), (5, 10), mob.Router(mask))
+    path = mob.plan_path((5, 2), (5, 10), open_router(shape, wall))
     assert path is not None
     oracle = bfs_steps((5, 2), (5, 10), mask)
     assert mob.path_steps(path) == oracle
@@ -87,7 +88,7 @@ def test_random_mazes_match_bfs():
         }
         blocked -= {(0, 0), (14, 14)}
         mask = open_mask(shape, blocked)
-        path = mob.plan_path((0, 0), (14, 14), mob.Router(mask))
+        path = mob.plan_path((0, 0), (14, 14), open_router(shape, blocked))
         oracle = bfs_steps((0, 0), (14, 14), mask)
         if oracle is None:
             assert path is None
@@ -111,7 +112,7 @@ def test_step_cost_biases_route():
     cost = np.ones(shape)
     cost[0, 2:7] = 9.0
 
-    path = mob.plan_path((0, 0), (0, 8), mob.Router(open_mask(shape), cost))
+    path = mob.plan_path((0, 0), (0, 8), open_router(shape, cost=cost))
     assert any(cell[0] > 0 for cell in path)  # detoured off the taxed row
 
 
@@ -354,7 +355,7 @@ def test_reroute_skips_unreachable_stop():
 def test_reroute_all_unreachable_cancels():
     ws = grid_world()
     bus = mob.make_bus(1, [(0, 0), (0, 4), (4, 4)], 0, road_router(ws))
-    assert not mob.reroute_bus(bus, mob.Router(np.zeros(ws.shape, dtype=bool)))
+    assert not mob.reroute_bus(bus, mob.Router(np.zeros(ws.shape, dtype=bool), mob.road_graph(ws.is_road)))
     assert bus.status is mob.Status.CANCELLED
     assert bus.stops == [(0, 0), (0, 4), (4, 4)]
 

@@ -153,8 +153,7 @@ def routing_cases(draw, cost_values=st.integers(1, 4), n_pairs=1):
     """A random mask, costs >= 1 (or none), and `n_pairs` (origin, destination) pairs.
 
     Small integer costs make equal-cost routes plentiful. Origin and
-    destination may be blocked; a blocked cell lies off the mask's own road
-    graph.
+    destination may be blocked.
     """
     h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     cells = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
@@ -165,6 +164,16 @@ def routing_cases(draw, cost_values=st.integers(1, 4), n_pairs=1):
         cost = np.array(values, dtype=np.float64).reshape(h, w)
     pairs = draw(st.lists(st.tuples(cells, cells), min_size=n_pairs, max_size=n_pairs))
     return mask, cost, pairs
+
+
+def make_router(mask, cost=None, origins=()):
+    """A Router over the road graph of the passable cells and `origins`: as
+    in the engine, whose graph is the unflooded road, an origin lies on the
+    graph even where it has flooded."""
+    road = mask.copy()
+    for cell in origins:
+        road[cell] = True
+    return mob.Router(mask, mob.road_graph(road), cost)
 
 
 def oracle(mask, cost, origin, destination):
@@ -189,7 +198,7 @@ def assert_same_route_cost(got, expected, mask, cost, origin, destination, rel=0
     assert path_cost(got, cost) == pytest.approx(path_cost(expected, cost), rel=rel, abs=0.0)
 
 
-@settings(deadline=None, max_examples=200)
+@settings(deadline=None, max_examples=400)
 @given(routing_cases())
 def test_flat_astar_returns_the_callable_astar_path(case):
     mask, cost, [(origin, destination)] = case
@@ -200,7 +209,7 @@ def test_flat_astar_returns_the_callable_astar_path(case):
 @given(routing_cases())
 def test_contracted_path_costs_what_cell_astar_finds(case):
     mask, cost, [(origin, destination)] = case
-    got = mob.plan_path(origin, destination, mob.Router(mask, cost))
+    got = mob.plan_path(origin, destination, make_router(mask, cost, [origin]))
     assert_same_route_cost(got, oracle(mask, cost, origin, destination), mask, cost, origin, destination)
 
 
@@ -210,7 +219,7 @@ def test_fractional_costs_accumulate_like_the_callable_astar(case):
     # edge costs are summed in another order than cell-level g, so they
     # agree to rounding, and a near-tie may pick another route
     mask, cost, [(origin, destination)] = case
-    got = mob.plan_path(origin, destination, mob.Router(mask, cost))
+    got = mob.plan_path(origin, destination, make_router(mask, cost, [origin]))
     assert_same_route_cost(got, oracle(mask, cost, origin, destination), mask, cost, origin, destination, rel=1e-12)
 
 
@@ -219,9 +228,12 @@ def test_fractional_costs_accumulate_like_the_callable_astar(case):
 def test_route_memo_returns_the_planned_path(case, data):
     # repeated and overlapping pairs: shared origins or destinations must not collide
     mask, cost, pairs = case
-    router = mob.Router(mask, cost)
+    origins = [o for o, _ in pairs]
+    router = make_router(mask, cost, origins)
     for origin, destination in pairs + data.draw(st.permutations(pairs)):
-        assert router.route(origin, destination) == mob.plan_path(origin, destination, mob.Router(mask, cost))
+        got = router.route(origin, destination)
+        assert got == mob.plan_path(origin, destination, make_router(mask, cost, origins))
+        assert_same_route_cost(got, oracle(mask, cost, origin, destination), mask, cost, origin, destination)
 
 
 @settings(deadline=None, max_examples=200)
@@ -230,9 +242,10 @@ def test_unit_cost_twin_routes_like_a_fresh_router(case, data):
     # the spawn router of a step with routing penalties shares the costed
     # router's labels; its answers and memo must be those of its own router
     mask, cost, pairs = case
-    costed = mob.Router(mask, cost)
+    origins = [o for o, _ in pairs]
+    costed = make_router(mask, cost, origins)
     twin = costed.with_unit_cost()
-    fresh = mob.Router(mask)
+    fresh = make_router(mask, None, origins)
     assert twin.labels is costed.labels and twin.blocked is costed.blocked
     for origin, destination in pairs + data.draw(st.permutations(pairs)):
         assert twin.route(origin, destination) == fresh.route(origin, destination)
@@ -245,7 +258,7 @@ def test_open_grid_ties_break_on_row_then_column():
     # all monotone routes tie at f = 4; cell-level A* expands (0, 1) before
     # (1, 0), which claims (0, 2) and (1, 1) first, and (0, 2) then claims
     # (1, 2); the contracted search picks the same route
-    path = mob.plan_path((0, 0), (2, 2), mob.Router(np.ones((3, 3), dtype=bool)))
+    path = mob.plan_path((0, 0), (2, 2), make_router(np.ones((3, 3), dtype=bool)))
     assert path == [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)]
     assert path == callable_plan_path((0, 0), (2, 2), lambda c: True, (3, 3))
 
@@ -316,7 +329,7 @@ def test_small_spacings_route_like_cell_astar(spacing):
         mask[road[k]] = False  # flooded cells
     cost = rng.integers(1, 4, world.shape).astype(np.float64)
     for c in (None, cost):
-        router = mob.Router(mask, c, mob.road_graph(world.is_road))
+        router = mob.Router(mask, mob.road_graph(world.is_road), c)
         for a, b in rng.choice(len(road), (60, 2)):
             o, d = road[a], road[b]
             got = mob.plan_path(o, d, router)
@@ -328,7 +341,7 @@ def lattice_router(blocked=(), cost=None):
     mask = world.is_road.copy()
     for cell in blocked:
         mask[cell] = False
-    return mask, mob.Router(mask, cost, mob.road_graph(world.is_road))
+    return mask, mob.Router(mask, mob.road_graph(world.is_road), cost)
 
 
 def test_mid_chain_and_same_chain_pairs():
@@ -369,7 +382,7 @@ def test_nodeless_loop_gets_one_node_at_its_lowest_index():
     assert nodes_of(graph) == {(1, 1)}
     assert len(graph.tail) == 2 and graph.tail == [padded((1, 1), graph)] * 2
     cells = [(int(r), int(c)) for r, c in zip(*np.nonzero(ring))]
-    router = mob.Router(ring)
+    router = make_router(ring)
     for o in cells:
         for d in cells:
             assert_same_route_cost(mob.plan_path(o, d, router), oracle(ring, None, o, d), ring, None, o, d)
@@ -378,7 +391,7 @@ def test_nodeless_loop_gets_one_node_at_its_lowest_index():
 def test_router_rejects_a_graph_that_misses_a_passable_cell():
     mask = np.ones((4, 4), dtype=bool)
     with pytest.raises(ValueError):
-        mob.Router(mask, graph=mob.road_graph(np.eye(4, dtype=bool)))
+        mob.Router(mask, mob.road_graph(np.eye(4, dtype=bool)))
 
 
 # --- memo and reachability -------------------------------------------------------------
@@ -397,7 +410,7 @@ def count_plans(monkeypatch) -> list[tuple[Cell, Cell]]:
 
 def test_repeat_query_in_one_step_is_served_from_the_memo(monkeypatch):
     calls = count_plans(monkeypatch)
-    router = mob.Router(np.ones((6, 6), dtype=bool))
+    router = make_router(np.ones((6, 6), dtype=bool))
     first = router.route((0, 0), (5, 5))
     expected = list(first)
     first.append((9, 9))  # callers own the list they get
@@ -410,7 +423,7 @@ def test_unreachable_result_is_memoised(monkeypatch):
     calls = count_plans(monkeypatch)
     mask = np.ones((3, 3), dtype=bool)
     mask[:, 1] = False
-    router = mob.Router(mask)
+    router = make_router(mask)
     assert router.route((0, 0), (0, 2)) is None
     assert router.route((0, 0), (0, 2)) is None
     assert calls == []  # the component labels answer without a search
@@ -427,20 +440,20 @@ def test_route_searches_exactly_the_pairs_astar_can_join(case):
     with pytest.MonkeyPatch.context() as mp:
         calls = count_plans(mp)
         for origin, destination in pairs:
-            found = plan(origin, destination, mob.Router(mask, cost)) is not None
+            found = plan(origin, destination, make_router(mask, cost, [origin])) is not None
             calls.clear()
-            assert (mob.Router(mask, cost).route(origin, destination) is not None) == found
+            assert (make_router(mask, cost, [origin]).route(origin, destination) is not None) == found
             assert calls == ([(origin, destination)] if found else [])
 
 
 def test_new_step_router_recomputes(monkeypatch):
     calls = count_plans(monkeypatch)
     mask = np.ones((5, 5), dtype=bool)
-    before = mob.Router(mask).route((0, 0), (0, 4))
+    before = make_router(mask).route((0, 0), (0, 4))
     assert before == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4)]
     mask = mask.copy()
     mask[0, 2] = False  # the next step closes a cell on that route
-    after = mob.Router(mask).route((0, 0), (0, 4))
+    after = make_router(mask).route((0, 0), (0, 4))
     assert (0, 2) not in after
     assert_same_route_cost(after, oracle(mask, None, (0, 0), (0, 4)), mask, None, (0, 0), (0, 4))
     assert len(calls) == 2

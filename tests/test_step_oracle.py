@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from floodloop import mobility as mob
 from floodloop import world as w
-from floodloop.mobility import AgentRecord, Role, Router, Status, TripLog
+from floodloop.mobility import AgentRecord, Role, Router, Status, TripLog, road_graph
 from floodloop.rng import pystream
 
 
@@ -178,7 +178,7 @@ def stepping_cases(draw):
     road = world.road_cells()
     assume(len(road) >= 4)
     cells = st.sampled_from(road)
-    open_router = Router(world.is_road)
+    open_router = Router(world.is_road, road_graph(world.is_road))
     agents = []
     for agent_id in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
@@ -212,11 +212,12 @@ def test_step_agent_matches_the_per_event_oracle(case):
     new_agents, old_agents = agents, copy.deepcopy(agents)
     new_log, old_log = TripLog(), TripLog()
     new_rng, old_rng = pystream(coin_seed, "coin"), pystream(coin_seed, "coin")
+    graph = road_graph(world.is_road)
     for step, (closed, held_regions) in enumerate(zip(blocked, held), start=1):
         mask = world.is_road.copy()
         for cell in closed:
             mask[cell] = False
-        new_router, old_router = Router(mask), Router(mask)
+        new_router, old_router = Router(mask, graph), Router(mask, graph)
         for new, old in zip(new_agents, old_agents):
             got = mob.step_agent(new, world, new_router, held_regions, new_rng, step, new_log, wait_probability)
             want = oracle_step_agent(
@@ -237,11 +238,12 @@ def test_cases_reach_every_event_kind():
     def collect(case):
         world, agents, blocked, held, wait_probability, coin_seed = case
         log, rng = TripLog(), pystream(coin_seed, "coin")
+        graph = road_graph(world.is_road)
         for step, (closed, held_regions) in enumerate(zip(blocked, held), start=1):
             mask = world.is_road.copy()
             for cell in closed:
                 mask[cell] = False
-            router = Router(mask)
+            router = Router(mask, graph)
             for agent in agents:
                 seen.update(mob.step_agent(agent, world, router, held_regions, rng, step, log, wait_probability))
 

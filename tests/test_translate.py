@@ -172,7 +172,7 @@ def test_board_stop_and_routing_queries():
 
 
 def test_obstacle_changes_route():
-    from floodloop.mobility import Router, plan_path
+    from floodloop.mobility import Router, plan_path, road_graph
 
     ws = small_world()
     board = tr.InstructionBoard(4)
@@ -184,6 +184,6 @@ def test_obstacle_changes_route():
     for cell in board.closed_cells(3):
         mask[cell] = False
 
-    path = plan_path(origin, destination, Router(mask))
+    path = plan_path(origin, destination, Router(mask, road_graph(ws.is_road)))
     assert path is not None
     assert corridor_cell not in path
