@@ -156,7 +156,7 @@ class SimulationEngine:
 
     def step(self) -> StepRecord:
         step_idx = self.world.step
-        intensity = self.scenario.curve[step_idx] if step_idx < len(self.scenario.curve) else 0.0
+        intensity = self.scenario.curve[step_idx]
         self.board.prune(step_idx)
         drain_mult = self.board.drain_multipliers(step_idx)
         if np.all(drain_mult == 1.0):
@@ -221,5 +221,4 @@ class SimulationEngine:
         return MetricsSnapshot(f=f, t=t, c=c, r=r, j=j, step=self.world.step)
 
     def current_intensity(self) -> float:
-        idx = min(self.world.step, len(self.scenario.curve) - 1)
-        return float(self.scenario.curve[idx])
+        return float(self.scenario.curve[self.world.step])

@@ -21,7 +21,7 @@ import numpy as np
 from .backends import BackendProposal, StrategyBackend
 from .config import RunConfig
 from .engine import SimulationEngine
-from .errors import BackendUnavailable, EmptySeed, NotTriggered
+from .errors import BackendUnavailable, ConfigError, EmptySeed, NotTriggered
 from .knowledge import (
     Edge,
     EdgeType,
@@ -150,19 +150,12 @@ def trigger_replanning(report: CycleReport, graph: KnowledgeGraph) -> tuple[Feed
 def worst_road_cells(world: WorldState) -> list[tuple[int, int] | None]:
     """Per region, its deepest road cell, or None for a region without roads.
 
-    One pass over the road cells: sort by (region, depth descending, flat
-    index), then take the first cell of each region, so depth ties go to
-    the first cell in row-major order.
+    `WorldState.region_roads` holds each region's road cells in row-major
+    order, and `argmax` takes the first maximum, so depth ties go to the
+    first cell in row-major order.
     """
-    flat = np.flatnonzero(world.is_road)
-    regions = world.region_id.ravel()[flat]
-    order = np.lexsort((flat, -world.water_depth.ravel()[flat], regions))
-    sorted_regions = regions[order]
-    first = np.flatnonzero(np.diff(sorted_regions, prepend=-1))  # region ids are >= 0
-    worst: list[tuple[int, int] | None] = [None] * world.n_regions
-    for region, index in zip(sorted_regions[first].tolist(), flat[order[first]].tolist()):
-        worst[region] = divmod(index, world.width)
-    return worst
+    depth = world.water_depth.ravel()
+    return [cells[int(np.argmax(depth[flat]))] if cells else None for flat, cells in world.region_roads]
 
 
 # --- knowledge bootstrap ----------------------------------------------------
@@ -261,6 +254,9 @@ class DecisionLoop:
             from .world import ScenarioKind
 
             scenario = generate_scenario(ScenarioKind(config.scenario), config.steps, config.seed)
+        if len(scenario.curve) < config.steps:
+            # every step reads its rain from the curve: a short one would leave steps without rain
+            raise ConfigError("scenario_file", f"curve covers {len(scenario.curve)} steps, the run needs {config.steps}")
         self.scenario = scenario
         self.engine = SimulationEngine(config, scenario)
         self.backend = backend

@@ -85,11 +85,11 @@ def _make_backends(config: RunConfig) -> tuple[StrategyBackend, StrategyBackend]
 def run(config: RunConfig, keep_loop: bool = False) -> RunArtifacts:
     """Execute one full run and write its artifact set."""
     config.validate()
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     scenario = load_scenario(config.scenario_file) if config.scenario_file else None
     backend, fallback = _make_backends(config)
     loop = DecisionLoop(config, backend, fallback, scenario=scenario)
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     loop.run()
 
     save_scenario(out / "scenario.json", loop.scenario)
@@ -344,21 +344,6 @@ def write_semantic_table(path: str | Path, rows: Sequence[SemanticRow]) -> None:
                     "" if row.sds is None else _csv_float(row.sds),
                 ]
             )
-
-
-def read_semantic_table(path: str | Path) -> list[dict[str, float | str | None]]:
-    out = []
-    with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            out.append(
-                {
-                    "module_setting": rec["module_setting"],
-                    "stability": float(rec["stability"]),
-                    "scs": float(rec["scs"]) if rec["scs"] else None,
-                    "sds": float(rec["sds"]) if rec["sds"] else None,
-                }
-            )
-    return out
 
 
 # --- ablation diffs ----------------------------------------------------------

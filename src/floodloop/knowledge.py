@@ -386,23 +386,6 @@ def build_prompt(
 
 # --- snapshot files -------------------------------------------------------
 
-def graph_to_json(graph: KnowledgeGraph) -> dict:
-    return {
-        "nodes": [
-            {
-                "id": n.id,
-                "type": n.type.value,
-                "attributes": dict(n.attrs),
-            }
-            for n in (graph.nodes[i] for i in sorted(graph.nodes))
-        ],
-        "edges": [
-            {"src": e.src, "dst": e.dst, "type": e.type.value}
-            for e in sorted(graph.edges, key=lambda e: (e.src, e.dst, e.type.value))
-        ],
-    }
-
-
 def graph_from_json(data: dict) -> KnowledgeGraph:
     g = KnowledgeGraph()
     for rec in data.get("nodes", []):
@@ -418,17 +401,8 @@ def graph_from_json(data: dict) -> KnowledgeGraph:
     return g
 
 
-def save_graph(path: str | Path, graph: KnowledgeGraph) -> None:
-    Path(path).write_text(json.dumps(graph_to_json(graph), indent=2))
-
-
 def load_graph(path: str | Path) -> KnowledgeGraph:
     return graph_from_json(json.loads(Path(path).read_text()))
-
-
-def save_segments(path: str | Path, store: SegmentStore) -> None:
-    lines = [json.dumps({"id": s.id, "text": s.text}) for s in store.segments]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_segments(path: str | Path, embedder: HashingEmbedder | None = None) -> SegmentStore:

@@ -19,8 +19,7 @@ blocked cells, the costs and the 4-connected component labels, which
 answer unreachable pairs without a search. It derives which edges are
 blocked and what each costs on its first search. `plan_path` searches
 between nodes, enters and leaves chains at the origin and destination,
-and returns the full cell list; equal-cost routes break ties the way
-cell-by-cell A* in (f, row, column) order would, on all but rare ties.
+and returns the full cell list.
 """
 
 from __future__ import annotations
@@ -139,10 +138,10 @@ class RoadGraph:
 
     `out[i]` is, for a node `i`, its out-edges as (edge, head) pairs in
     up, down, left, right order of their first cell, and None for any other
-    cell. `tail[e]` is the node an edge leaves and `pred[e]` the cell it
-    enters its head from. `interior[i]` gives, for a cell inside a chain,
-    its two sides: for each direction of the chain, (start, index, end)
-    with `chain[index] == i` and the edge spanning `chain[start:end]`.
+    cell. `tail[e]` is the node an edge leaves. `interior[i]` gives, for a
+    cell inside a chain, its two sides: for each direction of the chain,
+    (start, index, end) with `chain[index] == i` and the edge spanning
+    `chain[start:end]`.
     `cells[i]` is the (row, col) of flat index `i`, and `distances[j][i]`
     is |i - j|, the row and column terms of the heuristic.
     """
@@ -207,7 +206,6 @@ class RoadGraph:
         self.out: list[tuple[tuple[int, int], ...] | None] = [None] * padded.size
         for u, edges in out.items():
             self.out[u] = tuple((e, v) for _, e, v in sorted(edges))
-        self.pred = [self.chain[hi - 2] if hi - lo >= 2 else a for lo, hi, a in zip(self.offsets, self.offsets[1:], self.tail)]
         self.lengths = np.diff(self.offsets).astype(np.float64).tolist()
         self.chain_array = np.array(self.chain, dtype=np.intp)
         self.starts = np.array(self.offsets[:-1], dtype=np.intp)
@@ -336,10 +334,9 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
     them, or straight along the chain when the origin lies on it too. The
     origin must lie on the graph but need not be passable: an agent may
     stand on a cell that has since flooded. Nodes are expanded in (f, index)
-    order. Among equal-cost ways into a cell, the one entering it from the
-    neighbour of lower (heuristic, index) wins, the neighbour cell-by-cell
-    A* would have expanded first. Returns the full cell sequence including
-    origin and destination, or None when unreachable.
+    order, and the first cheapest way found into a cell wins. Returns the
+    full cell sequence including origin and destination, or None when
+    unreachable.
     """
     if origin == destination:
         return [origin]
@@ -352,26 +349,17 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
     start = (origin[0] + 1) * width + origin[1] + 1
     chain_blocked, edge_blocked, chain_cost, edge_cost = router.weights()
     hr, hc = graph.distances[destination[0] + 1], graph.distances[destination[1] + 1]
-    g = [float("inf")] * len(blocked)
+    inf = float("inf")
+    g: dict[int, float] = {}
     came: dict[int, int] = {}  # edge e >= 0, or partial segment -1 - k
     segments: list[tuple[int, int, int]] = []  # (cell left, start, end) in `chain`
     heap: list[tuple[float, int]] = []
 
-    def entry_key(code: int) -> tuple[int, int]:
-        if code >= 0:
-            cell = graph.pred[code]
-        else:
-            left, lo, hi = segments[-1 - code]
-            cell = chain[hi - 2] if hi - lo >= 2 else left
-        return hr[rows[cell]] + hc[cols[cell]], cell
-
     def offer(cell: int, cost: float, code: int) -> None:
-        if cost < g[cell]:
+        if cost < g.get(cell, inf):
             g[cell] = cost
             came[cell] = code
             heapq.heappush(heap, (cost + (hr[rows[cell]] + hc[cols[cell]]), cell))
-        elif cost == g[cell] and entry_key(code) < entry_key(came[cell]):
-            came[cell] = code
 
     def segment(left: int, lo: int, hi: int) -> tuple[int, float] | None:
         """The code and cost of entering chain[lo:hi] from `left`; None if blocked."""
@@ -397,26 +385,24 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
                 if entry is not None:
                     offer(chain[j], entry[1], entry[0])
 
-    closed = bytearray(len(blocked))
+    closed: set[int] = set()
     pop, push = heapq.heappop, heapq.heappush
     while heap:
         _, u = pop(heap)
-        if closed[u]:
+        if u in closed:
             continue
         if u == goal:
             return _unfold(goal, came, segments, graph)
-        closed[u] = 1
+        closed.add(u)
         base = g[u]
         for e, v in out[u]:
-            if edge_blocked[e] or closed[v]:
+            if edge_blocked[e] or v in closed:
                 continue
             cost = base + edge_cost[e]
-            if cost < g[v]:
+            if cost < g.get(v, inf):
                 g[v] = cost
                 came[v] = e
                 push(heap, (cost + (hr[rows[v]] + hc[cols[v]]), v))
-            elif cost == g[v] and entry_key(e) < entry_key(came[v]):
-                came[v] = e
         for code, cost in into_goal.get(u, ()):
             offer(goal, base + cost, code)
     return None
@@ -677,20 +663,22 @@ def _advance_bus_leg(agent: AgentRecord, router: Router) -> None:
     """Open the leg to the next stop once the current one is exhausted.
 
     stop_index tracks the stop the bus most recently reached; the active
-    path always runs stops[stop_index] -> stops[stop_index + 1].
+    path always runs stops[stop_index] -> stops[stop_index + 1]. It never
+    reaches the last stop: a bus's destination is stops[-1] (`make_bus`,
+    `reroute_bus`), and `step_agent` closes a bus that stands there before
+    it opens a leg, so stops[stop_index + 1] always exists.
     """
-    if agent.stop_index + 1 < len(agent.stops) and agent.pos == agent.stops[agent.stop_index + 1]:
+    if agent.pos == agent.stops[agent.stop_index + 1]:
         agent.stop_index += 1
-    if agent.stop_index + 1 < len(agent.stops):
-        leg = router.route(agent.pos, agent.stops[agent.stop_index + 1])
-        if leg is not None:
-            agent.path = leg
-            agent.path_index = 0
+    leg = router.route(agent.pos, agent.stops[agent.stop_index + 1])
+    if leg is not None:
+        agent.path = leg
+        agent.path_index = 0
 
 
 def _replan(agent: AgentRecord, router: Router) -> bool:
     # the blocked next cell already fails this step's mask, so A* avoids it
-    if agent.role is Role.BUS and len(agent.stops) - agent.stop_index >= 2:
+    if agent.role is Role.BUS:
         return reroute_bus(agent, router)
     if not router.passable(agent.pos):
         return False  # standing on a blocked cell

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from floodloop import cli
+from floodloop.world import ScenarioKind, generate_scenario, save_scenario
 
 
 @pytest.mark.parametrize(
@@ -35,4 +36,17 @@ def test_run_rejects_config_naming_the_field(tmp_path, capsys, field, data):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
     assert record["message"].startswith(f"{field}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_rejects_a_scenario_file_shorter_than_the_run(tmp_path, capsys):
+    # each step, and the prompt of each cycle, reads that step's rain from the curve
+    scenario = tmp_path / "scenario.json"
+    save_scenario(scenario, generate_scenario(ScenarioKind.LIGHT, 10, 0))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"steps": 11, "scenario_file": str(scenario), "out_dir": str(tmp_path / "out")}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("scenario_file: ")
     assert not (tmp_path / "out").exists()

@@ -36,8 +36,9 @@ def per_region_worst(world, region: int) -> tuple[int, int] | None:
 
 @st.composite
 def worlds(draw):
-    """The attributes `worst_road_cells` reads. Depths come from three
-    values, so ties are common, and one region loses all its roads."""
+    """The attributes `worst_road_cells` and the per-region scans read.
+    Depths come from three values, so ties are common, and one region
+    loses all its roads."""
     height = draw(st.integers(1, 10))
     width = draw(st.integers(1, 10))
     n_regions = draw(st.integers(1, 6))
@@ -49,6 +50,7 @@ def worlds(draw):
     return SimpleNamespace(
         width=width, height=height, n_regions=n_regions,
         region_id=region_id, is_road=is_road, water_depth=water_depth,
+        region_roads=region_road_index(is_road, region_id, n_regions),
     )
 
 

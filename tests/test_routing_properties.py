@@ -1,6 +1,6 @@
-"""A* over the contracted road graph against the two cell-level A*s it
-replaced, kept here as oracles: the per-cell-callable A* and the
-flat-index A* on a bucket queue. Also the graph's structure, the router's
+"""A* over the contracted road graph against the per-cell-callable A*
+that the package first had, kept here as the oracle: every route must
+cost what the oracle's costs. Also the graph's structure, the router's
 reachability rule, the per-step path memo and the unit-cost twin that
 shares a router's component labels."""
 
@@ -72,82 +72,6 @@ def callable_plan_path(
     return None
 
 
-class FlatArrays:
-    """The arrays the flat-index A* read: the mask and costs over the grid
-    padded by one blocked cell, and the row and column of each flat index."""
-
-    def __init__(self, mask: np.ndarray, cost: np.ndarray | None = None):
-        height, width = mask.shape
-        self.width = width + 2
-        free = np.zeros((height + 2, width + 2), dtype=bool)
-        free[1:-1, 1:-1] = mask
-        self.blocked = np.logical_not(free).view(np.uint8).tobytes()
-        rows, cols = np.divmod(np.arange(free.size), self.width)
-        self.rows, self.cols = rows.tolist(), cols.tolist()
-        padded = np.ones(free.shape)
-        if cost is not None:
-            padded[1:-1, 1:-1] = cost
-        self.cost = padded.ravel().tolist()
-
-
-def flat_plan_path(origin: Cell, destination: Cell, arrays: FlatArrays) -> list[Cell] | None:
-    """The flat-index, bucket-queue A* that the contracted search replaced,
-    kept verbatim as an oracle: it expands cells in (f, index) order, so
-    equal-cost routes break ties on row, then column."""
-    if origin == destination:
-        return [origin]
-    width, cost, rows, cols = arrays.width, arrays.cost, arrays.rows, arrays.cols
-    tr, tc = destination[0] + 1, destination[1] + 1
-    hr = [abs(r - tr) for r in range(len(cost) // width)]
-    hc = [abs(c - tc) for c in range(width)]
-    start = (origin[0] + 1) * width + origin[1] + 1
-    goal = tr * width + tc
-    closed = bytearray(arrays.blocked)  # impassable or expanded
-    closed[start] = 0  # an agent may stand on a cell that has since flooded
-    g_score = [float("inf")] * len(closed)
-    g_score[start] = 0.0
-    came_from: dict[int, int] = {}
-    f_start = float(hr[rows[start]] + hc[cols[start]])
-    buckets = {f_start: [start]}
-    f_heap = [f_start]
-    pop, push = heapq.heappop, heapq.heappush
-
-    while f_heap:
-        f = f_heap[0]
-        bucket = buckets[f]
-        current = pop(bucket)
-        if not bucket:
-            del buckets[f]
-            pop(f_heap)
-        if closed[current]:
-            continue
-        if current == goal:
-            path = [current]
-            while current in came_from:
-                current = came_from[current]
-                path.append(current)
-            path.reverse()
-            return [(rows[i] - 1, cols[i] - 1) for i in path]
-        closed[current] = 1
-        base_g = g_score[current]
-        for nb in (current - width, current + width, current - 1, current + 1):
-            if closed[nb]:
-                continue
-            tentative = base_g + cost[nb]
-            if tentative < g_score[nb]:
-                g_score[nb] = tentative
-                came_from[nb] = current
-                # f = g + (integer heuristic), added in that order
-                f = tentative + (hr[rows[nb]] + hc[cols[nb]])
-                bucket = buckets.get(f)
-                if bucket is None:
-                    buckets[f] = [nb]
-                    push(f_heap, f)
-                else:
-                    push(bucket, nb)
-    return None
-
-
 @st.composite
 def routing_cases(draw, cost_values=st.integers(1, 4), n_pairs=1):
     """A random mask, costs >= 1 (or none), and `n_pairs` (origin, destination) pairs.
@@ -200,13 +124,6 @@ def assert_same_route_cost(got, expected, mask, cost, origin, destination, rel=0
 
 @settings(deadline=None, max_examples=400)
 @given(routing_cases())
-def test_flat_astar_returns_the_callable_astar_path(case):
-    mask, cost, [(origin, destination)] = case
-    assert flat_plan_path(origin, destination, FlatArrays(mask, cost)) == oracle(mask, cost, origin, destination)
-
-
-@settings(deadline=None, max_examples=400)
-@given(routing_cases())
 def test_contracted_path_costs_what_cell_astar_finds(case):
     mask, cost, [(origin, destination)] = case
     got = mob.plan_path(origin, destination, make_router(mask, cost, [origin]))
@@ -255,12 +172,13 @@ def test_unit_cost_twin_routes_like_a_fresh_router(case, data):
 
 
 def test_open_grid_ties_break_on_row_then_column():
-    # all monotone routes tie at f = 4; cell-level A* expands (0, 1) before
-    # (1, 0), which claims (0, 2) and (1, 1) first, and (0, 2) then claims
-    # (1, 2); the contracted search picks the same route
-    path = mob.plan_path((0, 0), (2, 2), make_router(np.ones((3, 3), dtype=bool)))
+    # all monotone routes tie at f = 4, and nodes expand in (f, index) order:
+    # (0, 1) goes before (1, 0) and is the first to reach (1, 2), which is
+    # expanded before (2, 1) and so is the first to offer the goal
+    mask = np.ones((3, 3), dtype=bool)
+    path = mob.plan_path((0, 0), (2, 2), make_router(mask))
+    assert_same_route_cost(path, oracle(mask, None, (0, 0), (2, 2)), mask, None, (0, 0), (2, 2))
     assert path == [(0, 0), (0, 1), (0, 2), (1, 2), (2, 2)]
-    assert path == callable_plan_path((0, 0), (2, 2), lambda c: True, (3, 3))
 
 
 # --- the contracted graph -----------------------------------------------------------
@@ -291,7 +209,6 @@ def test_graph_covers_the_road_in_chains_between_nodes(case):
         assert cells[0] in nodes and cells[-1] in nodes and set(cells[1:-1]) <= inner
         assert all(abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1 for a, b in zip(cells, cells[1:]))
         assert (e, graph.chain[hi - 1]) in graph.out[graph.tail[e]]
-        assert graph.pred[e] == padded(cells[-2], graph)
     for i, sides in graph.interior.items():
         for lo, index, hi in sides:
             assert graph.chain[index] == i and lo <= index < hi - 1
@@ -457,62 +374,3 @@ def test_new_step_router_recomputes(monkeypatch):
     assert (0, 2) not in after
     assert_same_route_cost(after, oracle(mask, None, (0, 0), (0, 4)), mask, None, (0, 0), (0, 4))
     assert len(calls) == 2
-
-
-# --- the flat oracle's expansion order -------------------------------------------------
-
-class ReadLog(list):
-    """A cost list that records the flat index of every read."""
-
-    def __init__(self, values):
-        super().__init__(values)
-        self.reads: list[int] = []
-
-    def __getitem__(self, index):
-        self.reads.append(index)
-        return super().__getitem__(index)
-
-
-def test_bucket_ties_expand_the_lower_index_first():
-    # on the open 3x3 grid (0, 1) and (1, 0) both enter the f = 4 bucket;
-    # (0, 1) has the lower flat index, so it is expanded first and its
-    # neighbours (1, 1) and (0, 2) are relaxed before (1, 0)'s (2, 0)
-    arrays = FlatArrays(np.ones((3, 3), dtype=bool))
-    arrays.cost = ReadLog(arrays.cost)
-    flat_plan_path((0, 0), (2, 2), arrays)
-    relaxed = [(i // arrays.width - 1, i % arrays.width - 1) for i in arrays.cost.reads]
-    assert relaxed[:5] == [(1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
-    assert relaxed.index((0, 2)) < relaxed.index((2, 0))
-
-
-def test_heuristic_is_added_to_g_in_one_piece():
-    # f = g + (dr + dc) and (g + dr) + dc round differently on this grid, and
-    # the two orders then expand a different route among near-equal ones
-    third = 1.0 / 3.0 + 1.0
-    mask = np.array(
-        [
-            [0, 1, 1, 1, 1, 1],
-            [1, 1, 1, 1, 1, 1],
-            [0, 1, 1, 0, 1, 1],
-            [1, 1, 1, 1, 1, 1],
-            [1, 1, 0, 1, 1, 1],
-            [0, 0, 1, 1, 1, 1],
-            [1, 1, 1, 1, 1, 1],
-            [1, 1, 1, 1, 1, 1],
-        ],
-        dtype=bool,
-    )
-    cost = np.array(
-        [
-            [1.1, third, 3.3, 1.1, 5.0, 1.1],
-            [third, 1.1, 1.1, 1.3, 1.1, 3.3],
-            [1.0, 3.3, 1.1, 5.0, 2.2, 5.0],
-            [5.0, 1.0, 1.1, 1.7, 1.1, 2.2],
-            [5.0, 5.0, 1.7, 1.0, 1.3, third],
-            [1.1, 2.2, 1.7, 1.1, 5.0, 1.1],
-            [1.3, 1.0, third, 1.0, 1.7, 2.2],
-            [third, 5.0, third, 3.3, 2.2, 1.1],
-        ]
-    )
-    expected = oracle(mask, cost, (0, 0), (7, 4))
-    assert flat_plan_path((0, 0), (7, 4), FlatArrays(mask, cost)) == expected

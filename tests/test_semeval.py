@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import itertools
 
 import numpy as np
@@ -119,12 +120,26 @@ def test_stability_hand_variance():
     assert rows[0].sds == 0.4
 
 
+def read_semantic_table(path) -> list[dict[str, float | str | None]]:
+    """The rows `harness.write_semantic_table` wrote, with empty scores as None."""
+    with open(path, newline="") as fh:
+        return [
+            {
+                "module_setting": rec["module_setting"],
+                "stability": float(rec["stability"]),
+                "scs": float(rec["scs"]) if rec["scs"] else None,
+                "sds": float(rec["sds"]) if rec["sds"] else None,
+            }
+            for rec in csv.DictReader(fh)
+        ]
+
+
 def test_semantic_table_roundtrip_reference_row(tmp_path):
     # the published-style reference row is a parsing fixture only
     rows = [se.SemanticRow("full framework", 0.0047, 0.872, 0.443)]
     path = tmp_path / "semantic.csv"
     harness.write_semantic_table(path, rows)
-    back = harness.read_semantic_table(path)
+    back = read_semantic_table(path)
     assert back[0]["stability"] == pytest.approx(0.0047)
     assert back[0]["scs"] == pytest.approx(0.872)
     assert back[0]["sds"] == pytest.approx(0.443)
