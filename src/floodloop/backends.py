@@ -131,7 +131,8 @@ class ScriptedBackend(StrategyBackend):
     """Replays a fixed per-cycle list of proposals; cycles wrap around.
 
     Indexed by cycle number, not call count, so repeated queries within one
-    cycle return the identical proposal.
+    cycle return the identical proposal. Every distribution of the script
+    is validated once, here.
     """
 
     name = "scripted"
@@ -140,6 +141,8 @@ class ScriptedBackend(StrategyBackend):
         if not script:
             raise ValueError("scripted backend needs at least one proposal")
         self.script = list(script)
+        for proposal in self.script:
+            proposal.distribution.validate()
 
     def propose(self, prompt, n_regions, tau, cycle):
         return self.script[cycle % len(self.script)]

@@ -138,6 +138,8 @@ class RunConfig:
             raise ConfigError("policy.tau", "must be positive")
         if not (0 < self.policy.alpha < 1):
             raise ConfigError("policy.alpha", "must be in (0, 1)")
+        if self.policy.lambda_init < 0:
+            raise ConfigError("policy.lambda_init", "must be >= 0")
         if self.feedback.threshold_stat not in THRESHOLD_STATS:
             raise ConfigError(
                 "feedback.threshold_stat", f"must be one of {THRESHOLD_STATS}, got {self.feedback.threshold_stat!r}"

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import RunConfig
-from .metrics import MetricsSnapshot, WeightVector, congestion_index, flood_index, objective_j, trip_rates
+from .metrics import MetricsSnapshot, congestion_index, flood_index, objective_j, trip_rates
 from .mobility import (
     AgentRecord,
     Poi,
@@ -54,7 +54,6 @@ class SimulationEngine:
     def __init__(self, config: RunConfig, scenario: RainfallScenario):
         self.config = config
         self.scenario = scenario
-        self.weights = WeightVector(*config.feedback.weights)
         wc = config.world
         self.world = build_world(
             width=wc.width,
@@ -217,7 +216,7 @@ class SimulationEngine:
         t = congestion_index(self.world)
         spawned, arrived_any, cancelled, _ = self.trip_counts()
         c, r = trip_rates(cancelled, self.trip_log.arrived_on_time, spawned) if spawned else (0.0, 0.0)
-        j = objective_j(f, t, c, r, self.weights)
+        j = objective_j(f, t, c, r, self.config.feedback.weights)
         return MetricsSnapshot(f=f, t=t, c=c, r=r, j=j, step=self.world.step)
 
     def current_intensity(self) -> float:

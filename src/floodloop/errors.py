@@ -21,10 +21,6 @@ class UndefinedRates(FloodloopError):
     """Trip rates requested before any trip was spawned."""
 
 
-class InvalidWeights(FloodloopError):
-    """Objective weights are negative or do not sum to one."""
-
-
 class InsufficientRuns(FloodloopError):
     """Cross-run statistics need at least two runs."""
 

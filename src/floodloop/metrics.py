@@ -19,16 +19,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    InsufficientRuns,
-    InvalidWeights,
-    MetricSetMismatch,
-    UndefinedRates,
-)
+from .errors import InsufficientRuns, MetricSetMismatch, UndefinedRates
 from .world import WorldState, region_means
 
 TRIGGER_FLOOR = 0.015
-DEFAULT_WEIGHTS = (0.3, 0.3, 0.2, 0.2)
 METRIC_NAMES = ("f", "t", "c", "r")
 
 
@@ -43,26 +37,6 @@ class MetricsSnapshot:
 
     def as_map(self) -> dict[str, float]:
         return {"f": self.f, "t": self.t, "c": self.c, "r": self.r}
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Convex weights over (f, t, c, 1 - r)."""
-
-    w1: float = DEFAULT_WEIGHTS[0]
-    w2: float = DEFAULT_WEIGHTS[1]
-    w3: float = DEFAULT_WEIGHTS[2]
-    w4: float = DEFAULT_WEIGHTS[3]
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.w1, self.w2, self.w3, self.w4)
-
-    def validate(self) -> None:
-        ws = self.as_tuple()
-        if any(w < 0 for w in ws):
-            raise InvalidWeights(f"negative weight in {ws}")
-        if abs(sum(ws) - 1.0) > 1e-9:
-            raise InvalidWeights(f"weights sum to {sum(ws)!r}, expected 1")
 
 
 def _sigmoid_scores(values: np.ndarray) -> np.ndarray:
@@ -100,11 +74,13 @@ def trip_rates(cancelled: int, on_time_arrived: int, spawned: int) -> tuple[floa
     return cancelled / spawned, on_time_arrived / spawned
 
 
-def objective_j(f: float, t: float, c: float, r: float, weights: WeightVector | None = None) -> float:
-    """Weighted cost w1*f + w2*t + w3*c + w4*(1 - r); lower is better."""
-    weights = weights or WeightVector()
-    weights.validate()
-    w1, w2, w3, w4 = weights.as_tuple()
+def objective_j(f: float, t: float, c: float, r: float, weights: Sequence[float]) -> float:
+    """Weighted cost w1*f + w2*t + w3*c + w4*(1 - r); lower is better.
+
+    `weights` is `FeedbackConfig.weights`, which `RunConfig.validate`
+    checks: four finite, non-negative weights that sum to one.
+    """
+    w1, w2, w3, w4 = weights
     return w1 * f + w2 * t + w3 * c + w4 * (1.0 - r)
 
 

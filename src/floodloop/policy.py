@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -66,7 +66,12 @@ def action_keys(n_regions: int) -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class PolicyDistribution:
-    """Probability vector over a duplicate-free list of actions."""
+    """Probability vector over a duplicate-free list of actions.
+
+    `validate` runs where a distribution enters the program from outside:
+    `ExternalBackend.propose` and `ScriptedBackend`. The package's own
+    backends and `generate_global` build valid ones by construction.
+    """
 
     support: tuple[HighLevelAction, ...]
     probs: tuple[float, ...]
@@ -76,7 +81,7 @@ class PolicyDistribution:
             raise InvalidDistribution("empty support")
         if len(self.support) != len(self.probs):
             raise InvalidDistribution("support/probs length mismatch")
-        if not self._duplicate_free:
+        if len(set(self.support)) != len(self.support):
             raise InvalidDistribution("duplicate actions in support")
         arr = np.asarray(self.probs, dtype=np.float64)
         if np.any(arr < 0) or not np.all(np.isfinite(arr)):
@@ -87,19 +92,6 @@ class PolicyDistribution:
     @staticmethod
     def onehot(action: HighLevelAction) -> "PolicyDistribution":
         return PolicyDistribution(support=(action,), probs=(1.0,))
-
-    @cached_property
-    def _duplicate_free(self) -> bool:
-        # hashes every action, so it is computed at most once per distribution
-        return len(set(self.support)) == len(self.support)
-
-    def reweighted(self, probs: tuple[float, ...]) -> "PolicyDistribution":
-        """The same support tuple with new probabilities; a duplicate check
-        already made on that tuple carries over instead of running again."""
-        out = PolicyDistribution(self.support, probs)
-        if "_duplicate_free" in self.__dict__:
-            out.__dict__["_duplicate_free"] = self._duplicate_free
-        return out
 
 
 def entropy_of(probs: Sequence[float]) -> float:
@@ -119,7 +111,6 @@ def conditional_entropy(
     local distribution, as `local_distribution_for` computes them; the sum
     of p * H runs in support order.
     """
-    global_dist.validate()
     total = 0.0
     for action, p in zip(global_dist.support, global_dist.probs):
         if p <= 0:
@@ -176,19 +167,15 @@ def update_lambda(lam: float, alpha: float, h: float, tau: float) -> float:
 
 @dataclass
 class EntropyController:
-    """Mutable entropy budget state: threshold tau, penalty lambda, rate alpha."""
+    """Mutable entropy budget state: threshold tau, penalty lambda, rate alpha.
+
+    The decision loop starts it from `PolicyConfig`, whose ranges
+    `RunConfig.validate` checks.
+    """
 
     tau: float = 1.2
     lam: float = 1.0
     alpha: float = 0.05
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must be in (0, 1)")
 
     def observe(self, h: float) -> float:
         self.lam = update_lambda(self.lam, self.alpha, h, self.tau)
@@ -384,12 +371,11 @@ def generate_global(
     Lambda is updated from the pre-projection entropy: the budget controller
     reacts to how uncertain generation was before enforcement.
     """
-    proposal_dist.validate()
     h_raw = entropy_of(proposal_dist.probs)
     projected = proposal_dist
     if entropy_control:
         probs = project_entropy(np.asarray(proposal_dist.probs, dtype=np.float64), controller.tau)
-        projected = proposal_dist.reweighted(tuple(probs.tolist()))
+        projected = PolicyDistribution(proposal_dist.support, tuple(probs.tolist()))
         controller.observe(h_raw)
     sampled = sample_per_region(projected, n_regions, seed, cycle)
     return GlobalPlan(

@@ -12,7 +12,7 @@ import pytest
 
 from floodloop import backends as b
 from floodloop import policy as p
-from floodloop.errors import BackendUnavailable
+from floodloop.errors import BackendUnavailable, InvalidDistribution
 from floodloop.knowledge import FeedbackNote, build_prompt
 from floodloop.state import StateSummary
 
@@ -163,6 +163,14 @@ def test_scripted_indexed_by_cycle_not_call_count():
 def test_default_script_valid():
     script = b.default_script(64)
     script[0].distribution.validate()
+
+
+def test_scripted_rejects_an_invalid_distribution_when_built():
+    valid = b.BackendProposal(p.PolicyDistribution.onehot(p.HighLevelAction(p.Verb.NOOP, 0)))
+    vocab = p.action_vocabulary(4)
+    unnormalized = b.BackendProposal(p.PolicyDistribution(vocab[:2], (0.5, 0.6)))
+    with pytest.raises(InvalidDistribution):
+        b.ScriptedBackend([valid, unnormalized])
 
 
 # --- ranking conversion ---------------------------------------------------------------

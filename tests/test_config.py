@@ -27,6 +27,11 @@ from floodloop.world import ScenarioKind, generate_scenario, save_scenario
         ("mobility.spawn_rate", {"mobility": {"spawn_rate": -2}}),
         ("mobility.n_pois", {"mobility": {"n_pois": -1}}),
         ("mobility.wait_probability", {"mobility": {"wait_probability": 1.5}}),
+        ("policy.tau", {"policy": {"tau": 0}}),
+        ("policy.alpha", {"policy": {"alpha": 1.5}}),
+        ("policy.lambda_init", {"policy": {"lambda_init": -1}}),
+        ("feedback.weights", {"feedback": {"weights": [0.5, 0.5, 0.5, 0.5]}}),
+        ("feedback.weights", {"feedback": {"weights": [-0.2, 0.6, 0.3, 0.3]}}),
     ],
 )
 def test_run_rejects_config_naming_the_field(tmp_path, capsys, field, data):

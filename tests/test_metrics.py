@@ -9,12 +9,10 @@ import pytest
 
 from floodloop import metrics as m
 from floodloop import world as w
-from floodloop.errors import (
-    InsufficientRuns,
-    InvalidWeights,
-    MetricSetMismatch,
-    UndefinedRates,
-)
+from floodloop.config import FeedbackConfig
+from floodloop.errors import InsufficientRuns, MetricSetMismatch, UndefinedRates
+
+WEIGHTS = FeedbackConfig().weights
 
 
 def world_with_region_depths(depths):
@@ -96,32 +94,25 @@ def test_trip_rates_undefined():
 # --- objective -------------------------------------------------------------------
 
 def test_objective_perfect_outcome():
-    assert m.objective_j(0, 0, 0, 1) == pytest.approx(0.0)
+    assert m.objective_j(0, 0, 0, 1, WEIGHTS) == pytest.approx(0.0)
 
 
 def test_objective_worst_case_table_weights():
-    assert m.objective_j(1, 1, 1, 0, m.WeightVector(0.3, 0.3, 0.2, 0.2)) == pytest.approx(1.0)
+    assert m.objective_j(1, 1, 1, 0, WEIGHTS) == pytest.approx(1.0)
 
 
 def test_objective_hand_arithmetic():
-    j = m.objective_j(0.5, 0.5, 0.2, 0.8, m.WeightVector(0.3, 0.3, 0.2, 0.2))
+    j = m.objective_j(0.5, 0.5, 0.2, 0.8, WEIGHTS)
     assert j == pytest.approx(0.38, abs=1e-12)
-
-
-def test_objective_invalid_weights():
-    with pytest.raises(InvalidWeights):
-        m.objective_j(0.5, 0.5, 0.5, 0.5, m.WeightVector(0.5, 0.5, 0.5, 0.5))
-    with pytest.raises(InvalidWeights):
-        m.objective_j(0.5, 0.5, 0.5, 0.5, m.WeightVector(-0.2, 0.6, 0.3, 0.3))
 
 
 def test_objective_affine_argmin_invariance():
     rng = np.random.default_rng(3)
     snapshots = [tuple(rng.uniform(0, 1, size=4)) for _ in range(50)]
-    weights = m.WeightVector(0.3, 0.3, 0.2, 0.2)
-    js = [m.objective_j(f, t, c, r, weights) for f, t, c, r in snapshots]
+    js = [m.objective_j(f, t, c, r, WEIGHTS) for f, t, c, r in snapshots]
     # scaling then renormalizing the weight vector leaves the argmin alone
-    scaled = m.WeightVector(0.3, 0.3, 0.2, 0.2)  # renormalized scale is identical
+    doubled = tuple(2 * w for w in WEIGHTS)
+    scaled = tuple(w / sum(doubled) for w in doubled)
     js2 = [m.objective_j(f, t, c, r, scaled) for f, t, c, r in snapshots]
     assert int(np.argmin(js)) == int(np.argmin(js2))
 

@@ -84,30 +84,14 @@ def test_invalid_distributions_rejected():
         dist_over([]).validate()
     with pytest.raises(InvalidDistribution):
         dist_over([-0.1, 1.1]).validate()
+    with pytest.raises(InvalidDistribution):
+        dist_over([float("nan"), 1.0]).validate()
     dup = p.PolicyDistribution(
         support=(p.HighLevelAction(p.Verb.NOOP, 0), p.HighLevelAction(p.Verb.NOOP, 0)),
         probs=(0.5, 0.5),
     )
     with pytest.raises(InvalidDistribution):
         dup.validate()
-    with pytest.raises(InvalidDistribution):
-        dup.reweighted((1.0, 0.0)).validate()
-
-
-def test_reweighted_support_is_checked_for_duplicates_once(monkeypatch):
-    d = dist_over([0.5, 0.5])
-    d.validate()
-    hashed = []
-    monkeypatch.setattr(p.HighLevelAction, "__hash__", lambda a: hashed.append(a) or a.region)
-    d.validate()
-    d.reweighted((0.25, 0.75)).validate()
-    assert hashed == []
-    with pytest.raises(InvalidDistribution):
-        d.reweighted((0.5, 0.6)).validate()
-    with pytest.raises(InvalidDistribution):
-        d.reweighted((float("nan"), 1.0)).validate()
-    dist_over([0.5, 0.5]).validate()  # a new distribution runs the check
-    assert len(hashed) == 2
 
 
 # --- conditional entropy ------------------------------------------------------------
@@ -219,15 +203,6 @@ def test_lambda_dynamics():
         seen.append(lam)
     assert seen[-1] == 0.0
     assert all(b <= a for a, b in zip(seen, seen[1:]))
-
-
-def test_controller_validation():
-    with pytest.raises(ValueError):
-        p.EntropyController(tau=0.0)
-    with pytest.raises(ValueError):
-        p.EntropyController(alpha=1.5)
-    ctl = p.EntropyController()
-    assert (ctl.tau, ctl.lam, ctl.alpha) == (1.2, 1.0, 0.05)
 
 
 # --- global generation ----------------------------------------------------------------------
