@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,6 +97,13 @@ class RunConfig:
         return self.external_endpoint or os.environ.get(ENDPOINT_ENV_VAR)
 
     def validate(self) -> None:
+        # one finiteness rule for every float of every section, tuple entries included
+        for prefix, section in [("", self)] + [(f"{name}.", getattr(self, name)) for name in _SECTION_TYPES]:
+            for f in dataclasses.fields(section):
+                value = getattr(section, f.name)
+                entries = value if isinstance(value, tuple) else (value,)
+                if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
+                    raise ConfigError(prefix + f.name, f"must be finite, got {value!r}")
         if self.scenario not in SCENARIO_KINDS:
             raise ConfigError("scenario", f"must be one of {SCENARIO_KINDS}, got {self.scenario!r}")
         if self.strategy not in STRATEGIES:
