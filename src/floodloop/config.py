@@ -123,15 +123,14 @@ class RunConfig:
             raise ConfigError("world.n_regions", "must be >= 1")
         if self.world.road_spacing < 1:
             raise ConfigError("world.road_spacing", "must be >= 1")
+        if self.world.elevation_smoothing < 0:
+            raise ConfigError("world.elevation_smoothing", "must be >= 0")
         for name in ("inflow_coeff", "drainage_rate", "diffusion_rate"):
             if not 0.0 <= getattr(self.world, name) <= 1.0:
                 raise ConfigError(f"world.{name}", "must be in [0, 1]")
-        if self.mobility.initial_population < 0:
-            raise ConfigError("mobility.initial_population", "must be >= 0")
-        if self.mobility.spawn_rate < 0:
-            raise ConfigError("mobility.spawn_rate", "must be >= 0")
-        if self.mobility.n_pois < 0:
-            raise ConfigError("mobility.n_pois", "must be >= 0")
+        for name in ("initial_population", "initial_stagger", "spawn_rate", "n_pois", "n_buses"):
+            if getattr(self.mobility, name) < 0:
+                raise ConfigError(f"mobility.{name}", "must be >= 0")
         if not 0.0 <= self.mobility.wait_probability <= 1.0:
             raise ConfigError("mobility.wait_probability", "must be in [0, 1]")
         if self.mobility.n_buses > 0 and self.mobility.bus_stops < 2:

@@ -29,6 +29,9 @@ from floodloop.world import ScenarioKind, generate_scenario, save_scenario
         ("mobility.spawn_rate", {"mobility": {"spawn_rate": -2}}),
         ("mobility.n_pois", {"mobility": {"n_pois": -1}}),
         ("mobility.wait_probability", {"mobility": {"wait_probability": 1.5}}),
+        ("mobility.n_buses", {"mobility": {"n_buses": -1}}),
+        ("mobility.initial_stagger", {"mobility": {"initial_stagger": -1}}),
+        ("world.elevation_smoothing", {"world": {"elevation_smoothing": -1}}),
         ("policy.tau", {"policy": {"tau": 0}}),
         ("policy.alpha", {"policy": {"alpha": 1.5}}),
         ("policy.lambda_init", {"policy": {"lambda_init": -1}}),
