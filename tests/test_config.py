@@ -12,6 +12,18 @@ from floodloop.config import RunConfig
 from floodloop.world import ScenarioKind, generate_scenario, save_scenario
 
 
+def rejection(tmp_path, capsys, data) -> str:
+    """The message of the ConfigError a run with `data` fails with, before
+    it writes anything."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"steps": 10, "out_dir": str(tmp_path / "out"), **data}))
+    assert cli.main(["run", "--config", str(path)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert not (tmp_path / "out").exists()
+    return record["message"]
+
+
 @pytest.mark.parametrize(
     "field, data",
     [
@@ -43,45 +55,29 @@ def test_run_rejects_config_naming_the_field(tmp_path, capsys, field, data):
     assert rejection(tmp_path, capsys, data).startswith(f"{field}: ")
 
 
-def rejection(tmp_path, capsys, data) -> str:
-    """The message of the ConfigError a run with `data` fails with, before
-    it writes anything."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"steps": 10, "out_dir": str(tmp_path / "out"), **data}))
-    assert cli.main(["run", "--config", str(path)]) == 2
-    record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "ConfigError"
-    assert not (tmp_path / "out").exists()
-    return record["message"]
-
-
-def float_fields():
-    """(path, section, name, entry) of every float field of `RunConfig` and
-    its sections, and of each entry of `feedback.weights`."""
+def nan_cases():
+    """(field, data) setting one float to NaN, for every float field of
+    `RunConfig` and its sections and for each entry of `feedback.weights`."""
     cfg = RunConfig()
-    sections = [("", None, cfg)] + [
-        (f"{f.name}.", f.name, getattr(cfg, f.name))
-        for f in dataclasses.fields(cfg)
-        if dataclasses.is_dataclass(getattr(cfg, f.name))
-    ]
-    for prefix, section, owner in sections:
+    nan = float("nan")
+    sections = [f.name for f in dataclasses.fields(cfg) if dataclasses.is_dataclass(getattr(cfg, f.name))]
+    owners = [("", cfg)] + [(name, getattr(cfg, name)) for name in sections]
+    for section, owner in owners:
         for f in dataclasses.fields(owner):
-            if f.type == "float":
-                yield pytest.param(section, f.name, None, id=prefix + f.name)
-            elif f.type.startswith("tuple[float"):
-                for entry in range(len(getattr(owner, f.name))):
-                    yield pytest.param(section, f.name, entry, id=f"{prefix}{f.name}[{entry}]")
+            field = f"{section}.{f.name}" if section else f.name
+            values = {field: nan} if f.type == "float" else {}
+            if f.type.startswith("tuple[float"):
+                default = getattr(owner, f.name)
+                values = {
+                    f"{field}[{k}]": [nan if i == k else w for i, w in enumerate(default)] for k in range(len(default))
+                }
+            for case, value in values.items():
+                yield pytest.param(field, {section: {f.name: value}} if section else {f.name: value}, id=case)
 
 
-@pytest.mark.parametrize("section, name, entry", float_fields())
-def test_run_rejects_nan_in_every_float_field(tmp_path, capsys, section, name, entry):
-    value = float("nan")
-    if entry is not None:
-        default = getattr(getattr(RunConfig(), section), name)
-        value = [value if i == entry else w for i, w in enumerate(default)]
-    data = {section: {name: value}} if section else {name: value}
-    path = f"{section}.{name}" if section else name
-    assert rejection(tmp_path, capsys, data).startswith(f"{path}: must be finite, got ")
+@pytest.mark.parametrize("field, data", nan_cases())
+def test_run_rejects_nan_in_every_float_field(tmp_path, capsys, field, data):
+    assert rejection(tmp_path, capsys, data).startswith(f"{field}: must be finite, got ")
 
 
 def test_run_rejects_a_scenario_file_shorter_than_the_run(tmp_path, capsys):
