@@ -231,18 +231,18 @@ class ExternalBackend(StrategyBackend):
                     if p > 0:
                         support.append(action)
                         kept.append(p)
-                total = sum(kept)
-                if total <= 0:
-                    raise ValueError("all probabilities are zero")
+                total = sum(kept)  # entries are checked, but their sum can overflow
+                if not 0 < total < math.inf:
+                    raise ValueError(f"probabilities sum to {total!r}")
                 dist = PolicyDistribution(tuple(support), tuple(p / total for p in kept))
             elif "ranking" in body:
                 dist = ranking_to_distribution([str(k) for k in body["ranking"]])
                 for action in dist.support:
                     if not 0 <= action.region < n_regions:
                         raise ValueError(f"ranked action {action.key()} is outside regions [0, {n_regions})")
+                dist.validate()
             else:
                 raise ValueError("response carries neither probabilities nor ranking")
-            dist.validate()
         except BackendUnavailable:
             raise
         except Exception as exc:

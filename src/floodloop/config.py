@@ -97,10 +97,12 @@ class RunConfig:
         return self.external_endpoint or os.environ.get(ENDPOINT_ENV_VAR)
 
     def validate(self) -> None:
-        # one finiteness rule for every float of every section, tuple entries included
+        # one type rule and one finiteness rule for every setting, tuple entries included
         for prefix, section in [("", self)] + [(f"{name}.", getattr(self, name)) for name in _SECTION_TYPES]:
             for f in dataclasses.fields(section):
                 value = getattr(section, f.name)
+                if not _fits(f.type, value):
+                    raise ConfigError(prefix + f.name, f"must be {f.type}, got {value!r}")
                 entries = value if isinstance(value, tuple) else (value,)
                 if any(isinstance(v, float) and not math.isfinite(v) for v in entries):
                     raise ConfigError(prefix + f.name, f"must be finite, got {value!r}")
@@ -180,32 +182,37 @@ _SECTION_TYPES = {
 
 _TUPLE_FIELDS = {"ablations", "heatmap_steps", "weights"}
 
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str} | {cls.__name__: cls for cls in _SECTION_TYPES.values()}
+
+
+def _fits(annotation: str, value) -> bool:
+    """Whether `value` has the type of a field annotated `annotation`; a
+    float field takes an int, and no field takes a bool."""
+    if annotation.endswith(" | None"):
+        return value is None or _fits(annotation.removesuffix(" | None"), value)
+    if annotation.startswith("tuple["):
+        return isinstance(value, tuple) and all(_fits(annotation[6:-1].split(",")[0], v) for v in value)
+    return not isinstance(value, bool) and isinstance(value, _FIELD_TYPES[annotation])
+
 
 def _build_section(cls, data: dict, path: str):
+    if not isinstance(data, dict):
+        raise ConfigError(path or "config", f"must be a JSON object, got {data!r}")
     known = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
         if key not in known:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
-        if key in _TUPLE_FIELDS and isinstance(value, list):
+        if key in _SECTION_TYPES:
+            value = _build_section(_SECTION_TYPES[key], value, key)
+        elif key in _TUPLE_FIELDS and isinstance(value, list):
             value = tuple(value)
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(path or cls.__name__, str(exc)) from exc
+    return cls(**kwargs)
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    data = dict(data)
-    sections = {}
-    for name, cls in _SECTION_TYPES.items():
-        if name in data:
-            sections[name] = _build_section(cls, data.pop(name), name)
-    cfg = _build_section(RunConfig, data, "")
-    for name, section in sections.items():
-        setattr(cfg, name, section)
-    return cfg
+    return _build_section(RunConfig, data, "")
 
 
 def load_config(path: str | Path) -> RunConfig:

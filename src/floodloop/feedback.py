@@ -47,7 +47,7 @@ from .metrics import (
 )
 from .policy import (
     EntropyController,
-    RegionalPlan,
+    Verb,
     conditional_entropy,
     generate_global,
     generate_regional,
@@ -239,7 +239,10 @@ def _default_segments(engine: SimulationEngine, embedder: HashingEmbedder, seed:
 # --- the loop ---------------------------------------------------------------
 
 class DecisionLoop:
-    """Owns one run: engine, controller, window, knowledge, and backends."""
+    """Owns one run: engine, controller, window, knowledge, and backends.
+
+    The config comes validated: `harness.run` checks it before it builds
+    the backends and this loop."""
 
     def __init__(
         self,
@@ -248,7 +251,6 @@ class DecisionLoop:
         fallback: StrategyBackend,
         scenario: RainfallScenario | None = None,
     ):
-        config.validate()
         self.config = config
         if scenario is None:
             from .world import ScenarioKind
@@ -315,34 +317,28 @@ class DecisionLoop:
             plan.projected, summary.region_flood, summary.region_congestion, summary.region_blocked_roads, cap
         )
         worst = worst_road_cells(eng.world)
-        plans = [
-            generate_regional(
-                action,
-                worst[region],
-                local.probs.get(action, (1.0,)),
-                cfg.seed,
-                cycle,
-                window=(start, end),
-                n_regions=cfg.world.n_regions,
-            )
-            for region, action in sorted(plan.sampled.items())
-        ]
         h_cond = conditional_entropy(local.entropies, plan.projected)
-        self._probe_diversity(plans)
 
+        texts: list[str] = []  # the cycle's diversity set, in region order
         instructions: list[Instruction] = []
         rejections: list[Rejection] = []
-        for rp in plans:
-            for instr in translate(rp):
-                wrapped = wrap_accuracy(
-                    instr, eng.world, cfg.steps, resident_block_depth=cfg.mobility.resident_block_depth
-                )
-                if isinstance(wrapped, Rejection):
-                    rejections.append(wrapped)
-                    self._log_instruction(cycle, wrapped.instruction, "rejected", wrapped.reason)
-                else:
-                    instructions.append(wrapped)
-                    self._log_instruction(cycle, wrapped, "accepted", "")
+        for region, action in sorted(plan.sampled.items()):
+            if action.verb is Verb.NOOP:  # draws nothing and dispatches nothing
+                texts.append(f"noop region={region}")
+                continue
+            directive = generate_regional(
+                action, worst[region], local.probs[action], cfg.seed, cycle, cfg.world.n_regions
+            )
+            texts.append(directive.text())
+            instr = translate(directive, (start, end))
+            wrapped = wrap_accuracy(instr, eng.world, cfg.steps, resident_block_depth=cfg.mobility.resident_block_depth)
+            if isinstance(wrapped, Rejection):
+                rejections.append(wrapped)
+                self._log_instruction(cycle, wrapped.instruction, "rejected", wrapped.reason)
+            else:
+                instructions.append(wrapped)
+                self._log_instruction(cycle, wrapped, "accepted", "")
+        self.diversity_sets.append(tuple(self.knowledge.embedder.embed(t) for t in texts))
         eng.board.dispatch(instructions)
 
         steps_left = min(cfg.feedback.cycle_len, cfg.steps - start)
@@ -448,15 +444,6 @@ class DecisionLoop:
             except BackendUnavailable:
                 proposals.append(first)
         self.consistency_sets.append(tuple(self.knowledge.embedder.embed(_proposal_text(p)) for p in proposals))
-
-    def _probe_diversity(self, plans: list[RegionalPlan]) -> None:
-        texts = []
-        for rp in plans:
-            if rp.directives:
-                texts.append(" ".join(d.text() for d in rp.directives))
-            else:
-                texts.append(f"noop region={rp.region}")
-        self.diversity_sets.append(tuple(self.knowledge.embedder.embed(t) for t in texts))
 
     def _log_instruction(self, cycle: int, instr: Instruction, status: str, reason: str) -> None:
         self.instruction_rows.append(

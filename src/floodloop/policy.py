@@ -2,9 +2,10 @@
 
 A global distribution over (verb, region) actions is projected so its
 Shannon entropy never exceeds the threshold tau, then one action is
-sampled per region and refined into region-local directives whose
-conditional entropy is capped by the global entropy. The penalty
-coefficient lambda tracks how far raw generation sits from tau.
+sampled per region; each that is not NoOp is refined into one local
+directive, drawn from probabilities whose conditional entropy is capped
+by the global entropy. The penalty coefficient lambda tracks how far raw
+generation sits from tau.
 """
 
 from __future__ import annotations
@@ -69,8 +70,8 @@ class PolicyDistribution:
     """Probability vector over a duplicate-free list of actions.
 
     `validate` runs where a distribution enters the program from outside:
-    `ExternalBackend.propose` and `ScriptedBackend`. The package's own
-    backends and `generate_global` build valid ones by construction.
+    in `ScriptedBackend` and on `ExternalBackend`'s ranking path. Every
+    other distribution is valid by construction.
     """
 
     support: tuple[HighLevelAction, ...]
@@ -199,13 +200,6 @@ class Directive:
         return f"{self.kind} region={self.region}{cell}" + (f" {params}" if params else "")
 
 
-@dataclass(frozen=True)
-class RegionalPlan:
-    region: int
-    directives: tuple[Directive, ...]
-    window: tuple[int, int]
-
-
 def _candidate_directives(action: HighLevelAction, cell: tuple[int, int] | None) -> list[Directive]:
     """Refinement table: the candidate directives of each verb, in the
     column order of `_candidate_weights`; NoOp has none. `cell` is the
@@ -305,20 +299,15 @@ def generate_regional(
     probs: Sequence[float],
     seed: int,
     cycle: int,
-    window: tuple[int, int],
     n_regions: int,
-) -> RegionalPlan:
-    """Refine one sampled global action into one local directive, drawn
-    from `probs`, the action's probabilities from `local_distribution_for`.
+) -> Directive:
+    """Draw the one local directive of a sampled global action that is not
+    NoOp from `probs`, its probabilities from `local_distribution_for`.
     `cell` is the region's worst road cell, or None without roads."""
     if not (0 <= action.region < n_regions):
         raise UnknownRegion(f"region {action.region} outside [0, {n_regions})")
-    candidates = _candidate_directives(action, cell)
-    if not candidates:
-        return RegionalPlan(region=action.region, directives=(), window=window)
     rng = pystream(seed, "regional", cycle, action.region)
-    pick = rng.choices(range(len(candidates)), weights=probs, k=1)[0]
-    return RegionalPlan(region=action.region, directives=(candidates[pick],), window=window)
+    return rng.choices(_candidate_directives(action, cell), weights=probs, k=1)[0]
 
 
 # --- global generation ------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Turning regional plans into executable, feasibility-checked instructions.
+"""Turning regional directives into executable, feasibility-checked instructions.
 
-Directives map one-to-one onto typed instructions; an accuracy pass snaps
+Each directive maps onto one typed instruction; an accuracy pass snaps
 cell anchors onto road cells, clips execution windows to the horizon, and
 rejects undeployable commands (the rejection reasons feed the next
 cycle's failure feedback). Dispatched instructions live on a board whose
@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import UnknownDirective
-from .policy import RegionalPlan
+from .policy import Directive
 from .world import WorldState
 
 DEFAULT_RELIEF_MULTIPLIER = 3.0
@@ -62,30 +62,18 @@ _DIRECTIVE_TABLE: dict[str, tuple[Tag, float]] = {
     "hold_buses_brief": (Tag.STOP, 0.5),
     "deploy_pumps": (Tag.RELIEF, 1.0),
     "deploy_pumps_surge": (Tag.RELIEF, 0.5),
-    "noop": (Tag.NOOP, 1.0),
 }
 
-def translate(plan: RegionalPlan) -> list[Instruction]:
-    """Map each directive to exactly one instruction, order preserved."""
-    out = []
-    start, end = plan.window
-    for directive in plan.directives:
-        entry = _DIRECTIVE_TABLE.get(directive.kind)
-        if entry is None:
-            raise UnknownDirective(directive.kind)
-        tag, shrink = entry
-        span = end - start
-        window = (start, start + max(0, int(round(span * shrink))))
-        out.append(
-            Instruction(
-                tag=tag,
-                region=directive.region,
-                cell=directive.cell,
-                params=directive.params,
-                window=window,
-            )
-        )
-    return out
+def translate(directive: Directive, window: tuple[int, int]) -> Instruction:
+    """Map a directive onto its one instruction over the cycle's `window`,
+    which the brief variants shorten."""
+    entry = _DIRECTIVE_TABLE.get(directive.kind)
+    if entry is None:
+        raise UnknownDirective(directive.kind)
+    tag, shrink = entry
+    start, end = window
+    span = max(0, int(round((end - start) * shrink)))
+    return Instruction(tag, directive.region, directive.cell, directive.params, (start, start + span))
 
 
 def snap_to_road(world: WorldState, region: int, cell: tuple[int, int]) -> tuple[int, int] | None:

@@ -276,6 +276,8 @@ def test_external_ranking_response(http_backend):
         (200, {"probabilities": [float("inf")] + [0.0] * 19}, "probability of reroute_region@0 is inf"),
         (200, {"ranking": ["close_road@1", "noop@4"]}, "ranked action noop@4 is outside regions [0, 4)"),
         (200, {"ranking": ["close_road@-1"]}, "ranked action close_road@-1 is outside regions [0, 4)"),
+        # each entry is finite, but their total overflows to inf
+        (200, {"probabilities": [1e308, 1e308] + [0.0] * 18}, "probabilities sum to "),
     ],
 )
 def test_external_failures_raise(http_backend, response):

@@ -8,7 +8,8 @@ import json
 import pytest
 
 from floodloop import cli
-from floodloop.config import RunConfig
+from floodloop.config import RunConfig, config_from_dict
+from floodloop.errors import ConfigError
 from floodloop.world import ScenarioKind, generate_scenario, save_scenario
 
 
@@ -49,10 +50,43 @@ def rejection(tmp_path, capsys, data) -> str:
         ("policy.lambda_init", {"policy": {"lambda_init": -1}}),
         ("feedback.weights", {"feedback": {"weights": [0.5, 0.5, 0.5, 0.5]}}),
         ("feedback.weights", {"feedback": {"weights": [-0.2, 0.6, 0.3, 0.3]}}),
+        # values of the wrong type
+        ("policy.tau", {"policy": {"tau": "1.2"}}),
+        ("steps", {"steps": 10.5}),
+        ("seed", {"seed": True}),
+        ("world.inflow_coeff", {"world": {"inflow_coeff": False}}),
+        ("knowledge.graph_file", {"knowledge": {"graph_file": 3}}),
+        ("heatmap_steps", {"heatmap_steps": [5.0]}),
+        ("workers", {"workers": 2.5}),
+        ("feedback.weights", {"feedback": {"weights": [0.25, 0.25, 0.25, "0.25"]}}),
+        ("world", {"world": 5}),
     ],
 )
 def test_run_rejects_config_naming_the_field(tmp_path, capsys, field, data):
     assert rejection(tmp_path, capsys, data).startswith(f"{field}: ")
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"external_timeout": 0}, "external_timeout: must be > 0 seconds, got 0"),
+        ({"policy": {"tau": 0}}, "policy.tau: must be positive"),
+    ],
+)
+def test_an_int_in_a_float_field_meets_the_range_rule(tmp_path, capsys, data, message):
+    assert rejection(tmp_path, capsys, data) == message
+
+
+@pytest.mark.parametrize("data", [[], 5, "steps"])
+def test_a_config_that_is_not_an_object_is_rejected(data):
+    with pytest.raises(ConfigError, match="^config: must be a JSON object, got "):
+        config_from_dict(data)
+
+
+def test_ints_in_float_fields_and_none_in_optional_fields_are_valid():
+    config_from_dict(
+        {"policy": {"tau": 1}, "feedback": {"weights": [1, 0, 0, 0]}, "knowledge": {"graph_file": None}}
+    ).validate()
 
 
 def nan_cases():

@@ -267,6 +267,35 @@ class ExplodingBackend(StrategyBackend):
         raise BackendUnavailable("synthetic outage")
 
 
+@pytest.mark.parametrize("backend, refines", [(RuledBackend, True), (EmptyBackend, False)])
+def test_only_regions_that_are_not_noop_are_refined_and_translated(monkeypatch, backend, refines):
+    plans, entered = [], []
+    generate_global = fb.generate_global
+
+    def recorded(*args, **kwargs):
+        plans.append(generate_global(*args, **kwargs))
+        entered.append({"generate_regional": 0, "translate": 0})
+        return plans[-1]
+
+    monkeypatch.setattr(fb, "generate_global", recorded)
+    for name in ("generate_regional", "translate"):
+
+        def counted(*args, _name=name, _real=getattr(fb, name), **kwargs):
+            entered[-1][_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(fb, name, counted)
+    cfg = tiny_config(steps=30, scenario="extreme")
+    loop = fb.DecisionLoop(cfg, backend(), EmptyBackend())
+    loop.run()
+    refined = [sum(a.verb is not Verb.NOOP for a in plan.sampled.values()) for plan in plans]
+    assert (sum(refined) > 0) is refines
+    assert sum(refined) < len(plans) * cfg.world.n_regions  # some sampled actions are NoOp
+    assert entered == [{"generate_regional": n, "translate": n} for n in refined]
+    assert len(loop.diversity_sets) == len(plans) == 3
+    assert all(len(vectors) == cfg.world.n_regions for vectors in loop.diversity_sets)
+
+
 def test_backend_failure_falls_back_and_completes():
     cfg = tiny_config(steps=20)
     loop = fb.DecisionLoop(cfg, ExplodingBackend(), EmptyBackend())

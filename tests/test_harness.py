@@ -30,3 +30,16 @@ def test_matrix_summaries_do_not_depend_on_workers(tmp_path):
     rows, cells = results[1]
     assert len(cells) == 4
     assert results[2] == (rows, cells)
+
+
+def test_run_validates_its_config_once(tmp_path, monkeypatch):
+    calls = []
+    validate = RunConfig.validate
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(RunConfig, "validate", counted)
+    harness.run(tiny_matrix_config(str(tmp_path), workers=1))
+    assert len(calls) == 1

@@ -9,11 +9,7 @@ import pytest
 from floodloop import translate as tr
 from floodloop import world as w
 from floodloop.errors import UnknownDirective
-from floodloop.policy import Directive, RegionalPlan
-
-
-def plan_with(directives, region=0, window=(0, 9)):
-    return RegionalPlan(region=region, directives=tuple(directives), window=window)
+from floodloop.policy import Directive
 
 
 def small_world(**kw):
@@ -22,47 +18,48 @@ def small_world(**kw):
 
 # --- translate ------------------------------------------------------------------
 
-def test_translate_empty_plan():
-    assert tr.translate(plan_with([])) == []
-
-
 def test_translate_close_cell():
     d = Directive("close_cell", 1, cell=(12, 7))
-    out = tr.translate(plan_with([d], region=1, window=(5, 14)))
-    assert len(out) == 1
-    instr = out[0]
+    instr = tr.translate(d, (5, 14))
     assert instr.tag is tr.Tag.OBSTACLE
+    assert instr.region == 1
     assert instr.cell == (12, 7)
     assert instr.window == (5, 14)
 
 
-def test_translate_bijection_and_order():
-    directives = [
-        Directive("avoid_region", 0, params=(("penalty", 4.0),)),
-        Directive("deploy_pumps", 0, params=(("multiplier", 1.5),)),
-        Directive("hold_buses", 0),
-    ]
-    out = tr.translate(plan_with(directives))
-    assert [i.tag for i in out] == [tr.Tag.ROUTING, tr.Tag.RELIEF, tr.Tag.STOP]
-    assert len(out) == len(directives)
+@pytest.mark.parametrize(
+    "directive, tag",
+    [
+        (Directive("avoid_region", 0, params=(("penalty", 4.0),)), tr.Tag.ROUTING),
+        (Directive("avoid_region_strong", 0, params=(("penalty", 8.0),)), tr.Tag.ROUTING),
+        (Directive("close_cell", 0, cell=(1, 2)), tr.Tag.OBSTACLE),
+        (Directive("close_cell_brief", 0, cell=(1, 2)), tr.Tag.OBSTACLE),
+        (Directive("hold_buses", 0), tr.Tag.STOP),
+        (Directive("hold_buses_brief", 0), tr.Tag.STOP),
+        (Directive("deploy_pumps", 0, params=(("multiplier", 1.5),)), tr.Tag.RELIEF),
+        (Directive("deploy_pumps_surge", 0, params=(("multiplier", 5.0),)), tr.Tag.RELIEF),
+    ],
+    ids=lambda v: v.kind if isinstance(v, Directive) else v.value,
+)
+def test_translate_bijection(directive, tag):
+    instr = tr.translate(directive, (0, 9))
+    assert instr.tag is tag
+    assert (instr.region, instr.cell, instr.params) == (directive.region, directive.cell, directive.params)
 
 
 def test_translate_deterministic():
-    directives = [Directive("close_cell", 2, cell=(8, 8)), Directive("deploy_pumps", 2)]
-    a = tr.translate(plan_with(directives, region=2))
-    b = tr.translate(plan_with(directives, region=2))
-    assert a == b
+    d = Directive("deploy_pumps", 2, cell=(8, 8))
+    assert tr.translate(d, (0, 9)) == tr.translate(d, (0, 9))
 
 
 def test_translate_unknown_directive():
     with pytest.raises(UnknownDirective):
-        tr.translate(plan_with([Directive("summon_ark", 0)]))
+        tr.translate(Directive("summon_ark", 0), (0, 9))
 
 
 def test_translate_brief_variant_shortens_window():
     d = Directive("close_cell_brief", 0, cell=(0, 0))
-    out = tr.translate(plan_with([d], window=(10, 19)))
-    assert out[0].window == (10, 14)  # half of the 9-step span, rounded
+    assert tr.translate(d, (10, 19)).window == (10, 14)  # half of the 9-step span, rounded
 
 
 # --- accuracy wrapper ------------------------------------------------------------------
