@@ -35,6 +35,11 @@ RUNS = {
     "ruled-no-entropy-control": ("ruled", ("entropy_control",)),
     "ruled-no-feedback-loop": ("ruled", ("feedback_loop",)),
 }
+# the same, on the config in `wet_config`
+WET_RUNS = {
+    "wet": ("ruled", ()),
+    "wet-no-feedback-loop": ("ruled", ("feedback_loop",)),
+}
 
 
 def golden_config(strategy: str, ablations: tuple[str, ...], out_dir: str) -> RunConfig:
@@ -53,13 +58,32 @@ def golden_config(strategy: str, ablations: tuple[str, ...], out_dir: str) -> Ru
     return cfg
 
 
+def wet_config(strategy: str, ablations: tuple[str, ...], out_dir: str) -> RunConfig:
+    """`golden_config` on seed 2 with 64 regions, heavier inflow, a low
+    trigger floor and 5-step cycles: the ruled run triggers replanning, so
+    prompts carry failure feedback and flood-spot nodes, and routing into
+    fully flooded regions is rejected."""
+    cfg = golden_config(strategy, ablations, out_dir)
+    cfg.seed = 2
+    cfg.world.n_regions = 64
+    cfg.world.inflow_coeff = 0.08
+    cfg.feedback.trigger_floor = 0.002
+    cfg.feedback.cycle_len = 5
+    return cfg
+
+
+def run_config(name: str, out_dir: str) -> RunConfig:
+    if name in WET_RUNS:
+        return wet_config(*WET_RUNS[name], out_dir)
+    return golden_config(*RUNS[name], out_dir)
+
+
 def run_digests(name: str, out_dir: Path) -> dict[str, str]:
-    strategy, ablations = RUNS[name]
-    harness.run(golden_config(strategy, ablations, str(out_dir)))
+    harness.run(run_config(name, str(out_dir)))
     return {a: hashlib.sha256((out_dir / a).read_bytes()).hexdigest() for a in ARTIFACTS}
 
 
-@pytest.mark.parametrize("name", sorted(RUNS))
+@pytest.mark.parametrize("name", sorted(RUNS | WET_RUNS))
 def test_golden_digests(name, tmp_path):
     expected = json.loads(GOLDEN.read_text())[name]
     assert run_digests(name, tmp_path) == expected
@@ -71,6 +95,16 @@ def test_ruled_golden_run_exercises_closures_and_penalties(tmp_path):
     with open(tmp_path / "instructions.csv", newline="") as fh:
         accepted = {row["tag"] for row in csv.DictReader(fh) if row["status"] == "accepted"}
     assert {"obstacle", "routing", "stop"} <= accepted
+
+
+def test_wet_golden_run_triggers_and_rejects(tmp_path):
+    harness.run(run_config("wet", str(tmp_path)))
+    with open(tmp_path / "cycles.csv", newline="") as fh:
+        assert any(row["triggered"] == "1" for row in csv.DictReader(fh))
+    with open(tmp_path / "instructions.csv", newline="") as fh:
+        assert any(row["status"] == "rejected" for row in csv.DictReader(fh))
+    prompts = (tmp_path / "prompts.jsonl").read_text()
+    assert "deviation_rms" in prompts and "floodspot:" in prompts
 
 
 def test_ruled_golden_csv_floats_parse(tmp_path):
@@ -89,7 +123,7 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: run_digests(name, Path(tmp) / name) for name in sorted(RUNS)}
+        digests = {name: run_digests(name, Path(tmp) / name) for name in sorted(RUNS | WET_RUNS)}
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)
