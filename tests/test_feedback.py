@@ -13,6 +13,8 @@ from floodloop.config import RunConfig
 from floodloop.errors import BackendUnavailable, NotTriggered
 from floodloop.knowledge import KnowledgeGraph, Node, NodeType
 from floodloop.policy import HighLevelAction, PolicyDistribution, Verb
+from floodloop.translate import Tag
+from test_golden import RUNS, WET_RUNS, run_config
 
 
 def tiny_config(**kw):
@@ -294,6 +296,31 @@ def test_only_regions_that_are_not_noop_are_refined_and_translated(monkeypatch, 
     assert entered == [{"generate_regional": n, "translate": n} for n in refined]
     assert len(loop.diversity_sets) == len(plans) == 3
     assert all(len(vectors) == cfg.world.n_regions for vectors in loop.diversity_sets)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS | WET_RUNS))
+def test_accuracy_pass_receives_windows_in_the_run_and_anchored_closures(monkeypatch, tmp_path, name):
+    """Every instruction `wrap_accuracy` receives has its window inside the
+    run, and a closure anchors on a road cell of its own region, or has no
+    cell exactly when that region has no roads; so nothing is left to clip
+    or snap."""
+    received = []
+    wrap_accuracy = fb.wrap_accuracy
+
+    def spy(instr, world, *args, **kwargs):
+        received.append((instr, world))
+        return wrap_accuracy(instr, world, *args, **kwargs)
+
+    monkeypatch.setattr(fb, "wrap_accuracy", spy)
+    cfg = run_config(name, str(tmp_path))
+    harness.run(cfg)
+    assert received or cfg.strategy == "empty"
+    for instr, world in received:
+        assert 0 <= instr.window[0] <= instr.window[1] <= cfg.steps - 1
+        if instr.tag is Tag.OBSTACLE:
+            rows, cols = np.nonzero((world.region_id == instr.region) & world.is_road)
+            roads = set(zip(rows.tolist(), cols.tolist()))
+            assert instr.cell in roads if instr.cell is not None else not roads
 
 
 def test_backend_failure_falls_back_and_completes():
