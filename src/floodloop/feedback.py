@@ -331,7 +331,7 @@ class DecisionLoop:
             )
             texts.append(directive.text())
             instr = translate(directive, (start, end))
-            wrapped = wrap_accuracy(instr, eng.world, cfg.steps, resident_block_depth=cfg.mobility.resident_block_depth)
+            wrapped = wrap_accuracy(instr, eng.world, cfg.mobility.resident_block_depth)
             if isinstance(wrapped, Rejection):
                 rejections.append(wrapped)
                 self._log_instruction(cycle, wrapped.instruction, "rejected", wrapped.reason)

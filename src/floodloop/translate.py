@@ -1,16 +1,19 @@
 """Turning regional directives into executable, feasibility-checked instructions.
 
-Each directive maps onto one typed instruction; an accuracy pass snaps
-cell anchors onto road cells, clips execution windows to the horizon, and
-rejects undeployable commands (the rejection reasons feed the next
-cycle's failure feedback). Dispatched instructions live on a board whose
-effects are queried per step, so everything reverts automatically when a
-window closes.
+Each directive maps onto one typed instruction over the cycle's window.
+The loop supplies every anchor, window and parameter: a closure's cell is
+its region's worst road cell, or None when the region has no roads, and
+the window lies inside the run. So the accuracy pass only rejects what
+cannot be deployed, a closure with no cell and a detour around a region
+without passable roads (the rejection reasons feed the next cycle's
+failure feedback). Dispatched instructions live on a board whose effects
+are queried per step, so everything reverts automatically when a window
+closes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -18,10 +21,6 @@ import numpy as np
 from .errors import UnknownDirective
 from .policy import Directive
 from .world import WorldState
-
-DEFAULT_RELIEF_MULTIPLIER = 3.0
-DEFAULT_ROUTING_PENALTY = 4.0
-
 
 class Tag(str, Enum):
     ROUTING = "routing"
@@ -39,11 +38,8 @@ class Instruction:
     params: tuple[tuple[str, float], ...]
     window: tuple[int, int]
 
-    def param(self, key: str, default: float) -> float:
-        for k, v in self.params:
-            if k == key:
-                return v
-        return default
+    def param(self, key: str) -> float:
+        return dict(self.params)[key]
 
 
 @dataclass(frozen=True)
@@ -76,53 +72,19 @@ def translate(directive: Directive, window: tuple[int, int]) -> Instruction:
     return Instruction(tag, directive.region, directive.cell, directive.params, (start, start + span))
 
 
-def snap_to_road(world: WorldState, region: int, cell: tuple[int, int]) -> tuple[int, int] | None:
-    """Nearest road cell within the region by Manhattan distance; ties
-    resolve in row-major scan order."""
-    road_cells = world.region_roads[region][1]
-    if not road_cells:
-        return None
-    # min keeps the first of equal distances, and the cells are row-major
-    return min(road_cells, key=lambda rc: abs(rc[0] - cell[0]) + abs(rc[1] - cell[1]))
-
-
-def wrap_accuracy(
-    instr: Instruction,
-    world: WorldState,
-    horizon: int,
-    resident_block_depth: float = 0.3,
-) -> Instruction | Rejection:
-    """Feasibility pass: snap anchors, clip windows, reject undeployables."""
-    start, end = instr.window
-    start = max(0, min(start, horizon - 1))
-    end = max(start, min(end, horizon - 1))
-    out = replace(instr, window=(start, end))
-
-    if instr.tag in (Tag.OBSTACLE,) or (instr.cell is not None and instr.tag is not Tag.NOOP):
-        anchor = instr.cell
-        if anchor is None or not world.in_bounds(anchor):
-            anchor = _region_centroid(world, instr.region)
-        if not world.is_road[anchor] or world.region_of(anchor) != instr.region:
-            snapped = snap_to_road(world, instr.region, anchor)
-            if snapped is None:
-                return Rejection(out, f"no road cell in region {instr.region} to anchor {instr.tag.value}")
-            anchor = snapped
-        out = replace(out, cell=anchor)
-
+def wrap_accuracy(instr: Instruction, world: WorldState, resident_block_depth: float) -> Instruction | Rejection:
+    """Feasibility pass: reject a closure without a road cell to anchor on
+    and a detour around a region whose roads are missing or all flooded;
+    any other instruction passes unchanged."""
+    if instr.tag is Tag.OBSTACLE and instr.cell is None:
+        return Rejection(instr, f"no road cell in region {instr.region} to anchor obstacle")
     if instr.tag is Tag.ROUTING:
         flat = world.region_roads[instr.region][0]
         if not len(flat):
-            return Rejection(out, f"routing infeasible: region {instr.region} has no road cells")
+            return Rejection(instr, f"routing infeasible: region {instr.region} has no road cells")
         if np.all(world.water_depth.take(flat) >= resident_block_depth):
-            return Rejection(out, f"routing infeasible: region {instr.region} fully flooded")
-    return out
-
-
-def _region_centroid(world: WorldState, region: int) -> tuple[int, int]:
-    rows, cols = np.nonzero(world.region_id == region)
-    if len(rows) == 0:
-        return (0, 0)
-    return (int(round(float(rows.mean()))), int(round(float(cols.mean()))))
+            return Rejection(instr, f"routing infeasible: region {instr.region} fully flooded")
+    return instr
 
 
 class InstructionBoard:
@@ -174,7 +136,7 @@ class InstructionBoard:
         out: dict[int, float] = {}
         for i in self.routings:
             if self._active(i, step):
-                penalty = i.param("penalty", DEFAULT_ROUTING_PENALTY)
+                penalty = i.param("penalty")
                 out[i.region] = max(out.get(i.region, 0.0), penalty)
         return out
 
@@ -187,7 +149,7 @@ class InstructionBoard:
         mult = np.ones(self.n_regions)
         for i in self.reliefs:
             if self._active(i, step):
-                mult[i.region] = max(mult[i.region], i.param("multiplier", DEFAULT_RELIEF_MULTIPLIER))
+                mult[i.region] = max(mult[i.region], i.param("multiplier"))
         return mult
 
     def active_regions(self, step: int) -> tuple[int, ...]:

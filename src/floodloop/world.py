@@ -224,10 +224,6 @@ class WorldState:
     def region_of(self, cell: tuple[int, int]) -> int:
         return int(self.region_id[cell])
 
-    def in_bounds(self, cell: tuple[int, int]) -> bool:
-        r, c = cell
-        return 0 <= r < self.height and 0 <= c < self.width
-
 
 def _downhill_structure(elevation: np.ndarray):
     masks = []

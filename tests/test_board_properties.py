@@ -18,13 +18,19 @@ from floodloop.world import ScenarioKind, generate_scenario
 
 N_REGIONS = 4
 STEPS = 30
+# the parameter each tag's directives carry
+PARAMS = {tr.Tag.ROUTING: (("penalty", 8.0),), tr.Tag.RELIEF: (("multiplier", 2.0),)}
+
+
+def instruction(tag, region, cell, start, length):
+    return tr.Instruction(tag, region, cell, PARAMS.get(tag, ()), (start, start + length))
+
 
 instructions = st.builds(
-    lambda tag, region, cell, params, start, length: tr.Instruction(tag, region, cell, params, (start, start + length)),
+    instruction,
     st.sampled_from(list(tr.Tag)),
     st.integers(0, N_REGIONS - 1),
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
-    st.sampled_from([(), (("penalty", 8.0),), (("multiplier", 2.0),)]),
     st.integers(0, STEPS),
     st.integers(0, 12),
 )
@@ -61,11 +67,10 @@ def test_prune_keeps_current_and_future_windows():
 ENGINE_SIDE = 16
 
 engine_instructions = st.builds(
-    lambda tag, region, cell, params, start, length: tr.Instruction(tag, region, cell, params, (start, start + length)),
+    instruction,
     st.sampled_from(list(tr.Tag)),
     st.integers(0, N_REGIONS - 1),
     st.tuples(st.integers(0, ENGINE_SIDE - 1), st.integers(0, ENGINE_SIDE - 1)),
-    st.sampled_from([(), (("penalty", 8.0),), (("multiplier", 2.0),)]),
     st.integers(0, 10),
     st.integers(0, 6),
 )

@@ -67,7 +67,7 @@ def test_region_road_index_equals_per_region_scan(world):
     index = region_road_index(world.is_road, world.region_id, world.n_regions)
     assert len(index) == world.n_regions
     for region, (flat, cells) in enumerate(index):
-        # the scan `wrap_accuracy` and `snap_to_road` ran per instruction
+        # the per-region scan `worst_road_cells` and `wrap_accuracy` ran before the index
         rows, cols = np.nonzero((world.region_id == region) & world.is_road)
         assert cells == tuple(zip(rows.tolist(), cols.tolist()))
         assert flat.tolist() == (rows * world.width + cols).tolist()

@@ -69,53 +69,21 @@ def test_wrap_road_anchor_unchanged():
     road_cell = ws.road_cells()[0]
     region = ws.region_of(road_cell)
     instr = tr.Instruction(tr.Tag.OBSTACLE, region, road_cell, (), (0, 9))
-    out = tr.wrap_accuracy(instr, ws, horizon=100)
-    assert isinstance(out, tr.Instruction)
-    assert out.cell == road_cell
+    assert tr.wrap_accuracy(instr, ws, 0.3) is instr
 
 
-def test_wrap_snaps_to_nearest_road_manhattan():
-    ws = small_world()
-    # pick a non-road cell and verify minimal Manhattan snap inside the region
-    rows, cols = np.nonzero(~ws.is_road)
-    cell = (int(rows[0]), int(cols[0]))
-    region = ws.region_of(cell)
-    instr = tr.Instruction(tr.Tag.OBSTACLE, region, cell, (), (0, 9))
-    out = tr.wrap_accuracy(instr, ws, horizon=100)
-    assert isinstance(out, tr.Instruction)
-    assert ws.is_road[out.cell]
-    assert ws.region_of(out.cell) == region
-    best = min(
-        abs(r - cell[0]) + abs(c - cell[1])
-        for r, c in zip(*np.nonzero((ws.region_id == region) & ws.is_road))
-    )
-    assert abs(out.cell[0] - cell[0]) + abs(out.cell[1] - cell[1]) == best
-
-
-def test_wrap_clips_window_to_horizon():
-    ws = small_world()
-    instr = tr.Instruction(tr.Tag.RELIEF, 0, None, (("multiplier", 2.0),), (95, 140))
-    out = tr.wrap_accuracy(instr, ws, horizon=100)
-    assert out.window == (95, 99)
+def test_wrap_rejects_obstacle_without_cell():
+    instr = tr.Instruction(tr.Tag.OBSTACLE, 2, None, (), (0, 9))
+    out = tr.wrap_accuracy(instr, small_world(), 0.3)
+    assert out == tr.Rejection(instr, "no road cell in region 2 to anchor obstacle")
 
 
 def test_wrap_rejects_routing_into_fully_flooded_region():
     ws = small_world()
     ws.water_depth[ws.region_id == 1] = 1.0
     instr = tr.Instruction(tr.Tag.ROUTING, 1, None, (("penalty", 4.0),), (0, 9))
-    out = tr.wrap_accuracy(instr, ws, horizon=100)
-    assert isinstance(out, tr.Rejection)
-    assert "fully flooded" in out.reason
-
-
-def test_wrap_never_references_outside_grid():
-    ws = small_world()
-    instr = tr.Instruction(tr.Tag.OBSTACLE, 2, (999, 999), (), (0, 9))
-    out = tr.wrap_accuracy(instr, ws, horizon=50)
-    assert isinstance(out, tr.Instruction)
-    assert ws.in_bounds(out.cell)
-    assert ws.region_of(out.cell) == 2
-    assert 0 <= out.window[0] <= out.window[1] < 50
+    out = tr.wrap_accuracy(instr, ws, 0.3)
+    assert out == tr.Rejection(instr, "routing infeasible: region 1 fully flooded")
 
 
 # --- dispatch board -----------------------------------------------------------------------
@@ -156,14 +124,14 @@ def test_board_stop_and_routing_queries():
         [
             tr.Instruction(tr.Tag.STOP, 3, None, (), (0, 4)),
             tr.Instruction(tr.Tag.ROUTING, 5, None, (("penalty", 8.0),), (0, 4)),
-            tr.Instruction(tr.Tag.ROUTING, 5, None, (), (0, 4)),
-            tr.Instruction(tr.Tag.ROUTING, 6, None, (), (0, 4)),
+            tr.Instruction(tr.Tag.ROUTING, 5, None, (("penalty", 4.0),), (0, 4)),
+            tr.Instruction(tr.Tag.ROUTING, 6, None, (("penalty", 4.0),), (0, 4)),
         ]
     )
     assert board.bus_held(2) == {3}
     assert board.bus_held(6) == set()
-    # strongest active penalty wins; a param-less instruction takes the default
-    assert board.region_penalties(2) == {5: 8.0, 6: tr.DEFAULT_ROUTING_PENALTY}
+    # strongest active penalty wins
+    assert board.region_penalties(2) == {5: 8.0, 6: 4.0}
     assert board.active_regions(2) == (3, 5, 6)
     assert board.active_regions(9) == ()
 
