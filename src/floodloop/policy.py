@@ -246,7 +246,8 @@ def _candidate_weights(
 @dataclass(frozen=True)
 class LocalPolicies:
     """The capped local directive probabilities of each positive-mass
-    action of one global distribution, and their entropies."""
+    action of one global distribution that is not NoOp, and the entropies
+    of all of them (0.0 for a NoOp, which has no directives)."""
 
     probs: dict[HighLevelAction, tuple[float, ...]]
     entropies: dict[HighLevelAction, float]
@@ -266,11 +267,12 @@ def local_distribution_for(
     decision loop passes cap = min(global entropy, tau), so uncertainty
     never grows while descending the hierarchy and a deterministic parent
     forces a deterministic child; `math.inf` leaves the weights uncapped.
-    A NoOp has no candidate directives and gets the point mass (1.0,).
+    A NoOp has no candidate directives, so it gets no probabilities and
+    entropy 0.0.
     Only rows whose entropy exceeds `cap` go through `project_entropy`.
     """
     actions = [a for a, p in zip(dist.support, dist.probs) if p > 0]
-    probs = dict.fromkeys(actions, (1.0,))
+    probs: dict[HighLevelAction, tuple[float, ...]] = {}
     entropies = dict.fromkeys(actions, 0.0)
     refined = [a for a in actions if a.verb is not Verb.NOOP]
     if refined:

@@ -34,14 +34,17 @@ def obs(flood=0.5, congestion=0.5, blocked=0, cell=(0, 0)):
     return Observation(flood_score=flood, congestion_score=congestion, blocked_roads=blocked, worst_road_cell=cell)
 
 
-def local_for(action, observation, cap, n_regions=4):
+def local_policies_for(action, observation, cap, n_regions=4):
     """`local_distribution_for` of a point mass on `action`, whose region sees `observation`."""
     flood, congestion, blocked = [0.0] * n_regions, [0.0] * n_regions, [0] * n_regions
     flood[action.region] = observation.flood_score
     congestion[action.region] = observation.congestion_score
     blocked[action.region] = observation.blocked_roads
-    local = p.local_distribution_for(p.PolicyDistribution.onehot(action), flood, congestion, blocked, cap)
-    return local.probs[action]
+    return p.local_distribution_for(p.PolicyDistribution.onehot(action), flood, congestion, blocked, cap)
+
+
+def local_for(action, observation, cap, n_regions=4):
+    return local_policies_for(action, observation, cap, n_regions).probs[action]
 
 
 def entropies(locals_map):
@@ -249,7 +252,10 @@ def regional(action, observation, cap, seed=1, n_regions=4):
 
 
 def test_regional_noop_empty_directives():
-    assert local_for(p.HighLevelAction(p.Verb.NOOP, 2), obs(), 1.2) == (1.0,)
+    noop = p.HighLevelAction(p.Verb.NOOP, 2)
+    local = local_policies_for(noop, obs(), 1.2)
+    assert local.probs == {}
+    assert local.entropies == {noop: 0.0}
 
 
 def test_regional_deterministic_parent_forces_deterministic_local():
@@ -412,14 +418,18 @@ def test_single_cap_matches_both_former_copies_bit_for_bit(observation, verb, re
     action = p.HighLevelAction(verb, region)
     ctl = p.EntropyController(tau=TAU)
     control = not math.isinf(cap)
-    probs = local_for(action, observation, min(cap, TAU), N_REGIONS)
+    local = local_policies_for(action, observation, min(cap, TAU), N_REGIONS)
     before = _before_local_distribution_for(action, observation, ctl, cap, entropy_control=control)
-    assert _bits(probs) == _bits(before)
     before_drawn = _before_generate_regional(action, observation, ctl, seed, cycle, cap, N_REGIONS, control)
     if verb is p.Verb.NOOP:
-        # the decision loop skips a NoOp region: the former code drew nothing for it either
+        # the decision loop skips a NoOp region: the former code drew nothing
+        # for it either, and its point mass (1.0,) had entropy 0
         assert before_drawn is None
+        assert action not in local.probs
+        assert local.entropies[action] == p.entropy_of(before) == 0.0
     else:
+        probs = local.probs[action]
+        assert _bits(probs) == _bits(before)
         assert p.generate_regional(action, observation.worst_road_cell, probs, seed, cycle, N_REGIONS) == before_drawn
 
 
@@ -446,8 +456,10 @@ def test_local_entropy_within_global_and_tau(global_probs, observation, verb):
         n_regions=len(global_probs),
     )
     cap = min(plan.h_projected, TAU)
-    local = local_for(p.HighLevelAction(verb, 0), observation, cap)
-    assert p.entropy_of(local) <= min(plan.h_projected, TAU)
+    action = p.HighLevelAction(verb, 0)
+    local = local_policies_for(action, observation, cap)
+    h = local.entropies[action] if verb is p.Verb.NOOP else p.entropy_of(local.probs[action])
+    assert h <= min(plan.h_projected, TAU)
 
 
 
@@ -541,7 +553,8 @@ def test_batched_locals_and_conditional_entropy_equal_per_action_code_bit_for_bi
         for a, prob in zip(dist.support, dist.probs)
         if prob > 0
     }
-    assert {a: _bits(v) for a, v in local.probs.items()} == {a: _bits(v) for a, v in before.items()}
+    refined = {a: v for a, v in before.items() if a.verb is not p.Verb.NOOP}
+    assert {a: _bits(v) for a, v in local.probs.items()} == {a: _bits(v) for a, v in refined.items()}
     h_cond = p.conditional_entropy(local.entropies, dist)
     assert h_cond.hex() == _per_action_conditional_entropy(before, dist).hex()
 
