@@ -228,8 +228,6 @@ def _normalized(vec: np.ndarray) -> np.ndarray:
 
 def extract_subgraph(graph: KnowledgeGraph, seed_ids: Sequence[str], hops: int) -> KnowledgeGraph:
     """Induced subgraph on every node within `hops` of the seed set."""
-    if hops < 0:
-        raise ValueError(f"hops must be >= 0, got {hops}")
     seeds = [s for s in seed_ids if s in graph.nodes]
     if not seeds:
         raise EmptySeed("no seed nodes present in the graph")
@@ -280,8 +278,6 @@ class SegmentStore:
 
 def retrieve_topk(query: np.ndarray, store: SegmentStore, k: int) -> list[tuple[Segment, float]]:
     """Segments ranked by descending cosine similarity, ties by ascending id."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     q = _normalized(np.asarray(query, dtype=np.float64))
     scored = [(seg, float(np.dot(q, unit))) for seg, unit in zip(store.segments, store._units)]
     scored.sort(key=lambda pair: (-pair[1], pair[0].id))

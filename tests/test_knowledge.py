@@ -185,11 +185,6 @@ def test_ranking_insertion_order_invariant():
     assert [s.id for s, _ in k.retrieve_topk(query, a, 5)] == [s.id for s, _ in k.retrieve_topk(query, b, 5)]
 
 
-def test_bad_k():
-    with pytest.raises(ValueError):
-        k.retrieve_topk(np.ones(8), k.SegmentStore(), 0)
-
-
 # --- prompts ---------------------------------------------------------------------------
 
 def test_prompt_empty_channels_have_markers():
