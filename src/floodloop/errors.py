@@ -9,10 +9,6 @@ class InvalidHorizon(FloodloopError):
     """Scenario horizon too short to carry a meaningful intensity curve."""
 
 
-class InvalidPartition(FloodloopError):
-    """Region count is not a usable square tiling of the grid."""
-
-
 class NoDemandSource(FloodloopError):
     """Demand sampling requested with an empty POI set."""
 

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidHorizon, InvalidPartition
+from .errors import InvalidHorizon
 from .rng import substream
 
 NOISE_AMPLITUDE = 0.05
@@ -127,16 +127,13 @@ class HydrologyParams:
 
 
 def partition_regions(width: int, height: int, n_regions: int) -> np.ndarray:
-    """Tile the grid into a sqrt(n) x sqrt(n) checkerboard of region ids.
+    """Tile the grid into a sqrt(n) x sqrt(n) checkerboard of region ids;
+    `n_regions` is a positive perfect square (`RunConfig.validate`).
 
     The last row/column of tiles absorbs the remainder when the grid does
     not divide evenly.
     """
-    if n_regions < 1:
-        raise InvalidPartition(f"need at least one region, got {n_regions}")
     side = math.isqrt(n_regions)
-    if side * side != n_regions:
-        raise InvalidPartition(f"{n_regions} is not a perfect square")
     tile_h = math.ceil(height / side)
     tile_w = math.ceil(width / side)
     rows = np.minimum(np.arange(height) // tile_h, side - 1)

@@ -60,6 +60,9 @@ def rejection(tmp_path, capsys, data) -> str:
         ("workers", {"workers": 2.5}),
         ("feedback.weights", {"feedback": {"weights": [0.25, 0.25, 0.25, "0.25"]}}),
         ("world", {"world": 5}),
+        # regions tile the grid as a square
+        ("world.n_regions", {"world": {"n_regions": 10}}),
+        ("world.n_regions", {"world": {"n_regions": 0}}),
     ],
 )
 def test_run_rejects_config_naming_the_field(tmp_path, capsys, field, data):

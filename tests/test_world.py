@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from floodloop import world as w
-from floodloop.errors import InvalidHorizon, InvalidPartition
+from floodloop.errors import InvalidHorizon
 
 
 def find_peaks(curve, height):
@@ -299,13 +299,6 @@ def test_partition_total_and_remainder():
     regions = w.partition_regions(10, 10, 9)  # tiles of ceil(10/3)=4, last row/col absorb
     assert regions.shape == (10, 10)
     assert set(np.unique(regions)) == set(range(9))
-
-
-def test_partition_errors():
-    with pytest.raises(InvalidPartition):
-        w.partition_regions(8, 8, 0)
-    with pytest.raises(InvalidPartition):
-        w.partition_regions(8, 8, 12)
 
 
 # --- depth stats over region means ---------------------------------------------
