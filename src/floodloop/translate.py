@@ -22,6 +22,7 @@ from .errors import UnknownDirective
 from .policy import Directive
 from .world import WorldState
 
+
 class Tag(str, Enum):
     ROUTING = "routing"
     OBSTACLE = "obstacle"
