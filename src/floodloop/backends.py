@@ -268,15 +268,11 @@ def make_backend(
     n_regions: int = 64,
     score_threshold: float = 0.7,
 ) -> StrategyBackend:
-    strategy = strategy.lower()
+    """The backend of a strategy name that `RunConfig.validate` accepted."""
     if strategy == "empty":
         return EmptyBackend()
     if strategy == "ruled":
         return RuledBackend(score_threshold=score_threshold)
     if strategy == "scripted":
         return ScriptedBackend(script or default_script(n_regions))
-    if strategy == "external":
-        if not endpoint:
-            raise ValueError("external strategy requires an endpoint")
-        return ExternalBackend(endpoint, timeout)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return ExternalBackend(endpoint, timeout)

@@ -21,7 +21,7 @@ import numpy as np
 from .backends import BackendProposal, StrategyBackend
 from .config import RunConfig
 from .engine import SimulationEngine
-from .errors import BackendUnavailable, ConfigError, EmptySeed, NotTriggered
+from .errors import BackendUnavailable, ConfigError, EmptySeed
 from .knowledge import (
     Edge,
     EdgeType,
@@ -118,9 +118,8 @@ class CycleReport:
 
 def trigger_replanning(report: CycleReport, graph: KnowledgeGraph) -> tuple[FeedbackNote, KnowledgeGraph]:
     """Build the failure feedback for the next prompt and persist flood
-    spots for badly flooded regions into the graph (idempotent)."""
-    if not report.triggered:
-        raise NotTriggered(f"cycle {report.cycle} did not cross its threshold")
+    spots for badly flooded regions into the graph (idempotent); called
+    only for a triggered cycle."""
     deltas = []
     degraded = []
     for name in ("f", "t", "c", "r"):
@@ -326,9 +325,7 @@ class DecisionLoop:
             if action.verb is Verb.NOOP:  # draws nothing and dispatches nothing
                 texts.append(f"noop region={region}")
                 continue
-            directive = generate_regional(
-                action, worst[region], local.probs[action], cfg.seed, cycle, cfg.world.n_regions
-            )
+            directive = generate_regional(action, worst[region], local.probs[action], cfg.seed, cycle)
             texts.append(directive.text())
             instr = translate(directive, (start, end))
             wrapped = wrap_accuracy(instr, eng.world, cfg.mobility.resident_block_depth)

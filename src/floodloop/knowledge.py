@@ -21,12 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DanglingEdge,
-    EmptyQuery,
-    EmptySeed,
-    MissingTask,
-)
+from .errors import DanglingEdge, EmptyQuery, EmptySeed
 
 EMBED_DIM = 64
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -78,8 +73,6 @@ class HashingEmbedder:
 
 def embed_state(summary_text: str, embedder: HashingEmbedder | None = None) -> np.ndarray:
     """Encode a state summary into the query vector used for retrieval."""
-    if not summary_text or not summary_text.strip():
-        raise EmptyQuery("state summary is empty")
     return (embedder or HashingEmbedder()).embed(summary_text)
 
 
@@ -368,8 +361,6 @@ def build_prompt(
 ) -> HybridPrompt:
     """Assemble the hybrid prompt; every section is always present, with an
     explicit (none) marker when a channel is empty."""
-    if not task or not task.strip():
-        raise MissingTask("prompt requires a task directive")
     return HybridPrompt(
         state_text=state_text if state_text.strip() else "(none)",
         subgraph_text=render_subgraph(subgraph),

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InsufficientRuns, MetricSetMismatch, UndefinedRates
+from .errors import InsufficientRuns
 from .world import WorldState, region_means
 
 TRIGGER_FLOOR = 0.015
@@ -68,9 +68,7 @@ def congestion_index(world: WorldState) -> float:
 
 
 def trip_rates(cancelled: int, on_time_arrived: int, spawned: int) -> tuple[float, float]:
-    """(cancellation rate, on-time arrival rate) over all spawned trips."""
-    if spawned <= 0:
-        raise UndefinedRates("no trips spawned")
+    """(cancellation rate, on-time arrival rate) over the `spawned` > 0 trips."""
     return cancelled / spawned, on_time_arrived / spawned
 
 
@@ -97,9 +95,8 @@ def adaptive_threshold(window_values: Sequence[float], lam_thr: float, floor: fl
 
 
 def execution_deviation(planned: Mapping[str, float], executed: Mapping[str, float]) -> float:
-    """Root-mean-square gap between executed and planned metric values."""
-    if set(planned) != set(executed):
-        raise MetricSetMismatch(f"planned keys {sorted(planned)} != executed keys {sorted(executed)}")
+    """Root-mean-square gap between executed and planned metric values;
+    both maps carry the same keys."""
     keys = sorted(planned)
     diffs = np.array([executed[k] - planned[k] for k in keys], dtype=np.float64)
     return float(np.sqrt(np.mean(diffs**2)))

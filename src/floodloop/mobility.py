@@ -34,7 +34,6 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .errors import NoDemandSource
 from .rng import pystream
 from .world import WorldState
 
@@ -472,15 +471,13 @@ def spawn_demand(
     id_start: int,
     stagger: int = 0,
 ) -> list[AgentRecord]:
-    """Sample `rate` resident trips from the weighted POI set.
+    """Sample `rate` resident trips from the weighted, nonempty POI set.
 
     Origin and destination are distinct draws; the initial route is planned
     immediately so planned_steps and patience are fixed at spawn. With
     `stagger`, departures spread uniformly over the next `stagger` steps
     instead of all leaving at once. Fully deterministic given (seed, step).
     """
-    if not poi_set:
-        raise NoDemandSource("POI set is empty")
     rng = pystream(seed, "demand", step)
     agents = []
     cells = [p.cell for p in poi_set]
@@ -602,8 +599,6 @@ def step_agent(
     non-advancing step (waits, failed replans); at zero the trip cancels.
     Held buses neither move nor lose patience.
     """
-    if agent.status.terminal:
-        return []
     if agent.status is Status.WAITING:
         if step < agent.departure_step:
             return []

@@ -17,11 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidDistribution,
-    MissingLocalPolicy,
-    UnknownRegion,
-)
+from .errors import InvalidDistribution
 from .rng import pystream
 
 PROJECTION_BAND = 1e-4
@@ -114,12 +110,8 @@ def conditional_entropy(
     """
     total = 0.0
     for action, p in zip(global_dist.support, global_dist.probs):
-        if p <= 0:
-            continue
-        h = local_entropies.get(action)
-        if h is None:
-            raise MissingLocalPolicy(f"no local distribution for {action.key()}")
-        total += p * h
+        if p > 0:
+            total += p * local_entropies[action]
     return total
 
 
@@ -301,13 +293,10 @@ def generate_regional(
     probs: Sequence[float],
     seed: int,
     cycle: int,
-    n_regions: int,
 ) -> Directive:
     """Draw the one local directive of a sampled global action that is not
     NoOp from `probs`, its probabilities from `local_distribution_for`.
     `cell` is the region's worst road cell, or None without roads."""
-    if not (0 <= action.region < n_regions):
-        raise UnknownRegion(f"region {action.region} outside [0, {n_regions})")
     rng = pystream(seed, "regional", cycle, action.region)
     return rng.choices(_candidate_directives(action, cell), weights=probs, k=1)[0]
 

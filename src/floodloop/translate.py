@@ -18,7 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import UnknownDirective
 from .policy import Directive
 from .world import WorldState
 
@@ -64,10 +63,7 @@ _DIRECTIVE_TABLE: dict[str, tuple[Tag, float]] = {
 def translate(directive: Directive, window: tuple[int, int]) -> Instruction:
     """Map a directive onto its one instruction over the cycle's `window`,
     which the brief variants shorten."""
-    entry = _DIRECTIVE_TABLE.get(directive.kind)
-    if entry is None:
-        raise UnknownDirective(directive.kind)
-    tag, shrink = entry
+    tag, shrink = _DIRECTIVE_TABLE[directive.kind]
     start, end = window
     span = max(0, int(round((end - start) * shrink)))
     return Instruction(tag, directive.region, directive.cell, directive.params, (start, start + span))

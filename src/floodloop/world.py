@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidHorizon
 from .rng import substream
 
 NOISE_AMPLITUDE = 0.05
@@ -68,15 +67,14 @@ def load_scenario(path: str | Path) -> RainfallScenario:
 
 
 def generate_scenario(kind: ScenarioKind, steps: int, seed: int) -> RainfallScenario:
-    """Build one of the three canonical intensity curves.
+    """Build one of the three canonical intensity curves over `steps` >= 10
+    steps (`RunConfig.validate` checks the bound).
 
     extreme      sharp onset, sustained plateau >= 0.8 over >= 25% of steps,
                  peak forced to exactly 1.0
     intermittent >= 2 pulses peaking >= 0.8 with troughs < 0.1 between them
     light        long low drizzle, max <= 0.35, nonzero on >= 80% of steps
     """
-    if steps < 10:
-        raise InvalidHorizon(f"need at least 10 steps, got {steps}")
     kind = ScenarioKind(kind)
     rng = substream(seed, "scenario", kind.value, steps)
     template = np.zeros(steps, dtype=np.float64)

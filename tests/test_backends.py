@@ -317,7 +317,3 @@ def test_make_backend_variants():
     assert b.make_backend("ruled").name == "ruled"
     assert b.make_backend("scripted").name == "scripted"
     assert b.make_backend("external", endpoint="http://x/").name == "external"
-    with pytest.raises(ValueError):
-        b.make_backend("external")
-    with pytest.raises(ValueError):
-        b.make_backend("quantum")

@@ -63,6 +63,10 @@ def rejection(tmp_path, capsys, data) -> str:
         # regions tile the grid as a square
         ("world.n_regions", {"world": {"n_regions": 10}}),
         ("world.n_regions", {"world": {"n_regions": 0}}),
+        # the rules that `make_backend` and `generate_scenario` rely on
+        ("strategy", {"strategy": "quantum"}),
+        ("strategy", {"strategy": "Ruled"}),
+        ("steps", {"steps": 9}),
     ],
 )
 def test_run_rejects_config_naming_the_field(tmp_path, capsys, field, data):

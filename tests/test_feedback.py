@@ -5,15 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from floodloop import engine
 from floodloop import feedback as fb
 from floodloop import harness
 from floodloop import metrics as m
 from floodloop.backends import BackendProposal, EmptyBackend, RuledBackend, ScriptedBackend, StrategyBackend
-from floodloop.config import RunConfig
-from floodloop.errors import BackendUnavailable, NotTriggered
+from floodloop.config import ENDPOINT_ENV_VAR, RunConfig
+from floodloop.errors import BackendUnavailable, ConfigError
 from floodloop.knowledge import KnowledgeGraph, Node, NodeType
 from floodloop.policy import HighLevelAction, PolicyDistribution, Verb
-from floodloop.translate import Tag
+from floodloop.translate import _DIRECTIVE_TABLE, Tag
 from test_golden import RUNS, WET_RUNS, run_config
 
 
@@ -190,12 +191,6 @@ def test_trigger_replanning_adds_floodspot_idempotent():
     assert g3.n_edges() == g2.n_edges()
 
 
-def test_trigger_replanning_requires_trigger():
-    g = region_graph()
-    with pytest.raises(NotTriggered):
-        fb.trigger_replanning(report_with(triggered=False), g)
-
-
 def test_no_rejections_only_metric_deltas():
     g = region_graph()
     note, _ = fb.trigger_replanning(report_with(rejected_reasons=()), g)
@@ -323,6 +318,45 @@ def test_accuracy_pass_receives_windows_in_the_run_and_anchored_closures(monkeyp
             assert instr.cell in roads if instr.cell is not None else not roads
 
 
+@pytest.mark.parametrize("name", sorted(RUNS | WET_RUNS))
+def test_the_package_calls_meet_the_preconditions_its_callees_state(monkeypatch, tmp_path, name):
+    """The callees state these preconditions and do not check them: every
+    positive-mass action has a local entropy, every refined region is in
+    range, every directive kind is in the table, both metric maps carry
+    f, t, c and r, only a triggered report replans, demand comes from a
+    nonempty POI set, only agents not yet terminal are stepped, and trip
+    rates are asked for only once a trip was spawned."""
+    cfg = run_config(name, str(tmp_path))
+    preconditions = {
+        (fb, "conditional_entropy"): lambda entropies, dist: all(
+            a in entropies for a, q in zip(dist.support, dist.probs) if q > 0
+        ),
+        (fb, "generate_regional"): lambda action, *_: 0 <= action.region < cfg.world.n_regions,
+        (fb, "translate"): lambda directive, window: directive.kind in _DIRECTIVE_TABLE,
+        (fb, "execution_deviation"): lambda planned, executed: set(planned) == set(executed) == set("ftcr"),
+        (fb, "trigger_replanning"): lambda report, graph: report.triggered,
+        (engine, "spawn_demand"): lambda pois, *_, **__: len(pois) > 0,
+        (engine, "step_agent"): lambda agent, *_, **__: not agent.status.terminal,
+        (engine, "trip_rates"): lambda cancelled, on_time, spawned: spawned > 0,
+    }
+    calls: dict[str, int] = {}
+    for (module, fn_name), holds in preconditions.items():
+
+        def checked(*args, _real=getattr(module, fn_name), _name=fn_name, _holds=holds, **kwargs):
+            assert _holds(*args, **kwargs), _name
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn_name, checked)
+    harness.run(cfg)
+    reached = {"conditional_entropy", "execution_deviation", "spawn_demand", "step_agent", "trip_rates"}
+    if cfg.strategy != "empty":
+        reached |= {"generate_regional", "translate"}
+    if name == "wet":
+        reached.add("trigger_replanning")
+    assert set(calls) == reached
+
+
 def test_backend_failure_falls_back_and_completes():
     cfg = tiny_config(steps=20)
     loop = fb.DecisionLoop(cfg, ExplodingBackend(), EmptyBackend())
@@ -387,7 +421,8 @@ def test_deviation_matches_formula_on_logged_maps():
         )
 
 
-def test_external_endpoint_required():
+def test_external_endpoint_required(monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
     cfg = tiny_config(strategy="external")
-    with pytest.raises(Exception):
+    with pytest.raises(ConfigError, match="^external_endpoint: "):
         cfg.validate()

@@ -12,12 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from floodloop import knowledge as k
-from floodloop.errors import (
-    DanglingEdge,
-    EmptyQuery,
-    EmptySeed,
-    MissingTask,
-)
+from floodloop.errors import DanglingEdge, EmptyQuery, EmptySeed
 from floodloop.semeval import scs, sds
 
 
@@ -217,11 +212,6 @@ def test_prompt_feedback_roundtrip():
     assert "0.158100" in p.text
     assert "degraded_metrics: c, r" in p.text
     assert "routing infeasible: region 3 fully flooded" in p.text
-
-
-def test_prompt_requires_task():
-    with pytest.raises(MissingTask):
-        k.build_prompt("state", None, [], "  ")
 
 
 # --- graph update -----------------------------------------------------------------------

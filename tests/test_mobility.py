@@ -9,7 +9,6 @@ import pytest
 
 from floodloop import mobility as mob
 from floodloop import world as w
-from floodloop.errors import NoDemandSource
 from floodloop.rng import pystream
 
 
@@ -134,11 +133,6 @@ def test_spawn_deterministic():
         (x.pos, x.destination, x.departure_step) for x in b
     ]
     assert [x.id for x in a] == list(range(100, 105))
-
-
-def test_spawn_empty_pois():
-    with pytest.raises(NoDemandSource):
-        mob.spawn_demand([], 1, 0, 0, open_router((10, 10)), 0)
 
 
 @pytest.mark.parametrize("n_pois", range(9))
@@ -290,16 +284,6 @@ def test_blocked_agent_detours_around_obstacle():
     assert "replanned" in kinds or "waited" in kinds
     if "replanned" in kinds:
         assert agent.pos != (1, 1)
-
-
-def test_terminal_agents_not_mutated():
-    ws = simple_world()
-    agent = make_agent((0, 0), (0, 5), ws)
-    agent.status = mob.Status.ARRIVED
-    snapshot = (agent.pos, agent.patience, agent.travel_steps)
-    events, _ = run_step(agent, ws)
-    assert events == []
-    assert (agent.pos, agent.patience, agent.travel_steps) == snapshot
 
 
 def test_waiting_agent_respects_departure_step():

@@ -6,7 +6,8 @@ to its kind, as the engine only ever counted kinds. It asks a callable
 `bus_held(region)`, where the new version takes the step's set of held
 regions. Both run in lockstep over random small worlds, with a fresh
 blocked set and held set each step, on copies of the same residents and
-buses, each side with its own coin stream.
+buses, each side with its own coin stream. Like the engine, the driver
+steps an agent only while it is not terminal.
 """
 
 from __future__ import annotations
@@ -219,6 +220,8 @@ def test_step_agent_matches_the_per_event_oracle(case):
             mask[cell] = False
         new_router, old_router = Router(mask, graph), Router(mask, graph)
         for new, old in zip(new_agents, old_agents):
+            if new.status.terminal:  # the engine steps only agents not yet terminal
+                continue
             got = mob.step_agent(new, world, new_router, held_regions, new_rng, step, new_log, wait_probability)
             want = oracle_step_agent(
                 old, world, old_router, lambda region: region in held_regions, old_rng, step, old_log, wait_probability
@@ -245,6 +248,8 @@ def test_cases_reach_every_event_kind():
                 mask[cell] = False
             router = Router(mask, graph)
             for agent in agents:
+                if agent.status.terminal:
+                    continue
                 seen.update(mob.step_agent(agent, world, router, held_regions, rng, step, log, wait_probability))
 
     collect()

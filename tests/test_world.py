@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from floodloop import world as w
-from floodloop.errors import InvalidHorizon
 
 
 def find_peaks(curve, height):
@@ -97,11 +96,6 @@ def test_scenario_kind_invariants_across_seeds():
         peaks = find_peaks(inter.curve, 0.8)
         assert len(peaks) >= 2
         assert min(inter.curve[peaks[0] : peaks[-1] + 1]) < 0.1
-
-
-def test_short_horizon_rejected():
-    with pytest.raises(InvalidHorizon):
-        w.generate_scenario(w.ScenarioKind.LIGHT, 9, 0)
 
 
 def test_scenario_file_roundtrip(tmp_path):
