@@ -182,7 +182,6 @@ def _write_prompt_log(path: Path, loop: DecisionLoop) -> None:
 
 
 def _summarize_run(config: RunConfig, loop: DecisionLoop) -> dict:
-    js = [r.snapshot.j for r in loop.reports]
     summary = {
         "scenario": config.scenario,
         "strategy": config.strategy,
@@ -202,7 +201,7 @@ def _summarize_run(config: RunConfig, loop: DecisionLoop) -> dict:
             name: float(np.var([getattr(r.snapshot, attr) for r in loop.reports]))
             for name, attr in (("f", "f"), ("t", "t"), ("c", "c"), ("r", "r"), ("J", "j"))
         },
-        "final_j": js[-1] if js else None,
+        "final_j": loop.reports[-1].snapshot.j,
         "trips": {
             "spawned": loop.engine.trip_log.spawned,
             "arrived": loop.engine.trip_log.arrived,
@@ -211,8 +210,9 @@ def _summarize_run(config: RunConfig, loop: DecisionLoop) -> dict:
             "enroute": sum(1 for a in loop.engine.agents if a.status is Status.ENROUTE),
             "waiting": sum(1 for a in loop.engine.agents if a.status is Status.WAITING),
         },
-        "scs": scs(loop.consistency_sets) if loop.consistency_sets else None,
-        "sds": sds(loop.diversity_sets) if loop.diversity_sets else None,
+        "scs": scs(loop.consistency_sets),
+        # diversity is across regions, so it is undefined for a single one
+        "sds": sds(loop.diversity_sets) if config.world.n_regions > 1 else None,
     }
     return summary
 

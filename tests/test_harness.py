@@ -43,3 +43,17 @@ def test_run_validates_its_config_once(tmp_path, monkeypatch):
     monkeypatch.setattr(RunConfig, "validate", counted)
     harness.run(tiny_matrix_config(str(tmp_path), workers=1))
     assert len(calls) == 1
+
+
+def test_one_region_runs_complete_with_sds_undefined(tmp_path):
+    # diversity is measured across regions, so one region leaves it undefined
+    cfg = tiny_matrix_config(str(tmp_path), workers=1)
+    cfg.world.n_regions = 1
+    cfg.steps = 20
+    harness.run_matrix(cfg, ["ruled"], ["extreme"], repeats=2)
+    summaries = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("*/summary.json"))]
+    assert len(summaries) == 2
+    assert all(s["sds"] is None and isinstance(s["scs"], float) for s in summaries)
+    header, row = (tmp_path / "semantic.csv").read_text().splitlines()
+    assert header == "module_setting,stability,scs,sds"
+    assert row.startswith("ruled/extreme,") and row.endswith(",")
