@@ -40,7 +40,7 @@ from .mobility import (
 )
 from .rng import pystream
 from .translate import InstructionBoard
-from .world import RainfallScenario, build_world, step_hydrology
+from .world import HydrologyParams, RainfallScenario, build_world, step_hydrology
 
 
 @dataclass
@@ -80,8 +80,6 @@ class SimulationEngine:
         self._spawn_initial()
 
     def _hydrology_params(self):
-        from .world import HydrologyParams
-
         wc = self.config.world
         return HydrologyParams(
             inflow_coeff=wc.inflow_coeff,

@@ -35,6 +35,8 @@ from .knowledge import (
     build_prompt,
     embed_state,
     extract_subgraph,
+    load_graph,
+    load_segments,
     retrieve_topk,
     update_graph,
 )
@@ -56,7 +58,7 @@ from .policy import (
 from .rng import pystream
 from .state import StateSummary, summarize_world
 from .translate import Instruction, Rejection, translate, wrap_accuracy
-from .world import RainfallScenario, WorldState, generate_scenario
+from .world import RainfallScenario, ScenarioKind, WorldState, generate_scenario
 
 TASK_DIRECTIVE = (
     "Coordinate flood dispatch for the coming cycle: lower flood exposure and "
@@ -176,8 +178,6 @@ class KnowledgeContext:
 
 def build_knowledge_context(engine: SimulationEngine, config: RunConfig) -> KnowledgeContext:
     """Region/road graph plus a seeded store of historical log segments."""
-    from .knowledge import load_graph, load_segments
-
     embedder = HashingEmbedder(config.knowledge.embed_dim)
     kc = config.knowledge
     if kc.graph_file:
@@ -252,8 +252,6 @@ class DecisionLoop:
     ):
         self.config = config
         if scenario is None:
-            from .world import ScenarioKind
-
             scenario = generate_scenario(ScenarioKind(config.scenario), config.steps, config.seed)
         if len(scenario.curve) < config.steps:
             # every step reads its rain from the curve: a short one would leave steps without rain

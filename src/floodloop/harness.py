@@ -5,8 +5,8 @@ Every run writes the same artifact set into its own directory: per-step
 metrics CSV, cycle log, trip log, instruction log, prompt log, scenario
 record, density dumps with SVG heatmaps, and a JSON summary. Runs are
 fully determined by their config, so equal configs produce byte-identical
-CSVs. Every float in the metrics, cycle, comparison and semantic CSVs is
-written by `_csv_float`.
+CSVs. Every float in the metrics, cycle, comparison and semantic CSVs and
+in the density dumps is written by `heatmap.csv_float`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .backends import StrategyBackend, make_backend
 from .config import RunConfig, config_from_dict
 from .feedback import DecisionLoop
-from .heatmap import save_density_dump, write_heatmap
+from .heatmap import csv_float, save_density_dump, write_heatmap
 from .mobility import Status
 from .semeval import SemanticRow, scs, sds, stability_report
 from .world import load_scenario, save_scenario
@@ -54,13 +54,6 @@ CYCLE_HEADER = (
 )
 TRIP_HEADER = ("id", "role", "departure_step", "outcome", "travel_steps", "planned_steps")
 INSTRUCTION_HEADER = ("cycle", "region", "tag", "anchor", "window_start", "window_end", "status", "reason")
-
-
-def _csv_float(value: float) -> str:
-    """repr of the value as a Python float, with -0.0 written as 0.0, so a
-    cell always parses with float() and equal values are spelled alike."""
-    value = float(value)
-    return "0.0" if value == 0 else repr(value)
 
 
 @dataclass
@@ -118,11 +111,11 @@ def _write_metrics_csv(path: Path, loop: DecisionLoop) -> None:
             cycle = (rec.step - 1) // cycle_len
             report = by_cycle.get(cycle)
             is_boundary = report is not None and rec.step == report.snapshot.step
-            gap = _csv_float(report.gap) if is_boundary else ""
-            delta = _csv_float(report.delta) if is_boundary else ""
+            gap = csv_float(report.gap) if is_boundary else ""
+            delta = csv_float(report.delta) if is_boundary else ""
             trig = str(int(report.triggered)) if is_boundary else ""
             s = rec.snapshot
-            writer.writerow([rec.step, *map(_csv_float, (s.f, s.t, s.c, s.r, s.j)), gap, delta, trig])
+            writer.writerow([rec.step, *map(csv_float, (s.f, s.t, s.c, s.r, s.j)), gap, delta, trig])
 
 
 def _write_cycle_csv(path: Path, loop: DecisionLoop) -> None:
@@ -138,19 +131,19 @@ def _write_cycle_csv(path: Path, loop: DecisionLoop) -> None:
                     r.snapshot.step,
                     r.backend_used,
                     int(r.fallback_used),
-                    _csv_float(r.h_raw),
-                    _csv_float(r.h_projected),
-                    _csv_float(r.h_conditional),
-                    _csv_float(r.lam),
-                    _csv_float(r.snapshot.f),
-                    _csv_float(r.snapshot.t),
-                    _csv_float(r.snapshot.c),
-                    _csv_float(r.snapshot.r),
-                    _csv_float(r.snapshot.j),
-                    _csv_float(r.gap),
-                    _csv_float(r.delta),
+                    csv_float(r.h_raw),
+                    csv_float(r.h_projected),
+                    csv_float(r.h_conditional),
+                    csv_float(r.lam),
+                    csv_float(r.snapshot.f),
+                    csv_float(r.snapshot.t),
+                    csv_float(r.snapshot.c),
+                    csv_float(r.snapshot.r),
+                    csv_float(r.snapshot.j),
+                    csv_float(r.gap),
+                    csv_float(r.delta),
                     int(r.triggered),
-                    _csv_float(r.delta_e),
+                    csv_float(r.delta_e),
                     r.n_instructions,
                     r.n_rejected,
                 ]
@@ -324,7 +317,7 @@ def _write_comparison_csv(path: Path, rows: list[dict]) -> None:
         writer.writerow(COMPARISON_HEADER)
         for row in rows:
             writer.writerow(
-                [row["strategy"], row["scenario"], row["repeats"]] + [_csv_float(row[k]) for k in COMPARISON_HEADER[3:]]
+                [row["strategy"], row["scenario"], row["repeats"]] + [csv_float(row[k]) for k in COMPARISON_HEADER[3:]]
             )
 
 
@@ -339,9 +332,9 @@ def write_semantic_table(path: str | Path, rows: Sequence[SemanticRow]) -> None:
             writer.writerow(
                 [
                     row.setting,
-                    _csv_float(row.stability),
-                    "" if row.scs is None else _csv_float(row.scs),
-                    "" if row.sds is None else _csv_float(row.sds),
+                    csv_float(row.stability),
+                    "" if row.scs is None else csv_float(row.scs),
+                    "" if row.sds is None else csv_float(row.sds),
                 ]
             )
 

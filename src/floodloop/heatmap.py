@@ -18,11 +18,18 @@ CELL_PX = 8
 LEGEND_H = 28
 
 
+def csv_float(value: float) -> str:
+    """repr of the value as a Python float, with -0.0 written as 0.0, so a
+    cell always parses with float() and equal values are spelled alike."""
+    value = float(value)
+    return "0.0" if value == 0 else repr(value)
+
+
 def save_density_dump(path: str | Path, values: np.ndarray) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         for row in np.asarray(values):
-            writer.writerow([repr(float(v)) for v in row])
+            writer.writerow([csv_float(v) for v in row])
 
 
 def load_density_dump(path: str | Path) -> np.ndarray:
