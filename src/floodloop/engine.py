@@ -72,7 +72,6 @@ class SimulationEngine:
         self.agents: list[AgentRecord] = []
         self.active: list[AgentRecord] = []
         self._next_id = 0
-        self._departed = 0  # agents that have left WAITING
         self._detour_rng = pystream(config.seed, "detour-coins")
         self.pois: list[Poi] = default_pois(self.world, config.mobility.n_pois, config.seed)
         self.step_records: list[StepRecord] = []
@@ -142,8 +141,7 @@ class SimulationEngine:
 
     def trip_counts(self) -> tuple[int, int, int, int]:
         log = self.trip_log
-        # every agent that left WAITING is enroute until it is closed into the log
-        enroute = self._departed - len(log.records)
+        enroute = sum(1 for a in self.active if a.status is Status.ENROUTE)
         return (log.spawned, log.arrived, log.cancelled, enroute)
 
     # --- stepping ---------------------------------------------------------
@@ -172,14 +170,11 @@ class SimulationEngine:
         event_counts: dict[str, int] = {}
         still_active = []
         for agent in self.active:
-            status = agent.status
             router = router_bus if agent.role is Role.BUS else router_res
             kinds = step_agent(
                 agent, self.world, router, held, self._detour_rng, now, self.trip_log,
                 wait_probability=wait_probability,
             )
-            if status is Status.WAITING and agent.status is not Status.WAITING:
-                self._departed += 1
             for kind in kinds:
                 event_counts[kind] = event_counts.get(kind, 0) + 1
             if not agent.status.terminal:
@@ -212,8 +207,8 @@ class SimulationEngine:
     def metrics_snapshot(self) -> MetricsSnapshot:
         f = flood_index(self.world)
         t = congestion_index(self.world)
-        spawned, arrived_any, cancelled, _ = self.trip_counts()
-        c, r = trip_rates(cancelled, self.trip_log.arrived_on_time, spawned) if spawned else (0.0, 0.0)
+        log = self.trip_log
+        c, r = trip_rates(log.cancelled, log.arrived_on_time, log.spawned) if log.spawned else (0.0, 0.0)
         j = objective_j(f, t, c, r, self.config.feedback.weights)
         return MetricsSnapshot(f=f, t=t, c=c, r=r, j=j, step=self.world.step)
 

@@ -200,7 +200,7 @@ def _summarize_run(config: RunConfig, loop: DecisionLoop) -> dict:
             "arrived": loop.engine.trip_log.arrived,
             "on_time": loop.engine.trip_log.arrived_on_time,
             "cancelled": loop.engine.trip_log.cancelled,
-            "enroute": sum(1 for a in loop.engine.agents if a.status is Status.ENROUTE),
+            "enroute": loop.engine.trip_counts()[3],
             "waiting": sum(1 for a in loop.engine.agents if a.status is Status.WAITING),
         },
         "scs": scs(loop.consistency_sets),
