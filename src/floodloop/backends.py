@@ -17,6 +17,7 @@ import math
 import urllib.error
 import urllib.parse
 import urllib.request
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -83,7 +84,8 @@ class RuledBackend(StrategyBackend):
                 boost *= 1.5
                 preempt_bar *= 0.75
         calm_map = sum(summary.region_blocked_roads) <= self.calm_blocked_limit
-        scores: dict[HighLevelAction, float] = {HighLevelAction(Verb.NOOP, 0): 0.5}
+        scores: defaultdict[HighLevelAction, float] = defaultdict(float)
+        scores[HighLevelAction(Verb.NOOP, 0)] = 0.5
         for r in range(n_regions):
             f_a = summary.region_flood[r]
             t_a = summary.region_congestion[r]
@@ -93,33 +95,25 @@ class RuledBackend(StrategyBackend):
             # terms; otherwise detour/closure would punish mild weather
             wetness = min(1.0, depth / summary.blocking_depth) if summary.blocking_depth > 0 else 0.0
             if f_a > self.score_threshold and wetness >= 0.85:
-                scores[HighLevelAction(Verb.CLOSE_ROAD, r)] = 0.4 * f_a * wetness
-                scores[HighLevelAction(Verb.REROUTE_REGION, r)] = f_a * wetness
+                scores[HighLevelAction(Verb.CLOSE_ROAD, r)] += 0.4 * f_a * wetness
+                scores[HighLevelAction(Verb.REROUTE_REGION, r)] += f_a * wetness
             if blocked > 0:
                 relief = (1.0 + f_a) * boost
                 if "c" in degraded or "r" in degraded:
                     relief *= 2.0
-                scores[HighLevelAction(Verb.DISPATCH_RELIEF, r)] = scores.get(
-                    HighLevelAction(Verb.DISPATCH_RELIEF, r), 0.0
-                ) + relief
-                scores[HighLevelAction(Verb.REROUTE_REGION, r)] = scores.get(
-                    HighLevelAction(Verb.REROUTE_REGION, r), 0.0
-                ) + 0.6 * boost
+                scores[HighLevelAction(Verb.DISPATCH_RELIEF, r)] += relief
+                scores[HighLevelAction(Verb.REROUTE_REGION, r)] += 0.6 * boost
                 if blocked >= 3:
-                    scores[HighLevelAction(Verb.HOLD_TRANSIT, r)] = 0.5 * boost
+                    scores[HighLevelAction(Verb.HOLD_TRANSIT, r)] += 0.5 * boost
             elif depth >= preempt_bar and (calm_map or prompt.feedback is not None):
                 # preventive pumping on wet-but-open regions: routine
                 # maintenance while the map is calm, or escalated coverage
                 # after a triggered cycle; deliberately lighter than the
                 # reactive response
-                scores[HighLevelAction(Verb.DISPATCH_RELIEF, r)] = scores.get(
-                    HighLevelAction(Verb.DISPATCH_RELIEF, r), 0.0
-                ) + 0.5 * boost
+                scores[HighLevelAction(Verb.DISPATCH_RELIEF, r)] += 0.5 * boost
             if t_a > self.score_threshold:
                 extra = 0.8 * t_a * (1.5 if "t" in degraded else 1.0)
-                scores[HighLevelAction(Verb.REROUTE_REGION, r)] = scores.get(
-                    HighLevelAction(Verb.REROUTE_REGION, r), 0.0
-                ) + extra
+                scores[HighLevelAction(Verb.REROUTE_REGION, r)] += extra
         actions = sorted(scores, key=lambda a: (VERB_INDEX[a.verb], a.region))
         weights = np.array([scores[a] for a in actions], dtype=np.float64)
         probs = weights / weights.sum()
