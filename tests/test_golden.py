@@ -7,7 +7,8 @@ A change that moves a digest changes behaviour; re-baseline deliberately with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and name the behaviour change, with its metric deltas, in CHANGES.md.
+which prints one `run: artifact` line for each digest it changed, and
+name the behaviour change, with its metric deltas, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -124,6 +125,11 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: run_digests(name, Path(tmp) / name) for name in sorted(RUNS | WET_RUNS)}
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    for name, artifacts in digests.items():
+        for artifact, digest in artifacts.items():
+            if old.get(name, {}).get(artifact) != digest:
+                print(f"{name}: {artifact}")
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)
