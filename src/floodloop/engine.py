@@ -9,8 +9,13 @@ role's `Router` holds them with their connected components, and every
 route planned in the step reads those arrays. The road graph the routers
 search is contracted once, when the engine is built, since roads never
 change during a run. The board's held regions are likewise asked once
-per step. One `step_agent` call per agent takes its role's router and
-returns event kinds, which the step counts into `StepRecord.events`.
+per step. Every board effect (drain multipliers, closures, penalties,
+held regions) is asked at one index, that of the step being executed,
+so an instruction with window (s, e) acts on exactly steps s..e; the
+post-step index only labels the step's record, its density dump, its
+spawns and the departures it counts. One `step_agent` call per agent
+takes its role's router and returns event kinds, which the step counts
+into `StepRecord.events`.
 `agents` keeps every agent ever spawned; `active` keeps, in id order,
 the ones not yet terminal, and only those are stepped and counted into
 the car density.
@@ -109,14 +114,13 @@ class SimulationEngine:
 
     def _spawn_initial(self) -> None:
         mc = self.config.mobility
-        closed = self.board.closed_cells(self.world.step)
         if self.pois and mc.initial_population > 0:
             agents = spawn_demand(
                 self.pois,
                 mc.initial_population,
                 self.config.seed,
                 step=0,
-                router=Router(self._passable_mask(Role.RESIDENT, closed), self.graph),
+                router=Router(self._passable_mask(Role.RESIDENT, set()), self.graph),
                 id_start=self._next_id,
                 stagger=mc.initial_stagger,
             )
@@ -124,7 +128,7 @@ class SimulationEngine:
             self._admit(agents)
         bus_rng = pystream(self.config.seed, "bus-lines")
         road = self.world.road_cells()
-        bus_router = Router(self._passable_mask(Role.BUS, closed), self.graph)
+        bus_router = Router(self._passable_mask(Role.BUS, set()), self.graph)
         for b in range(mc.n_buses):
             if len(road) < mc.bus_stops:
                 break
@@ -160,11 +164,11 @@ class SimulationEngine:
 
         now = self.world.step  # post-hydrology step index
         # this step's routing arrays; they stay fixed while the agents move
-        closed = self.board.closed_cells(now)
-        cost = self._cost_grid(self.board.region_penalties(now))
+        closed = self.board.closed_cells(step_idx)
+        cost = self._cost_grid(self.board.region_penalties(step_idx))
         router_res = Router(self._passable_mask(Role.RESIDENT, closed), self.graph, cost)
         router_bus = Router(self._passable_mask(Role.BUS, closed), self.graph, cost)
-        held = self.board.bus_held(now)
+        held = self.board.bus_held(step_idx)
         wait_probability = self.config.mobility.wait_probability
 
         event_counts: dict[str, int] = {}

@@ -116,8 +116,9 @@ class InstructionBoard:
     def prune(self, step: int) -> None:
         """Drop instructions whose window ended before `step`.
 
-        Valid while queries never ask for an earlier step than `step`, as
-        the engine's step order guarantees; future windows are kept.
+        Valid while queries never ask for an earlier step than `step`: the
+        engine prunes at the step it executes and asks every query at that
+        same step. Future windows are kept.
         """
         for group in (self.obstacles, self.routings, self.stops, self.reliefs, self.noops):
             group[:] = [i for i in group if i.window[1] >= step]

@@ -1,14 +1,16 @@
 """An instruction with window (s, e) is in force for exactly the executed
-steps s..e, whatever its tag.
+steps s..e, whatever its tag: the engine asks the board for every effect
+at the index of the step it executes.
 
-The instruction goes on the board right before step s executes, as the
-decision loop dispatches at a cycle boundary. Each effect is observed
-where the engine hands it on, by wrapping the name where
-`floodloop.engine` looks it up: the drain multiplier passed to
-`step_hydrology`, the mask and the cost passed to `Router` (beside the
-road graph), and the
-held-region set passed to `step_agent`. The world gets no rain, so the
-closed road cell stays dry and only the closure can block it.
+Each test runs on a window of several steps and on a one-step window
+(s, s), the window of a one-step decision cycle. The instruction goes on
+the board right before step s executes, as the decision loop dispatches
+at a cycle boundary. Each effect is observed where the engine hands it
+on, by wrapping the name where `floodloop.engine` looks it up: the drain
+multiplier passed to `step_hydrology`, the mask and the cost passed to
+`Router`, and the held-region set passed to `step_agent`. The world gets
+no rain, so the closed road cell stays dry and only the closure can
+block it.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from floodloop.mobility import Role
 from floodloop.translate import Instruction, Tag
 from floodloop.world import RainfallScenario, ScenarioKind
 
-START, END = 3, 6
 STEPS = 10
-UNFIXED = pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP 2b")
+WINDOWS = pytest.mark.parametrize("window", [(3, 6), (4, 4)], ids=["several-steps", "one-step"])
 
 
 def dry_engine() -> SimulationEngine:
@@ -36,7 +37,7 @@ def dry_engine() -> SimulationEngine:
     return SimulationEngine(cfg, RainfallScenario(ScenarioKind.LIGHT, (0.0,) * STEPS, cfg.seed))
 
 
-def steps_in_force(monkeypatch, tag, params, name, applied) -> list[int]:
+def steps_in_force(monkeypatch, window, tag, params, name, applied) -> list[int]:
     """Indices of the executed steps in which a call to `name` saw the effect.
 
     `applied(cell, region, *args)` tells from one call's arguments whether
@@ -56,8 +57,8 @@ def steps_in_force(monkeypatch, tag, params, name, applied) -> list[int]:
     monkeypatch.setattr(engine_module, name, spy)
     in_force = []
     for step in range(STEPS):
-        if step == START:
-            engine.board.dispatch([Instruction(tag, region, cell, params, (START, END))])
+        if step == window[0]:
+            engine.board.dispatch([Instruction(tag, region, cell, params, window)])
         seen.clear()
         engine.step()
         if any(seen):
@@ -65,34 +66,39 @@ def steps_in_force(monkeypatch, tag, params, name, applied) -> list[int]:
     return in_force
 
 
-def test_relief_drains_for_every_step_of_its_window(monkeypatch):
+def executed(window) -> list[int]:
+    return list(range(window[0], window[1] + 1))
+
+
+@WINDOWS
+def test_relief_drains_for_every_step_of_its_window(monkeypatch, window):
     def applied(cell, region, world, intensity, drain_multiplier=None):
         return drain_multiplier is not None and drain_multiplier[region] == 5.0
 
-    got = steps_in_force(monkeypatch, Tag.RELIEF, (("multiplier", 5.0),), "step_hydrology", applied)
-    assert got == list(range(START, END + 1))
+    got = steps_in_force(monkeypatch, window, Tag.RELIEF, (("multiplier", 5.0),), "step_hydrology", applied)
+    assert got == executed(window)
 
 
-@UNFIXED
-def test_obstacle_closes_for_every_step_of_its_window(monkeypatch):
+@WINDOWS
+def test_obstacle_closes_for_every_step_of_its_window(monkeypatch, window):
     def applied(cell, region, passable, graph, cost=None):
         return not passable[cell]
 
-    assert steps_in_force(monkeypatch, Tag.OBSTACLE, (), "Router", applied) == list(range(START, END + 1))
+    assert steps_in_force(monkeypatch, window, Tag.OBSTACLE, (), "Router", applied) == executed(window)
 
 
-@UNFIXED
-def test_routing_penalises_for_every_step_of_its_window(monkeypatch):
+@WINDOWS
+def test_routing_penalises_for_every_step_of_its_window(monkeypatch, window):
     def applied(cell, region, passable, graph, cost=None):
         return cost is not None and cost[cell] == 1.0 + 8.0
 
-    got = steps_in_force(monkeypatch, Tag.ROUTING, (("penalty", 8.0),), "Router", applied)
-    assert got == list(range(START, END + 1))
+    got = steps_in_force(monkeypatch, window, Tag.ROUTING, (("penalty", 8.0),), "Router", applied)
+    assert got == executed(window)
 
 
-@UNFIXED
-def test_stop_holds_buses_for_every_step_of_its_window(monkeypatch):
+@WINDOWS
+def test_stop_holds_buses_for_every_step_of_its_window(monkeypatch, window):
     def applied(cell, region, agent, world, router, held_regions, *args, **kwargs):
         return agent.role is Role.BUS and region in held_regions
 
-    assert steps_in_force(monkeypatch, Tag.STOP, (), "step_agent", applied) == list(range(START, END + 1))
+    assert steps_in_force(monkeypatch, window, Tag.STOP, (), "step_agent", applied) == executed(window)
