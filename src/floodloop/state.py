@@ -14,7 +14,13 @@ SEED_SCORE_THRESHOLD = 0.7
 
 @dataclass(frozen=True)
 class StateSummary:
-    """Snapshot of what the dispatcher can observe at a cycle boundary."""
+    """Snapshot of what the dispatcher can observe at a cycle boundary.
+
+    `targeted_regions` holds the regions with an instruction in force at
+    the cycle's first step, asked on the engine's one step clock before
+    the cycle dispatches. Every window ends inside the cycle that issued
+    it, so in the decision loop the field is always empty.
+    """
 
     step: int
     scenario_kind: str
