@@ -8,14 +8,12 @@ per step, since they only depend on depth, closures and penalties; each
 role's `Router` holds them with their connected components, and every
 route planned in the step reads those arrays. The road graph the routers
 search is contracted once, when the engine is built, since roads never
-change during a run. The board's held regions are likewise asked once
-per step. Every board effect (drain multipliers, closures, penalties,
-held regions) is asked at one index, that of the step being executed,
-so an instruction with window (s, e) acts on exactly steps s..e; the
-post-step index only labels the step's record, its density dump, its
-spawns and the departures it counts. One `step_agent` call per agent
-takes its role's router and returns event kinds, which the step counts
-into `StepRecord.events`.
+change during a run. The board is asked once per step for each effect
+(drain, closures, penalties, held regions), all at the index of the step
+being executed, so a window (s, e) acts on exactly steps s..e; the
+post-step index labels the record, dump and spawns and times departures.
+One `step_agent` call per agent takes its role's router and returns
+event kinds, which the step counts into `StepRecord.events`.
 `agents` keeps every agent ever spawned; `active` keeps, in id order,
 the ones not yet terminal, and only those are stepped and counted into
 the car density.

@@ -16,10 +16,9 @@ SEED_SCORE_THRESHOLD = 0.7
 class StateSummary:
     """Snapshot of what the dispatcher can observe at a cycle boundary.
 
-    `targeted_regions` holds the regions with an instruction in force at
-    the cycle's first step, asked on the engine's one step clock before
-    the cycle dispatches. Every window ends inside the cycle that issued
-    it, so in the decision loop the field is always empty.
+    `targeted_regions` is asked on the engine's one step clock at the
+    cycle's first step, before the cycle dispatches; every window ends
+    inside its own cycle, so in the decision loop the field is empty.
     """
 
     step: int

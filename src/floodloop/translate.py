@@ -117,8 +117,7 @@ class InstructionBoard:
         """Drop instructions whose window ended before `step`.
 
         Valid while queries never ask for an earlier step than `step`: the
-        engine prunes at the step it executes and asks every query at that
-        same step. Future windows are kept.
+        engine prunes and queries at the step it executes; future windows stay.
         """
         for group in (self.obstacles, self.routings, self.stops, self.reliefs, self.noops):
             group[:] = [i for i in group if i.window[1] >= step]

@@ -296,7 +296,7 @@ def test_only_regions_that_are_not_noop_are_refined_and_translated(monkeypatch, 
 @pytest.mark.parametrize("name", sorted(RUNS | WET_RUNS))
 def test_accuracy_pass_receives_windows_in_the_run_and_anchored_closures(monkeypatch, tmp_path, name):
     """Every instruction `wrap_accuracy` receives has its window inside the
-    run and ending by the last step of the cycle that issues it, and a
+    run and ending by the last step of the cycle that dispatches it, and a
     closure anchors on a road cell of its own region, or has no cell
     exactly when that region has no roads; so nothing is left to clip or
     snap, and no window is still in force when the next cycle summarizes
@@ -314,7 +314,7 @@ def test_accuracy_pass_receives_windows_in_the_run_and_anchored_closures(monkeyp
     assert received or cfg.strategy == "empty"
     for instr, world in received:
         assert 0 <= instr.window[0] <= instr.window[1] <= cfg.steps - 1
-        # the issuing cycle starts at the world's step and runs `cycle_len` steps
+        # the dispatching cycle starts at the world's step and runs `cycle_len` steps
         assert instr.window[1] <= world.step + cfg.feedback.cycle_len - 1
         if instr.tag is Tag.OBSTACLE:
             rows, cols = np.nonzero((world.region_id == instr.region) & world.is_road)
