@@ -5,13 +5,15 @@ agent against the fresh snapshot (ids ascending), write the aggregated
 car density back, then spawn new demand (newly spawned agents wait until
 the next step). Passability and routing costs are built as arrays once
 per step, since they only depend on depth, closures and penalties; each
-role's `Router` holds them with their connected components, and every
-route planned in the step reads those arrays. The road graph the routers
-search is contracted once, when the engine is built, since roads never
-change during a run. The board is asked once per step for each effect
-(drain, closures, penalties, held regions), all at the index of the step
-being executed, so a window (s, e) acts on exactly steps s..e; the
-post-step index labels the record, dump and spawns and times departures.
+role's `Router` holds them, with connected components labelled over the
+road graph (free nodes joined along chains with no blocked cell, chain
+cells by the end nodes they reach), and every route planned in the step
+reads those arrays. The road graph the routers search is contracted
+once, when the engine is built, since roads never change during a run.
+The board is asked once per step for each effect (drain, closures,
+penalties, held regions), all at the index of the step being executed,
+so a window (s, e) acts on exactly steps s..e; the post-step index
+labels the record, dump and spawns and times departures.
 One `step_agent` call per agent takes its role's router and returns
 event kinds, which the step counts into `StepRecord.events`.
 `agents` keeps every agent ever spawned; `active` keeps, in id order,

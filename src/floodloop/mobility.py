@@ -15,11 +15,14 @@ Routing is exact A* over the road graph, contracted once per road mask:
 nodes are junctions and dead ends, and each edge is a chain of degree-2
 cells (`RoadGraph`, built by `road_graph` and memoised per mask). One
 `Router` per step and role holds the step's flat padded arrays: the
-blocked cells, the costs and the 4-connected component labels, which
-answer unreachable pairs without a search. It derives which edges are
-blocked and what each costs on its first search. `plan_path` searches
-between nodes, enters and leaves chains at the origin and destination,
-and returns the full cell list.
+blocked cells, the costs and the component labels, which answer
+unreachable pairs without a search. The labels come from the graph: the
+free nodes are joined along the chains that hold no blocked cell, and a
+free cell inside a chain takes the label of an end node that no blocked
+cell cuts it off from, or one of its own when both ends are cut off. The
+router derives which edges are blocked and what each costs on its first
+search. `plan_path` searches between nodes, enters and leaves chains at
+the origin and destination, and returns the full cell list.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .rng import pystream
 from .world import WorldState
@@ -143,6 +145,14 @@ class RoadGraph:
     `chain[start:end]`.
     `cells[i]` is the (row, col) of flat index `i`, and `distances[j][i]`
     is |i - j|, the row and column terms of the heuristic.
+
+    For the component labels, the nodes are numbered in index order,
+    `nodes[n]` being node n's flat index, and each chain is laid out once
+    in `runs`: chain k (edge 2k's) from its tail node to its head node, at
+    `runs[spans[0, k]:spans[1, k]]`, and `links[:, k]` numbers those two
+    nodes. `inner` holds the cells inside chains; for the one at
+    `runs[a]`, in chain k, `probes` holds (spans[0, k], a, a + 1,
+    spans[1, k]) and `inner_links` holds `links[:, k]`.
     """
 
     def __init__(self, road: np.ndarray):
@@ -208,6 +218,21 @@ class RoadGraph:
         self.lengths = np.diff(self.offsets).astype(np.float64).tolist()
         self.chain_array = np.array(self.chain, dtype=np.intp)
         self.starts = np.array(self.offsets[:-1], dtype=np.intp)
+        runs: list[int] = []
+        spans: list[tuple[int, int]] = []
+        probes: list[tuple[int, int, int, int, int]] = []
+        for k, (lo, hi) in enumerate(zip(self.offsets[0::2], self.offsets[1::2])):
+            first = len(runs)
+            runs += [self.tail[2 * k]] + self.chain[lo:hi]
+            spans.append((first, len(runs)))
+            probes += [(first, a, a + 1, len(runs), k) for a in range(first + 1, len(runs) - 1)]
+        self.nodes = np.array(sorted(out), dtype=np.intp)
+        self.runs = np.array(runs, dtype=np.intp)
+        self.spans = np.array(spans, dtype=np.intp).reshape(-1, 2).T.copy()
+        self.links = np.searchsorted(self.nodes, [self.tail[0::2], self.tail[1::2]])
+        probe_array = np.array(probes, dtype=np.intp).reshape(-1, 5).T.copy()
+        self.probes, self.inner_links = probe_array[:4], self.links[:, probe_array[4]]
+        self.inner = self.runs[self.probes[1]]
 
 
 def road_graph(road: np.ndarray) -> RoadGraph:
@@ -233,12 +258,12 @@ class Router:
     edges hold a blocked cell and what each costs, are computed on the
     first search, so a router that never searches pays nothing for them.
 
-    The padded mask's 4-connected component labels (0 on blocked cells),
-    also computed on first use, decide reachability: `route(o, d)`
-    searches only when o == d, or when d's label is non-zero and equals
-    the label of o or of one of o's four neighbours. That is exactly when
-    A* succeeds, since A* may step off a blocked origin; every other pair
-    is None without a search. `route` memoises `plan_path` by (origin,
+    The component labels of the free cells (0 on blocked cells), also
+    computed on first use, decide reachability: `route(o, d)` searches
+    only when o == d, or when d's label is non-zero and equals the label of
+    o or of one of o's four neighbours. That is exactly when A* succeeds,
+    since A* may step off a blocked origin; every other pair is None
+    without a search. `route` memoises `plan_path` by (origin,
     destination); the memo is only as valid as the arrays, so build a new
     Router whenever the mask or the costs change.
     """
@@ -264,12 +289,36 @@ class Router:
 
     @property
     def labels(self) -> memoryview:
-        """The component labels, computed on first use: a router that is
-        never asked for a route pays nothing for them. A flat view that
-        indexes to Python ints, without a per-router tolist()."""
+        """One component label per padded cell, computed on first use: a
+        router that is never asked for a route pays nothing for them. 0 on
+        blocked cells, and two free cells share a label exactly when a
+        4-connected walk over free cells joins them.
+
+        The graph's free nodes are joined along the chains that hold no
+        blocked cell, and each component is labelled by its lowest node
+        number plus 1. A free cell inside a chain takes the label of an end
+        node that no blocked cell cuts it off from. When both sides are
+        cut, its free run is a component of its own, labelled past the node
+        labels by the number of blocked cells before it in `graph.runs`.
+        A flat view that indexes to Python ints, without a per-router
+        tolist()."""
         if self._labels is None:
-            free = np.frombuffer(self.blocked, dtype=np.uint8).reshape(-1, self.width) == 0
-            self._labels = memoryview(ndimage.label(free, structure=_FOUR_CONNECTED)[0].ravel())
+            graph = self.graph
+            blocked = np.frombuffer(self.blocked, dtype=np.uint8)
+            # count[j]: how many of the first j cells of `runs` are blocked
+            count = np.zeros(len(graph.runs) + 1, dtype=np.intp)
+            np.cumsum(blocked[graph.runs], dtype=np.intp, out=count[1:])
+            spans = count[graph.spans]
+            roots = _components(len(graph.nodes), *graph.links.compress(spans[0] == spans[1], axis=1))
+            node_labels = np.where(blocked[graph.nodes], 0, roots + 1)
+            probes = count[graph.probes]
+            free = probes[:-1] == probes[1:]  # per inner cell: its tail side, itself, its head side
+            ends = node_labels[graph.inner_links]
+            own = len(graph.nodes) + 1 + probes[1]
+            labels = np.zeros(len(blocked), dtype=np.intp)
+            labels[graph.nodes] = node_labels
+            labels[graph.inner] = np.where(free[1], np.where(free[2], ends[1], np.where(free[0], ends[0], own)), 0)
+            self._labels = memoryview(labels)
         return self._labels
 
     def with_unit_cost(self) -> "Router":
@@ -321,7 +370,21 @@ class Router:
         return None if path is None else list(path)
 
 
-_FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The root of each of n nodes joined by the links a[k]-b[k]: the lowest
+    node of its component. Each round hooks the higher root of every link
+    whose ends have two roots onto the lower one, then jumps pointers until
+    every node points at a root (Shiloach and Vishkin, J. Algorithms 1982).
+    A node never points above itself, so each round leaves fewer roots."""
+    parent = np.arange(n)
+    while True:
+        ra, rb = parent[a], parent[b]
+        if ra.tobytes() == rb.tobytes():  # a cheaper equality test than np.array_equal on small arrays
+            return parent
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        jumped = parent[parent]
+        while jumped.tobytes() != parent.tobytes():
+            parent, jumped = jumped, jumped[jumped]
 
 
 def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | None:

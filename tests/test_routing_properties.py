@@ -1,8 +1,12 @@
 """A* over the contracted road graph against the per-cell-callable A*
 that the package first had, kept here as the oracle: every route must
-cost what the oracle's costs. Also the graph's structure, the router's
-reachability rule, the per-step path memo and the unit-cost twin that
-shares a router's component labels."""
+cost what the oracle's costs. Also the graph's structure, the per-step
+path memo, the unit-cost twin that shares a router's component labels,
+and the router's reachability rule. Its labels come from the graph: free
+nodes joined along chains with no blocked cell, and a free chain cell
+labelled by an end node it reaches, or on its own when blocked cells cut
+it off from both. Where scipy is installed, the rule is checked against
+the one the package had over `ndimage.label`'s 4-connected grid labels."""
 
 from __future__ import annotations
 
@@ -374,3 +378,92 @@ def test_new_step_router_recomputes(monkeypatch):
     assert (0, 2) not in after
     assert_same_route_cost(after, oracle(mask, None, (0, 0), (0, 4)), mask, None, (0, 0), (0, 4))
     assert len(calls) == 2
+
+
+# --- reachability against the 4-connected grid labels -----------------------------------
+
+def ndimage_reachable(router):
+    """The reachability rule the package had before its labels came from the
+    road graph, over `ndimage.label`'s 4-connected labels of the padded free
+    cells, kept as the oracle."""
+    ndimage = pytest.importorskip("scipy.ndimage")
+    free = np.frombuffer(router.blocked, dtype=np.uint8).reshape(-1, router.width) == 0
+    labels = ndimage.label(free, structure=[[0, 1, 0], [1, 1, 1], [0, 1, 0]])[0].ravel().tolist()
+    width = router.width
+
+    def reachable(origin: Cell, destination: Cell) -> bool:
+        if origin == destination:
+            return True
+        label = labels[(destination[0] + 1) * width + destination[1] + 1]
+        start = (origin[0] + 1) * width + origin[1] + 1
+        return label != 0 and label in (
+            labels[start], labels[start - width], labels[start + width], labels[start - 1], labels[start + 1]
+        )
+
+    return reachable
+
+
+def assert_reachable_as_ndimage(router, origins, destinations):
+    expected = ndimage_reachable(router)
+    for o in origins:
+        for d in destinations:
+            assert router._reachable(o, d) == expected(o, d), (o, d)
+
+
+@settings(deadline=None, max_examples=300)
+@given(routing_cases(n_pairs=4))
+def test_reachability_matches_ndimage_labels_on_random_masks(case):
+    mask, cost, pairs = case
+    origins = [o for o, _ in pairs]
+    cells = [(r, c) for r in range(mask.shape[0]) for c in range(mask.shape[1])]
+    assert_reachable_as_ndimage(make_router(mask, cost, origins), origins, cells)
+
+
+@pytest.mark.parametrize(
+    "blocked",
+    [
+        # the chain from junction (0, 4) round the corner to junction (4, 0),
+        # and the one from (4, 4) to (4, 8), each cut on both sides
+        [(0, 2), (2, 0), (4, 5), (4, 7)],
+        [(4, 4)],  # a junction
+        [(4, 2)],  # a chain interior
+        [(0, 0)],  # the corner, inside a chain
+        [(0, 4), (4, 0), (0, 0)],  # both end nodes of a chain and a cell between them
+    ],
+    ids=["chains-cut-on-both-sides", "junction", "interior", "corner", "ends-cut"],
+)
+def test_reachability_matches_ndimage_labels_on_lattice_cuts(blocked):
+    # every road cell as origin, the blocked ones included, to every road cell
+    _, router = lattice_router(blocked)
+    road = [(int(r), int(c)) for r, c in zip(*np.nonzero(router.graph.road))]
+    assert_reachable_as_ndimage(router, road, road)
+
+
+_LATTICE = build_world(width=24, height=20, seed=5, n_regions=4)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_reachability_matches_ndimage_labels_on_lattices_with_random_blocks(data):
+    # spacing 4: chains three cells long, so random blocks cut many on both sides
+    road = _LATTICE.road_cells()
+    blocked = data.draw(st.sets(st.sampled_from(road), max_size=len(road) // 2))
+    mask = _LATTICE.is_road.copy()
+    for cell in blocked:
+        mask[cell] = False
+    router = mob.Router(mask, mob.road_graph(_LATTICE.is_road))
+    origins = sorted(blocked) + data.draw(st.lists(st.sampled_from(road), max_size=8)) + [(0, 0)]
+    assert_reachable_as_ndimage(router, origins, road)
+
+
+@pytest.mark.parametrize("blocked", [[], [(1, 1)], [(1, 3)], [(1, 2), (3, 3)], [(1, 1), (3, 4)]])
+def test_reachability_matches_ndimage_labels_on_a_nodeless_loop(blocked):
+    # the loop's one node, (1, 1), blocked or not, and cuts that split the loop
+    ring = np.zeros((5, 6), dtype=bool)
+    ring[1, 1:5] = ring[3, 1:5] = ring[1:4, 1] = ring[1:4, 4] = True
+    mask = ring.copy()
+    for cell in blocked:
+        mask[cell] = False
+    router = mob.Router(mask, mob.road_graph(ring))
+    cells = [(int(r), int(c)) for r, c in zip(*np.nonzero(ring))]
+    assert_reachable_as_ndimage(router, cells, cells)
