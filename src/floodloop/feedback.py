@@ -152,11 +152,21 @@ def worst_road_cells(world: WorldState) -> list[tuple[int, int] | None]:
     """Per region, its deepest road cell, or None for a region without roads.
 
     `WorldState.region_roads` holds each region's road cells in row-major
-    order, and `argmax` takes the first maximum, so depth ties go to the
-    first cell in row-major order.
+    order. One pass over their depths, laid out region by region, takes
+    each region's maximum and then the first position holding it, so depth
+    ties go to the first cell in row-major order.
     """
-    depth = world.water_depth.ravel()
-    return [cells[int(np.argmax(depth[flat]))] if cells else None for flat, cells in world.region_roads]
+    roads = [(flat, cells) for flat, cells in world.region_roads if cells]
+    if not roads:
+        return [None] * len(world.region_roads)
+    flats, cell_lists = zip(*roads)
+    depth = world.water_depth.ravel()[np.concatenate(flats)]
+    sizes = [len(cells) for cells in cell_lists]
+    starts = np.cumsum([0] + sizes[:-1])
+    top = np.repeat(np.maximum.reduceat(depth, starts), sizes)
+    first = np.minimum.reduceat(np.where(depth == top, np.arange(depth.size), depth.size), starts) - starts
+    worst = iter([cells[i] for cells, i in zip(cell_lists, first.tolist())])
+    return [next(worst) if cells else None for _, cells in world.region_roads]
 
 
 # --- knowledge bootstrap ----------------------------------------------------
