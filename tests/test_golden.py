@@ -2,7 +2,9 @@
 
 Each run's `metrics.csv`, `cycles.csv`, `trips.csv`, `instructions.csv`,
 `prompts.jsonl` and `summary.json` are hashed (sha256) and compared with
-`tests/golden/digests.json`.
+`tests/golden/digests.json`. The `external` run is answered by the
+benchmark's loopback stub (`bench/stub.py`), so the wire protocol, the
+answer parsing and the fallback on a 503 are pinned as well.
 A change that moves a digest changes behaviour; re-baseline deliberately with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -16,13 +18,19 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
 
-from floodloop import harness
-from floodloop.config import RunConfig
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from stub import FAIL_EVERY, StubServer  # noqa: E402
+
+from floodloop import harness  # noqa: E402
+from floodloop.config import RunConfig  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden" / "digests.json"
 ARTIFACTS = ("metrics.csv", "cycles.csv", "trips.csv", "instructions.csv", "prompts.jsonl", "summary.json")
@@ -41,6 +49,9 @@ WET_RUNS = {
     "wet": ("ruled", ()),
     "wet-no-feedback-loop": ("ruled", ("feedback_loop",)),
 }
+# the external backend against the benchmark's loopback stub, on the
+# config in `external_config`
+EXTERNAL_RUN = "external"
 
 
 def golden_config(strategy: str, ablations: tuple[str, ...], out_dir: str) -> RunConfig:
@@ -73,6 +84,33 @@ def wet_config(strategy: str, ablations: tuple[str, ...], out_dir: str) -> RunCo
     return cfg
 
 
+def external_config(out_dir: str, endpoint: str) -> RunConfig:
+    """`golden_config` with one-step cycles, as on the `dispatch` workload,
+    and enough of them that the stub's deliberate 503 sends one cycle to
+    the ruled fallback, probes included."""
+    cfg = golden_config("external", (), out_dir)
+    cfg.steps = FAIL_EVERY + 2
+    cfg.feedback.cycle_len = 1
+    cfg.external_endpoint = endpoint
+    return cfg
+
+
+@contextmanager
+def loopback_stub():
+    """The stub, served while the proxy environment bypasses loopback."""
+    saved = {var: os.environ.get(var) for var in ("NO_PROXY", "no_proxy")}
+    os.environ.update(dict.fromkeys(saved, "127.0.0.1,localhost"))
+    try:
+        with StubServer() as stub:
+            yield stub
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def run_config(name: str, out_dir: str) -> RunConfig:
     if name in WET_RUNS:
         return wet_config(*WET_RUNS[name], out_dir)
@@ -80,11 +118,18 @@ def run_config(name: str, out_dir: str) -> RunConfig:
 
 
 def run_digests(name: str, out_dir: Path) -> dict[str, str]:
-    harness.run(run_config(name, str(out_dir)))
+    if name == EXTERNAL_RUN:
+        with loopback_stub() as stub:
+            harness.run(external_config(str(out_dir), stub.endpoint))
+    else:
+        harness.run(run_config(name, str(out_dir)))
     return {a: hashlib.sha256((out_dir / a).read_bytes()).hexdigest() for a in ARTIFACTS}
 
 
-@pytest.mark.parametrize("name", sorted(RUNS | WET_RUNS))
+ALL_RUNS = sorted(RUNS | WET_RUNS | {EXTERNAL_RUN: None})
+
+
+@pytest.mark.parametrize("name", ALL_RUNS)
 def test_golden_digests(name, tmp_path):
     expected = json.loads(GOLDEN.read_text())[name]
     assert run_digests(name, tmp_path) == expected
@@ -108,6 +153,15 @@ def test_wet_golden_run_triggers_and_rejects(tmp_path):
     assert "deviation_rms" in prompts and "floodspot:" in prompts
 
 
+def test_external_golden_run_falls_back_once(tmp_path):
+    with loopback_stub() as stub:
+        harness.run(external_config(str(tmp_path), stub.endpoint))
+    with open(tmp_path / "cycles.csv", newline="") as fh:
+        backends = [row["backend"] for row in csv.DictReader(fh)]
+    assert backends.count("ruled") == 1 and backends[FAIL_EVERY - 1] == "ruled"
+    assert set(backends) == {"external", "ruled"}
+
+
 def test_ruled_golden_csv_floats_parse(tmp_path):
     strategy, ablations = RUNS["ruled"]
     harness.run(golden_config(strategy, ablations, str(tmp_path)))
@@ -124,7 +178,7 @@ if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: run_digests(name, Path(tmp) / name) for name in sorted(RUNS | WET_RUNS)}
+        digests = {name: run_digests(name, Path(tmp) / name) for name in ALL_RUNS}
     old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     for name, artifacts in digests.items():
         for artifact, digest in artifacts.items():
