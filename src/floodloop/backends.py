@@ -161,6 +161,11 @@ class ExternalBackend(StrategyBackend):
     "ranking" (action keys of regions in [0, n_regions), best first,
     converted to a distribution by softmax over negative ranks), plus an
     optional "planned" map of expected f/t/c/r.
+
+    The consistency probes of a cycle resend the first call's request, and
+    a stable endpoint answers them with the same bytes. So the last usable
+    answer is kept with its proposal: identical answer bytes are parsed
+    once, and the same proposal object is returned. Failures are not kept.
     """
 
     name = "external"
@@ -175,6 +180,8 @@ class ExternalBackend(StrategyBackend):
         self._opener = urllib.request.build_opener()
         self._body_key: tuple | None = None
         self._body = b""
+        self._answer_key: tuple[bytes, int] | None = None
+        self._answer: BackendProposal | None = None
 
     def _request_body(self, prompt, n_regions, tau, cycle) -> bytes:
         """The UTF-8 JSON request; the first call and the probes of one
@@ -192,56 +199,72 @@ class ExternalBackend(StrategyBackend):
         return self._body
 
     def propose(self, prompt, n_regions, tau, cycle):
-        vocab = action_vocabulary(n_regions)
         try:
             data = self._request_body(prompt, n_regions, tau, cycle)
             request = urllib.request.Request(
                 self.endpoint, data=data, headers={"Content-Type": "application/json"}, method="POST"
             )
             with self._opener.open(request, timeout=self.timeout) as resp:
-                body = json.loads(resp.read())
+                raw = resp.read()
         except urllib.error.HTTPError as exc:
             exc.close()
             raise BackendUnavailable(f"external backend failed: {exc}") from exc
         except (OSError, ValueError, http.client.HTTPException) as exc:
             # OSError: refused connections, URLError and timeouts;
-            # ValueError: NaN in the payload, a body that is not JSON
+            # ValueError: NaN in the payload
             raise BackendUnavailable(f"external backend failed: {exc}") from exc
-        planned = body.get("planned") if isinstance(body, dict) else None
-        if planned is not None:
-            try:
-                planned = {k: float(planned[k]) for k in ("f", "t", "c", "r")}
-            except (KeyError, TypeError, ValueError) as exc:
-                raise BackendUnavailable(f"malformed planned metrics: {exc}") from exc
+        key = (raw, n_regions)
+        if key != self._answer_key:
+            self._answer = _parse_answer(raw, n_regions)
+            self._answer_key = key
+        return self._answer
+
+
+def _parse_answer(raw: bytes, n_regions: int) -> BackendProposal:
+    """The proposal of one response body, or BackendUnavailable."""
+    try:
+        body = json.loads(raw)
+    except ValueError as exc:  # a body that is not JSON
+        raise BackendUnavailable(f"external backend failed: {exc}") from exc
+    planned = body.get("planned") if isinstance(body, dict) else None
+    if planned is not None:
         try:
-            if "probabilities" in body:
-                probs = [float(p) for p in body["probabilities"]]
-                if len(probs) != len(vocab):
-                    raise ValueError(f"expected {len(vocab)} probabilities, got {len(probs)}")
-                support, kept = [], []
-                for action, p in zip(vocab, probs):
-                    if not (math.isfinite(p) and p >= 0):
-                        raise ValueError(f"probability of {action.key()} is {p!r}, not finite and non-negative")
-                    if p > 0:
-                        support.append(action)
-                        kept.append(p)
-                total = sum(kept)  # entries are checked, but their sum can overflow
-                if not 0 < total < math.inf:
-                    raise ValueError(f"probabilities sum to {total!r}")
-                dist = PolicyDistribution(tuple(support), tuple(p / total for p in kept))
-            elif "ranking" in body:
-                dist = ranking_to_distribution([str(k) for k in body["ranking"]])
-                for action in dist.support:
-                    if not 0 <= action.region < n_regions:
-                        raise ValueError(f"ranked action {action.key()} is outside regions [0, {n_regions})")
-                dist.validate()
-            else:
-                raise ValueError("response carries neither probabilities nor ranking")
-        except BackendUnavailable:
-            raise
-        except Exception as exc:
-            raise BackendUnavailable(f"unusable external response: {exc}") from exc
-        return BackendProposal(distribution=dist, planned_metrics=planned)
+            planned = {k: float(planned[k]) for k in ("f", "t", "c", "r")}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BackendUnavailable(f"malformed planned metrics: {exc}") from exc
+    try:
+        if "probabilities" in body:
+            dist = _probabilities_to_distribution([float(p) for p in body["probabilities"]], n_regions)
+        elif "ranking" in body:
+            dist = ranking_to_distribution([str(k) for k in body["ranking"]])
+            for action in dist.support:
+                if not 0 <= action.region < n_regions:
+                    raise ValueError(f"ranked action {action.key()} is outside regions [0, {n_regions})")
+            dist.validate()
+        else:
+            raise ValueError("response carries neither probabilities nor ranking")
+    except Exception as exc:
+        raise BackendUnavailable(f"unusable external response: {exc}") from exc
+    return BackendProposal(distribution=dist, planned_metrics=planned)
+
+
+def _probabilities_to_distribution(probs: list[float], n_regions: int) -> PolicyDistribution:
+    """One finite, non-negative weight per vocabulary entry, normalised over
+    the positive ones; the support keeps vocabulary order."""
+    vocab = action_vocabulary(n_regions)
+    if len(probs) != len(vocab):
+        raise ValueError(f"expected {len(vocab)} probabilities, got {len(probs)}")
+    weights = np.array(probs, dtype=np.float64)
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights >= 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"probability of {vocab[i].key()} is {probs[i]!r}, not finite and non-negative")
+    kept_at = np.flatnonzero(weights).tolist()
+    kept = [probs[i] for i in kept_at]
+    total = sum(kept)  # entries are checked, but their sum can overflow
+    if not 0 < total < math.inf:
+        raise ValueError(f"probabilities sum to {total!r}")
+    return PolicyDistribution(tuple(vocab[i] for i in kept_at), tuple(p / total for p in kept))
 
 
 def ranking_to_distribution(ranked_keys: Sequence[str]) -> PolicyDistribution:

@@ -151,22 +151,20 @@ def trigger_replanning(report: CycleReport, graph: KnowledgeGraph) -> tuple[Feed
 def worst_road_cells(world: WorldState) -> list[tuple[int, int] | None]:
     """Per region, its deepest road cell, or None for a region without roads.
 
-    `WorldState.region_roads` holds each region's road cells in row-major
-    order. One pass over their depths, laid out region by region, takes
-    each region's maximum and then the first position holding it, so depth
-    ties go to the first cell in row-major order.
+    `WorldState.road_runs` lays the road cells out region by region, each
+    region's in row-major order. One pass over their depths takes each
+    run's maximum and then the first position holding it, so depth ties
+    go to the first cell in row-major order.
     """
-    roads = [(flat, cells) for flat, cells in world.region_roads if cells]
-    if not roads:
-        return [None] * len(world.region_roads)
-    flats, cell_lists = zip(*roads)
-    depth = world.water_depth.ravel()[np.concatenate(flats)]
-    sizes = [len(cells) for cells in cell_lists]
-    starts = np.cumsum([0] + sizes[:-1])
-    top = np.repeat(np.maximum.reduceat(depth, starts), sizes)
-    first = np.minimum.reduceat(np.where(depth == top, np.arange(depth.size), depth.size), starts) - starts
-    worst = iter([cells[i] for cells, i in zip(cell_lists, first.tolist())])
-    return [next(worst) if cells else None for _, cells in world.region_roads]
+    runs = world.road_runs
+    worst: list[tuple[int, int] | None] = [None] * len(world.region_roads)
+    if runs.regions:
+        depth = world.water_depth.ravel()[runs.flat]
+        top = np.repeat(np.maximum.reduceat(depth, runs.starts), runs.sizes)
+        first = np.minimum.reduceat(np.where(depth == top, np.arange(depth.size), depth.size), runs.starts)
+        for region, i in zip(runs.regions, first.tolist()):
+            worst[region] = runs.cells[i]
+    return worst
 
 
 # --- knowledge bootstrap ----------------------------------------------------
@@ -420,13 +418,16 @@ class DecisionLoop:
         query = embed_state(summary.text(), self.knowledge.embedder)
         segments = retrieve_topk(query, self.knowledge.store, self.config.knowledge.top_k)
         seeds = summary.seed_region_ids()
-        subgraph = None
+        graph = keep = None
         if seeds:
             try:
-                subgraph = extract_subgraph(self.knowledge.graph, seeds, self.config.knowledge.subgraph_hops)
+                keep = extract_subgraph(self.knowledge.graph, seeds, self.config.knowledge.subgraph_hops)
+                graph = self.knowledge.graph
             except EmptySeed:
-                subgraph = None
-        return build_prompt(summary.text(), subgraph, segments, TASK_DIRECTIVE, feedback_note, summary=summary)
+                pass
+        return build_prompt(
+            summary.text(), graph, segments, TASK_DIRECTIVE, feedback_note, summary=summary, keep=keep
+        )
 
     def _propose(self, prompt: HybridPrompt, cycle: int) -> tuple[BackendProposal, str, bool]:
         cfg = self.config
@@ -448,7 +449,12 @@ class DecisionLoop:
                 )
             except BackendUnavailable:
                 proposals.append(first)
-        self.consistency_sets.append(tuple(self.knowledge.embedder.embed(_proposal_text(p)) for p in proposals))
+        # a backend that memoises its answer returns the same object again
+        texts: dict[int, str] = {}
+        for p in proposals:
+            if id(p) not in texts:
+                texts[id(p)] = _proposal_text(p)
+        self.consistency_sets.append(tuple(self.knowledge.embedder.embed(texts[id(p)]) for p in proposals))
 
     def _log_instruction(self, cycle: int, instr: Instruction, status: str, reason: str) -> None:
         self.instruction_rows.append(

@@ -1,8 +1,10 @@
 """Dual-channel knowledge indexing.
 
 One channel is a typed graph (regions, roads, flood spots) from which
-the seed regions' neighbourhood is extracted; the other is a text segment
-store with top-K cosine retrieval. Both feed a canonical hybrid prompt.
+the ids of the seed regions' neighbourhood are extracted; the prompt
+renders that neighbourhood straight from the graph's render index, with
+no copy of the graph. The other is a text segment store with top-K
+cosine retrieval. Both feed a canonical hybrid prompt.
 
 Embeddings come from one pluggable interface whose default is
 deterministic feature hashing: no training, no model downloads, yet
@@ -16,8 +18,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -180,23 +183,6 @@ class KnowledgeGraph:
             }
         return self._rendered
 
-    def induced(self, keep: set[str]) -> "KnowledgeGraph":
-        """Subgraph induced on `keep` (ids of this graph), with its slice of
-        this graph's render index. Built from the indexes: `add_edge`'s
-        dangling and duplicate checks hold by construction."""
-        rendered = self.render_index()
-        sub = KnowledgeGraph()
-        sub._rendered = {}
-        for nid in sorted(keep):
-            out = {key: e for key, e in self._out[nid].items() if key[0] in keep}
-            sub.nodes[nid] = self.nodes[nid]
-            sub.edges.extend(out.values())
-            sub._neighbors[nid] = self._neighbors[nid] & keep
-            sub._out[nid] = out
-            line, edge_lines = rendered[nid]
-            sub._rendered[nid] = (line, [pair for pair in edge_lines if pair[0] in keep])
-        return sub
-
 
 def update_graph(
     graph: KnowledgeGraph,
@@ -219,8 +205,9 @@ def _normalized(vec: np.ndarray) -> np.ndarray:
     return vec / norm if norm > 0 else vec
 
 
-def extract_subgraph(graph: KnowledgeGraph, seed_ids: Sequence[str], hops: int) -> KnowledgeGraph:
-    """Induced subgraph on every node within `hops` of the seed set."""
+def extract_subgraph(graph: KnowledgeGraph, seed_ids: Sequence[str], hops: int) -> set[str]:
+    """Ids of every node within `hops` of the seed set: the node set of the
+    induced subgraph that `render_subgraph(graph, ids)` renders."""
     seeds = [s for s in seed_ids if s in graph.nodes]
     if not seeds:
         raise EmptySeed("no seed nodes present in the graph")
@@ -234,7 +221,7 @@ def extract_subgraph(graph: KnowledgeGraph, seed_ids: Sequence[str], hops: int) 
         frontier = nxt
         if not frontier:
             break
-    return graph.induced(retained)
+    return retained
 
 
 @dataclass(frozen=True)
@@ -293,7 +280,8 @@ class HybridPrompt:
 
     `summary` keeps the structured state object so local backends can read
     it without parsing; `text` is the canonical serialization sent to
-    external backends. Equal inputs yield byte-identical text.
+    external backends, built on first use and kept. Equal inputs yield
+    byte-identical text.
     """
 
     state_text: str
@@ -303,7 +291,7 @@ class HybridPrompt:
     feedback: FeedbackNote | None
     summary: object = field(compare=False, default=None)
 
-    @property
+    @cached_property
     def text(self) -> str:
         parts = [
             "## STATE",
@@ -335,13 +323,19 @@ def _render_feedback(note: FeedbackNote | None) -> str:
     return "\n".join(lines)
 
 
-def render_subgraph(sub: KnowledgeGraph | None) -> str:
-    """Node lines in id order, then edge lines in (src, dst, type) order."""
-    if sub is None or sub.n_nodes() == 0:
+def render_subgraph(graph: KnowledgeGraph | None, keep: AbstractSet[str] | None = None) -> str:
+    """The subgraph induced on `keep` (all of `graph` when None): node lines
+    in id order, then edge lines in (src, dst, type) order."""
+    if graph is None:
         return "(none)"
-    rendered = sub.render_index().values()
+    index = graph.render_index()
+    rendered = list(index.values()) if keep is None else [index[nid] for nid in sorted(keep)]
+    if not rendered:
+        return "(none)"
     nodes = "\n".join(line for line, _ in rendered)
-    edges = "\n".join(line for _, edge_lines in rendered for _, line in edge_lines)
+    edges = "\n".join(
+        line for _, edge_lines in rendered for dst, line in edge_lines if keep is None or dst in keep
+    )
     return f"{nodes}\n{edges}" if edges else nodes
 
 
@@ -353,17 +347,19 @@ def render_segments(segments: Sequence[tuple[Segment, float]]) -> str:
 
 def build_prompt(
     state_text: str,
-    subgraph: KnowledgeGraph | None,
+    graph: KnowledgeGraph | None,
     segments: Sequence[tuple[Segment, float]],
     task: str,
     feedback: FeedbackNote | None = None,
     summary: object = None,
+    keep: AbstractSet[str] | None = None,
 ) -> HybridPrompt:
     """Assemble the hybrid prompt; every section is always present, with an
-    explicit (none) marker when a channel is empty."""
+    explicit (none) marker when a channel is empty. The subgraph section
+    renders `graph` induced on `keep`, or all of it when `keep` is None."""
     return HybridPrompt(
         state_text=state_text if state_text.strip() else "(none)",
-        subgraph_text=render_subgraph(subgraph),
+        subgraph_text=render_subgraph(graph, keep),
         segments_text=render_segments(segments),
         task=task,
         feedback=feedback,

@@ -326,11 +326,12 @@ def sample_per_region(
         if p > 0:
             by_region.setdefault(action.region, []).append((action, p))
     sampled: dict[int, HighLevelAction] = {}
+    noops = action_vocabulary(n_regions)[VERB_INDEX[Verb.NOOP] * n_regions :]
     rng = pystream(seed, "policy-sample", cycle)
     for region in range(n_regions):
         entries = by_region.get(region)
         if not entries:
-            sampled[region] = HighLevelAction(Verb.NOOP, region)
+            sampled[region] = noops[region]
             continue
         actions = [a for a, _ in entries]
         weights = [p for _, p in entries]

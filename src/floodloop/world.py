@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -207,6 +208,7 @@ class WorldState:
     downhill_counts: np.ndarray | None = field(repr=False, default=None)
     # per region: its road cells as flat indices and as (row, col), row-major
     region_roads: tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...] = field(repr=False, default=())
+    road_runs: RoadRuns | None = field(repr=False, default=None)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -227,6 +229,31 @@ def _downhill_structure(elevation: np.ndarray):
         masks.append(neighbor < elevation)
     counts = np.sum(masks, axis=0)
     return tuple(masks), counts
+
+
+@dataclass(frozen=True)
+class RoadRuns:
+    """`WorldState.region_roads` laid end to end: one run of road cells per
+    region that has roads, in region order, row-major within a run."""
+
+    flat: np.ndarray  # flat index of every cell of every run
+    cells: tuple[tuple[int, int], ...]  # the same cells as (row, col)
+    starts: np.ndarray  # where each run begins
+    sizes: np.ndarray  # how many cells each run holds
+    regions: tuple[int, ...]  # the region of each run
+
+
+def road_runs(region_roads: tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...]) -> RoadRuns:
+    """The runs of `region_road_index`'s result; built once per world."""
+    sizes = np.array([len(cells) for _, cells in region_roads], dtype=np.intp)
+    kept = np.flatnonzero(sizes)
+    return RoadRuns(
+        flat=np.concatenate([flat for flat, _ in region_roads]),
+        cells=tuple(chain.from_iterable(cells for _, cells in region_roads)),
+        starts=(np.cumsum(sizes) - sizes)[kept],
+        sizes=sizes[kept],
+        regions=tuple(kept.tolist()),
+    )
 
 
 def region_road_index(
@@ -265,6 +292,7 @@ def build_world(
     elevation = elevation - road_depression * is_road
     region_id = partition_regions(width, height, n_regions)
     masks, counts = _downhill_structure(elevation)
+    region_roads = region_road_index(is_road, region_id, n_regions)
     return WorldState(
         width=width,
         height=height,
@@ -278,7 +306,8 @@ def build_world(
         params=params,
         downhill_masks=masks,
         downhill_counts=counts,
-        region_roads=region_road_index(is_road, region_id, n_regions),
+        region_roads=region_roads,
+        road_runs=road_runs(region_roads),
     )
 
 

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import json
+import math
+import struct
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from floodloop import backends as b
 from floodloop import policy as p
@@ -288,6 +292,120 @@ def test_external_failures_raise(http_backend, response):
         b.ExternalBackend(url, timeout=2.0).propose(prompt_for(summary_with()), 4, 1.2, 0)
     for text in reason:
         assert text in str(failure.value)
+
+
+def probs_response(n_regions, weights):
+    """A probability vector over the vocabulary: `weights` on its first entries."""
+    probs = [0.0] * len(p.action_vocabulary(n_regions))
+    probs[: len(weights)] = weights
+    return (200, {"probabilities": probs})
+
+
+@pytest.fixture
+def parse_count(monkeypatch):
+    """How often the backend parsed an answer body so far."""
+    calls = []
+    parse = b._parse_answer
+    monkeypatch.setattr(b, "_parse_answer", lambda raw, n: calls.append(raw) or parse(raw, n))
+    return calls
+
+
+def test_external_identical_answer_is_parsed_once(http_backend, parse_count):
+    url, handler = http_backend
+    handler.responses += [probs_response(4, [0.75, 0.25])] * 3
+    backend = b.ExternalBackend(url, timeout=2.0)
+    prompt = prompt_for(summary_with())
+    first = backend.propose(prompt, 4, 1.2, 0)
+    assert backend.propose(prompt, 4, 1.2, 0) is first  # the probes of the cycle
+    assert backend.propose(prompt, 4, 1.2, 0) is first
+    assert len(parse_count) == 1
+    assert len(handler.requests) == 3  # every call still goes over the wire
+
+
+def test_external_changed_answer_is_parsed_again(http_backend, parse_count):
+    url, handler = http_backend
+    handler.responses += [probs_response(4, [0.75, 0.25]), probs_response(4, [0.25, 0.75])]
+    backend = b.ExternalBackend(url, timeout=2.0)
+    prompt = prompt_for(summary_with())
+    first = backend.propose(prompt, 4, 1.2, 0)
+    second = backend.propose(prompt, 4, 1.2, 0)
+    assert first.distribution.probs == (0.75, 0.25)
+    assert second.distribution.probs == (0.25, 0.75)
+    assert len(parse_count) == 2
+
+
+def test_external_same_answer_for_other_regions_is_parsed_again(http_backend, parse_count):
+    url, handler = http_backend
+    handler.responses += [(200, {"ranking": ["close_road@2", "noop@0"]})] * 2
+    backend = b.ExternalBackend(url, timeout=2.0)
+    prompt = prompt_for(summary_with())
+    backend.propose(prompt, 4, 1.2, 0)
+    with pytest.raises(BackendUnavailable, match="outside regions"):
+        backend.propose(prompt, 2, 1.2, 0)
+    assert len(parse_count) == 2
+
+
+@pytest.mark.parametrize("failure", [(503, {}), (200, b"<html>not json</html>"), (200, {"probabilities": [0.5]})])
+def test_external_failure_between_answers_neither_returns_nor_clears_the_kept_one(http_backend, failure):
+    url, handler = http_backend
+    good, other = probs_response(4, [0.75, 0.25]), probs_response(4, [0.5, 0.5])
+    handler.responses += [good, failure, good, failure, other]
+    backend = b.ExternalBackend(url, timeout=2.0)
+    prompt = prompt_for(summary_with())
+    kept = backend.propose(prompt, 4, 1.2, 0)
+    with pytest.raises(BackendUnavailable):
+        backend.propose(prompt, 4, 1.2, 0)
+    assert backend.propose(prompt, 4, 1.2, 0) is kept
+    with pytest.raises(BackendUnavailable):
+        backend.propose(prompt, 4, 1.2, 0)
+    assert backend.propose(prompt, 4, 1.2, 0).distribution.probs == (0.5, 0.5)
+
+
+def per_entry_distribution(probs, n_regions):
+    """The per-entry check of `ExternalBackend.propose` before the numpy
+    pass, kept verbatim as the oracle."""
+    vocab = p.action_vocabulary(n_regions)
+    if len(probs) != len(vocab):
+        raise ValueError(f"expected {len(vocab)} probabilities, got {len(probs)}")
+    support, kept = [], []
+    for action, prob in zip(vocab, probs):
+        if not (math.isfinite(prob) and prob >= 0):
+            raise ValueError(f"probability of {action.key()} is {prob!r}, not finite and non-negative")
+        if prob > 0:
+            support.append(action)
+            kept.append(prob)
+    total = sum(kept)  # entries are checked, but their sum can overflow
+    if not 0 < total < math.inf:
+        raise ValueError(f"probabilities sum to {total!r}")
+    return p.PolicyDistribution(tuple(support), tuple(prob / total for prob in kept))
+
+
+# mostly zeros and plain weights, with every value the check must refuse or
+# drop, and pairs of 1e308 whose sum overflows
+_PROB = st.one_of(
+    st.just(0.0),
+    st.just(0.0),
+    st.floats(0.0, 10.0),
+    st.floats(0.0, 10.0),
+    st.sampled_from([-0.0, 5e-324, 1e308, 1.7e308, math.nan, math.inf, -math.inf, -1.0, -5e-324]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_numpy_check_equals_per_entry_loop(n_regions, data):
+    size = len(p.action_vocabulary(n_regions)) + data.draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    probs = data.draw(st.lists(_PROB, min_size=max(size, 0), max_size=max(size, 0)))
+    try:
+        expected = per_entry_distribution(probs, n_regions)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            b._probabilities_to_distribution(probs, n_regions)
+        assert str(got.value) == str(exc)
+        return
+    got = b._probabilities_to_distribution(probs, n_regions)
+    assert got.support == expected.support
+    assert [struct.pack("<d", x) for x in got.probs] == [struct.pack("<d", x) for x in expected.probs]
 
 
 def test_external_timeout_raises(http_backend):

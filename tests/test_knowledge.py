@@ -60,18 +60,22 @@ def test_embed_state_empty_rejected():
 
 # --- subgraph extraction ------------------------------------------------------------
 
+def edge_lines(text):
+    return [line for line in text.splitlines() if line.startswith("edge ")]
+
+
 def test_hops_zero_single_seed():
     g = path_graph(4)
-    sub = k.extract_subgraph(g, ["n1"], 0)
-    assert set(sub.nodes) == {"n1"}
-    assert sub.n_edges() == 0
+    keep = k.extract_subgraph(g, ["n1"], 0)
+    assert keep == {"n1"}
+    assert k.render_subgraph(g, keep) == "node n1 type=region label=n1"
 
 
 def test_hops_beyond_diameter():
     g = path_graph(5)
-    sub = k.extract_subgraph(g, ["n0"], 10)
-    assert set(sub.nodes) == {f"n{i}" for i in range(5)}
-    assert sub.n_edges() == 4
+    keep = k.extract_subgraph(g, ["n0"], 10)
+    assert keep == {f"n{i}" for i in range(5)}
+    assert len(edge_lines(k.render_subgraph(g, keep))) == 4
 
 
 def test_bfs_frontier_oracle_random_graphs():
@@ -93,11 +97,11 @@ def test_bfs_frontier_oracle_random_graphs():
         for _ in range(hops):
             frontier = {m for f in frontier for m in g.neighbors(f)} - expected
             expected |= frontier
-        sub = k.extract_subgraph(g, seeds, hops)
-        assert set(sub.nodes) == expected
-        for edge in g.edges:  # induced: every original edge among retained nodes kept
-            if edge.src in expected and edge.dst in expected:
-                assert edge in sub.edges
+        keep = k.extract_subgraph(g, seeds, hops)
+        assert keep == expected
+        # induced: exactly the original edges among retained nodes are rendered
+        rendered = set(edge_lines(k.render_subgraph(g, keep)))
+        assert rendered == {e.line() for e in g.edges if e.src in expected and e.dst in expected}
 
 
 def test_empty_seed_rejected():
@@ -237,8 +241,7 @@ def test_update_graph_floodspot_reachable():
     g2 = k.update_graph(g, [spot], [k.Edge("floodspot:1", "n1", k.EdgeType.RISKS)])
     assert g2.n_nodes() == g.n_nodes() + 1
     assert g2.n_edges() == g.n_edges() + 1
-    sub = k.extract_subgraph(g2, ["n1"], 1)
-    assert "floodspot:1" in sub.nodes
+    assert "floodspot:1" in k.extract_subgraph(g2, ["n1"], 1)
     # source graph untouched
     assert "floodspot:1" not in g.nodes
 
@@ -409,14 +412,13 @@ def assert_extracts_like_per_call_code(graph, seeds, hops):
         with pytest.raises(EmptySeed):
             k.extract_subgraph(graph, seeds, hops)
         return
-    sub = k.extract_subgraph(graph, seeds, hops)
-    assert k.render_subgraph(sub) == per_call_render(expected)
-    assert sub.nodes == expected.nodes
-    assert set(sub.edges) == set(expected.edges)
-    assert {nid: sub.neighbors(nid) for nid in sub.nodes} == {nid: expected.neighbors(nid) for nid in expected.nodes}
-    # the sub's own indexes: extracting from it again
-    assert k.render_subgraph(k.extract_subgraph(sub, list(sub.nodes)[:2], hops)) == per_call_render(
-        per_call_extract(expected, list(expected.nodes)[:2], hops)
+    keep = k.extract_subgraph(graph, seeds, hops)
+    assert keep == set(expected.nodes)
+    assert k.render_subgraph(graph, keep) == per_call_render(expected)
+    # a graph built node by node: extracting from the extracted graph again
+    again = list(expected.nodes)[:2]
+    assert k.render_subgraph(expected, k.extract_subgraph(expected, again, hops)) == per_call_render(
+        per_call_extract(expected, again, hops)
     )
 
 

@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 from floodloop import feedback as fb
 from floodloop.errors import EmptyQuery
 from floodloop.knowledge import _TOKEN_RE, HashingEmbedder
-from floodloop.world import region_road_index
+from floodloop.world import region_road_index, road_runs
 
 
 def per_region_worst(world, region: int) -> tuple[int, int] | None:
@@ -47,10 +47,11 @@ def worlds(draw):
     is_road = draw(hnp.arrays(np.bool_, shape))
     is_road &= region_id != draw(st.integers(0, n_regions - 1))
     water_depth = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.25, 0.5])))
+    region_roads = region_road_index(is_road, region_id, n_regions)
     return SimpleNamespace(
         width=width, height=height, n_regions=n_regions,
         region_id=region_id, is_road=is_road, water_depth=water_depth,
-        region_roads=region_road_index(is_road, region_id, n_regions),
+        region_roads=region_roads, road_runs=road_runs(region_roads),
     )
 
 
