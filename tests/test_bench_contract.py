@@ -15,8 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from layers import TRACE_POINTS, missing_spans  # noqa: E402
 from spans import Hook, Tracer  # noqa: E402
-from stub import FAIL_EVERY, StubServer  # noqa: E402
-from test_golden import RUNS, golden_config  # noqa: E402
+from test_golden import RUNS, external_config, golden_config, loopback_stub  # noqa: E402
 
 from floodloop import harness  # noqa: E402
 
@@ -41,16 +40,8 @@ def test_golden_ruled_run_enters_every_span_expected_on_storm(tmp_path):
     assert missing_spans(tracer.entered, "storm") == []
 
 
-def test_external_run_against_the_stub_enters_every_span_expected_on_dispatch(tmp_path, monkeypatch):
-    # one-step cycles, as on `dispatch`, and enough of them for the stub's
-    # deliberate 503 to send one cycle to the ruled fallback
-    for var in ("NO_PROXY", "no_proxy"):
-        monkeypatch.setenv(var, "127.0.0.1,localhost")  # the stub is on loopback
-    cfg = golden_config("external", (), str(tmp_path))
-    cfg.steps = FAIL_EVERY + 2
-    cfg.feedback.cycle_len = 1
-    with StubServer() as stub, Tracer() as tracer:
-        cfg.external_endpoint = stub.endpoint
+def test_external_run_against_the_stub_enters_every_span_expected_on_dispatch(tmp_path):
+    with loopback_stub() as stub, Tracer() as tracer:
         tracer.install([Hook(target, name) for target, name, _ in TRACE_POINTS])
-        harness.run(cfg)
+        harness.run(external_config(str(tmp_path), stub.endpoint))
     assert missing_spans(tracer.entered, "dispatch") == []

@@ -126,7 +126,7 @@ def run_digests(name: str, out_dir: Path) -> dict[str, str]:
     return {a: hashlib.sha256((out_dir / a).read_bytes()).hexdigest() for a in ARTIFACTS}
 
 
-ALL_RUNS = sorted(RUNS | WET_RUNS | {EXTERNAL_RUN: None})
+ALL_RUNS = sorted([*RUNS, *WET_RUNS, EXTERNAL_RUN])
 
 
 @pytest.mark.parametrize("name", ALL_RUNS)
