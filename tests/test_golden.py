@@ -2,7 +2,7 @@
 
 Each run's `metrics.csv`, `cycles.csv`, `trips.csv`, `instructions.csv`,
 `prompts.jsonl` and `summary.json` are hashed (sha256) and compared with
-`tests/golden/digests.json`. The `external` run is answered by the
+`tests/golden/digests.json`; so are the tables of one small matrix run. The `external` run is answered by the
 benchmark's loopback stub (`bench/stub.py`), so the wire protocol, the
 answer parsing and the fallback on a 503 are pinned as well.
 A change that moves a digest changes behaviour; re-baseline deliberately with
@@ -52,6 +52,9 @@ WET_RUNS = {
 # the external backend against the benchmark's loopback stub, on the
 # config in `external_config`
 EXTERNAL_RUN = "external"
+# empty and ruled on `golden_config`, two repeats each: the matrix tables
+MATRIX_RUN = "matrix"
+MATRIX_ARTIFACTS = ("comparison.csv", "semantic.csv")
 
 
 def golden_config(strategy: str, ablations: tuple[str, ...], out_dir: str) -> RunConfig:
@@ -118,6 +121,9 @@ def run_config(name: str, out_dir: str) -> RunConfig:
 
 
 def run_digests(name: str, out_dir: Path) -> dict[str, str]:
+    if name == MATRIX_RUN:
+        harness.run_matrix(golden_config("ruled", (), str(out_dir)), ["empty", "ruled"], ["extreme"], 2)
+        return {a: hashlib.sha256((out_dir / a).read_bytes()).hexdigest() for a in MATRIX_ARTIFACTS}
     if name == EXTERNAL_RUN:
         with loopback_stub() as stub:
             harness.run(external_config(str(out_dir), stub.endpoint))
@@ -126,7 +132,7 @@ def run_digests(name: str, out_dir: Path) -> dict[str, str]:
     return {a: hashlib.sha256((out_dir / a).read_bytes()).hexdigest() for a in ARTIFACTS}
 
 
-ALL_RUNS = sorted([*RUNS, *WET_RUNS, EXTERNAL_RUN])
+ALL_RUNS = sorted([*RUNS, *WET_RUNS, EXTERNAL_RUN, MATRIX_RUN])
 
 
 @pytest.mark.parametrize("name", ALL_RUNS)
