@@ -23,10 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import BackendUnavailable
 from .knowledge import HybridPrompt
 from .policy import VERB_INDEX, HighLevelAction, PolicyDistribution, Verb, action_keys, action_vocabulary
 from .state import StateSummary
+
+PREEMPT_FRACTION = 0.5  # of the blocking depth: the bar for preventive pumping on open roads
+CALM_BLOCKED_LIMIT = 40  # blocked road cells on the whole map at or below which it counts as calm
 
 
 @dataclass(frozen=True)
@@ -55,26 +59,26 @@ class EmptyBackend(StrategyBackend):
 class RuledBackend(StrategyBackend):
     """Static threshold rules over the structured state summary.
 
-    Regions whose relative flood score crosses `score_threshold` attract
-    reroute/close mass; regions with actually blocked roads or depths near
-    the blocking threshold also attract relief and transit holds. When the
-    prompt carries failure feedback from a triggered cycle, intervention
-    weights escalate and the wetness bar drops, widening the response.
+    Regions whose relative flood score crosses `score_threshold`
+    (`PolicyConfig.score_threshold`) attract reroute/close mass; regions
+    with actually blocked roads or depths near the blocking threshold
+    (`PREEMPT_FRACTION` of it) also attract relief and transit holds. When
+    the prompt carries failure feedback from a triggered cycle,
+    intervention weights escalate and the wetness bar drops, widening the
+    response.
     """
 
     name = "ruled"
 
-    def __init__(self, score_threshold: float = 0.7, preempt_fraction: float = 0.5, calm_blocked_limit: int = 40):
+    def __init__(self, score_threshold: float):
         self.score_threshold = score_threshold
-        self.preempt_fraction = preempt_fraction
-        self.calm_blocked_limit = calm_blocked_limit
 
     def propose(self, prompt, n_regions, tau, cycle):
         summary = prompt.summary
         if not isinstance(summary, StateSummary):
             raise BackendUnavailable("ruled backend needs a structured state summary")
         boost = 1.0
-        preempt_bar = self.preempt_fraction * summary.blocking_depth
+        preempt_bar = PREEMPT_FRACTION * summary.blocking_depth
         degraded: tuple[str, ...] = ()
         if prompt.feedback is not None:
             boost = 1.0 + min(2.0, 10.0 * prompt.feedback.deviation_rms)
@@ -83,7 +87,7 @@ class RuledBackend(StrategyBackend):
             if "c" in degraded or "r" in degraded:
                 boost *= 1.5
                 preempt_bar *= 0.75
-        calm_map = sum(summary.region_blocked_roads) <= self.calm_blocked_limit
+        calm_map = sum(summary.region_blocked_roads) <= CALM_BLOCKED_LIMIT
         scores: defaultdict[HighLevelAction, float] = defaultdict(float)
         scores[HighLevelAction(Verb.NOOP, 0)] = 0.5
         for r in range(n_regions):
@@ -170,7 +174,7 @@ class ExternalBackend(StrategyBackend):
 
     name = "external"
 
-    def __init__(self, endpoint: str, timeout: float = 5.0):
+    def __init__(self, endpoint: str, timeout: float):
         # urllib would also open file:// and ftp:// URLs; the protocol is HTTP only
         if urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
             raise ValueError(f"external endpoint must be an http(s) URL, got {endpoint!r}")
@@ -277,19 +281,14 @@ def ranking_to_distribution(ranked_keys: Sequence[str]) -> PolicyDistribution:
     return PolicyDistribution(support=actions, probs=tuple(float(p) for p in probs))
 
 
-def make_backend(
-    strategy: str,
-    endpoint: str | None = None,
-    timeout: float = 5.0,
-    script: Sequence[BackendProposal] | None = None,
-    n_regions: int = 64,
-    score_threshold: float = 0.7,
-) -> StrategyBackend:
-    """The backend of a strategy name that `RunConfig.validate` accepted."""
+def make_backend(strategy: str, config: RunConfig) -> StrategyBackend:
+    """The backend of a strategy name that `RunConfig.validate` accepted,
+    set up from `config`: the ruled threshold, the scripted region count,
+    the external endpoint and timeout."""
     if strategy == "empty":
         return EmptyBackend()
     if strategy == "ruled":
-        return RuledBackend(score_threshold=score_threshold)
+        return RuledBackend(config.policy.score_threshold)
     if strategy == "scripted":
-        return ScriptedBackend(script or default_script(n_regions))
-    return ExternalBackend(endpoint, timeout)
+        return ScriptedBackend(default_script(config.world.n_regions))
+    return ExternalBackend(config.resolved_endpoint(), config.external_timeout)

@@ -119,8 +119,9 @@ class RunConfig:
                 raise ConfigError("ablations", f"unknown ablation {ab!r}, valid: {ABLATIONS}")
         if self.workers < 1:
             raise ConfigError("workers", "must be >= 1")
-        if self.world.width < 4 or self.world.height < 4:
-            raise ConfigError("world.width", "grid must be at least 4x4")
+        for name in ("width", "height"):
+            if getattr(self.world, name) < 4:
+                raise ConfigError(f"world.{name}", "grid must be at least 4x4")
         if self.world.n_regions < 1 or math.isqrt(self.world.n_regions) ** 2 != self.world.n_regions:
             # regions tile the grid as a square checkerboard (`world.partition_regions`)
             raise ConfigError("world.n_regions", f"must be a positive perfect square, got {self.world.n_regions}")

@@ -1,6 +1,7 @@
 """Per-step simulation engine tying world, agents, and the instruction board.
 
-Step order: rain/drain/diffuse the water field, step every non-terminal
+The world is built from `RunConfig.world`, which it keeps as the
+parameters of its hydrology. Step order: rain/drain/diffuse the water field, step every non-terminal
 agent against the fresh snapshot (ids ascending), write the aggregated
 car density back, then spawn new demand (newly spawned agents wait until
 the next step). Passability and routing costs are built as arrays once
@@ -45,7 +46,7 @@ from .mobility import (
 )
 from .rng import pystream
 from .translate import InstructionBoard
-from .world import HydrologyParams, RainfallScenario, build_world, step_hydrology
+from .world import RainfallScenario, build_world, step_hydrology
 
 
 @dataclass
@@ -59,20 +60,9 @@ class SimulationEngine:
     def __init__(self, config: RunConfig, scenario: RainfallScenario):
         self.config = config
         self.scenario = scenario
-        wc = config.world
-        self.world = build_world(
-            width=wc.width,
-            height=wc.height,
-            seed=config.seed,
-            n_regions=wc.n_regions,
-            params=self._hydrology_params(),
-            road_spacing=wc.road_spacing,
-            elevation_relief=wc.elevation_relief,
-            elevation_smoothing=wc.elevation_smoothing,
-            road_depression=wc.road_depression,
-        )
+        self.world = build_world(config.world, config.seed)
         self.graph = road_graph(self.world.is_road)
-        self.board = InstructionBoard(wc.n_regions)
+        self.board = InstructionBoard(config.world.n_regions)
         self.trip_log = TripLog()
         self.agents: list[AgentRecord] = []
         self.active: list[AgentRecord] = []
@@ -82,14 +72,6 @@ class SimulationEngine:
         self.step_records: list[StepRecord] = []
         self.density_dumps: dict[int, np.ndarray] = {}
         self._spawn_initial()
-
-    def _hydrology_params(self):
-        wc = self.config.world
-        return HydrologyParams(
-            inflow_coeff=wc.inflow_coeff,
-            drainage_rate=wc.drainage_rate,
-            diffusion_rate=wc.diffusion_rate,
-        )
 
     # --- passability -----------------------------------------------------
 
@@ -175,10 +157,7 @@ class SimulationEngine:
         still_active = []
         for agent in self.active:
             router = router_bus if agent.role is Role.BUS else router_res
-            kinds = step_agent(
-                agent, self.world, router, held, self._detour_rng, now, self.trip_log,
-                wait_probability=wait_probability,
-            )
+            kinds = step_agent(agent, self.world, router, held, self._detour_rng, now, self.trip_log, wait_probability)
             for kind in kinds:
                 event_counts[kind] = event_counts.get(kind, 0) + 1
             if not agent.status.terminal:

@@ -77,13 +77,10 @@ def aggregate(counts: dict[str, int], events: Mapping[str, int]) -> None:
 
 
 def should_replan(
-    window: FeedbackWindow,
-    j_now: float,
-    lam_thr: float,
-    stat: str = "gap",
-    floor: float = 0.015,
+    window: FeedbackWindow, j_now: float, lam_thr: float, stat: str, floor: float
 ) -> tuple[float, float, bool]:
-    """(gap, threshold, triggered) for the current cycle.
+    """(gap, threshold, triggered) for the current cycle; `lam_thr`, `stat`
+    and `floor` come from `FeedbackConfig`.
 
     The threshold statistics run over the window as it stood before this
     cycle, so the first cycle always sees the static floor and an empty
@@ -157,7 +154,7 @@ def worst_road_cells(world: WorldState) -> list[tuple[int, int] | None]:
     go to the first cell in row-major order.
     """
     runs = world.road_runs
-    worst: list[tuple[int, int] | None] = [None] * len(world.region_roads)
+    worst: list[tuple[int, int] | None] = [None] * world.n_regions
     if runs.regions:
         depth = world.water_depth.ravel()[runs.flat]
         top = np.repeat(np.maximum.reduceat(depth, runs.starts), runs.sizes)
@@ -249,14 +246,15 @@ class DecisionLoop:
     """Owns one run: engine, controller, window, knowledge, and backends.
 
     The config comes validated: `harness.run` checks it before it builds
-    the backends and this loop."""
+    the backends and this loop. `scenario` is a replayed rainfall record,
+    or None to generate the config's."""
 
     def __init__(
         self,
         config: RunConfig,
         backend: StrategyBackend,
         fallback: StrategyBackend,
-        scenario: RainfallScenario | None = None,
+        scenario: RainfallScenario | None,
     ):
         self.config = config
         if scenario is None:
@@ -268,9 +266,8 @@ class DecisionLoop:
         self.engine = SimulationEngine(config, scenario)
         self.backend = backend
         self.fallback = fallback
-        self.controller = EntropyController(
-            tau=config.policy.tau, lam=config.policy.lambda_init, alpha=config.policy.alpha
-        )
+        pc = config.policy
+        self.controller = EntropyController(tau=pc.tau, lam=pc.lambda_init, alpha=pc.alpha)
         self.window = FeedbackWindow(config.feedback.window_length)
         self.knowledge = build_knowledge_context(self.engine, config)
         self.pending_feedback: FeedbackNote | None = None
@@ -309,14 +306,7 @@ class DecisionLoop:
         self._probe_consistency(prompt, cycle, proposal)
 
         entropy_on = not self.ablated("entropy_control")
-        plan = generate_global(
-            proposal.distribution,
-            self.controller,
-            cfg.seed,
-            cycle,
-            cfg.world.n_regions,
-            entropy_control=entropy_on,
-        )
+        plan = generate_global(proposal.distribution, self.controller, cfg.seed, cycle, cfg.world.n_regions, entropy_on)
         cap = min(plan.h_projected, self.controller.tau) if entropy_on else math.inf
         local = local_distribution_for(
             plan.projected, summary.region_flood, summary.region_congestion, summary.region_blocked_roads, cap
@@ -352,13 +342,8 @@ class DecisionLoop:
         delta_e = execution_deviation(planned, executed.as_map())
 
         feedback_on = not self.ablated("feedback_loop")
-        gap, delta, crossed = should_replan(
-            self.window,
-            executed.j,
-            cfg.feedback.lambda_thr,
-            stat=cfg.feedback.threshold_stat,
-            floor=cfg.feedback.trigger_floor,
-        )
+        fc = cfg.feedback
+        gap, delta, crossed = should_replan(self.window, executed.j, fc.lambda_thr, fc.threshold_stat, fc.trigger_floor)
         triggered = bool(feedback_on and crossed)
         self.window.push(executed, gap)
 
@@ -408,13 +393,13 @@ class DecisionLoop:
             self.config.mobility.resident_block_depth,
             eng.board.active_regions(step),
             eng.trip_counts(),
-            score_threshold=self.config.policy.score_threshold,
+            self.config.policy.score_threshold,
         )
 
     def _build_prompt(self, summary: StateSummary) -> HybridPrompt:
         feedback_note = self.pending_feedback if not self.ablated("feedback_loop") else None
         if self.ablated("dual_indexing"):
-            return build_prompt(summary.text(), None, [], TASK_DIRECTIVE, feedback_note, summary=summary)
+            return build_prompt(summary.text(), None, [], TASK_DIRECTIVE, feedback_note, summary)
         query = embed_state(summary.text(), self.knowledge.embedder)
         segments = retrieve_topk(query, self.knowledge.store, self.config.knowledge.top_k)
         seeds = summary.seed_region_ids()
@@ -425,9 +410,7 @@ class DecisionLoop:
                 graph = self.knowledge.graph
             except EmptySeed:
                 pass
-        return build_prompt(
-            summary.text(), graph, segments, TASK_DIRECTIVE, feedback_note, summary=summary, keep=keep
-        )
+        return build_prompt(summary.text(), graph, segments, TASK_DIRECTIVE, feedback_note, summary, keep)
 
     def _propose(self, prompt: HybridPrompt, cycle: int) -> tuple[BackendProposal, str, bool]:
         cfg = self.config

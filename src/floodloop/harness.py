@@ -16,12 +16,13 @@ import dataclasses
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .backends import StrategyBackend, make_backend
+from .backends import make_backend
 from .config import RunConfig, config_from_dict
 from .feedback import DecisionLoop
 from .heatmap import csv_float, save_density_dump, write_heatmap
@@ -63,33 +64,23 @@ class RunArtifacts:
     loop: DecisionLoop | None = None
 
 
-def _make_backends(config: RunConfig) -> tuple[StrategyBackend, StrategyBackend]:
-    backend = make_backend(
-        config.strategy,
-        endpoint=config.resolved_endpoint(),
-        timeout=config.external_timeout,
-        n_regions=config.world.n_regions,
-        score_threshold=config.policy.score_threshold,
-    )
-    fallback = make_backend(config.fallback_strategy, score_threshold=config.policy.score_threshold)
-    return backend, fallback
-
-
 def run(config: RunConfig, keep_loop: bool = False) -> RunArtifacts:
     """Execute one full run and write its artifact set."""
     config.validate()
     scenario = load_scenario(config.scenario_file) if config.scenario_file else None
-    backend, fallback = _make_backends(config)
-    loop = DecisionLoop(config, backend, fallback, scenario=scenario)
+    backend = make_backend(config.strategy, config)
+    fallback = make_backend(config.fallback_strategy, config)
+    loop = DecisionLoop(config, backend, fallback, scenario)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     loop.run()
 
     save_scenario(out / "scenario.json", loop.scenario)
-    _write_metrics_csv(out / "metrics.csv", loop)
-    _write_cycle_csv(out / "cycles.csv", loop)
-    _write_trip_csv(out / "trips.csv", loop)
-    _write_instruction_csv(out / "instructions.csv", loop)
+    _write_csv(out / "metrics.csv", METRICS_HEADER, _metrics_rows(loop))
+    _write_csv(out / "cycles.csv", CYCLE_HEADER, _cycle_rows(loop))
+    _write_csv(out / "trips.csv", TRIP_HEADER, _trip_rows(loop))
+    instructions = map(itemgetter(*INSTRUCTION_HEADER), loop.instruction_rows)
+    _write_csv(out / "instructions.csv", INSTRUCTION_HEADER, instructions)
     _write_prompt_log(out / "prompts.jsonl", loop)
     for step, dump in sorted(loop.engine.density_dumps.items()):
         save_density_dump(out / f"density_step{step:03d}.csv", dump)
@@ -101,71 +92,49 @@ def run(config: RunConfig, keep_loop: bool = False) -> RunArtifacts:
     return RunArtifacts(out_dir=out, summary=summary, loop=loop if keep_loop else None)
 
 
-def _write_metrics_csv(path: Path, loop: DecisionLoop) -> None:
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line, then one line per row; the callers write every float
+    cell with `csv_float`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _metrics_rows(loop: DecisionLoop) -> Iterator[list]:
     cycle_len = loop.config.feedback.cycle_len
     by_cycle = {r.cycle: r for r in loop.reports}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_HEADER)
-        for rec in loop.engine.step_records:
-            cycle = (rec.step - 1) // cycle_len
-            report = by_cycle.get(cycle)
-            is_boundary = report is not None and rec.step == report.snapshot.step
-            gap = csv_float(report.gap) if is_boundary else ""
-            delta = csv_float(report.delta) if is_boundary else ""
-            trig = str(int(report.triggered)) if is_boundary else ""
-            s = rec.snapshot
-            writer.writerow([rec.step, *map(csv_float, (s.f, s.t, s.c, s.r, s.j)), gap, delta, trig])
+    for rec in loop.engine.step_records:
+        report = by_cycle.get((rec.step - 1) // cycle_len)
+        s = rec.snapshot
+        row = [rec.step, *map(csv_float, (s.f, s.t, s.c, s.r, s.j))]
+        if report is not None and rec.step == report.snapshot.step:
+            yield row + [csv_float(report.gap), csv_float(report.delta), str(int(report.triggered))]
+        else:
+            yield row + ["", "", ""]
 
 
-def _write_cycle_csv(path: Path, loop: DecisionLoop) -> None:
+def _cycle_rows(loop: DecisionLoop) -> Iterator[list]:
     cycle_len = loop.config.feedback.cycle_len
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CYCLE_HEADER)
-        for r in loop.reports:
-            writer.writerow(
-                [
-                    r.cycle,
-                    r.cycle * cycle_len,
-                    r.snapshot.step,
-                    r.backend_used,
-                    int(r.fallback_used),
-                    csv_float(r.h_raw),
-                    csv_float(r.h_projected),
-                    csv_float(r.h_conditional),
-                    csv_float(r.lam),
-                    csv_float(r.snapshot.f),
-                    csv_float(r.snapshot.t),
-                    csv_float(r.snapshot.c),
-                    csv_float(r.snapshot.r),
-                    csv_float(r.snapshot.j),
-                    csv_float(r.gap),
-                    csv_float(r.delta),
-                    int(r.triggered),
-                    csv_float(r.delta_e),
-                    r.n_instructions,
-                    r.n_rejected,
-                ]
-            )
+    for r in loop.reports:
+        s = r.snapshot
+        yield [
+            r.cycle,
+            r.cycle * cycle_len,
+            s.step,
+            r.backend_used,
+            int(r.fallback_used),
+            *map(csv_float, (r.h_raw, r.h_projected, r.h_conditional, r.lam, s.f, s.t, s.c, s.r, s.j, r.gap, r.delta)),
+            int(r.triggered),
+            csv_float(r.delta_e),
+            r.n_instructions,
+            r.n_rejected,
+        ]
 
 
-def _write_trip_csv(path: Path, loop: DecisionLoop) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIP_HEADER)
-        for rec in loop.engine.trip_log.records:
-            writer.writerow(
-                [rec.agent_id, rec.role.value, rec.departure_step, rec.outcome.value, rec.travel_steps, rec.planned_steps]
-            )
-
-
-def _write_instruction_csv(path: Path, loop: DecisionLoop) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(INSTRUCTION_HEADER)
-        for row in loop.instruction_rows:
-            writer.writerow([row[k] for k in INSTRUCTION_HEADER])
+def _trip_rows(loop: DecisionLoop) -> Iterator[list]:
+    for t in loop.engine.trip_log.records:
+        yield [t.agent_id, t.role.value, t.departure_step, t.outcome.value, t.travel_steps, t.planned_steps]
 
 
 def _write_prompt_log(path: Path, loop: DecisionLoop) -> None:
@@ -223,21 +192,15 @@ def _run_cell(args: tuple[dict, str, str, int, str]) -> dict:
     return run(config).summary
 
 
-def run_matrix(
-    config: RunConfig,
-    strategies: list[str],
-    scenarios: list[str],
-    repeats: int,
-    base_seed: int | None = None,
-) -> dict:
-    """strategies x scenarios x repeats runs; seeds base..base+repeats-1.
+def run_matrix(config: RunConfig, strategies: list[str], scenarios: list[str], repeats: int) -> dict:
+    """strategies x scenarios x repeats runs; seeds config.seed ..
+    config.seed + repeats - 1.
 
     Writes per-combination mean/variance of (J, f, t, c, r), the run-level
     stability table, and semantic scores.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    base_seed = config.seed if base_seed is None else base_seed
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     base = dataclasses.asdict(config)
@@ -246,7 +209,7 @@ def run_matrix(
     for strategy in strategies:
         for scenario in scenarios:
             for rep in range(repeats):
-                seed = base_seed + rep
+                seed = config.seed + rep
                 cell_dir = out_root / f"{strategy}_{scenario}_seed{seed}"
                 jobs.append((base, strategy, scenario, seed, str(cell_dir)))
 
@@ -284,7 +247,10 @@ def run_matrix(
                 if cell_sds:
                     sds_scores[label] = float(np.mean(cell_sds))
 
-    _write_comparison_csv(out_root / "comparison.csv", table_rows)
+    comparison = (
+        [r[k] for k in COMPARISON_HEADER[:3]] + [csv_float(r[k]) for k in COMPARISON_HEADER[3:]] for r in table_rows
+    )
+    _write_csv(out_root / "comparison.csv", COMPARISON_HEADER, comparison)
     if stability_settings:
         rows = stability_report(stability_settings, scs_scores, sds_scores)
         write_semantic_table(out_root / "semantic.csv", rows)
@@ -311,32 +277,14 @@ COMPARISON_HEADER = (
 )
 
 
-def _write_comparison_csv(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMPARISON_HEADER)
-        for row in rows:
-            writer.writerow(
-                [row["strategy"], row["scenario"], row["repeats"]] + [csv_float(row[k]) for k in COMPARISON_HEADER[3:]]
-            )
-
-
 SEMANTIC_TABLE_HEADER = ("module_setting", "stability", "scs", "sds")
 
 
 def write_semantic_table(path: str | Path, rows: Sequence[SemanticRow]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SEMANTIC_TABLE_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.setting,
-                    csv_float(row.stability),
-                    "" if row.scs is None else csv_float(row.scs),
-                    "" if row.sds is None else csv_float(row.sds),
-                ]
-            )
+    cells = (
+        [r.setting, csv_float(r.stability), *("" if v is None else csv_float(v) for v in (r.scs, r.sds))] for r in rows
+    )
+    _write_csv(path, SEMANTIC_TABLE_HEADER, cells)
 
 
 # --- ablation diffs ----------------------------------------------------------
@@ -373,8 +321,9 @@ def run_ablation_suite(config: RunConfig) -> dict:
     return report
 
 
-def write_report(matrix_dir: str | Path, out_path: str | Path | None = None) -> str:
-    """Markdown comparison digest assembled from a matrix output directory."""
+def write_report(matrix_dir: str | Path, out_path: str | Path | None) -> str:
+    """Markdown comparison digest assembled from a matrix output directory,
+    written to `out_path`, or to its `report.md` when that is None."""
     matrix_dir = Path(matrix_dir)
     data = json.loads((matrix_dir / "matrix.json").read_text())
     lines = ["# Comparison report", ""]

@@ -61,7 +61,7 @@ def _color(value: float, lo: float, hi: float, palette) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-def emit_heatmap(values: np.ndarray, palette_name: str = "density") -> str:
+def emit_heatmap(values: np.ndarray, palette_name: str) -> str:
     """Value-linear SVG heatmap with a min/max legend; equal input gives
     byte-identical output."""
     values = np.asarray(values, dtype=np.float64)
@@ -93,5 +93,5 @@ def emit_heatmap(values: np.ndarray, palette_name: str = "density") -> str:
     return "\n".join(parts) + "\n"
 
 
-def write_heatmap(path: str | Path, values: np.ndarray, palette_name: str = "density") -> None:
+def write_heatmap(path: str | Path, values: np.ndarray, palette_name: str) -> None:
     Path(path).write_text(emit_heatmap(values, palette_name))

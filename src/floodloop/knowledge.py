@@ -6,9 +6,9 @@ renders that neighbourhood straight from the graph's render index, with
 no copy of the graph. The other is a text segment store with top-K
 cosine retrieval. Both feed a canonical hybrid prompt.
 
-Embeddings come from one pluggable interface whose default is
-deterministic feature hashing: no training, no model downloads, yet
-identical text always maps to the identical unit vector.
+Embeddings come from deterministic feature hashing: no training, no
+model downloads, yet identical text always maps to the identical unit
+vector.
 """
 
 from __future__ import annotations
@@ -26,19 +26,19 @@ import numpy as np
 
 from .errors import DanglingEdge, EmptyQuery, EmptySeed
 
-EMBED_DIM = 64
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 class HashingEmbedder:
-    """Signed feature hashing of tokens into a fixed-dimension unit vector.
+    """Signed feature hashing of tokens into a unit vector of `dim`
+    (`KnowledgeConfig.embed_dim`) entries.
 
     Each token's (slot, sign) and each text's vector are computed once per
     embedder and memoised; feature hashing is a pure function of the text.
     The returned vectors are shared, so they are read-only.
     """
 
-    def __init__(self, dim: int = EMBED_DIM):
+    def __init__(self, dim: int):
         self.dim = dim
         self._slots: dict[str, tuple[int, float]] = {}
         self._vectors: dict[str, np.ndarray] = {}
@@ -74,9 +74,9 @@ class HashingEmbedder:
         return vec / norm
 
 
-def embed_state(summary_text: str, embedder: HashingEmbedder | None = None) -> np.ndarray:
+def embed_state(summary_text: str, embedder: HashingEmbedder) -> np.ndarray:
     """Encode a state summary into the query vector used for retrieval."""
-    return (embedder or HashingEmbedder()).embed(summary_text)
+    return embedder.embed(summary_text)
 
 
 class NodeType(str, Enum):
@@ -184,15 +184,10 @@ class KnowledgeGraph:
         return self._rendered
 
 
-def update_graph(
-    graph: KnowledgeGraph,
-    new_nodes: Iterable[Node] = (),
-    new_edges: Iterable[Edge] = (),
-) -> KnowledgeGraph:
+def update_graph(graph: KnowledgeGraph, new_nodes: Iterable[Node], new_edges: Iterable[Edge]) -> KnowledgeGraph:
     """Union update: G' = G + new nodes + new edges. Idempotent; existing
     ids and duplicate edge triples are left untouched."""
     out = graph.copy()
-    new_nodes = list(new_nodes)
     for node in new_nodes:
         out.add_node(node)
     for edge in new_edges:
@@ -237,8 +232,8 @@ class SegmentStore:
     Each segment's unit vector is computed once, when it is added.
     """
 
-    def __init__(self, embedder: HashingEmbedder | None = None):
-        self.embedder = embedder or HashingEmbedder()
+    def __init__(self, embedder: HashingEmbedder):
+        self.embedder = embedder
         self.segments: list[Segment] = []
         self._units: list[np.ndarray] = []
         self._ids: set[str] = set()
@@ -323,7 +318,7 @@ def _render_feedback(note: FeedbackNote | None) -> str:
     return "\n".join(lines)
 
 
-def render_subgraph(graph: KnowledgeGraph | None, keep: AbstractSet[str] | None = None) -> str:
+def render_subgraph(graph: KnowledgeGraph | None, keep: AbstractSet[str] | None) -> str:
     """The subgraph induced on `keep` (all of `graph` when None): node lines
     in id order, then edge lines in (src, dst, type) order."""
     if graph is None:
@@ -350,8 +345,8 @@ def build_prompt(
     graph: KnowledgeGraph | None,
     segments: Sequence[tuple[Segment, float]],
     task: str,
-    feedback: FeedbackNote | None = None,
-    summary: object = None,
+    feedback: FeedbackNote | None,
+    summary: object,
     keep: AbstractSet[str] | None = None,
 ) -> HybridPrompt:
     """Assemble the hybrid prompt; every section is always present, with an
@@ -388,7 +383,7 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
     return graph_from_json(json.loads(Path(path).read_text()))
 
 
-def load_segments(path: str | Path, embedder: HashingEmbedder | None = None) -> SegmentStore:
+def load_segments(path: str | Path, embedder: HashingEmbedder) -> SegmentStore:
     store = SegmentStore(embedder)
     for line in Path(path).read_text().splitlines():
         if not line.strip():

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import InsufficientRuns
 from .world import WorldState, region_means
 
-TRIGGER_FLOOR = 0.015
 METRIC_NAMES = ("f", "t", "c", "r")
 
 
@@ -82,8 +81,8 @@ def objective_j(f: float, t: float, c: float, r: float, weights: Sequence[float]
     return w1 * f + w2 * t + w3 * c + w4 * (1.0 - r)
 
 
-def adaptive_threshold(window_values: Sequence[float], lam_thr: float, floor: float = TRIGGER_FLOOR) -> float:
-    """mu + lam_thr * sigma over the recent window, floored.
+def adaptive_threshold(window_values: Sequence[float], lam_thr: float, floor: float) -> float:
+    """mu + lam_thr * sigma over the recent window, floored (`FeedbackConfig.trigger_floor`).
 
     With fewer than two entries there is no spread to estimate and the
     static floor is returned.
@@ -120,13 +119,14 @@ def run_stability(runs: Sequence[Mapping[str, Sequence[float]]]) -> dict[str, fl
 
 
 class FeedbackWindow:
-    """Ring buffer of the last L snapshots plus the all-time best J.
+    """Ring buffer of the last `length` snapshots (`FeedbackConfig.window_length`)
+    plus the all-time best J.
 
     The best tracks the full history, not just the window, so the
     objective gap always compares against the global minimum.
     """
 
-    def __init__(self, length: int = 10):
+    def __init__(self, length: int):
         self.snapshots: deque[MetricsSnapshot] = deque(maxlen=length)
         self.gaps: deque[float] = deque(maxlen=length)
         self.best_j: float | None = None

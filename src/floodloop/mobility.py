@@ -41,10 +41,11 @@ from .world import WorldState
 
 Cell = tuple[int, int]
 
-WAIT_PROBABILITY = 0.2
 PATIENCE_FACTOR = 2.0
 PATIENCE_CAP = 50
 ON_TIME_FACTOR = 3.0
+POI_CLUSTER_SIZE = 4
+POI_CLUSTER_RADIUS = 4  # Manhattan distance from a cluster's centre
 
 
 class Role(str, Enum):
@@ -104,7 +105,7 @@ class TripLog:
         self.arrived_on_time = 0
         self.cancelled = 0
 
-    def note_spawn(self, n: int = 1) -> None:
+    def note_spawn(self, n: int) -> None:
         self.spawned += n
 
     def close(self, agent: AgentRecord) -> None:
@@ -496,8 +497,9 @@ class Poi:
     weight: float
 
 
-def default_pois(world: WorldState, n_pois: int, seed: int, cluster_size: int = 4, cluster_radius: int = 4) -> list[Poi]:
-    """Seeded POIs on road cells, grouped into neighborhood clusters.
+def default_pois(world: WorldState, n_pois: int, seed: int) -> list[Poi]:
+    """Seeded POIs on road cells, grouped into neighborhood clusters of
+    `POI_CLUSTER_SIZE` within `POI_CLUSTER_RADIUS` of a centre.
 
     Clustering makes a sizable share of trips short-range, which is what
     urban demand looks like and what makes street-level flooding bite.
@@ -507,22 +509,22 @@ def default_pois(world: WorldState, n_pois: int, seed: int, cluster_size: int = 
     if not road:
         return []
     n = min(n_pois, len(road))
-    n_clusters = max(1, n // cluster_size)
+    n_clusters = max(1, n // POI_CLUSTER_SIZE)
     centers = rng.sample(road, n_clusters)
     cells: set[Cell] = set()
     for center in centers:
-        nearby = [c for c in road if abs(c[0] - center[0]) + abs(c[1] - center[1]) <= cluster_radius]
-        # the cap honours an n below cluster_size; otherwise it never binds, since
-        # before cluster k < n // cluster_size at most k * cluster_size cells exist
-        take = min(cluster_size, len(nearby), n - len(cells))
+        nearby = [c for c in road if abs(c[0] - center[0]) + abs(c[1] - center[1]) <= POI_CLUSTER_RADIUS]
+        # the cap honours an n below the cluster size; otherwise it never binds, since
+        # before cluster k < n // POI_CLUSTER_SIZE at most k * POI_CLUSTER_SIZE cells exist
+        take = min(POI_CLUSTER_SIZE, len(nearby), n - len(cells))
         cells.update(rng.sample(nearby, take))
     while len(cells) < n:
         cells.add(rng.choice(road))
     return [Poi(cell=c, weight=float(rng.randint(1, 5))) for c in sorted(cells)]
 
 
-def _patience_for(planned: int, factor: float = PATIENCE_FACTOR, cap: int = PATIENCE_CAP) -> int:
-    return max(2, min(int(round(factor * planned)), cap))
+def _patience_for(planned: int) -> int:
+    return max(2, min(int(round(PATIENCE_FACTOR * planned)), PATIENCE_CAP))
 
 
 def spawn_demand(
@@ -646,7 +648,7 @@ def step_agent(
     rng,
     step: int,
     trip_log: TripLog,
-    wait_probability: float = WAIT_PROBABILITY,
+    wait_probability: float,
 ) -> list[str]:
     """Advance one non-terminal agent by one step; return the kinds of the
     events it produced, in the order produced (advanced, waited, replanned,
@@ -658,7 +660,8 @@ def step_agent(
     ignore the set.
 
     The transition is deterministic given the chosen action; the only coin
-    is the wait-vs-replan choice when blocked. Patience burns on every
+    is the wait-vs-replan choice when blocked: the agent waits with
+    `wait_probability` (`MobilityConfig.wait_probability`). Patience burns on every
     non-advancing step (waits, failed replans); at zero the trip cancels.
     Held buses neither move nor lose patience.
     """

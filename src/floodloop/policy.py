@@ -162,13 +162,14 @@ def update_lambda(lam: float, alpha: float, h: float, tau: float) -> float:
 class EntropyController:
     """Mutable entropy budget state: threshold tau, penalty lambda, rate alpha.
 
-    The decision loop starts it from `PolicyConfig`, whose ranges
+    It has no defaults of its own: the decision loop starts it from
+    `PolicyConfig` (`tau`, `lambda_init`, `alpha`), whose ranges
     `RunConfig.validate` checks.
     """
 
-    tau: float = 1.2
-    lam: float = 1.0
-    alpha: float = 0.05
+    tau: float
+    lam: float
+    alpha: float
 
     def observe(self, h: float) -> float:
         self.lam = update_lambda(self.lam, self.alpha, h, self.tau)
@@ -345,9 +346,11 @@ def generate_global(
     seed: int,
     cycle: int,
     n_regions: int,
-    entropy_control: bool = True,
+    entropy_control: bool,
 ) -> GlobalPlan:
-    """Project a backend's raw distribution, sample actions, update lambda.
+    """Project a backend's raw distribution, sample actions, update lambda;
+    with `entropy_control` off, the raw distribution is sampled and lambda
+    stays.
 
     Lambda is updated from the pre-projection entropy: the budget controller
     reacts to how uncertain generation was before enforcement.

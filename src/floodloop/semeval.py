@@ -65,13 +65,12 @@ class SemanticRow:
 
 def stability_report(
     settings: Mapping[str, Sequence[Mapping[str, Sequence[float]]]],
-    scs_scores: Mapping[str, float] | None = None,
-    sds_scores: Mapping[str, float] | None = None,
+    scs_scores: Mapping[str, float],
+    sds_scores: Mapping[str, float],
 ) -> list[SemanticRow]:
     """One row per module setting: stability (mean of the per-metric
-    cross-run variances, exactly 0 when every run agrees), SCS, SDS."""
-    scs_scores = scs_scores or {}
-    sds_scores = sds_scores or {}
+    cross-run variances, exactly 0 when every run agrees), SCS, SDS; a
+    setting missing from a score map has no score."""
     rows = []
     for setting, runs in settings.items():
         variances = run_stability(runs)

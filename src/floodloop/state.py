@@ -9,9 +9,6 @@ import numpy as np
 from .metrics import congestion_scores, flood_scores
 from .world import WorldState
 
-SEED_SCORE_THRESHOLD = 0.7
-
-
 @dataclass(frozen=True)
 class StateSummary:
     """Snapshot of what the dispatcher can observe at a cycle boundary.
@@ -69,8 +66,10 @@ def summarize_world(
     blocking_depth: float,
     targeted_regions: tuple[int, ...],
     trip_counts: tuple[int, int, int, int],
-    score_threshold: float = SEED_SCORE_THRESHOLD,
+    score_threshold: float,
 ) -> StateSummary:
+    """The dispatcher's view of `world`; a region whose flood or congestion
+    score exceeds `score_threshold` is flooded or congested."""
     f_scores = flood_scores(world)
     t_scores = congestion_scores(world)
     max_depth = _region_max(world.water_depth, world.region_id, world.n_regions)

@@ -76,7 +76,8 @@ def wrap_accuracy(instr: Instruction, world: WorldState, resident_block_depth: f
     if instr.tag is Tag.OBSTACLE and instr.cell is None:
         return Rejection(instr, f"no road cell in region {instr.region} to anchor obstacle")
     if instr.tag is Tag.ROUTING:
-        flat = world.region_roads[instr.region][0]
+        runs = world.road_runs
+        flat = runs.flat[runs.bounds[instr.region] : runs.bounds[instr.region + 1]]
         if not len(flat):
             return Rejection(instr, f"routing infeasible: region {instr.region} has no road cells")
         if np.all(world.water_depth.take(flat) >= resident_block_depth):

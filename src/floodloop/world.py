@@ -13,11 +13,11 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
+from .config import WorldConfig
 from .rng import substream
 
 NOISE_AMPLITUDE = 0.05
@@ -115,16 +115,6 @@ def generate_scenario(kind: ScenarioKind, steps: int, seed: int) -> RainfallScen
     return RainfallScenario(kind=kind, curve=tuple(float(v) for v in curve), seed=seed)
 
 
-@dataclass(frozen=True)
-class HydrologyParams:
-    """Per-step fractions, each in [0, 1]. They are taken as given:
-    `RunConfig.validate` is where a value outside that range is rejected."""
-
-    inflow_coeff: float = 0.01
-    drainage_rate: float = 0.05
-    diffusion_rate: float = 0.2
-
-
 def partition_regions(width: int, height: int, n_regions: int) -> np.ndarray:
     """Tile the grid into a sqrt(n) x sqrt(n) checkerboard of region ids;
     `n_regions` is a positive perfect square (`RunConfig.validate`).
@@ -140,7 +130,7 @@ def partition_regions(width: int, height: int, n_regions: int) -> np.ndarray:
     return (rows[:, None] * side + cols[None, :]).astype(np.int64)
 
 
-def synth_elevation(width: int, height: int, seed: int, relief: float = 5.0, smoothing_passes: int = 2) -> np.ndarray:
+def synth_elevation(width: int, height: int, seed: int, relief: float, smoothing_passes: int) -> np.ndarray:
     """Smooth seeded noise field in meters; only the ordering matters to flow."""
     rng = substream(seed, "elevation")
     z = rng.standard_normal((height, width))
@@ -192,7 +182,13 @@ _DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 @dataclass
 class WorldState:
-    """One immutable-per-step snapshot of the grid environment."""
+    """One immutable-per-step snapshot of the grid environment.
+
+    `params` is the run's `WorldConfig`; `step_hydrology` reads its
+    per-step fractions (`inflow_coeff`, `drainage_rate`, `diffusion_rate`),
+    each in [0, 1]. They are taken as given: `RunConfig.validate` is where
+    a value outside that range is rejected.
+    """
 
     width: int
     height: int
@@ -203,11 +199,9 @@ class WorldState:
     car_density: np.ndarray
     step: int
     n_regions: int
-    params: HydrologyParams
+    params: WorldConfig
     downhill_masks: tuple[np.ndarray, ...] = field(repr=False, default=())
     downhill_counts: np.ndarray | None = field(repr=False, default=None)
-    # per region: its road cells as flat indices and as (row, col), row-major
-    region_roads: tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...] = field(repr=False, default=())
     road_runs: RoadRuns | None = field(repr=False, default=None)
 
     @property
@@ -233,66 +227,52 @@ def _downhill_structure(elevation: np.ndarray):
 
 @dataclass(frozen=True)
 class RoadRuns:
-    """`WorldState.region_roads` laid end to end: one run of road cells per
-    region that has roads, in region order, row-major within a run."""
+    """The road cells laid out region by region, row-major within a region:
+    region r's run is `flat[bounds[r]:bounds[r + 1]]`. `starts`, `sizes`
+    and `regions` describe the runs that are not empty, in region order."""
 
-    flat: np.ndarray  # flat index of every cell of every run
+    flat: np.ndarray  # flat index of every road cell
     cells: tuple[tuple[int, int], ...]  # the same cells as (row, col)
-    starts: np.ndarray  # where each run begins
-    sizes: np.ndarray  # how many cells each run holds
-    regions: tuple[int, ...]  # the region of each run
+    bounds: list[int]  # n_regions + 1 offsets into `flat` and `cells`
+    starts: np.ndarray  # where each non-empty run begins
+    sizes: np.ndarray  # how many cells each non-empty run holds
+    regions: tuple[int, ...]  # the region of each non-empty run
 
 
-def road_runs(region_roads: tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...]) -> RoadRuns:
-    """The runs of `region_road_index`'s result; built once per world."""
-    sizes = np.array([len(cells) for _, cells in region_roads], dtype=np.intp)
+def region_road_index(is_road: np.ndarray, region_id: np.ndarray, n_regions: int) -> RoadRuns:
+    """The road cells of every region, in one pass; built once per world,
+    since roads and regions never change during a run."""
+    flat = np.flatnonzero(is_road)
+    regions = region_id.ravel()[flat]
+    order = np.argsort(regions, kind="stable")  # stable keeps row-major order within a region
+    flat = flat[order]
+    bounds = np.searchsorted(regions[order], np.arange(n_regions + 1))
+    sizes = np.diff(bounds)
     kept = np.flatnonzero(sizes)
+    rows, cols = np.divmod(flat, is_road.shape[1])
     return RoadRuns(
-        flat=np.concatenate([flat for flat, _ in region_roads]),
-        cells=tuple(chain.from_iterable(cells for _, cells in region_roads)),
-        starts=(np.cumsum(sizes) - sizes)[kept],
+        flat=flat,
+        cells=tuple(zip(rows.tolist(), cols.tolist())),
+        bounds=bounds.tolist(),
+        starts=bounds[kept],
         sizes=sizes[kept],
         regions=tuple(kept.tolist()),
     )
 
 
-def region_road_index(
-    is_road: np.ndarray, region_id: np.ndarray, n_regions: int
-) -> tuple[tuple[np.ndarray, tuple[tuple[int, int], ...]], ...]:
-    """Per region, its road cells in row-major order, as flat indices and
-    as (row, col) pairs; roads and regions never change during a run."""
-    flat = np.flatnonzero(is_road)
-    regions = region_id.ravel()[flat]
-    order = np.argsort(regions, kind="stable")  # stable keeps row-major order within a region
-    flat = flat[order]
-    bounds = np.searchsorted(regions[order], np.arange(n_regions + 1)).tolist()
-    rows, cols = np.divmod(flat, is_road.shape[1])
-    cells = tuple(zip(rows.tolist(), cols.tolist()))
-    return tuple((flat[a:b], cells[a:b]) for a, b in zip(bounds, bounds[1:]))
-
-
-def build_world(
-    width: int = 64,
-    height: int = 64,
-    seed: int = 0,
-    n_regions: int = 64,
-    params: HydrologyParams | None = None,
-    road_spacing: int = 4,
-    elevation_relief: float = 12.0,
-    elevation_smoothing: int = 1,
-    road_depression: float = 1.5,
-) -> WorldState:
-    params = params or HydrologyParams()
-    elevation = synth_elevation(width, height, seed, elevation_relief, elevation_smoothing)
+def build_world(config: WorldConfig, seed: int) -> WorldState:
+    """The grid of `config` with terrain drawn from `seed`; water and cars start at zero."""
+    width, height = config.width, config.height
+    elevation = synth_elevation(width, height, seed, config.elevation_relief, config.elevation_smoothing)
     rows = np.arange(height)[:, None]
     cols = np.arange(width)[None, :]
-    is_road = np.broadcast_to((rows % road_spacing == 0) | (cols % road_spacing == 0), (height, width)).copy()
+    spacing = config.road_spacing
+    is_road = np.broadcast_to((rows % spacing == 0) | (cols % spacing == 0), (height, width)).copy()
     # streets run below the surrounding terrain so they collect and channel
     # runoff; ponds then form on the road network at its low points
-    elevation = elevation - road_depression * is_road
-    region_id = partition_regions(width, height, n_regions)
+    elevation = elevation - config.road_depression * is_road
+    region_id = partition_regions(width, height, config.n_regions)
     masks, counts = _downhill_structure(elevation)
-    region_roads = region_road_index(is_road, region_id, n_regions)
     return WorldState(
         width=width,
         height=height,
@@ -302,12 +282,11 @@ def build_world(
         water_depth=np.zeros((height, width), dtype=np.float64),
         car_density=np.zeros((height, width), dtype=np.float64),
         step=0,
-        n_regions=n_regions,
-        params=params,
+        n_regions=config.n_regions,
+        params=config,
         downhill_masks=masks,
         downhill_counts=counts,
-        region_roads=region_roads,
-        road_runs=road_runs(region_roads),
+        road_runs=region_road_index(is_road, region_id, config.n_regions),
     )
 
 
@@ -343,12 +322,9 @@ def _diffuse(depth: np.ndarray, elevation: np.ndarray, masks, counts, rate: floa
     return new_depth
 
 
-def step_hydrology(
-    world: WorldState,
-    intensity: float,
-    drain_multiplier: np.ndarray | None = None,
-) -> WorldState:
-    """Advance the water field one step: drain, rain onto roads, diffuse.
+def step_hydrology(world: WorldState, intensity: float, drain_multiplier: np.ndarray | None) -> WorldState:
+    """Advance the water field one step: drain, rain onto roads, diffuse;
+    `drain_multiplier` scales each region's drainage, None for none.
 
     Mass balance: total' = total + intensity * inflow_coeff * n_road_cells
     - sum(d_cell * depth_cell), with drainage applied to the pre-step field

@@ -16,9 +16,12 @@ from hypothesis import strategies as st
 
 from floodloop import backends as b
 from floodloop import policy as p
+from floodloop.config import PolicyConfig, RunConfig
 from floodloop.errors import BackendUnavailable, InvalidDistribution
 from floodloop.knowledge import FeedbackNote, build_prompt
 from floodloop.state import StateSummary
+
+SCORE_THRESHOLD = PolicyConfig().score_threshold
 
 
 def summary_with(n_regions=4, flood=None, depth=None, blocked=None, congestion=None):
@@ -65,7 +68,7 @@ def test_ruled_concentrates_on_hot_region():
     flood = [0.2, 0.2, 0.95, 0.2]
     depth = [0.0, 0.0, 0.31, 0.0]
     prompt = prompt_for(summary_with(flood=flood, depth=depth))
-    proposal = b.RuledBackend().propose(prompt, 4, 1.2, 0)
+    proposal = b.RuledBackend(SCORE_THRESHOLD).propose(prompt, 4, 1.2, 0)
     mass = {}
     for action, prob in zip(proposal.distribution.support, proposal.distribution.probs):
         mass[(action.verb, action.region)] = prob
@@ -83,7 +86,7 @@ def test_ruled_rule_table_oracle_preventive():
     flood = [0.2, 0.9, 0.2, 0.2]
     depth = [0.0, 0.30, 0.0, 0.0]
     summary = summary_with(flood=flood, depth=depth)
-    proposal = b.RuledBackend().propose(prompt_for(summary), 4, 1.2, 0)
+    proposal = b.RuledBackend(SCORE_THRESHOLD).propose(prompt_for(summary), 4, 1.2, 0)
     wetness = min(1.0, 0.30 / 0.3)
     expected = {
         (p.Verb.NOOP, 0): 0.5,
@@ -104,7 +107,7 @@ def test_ruled_rule_table_oracle_reactive():
     depth = [0.0, 0.45, 0.0, 0.0]
     blocked = [0, 4, 0, 0]
     summary = summary_with(flood=flood, depth=depth, blocked=blocked)
-    proposal = b.RuledBackend().propose(prompt_for(summary), 4, 1.2, 0)
+    proposal = b.RuledBackend(SCORE_THRESHOLD).propose(prompt_for(summary), 4, 1.2, 0)
     expected = {
         (p.Verb.NOOP, 0): 0.5,
         (p.Verb.CLOSE_ROAD, 1): 0.4 * 0.9 * 1.0,
@@ -120,7 +123,7 @@ def test_ruled_rule_table_oracle_reactive():
 
 
 def test_ruled_quiet_map_is_mostly_noop():
-    proposal = b.RuledBackend().propose(prompt_for(summary_with()), 4, 1.2, 0)
+    proposal = b.RuledBackend(SCORE_THRESHOLD).propose(prompt_for(summary_with()), 4, 1.2, 0)
     got = {(a.verb, a.region): pr for a, pr in zip(proposal.distribution.support, proposal.distribution.probs)}
     assert got[(p.Verb.NOOP, 0)] == pytest.approx(1.0)
 
@@ -129,11 +132,10 @@ def test_ruled_feedback_escalates():
     flood = [0.2, 0.2, 0.8, 0.2]
     depth = [0.0, 0.0, 0.35, 0.0]
     blocked = [0, 0, 4, 0]
-    base = b.RuledBackend().propose(prompt_for(summary_with(flood=flood, depth=depth, blocked=blocked)), 4, 1.2, 0)
+    ruled = b.RuledBackend(SCORE_THRESHOLD)
+    base = ruled.propose(prompt_for(summary_with(flood=flood, depth=depth, blocked=blocked)), 4, 1.2, 0)
     note = FeedbackNote(0.2, (("c", 0.1),), ("c",), ())
-    esc = b.RuledBackend().propose(
-        prompt_for(summary_with(flood=flood, depth=depth, blocked=blocked), feedback=note), 4, 1.2, 0
-    )
+    esc = ruled.propose(prompt_for(summary_with(flood=flood, depth=depth, blocked=blocked), feedback=note), 4, 1.2, 0)
 
     def relief_share(proposal):
         return sum(
@@ -148,7 +150,7 @@ def test_ruled_feedback_escalates():
 def test_ruled_requires_structured_summary():
     prompt = build_prompt("bare text", None, [], "dispatch", None, summary=None)
     with pytest.raises(BackendUnavailable):
-        b.RuledBackend().propose(prompt, 4, 1.2, 0)
+        b.RuledBackend(SCORE_THRESHOLD).propose(prompt, 4, 1.2, 0)
 
 
 # --- scripted --------------------------------------------------------------------
@@ -419,7 +421,7 @@ def test_external_timeout_raises(http_backend):
 
 def test_external_rejects_non_http_endpoint():
     with pytest.raises(ValueError):
-        b.ExternalBackend("file:///srv/answer.json")
+        b.ExternalBackend("file:///srv/answer.json", RunConfig().external_timeout)
 
 
 def test_external_unreachable_raises():
@@ -431,7 +433,11 @@ def test_external_unreachable_raises():
 # --- factory ---------------------------------------------------------------------------------
 
 def test_make_backend_variants():
-    assert b.make_backend("empty").name == "empty"
-    assert b.make_backend("ruled").name == "ruled"
-    assert b.make_backend("scripted").name == "scripted"
-    assert b.make_backend("external", endpoint="http://x/").name == "external"
+    config = RunConfig(external_endpoint="http://x/", external_timeout=2.5)
+    config.policy.score_threshold = 0.6
+    assert b.make_backend("empty", config).name == "empty"
+    ruled = b.make_backend("ruled", config)
+    assert (ruled.name, ruled.score_threshold) == ("ruled", 0.6)
+    assert b.make_backend("scripted", config).name == "scripted"
+    external = b.make_backend("external", config)
+    assert (external.name, external.endpoint, external.timeout) == ("external", "http://x/", 2.5)

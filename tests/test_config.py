@@ -67,6 +67,9 @@ def rejection(tmp_path, capsys, data) -> str:
         ("strategy", {"strategy": "quantum"}),
         ("strategy", {"strategy": "Ruled"}),
         ("steps", {"steps": 9}),
+        # a grid too small in one dimension names that one
+        ("world.width", {"world": {"width": 3}}),
+        ("world.height", {"world": {"height": 2}}),
     ],
 )
 def test_run_rejects_config_naming_the_field(tmp_path, capsys, field, data):

@@ -9,13 +9,23 @@ from floodloop import engine
 from floodloop import feedback as fb
 from floodloop import harness
 from floodloop import metrics as m
-from floodloop.backends import BackendProposal, EmptyBackend, RuledBackend, ScriptedBackend, StrategyBackend
-from floodloop.config import ENDPOINT_ENV_VAR, RunConfig
+from floodloop.backends import (
+    BackendProposal,
+    EmptyBackend,
+    RuledBackend,
+    ScriptedBackend,
+    StrategyBackend,
+    make_backend,
+)
+from floodloop.config import ENDPOINT_ENV_VAR, FeedbackConfig, PolicyConfig, RunConfig
 from floodloop.errors import BackendUnavailable, ConfigError
 from floodloop.knowledge import KnowledgeGraph, Node, NodeType
 from floodloop.policy import HighLevelAction, PolicyDistribution, Verb
 from floodloop.translate import _DIRECTIVE_TABLE, Tag
 from test_golden import RUNS, WET_RUNS, run_config
+
+SCORE_THRESHOLD = PolicyConfig().score_threshold
+TRIGGER_FLOOR = FeedbackConfig().trigger_floor
 
 
 def tiny_config(**kw):
@@ -42,7 +52,7 @@ def tiny_config(**kw):
 
 
 def make_loop(cfg, backend=None, fallback=None):
-    return fb.DecisionLoop(cfg, backend or EmptyBackend(), fallback or RuledBackend())
+    return fb.DecisionLoop(cfg, backend or EmptyBackend(), fallback or RuledBackend(SCORE_THRESHOLD), None)
 
 
 # --- aggregate --------------------------------------------------------------------
@@ -91,20 +101,20 @@ def window_from(js):
 
 
 def test_first_cycle_never_triggers():
-    gap, delta, trig = fb.should_replan(m.FeedbackWindow(10), 0.9, 1.0)
+    gap, delta, trig = fb.should_replan(m.FeedbackWindow(10), 0.9, 1.0, "gap", TRIGGER_FLOOR)
     assert gap == 0.0
     assert delta == 0.015
     assert not trig
 
 
 def test_trigger_on_large_gap():
-    gap, delta, trig = fb.should_replan(window_from([0.40, 0.42]), 0.47, 1.0)
+    gap, delta, trig = fb.should_replan(window_from([0.40, 0.42]), 0.47, 1.0, "gap", TRIGGER_FLOOR)
     assert gap == pytest.approx(0.07)
     assert trig
 
 
 def test_new_best_never_triggers():
-    gap, _, trig = fb.should_replan(window_from([0.40, 0.50]), 0.35, 1.0)
+    gap, _, trig = fb.should_replan(window_from([0.40, 0.50]), 0.35, 1.0, "gap", TRIGGER_FLOOR)
     assert gap < 0
     assert not trig
 
@@ -119,7 +129,7 @@ def test_should_replan_matches_brute_force_both_modes():
             history = []
             gaps_hist = []
             for j in js:
-                gap, delta, trig = fb.should_replan(window, j, 1.0, stat=mode)
+                gap, delta, trig = fb.should_replan(window, j, 1.0, mode, TRIGGER_FLOOR)
                 # brute force per the definitions
                 gap_bf = j - min(history) if history else 0.0
                 series = (history if mode == "j" else gaps_hist)[-10:]
@@ -230,8 +240,8 @@ def test_cycle_reports_complete_and_deterministic():
             )
         )
     ]
-    a = fb.DecisionLoop(tiny_config(steps=30), ScriptedBackend(script), RuledBackend())
-    b = fb.DecisionLoop(tiny_config(steps=30), ScriptedBackend(script), RuledBackend())
+    a = fb.DecisionLoop(tiny_config(steps=30), ScriptedBackend(script), RuledBackend(SCORE_THRESHOLD), None)
+    b = fb.DecisionLoop(tiny_config(steps=30), ScriptedBackend(script), RuledBackend(SCORE_THRESHOLD), None)
     ra = a.run()
     rb = b.run()
     assert len(ra) == 3
@@ -283,7 +293,7 @@ def test_only_regions_that_are_not_noop_are_refined_and_translated(monkeypatch, 
 
         monkeypatch.setattr(fb, name, counted)
     cfg = tiny_config(steps=30, scenario="extreme")
-    loop = fb.DecisionLoop(cfg, backend(), EmptyBackend())
+    loop = fb.DecisionLoop(cfg, make_backend(backend.name, cfg), EmptyBackend(), None)
     loop.run()
     refined = [sum(a.verb is not Verb.NOOP for a in plan.sampled.values()) for plan in plans]
     assert (sum(refined) > 0) is refines
@@ -363,7 +373,7 @@ def test_the_package_calls_meet_the_preconditions_its_callees_state(monkeypatch,
 
 def test_backend_failure_falls_back_and_completes():
     cfg = tiny_config(steps=20)
-    loop = fb.DecisionLoop(cfg, ExplodingBackend(), EmptyBackend())
+    loop = fb.DecisionLoop(cfg, ExplodingBackend(), EmptyBackend(), None)
     reports = loop.run()
     assert len(reports) == 2
     assert all(r.fallback_used for r in reports)
@@ -397,11 +407,11 @@ def test_feedback_ablation_never_triggers():
 
 
 def test_entropy_chain_all_backends():
-    for backend in (EmptyBackend(), RuledBackend(), ScriptedBackend([
+    for backend in (EmptyBackend(), RuledBackend(SCORE_THRESHOLD), ScriptedBackend([
         BackendProposal(PolicyDistribution(tuple(HighLevelAction(Verb.NOOP, i) for i in range(8)), (1.0 / 8,) * 8))
     ])):
         cfg = tiny_config(steps=20)
-        loop = fb.DecisionLoop(cfg, backend, RuledBackend())
+        loop = fb.DecisionLoop(cfg, backend, RuledBackend(SCORE_THRESHOLD), None)
         for report in loop.run():
             assert report.h_projected <= cfg.policy.tau + 1e-4
             assert report.h_conditional <= report.h_projected + 1e-6

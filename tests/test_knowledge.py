@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from floodloop import knowledge as k
+from floodloop.config import KnowledgeConfig
 from floodloop.errors import DanglingEdge, EmptyQuery, EmptySeed
 from floodloop.semeval import scs, sds
+
+EMBED_DIM = KnowledgeConfig().embed_dim
 
 
 def make_node(nid, ntype=k.NodeType.REGION):
@@ -53,9 +56,9 @@ def test_embed_one_token_difference():
 
 def test_embed_state_empty_rejected():
     with pytest.raises(EmptyQuery):
-        k.embed_state("   ")
+        k.embed_state("   ", k.HashingEmbedder(EMBED_DIM))
     with pytest.raises(EmptyQuery):
-        k.HashingEmbedder().embed("!!!")
+        k.HashingEmbedder(EMBED_DIM).embed("!!!")
 
 
 # --- subgraph extraction ------------------------------------------------------------
@@ -123,14 +126,14 @@ def test_exact_match_ranks_first():
 
 
 def test_k_larger_than_store():
-    store = k.SegmentStore()
+    store = k.SegmentStore(k.HashingEmbedder(EMBED_DIM))
     store.add("seg:a", "alpha")
     store.add("seg:b", "beta")
     assert len(k.retrieve_topk(np.ones(64), store, 10)) == 2
 
 
 def test_empty_store_empty_result():
-    assert k.retrieve_topk(np.ones(64), k.SegmentStore(), 3) == []
+    assert k.retrieve_topk(np.ones(64), k.SegmentStore(k.HashingEmbedder(EMBED_DIM)), 3) == []
 
 
 def test_ranking_matches_exhaustive_sort():
@@ -187,7 +190,7 @@ def test_ranking_insertion_order_invariant():
 # --- prompts ---------------------------------------------------------------------------
 
 def test_prompt_empty_channels_have_markers():
-    p = k.build_prompt("step: 1", None, [], "do the thing")
+    p = k.build_prompt("step: 1", None, [], "do the thing", None, None)
     assert "## SUBGRAPH\n(none)" in p.text
     assert "## SEGMENTS\n(none)" in p.text
     assert "## FEEDBACK\n(none)" in p.text
@@ -196,11 +199,11 @@ def test_prompt_empty_channels_have_markers():
 
 def test_prompt_byte_identical():
     g = path_graph(3)
-    store = k.SegmentStore()
+    store = k.SegmentStore(k.HashingEmbedder(EMBED_DIM))
     store.add("seg:x", "alpha beta")
     segs = k.retrieve_topk(np.ones(64), store, 1)
-    a = k.build_prompt("state", g, segs, "task", None)
-    b = k.build_prompt("state", g, segs, "task", None)
+    a = k.build_prompt("state", g, segs, "task", None, None)
+    b = k.build_prompt("state", g, segs, "task", None, None)
     assert a.text == b.text
     assert a.text.encode() == b.text.encode()
 
@@ -212,7 +215,7 @@ def test_prompt_feedback_roundtrip():
         degraded_metrics=("c", "r"),
         rejected_reasons=("routing infeasible: region 3 fully flooded",),
     )
-    p = k.build_prompt("state", None, [], "task", note)
+    p = k.build_prompt("state", None, [], "task", note, None)
     assert "0.158100" in p.text
     assert "degraded_metrics: c, r" in p.text
     assert "routing infeasible: region 3 fully flooded" in p.text
@@ -222,7 +225,7 @@ def test_prompt_feedback_roundtrip():
 
 def test_update_graph_empty_is_identity():
     g = path_graph(3)
-    g2 = k.update_graph(g)
+    g2 = k.update_graph(g, [], [])
     assert set(g2.nodes) == set(g.nodes)
     assert g2.n_edges() == g.n_edges()
 
@@ -303,17 +306,17 @@ def test_graph_file_roundtrip(tmp_path):
 
 
 def test_segments_file_roundtrip(tmp_path):
-    store = k.SegmentStore()
+    store = k.SegmentStore(k.HashingEmbedder(EMBED_DIM))
     store.add("seg:1", "first note")
     store.add("seg:2", "second note")
     path = tmp_path / "segments.jsonl"
     save_segments(path, store)
-    back = k.load_segments(path)
+    back = k.load_segments(path, k.HashingEmbedder(EMBED_DIM))
     assert [(s.id, s.text) for s in back.segments] == [(s.id, s.text) for s in store.segments]
 
 
 def test_duplicate_segment_id_rejected():
-    store = k.SegmentStore()
+    store = k.SegmentStore(k.HashingEmbedder(EMBED_DIM))
     store.add("seg:1", "first")
     with pytest.raises(ValueError):
         store.add("seg:1", "again")
@@ -405,7 +408,7 @@ def graphs(draw):
 
 
 def assert_extracts_like_per_call_code(graph, seeds, hops):
-    assert k.render_subgraph(graph) == per_call_render(graph)
+    assert k.render_subgraph(graph, None) == per_call_render(graph)
     try:
         expected = per_call_extract(graph, seeds, hops)
     except EmptySeed:

@@ -19,7 +19,7 @@ from hypothesis.extra import numpy as hnp
 from floodloop import feedback as fb
 from floodloop.errors import EmptyQuery
 from floodloop.knowledge import _TOKEN_RE, HashingEmbedder
-from floodloop.world import region_road_index, road_runs
+from floodloop.world import region_road_index
 
 
 def per_region_worst(world, region: int) -> tuple[int, int] | None:
@@ -47,11 +47,10 @@ def worlds(draw):
     is_road = draw(hnp.arrays(np.bool_, shape))
     is_road &= region_id != draw(st.integers(0, n_regions - 1))
     water_depth = draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([0.0, 0.25, 0.5])))
-    region_roads = region_road_index(is_road, region_id, n_regions)
     return SimpleNamespace(
         width=width, height=height, n_regions=n_regions,
         region_id=region_id, is_road=is_road, water_depth=water_depth,
-        region_roads=region_roads, road_runs=road_runs(region_roads),
+        road_runs=region_road_index(is_road, region_id, n_regions),
     )
 
 
@@ -66,12 +65,19 @@ def test_worst_road_cells_equal_per_region_scan(world):
 @given(worlds())
 def test_region_road_index_equals_per_region_scan(world):
     index = region_road_index(world.is_road, world.region_id, world.n_regions)
-    assert len(index) == world.n_regions
-    for region, (flat, cells) in enumerate(index):
+    assert len(index.bounds) == world.n_regions + 1
+    assert index.bounds[0] == 0 and index.bounds[-1] == len(index.flat) == len(index.cells)
+    runs = []
+    for region, (a, b) in enumerate(zip(index.bounds, index.bounds[1:])):
         # the per-region scan `worst_road_cells` and `wrap_accuracy` ran before the index
         rows, cols = np.nonzero((world.region_id == region) & world.is_road)
-        assert cells == tuple(zip(rows.tolist(), cols.tolist()))
-        assert flat.tolist() == (rows * world.width + cols).tolist()
+        assert index.cells[a:b] == tuple(zip(rows.tolist(), cols.tolist()))
+        assert index.flat[a:b].tolist() == (rows * world.width + cols).tolist()
+        if b > a:
+            runs.append((a, b - a, region))
+    assert (index.starts.tolist(), index.sizes.tolist(), list(index.regions)) == (
+        [r[0] for r in runs], [r[1] for r in runs], [r[2] for r in runs]
+    )
 
 def per_call_embed(text: str, dim: int) -> np.ndarray:
     """`HashingEmbedder.embed` before memoisation, kept verbatim as the oracle."""

@@ -9,7 +9,7 @@ import pytest
 
 from floodloop import metrics as m
 from floodloop import world as w
-from floodloop.config import FeedbackConfig
+from floodloop.config import FeedbackConfig, WorldConfig
 from floodloop.errors import InsufficientRuns
 
 WEIGHTS = FeedbackConfig().weights
@@ -19,7 +19,7 @@ def world_with_region_depths(depths):
     n = len(depths)
     side = math.isqrt(n)
     assert side * side == n
-    ws = w.build_world(width=side * 2, height=side * 2, seed=1, n_regions=n)
+    ws = w.build_world(WorldConfig(side * 2, side * 2, n), 1)
     for region, depth in enumerate(depths):
         ws.water_depth[ws.region_id == region] = depth
     return ws
@@ -157,19 +157,22 @@ def test_gap_incremental_equals_brute_force():
             history.append(j)
 
 
+TRIGGER_FLOOR = FeedbackConfig().trigger_floor
+
+
 def test_adaptive_threshold_constant_gaps():
-    assert m.adaptive_threshold([0.2, 0.2, 0.2], 1.0) == pytest.approx(0.2)
-    assert m.adaptive_threshold([0.001, 0.001], 1.0) == pytest.approx(0.015)
+    assert m.adaptive_threshold([0.2, 0.2, 0.2], 1.0, TRIGGER_FLOOR) == pytest.approx(0.2)
+    assert m.adaptive_threshold([0.001, 0.001], 1.0, TRIGGER_FLOOR) == pytest.approx(0.015)
 
 
 def test_adaptive_threshold_hand_stats():
     # gaps [0.0, 0.02]: mu 0.01, population sigma 0.01 -> 0.02
-    assert m.adaptive_threshold([0.0, 0.02], 1.0) == pytest.approx(0.02)
+    assert m.adaptive_threshold([0.0, 0.02], 1.0, TRIGGER_FLOOR) == pytest.approx(0.02)
 
 
 def test_adaptive_threshold_floor_short_window():
-    assert m.adaptive_threshold([], 1.0) == 0.015
-    assert m.adaptive_threshold([0.4], 1.0) == 0.015
+    assert m.adaptive_threshold([], 1.0, TRIGGER_FLOOR) == 0.015
+    assert m.adaptive_threshold([0.4], 1.0, TRIGGER_FLOOR) == 0.015
 
 
 # --- deviation --------------------------------------------------------------------

@@ -9,7 +9,10 @@ import pytest
 
 from floodloop import mobility as mob
 from floodloop import world as w
+from floodloop.config import MobilityConfig, WorldConfig
 from floodloop.rng import pystream
+
+WAIT_PROBABILITY = MobilityConfig().wait_probability
 
 
 def open_mask(shape, blocked=()):
@@ -137,8 +140,8 @@ def test_spawn_deterministic():
 
 @pytest.mark.parametrize("n_pois", range(9))
 def test_default_pois_count_is_n_pois_capped_by_road_cells(n_pois):
-    small = w.build_world(width=5, height=1, seed=1, n_regions=1, road_spacing=1)
-    for ws in (w.build_world(width=32, height=32, seed=3), small):
+    small = w.build_world(WorldConfig(5, 1, 1, road_spacing=1), 1)
+    for ws in (w.build_world(WorldConfig(32, 32), 3), small):
         road = ws.road_cells()
         pois = mob.default_pois(ws, n_pois, seed=11)
         assert len(pois) == min(n_pois, len(road))
@@ -195,7 +198,7 @@ def test_spawn_plans_and_patience():
 # --- agent stepping ----------------------------------------------------------------
 
 def simple_world(width=10, height=3):
-    ws = w.build_world(width=width, height=height, seed=1, n_regions=1, road_spacing=1)
+    ws = w.build_world(WorldConfig(width, height, 1, road_spacing=1), 1)
     ws.water_depth[:] = 0.0
     return ws
 
@@ -225,6 +228,7 @@ def run_step(agent, ws, blocked=(), rng=None, step=1, log=None):
         rng or pystream(0, "coin"),
         step,
         log,
+        WAIT_PROBABILITY,
     ), log
 
 
@@ -242,7 +246,7 @@ def test_blocked_corridor_cancels_after_patience():
     ws = simple_world(width=6, height=1)
     agent = make_agent((0, 0), (0, 5), ws, patience=3)
     log = mob.TripLog()
-    log.note_spawn()
+    log.note_spawn(1)
     blocked = {(0, 1)}  # single corridor, no detour
     steps = 0
     rng = pystream(1, "coin")
@@ -256,6 +260,7 @@ def test_blocked_corridor_cancels_after_patience():
             rng,
             steps,
             log,
+            WAIT_PROBABILITY,
         )
         assert steps < 50
     assert agent.status is mob.Status.CANCELLED
@@ -267,7 +272,7 @@ def test_one_step_from_destination_arrives():
     ws = simple_world()
     agent = make_agent((0, 4), (0, 5), ws)
     log = mob.TripLog()
-    log.note_spawn()
+    log.note_spawn(1)
     events, _ = run_step(agent, ws, log=log)
     assert agent.status is mob.Status.ARRIVED
     assert events == ["advanced", "arrived"]
@@ -302,7 +307,7 @@ def test_waiting_agent_respects_departure_step():
 # --- buses --------------------------------------------------------------------------
 
 def grid_world():
-    ws = w.build_world(width=12, height=12, seed=2, n_regions=4, road_spacing=1)
+    ws = w.build_world(WorldConfig(12, 12, 4, road_spacing=1), 2)
     ws.water_depth[:] = 0.0
     return ws
 
@@ -312,11 +317,11 @@ def test_bus_visits_stops_in_order():
     stops = [(0, 0), (0, 4), (4, 4)]
     bus = mob.make_bus(1, stops, 0, road_router(ws))
     log = mob.TripLog()
-    log.note_spawn()
+    log.note_spawn(1)
     rng = pystream(3, "coin")
     visited = []
     for step in range(1, 40):
-        mob.step_agent(bus, ws, road_router(ws), set(), rng, step, log)
+        mob.step_agent(bus, ws, road_router(ws), set(), rng, step, log, WAIT_PROBABILITY)
         visited.append(bus.pos)
         if bus.status.terminal:
             break
@@ -359,12 +364,13 @@ def test_held_bus_stays_put_keeps_patience():
     bus.status = mob.Status.ENROUTE
     before = (bus.pos, bus.patience)
     log = mob.TripLog()
-    events = mob.step_agent(bus, ws, road_router(ws), {ws.region_of(bus.pos)}, pystream(0, "x"), 1, log)
+    held = {ws.region_of(bus.pos)}
+    events = mob.step_agent(bus, ws, road_router(ws), held, pystream(0, "x"), 1, log, WAIT_PROBABILITY)
     assert events == ["held"]
     assert (bus.pos, bus.patience) == before
     # a resident at the same cell ignores the held regions
     resident = mob.AgentRecord(2, mob.Role.RESIDENT, (0, 4), (0, 0), list(bus.path), status=mob.Status.ENROUTE)
-    assert mob.step_agent(resident, ws, road_router(ws), {ws.region_of(resident.pos)}, pystream(0, "x"), 1, log) == [
+    assert mob.step_agent(resident, ws, road_router(ws), held, pystream(0, "x"), 1, log, WAIT_PROBABILITY) == [
         "advanced"
     ]
 
@@ -416,7 +422,7 @@ def test_trip_accounting_identity():
     for step in range(1, 60):
         for agent in agents:
             if not agent.status.terminal:
-                mob.step_agent(agent, ws, road_router(ws), set(), rng, step, log)
+                mob.step_agent(agent, ws, road_router(ws), set(), rng, step, log, WAIT_PROBABILITY)
         states = {s: sum(1 for a in agents if a.status is s) for s in mob.Status}
         assert sum(states.values()) == log.spawned
 

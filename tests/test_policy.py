@@ -11,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floodloop import policy as p
+from floodloop.config import PolicyConfig
 from floodloop.errors import InvalidDistribution
+
+POLICY = PolicyConfig()
+
+
+def controller(tau=POLICY.tau):
+    """An entropy controller started as the decision loop starts it, from `PolicyConfig`."""
+    return p.EntropyController(tau, POLICY.lambda_init, POLICY.alpha)
 
 
 def dist_over(probs, n_regions=None):
@@ -207,7 +215,7 @@ def test_lambda_dynamics():
 def test_generate_global_projects_and_updates_lambda():
     ctl = p.EntropyController(tau=1.2, lam=1.0, alpha=0.05)
     d = dist_over([0.125] * 8, n_regions=8)
-    plan = p.generate_global(d, ctl, seed=5, cycle=0, n_regions=8)
+    plan = p.generate_global(d, ctl, seed=5, cycle=0, n_regions=8, entropy_control=True)
     assert plan.h_raw == pytest.approx(math.log(8))
     assert plan.h_projected <= 1.2 + 1e-9
     expected_lam = 1.0 + 0.05 * (math.log(8) - 1.2)
@@ -215,7 +223,7 @@ def test_generate_global_projects_and_updates_lambda():
 
 
 def test_generate_global_ablated_controls():
-    ctl = p.EntropyController()
+    ctl = controller()
     d = dist_over([0.125] * 8, n_regions=8)
     plan = p.generate_global(d, ctl, seed=5, cycle=0, n_regions=8, entropy_control=False)
     assert plan.h_projected == pytest.approx(math.log(8))
@@ -223,10 +231,9 @@ def test_generate_global_ablated_controls():
 
 
 def test_generate_global_sampling_deterministic():
-    ctl = p.EntropyController()
     d = dist_over([0.5, 0.25, 0.25], n_regions=4)
-    a = p.generate_global(d, p.EntropyController(), seed=9, cycle=3, n_regions=4)
-    b = p.generate_global(d, p.EntropyController(), seed=9, cycle=3, n_regions=4)
+    a = p.generate_global(d, controller(), seed=9, cycle=3, n_regions=4, entropy_control=True)
+    b = p.generate_global(d, controller(), seed=9, cycle=3, n_regions=4, entropy_control=True)
     assert a.sampled == b.sampled
 
 
@@ -403,7 +410,7 @@ def _bits(probs):
 )
 def test_single_cap_matches_both_former_copies_bit_for_bit(observation, verb, region, cap, seed, cycle):
     action = p.HighLevelAction(verb, region)
-    ctl = p.EntropyController(tau=TAU)
+    ctl = controller(TAU)
     control = not math.isinf(cap)
     local = local_policies_for(action, observation, min(cap, TAU), N_REGIONS)
     before = _before_local_distribution_for(action, observation, ctl, cap, entropy_control=control)
@@ -437,10 +444,11 @@ def test_projected_array_lands_in_band_and_keeps_argmax(probs, tau):
 def test_local_entropy_within_global_and_tau(global_probs, observation, verb):
     plan = p.generate_global(
         dist_over(list(global_probs), n_regions=len(global_probs)),
-        p.EntropyController(tau=TAU),
+        controller(TAU),
         seed=0,
         cycle=0,
         n_regions=len(global_probs),
+        entropy_control=True,
     )
     cap = min(plan.h_projected, TAU)
     action = p.HighLevelAction(verb, 0)

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floodloop import mobility as mob
+from floodloop.config import WorldConfig
 from floodloop.world import build_world
 
 Cell = tuple[int, int]
@@ -224,7 +225,7 @@ def test_graph_covers_the_road_in_chains_between_nodes(case):
 def test_lattice_contracts_to_its_junctions_and_dead_ends():
     # 16 road rows and 16 road columns: 256 junctions, 32 dead ends at the
     # far edges, and the corner (0, 0), of degree 2, inside a chain
-    world = build_world(width=64, height=64, seed=7)
+    world = build_world(WorldConfig(64, 64), 7)
     graph = mob.road_graph(world.is_road)
     assert int(world.is_road.sum()) == 1792
     assert len(nodes_of(graph)) == 287 and len(graph.tail) == 1022
@@ -233,7 +234,7 @@ def test_lattice_contracts_to_its_junctions_and_dead_ends():
 
 
 def test_spacing_one_makes_every_cell_but_the_corners_a_node():
-    world = build_world(width=8, height=6, seed=1, n_regions=4, road_spacing=1)
+    world = build_world(WorldConfig(8, 6, 4, road_spacing=1), 1)
     graph = mob.road_graph(world.is_road)
     corners = {(0, 0), (0, 7), (5, 0), (5, 7)}
     assert nodes_of(graph) == {(r, c) for r in range(6) for c in range(8)} - corners
@@ -242,7 +243,7 @@ def test_spacing_one_makes_every_cell_but_the_corners_a_node():
 
 @pytest.mark.parametrize("spacing", [1, 2, 3])
 def test_small_spacings_route_like_cell_astar(spacing):
-    world = build_world(width=13, height=11, seed=spacing, n_regions=1, road_spacing=spacing)
+    world = build_world(WorldConfig(13, 11, 1, road_spacing=spacing), spacing)
     rng = np.random.default_rng(spacing)
     road = world.road_cells()
     mask = world.is_road.copy()
@@ -258,7 +259,7 @@ def test_small_spacings_route_like_cell_astar(spacing):
 
 
 def lattice_router(blocked=(), cost=None):
-    world = build_world(width=16, height=16, seed=3, n_regions=4)
+    world = build_world(WorldConfig(16, 16, 4), 3)
     mask = world.is_road.copy()
     for cell in blocked:
         mask[cell] = False
@@ -439,7 +440,7 @@ def test_reachability_matches_ndimage_labels_on_lattice_cuts(blocked):
     assert_reachable_as_ndimage(router, road, road)
 
 
-_LATTICE = build_world(width=24, height=20, seed=5, n_regions=4)
+_LATTICE = build_world(WorldConfig(24, 20, 4), 5)
 
 
 @settings(deadline=None, max_examples=150)

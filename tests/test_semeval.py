@@ -107,7 +107,7 @@ def test_insufficient_responses():
 
 def test_stability_identical_runs_zero():
     runs = [{"f": [0.4], "t": [0.5], "c": [0.0], "r": [1.0]}] * 3
-    rows = se.stability_report({"full": runs})
+    rows = se.stability_report({"full": runs}, {}, {})
     assert rows[0].stability == 0.0
     assert run_stability(runs) == {"f": 0.0, "t": 0.0, "c": 0.0, "r": 0.0}
 

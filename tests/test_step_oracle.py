@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from floodloop import mobility as mob
 from floodloop import world as w
+from floodloop.config import WorldConfig
 from floodloop.mobility import AgentRecord, Role, Router, Status, TripLog, road_graph
 from floodloop.rng import pystream
 
@@ -62,7 +63,7 @@ def oracle_step_agent(
     rng,
     step: int,
     trip_log: TripLog,
-    wait_probability: float = mob.WAIT_PROBABILITY,
+    wait_probability: float,
 ) -> list[str]:
     if agent.status.terminal:
         return []
@@ -169,12 +170,9 @@ def oracle_replan(agent: AgentRecord, router: Router) -> bool:
 @st.composite
 def stepping_cases(draw):
     side = st.integers(4, 8)
+    width, height, seed = draw(side), draw(side), draw(st.integers(0, 20))
     world = w.build_world(
-        width=draw(side),
-        height=draw(side),
-        seed=draw(st.integers(0, 20)),
-        n_regions=draw(st.sampled_from([1, 4])),
-        road_spacing=draw(st.sampled_from([1, 2])),
+        WorldConfig(width, height, draw(st.sampled_from([1, 4])), road_spacing=draw(st.sampled_from([1, 2]))), seed
     )
     road = world.road_cells()
     assume(len(road) >= 4)

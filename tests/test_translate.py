@@ -8,11 +8,12 @@ import pytest
 
 from floodloop import translate as tr
 from floodloop import world as w
+from floodloop.config import WorldConfig
 from floodloop.policy import Directive
 
 
-def small_world(**kw):
-    return w.build_world(width=16, height=16, seed=4, n_regions=4, **kw)
+def small_world():
+    return w.build_world(WorldConfig(16, 16, 4), 4)
 
 
 # --- translate ------------------------------------------------------------------

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from floodloop import world as w
+from floodloop.config import WorldConfig
 
 
 def find_peaks(curve, height):
@@ -35,10 +36,10 @@ def longest_run_at_least(curve, height):
     return best
 
 
-def flat_world(width=8, height=8, n_regions=4, depth=0.0, **kw):
+def flat_world(width=8, height=8, n_regions=4, depth=0.0):
     """Small world with flat elevation so diffusion has no downhill moves."""
-    params = kw.pop("params", w.HydrologyParams(0.0, 0.0, 0.2))
-    ws = w.build_world(width=width, height=height, seed=1, n_regions=n_regions, params=params, **kw)
+    config = WorldConfig(width, height, n_regions, inflow_coeff=0.0, drainage_rate=0.0, diffusion_rate=0.2)
+    ws = w.build_world(config, 1)
     elevation = np.zeros((height, width))
     masks, counts = w._downhill_structure(elevation)
     ws.elevation = elevation
@@ -110,7 +111,7 @@ def test_scenario_file_roundtrip(tmp_path):
 
 def test_uniform_field_unchanged_no_source_no_gradient():
     ws = flat_world(depth=0.7)
-    nxt = w.step_hydrology(ws, 0.0)
+    nxt = w.step_hydrology(ws, 0.0, None)
     assert np.allclose(nxt.water_depth, 0.7, atol=1e-12)
 
 
@@ -124,29 +125,29 @@ def test_single_wet_cell_conserved():
     ws.downhill_masks = masks
     ws.downhill_counts = counts
     ws.water_depth[4, 4] = 1.0
-    nxt = w.step_hydrology(ws, 0.0)
+    nxt = w.step_hydrology(ws, 0.0, None)
     assert nxt.water_depth.sum() == pytest.approx(1.0, rel=1e-12)
     assert nxt.water_depth[4, 4] < 1.0  # some of it moved downhill
 
 
 def test_inflow_closed_form():
-    ws = w.build_world(width=64, height=64, seed=3, params=w.HydrologyParams(0.01, 0.0, 0.2))
+    ws = w.build_world(WorldConfig(64, 64, inflow_coeff=0.01, drainage_rate=0.0, diffusion_rate=0.2), 3)
     roads = int(ws.is_road.sum())
     before = ws.water_depth.sum()
-    after = w.step_hydrology(ws, 1.0).water_depth.sum()
+    after = w.step_hydrology(ws, 1.0, None).water_depth.sum()
     assert after - before == pytest.approx(0.01 * roads, rel=1e-12)
     # the spec example's exact shape: 100 road cells -> +1.0
     assert 0.01 * 100 == pytest.approx(1.0 * 0.01 * 100)
 
 
 def test_mass_balance_with_drainage():
-    ws = w.build_world(width=32, height=32, seed=5, params=w.HydrologyParams(0.01, 0.05, 0.2))
+    ws = w.build_world(WorldConfig(32, 32, inflow_coeff=0.01, drainage_rate=0.05, diffusion_rate=0.2), 5)
     rng = np.random.default_rng(0)
     ws.water_depth = rng.uniform(0, 0.5, size=ws.shape)
     total = ws.water_depth.sum()
     intensity = 0.7
     expected = total * (1 - 0.05) + intensity * 0.01 * ws.is_road.sum()
-    nxt = w.step_hydrology(ws, intensity)
+    nxt = w.step_hydrology(ws, intensity, None)
     assert nxt.water_depth.sum() == pytest.approx(expected, rel=1e-9)
 
 
@@ -155,16 +156,21 @@ def test_mass_balance_with_drainage():
 def test_mass_balance_identity_random_fields(data):
     """The `step_hydrology` docstring identity, total' = total + rain - drained,
     within 1e-9 of the step's water budget (total + rain)."""
-    params = w.HydrologyParams(*(data.draw(st.floats(0.0, 1.0)) for _ in range(3)))
+    inflow, drainage, diffusion = (data.draw(st.floats(0.0, 1.0)) for _ in range(3))
     n_regions = data.draw(st.sampled_from([1, 4, 9]))
-    ws = w.build_world(
-        width=data.draw(st.integers(3, 16)),
-        height=data.draw(st.integers(3, 16)),
-        seed=data.draw(st.integers(0, 2**16)),
-        n_regions=n_regions,
-        params=params,
+    width = data.draw(st.integers(3, 16))
+    height = data.draw(st.integers(3, 16))
+    seed = data.draw(st.integers(0, 2**16))
+    params = WorldConfig(
+        width,
+        height,
+        n_regions,
+        inflow_coeff=inflow,
+        drainage_rate=drainage,
+        diffusion_rate=diffusion,
         road_spacing=data.draw(st.integers(1, 4)),
     )
+    ws = w.build_world(params, seed)
     ws.water_depth = data.draw(hnp.arrays(np.float64, ws.shape, elements=st.floats(0.0, 5.0)))
     intensity = data.draw(st.floats(0.0, 1.0))
     mult = data.draw(st.none() | hnp.arrays(np.float64, n_regions, elements=st.floats(0.0, 30.0)))
@@ -184,8 +190,8 @@ def test_mass_balance_identity_subnormal_depths():
     # depths, no rain or drainage, diffusion 1.0; the identity expects
     # 4.4e-323, which `step_hydrology` kept only 2.5e-323 of while a cell
     # lost its whole outflow but sent `outflow / counts` rounded down
-    params = w.HydrologyParams(0.0, 0.0, 1.0)
-    ws = w.build_world(width=3, height=3, seed=0, n_regions=1, params=params, road_spacing=1)
+    params = WorldConfig(3, 3, 1, inflow_coeff=0.0, drainage_rate=0.0, diffusion_rate=1.0, road_spacing=1)
+    ws = w.build_world(params, 0)
     ws.water_depth = np.full(ws.shape, 5e-324)
     total = ws.water_depth.sum()
     got = w.step_hydrology(ws, 0.0, None).water_depth.sum()
@@ -193,36 +199,36 @@ def test_mass_balance_identity_subnormal_depths():
 
 
 def test_conservation_over_many_steps():
-    ws = w.build_world(width=32, height=32, seed=9, params=w.HydrologyParams(0.0, 0.0, 0.2))
+    ws = w.build_world(WorldConfig(32, 32, inflow_coeff=0.0, drainage_rate=0.0, diffusion_rate=0.2), 9)
     rng = np.random.default_rng(42)
     ws.water_depth = rng.uniform(0, 1.0, size=ws.shape)
     total = ws.water_depth.sum()
     cur = ws
     for _ in range(200):
-        cur = w.step_hydrology(cur, 0.0)
+        cur = w.step_hydrology(cur, 0.0, None)
     assert cur.water_depth.sum() == pytest.approx(total, rel=1e-9)
     assert np.all(cur.water_depth >= 0)
 
 
 def test_monotone_drainage():
-    ws = w.build_world(width=16, height=16, seed=2, params=w.HydrologyParams(0.0, 0.1, 0.2))
+    ws = w.build_world(WorldConfig(16, 16, inflow_coeff=0.0, drainage_rate=0.1, diffusion_rate=0.2), 2)
     rng = np.random.default_rng(1)
     ws.water_depth = rng.uniform(0, 1.0, size=ws.shape)
     prev = ws.water_depth.sum()
     cur = ws
     for _ in range(50):
-        cur = w.step_hydrology(cur, 0.0)
+        cur = w.step_hydrology(cur, 0.0, None)
         now = cur.water_depth.sum()
         assert now <= prev + 1e-12
         prev = now
 
 
 def test_regional_drain_multiplier():
-    ws = w.build_world(width=16, height=16, seed=2, n_regions=4, params=w.HydrologyParams(0.0, 0.05, 0.0))
+    ws = w.build_world(WorldConfig(16, 16, 4, inflow_coeff=0.0, drainage_rate=0.05, diffusion_rate=0.0), 2)
     ws.water_depth = np.ones(ws.shape)
     mult = np.ones(4)
     mult[2] = 3.0
-    nxt = w.step_hydrology(ws, 0.0, drain_multiplier=mult)
+    nxt = w.step_hydrology(ws, 0.0, mult)
     in_region = ws.region_id == 2
     assert np.allclose(nxt.water_depth[in_region], 1 - 0.15)
     assert np.allclose(nxt.water_depth[~in_region], 1 - 0.05)
@@ -230,11 +236,11 @@ def test_regional_drain_multiplier():
 
 def test_trajectory_determinism():
     def run():
-        ws = w.build_world(width=32, height=32, seed=11)
+        ws = w.build_world(WorldConfig(32, 32), 11)
         sc = w.generate_scenario(w.ScenarioKind.EXTREME, 30, 11)
         cur = ws
         for i in range(30):
-            cur = w.step_hydrology(cur, sc.curve[i])
+            cur = w.step_hydrology(cur, sc.curve[i], None)
         return cur.water_depth
 
     a, b = run(), run()
