@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ABLATIONS, ENDPOINT_ENV_VAR, SCENARIO_KINDS, STRATEGIES, KnowledgeConfig, RunConfig, load_config
+from .config import ABLATIONS, ENDPOINT_ENV_VAR, SCENARIO_KINDS, STRATEGIES, RunConfig, load_config
 from .errors import FloodloopError
 
 
@@ -114,15 +114,14 @@ def main(argv: list[str] | None = None) -> int:
 
             print(write_report(args.matrix_dir, args.out))
         elif args.command == "load":
-            from .knowledge import HashingEmbedder, load_graph, load_segments
+            from .knowledge import EMBED_DIM, HashingEmbedder, load_graph, load_segments
 
             record = {}
             if args.graph:
                 graph = load_graph(args.graph)
                 record["graph"] = {"nodes": graph.n_nodes(), "edges": graph.n_edges()}
             if args.segments:
-                # no run config here: embed as a default run would
-                store = load_segments(args.segments, HashingEmbedder(KnowledgeConfig().embed_dim))
+                store = load_segments(args.segments, HashingEmbedder(EMBED_DIM))
                 record["segments"] = len(store)
             if not record:
                 raise FloodloopError("nothing to load: pass --graph and/or --segments")

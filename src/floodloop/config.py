@@ -16,7 +16,6 @@ ENDPOINT_ENV_VAR = "FLOODLOOP_EXTERNAL_ENDPOINT"
 STRATEGIES = ("empty", "ruled", "scripted", "external")
 SCENARIO_KINDS = ("extreme", "intermittent", "light")
 ABLATIONS = ("dual_indexing", "entropy_control", "feedback_loop")
-THRESHOLD_STATS = ("gap", "j")
 
 
 @dataclass
@@ -28,9 +27,6 @@ class WorldConfig:
     drainage_rate: float = 0.05
     diffusion_rate: float = 0.2
     road_spacing: int = 4
-    elevation_relief: float = 12.0
-    elevation_smoothing: int = 1
-    road_depression: float = 1.5
 
 
 @dataclass
@@ -40,24 +36,18 @@ class MobilityConfig:
     spawn_rate: int = 3
     n_pois: int = 16
     n_buses: int = 8
-    bus_stops: int = 4
     resident_block_depth: float = 0.3
     bus_block_depth: float = 0.25
-    wait_probability: float = 0.2
 
 
 @dataclass
 class PolicyConfig:
     tau: float = 1.2
-    lambda_init: float = 1.0
-    alpha: float = 0.05
     score_threshold: float = 0.7
 
 
 @dataclass
 class KnowledgeConfig:
-    embed_dim: int = 64
-    top_k: int = 5
     subgraph_hops: int = 1
     graph_file: str | None = None
     segments_file: str | None = None
@@ -65,10 +55,7 @@ class KnowledgeConfig:
 
 @dataclass
 class FeedbackConfig:
-    window_length: int = 10
     trigger_floor: float = 0.015
-    lambda_thr: float = 1.0
-    threshold_stat: str = "gap"
     cycle_len: int = 10
     weights: tuple[float, float, float, float] = (0.3, 0.3, 0.2, 0.2)
 
@@ -84,7 +71,6 @@ class RunConfig:
     scenario_file: str | None = None
     external_endpoint: str | None = None
     external_timeout: float = 5.0
-    fallback_strategy: str = "ruled"
     heatmap_steps: tuple[int, ...] = (5, 30, 40, 45)
     workers: int = 1
     world: WorldConfig = field(default_factory=WorldConfig)
@@ -110,8 +96,6 @@ class RunConfig:
             raise ConfigError("scenario", f"must be one of {SCENARIO_KINDS}, got {self.scenario!r}")
         if self.strategy not in STRATEGIES:
             raise ConfigError("strategy", f"must be one of {STRATEGIES}, got {self.strategy!r}")
-        if self.fallback_strategy not in ("empty", "ruled"):
-            raise ConfigError("fallback_strategy", f"must be a local strategy, got {self.fallback_strategy!r}")
         if self.steps < 10:
             raise ConfigError("steps", f"must be >= 10, got {self.steps}")
         for ab in self.ablations:
@@ -127,38 +111,18 @@ class RunConfig:
             raise ConfigError("world.n_regions", f"must be a positive perfect square, got {self.world.n_regions}")
         if self.world.road_spacing < 1:
             raise ConfigError("world.road_spacing", "must be >= 1")
-        if self.world.elevation_smoothing < 0:
-            raise ConfigError("world.elevation_smoothing", "must be >= 0")
         for name in ("inflow_coeff", "drainage_rate", "diffusion_rate"):
             if not 0.0 <= getattr(self.world, name) <= 1.0:
                 raise ConfigError(f"world.{name}", "must be in [0, 1]")
         for name in ("initial_population", "initial_stagger", "spawn_rate", "n_pois", "n_buses"):
             if getattr(self.mobility, name) < 0:
                 raise ConfigError(f"mobility.{name}", "must be >= 0")
-        if not 0.0 <= self.mobility.wait_probability <= 1.0:
-            raise ConfigError("mobility.wait_probability", "must be in [0, 1]")
-        if self.mobility.n_buses > 0 and self.mobility.bus_stops < 2:
-            raise ConfigError("mobility.bus_stops", f"a bus line needs >= 2 stops, got {self.mobility.bus_stops}")
-        if self.knowledge.embed_dim < 1:
-            raise ConfigError("knowledge.embed_dim", "must be >= 1")
-        if self.knowledge.top_k < 1:
-            raise ConfigError("knowledge.top_k", "must be >= 1")
         if self.knowledge.subgraph_hops < 0:
             raise ConfigError("knowledge.subgraph_hops", "must be >= 0")
         if not (0 < self.policy.tau):
             raise ConfigError("policy.tau", "must be positive")
-        if not (0 < self.policy.alpha < 1):
-            raise ConfigError("policy.alpha", "must be in (0, 1)")
-        if self.policy.lambda_init < 0:
-            raise ConfigError("policy.lambda_init", "must be >= 0")
-        if self.feedback.threshold_stat not in THRESHOLD_STATS:
-            raise ConfigError(
-                "feedback.threshold_stat", f"must be one of {THRESHOLD_STATS}, got {self.feedback.threshold_stat!r}"
-            )
         if self.feedback.cycle_len < 1:
             raise ConfigError("feedback.cycle_len", "must be >= 1")
-        if self.feedback.window_length < 1:
-            raise ConfigError("feedback.window_length", "must be >= 1")
         if len(self.feedback.weights) != 4 or any(w < 0 for w in self.feedback.weights):
             raise ConfigError("feedback.weights", "need four non-negative weights")
         if abs(sum(self.feedback.weights) - 1.0) > 1e-9:

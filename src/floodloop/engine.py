@@ -31,6 +31,8 @@ import numpy as np
 from .config import RunConfig
 from .metrics import MetricsSnapshot, congestion_index, flood_index, objective_j, trip_rates
 from .mobility import (
+    BUS_STOPS,
+    WAIT_PROBABILITY,
     AgentRecord,
     Poi,
     Role,
@@ -112,9 +114,9 @@ class SimulationEngine:
         road = self.world.road_cells()
         bus_router = Router(self._passable_mask(Role.BUS, set()), self.graph)
         for b in range(mc.n_buses):
-            if len(road) < mc.bus_stops:
+            if len(road) < BUS_STOPS:
                 break
-            stops = bus_rng.sample(road, mc.bus_stops)
+            stops = bus_rng.sample(road, BUS_STOPS)
             bus = make_bus(self._next_id, stops, 0, bus_router)
             self._next_id += 1
             self._admit([bus])
@@ -151,13 +153,12 @@ class SimulationEngine:
         router_res = Router(self._passable_mask(Role.RESIDENT, closed), self.graph, cost)
         router_bus = Router(self._passable_mask(Role.BUS, closed), self.graph, cost)
         held = self.board.bus_held(step_idx)
-        wait_probability = self.config.mobility.wait_probability
 
         event_counts: dict[str, int] = {}
         still_active = []
         for agent in self.active:
             router = router_bus if agent.role is Role.BUS else router_res
-            kinds = step_agent(agent, self.world, router, held, self._detour_rng, now, self.trip_log, wait_probability)
+            kinds = step_agent(agent, self.world, router, held, self._detour_rng, now, self.trip_log, WAIT_PROBABILITY)
             for kind in kinds:
                 event_counts[kind] = event_counts.get(kind, 0) + 1
             if not agent.status.terminal:

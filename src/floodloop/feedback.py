@@ -23,6 +23,8 @@ from .config import RunConfig
 from .engine import SimulationEngine
 from .errors import BackendUnavailable, ConfigError, EmptySeed
 from .knowledge import (
+    EMBED_DIM,
+    TOP_K,
     Edge,
     EdgeType,
     FeedbackNote,
@@ -66,6 +68,7 @@ TASK_DIRECTIVE = (
 )
 
 FLOOD_SPOT_SCORE = 0.9
+WINDOW_LENGTH = 10  # cycles of gaps the trigger threshold spans
 DEGRADED_EPS = 0.01
 CONSISTENCY_PROBES = 3
 
@@ -76,19 +79,16 @@ def aggregate(counts: dict[str, int], events: Mapping[str, int]) -> None:
         counts[kind] = counts.get(kind, 0) + count
 
 
-def should_replan(
-    window: FeedbackWindow, j_now: float, lam_thr: float, stat: str, floor: float
-) -> tuple[float, float, bool]:
-    """(gap, threshold, triggered) for the current cycle; `lam_thr`, `stat`
-    and `floor` come from `FeedbackConfig`.
+def should_replan(window: FeedbackWindow, j_now: float, floor: float) -> tuple[float, float, bool]:
+    """(gap, threshold, triggered) for the current cycle; `floor` is
+    `FeedbackConfig.trigger_floor`.
 
-    The threshold statistics run over the window as it stood before this
-    cycle, so the first cycle always sees the static floor and an empty
-    history never triggers.
+    The threshold statistics run over the window's gaps as they stood
+    before this cycle, so the first cycle always sees the static floor and
+    an empty history never triggers.
     """
     gap = window.gap_for(j_now)
-    series = window.threshold_series(stat)
-    delta = adaptive_threshold(series, lam_thr, floor)
+    delta = adaptive_threshold(window.gaps, floor)
     return gap, delta, gap >= delta
 
 
@@ -183,7 +183,7 @@ class KnowledgeContext:
 
 def build_knowledge_context(engine: SimulationEngine, config: RunConfig) -> KnowledgeContext:
     """Region/road graph plus a seeded store of historical log segments."""
-    embedder = HashingEmbedder(config.knowledge.embed_dim)
+    embedder = HashingEmbedder(EMBED_DIM)
     kc = config.knowledge
     if kc.graph_file:
         graph = load_graph(kc.graph_file)
@@ -266,9 +266,8 @@ class DecisionLoop:
         self.engine = SimulationEngine(config, scenario)
         self.backend = backend
         self.fallback = fallback
-        pc = config.policy
-        self.controller = EntropyController(tau=pc.tau, lam=pc.lambda_init, alpha=pc.alpha)
-        self.window = FeedbackWindow(config.feedback.window_length)
+        self.controller = EntropyController(config.policy.tau)
+        self.window = FeedbackWindow(WINDOW_LENGTH)
         self.knowledge = build_knowledge_context(self.engine, config)
         self.pending_feedback: FeedbackNote | None = None
         self.reports: list[CycleReport] = []
@@ -342,10 +341,9 @@ class DecisionLoop:
         delta_e = execution_deviation(planned, executed.as_map())
 
         feedback_on = not self.ablated("feedback_loop")
-        fc = cfg.feedback
-        gap, delta, crossed = should_replan(self.window, executed.j, fc.lambda_thr, fc.threshold_stat, fc.trigger_floor)
+        gap, delta, crossed = should_replan(self.window, executed.j, cfg.feedback.trigger_floor)
         triggered = bool(feedback_on and crossed)
-        self.window.push(executed, gap)
+        self.window.push(executed.j, gap)
 
         acc: dict[str, int] = {}
         for record in records:
@@ -399,9 +397,9 @@ class DecisionLoop:
     def _build_prompt(self, summary: StateSummary) -> HybridPrompt:
         feedback_note = self.pending_feedback if not self.ablated("feedback_loop") else None
         if self.ablated("dual_indexing"):
-            return build_prompt(summary.text(), None, [], TASK_DIRECTIVE, feedback_note, summary)
+            return build_prompt(summary.text(), None, [], TASK_DIRECTIVE, feedback_note, summary, None)
         query = embed_state(summary.text(), self.knowledge.embedder)
-        segments = retrieve_topk(query, self.knowledge.store, self.config.knowledge.top_k)
+        segments = retrieve_topk(query, self.knowledge.store, TOP_K)
         seeds = summary.seed_region_ids()
         graph = keep = None
         if seeds:

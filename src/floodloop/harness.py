@@ -69,7 +69,7 @@ def run(config: RunConfig, keep_loop: bool = False) -> RunArtifacts:
     config.validate()
     scenario = load_scenario(config.scenario_file) if config.scenario_file else None
     backend = make_backend(config.strategy, config)
-    fallback = make_backend(config.fallback_strategy, config)
+    fallback = make_backend("ruled", config)
     loop = DecisionLoop(config, backend, fallback, scenario)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -28,10 +28,13 @@ from .errors import DanglingEdge, EmptyQuery, EmptySeed
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
+EMBED_DIM = 64  # entries of every embedding a run makes
+TOP_K = 5  # segments retrieved into each prompt
+
 
 class HashingEmbedder:
     """Signed feature hashing of tokens into a unit vector of `dim`
-    (`KnowledgeConfig.embed_dim`) entries.
+    entries (`EMBED_DIM` in a run).
 
     Each token's (slot, sign) and each text's vector are computed once per
     embedder and memoised; feature hashing is a pure function of the text.
@@ -223,7 +226,6 @@ def extract_subgraph(graph: KnowledgeGraph, seed_ids: Sequence[str], hops: int) 
 class Segment:
     id: str
     text: str
-    embedding: tuple[float, ...]
 
 
 class SegmentStore:
@@ -244,9 +246,11 @@ class SegmentStore:
     def add(self, seg_id: str, text: str) -> Segment:
         if seg_id in self._ids:
             raise ValueError(f"duplicate segment id {seg_id!r}")
-        seg = Segment(id=seg_id, text=text, embedding=tuple(self.embedder.embed(text)))
+        seg = Segment(id=seg_id, text=text)
         self.segments.append(seg)
-        self._units.append(_normalized(np.asarray(seg.embedding, dtype=np.float64)))
+        # normalised again: for some texts that moves the last bits of the
+        # embedder's unit vector, and the retrieval ranking and `sim=` text read these
+        self._units.append(_normalized(self.embedder.embed(text)))
         self._ids.add(seg_id)
         return seg
 
@@ -319,18 +323,14 @@ def _render_feedback(note: FeedbackNote | None) -> str:
 
 
 def render_subgraph(graph: KnowledgeGraph | None, keep: AbstractSet[str] | None) -> str:
-    """The subgraph induced on `keep` (all of `graph` when None): node lines
-    in id order, then edge lines in (src, dst, type) order."""
-    if graph is None:
+    """The subgraph of `graph` induced on `keep`: node lines in id order,
+    then edge lines in (src, dst, type) order. Both are None, or both set."""
+    if not keep:
         return "(none)"
     index = graph.render_index()
-    rendered = list(index.values()) if keep is None else [index[nid] for nid in sorted(keep)]
-    if not rendered:
-        return "(none)"
+    rendered = [index[nid] for nid in sorted(keep)]
     nodes = "\n".join(line for line, _ in rendered)
-    edges = "\n".join(
-        line for _, edge_lines in rendered for dst, line in edge_lines if keep is None or dst in keep
-    )
+    edges = "\n".join(line for _, edge_lines in rendered for dst, line in edge_lines if dst in keep)
     return f"{nodes}\n{edges}" if edges else nodes
 
 
@@ -347,11 +347,11 @@ def build_prompt(
     task: str,
     feedback: FeedbackNote | None,
     summary: object,
-    keep: AbstractSet[str] | None = None,
+    keep: AbstractSet[str] | None,
 ) -> HybridPrompt:
     """Assemble the hybrid prompt; every section is always present, with an
     explicit (none) marker when a channel is empty. The subgraph section
-    renders `graph` induced on `keep`, or all of it when `keep` is None."""
+    renders `graph` induced on `keep`; both are None when there is none."""
     return HybridPrompt(
         state_text=state_text if state_text.strip() else "(none)",
         subgraph_text=render_subgraph(graph, keep),

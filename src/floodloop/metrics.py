@@ -23,6 +23,7 @@ from .errors import InsufficientRuns
 from .world import WorldState, region_means
 
 METRIC_NAMES = ("f", "t", "c", "r")
+LAMBDA_THR = 1.0  # the trigger threshold's weight on the window's spread
 
 
 @dataclass(frozen=True)
@@ -81,8 +82,8 @@ def objective_j(f: float, t: float, c: float, r: float, weights: Sequence[float]
     return w1 * f + w2 * t + w3 * c + w4 * (1.0 - r)
 
 
-def adaptive_threshold(window_values: Sequence[float], lam_thr: float, floor: float) -> float:
-    """mu + lam_thr * sigma over the recent window, floored (`FeedbackConfig.trigger_floor`).
+def adaptive_threshold(window_values: Sequence[float], floor: float) -> float:
+    """mu + LAMBDA_THR * sigma over the recent window, floored (`FeedbackConfig.trigger_floor`).
 
     With fewer than two entries there is no spread to estimate and the
     static floor is returned.
@@ -90,7 +91,7 @@ def adaptive_threshold(window_values: Sequence[float], lam_thr: float, floor: fl
     if len(window_values) < 2:
         return floor
     arr = np.asarray(window_values, dtype=np.float64)
-    return max(float(np.mean(arr) + lam_thr * np.std(arr)), floor)
+    return max(float(np.mean(arr) + LAMBDA_THR * np.std(arr)), floor)
 
 
 def execution_deviation(planned: Mapping[str, float], executed: Mapping[str, float]) -> float:
@@ -119,20 +120,16 @@ def run_stability(runs: Sequence[Mapping[str, Sequence[float]]]) -> dict[str, fl
 
 
 class FeedbackWindow:
-    """Ring buffer of the last `length` snapshots (`FeedbackConfig.window_length`)
-    plus the all-time best J.
+    """The gaps of the last `length` cycles (`feedback.WINDOW_LENGTH` in a
+    run) plus the all-time best J.
 
     The best tracks the full history, not just the window, so the
     objective gap always compares against the global minimum.
     """
 
     def __init__(self, length: int):
-        self.snapshots: deque[MetricsSnapshot] = deque(maxlen=length)
         self.gaps: deque[float] = deque(maxlen=length)
         self.best_j: float | None = None
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
 
     def gap_for(self, j_now: float) -> float:
         """j_now minus the historical best; 0 on an empty history so the first
@@ -141,15 +138,7 @@ class FeedbackWindow:
             return 0.0
         return j_now - self.best_j
 
-    def push(self, snapshot: MetricsSnapshot, gap: float) -> None:
-        self.snapshots.append(snapshot)
+    def push(self, j: float, gap: float) -> None:
         self.gaps.append(gap)
-        if self.best_j is None or snapshot.j < self.best_j:
-            self.best_j = snapshot.j
-
-    def threshold_series(self, stat: str) -> list[float]:
-        """Window series for the adaptive threshold: recent gaps (default,
-        scale-consistent with what the trigger compares) or recent raw J."""
-        if stat == "j":
-            return [s.j for s in self.snapshots]
-        return list(self.gaps)
+        if self.best_j is None or j < self.best_j:
+            self.best_j = j

@@ -46,6 +46,8 @@ PATIENCE_CAP = 50
 ON_TIME_FACTOR = 3.0
 POI_CLUSTER_SIZE = 4
 POI_CLUSTER_RADIUS = 4  # Manhattan distance from a cluster's centre
+BUS_STOPS = 4  # stops on each bus line
+WAIT_PROBABILITY = 0.2  # a blocked agent's chance to wait rather than replan
 
 
 class Role(str, Enum):
@@ -661,7 +663,7 @@ def step_agent(
 
     The transition is deterministic given the chosen action; the only coin
     is the wait-vs-replan choice when blocked: the agent waits with
-    `wait_probability` (`MobilityConfig.wait_probability`). Patience burns on every
+    `wait_probability` (`WAIT_PROBABILITY` in a run). Patience burns on every
     non-advancing step (waits, failed replans); at zero the trip cancels.
     Held buses neither move nor lose patience.
     """

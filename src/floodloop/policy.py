@@ -10,7 +10,7 @@ generation sits from tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Mapping, Sequence
@@ -21,6 +21,8 @@ from .errors import InvalidDistribution
 from .rng import pystream
 
 PROJECTION_BAND = 1e-4
+LAMBDA_INIT = 1.0  # the entropy penalty lambda at a run's start
+LAMBDA_ALPHA = 0.05  # the rate alpha of lambda's update
 
 
 class Verb(str, Enum):
@@ -160,19 +162,16 @@ def update_lambda(lam: float, alpha: float, h: float, tau: float) -> float:
 
 @dataclass
 class EntropyController:
-    """Mutable entropy budget state: threshold tau, penalty lambda, rate alpha.
-
-    It has no defaults of its own: the decision loop starts it from
-    `PolicyConfig` (`tau`, `lambda_init`, `alpha`), whose ranges
-    `RunConfig.validate` checks.
+    """Mutable entropy budget state: threshold tau from `PolicyConfig.tau`,
+    whose range `RunConfig.validate` checks; penalty lambda, which starts
+    at `LAMBDA_INIT` and moves at rate `LAMBDA_ALPHA`.
     """
 
     tau: float
-    lam: float
-    alpha: float
+    lam: float = field(default=LAMBDA_INIT, init=False)
 
     def observe(self, h: float) -> float:
-        self.lam = update_lambda(self.lam, self.alpha, h, self.tau)
+        self.lam = update_lambda(self.lam, LAMBDA_ALPHA, h, self.tau)
         return self.lam
 
 

@@ -21,6 +21,9 @@ from .config import WorldConfig
 from .rng import substream
 
 NOISE_AMPLITUDE = 0.05
+ELEVATION_RELIEF = 12.0  # metres between the lowest and the highest cell before roads are cut in
+ELEVATION_SMOOTHING = 1  # box_filter passes over the seeded noise
+ROAD_DEPRESSION = 1.5  # metres the streets run below the surrounding terrain
 SMOOTHING_WINDOW = 5  # the side of box_filter's square window; odd, so it centres on the cell
 
 
@@ -130,15 +133,15 @@ def partition_regions(width: int, height: int, n_regions: int) -> np.ndarray:
     return (rows[:, None] * side + cols[None, :]).astype(np.int64)
 
 
-def synth_elevation(width: int, height: int, seed: int, relief: float, smoothing_passes: int) -> np.ndarray:
+def synth_elevation(width: int, height: int, seed: int) -> np.ndarray:
     """Smooth seeded noise field in meters; only the ordering matters to flow."""
     rng = substream(seed, "elevation")
     z = rng.standard_normal((height, width))
-    for _ in range(smoothing_passes):
+    for _ in range(ELEVATION_SMOOTHING):
         z = box_filter(z)
     z = z - z.min()
     span = float(z.max()) or 1.0
-    return (z / span) * relief
+    return (z / span) * ELEVATION_RELIEF
 
 
 def box_filter(z: np.ndarray) -> np.ndarray:
@@ -200,9 +203,9 @@ class WorldState:
     step: int
     n_regions: int
     params: WorldConfig
-    downhill_masks: tuple[np.ndarray, ...] = field(repr=False, default=())
-    downhill_counts: np.ndarray | None = field(repr=False, default=None)
-    road_runs: RoadRuns | None = field(repr=False, default=None)
+    downhill_masks: tuple[np.ndarray, ...] = field(repr=False)
+    downhill_counts: np.ndarray = field(repr=False)
+    road_runs: RoadRuns = field(repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -263,14 +266,14 @@ def region_road_index(is_road: np.ndarray, region_id: np.ndarray, n_regions: int
 def build_world(config: WorldConfig, seed: int) -> WorldState:
     """The grid of `config` with terrain drawn from `seed`; water and cars start at zero."""
     width, height = config.width, config.height
-    elevation = synth_elevation(width, height, seed, config.elevation_relief, config.elevation_smoothing)
+    elevation = synth_elevation(width, height, seed)
     rows = np.arange(height)[:, None]
     cols = np.arange(width)[None, :]
     spacing = config.road_spacing
     is_road = np.broadcast_to((rows % spacing == 0) | (cols % spacing == 0), (height, width)).copy()
     # streets run below the surrounding terrain so they collect and channel
     # runoff; ponds then form on the road network at its low points
-    elevation = elevation - config.road_depression * is_road
+    elevation = elevation - ROAD_DEPRESSION * is_road
     region_id = partition_regions(width, height, config.n_regions)
     masks, counts = _downhill_structure(elevation)
     return WorldState(

@@ -49,7 +49,7 @@ def summary_with(n_regions=4, flood=None, depth=None, blocked=None, congestion=N
 
 
 def prompt_for(summary, feedback=None):
-    return build_prompt(summary.text(), None, [], "dispatch", feedback, summary=summary)
+    return build_prompt(summary.text(), None, [], "dispatch", feedback, summary, None)
 
 
 # --- empty ---------------------------------------------------------------------
@@ -148,7 +148,7 @@ def test_ruled_feedback_escalates():
 
 
 def test_ruled_requires_structured_summary():
-    prompt = build_prompt("bare text", None, [], "dispatch", None, summary=None)
+    prompt = build_prompt("bare text", None, [], "dispatch", None, None, None)
     with pytest.raises(BackendUnavailable):
         b.RuledBackend(SCORE_THRESHOLD).propose(prompt, 4, 1.2, 0)
 

@@ -1,9 +1,12 @@
-"""Config values that cannot run are rejected before the run starts."""
+"""Config values that cannot run are rejected before the run starts, and
+every setting that a config can hold is one that some caller varies."""
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,87 @@ from floodloop import cli
 from floodloop.config import RunConfig, config_from_dict
 from floodloop.errors import ConfigError
 from floodloop.world import ScenarioKind, generate_scenario, save_scenario
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# settings that no run varied, now module constants beside their readers; an
+# old config.json that names one is rejected, even at the old default
+RETIRED = {
+    "world.elevation_relief", "world.elevation_smoothing", "world.road_depression",
+    "mobility.bus_stops", "mobility.wait_probability",
+    "policy.lambda_init", "policy.alpha",
+    "knowledge.embed_dim", "knowledge.top_k",
+    "feedback.window_length", "feedback.lambda_thr", "feedback.threshold_stat",
+    "fallback_strategy",
+}
+
+# every setting of `RunConfig` -> (where a caller varies it, why it is kept).
+# A `.py` file must assign the setting, or pass it by keyword; the other
+# entries name the reason a setting no run varies yet is kept.
+VARIED_BY = {
+    "scenario": ("src/floodloop/cli.py", "--scenario"),
+    "steps": ("src/floodloop/cli.py", "--steps"),
+    "seed": ("src/floodloop/cli.py", "--seed"),
+    "strategy": ("src/floodloop/cli.py", "--strategy"),
+    "ablations": ("src/floodloop/cli.py", "--ablate"),
+    "out_dir": ("src/floodloop/cli.py", "--out"),
+    "scenario_file": ("src/floodloop/cli.py", "--scenario-file"),
+    "external_endpoint": ("src/floodloop/cli.py", "--endpoint"),
+    "external_timeout": ("deployment", "how long the remote backend may take"),
+    "heatmap_steps": ("tests/test_golden.py", "the golden runs dump one step"),
+    "workers": ("src/floodloop/cli.py", "matrix --workers"),
+    "world.width": ("bench/workloads.py", "metro"),
+    "world.height": ("bench/workloads.py", "metro"),
+    "world.n_regions": ("bench/workloads.py", "dispatch"),
+    "world.inflow_coeff": ("tests/test_golden.py", "the wet runs"),
+    "world.drainage_rate": ("tests/test_world.py", "the mass-balance properties"),
+    "world.diffusion_rate": ("tests/test_world.py", "the mass-balance properties"),
+    "world.road_spacing": ("tests/test_routing_properties.py", "the routing properties"),
+    "mobility.initial_population": ("bench/workloads.py", "metro and dispatch"),
+    "mobility.initial_stagger": ("bench/workloads.py", "metro"),
+    "mobility.spawn_rate": ("bench/workloads.py", "metro and dispatch"),
+    "mobility.n_pois": ("tests/test_golden.py", "the golden runs"),
+    "mobility.n_buses": ("tests/test_golden.py", "the golden runs"),
+    "mobility.resident_block_depth": ("ROADMAP.md", "item 3: f may count the cells at this depth"),
+    "mobility.bus_block_depth": ("ROADMAP.md", "item 3: the bus twin of resident_block_depth"),
+    "policy.tau": ("ROADMAP.md", "item 4: the entropy cap's sign counts may move it"),
+    "policy.score_threshold": ("ROADMAP.md", "item 4: rules that lower the ruled backend's bar"),
+    "knowledge.subgraph_hops": ("ROADMAP.md", "item 4: bound the knowledge subgraph"),
+    "knowledge.graph_file": ("deployment", "a graph snapshot to load"),
+    "knowledge.segments_file": ("deployment", "a segment store to load"),
+    "feedback.trigger_floor": ("tests/test_golden.py", "the wet runs"),
+    "feedback.cycle_len": ("bench/workloads.py", "dispatch"),
+    "feedback.weights": ("ROADMAP.md", "item 3: J's weights on the new indicators"),
+}
+
+
+def settings(section=RunConfig(), prefix: str = ""):
+    """The dotted name of every setting of `RunConfig`, sections entered."""
+    for f in dataclasses.fields(section):
+        value = getattr(section, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from settings(value, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def test_every_setting_is_varied_by_a_caller_named_in_the_ledger():
+    names = set(settings())
+    assert not names & RETIRED
+    assert sorted(names - VARIED_BY.keys()) == [], "a new setting needs a caller that varies it"
+    assert sorted(VARIED_BY.keys() - names) == []
+
+
+def test_each_caller_in_the_ledger_sets_its_setting():
+    missing = []
+    for name, (where, _) in VARIED_BY.items():
+        if where.endswith(".py"):
+            text = (ROOT / where).read_text()
+            leaf = name.rsplit(".", 1)[-1]
+            if not re.search(rf"\.{re.escape(name)} = |\b{re.escape(leaf)}=", text):
+                missing.append(f"{name} in {where}")
+    assert missing == []
 
 
 def rejection(tmp_path, capsys, data) -> str:
@@ -28,11 +112,11 @@ def rejection(tmp_path, capsys, data) -> str:
 @pytest.mark.parametrize(
     "field, data",
     [
-        ("mobility.bus_stops", {"mobility": {"n_buses": 2, "bus_stops": 1}}),
-        ("knowledge.embed_dim", {"knowledge": {"embed_dim": 0}}),
+        ("mobility.bus_stops", {"mobility": {"bus_stops": 4}}),
+        ("knowledge.embed_dim", {"knowledge": {"embed_dim": 64}}),
         ("world.road_spacing", {"world": {"road_spacing": 0}}),
         ("policy.routing_penalty", {"policy": {"routing_penalty": 4.0}}),
-        ("knowledge.top_k", {"knowledge": {"top_k": 0}}),
+        ("knowledge.top_k", {"knowledge": {"top_k": 5}}),
         ("knowledge.subgraph_hops", {"knowledge": {"subgraph_hops": -1}}),
         ("world.inflow_coeff", {"world": {"inflow_coeff": 1.5}}),
         ("world.drainage_rate", {"world": {"drainage_rate": 3.0}}),
@@ -41,13 +125,13 @@ def rejection(tmp_path, capsys, data) -> str:
         ("external_timeout", {"external_timeout": -1}),
         ("mobility.spawn_rate", {"mobility": {"spawn_rate": -2}}),
         ("mobility.n_pois", {"mobility": {"n_pois": -1}}),
-        ("mobility.wait_probability", {"mobility": {"wait_probability": 1.5}}),
+        ("mobility.wait_probability", {"mobility": {"wait_probability": 0.2}}),
         ("mobility.n_buses", {"mobility": {"n_buses": -1}}),
         ("mobility.initial_stagger", {"mobility": {"initial_stagger": -1}}),
-        ("world.elevation_smoothing", {"world": {"elevation_smoothing": -1}}),
+        ("world.elevation_smoothing", {"world": {"elevation_smoothing": 1}}),
         ("policy.tau", {"policy": {"tau": 0}}),
-        ("policy.alpha", {"policy": {"alpha": 1.5}}),
-        ("policy.lambda_init", {"policy": {"lambda_init": -1}}),
+        ("policy.alpha", {"policy": {"alpha": 0.05}}),
+        ("policy.lambda_init", {"policy": {"lambda_init": 1.0}}),
         ("feedback.weights", {"feedback": {"weights": [0.5, 0.5, 0.5, 0.5]}}),
         ("feedback.weights", {"feedback": {"weights": [-0.2, 0.6, 0.3, 0.3]}}),
         # values of the wrong type
@@ -70,10 +154,20 @@ def rejection(tmp_path, capsys, data) -> str:
         # a grid too small in one dimension names that one
         ("world.width", {"world": {"width": 3}}),
         ("world.height", {"world": {"height": 2}}),
+        # the other retired settings; each case names its old default
+        ("world.elevation_relief", {"world": {"elevation_relief": 12.0}}),
+        ("world.road_depression", {"world": {"road_depression": 1.5}}),
+        ("feedback.window_length", {"feedback": {"window_length": 10}}),
+        ("feedback.lambda_thr", {"feedback": {"lambda_thr": 1.0}}),
+        ("feedback.threshold_stat", {"feedback": {"threshold_stat": "gap"}}),
+        ("fallback_strategy", {"fallback_strategy": "ruled"}),
     ],
 )
 def test_run_rejects_config_naming_the_field(tmp_path, capsys, field, data):
-    assert rejection(tmp_path, capsys, data).startswith(f"{field}: ")
+    message = rejection(tmp_path, capsys, data)
+    assert message.startswith(f"{field}: ")
+    if field in RETIRED:
+        assert message == f"{field}: unknown field"
 
 
 @pytest.mark.parametrize(

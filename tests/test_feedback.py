@@ -96,55 +96,54 @@ def test_aggregate_counts_cancellations():
 def window_from(js):
     window = m.FeedbackWindow(length=10)
     for j in js:
-        window.push(m.MetricsSnapshot(0, 0, 0, 0, j, 0), window.gap_for(j))
+        window.push(j, window.gap_for(j))
     return window
 
 
 def test_first_cycle_never_triggers():
-    gap, delta, trig = fb.should_replan(m.FeedbackWindow(10), 0.9, 1.0, "gap", TRIGGER_FLOOR)
+    gap, delta, trig = fb.should_replan(m.FeedbackWindow(10), 0.9, TRIGGER_FLOOR)
     assert gap == 0.0
     assert delta == 0.015
     assert not trig
 
 
 def test_trigger_on_large_gap():
-    gap, delta, trig = fb.should_replan(window_from([0.40, 0.42]), 0.47, 1.0, "gap", TRIGGER_FLOOR)
+    gap, delta, trig = fb.should_replan(window_from([0.40, 0.42]), 0.47, TRIGGER_FLOOR)
     assert gap == pytest.approx(0.07)
     assert trig
 
 
 def test_new_best_never_triggers():
-    gap, _, trig = fb.should_replan(window_from([0.40, 0.50]), 0.35, 1.0, "gap", TRIGGER_FLOOR)
+    gap, _, trig = fb.should_replan(window_from([0.40, 0.50]), 0.35, TRIGGER_FLOOR)
     assert gap < 0
     assert not trig
 
 
-def test_should_replan_matches_brute_force_both_modes():
+def test_should_replan_matches_brute_force():
     rng = np.random.default_rng(77)
-    for mode in ("gap", "j"):
-        for _ in range(1000):
-            n = int(rng.integers(1, 15))
-            js = [float(v) for v in rng.uniform(0.2, 0.8, size=n)]
-            window = m.FeedbackWindow(length=10)
-            history = []
-            gaps_hist = []
-            for j in js:
-                gap, delta, trig = fb.should_replan(window, j, 1.0, mode, TRIGGER_FLOOR)
-                # brute force per the definitions
-                gap_bf = j - min(history) if history else 0.0
-                series = (history if mode == "j" else gaps_hist)[-10:]
-                if len(series) < 2:
-                    delta_bf = 0.015
-                else:
-                    mu = float(np.mean(series))
-                    sd = float(np.std(series))
-                    delta_bf = max(mu + 1.0 * sd, 0.015)
-                assert gap == pytest.approx(gap_bf, abs=1e-12)
-                assert delta == pytest.approx(delta_bf, abs=1e-12)
-                assert trig == (gap_bf >= delta_bf)
-                window.push(m.MetricsSnapshot(0, 0, 0, 0, j, 0), gap)
-                history.append(j)
-                gaps_hist.append(gap_bf)
+    for _ in range(1000):
+        n = int(rng.integers(1, 15))
+        js = [float(v) for v in rng.uniform(0.2, 0.8, size=n)]
+        window = m.FeedbackWindow(length=10)
+        history = []
+        gaps_hist = []
+        for j in js:
+            gap, delta, trig = fb.should_replan(window, j, TRIGGER_FLOOR)
+            # brute force per the definitions
+            gap_bf = j - min(history) if history else 0.0
+            series = gaps_hist[-10:]
+            if len(series) < 2:
+                delta_bf = 0.015
+            else:
+                mu = float(np.mean(series))
+                sd = float(np.std(series))
+                delta_bf = max(mu + 1.0 * sd, 0.015)
+            assert gap == pytest.approx(gap_bf, abs=1e-12)
+            assert delta == pytest.approx(delta_bf, abs=1e-12)
+            assert trig == (gap_bf >= delta_bf)
+            window.push(j, gap)
+            history.append(j)
+            gaps_hist.append(gap_bf)
 
 
 # --- trigger_replanning ----------------------------------------------------------------

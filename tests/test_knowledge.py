@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from floodloop import knowledge as k
-from floodloop.config import KnowledgeConfig
 from floodloop.errors import DanglingEdge, EmptyQuery, EmptySeed
 from floodloop.semeval import scs, sds
-
-EMBED_DIM = KnowledgeConfig().embed_dim
 
 
 def make_node(nid, ntype=k.NodeType.REGION):
@@ -56,9 +53,9 @@ def test_embed_one_token_difference():
 
 def test_embed_state_empty_rejected():
     with pytest.raises(EmptyQuery):
-        k.embed_state("   ", k.HashingEmbedder(EMBED_DIM))
+        k.embed_state("   ", k.HashingEmbedder(k.EMBED_DIM))
     with pytest.raises(EmptyQuery):
-        k.HashingEmbedder(EMBED_DIM).embed("!!!")
+        k.HashingEmbedder(k.EMBED_DIM).embed("!!!")
 
 
 # --- subgraph extraction ------------------------------------------------------------
@@ -119,21 +116,21 @@ def test_exact_match_ranks_first():
     store = k.SegmentStore(k.HashingEmbedder(32))
     store.add("seg:a", "flooding near the river")
     store.add("seg:b", "buses rerouted downtown")
-    query = np.asarray(store.segments[0].embedding)
+    query = store.embedder.embed(store.segments[0].text)
     ranked = k.retrieve_topk(query, store, 2)
     assert ranked[0][0].id == "seg:a"
     assert ranked[0][1] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_k_larger_than_store():
-    store = k.SegmentStore(k.HashingEmbedder(EMBED_DIM))
+    store = k.SegmentStore(k.HashingEmbedder(k.EMBED_DIM))
     store.add("seg:a", "alpha")
     store.add("seg:b", "beta")
     assert len(k.retrieve_topk(np.ones(64), store, 10)) == 2
 
 
 def test_empty_store_empty_result():
-    assert k.retrieve_topk(np.ones(64), k.SegmentStore(k.HashingEmbedder(EMBED_DIM)), 3) == []
+    assert k.retrieve_topk(np.ones(64), k.SegmentStore(k.HashingEmbedder(k.EMBED_DIM)), 3) == []
 
 
 def test_ranking_matches_exhaustive_sort():
@@ -148,7 +145,7 @@ def test_ranking_matches_exhaustive_sort():
         ranked = k.retrieve_topk(query, store, 50)
 
         def cosine(seg):
-            e = np.asarray(seg.embedding)
+            e = embedder.embed(seg.text)
             return float(np.dot(query, e) / (np.linalg.norm(query) * np.linalg.norm(e)))
 
         # brute-force oracle at float resolution: similarities must agree,
@@ -190,7 +187,7 @@ def test_ranking_insertion_order_invariant():
 # --- prompts ---------------------------------------------------------------------------
 
 def test_prompt_empty_channels_have_markers():
-    p = k.build_prompt("step: 1", None, [], "do the thing", None, None)
+    p = k.build_prompt("step: 1", None, [], "do the thing", None, None, None)
     assert "## SUBGRAPH\n(none)" in p.text
     assert "## SEGMENTS\n(none)" in p.text
     assert "## FEEDBACK\n(none)" in p.text
@@ -199,11 +196,11 @@ def test_prompt_empty_channels_have_markers():
 
 def test_prompt_byte_identical():
     g = path_graph(3)
-    store = k.SegmentStore(k.HashingEmbedder(EMBED_DIM))
+    store = k.SegmentStore(k.HashingEmbedder(k.EMBED_DIM))
     store.add("seg:x", "alpha beta")
     segs = k.retrieve_topk(np.ones(64), store, 1)
-    a = k.build_prompt("state", g, segs, "task", None, None)
-    b = k.build_prompt("state", g, segs, "task", None, None)
+    a = k.build_prompt("state", g, segs, "task", None, None, set(g.nodes))
+    b = k.build_prompt("state", g, segs, "task", None, None, set(g.nodes))
     assert a.text == b.text
     assert a.text.encode() == b.text.encode()
 
@@ -215,7 +212,7 @@ def test_prompt_feedback_roundtrip():
         degraded_metrics=("c", "r"),
         rejected_reasons=("routing infeasible: region 3 fully flooded",),
     )
-    p = k.build_prompt("state", None, [], "task", note, None)
+    p = k.build_prompt("state", None, [], "task", note, None, None)
     assert "0.158100" in p.text
     assert "degraded_metrics: c, r" in p.text
     assert "routing infeasible: region 3 fully flooded" in p.text
@@ -306,17 +303,17 @@ def test_graph_file_roundtrip(tmp_path):
 
 
 def test_segments_file_roundtrip(tmp_path):
-    store = k.SegmentStore(k.HashingEmbedder(EMBED_DIM))
+    store = k.SegmentStore(k.HashingEmbedder(k.EMBED_DIM))
     store.add("seg:1", "first note")
     store.add("seg:2", "second note")
     path = tmp_path / "segments.jsonl"
     save_segments(path, store)
-    back = k.load_segments(path, k.HashingEmbedder(EMBED_DIM))
+    back = k.load_segments(path, k.HashingEmbedder(k.EMBED_DIM))
     assert [(s.id, s.text) for s in back.segments] == [(s.id, s.text) for s in store.segments]
 
 
 def test_duplicate_segment_id_rejected():
-    store = k.SegmentStore(k.HashingEmbedder(EMBED_DIM))
+    store = k.SegmentStore(k.HashingEmbedder(k.EMBED_DIM))
     store.add("seg:1", "first")
     with pytest.raises(ValueError):
         store.add("seg:1", "again")
@@ -376,7 +373,7 @@ def per_call_retrieve_topk(query, store, k):
     q = per_call_normalized(np.asarray(query, dtype=np.float64))
     scored = []
     for seg in store.segments:
-        e = per_call_normalized(np.asarray(seg.embedding, dtype=np.float64))
+        e = per_call_normalized(np.asarray(store.embedder.embed(seg.text), dtype=np.float64))
         scored.append((seg, float(np.dot(q, e))))
     scored.sort(key=lambda pair: (-pair[1], pair[0].id))
     return scored[:k]
@@ -408,7 +405,7 @@ def graphs(draw):
 
 
 def assert_extracts_like_per_call_code(graph, seeds, hops):
-    assert k.render_subgraph(graph, None) == per_call_render(graph)
+    assert k.render_subgraph(graph, set(graph.nodes)) == per_call_render(graph)
     try:
         expected = per_call_extract(graph, seeds, hops)
     except EmptySeed:

@@ -125,7 +125,7 @@ def objective_gap(history, j_now):
 def window_after(js, length=10):
     window = m.FeedbackWindow(length=length)
     for j in js:
-        window.push(m.MetricsSnapshot(0, 0, 0, 0, j, 0), window.gap_for(j))
+        window.push(j, window.gap_for(j))
     return window
 
 
@@ -153,7 +153,7 @@ def test_gap_incremental_equals_brute_force():
             gap_inc = window.gap_for(j)
             gap_bf = objective_gap(history, j)
             assert gap_inc == pytest.approx(gap_bf, abs=1e-12)
-            window.push(m.MetricsSnapshot(0, 0, 0, 0, j, 0), gap_inc)
+            window.push(j, gap_inc)
             history.append(j)
 
 
@@ -161,18 +161,18 @@ TRIGGER_FLOOR = FeedbackConfig().trigger_floor
 
 
 def test_adaptive_threshold_constant_gaps():
-    assert m.adaptive_threshold([0.2, 0.2, 0.2], 1.0, TRIGGER_FLOOR) == pytest.approx(0.2)
-    assert m.adaptive_threshold([0.001, 0.001], 1.0, TRIGGER_FLOOR) == pytest.approx(0.015)
+    assert m.adaptive_threshold([0.2, 0.2, 0.2], TRIGGER_FLOOR) == pytest.approx(0.2)
+    assert m.adaptive_threshold([0.001, 0.001], TRIGGER_FLOOR) == pytest.approx(0.015)
 
 
 def test_adaptive_threshold_hand_stats():
     # gaps [0.0, 0.02]: mu 0.01, population sigma 0.01 -> 0.02
-    assert m.adaptive_threshold([0.0, 0.02], 1.0, TRIGGER_FLOOR) == pytest.approx(0.02)
+    assert m.adaptive_threshold([0.0, 0.02], TRIGGER_FLOOR) == pytest.approx(0.02)
 
 
 def test_adaptive_threshold_floor_short_window():
-    assert m.adaptive_threshold([], 1.0, TRIGGER_FLOOR) == 0.015
-    assert m.adaptive_threshold([0.4], 1.0, TRIGGER_FLOOR) == 0.015
+    assert m.adaptive_threshold([], TRIGGER_FLOOR) == 0.015
+    assert m.adaptive_threshold([0.4], TRIGGER_FLOOR) == 0.015
 
 
 # --- deviation --------------------------------------------------------------------
@@ -234,16 +234,15 @@ def test_run_stability_needs_two():
 
 def test_window_capacity_and_best():
     window = m.FeedbackWindow(length=3)
-    for i, j in enumerate([0.5, 0.3, 0.6, 0.7]):
-        window.push(m.MetricsSnapshot(0, 0, 0, 0, j, i), window.gap_for(j))
-    assert len(window) == 3
+    for j in [0.5, 0.3, 0.6, 0.7]:
+        window.push(j, window.gap_for(j))
+    assert len(window.gaps) == 3
     assert window.best_j == pytest.approx(0.3)  # best survives window eviction
     assert window.gap_for(0.5) == pytest.approx(0.2)
 
 
-def test_window_threshold_series_modes():
+def test_window_keeps_each_cycles_gap():
     window = m.FeedbackWindow(length=5)
     for j in (0.5, 0.4, 0.45):
-        window.push(m.MetricsSnapshot(0, 0, 0, 0, j, 0), window.gap_for(j))
-    assert window.threshold_series("j") == [0.5, 0.4, 0.45]
-    assert window.threshold_series("gap") == pytest.approx([0.0, -0.1, 0.05])
+        window.push(j, window.gap_for(j))
+    assert list(window.gaps) == pytest.approx([0.0, -0.1, 0.05])

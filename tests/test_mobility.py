@@ -9,10 +9,8 @@ import pytest
 
 from floodloop import mobility as mob
 from floodloop import world as w
-from floodloop.config import MobilityConfig, WorldConfig
+from floodloop.config import WorldConfig
 from floodloop.rng import pystream
-
-WAIT_PROBABILITY = MobilityConfig().wait_probability
 
 
 def open_mask(shape, blocked=()):
@@ -228,7 +226,7 @@ def run_step(agent, ws, blocked=(), rng=None, step=1, log=None):
         rng or pystream(0, "coin"),
         step,
         log,
-        WAIT_PROBABILITY,
+        mob.WAIT_PROBABILITY,
     ), log
 
 
@@ -260,7 +258,7 @@ def test_blocked_corridor_cancels_after_patience():
             rng,
             steps,
             log,
-            WAIT_PROBABILITY,
+            mob.WAIT_PROBABILITY,
         )
         assert steps < 50
     assert agent.status is mob.Status.CANCELLED
@@ -321,7 +319,7 @@ def test_bus_visits_stops_in_order():
     rng = pystream(3, "coin")
     visited = []
     for step in range(1, 40):
-        mob.step_agent(bus, ws, road_router(ws), set(), rng, step, log, WAIT_PROBABILITY)
+        mob.step_agent(bus, ws, road_router(ws), set(), rng, step, log, mob.WAIT_PROBABILITY)
         visited.append(bus.pos)
         if bus.status.terminal:
             break
@@ -365,12 +363,12 @@ def test_held_bus_stays_put_keeps_patience():
     before = (bus.pos, bus.patience)
     log = mob.TripLog()
     held = {ws.region_of(bus.pos)}
-    events = mob.step_agent(bus, ws, road_router(ws), held, pystream(0, "x"), 1, log, WAIT_PROBABILITY)
+    events = mob.step_agent(bus, ws, road_router(ws), held, pystream(0, "x"), 1, log, mob.WAIT_PROBABILITY)
     assert events == ["held"]
     assert (bus.pos, bus.patience) == before
     # a resident at the same cell ignores the held regions
     resident = mob.AgentRecord(2, mob.Role.RESIDENT, (0, 4), (0, 0), list(bus.path), status=mob.Status.ENROUTE)
-    assert mob.step_agent(resident, ws, road_router(ws), held, pystream(0, "x"), 1, log, WAIT_PROBABILITY) == [
+    assert mob.step_agent(resident, ws, road_router(ws), held, pystream(0, "x"), 1, log, mob.WAIT_PROBABILITY) == [
         "advanced"
     ]
 
@@ -422,7 +420,7 @@ def test_trip_accounting_identity():
     for step in range(1, 60):
         for agent in agents:
             if not agent.status.terminal:
-                mob.step_agent(agent, ws, road_router(ws), set(), rng, step, log, WAIT_PROBABILITY)
+                mob.step_agent(agent, ws, road_router(ws), set(), rng, step, log, mob.WAIT_PROBABILITY)
         states = {s: sum(1 for a in agents if a.status is s) for s in mob.Status}
         assert sum(states.values()) == log.spawned
 

@@ -19,7 +19,7 @@ POLICY = PolicyConfig()
 
 def controller(tau=POLICY.tau):
     """An entropy controller started as the decision loop starts it, from `PolicyConfig`."""
-    return p.EntropyController(tau, POLICY.lambda_init, POLICY.alpha)
+    return p.EntropyController(tau)
 
 
 def dist_over(probs, n_regions=None):
@@ -213,7 +213,7 @@ def test_lambda_dynamics():
 # --- global generation ----------------------------------------------------------------------
 
 def test_generate_global_projects_and_updates_lambda():
-    ctl = p.EntropyController(tau=1.2, lam=1.0, alpha=0.05)
+    ctl = p.EntropyController(tau=1.2)
     d = dist_over([0.125] * 8, n_regions=8)
     plan = p.generate_global(d, ctl, seed=5, cycle=0, n_regions=8, entropy_control=True)
     assert plan.h_raw == pytest.approx(math.log(8))
