@@ -17,7 +17,6 @@ import math
 import urllib.error
 import urllib.parse
 import urllib.request
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import BackendUnavailable
 from .knowledge import HybridPrompt
-from .policy import VERB_INDEX, HighLevelAction, PolicyDistribution, Verb, action_keys, action_vocabulary
+from .policy import VERB_INDEX, VERB_ORDER, HighLevelAction, PolicyDistribution, Verb, action_keys, action_vocabulary
 from .state import StateSummary
 
 PREEMPT_FRACTION = 0.5  # of the blocking depth: the bar for preventive pumping on open roads
@@ -46,14 +45,21 @@ class StrategyBackend:
         raise NotImplementedError
 
 
+NOOP_PROPOSAL = BackendProposal(distribution=PolicyDistribution.onehot(HighLevelAction(Verb.NOOP, 0)))
+
+# rows of the rule table
+_REROUTE, _CLOSE, _HOLD, _RELIEF, _NOOP = (
+    VERB_INDEX[v] for v in (Verb.REROUTE_REGION, Verb.CLOSE_ROAD, Verb.HOLD_TRANSIT, Verb.DISPATCH_RELIEF, Verb.NOOP)
+)
+
+
 class EmptyBackend(StrategyBackend):
     """No planning at all: a point mass on NoOp, entropy zero."""
 
     name = "empty"
 
     def propose(self, prompt, n_regions, tau, cycle):
-        dist = PolicyDistribution.onehot(HighLevelAction(Verb.NOOP, 0))
-        return BackendProposal(distribution=dist)
+        return NOOP_PROPOSAL
 
 
 class RuledBackend(StrategyBackend):
@@ -66,63 +72,87 @@ class RuledBackend(StrategyBackend):
     the prompt carries failure feedback from a triggered cycle,
     intervention weights escalate and the wetness bar drops, widening the
     response.
+
+    The rules are a pure function of the prompt, so asking again about the
+    same prompt object returns the kept proposal object; the consistency
+    probes of a cycle cost nothing.
     """
 
     name = "ruled"
 
     def __init__(self, score_threshold: float):
         self.score_threshold = score_threshold
+        # the last prompt asked about is held, so no other prompt can take its id
+        self._asked: tuple[HybridPrompt | None, int] = (None, 0)
+        self._answer = NOOP_PROPOSAL
 
     def propose(self, prompt, n_regions, tau, cycle):
+        if self._asked[0] is prompt and self._asked[1] == n_regions:
+            return self._answer
         summary = prompt.summary
         if not isinstance(summary, StateSummary):
             raise BackendUnavailable("ruled backend needs a structured state summary")
+        self._answer = BackendProposal(distribution=self._rule_table(summary, prompt.feedback, n_regions))
+        self._asked = (prompt, n_regions)
+        return self._answer
+
+    def _rule_table(self, summary: StateSummary, feedback, n_regions: int) -> PolicyDistribution:
+        """One weight row per verb over the regions; each row adds its terms
+        in the order of the per-region rules, and the support is every
+        (verb, region) pair a rule fired on, in vocabulary order."""
         boost = 1.0
         preempt_bar = PREEMPT_FRACTION * summary.blocking_depth
         degraded: tuple[str, ...] = ()
-        if prompt.feedback is not None:
-            boost = 1.0 + min(2.0, 10.0 * prompt.feedback.deviation_rms)
-            degraded = prompt.feedback.degraded_metrics
+        if feedback is not None:
+            boost = 1.0 + min(2.0, 10.0 * feedback.deviation_rms)
+            degraded = feedback.degraded_metrics
             preempt_bar *= 0.75
             if "c" in degraded or "r" in degraded:
                 boost *= 1.5
                 preempt_bar *= 0.75
         calm_map = sum(summary.region_blocked_roads) <= CALM_BLOCKED_LIMIT
-        scores: defaultdict[HighLevelAction, float] = defaultdict(float)
-        scores[HighLevelAction(Verb.NOOP, 0)] = 0.5
-        for r in range(n_regions):
-            f_a = summary.region_flood[r]
-            t_a = summary.region_congestion[r]
-            depth = summary.region_max_depth[r]
-            blocked = summary.region_blocked_roads[r]
-            # relative hot spots only matter when they are wet in absolute
-            # terms; otherwise detour/closure would punish mild weather
-            wetness = min(1.0, depth / summary.blocking_depth) if summary.blocking_depth > 0 else 0.0
-            if f_a > self.score_threshold and wetness >= 0.85:
-                scores[HighLevelAction(Verb.CLOSE_ROAD, r)] += 0.4 * f_a * wetness
-                scores[HighLevelAction(Verb.REROUTE_REGION, r)] += f_a * wetness
-            if blocked > 0:
-                relief = (1.0 + f_a) * boost
-                if "c" in degraded or "r" in degraded:
-                    relief *= 2.0
-                scores[HighLevelAction(Verb.DISPATCH_RELIEF, r)] += relief
-                scores[HighLevelAction(Verb.REROUTE_REGION, r)] += 0.6 * boost
-                if blocked >= 3:
-                    scores[HighLevelAction(Verb.HOLD_TRANSIT, r)] += 0.5 * boost
-            elif depth >= preempt_bar and (calm_map or prompt.feedback is not None):
-                # preventive pumping on wet-but-open regions: routine
-                # maintenance while the map is calm, or escalated coverage
-                # after a triggered cycle; deliberately lighter than the
-                # reactive response
-                scores[HighLevelAction(Verb.DISPATCH_RELIEF, r)] += 0.5 * boost
-            if t_a > self.score_threshold:
-                extra = 0.8 * t_a * (1.5 if "t" in degraded else 1.0)
-                scores[HighLevelAction(Verb.REROUTE_REGION, r)] += extra
-        actions = sorted(scores, key=lambda a: (VERB_INDEX[a.verb], a.region))
-        weights = np.array([scores[a] for a in actions], dtype=np.float64)
-        probs = weights / weights.sum()
-        dist = PolicyDistribution(support=tuple(actions), probs=tuple(float(p) for p in probs))
-        return BackendProposal(distribution=dist)
+        f_a = np.array(summary.region_flood[:n_regions], dtype=np.float64)
+        t_a = np.array(summary.region_congestion[:n_regions], dtype=np.float64)
+        depth = np.array(summary.region_max_depth[:n_regions], dtype=np.float64)
+        blocked = np.array(summary.region_blocked_roads[:n_regions], dtype=np.int64)
+        # relative hot spots only matter when they are wet in absolute
+        # terms; otherwise detour/closure would punish mild weather
+        if summary.blocking_depth > 0:
+            wetness = np.minimum(1.0, depth / summary.blocking_depth)
+        else:
+            wetness = np.zeros(n_regions)
+        hot = (f_a > self.score_threshold) & (wetness >= 0.85)
+        open_roads = blocked == 0
+        # preventive pumping on wet-but-open regions: routine maintenance
+        # while the map is calm, or escalated coverage after a triggered
+        # cycle; deliberately lighter than the reactive response
+        preempt = open_roads & (depth >= preempt_bar) & (calm_map or feedback is not None)
+        jammed = t_a > self.score_threshold
+        relief = (1.0 + f_a) * boost
+        if "c" in degraded or "r" in degraded:
+            relief *= 2.0
+
+        fired = np.zeros((len(VERB_ORDER), n_regions), dtype=bool)
+        weights = np.zeros((len(VERB_ORDER), n_regions))
+        fired[_CLOSE] = hot
+        weights[_CLOSE] = np.where(hot, 0.4 * f_a * wetness, 0.0)
+        fired[_REROUTE] = hot | ~open_roads | jammed
+        weights[_REROUTE] = (
+            np.where(hot, f_a * wetness, 0.0)
+            + np.where(open_roads, 0.0, 0.6 * boost)
+            + np.where(jammed, 0.8 * t_a * (1.5 if "t" in degraded else 1.0), 0.0)
+        )
+        fired[_RELIEF] = ~open_roads | preempt
+        weights[_RELIEF] = np.where(open_roads, np.where(preempt, 0.5 * boost, 0.0), relief)
+        fired[_HOLD] = blocked >= 3
+        weights[_HOLD] = np.where(fired[_HOLD], 0.5 * boost, 0.0)
+        fired[_NOOP, 0] = True
+        weights[_NOOP, 0] = 0.5
+
+        at = np.flatnonzero(fired)
+        kept = weights.ravel()[at]
+        vocab = action_vocabulary(n_regions)
+        return PolicyDistribution(tuple(vocab[i] for i in at.tolist()), tuple((kept / kept.sum()).tolist()))
 
 
 class ScriptedBackend(StrategyBackend):

@@ -61,7 +61,7 @@ INSTRUCTION_HEADER = ("cycle", "region", "tag", "anchor", "window_start", "windo
 class RunArtifacts:
     out_dir: Path
     summary: dict
-    loop: DecisionLoop | None = None
+    loop: DecisionLoop | None
 
 
 def run(config: RunConfig, keep_loop: bool = False) -> RunArtifacts:

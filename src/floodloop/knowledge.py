@@ -98,7 +98,7 @@ class EdgeType(str, Enum):
 class Node:
     id: str
     type: NodeType
-    attrs: tuple[tuple[str, str], ...] = ()
+    attrs: tuple[tuple[str, str], ...]
 
     def line(self) -> str:
         attrs = " ".join(f"{k}={v}" for k, v in self.attrs)
@@ -288,7 +288,7 @@ class HybridPrompt:
     segments_text: str
     task: str
     feedback: FeedbackNote | None
-    summary: object = field(compare=False, default=None)
+    summary: object = field(compare=False)
 
     @cached_property
     def text(self) -> str:

@@ -68,17 +68,21 @@ class Status(str, Enum):
 
 @dataclass
 class AgentRecord:
+    """One resident or bus. `path_index` and `travel_steps` start at 0;
+    they take a factory, not a plain default, so `__init__` sets them and
+    every agent has the same attributes in the same order."""
+
     id: int
     role: Role
     destination: Cell
     pos: Cell
-    path: list[Cell] = field(default_factory=list)
-    path_index: int = 0
-    status: Status = Status.WAITING
-    patience: int = PATIENCE_CAP
-    departure_step: int = 0
-    planned_steps: int = 1
-    travel_steps: int = 0
+    path: list[Cell]
+    path_index: int = field(default_factory=int, init=False)
+    status: Status
+    patience: int
+    departure_step: int
+    planned_steps: int
+    travel_steps: int = field(default_factory=int, init=False)
     stops: list[Cell] = field(default_factory=list)
     stop_index: int = 0
 

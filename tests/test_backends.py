@@ -57,6 +57,7 @@ def prompt_for(summary, feedback=None):
 def test_empty_backend_noop_everywhere():
     prompt = prompt_for(summary_with())
     proposal = b.EmptyBackend().propose(prompt, 4, 1.2, 0)
+    assert b.EmptyBackend().propose(prompt_for(summary_with(n_regions=8)), 8, 0.5, 3) is proposal
     assert p.entropy_of(proposal.distribution.probs) == 0.0
     sampled = p.sample_per_region(proposal.distribution, 4, seed=0, cycle=0)
     assert all(a.verb is p.Verb.NOOP for a in sampled.values())
@@ -151,6 +152,44 @@ def test_ruled_requires_structured_summary():
     prompt = build_prompt("bare text", None, [], "dispatch", None, None, None)
     with pytest.raises(BackendUnavailable):
         b.RuledBackend(SCORE_THRESHOLD).propose(prompt, 4, 1.2, 0)
+
+
+def test_ruled_same_prompt_object_returns_the_kept_proposal():
+    ruled = b.RuledBackend(SCORE_THRESHOLD)
+    prompt = prompt_for(summary_with(flood=[0.2, 0.2, 0.2, 0.9], depth=[0.0, 0.0, 0.0, 0.3]))
+    first = ruled.propose(prompt, 4, 1.2, 0)
+    assert ruled.propose(prompt, 4, 1.2, 0) is first
+    # an equal prompt that is another object, or another region count, is evaluated again
+    twin = prompt_for(prompt.summary)
+    assert twin == prompt and twin is not prompt
+    again = ruled.propose(twin, 4, 1.2, 0)
+    assert again is not first and again == first
+    # the hot region 3 is past the first three
+    assert ruled.propose(twin, 3, 1.2, 0).distribution != again.distribution
+
+
+def test_ruled_run_evaluates_the_rules_once_per_cycle_and_probes_reuse_the_answer(tmp_path, monkeypatch):
+    from test_golden import RUNS, golden_config
+
+    from floodloop import harness
+    from floodloop.feedback import CONSISTENCY_PROBES
+
+    counts = {"propose": 0, "rules": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(b.RuledBackend, "propose", counting("propose", b.RuledBackend.propose))
+    monkeypatch.setattr(b.RuledBackend, "_rule_table", counting("rules", b.RuledBackend._rule_table))
+    artifacts = harness.run(golden_config(*RUNS["ruled"], str(tmp_path)), keep_loop=True)
+    cycles = artifacts.loop.n_cycles
+    assert counts == {"propose": CONSISTENCY_PROBES * cycles, "rules": cycles}
+    # identical answers: consistency is exactly 1, as when every probe was evaluated afresh
+    assert json.loads((tmp_path / "summary.json").read_text())["scs"] == 1.0
 
 
 # --- scripted --------------------------------------------------------------------

@@ -177,7 +177,7 @@ def report_with(**kw):
 def region_graph(n=4):
     g = KnowledgeGraph()
     for i in range(n):
-        g.add_node(Node(f"region:{i}", NodeType.REGION))
+        g.add_node(Node(f"region:{i}", NodeType.REGION, ()))
     return g
 
 

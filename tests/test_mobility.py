@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -124,6 +125,14 @@ def make_pois():
 
 def test_spawn_rate_zero():
     assert mob.spawn_demand(make_pois(), 0, 1, 0, open_router((10, 10)), 0) == []
+
+
+def test_every_agent_is_made_with_every_field_in_field_order():
+    # one attribute layout for all agents keeps their attribute reads fast
+    residents = mob.spawn_demand(make_pois(), 3, 1, 0, open_router((10, 10)), 0)
+    bus = mob.make_bus(9, [(0, 0), (0, 8)], 0, open_router((10, 10)))
+    fields = [f.name for f in dataclasses.fields(mob.AgentRecord)]
+    assert [list(vars(agent)) for agent in [*residents, bus]] == [fields] * (len(residents) + 1)
 
 
 def test_spawn_deterministic():
@@ -367,7 +376,9 @@ def test_held_bus_stays_put_keeps_patience():
     assert events == ["held"]
     assert (bus.pos, bus.patience) == before
     # a resident at the same cell ignores the held regions
-    resident = mob.AgentRecord(2, mob.Role.RESIDENT, (0, 4), (0, 0), list(bus.path), status=mob.Status.ENROUTE)
+    resident = mob.AgentRecord(
+        2, mob.Role.RESIDENT, (0, 4), (0, 0), list(bus.path), mob.Status.ENROUTE, mob.PATIENCE_CAP, 0, 1
+    )
     assert mob.step_agent(resident, ws, road_router(ws), held, pystream(0, "x"), 1, log, mob.WAIT_PROBABILITY) == [
         "advanced"
     ]

@@ -188,7 +188,7 @@ def stepping_cases(draw):
             # a destination next to the origin puts the agent one step from arrival
             path = open_router.route(origin, draw(cells)) or [origin]
             destination = path[min(len(path) - 1, draw(st.sampled_from([1, 99])))]
-            agent = AgentRecord(agent_id, Role.RESIDENT, destination, origin, path)
+            agent = AgentRecord(agent_id, Role.RESIDENT, destination, origin, path, Status.WAITING, 1, 0, 1)
         agent.status = draw(st.sampled_from([Status.WAITING, Status.ENROUTE]))
         agent.departure_step = draw(st.integers(0, 3))
         agent.patience = draw(st.integers(1, 6))
