@@ -290,9 +290,15 @@ class DecisionLoop:
             self.run_cycle(cycle)
         return self.reports
 
-    # one full pass: retrieval -> generation -> translation -> execution
-    # -> evaluation -> (conditional) replanning
     def run_cycle(self, cycle: int) -> CycleReport:
+        """One full pass: retrieval -> generation -> translation ->
+        execution -> evaluation -> (conditional) replanning.
+
+        The regional pass is one call per stage over the cycle's refined
+        (not NoOp) actions, in region order: `generate_regional` draws
+        their directives, `translate` turns them into instructions, and
+        `wrap_accuracy` passes each instruction or rejects it.
+        """
         cfg = self.config
         eng = self.engine
         start = eng.world.step
@@ -313,24 +319,22 @@ class DecisionLoop:
         worst = worst_road_cells(eng.world)
         h_cond = conditional_entropy(local.entropies, plan.projected)
 
-        texts: list[str] = []  # the cycle's diversity set, in region order
+        # a NoOp region draws nothing and dispatches nothing
+        refined = [action for action in plan.sampled.values() if action.verb is not Verb.NOOP]
+        directives = generate_regional(refined, worst, local.probs, cfg.seed, cycle)
         instructions: list[Instruction] = []
         rejections: list[Rejection] = []
-        for region, action in sorted(plan.sampled.items()):
-            if action.verb is Verb.NOOP:  # draws nothing and dispatches nothing
-                texts.append(f"noop region={region}")
-                continue
-            directive = generate_regional(action, worst[region], local.probs[action], cfg.seed, cycle)
-            texts.append(directive.text())
-            instr = translate(directive, (start, end))
-            wrapped = wrap_accuracy(instr, eng.world, cfg.mobility.resident_block_depth)
+        for wrapped in wrap_accuracy(translate(directives, (start, end)), eng.world, cfg.mobility.resident_block_depth):
             if isinstance(wrapped, Rejection):
                 rejections.append(wrapped)
                 self._log_instruction(cycle, wrapped.instruction, "rejected", wrapped.reason)
             else:
                 instructions.append(wrapped)
                 self._log_instruction(cycle, wrapped, "accepted", "")
-        self.diversity_sets.append(tuple(self.knowledge.embedder.embed(t) for t in texts))
+        # the cycle's diversity set, in region order
+        texts = {region: f"noop region={region}" for region in plan.sampled}
+        texts.update((d.region, d.text()) for d in directives)
+        self.diversity_sets.append(tuple(self.knowledge.embedder.embed(t) for t in texts.values()))
         eng.board.dispatch(instructions)
 
         steps_left = min(cfg.feedback.cycle_len, cfg.steps - start)

@@ -231,13 +231,15 @@ class Segment:
 class SegmentStore:
     """Flat store of text segments with their embeddings; ids are unique.
 
-    Each segment's unit vector is computed once, when it is added.
+    Each segment's unit vector is computed once, when it is added; their
+    stack, one row per segment, is built on first use and dropped by `add`.
     """
 
     def __init__(self, embedder: HashingEmbedder):
         self.embedder = embedder
         self.segments: list[Segment] = []
         self._units: list[np.ndarray] = []
+        self._stacked: np.ndarray | None = None
         self._ids: set[str] = set()
 
     def __len__(self) -> int:
@@ -251,14 +253,39 @@ class SegmentStore:
         # normalised again: for some texts that moves the last bits of the
         # embedder's unit vector, and the retrieval ranking and `sim=` text read these
         self._units.append(_normalized(self.embedder.embed(text)))
+        self._stacked = None
         self._ids.add(seg_id)
         return seg
 
+    def units(self) -> np.ndarray:
+        if self._stacked is None:
+            self._stacked = np.array(self._units, dtype=np.float64).reshape(len(self._units), self.embedder.dim)
+        return self._stacked
+
+
+# how far below the k-th shortlist score a row may score and still be
+# re-scored: far above the ~1e-14 by which two summation orders of a
+# dot product of unit vectors can differ
+SHORTLIST_SLACK = 1e-9
+
 
 def retrieve_topk(query: np.ndarray, store: SegmentStore, k: int) -> list[tuple[Segment, float]]:
-    """Segments ranked by descending cosine similarity, ties by ascending id."""
+    """Segments ranked by descending cosine similarity, ties by ascending id.
+
+    One matrix product scores every segment and shortlists those within
+    `SHORTLIST_SLACK` of the k-th best; only the shortlist is re-scored
+    with the per-segment `np.dot` whose value the ranking and the prompt's
+    `sim=` text show. Every member of the exact top k, and every exact tie
+    with its last member, is on the shortlist.
+    """
     q = _normalized(np.asarray(query, dtype=np.float64))
-    scored = [(seg, float(np.dot(q, unit))) for seg, unit in zip(store.segments, store._units)]
+    units = store.units()
+    approx = units @ q
+    rows = range(len(approx))
+    if 0 < k < len(approx):
+        kth = np.partition(approx, len(approx) - k)[len(approx) - k]
+        rows = np.flatnonzero(approx >= kth - SHORTLIST_SLACK).tolist()
+    scored = [(store.segments[i], float(np.dot(q, store._units[i]))) for i in rows]
     scored.sort(key=lambda pair: (-pair[1], pair[0].id))
     return scored[:k]
 

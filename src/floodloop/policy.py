@@ -4,12 +4,14 @@ A global distribution over (verb, region) actions is projected so its
 Shannon entropy never exceeds the threshold tau, then one action is
 sampled per region; each that is not NoOp is refined into one local
 directive, drawn from probabilities whose conditional entropy is capped
-by the global entropy. The penalty coefficient lambda tracks how far raw
-generation sits from tau.
+by the global entropy. The refinement is one `generate_regional` call per
+cycle over all of the cycle's refined actions, in region order. The
+penalty coefficient lambda tracks how far raw generation sits from tau.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -18,7 +20,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidDistribution
-from .rng import pystream
+from .rng import child_seeds, pystream
 
 PROJECTION_BAND = 1e-4
 LAMBDA_INIT = 1.0  # the entropy penalty lambda at a run's start
@@ -183,8 +185,8 @@ class Directive:
 
     kind: str
     region: int
-    cell: tuple[int, int] | None = None
-    params: tuple[tuple[str, float], ...] = ()
+    cell: tuple[int, int] | None
+    params: tuple[tuple[str, float], ...]
 
     def text(self) -> str:
         cell = f" cell=({self.cell[0]},{self.cell[1]})" if self.cell else ""
@@ -192,26 +194,21 @@ class Directive:
         return f"{self.kind} region={self.region}{cell}" + (f" {params}" if params else "")
 
 
-def _candidate_directives(action: HighLevelAction, cell: tuple[int, int] | None) -> list[Directive]:
-    """Refinement table: the candidate directives of each verb, in the
-    column order of `_candidate_weights`; NoOp has none. `cell` is the
-    region's worst road cell, which closures anchor on."""
-    r = action.region
-    if action.verb is Verb.REROUTE_REGION:
-        return [
-            Directive("avoid_region", r, params=(("penalty", 4.0),)),
-            Directive("avoid_region_strong", r, params=(("penalty", 8.0),)),
-        ]
-    if action.verb is Verb.CLOSE_ROAD:
-        return [Directive("close_cell", r, cell=cell), Directive("close_cell_brief", r, cell=cell)]
-    if action.verb is Verb.HOLD_TRANSIT:
-        return [Directive("hold_buses", r), Directive("hold_buses_brief", r)]
-    if action.verb is Verb.DISPATCH_RELIEF:
-        return [
-            Directive("deploy_pumps", r, params=(("multiplier", 1.5),)),
-            Directive("deploy_pumps_surge", r, params=(("multiplier", 5.0),)),
-        ]
-    return []
+# verb -> its two candidate directives, as (kind, anchors on the region's
+# worst road cell, params), in the column order of `_candidate_weights`;
+# NoOp has none
+_REFINEMENTS: dict[Verb, tuple[tuple[str, bool, tuple[tuple[str, float], ...]], ...]] = {
+    Verb.REROUTE_REGION: (
+        ("avoid_region", False, (("penalty", 4.0),)),
+        ("avoid_region_strong", False, (("penalty", 8.0),)),
+    ),
+    Verb.CLOSE_ROAD: (("close_cell", True, ()), ("close_cell_brief", True, ())),
+    Verb.HOLD_TRANSIT: (("hold_buses", False, ()), ("hold_buses_brief", False, ())),
+    Verb.DISPATCH_RELIEF: (
+        ("deploy_pumps", False, (("multiplier", 1.5),)),
+        ("deploy_pumps_surge", False, (("multiplier", 5.0),)),
+    ),
+}
 
 
 def _candidate_weights(
@@ -288,17 +285,33 @@ def local_distribution_for(
 
 
 def generate_regional(
-    action: HighLevelAction,
-    cell: tuple[int, int] | None,
-    probs: Sequence[float],
+    actions: Sequence[HighLevelAction],
+    worst: Sequence[tuple[int, int] | None],
+    local_probs: Mapping[HighLevelAction, Sequence[float]],
     seed: int,
     cycle: int,
-) -> Directive:
-    """Draw the one local directive of a sampled global action that is not
-    NoOp from `probs`, its probabilities from `local_distribution_for`.
-    `cell` is the region's worst road cell, or None without roads."""
-    rng = pystream(seed, "regional", cycle, action.region)
-    return rng.choices(_candidate_directives(action, cell), weights=probs, k=1)[0]
+) -> list[Directive]:
+    """The one local directive of each sampled global action that is not
+    NoOp, in the order of `actions`: a draw from the action's two
+    probabilities in `local_probs`, which `local_distribution_for` made.
+    `worst` holds each region's worst road cell, or None without roads,
+    and closures anchor on it.
+
+    Each region draws from its own stream, seeded with
+    `derive_seed(seed, "regional", cycle, region)`; one `Random` is reseeded
+    per region, which gives the state a fresh one would have. The pick
+    `random() * (p0 + p1) >= p0` is what `choices(..., k=1)` computes over
+    two weights.
+    """
+    region_seed = child_seeds(seed, "regional", cycle)
+    rng = random.Random()
+    directives = []
+    for action in actions:
+        p0, p1 = local_probs[action]
+        rng.seed(region_seed(action.region))
+        kind, anchored, params = _REFINEMENTS[action.verb][rng.random() * (p0 + p1) >= p0]
+        directives.append(Directive(kind, action.region, worst[action.region] if anchored else None, params))
+    return directives
 
 
 # --- global generation ------------------------------------------------------
@@ -308,7 +321,7 @@ class GlobalPlan:
     """Outcome of one global generation pass."""
 
     projected: PolicyDistribution
-    sampled: dict[int, HighLevelAction]
+    sampled: dict[int, HighLevelAction]  # one action per region, in region order
     h_raw: float
     h_projected: float
 
@@ -319,22 +332,18 @@ def sample_per_region(
     seed: int,
     cycle: int,
 ) -> dict[int, HighLevelAction]:
-    """Up to one action per region: the distribution restricted to a region
-    is renormalized and sampled; regions carrying no mass fall back to NoOp."""
+    """One action per region, keyed in region order: the distribution
+    restricted to a region is renormalized and sampled, visiting only the
+    regions that carry mass, in region order; the others take the NoOp
+    and draw nothing."""
     by_region: dict[int, list[tuple[HighLevelAction, float]]] = {}
     for action, p in zip(dist.support, dist.probs):
         if p > 0:
             by_region.setdefault(action.region, []).append((action, p))
-    sampled: dict[int, HighLevelAction] = {}
-    noops = action_vocabulary(n_regions)[VERB_INDEX[Verb.NOOP] * n_regions :]
+    sampled = dict(enumerate(action_vocabulary(n_regions)[VERB_INDEX[Verb.NOOP] * n_regions :]))
     rng = pystream(seed, "policy-sample", cycle)
-    for region in range(n_regions):
-        entries = by_region.get(region)
-        if not entries:
-            sampled[region] = noops[region]
-            continue
-        actions = [a for a, _ in entries]
-        weights = [p for _, p in entries]
+    for region in sorted(by_region):
+        actions, weights = zip(*by_region[region])
         sampled[region] = rng.choices(actions, weights=weights, k=1)[0]
     return sampled
 

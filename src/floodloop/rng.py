@@ -9,18 +9,32 @@ from __future__ import annotations
 
 import hashlib
 import random
+from typing import Callable
 
 import numpy as np
 
 
+def _seed_key(master: int, labels) -> bytes:
+    """`master/label/...`, the bytes a child seed hashes."""
+    return "/".join([str(int(master)), *map(str, labels)]).encode()
+
+
 def derive_seed(master: int, *labels) -> int:
     """Stable 64-bit child seed for (master, labels). Not Python hash()."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(str(int(master)).encode())
-    for label in labels:
-        h.update(b"/")
-        h.update(str(label).encode())
-    return int.from_bytes(h.digest(), "big")
+    return int.from_bytes(hashlib.blake2b(_seed_key(master, labels), digest_size=8).digest(), "big")
+
+
+def child_seeds(master: int, *labels) -> Callable[[object], int]:
+    """`last -> derive_seed(master, *labels, last)`, with the hash of the
+    shared prefix taken once and copied for each `last`."""
+    prefix = hashlib.blake2b(_seed_key(master, labels), digest_size=8)
+
+    def child(last) -> int:
+        h = prefix.copy()
+        h.update(("/" + str(last)).encode())
+        return int.from_bytes(h.digest(), "big")
+
+    return child
 
 
 def substream(master: int, *labels) -> np.random.Generator:

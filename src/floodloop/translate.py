@@ -1,20 +1,22 @@
 """Turning regional directives into executable, feasibility-checked instructions.
 
-Each directive maps onto one typed instruction over the cycle's window.
-The loop supplies every anchor, window and parameter: a closure's cell is
-its region's worst road cell, or None when the region has no roads, and
-the window lies inside the run. So the accuracy pass only rejects what
-cannot be deployed, a closure with no cell and a detour around a region
-without passable roads (the rejection reasons feed the next cycle's
-failure feedback). Dispatched instructions live on a board whose effects
-are queried per step, so everything reverts automatically when a window
-closes.
+Each directive maps onto one typed instruction over the cycle's window;
+`translate` and `wrap_accuracy` each take one cycle's whole list, in
+region order, and keep its order. The loop supplies every anchor, window
+and parameter: a closure's cell is its region's worst road cell, or None
+when the region has no roads, and the window lies inside the run. So the
+accuracy pass only rejects what cannot be deployed, a closure with no
+cell and a detour around a region without passable roads (the rejection
+reasons feed the next cycle's failure feedback). Dispatched instructions
+live on a board whose effects are queried per step, so everything
+reverts automatically when a window closes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -59,30 +61,54 @@ _DIRECTIVE_TABLE: dict[str, tuple[Tag, float]] = {
     "deploy_pumps": (Tag.RELIEF, 1.0),
     "deploy_pumps_surge": (Tag.RELIEF, 0.5),
 }
+_SHRINKS = frozenset(shrink for _, shrink in _DIRECTIVE_TABLE.values())
 
-def translate(directive: Directive, window: tuple[int, int]) -> Instruction:
-    """Map a directive onto its one instruction over the cycle's `window`,
-    which the brief variants shorten."""
-    tag, shrink = _DIRECTIVE_TABLE[directive.kind]
+
+def translate(directives: Sequence[Directive], window: tuple[int, int]) -> list[Instruction]:
+    """Map each directive onto its one instruction over the cycle's
+    `window`, which the brief variants shorten; one call per cycle."""
     start, end = window
-    span = max(0, int(round((end - start) * shrink)))
-    return Instruction(tag, directive.region, directive.cell, directive.params, (start, start + span))
+    spans = {shrink: (start, start + max(0, int(round((end - start) * shrink)))) for shrink in _SHRINKS}
+    instructions = []
+    for d in directives:
+        tag, shrink = _DIRECTIVE_TABLE[d.kind]
+        instructions.append(Instruction(tag, d.region, d.cell, d.params, spans[shrink]))
+    return instructions
 
 
-def wrap_accuracy(instr: Instruction, world: WorldState, resident_block_depth: float) -> Instruction | Rejection:
-    """Feasibility pass: reject a closure without a road cell to anchor on
-    and a detour around a region whose roads are missing or all flooded;
-    any other instruction passes unchanged."""
-    if instr.tag is Tag.OBSTACLE and instr.cell is None:
-        return Rejection(instr, f"no road cell in region {instr.region} to anchor obstacle")
-    if instr.tag is Tag.ROUTING:
-        runs = world.road_runs
-        flat = runs.flat[runs.bounds[instr.region] : runs.bounds[instr.region + 1]]
-        if not len(flat):
-            return Rejection(instr, f"routing infeasible: region {instr.region} has no road cells")
-        if np.all(world.water_depth.take(flat) >= resident_block_depth):
-            return Rejection(instr, f"routing infeasible: region {instr.region} fully flooded")
-    return instr
+def wrap_accuracy(
+    instructions: Sequence[Instruction], world: WorldState, resident_block_depth: float
+) -> list[Instruction | Rejection]:
+    """Feasibility pass over one cycle's instructions, in order: reject a
+    closure without a road cell to anchor on and a detour around a region
+    whose roads are missing or all flooded; any other instruction passes
+    unchanged. Which regions are fully flooded is found in one pass over
+    `WorldState.road_runs`, and only when a detour is present."""
+    runs = world.road_runs
+    flooded: set[int] | None = None
+    out: list[Instruction | Rejection] = []
+    for instr in instructions:
+        r = instr.region
+        reason = ""
+        if instr.tag is Tag.OBSTACLE and instr.cell is None:
+            reason = f"no road cell in region {r} to anchor obstacle"
+        elif instr.tag is Tag.ROUTING:
+            if runs.bounds[r] == runs.bounds[r + 1]:
+                reason = f"routing infeasible: region {r} has no road cells"
+            else:
+                if flooded is None:
+                    flooded = _fully_flooded(world, resident_block_depth)
+                if r in flooded:
+                    reason = f"routing infeasible: region {r} fully flooded"
+        out.append(Rejection(instr, reason) if reason else instr)
+    return out
+
+
+def _fully_flooded(world: WorldState, resident_block_depth: float) -> set[int]:
+    """The regions with roads whose every road cell is at least `resident_block_depth` deep."""
+    runs = world.road_runs
+    lowest = np.minimum.reduceat(world.water_depth.take(runs.flat), runs.starts)
+    return {region for region, full in zip(runs.regions, (lowest >= resident_block_depth).tolist()) if full}
 
 
 class InstructionBoard:

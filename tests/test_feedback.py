@@ -278,17 +278,19 @@ def test_only_regions_that_are_not_noop_are_refined_and_translated(monkeypatch, 
     plans, entered = [], []
     generate_global = fb.generate_global
 
+    stages = ("generate_regional", "translate", "wrap_accuracy")
+
     def recorded(*args, **kwargs):
         plans.append(generate_global(*args, **kwargs))
-        entered.append({"generate_regional": 0, "translate": 0})
+        entered.append({name: [] for name in stages})
         return plans[-1]
 
     monkeypatch.setattr(fb, "generate_global", recorded)
-    for name in ("generate_regional", "translate"):
+    for name in stages:
 
-        def counted(*args, _name=name, _real=getattr(fb, name), **kwargs):
-            entered[-1][_name] += 1
-            return _real(*args, **kwargs)
+        def counted(items, *args, _name=name, _real=getattr(fb, name), **kwargs):
+            entered[-1][_name].append(len(items))  # one entry per call: how many items it took
+            return _real(items, *args, **kwargs)
 
         monkeypatch.setattr(fb, name, counted)
     cfg = tiny_config(steps=30, scenario="extreme")
@@ -297,7 +299,8 @@ def test_only_regions_that_are_not_noop_are_refined_and_translated(monkeypatch, 
     refined = [sum(a.verb is not Verb.NOOP for a in plan.sampled.values()) for plan in plans]
     assert (sum(refined) > 0) is refines
     assert sum(refined) < len(plans) * cfg.world.n_regions  # some sampled actions are NoOp
-    assert entered == [{"generate_regional": n, "translate": n} for n in refined]
+    # one call per stage per cycle, each over exactly the cycle's refined actions
+    assert entered == [{name: [n] for name in stages} for n in refined]
     assert len(loop.diversity_sets) == len(plans) == 3
     assert all(len(vectors) == cfg.world.n_regions for vectors in loop.diversity_sets)
 
@@ -310,21 +313,24 @@ def test_accuracy_pass_receives_windows_in_the_run_and_anchored_closures(monkeyp
     exactly when that region has no roads; so nothing is left to clip or
     snap, and no window is still in force when the next cycle summarizes
     its targeted regions."""
-    received = []
+    received, calls = [], []
     wrap_accuracy = fb.wrap_accuracy
 
-    def spy(instr, world, *args, **kwargs):
-        received.append((instr, world))
-        return wrap_accuracy(instr, world, *args, **kwargs)
+    def spy(instructions, world, *args, **kwargs):
+        calls.append(world.step)
+        received.extend((instr, world.step, world) for instr in instructions)
+        return wrap_accuracy(instructions, world, *args, **kwargs)
 
     monkeypatch.setattr(fb, "wrap_accuracy", spy)
     cfg = run_config(name, str(tmp_path))
     harness.run(cfg)
+    # one call per cycle, at the cycle's first step
+    assert calls == list(range(0, cfg.steps, cfg.feedback.cycle_len))
     assert received or cfg.strategy == "empty"
-    for instr, world in received:
+    for instr, step, world in received:
         assert 0 <= instr.window[0] <= instr.window[1] <= cfg.steps - 1
         # the dispatching cycle starts at the world's step and runs `cycle_len` steps
-        assert instr.window[1] <= world.step + cfg.feedback.cycle_len - 1
+        assert instr.window[1] <= step + cfg.feedback.cycle_len - 1
         if instr.tag is Tag.OBSTACLE:
             rows, cols = np.nonzero((world.region_id == instr.region) & world.is_road)
             roads = set(zip(rows.tolist(), cols.tolist()))
@@ -344,8 +350,8 @@ def test_the_package_calls_meet_the_preconditions_its_callees_state(monkeypatch,
         (fb, "conditional_entropy"): lambda entropies, dist: all(
             a in entropies for a, q in zip(dist.support, dist.probs) if q > 0
         ),
-        (fb, "generate_regional"): lambda action, *_: 0 <= action.region < cfg.world.n_regions,
-        (fb, "translate"): lambda directive, window: directive.kind in _DIRECTIVE_TABLE,
+        (fb, "generate_regional"): lambda actions, *_: all(0 <= a.region < cfg.world.n_regions for a in actions),
+        (fb, "translate"): lambda directives, window: all(d.kind in _DIRECTIVE_TABLE for d in directives),
         (fb, "execution_deviation"): lambda planned, executed: set(planned) == set(executed) == set("ftcr"),
         (fb, "trigger_replanning"): lambda report, graph: report.triggered,
         (engine, "spawn_demand"): lambda pois, *_, **__: len(pois) > 0,
@@ -362,9 +368,9 @@ def test_the_package_calls_meet_the_preconditions_its_callees_state(monkeypatch,
 
         monkeypatch.setattr(module, fn_name, checked)
     harness.run(cfg)
-    reached = {"conditional_entropy", "execution_deviation", "spawn_demand", "step_agent", "trip_rates"}
-    if cfg.strategy != "empty":
-        reached |= {"generate_regional", "translate"}
+    # the regional stages run once per cycle, over an empty list when every region is NoOp
+    reached = {"conditional_entropy", "execution_deviation", "generate_regional", "translate"}
+    reached |= {"spawn_demand", "step_agent", "trip_rates"}
     if name == "wet":
         reached.add("trigger_replanning")
     assert set(calls) == reached

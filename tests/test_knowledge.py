@@ -478,3 +478,86 @@ def test_memoised_vector_is_shared_and_read_only(text, dim):
     assert vec.tobytes() == k.HashingEmbedder(dim).embed(text).tobytes()
     with pytest.raises(ValueError):
         vec[0] = 1.0
+
+
+# --- the retrieval shortlist ------------------------------------------------------------
+#
+# `retrieve_topk` shortlists with one matrix product, whose sums can differ
+# in the last bits from the per-row `np.dot`, and re-scores the shortlist
+# with `np.dot`; the ranking and every `sim` must stay those of the oracle.
+
+
+class TableEmbedder:
+    """Gives each text the vector its table holds: hand-built rows for a store."""
+
+    def __init__(self, vectors: dict[str, np.ndarray]):
+        self.vectors = vectors
+        self.dim = len(next(iter(vectors.values())))
+
+    def embed(self, text):
+        return self.vectors[text]
+
+
+def near_tied_store(size):
+    """A unit query and `size` unit rows, each a copy of one base row with
+    one entry nudged by a few ulps, added in shuffled id order: their scores
+    lie one ulp or a few apart, and the matrix product reorders them."""
+    rng = np.random.default_rng(5)
+    query = per_call_normalized(rng.standard_normal(k.EMBED_DIM))
+    base = per_call_normalized(rng.standard_normal(k.EMBED_DIM))
+    vectors = {}
+    for j in range(size):
+        v = base.copy()
+        for _ in range(j // 2):
+            v[j % k.EMBED_DIM] = np.nextafter(v[j % k.EMBED_DIM], np.inf if j % 2 else -np.inf)
+        vectors[f"row {j}"] = v
+    store = k.SegmentStore(TableEmbedder(vectors))
+    for j in rng.permutation(size).tolist():
+        store.add(f"seg:{j:02d}", f"row {j}")
+    return query, store
+
+
+def assert_retrieves_like_per_call_code(query, store, top_k):
+    got = k.retrieve_topk(query, store, top_k)
+    expected = per_call_retrieve_topk(query, store, top_k)
+    assert [seg.id for seg, _ in got] == [seg.id for seg, _ in expected]
+    assert [bits(sim) for _, sim in got] == [bits(sim) for _, sim in expected]
+
+
+def test_shortlist_keeps_rows_one_ulp_around_the_kth_score():
+    query, store = near_tied_store(40)
+    exact = [float(np.dot(query, u)) for u in store._units]
+    distinct = sorted(set(exact))
+    # a real check: exact scores one ulp apart and tied, which the matrix product reorders
+    assert any(b == np.nextafter(a, np.inf) for a, b in zip(distinct, distinct[1:]))
+    assert len(distinct) < len(exact)
+    assert np.any(store.units() @ query != np.array(exact))
+    for top_k in range(1, len(store) + 2):
+        assert_retrieves_like_per_call_code(query, store, top_k)
+
+
+@pytest.mark.parametrize("size", [k.TOP_K - 1, k.TOP_K, k.TOP_K + 1])
+def test_stores_just_below_at_and_above_k_retrieve_like_per_call_code(size):
+    query, store = near_tied_store(size)
+    assert_retrieves_like_per_call_code(query, store, k.TOP_K)
+    assert len(k.retrieve_topk(query, store, k.TOP_K)) == min(size, k.TOP_K)
+
+
+def test_a_store_grown_after_a_retrieval_is_searched_whole():
+    embedder = k.HashingEmbedder(k.EMBED_DIM)
+    store = k.SegmentStore(embedder)
+    for i in range(12):
+        store.add(f"seg:{i:02d}", f"region {i} reported standing water after rain")
+    query = embedder.embed("pumps cleared the flooded underpass")
+    assert_retrieves_like_per_call_code(query, store, 3)
+    store.add("seg:new", "pumps cleared the flooded underpass")
+    assert k.retrieve_topk(query, store, 3)[0][0].id == "seg:new"
+    assert_retrieves_like_per_call_code(query, store, 3)
+
+
+def test_a_zero_query_scores_every_segment_zero_and_ranks_by_id():
+    query, store = near_tied_store(9)
+    ranked = k.retrieve_topk(np.zeros(k.EMBED_DIM), store, 4)
+    assert [seg.id for seg, _ in ranked] == ["seg:00", "seg:01", "seg:02", "seg:03"]
+    assert [sim for _, sim in ranked] == [0.0] * 4
+    assert_retrieves_like_per_call_code(np.zeros(k.EMBED_DIM), store, 4)

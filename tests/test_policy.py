@@ -245,11 +245,62 @@ def test_sample_per_region_covers_all_regions():
         assert sampled[region] == p.HighLevelAction(p.Verb.NOOP, region)
 
 
+def former_sample_per_region(dist, n_regions, seed, cycle):
+    """`sample_per_region` when it visited every region, kept verbatim as the
+    oracle but for the weight variable, renamed off this module's `p`."""
+    by_region: dict[int, list[tuple[p.HighLevelAction, float]]] = {}
+    for action, q in zip(dist.support, dist.probs):
+        if q > 0:
+            by_region.setdefault(action.region, []).append((action, q))
+    sampled: dict[int, p.HighLevelAction] = {}
+    noops = p.action_vocabulary(n_regions)[p.VERB_INDEX[p.Verb.NOOP] * n_regions :]
+    rng = p.pystream(seed, "policy-sample", cycle)
+    for region in range(n_regions):
+        entries = by_region.get(region)
+        if not entries:
+            sampled[region] = noops[region]
+            continue
+        actions = [a for a, _ in entries]
+        weights = [w for _, w in entries]
+        sampled[region] = rng.choices(actions, weights=weights, k=1)[0]
+    return sampled
+
+
+@st.composite
+def sparse_distributions(draw):
+    """A distribution over a shuffled subset of the vocabulary, zeros
+    included, so some regions carry no mass."""
+    n_regions = draw(st.integers(1, 9))
+    vocab = p.action_vocabulary(n_regions)
+    support = draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=len(vocab), unique=True))
+    weights = draw(
+        st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=len(support), max_size=len(support))
+    )
+    if not any(weights):
+        weights[0] = 1.0
+    total = sum(weights)
+    return p.PolicyDistribution(tuple(support), tuple(w / total for w in weights)), n_regions
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_distributions(), st.integers(0, 2**31), st.integers(0, 50))
+def test_sample_per_region_matches_the_loop_over_every_region(case, seed, cycle):
+    dist, n_regions = case
+    got = p.sample_per_region(dist, n_regions, seed, cycle)
+    assert list(got.items()) == list(former_sample_per_region(dist, n_regions, seed, cycle).items())
+
+
 # --- regional refinement -----------------------------------------------------------------------
+
+def worst_cells(action, observation, n_regions=4):
+    """Each region's worst road cell: `observation`'s in the action's region."""
+    return [observation.worst_road_cell if r == action.region else None for r in range(n_regions)]
+
 
 def regional(action, observation, cap, seed=1):
     probs = local_for(action, observation, cap)
-    return p.generate_regional(action, observation.worst_road_cell, probs, seed=seed, cycle=0)
+    [directive] = p.generate_regional([action], worst_cells(action, observation), {action: probs}, seed=seed, cycle=0)
+    return directive
 
 
 def test_regional_noop_empty_directives():
@@ -292,24 +343,24 @@ def _before_candidate_directives(action, obs):
     cell = obs.worst_road_cell
     if action.verb is p.Verb.REROUTE_REGION:
         return [
-            ("avoid_region", 1.0 + obs.congestion_score, p.Directive("avoid_region", r, params=(("penalty", 4.0),))),
-            ("avoid_region_strong", 0.5 + obs.flood_score, p.Directive("avoid_region_strong", r, params=(("penalty", 8.0),))),
+            ("avoid_region", 1.0 + obs.congestion_score, p.Directive("avoid_region", r, cell=None, params=(("penalty", 4.0),))),
+            ("avoid_region_strong", 0.5 + obs.flood_score, p.Directive("avoid_region_strong", r, cell=None, params=(("penalty", 8.0),))),
         ]
     if action.verb is p.Verb.CLOSE_ROAD:
         return [
-            ("close_cell", 1.0 + obs.flood_score, p.Directive("close_cell", r, cell=cell)),
-            ("close_cell_brief", 0.5, p.Directive("close_cell_brief", r, cell=cell)),
+            ("close_cell", 1.0 + obs.flood_score, p.Directive("close_cell", r, cell=cell, params=())),
+            ("close_cell_brief", 0.5, p.Directive("close_cell_brief", r, cell=cell, params=())),
         ]
     if action.verb is p.Verb.HOLD_TRANSIT:
         return [
-            ("hold_buses", 1.0 + obs.flood_score, p.Directive("hold_buses", r)),
-            ("hold_buses_brief", 0.75, p.Directive("hold_buses_brief", r)),
+            ("hold_buses", 1.0 + obs.flood_score, p.Directive("hold_buses", r, cell=None, params=())),
+            ("hold_buses_brief", 0.75, p.Directive("hold_buses_brief", r, cell=None, params=())),
         ]
     if action.verb is p.Verb.DISPATCH_RELIEF:
         surge_w = 0.25 + obs.flood_score + (1.0 if obs.blocked_roads >= 3 else 0.0)
         return [
-            ("deploy_pumps", 1.0, p.Directive("deploy_pumps", r, params=(("multiplier", 1.5),))),
-            ("deploy_pumps_surge", surge_w, p.Directive("deploy_pumps_surge", r, params=(("multiplier", 5.0),))),
+            ("deploy_pumps", 1.0, p.Directive("deploy_pumps", r, cell=None, params=(("multiplier", 1.5),))),
+            ("deploy_pumps_surge", surge_w, p.Directive("deploy_pumps_surge", r, cell=None, params=(("multiplier", 5.0),))),
         ]
     return []
 
@@ -424,7 +475,8 @@ def test_single_cap_matches_both_former_copies_bit_for_bit(observation, verb, re
     else:
         probs = local.probs[action]
         assert _bits(probs) == _bits(before)
-        assert p.generate_regional(action, observation.worst_road_cell, probs, seed, cycle) == before_drawn
+        worst = worst_cells(action, observation, N_REGIONS)
+        assert p.generate_regional([action], worst, {action: probs}, seed, cycle) == [before_drawn]
 
 
 @settings(deadline=None, max_examples=400)

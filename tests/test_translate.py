@@ -19,8 +19,8 @@ def small_world():
 # --- translate ------------------------------------------------------------------
 
 def test_translate_close_cell():
-    d = Directive("close_cell", 1, cell=(12, 7))
-    instr = tr.translate(d, (5, 14))
+    d = Directive("close_cell", 1, cell=(12, 7), params=())
+    [instr] = tr.translate([d], (5, 14))
     assert instr.tag is tr.Tag.OBSTACLE
     assert instr.region == 1
     assert instr.cell == (12, 7)
@@ -30,31 +30,31 @@ def test_translate_close_cell():
 @pytest.mark.parametrize(
     "directive, tag",
     [
-        (Directive("avoid_region", 0, params=(("penalty", 4.0),)), tr.Tag.ROUTING),
-        (Directive("avoid_region_strong", 0, params=(("penalty", 8.0),)), tr.Tag.ROUTING),
-        (Directive("close_cell", 0, cell=(1, 2)), tr.Tag.OBSTACLE),
-        (Directive("close_cell_brief", 0, cell=(1, 2)), tr.Tag.OBSTACLE),
-        (Directive("hold_buses", 0), tr.Tag.STOP),
-        (Directive("hold_buses_brief", 0), tr.Tag.STOP),
-        (Directive("deploy_pumps", 0, params=(("multiplier", 1.5),)), tr.Tag.RELIEF),
-        (Directive("deploy_pumps_surge", 0, params=(("multiplier", 5.0),)), tr.Tag.RELIEF),
+        (Directive("avoid_region", 0, cell=None, params=(("penalty", 4.0),)), tr.Tag.ROUTING),
+        (Directive("avoid_region_strong", 0, cell=None, params=(("penalty", 8.0),)), tr.Tag.ROUTING),
+        (Directive("close_cell", 0, cell=(1, 2), params=()), tr.Tag.OBSTACLE),
+        (Directive("close_cell_brief", 0, cell=(1, 2), params=()), tr.Tag.OBSTACLE),
+        (Directive("hold_buses", 0, cell=None, params=()), tr.Tag.STOP),
+        (Directive("hold_buses_brief", 0, cell=None, params=()), tr.Tag.STOP),
+        (Directive("deploy_pumps", 0, cell=None, params=(("multiplier", 1.5),)), tr.Tag.RELIEF),
+        (Directive("deploy_pumps_surge", 0, cell=None, params=(("multiplier", 5.0),)), tr.Tag.RELIEF),
     ],
     ids=lambda v: v.kind if isinstance(v, Directive) else v.value,
 )
 def test_translate_bijection(directive, tag):
-    instr = tr.translate(directive, (0, 9))
+    [instr] = tr.translate([directive], (0, 9))
     assert instr.tag is tag
     assert (instr.region, instr.cell, instr.params) == (directive.region, directive.cell, directive.params)
 
 
 def test_translate_deterministic():
-    d = Directive("deploy_pumps", 2, cell=(8, 8))
-    assert tr.translate(d, (0, 9)) == tr.translate(d, (0, 9))
+    d = Directive("deploy_pumps", 2, cell=(8, 8), params=())
+    assert tr.translate([d], (0, 9)) == tr.translate([d], (0, 9))
 
 
 def test_translate_brief_variant_shortens_window():
-    d = Directive("close_cell_brief", 0, cell=(0, 0))
-    assert tr.translate(d, (10, 19)).window == (10, 14)  # half of the 9-step span, rounded
+    d = Directive("close_cell_brief", 0, cell=(0, 0), params=())
+    assert tr.translate([d], (10, 19))[0].window == (10, 14)  # half of the 9-step span, rounded
 
 
 # --- accuracy wrapper ------------------------------------------------------------------
@@ -64,12 +64,13 @@ def test_wrap_road_anchor_unchanged():
     road_cell = ws.road_cells()[0]
     region = ws.region_of(road_cell)
     instr = tr.Instruction(tr.Tag.OBSTACLE, region, road_cell, (), (0, 9))
-    assert tr.wrap_accuracy(instr, ws, 0.3) is instr
+    [out] = tr.wrap_accuracy([instr], ws, 0.3)
+    assert out is instr
 
 
 def test_wrap_rejects_obstacle_without_cell():
     instr = tr.Instruction(tr.Tag.OBSTACLE, 2, None, (), (0, 9))
-    out = tr.wrap_accuracy(instr, small_world(), 0.3)
+    [out] = tr.wrap_accuracy([instr], small_world(), 0.3)
     assert out == tr.Rejection(instr, "no road cell in region 2 to anchor obstacle")
 
 
@@ -77,7 +78,7 @@ def test_wrap_rejects_routing_into_fully_flooded_region():
     ws = small_world()
     ws.water_depth[ws.region_id == 1] = 1.0
     instr = tr.Instruction(tr.Tag.ROUTING, 1, None, (("penalty", 4.0),), (0, 9))
-    out = tr.wrap_accuracy(instr, ws, 0.3)
+    [out] = tr.wrap_accuracy([instr], ws, 0.3)
     assert out == tr.Rejection(instr, "routing infeasible: region 1 fully flooded")
 
 
