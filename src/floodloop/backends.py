@@ -63,7 +63,8 @@ class EmptyBackend(StrategyBackend):
 
 
 class RuledBackend(StrategyBackend):
-    """Static threshold rules over the structured state summary.
+    """Static threshold rules over the prompt's structured state summary
+    and failure feedback, read directly; the prompt text is not parsed.
 
     Regions whose relative flood score crosses `score_threshold`
     (`PolicyConfig.score_threshold`) attract reroute/close mass; regions
@@ -89,10 +90,7 @@ class RuledBackend(StrategyBackend):
     def propose(self, prompt, n_regions, tau, cycle):
         if self._asked[0] is prompt and self._asked[1] == n_regions:
             return self._answer
-        summary = prompt.summary
-        if not isinstance(summary, StateSummary):
-            raise BackendUnavailable("ruled backend needs a structured state summary")
-        self._answer = BackendProposal(distribution=self._rule_table(summary, prompt.feedback, n_regions))
+        self._answer = BackendProposal(distribution=self._rule_table(prompt.summary, prompt.feedback, n_regions))
         self._asked = (prompt, n_regions)
         return self._answer
 

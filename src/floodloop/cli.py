@@ -2,7 +2,7 @@
 
 Subcommands: run, matrix, ablate, heatmap, report, load. Exits 0 on
 success; on failure prints a machine-readable JSON error record to stderr
-and exits nonzero.
+and exits 2.
 """
 
 from __future__ import annotations
@@ -126,11 +126,8 @@ def main(argv: list[str] | None = None) -> int:
             if not record:
                 raise FloodloopError("nothing to load: pass --graph and/or --segments")
             print(json.dumps(record, indent=2, sort_keys=True))
-    except FloodloopError as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (FloodloopError, OSError, ValueError, KeyError, TypeError) as exc:
+        # KeyError and TypeError: a graph, segment or scenario record that lacks a field or has the wrong shape
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 2

@@ -13,10 +13,6 @@ class EmptyQuery(FloodloopError):
     """Embedding requested for empty text."""
 
 
-class EmptySeed(FloodloopError):
-    """Subgraph extraction found no seed nodes in the state summary."""
-
-
 class DanglingEdge(FloodloopError):
     """Graph update referenced an endpoint that is neither existing nor new."""
 

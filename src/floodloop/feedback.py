@@ -21,7 +21,7 @@ import numpy as np
 from .backends import BackendProposal, StrategyBackend
 from .config import RunConfig
 from .engine import SimulationEngine
-from .errors import BackendUnavailable, ConfigError, EmptySeed
+from .errors import BackendUnavailable, ConfigError
 from .knowledge import (
     EMBED_DIM,
     TOP_K,
@@ -61,11 +61,6 @@ from .rng import pystream
 from .state import StateSummary, summarize_world
 from .translate import Instruction, Rejection, translate, wrap_accuracy
 from .world import RainfallScenario, ScenarioKind, WorldState, generate_scenario
-
-TASK_DIRECTIVE = (
-    "Coordinate flood dispatch for the coming cycle: lower flood exposure and "
-    "congestion, avoid trip cancellations, and keep arrivals on time."
-)
 
 FLOOD_SPOT_SCORE = 0.9
 WINDOW_LENGTH = 10  # cycles of gaps the trigger threshold spans
@@ -178,7 +173,6 @@ _SEGMENT_TEMPLATES = (
 class KnowledgeContext:
     graph: KnowledgeGraph
     store: SegmentStore
-    embedder: HashingEmbedder
 
 
 def build_knowledge_context(engine: SimulationEngine, config: RunConfig) -> KnowledgeContext:
@@ -193,7 +187,7 @@ def build_knowledge_context(engine: SimulationEngine, config: RunConfig) -> Know
         store = load_segments(kc.segments_file, embedder)
     else:
         store = _default_segments(engine, embedder, config.seed)
-    return KnowledgeContext(graph=graph, store=store, embedder=embedder)
+    return KnowledgeContext(graph=graph, store=store)
 
 
 def _default_graph(engine: SimulationEngine) -> KnowledgeGraph:
@@ -334,7 +328,7 @@ class DecisionLoop:
         # the cycle's diversity set, in region order
         texts = {region: f"noop region={region}" for region in plan.sampled}
         texts.update((d.region, d.text()) for d in directives)
-        self.diversity_sets.append(tuple(self.knowledge.embedder.embed(t) for t in texts.values()))
+        self.diversity_sets.append(tuple(self.knowledge.store.embedder.embed(t) for t in texts.values()))
         eng.board.dispatch(instructions)
 
         steps_left = min(cfg.feedback.cycle_len, cfg.steps - start)
@@ -399,20 +393,15 @@ class DecisionLoop:
         )
 
     def _build_prompt(self, summary: StateSummary) -> HybridPrompt:
-        feedback_note = self.pending_feedback if not self.ablated("feedback_loop") else None
-        if self.ablated("dual_indexing"):
-            return build_prompt(summary.text(), None, [], TASK_DIRECTIVE, feedback_note, summary, None)
-        query = embed_state(summary.text(), self.knowledge.embedder)
-        segments = retrieve_topk(query, self.knowledge.store, TOP_K)
-        seeds = summary.seed_region_ids()
-        graph = keep = None
-        if seeds:
-            try:
-                keep = extract_subgraph(self.knowledge.graph, seeds, self.config.knowledge.subgraph_hops)
-                graph = self.knowledge.graph
-            except EmptySeed:
-                pass
-        return build_prompt(summary.text(), graph, segments, TASK_DIRECTIVE, feedback_note, summary, keep)
+        """The cycle's prompt; under the `dual_indexing` ablation both
+        knowledge channels stay empty. `pending_feedback` is None under the
+        `feedback_loop` ablation, since no cycle triggers there."""
+        graph, store = self.knowledge.graph, self.knowledge.store
+        segments, keep = [], set()
+        if not self.ablated("dual_indexing"):
+            segments = retrieve_topk(embed_state(summary.text(), store.embedder), store, TOP_K)
+            keep = extract_subgraph(graph, summary.seed_region_ids(), self.config.knowledge.subgraph_hops)
+        return build_prompt(summary, graph, segments, self.pending_feedback, keep)
 
     def _propose(self, prompt: HybridPrompt, cycle: int) -> tuple[BackendProposal, str, bool]:
         cfg = self.config
@@ -439,7 +428,7 @@ class DecisionLoop:
         for p in proposals:
             if id(p) not in texts:
                 texts[id(p)] = _proposal_text(p)
-        self.consistency_sets.append(tuple(self.knowledge.embedder.embed(texts[id(p)]) for p in proposals))
+        self.consistency_sets.append(tuple(self.knowledge.store.embedder.embed(texts[id(p)]) for p in proposals))
 
     def _log_instruction(self, cycle: int, instr: Instruction, status: str, reason: str) -> None:
         self.instruction_rows.append(

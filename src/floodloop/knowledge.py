@@ -1,10 +1,10 @@
 """Dual-channel knowledge indexing.
 
 One channel is a typed graph (regions, roads, flood spots) from which
-the ids of the seed regions' neighbourhood are extracted; the prompt
-renders that neighbourhood straight from the graph's render index, with
-no copy of the graph. The other is a text segment store with top-K
-cosine retrieval. Both feed a canonical hybrid prompt.
+the ids of the seed regions' neighbourhood are extracted, none when no
+seed is in the graph; the prompt renders them straight from the graph's
+render index. The other is a text segment store with top-K cosine
+retrieval. Both feed a hybrid prompt, whose text is rendered when built.
 
 Embeddings come from deterministic feature hashing: no training, no
 model downloads, yet identical text always maps to the identical unit
@@ -18,18 +18,23 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DanglingEdge, EmptyQuery, EmptySeed
+from .errors import DanglingEdge, EmptyQuery
+from .state import StateSummary
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 EMBED_DIM = 64  # entries of every embedding a run makes
 TOP_K = 5  # segments retrieved into each prompt
+
+TASK_DIRECTIVE = (
+    "Coordinate flood dispatch for the coming cycle: lower flood exposure and "
+    "congestion, avoid trip cancellations, and keep arrivals on time."
+)
 
 
 class HashingEmbedder:
@@ -204,11 +209,9 @@ def _normalized(vec: np.ndarray) -> np.ndarray:
 
 
 def extract_subgraph(graph: KnowledgeGraph, seed_ids: Sequence[str], hops: int) -> set[str]:
-    """Ids of every node within `hops` of the seed set: the node set of the
-    induced subgraph that `render_subgraph(graph, ids)` renders."""
+    """Ids of every node within `hops` of the seeds present in the graph, if
+    any: the node set of the subgraph `render_subgraph(graph, ids)` renders."""
     seeds = [s for s in seed_ids if s in graph.nodes]
-    if not seeds:
-        raise EmptySeed("no seed nodes present in the graph")
     retained = set(seeds)
     frontier = set(seeds)
     for _ in range(hops):
@@ -302,36 +305,16 @@ class FeedbackNote:
 
 @dataclass(frozen=True)
 class HybridPrompt:
-    """Canonical fusion of state, subgraph, retrieved text, and task.
+    """Canonical fusion of state, subgraph, retrieved text, task and feedback.
 
-    `summary` keeps the structured state object so local backends can read
-    it without parsing; `text` is the canonical serialization sent to
-    external backends, built on first use and kept. Equal inputs yield
-    byte-identical text.
+    `text` is the canonical serialization sent to external backends; equal
+    inputs yield byte-identical text. `feedback` and the structured
+    `summary` are kept so local backends can read them without parsing.
     """
 
-    state_text: str
-    subgraph_text: str
-    segments_text: str
-    task: str
+    text: str
     feedback: FeedbackNote | None
-    summary: object = field(compare=False)
-
-    @cached_property
-    def text(self) -> str:
-        parts = [
-            "## STATE",
-            self.state_text,
-            "## SUBGRAPH",
-            self.subgraph_text,
-            "## SEGMENTS",
-            self.segments_text,
-            "## TASK",
-            self.task,
-            "## FEEDBACK",
-            _render_feedback(self.feedback),
-        ]
-        return "\n".join(parts) + "\n"
+    summary: StateSummary = field(compare=False)
 
 
 def _render_feedback(note: FeedbackNote | None) -> str:
@@ -349,9 +332,9 @@ def _render_feedback(note: FeedbackNote | None) -> str:
     return "\n".join(lines)
 
 
-def render_subgraph(graph: KnowledgeGraph | None, keep: AbstractSet[str] | None) -> str:
+def render_subgraph(graph: KnowledgeGraph, keep: AbstractSet[str]) -> str:
     """The subgraph of `graph` induced on `keep`: node lines in id order,
-    then edge lines in (src, dst, type) order. Both are None, or both set."""
+    then edge lines in (src, dst, type) order."""
     if not keep:
         return "(none)"
     index = graph.render_index()
@@ -368,25 +351,23 @@ def render_segments(segments: Sequence[tuple[Segment, float]]) -> str:
 
 
 def build_prompt(
-    state_text: str,
-    graph: KnowledgeGraph | None,
+    summary: StateSummary,
+    graph: KnowledgeGraph,
     segments: Sequence[tuple[Segment, float]],
-    task: str,
     feedback: FeedbackNote | None,
-    summary: object,
-    keep: AbstractSet[str] | None,
+    keep: AbstractSet[str],
 ) -> HybridPrompt:
     """Assemble the hybrid prompt; every section is always present, with an
     explicit (none) marker when a channel is empty. The subgraph section
-    renders `graph` induced on `keep`; both are None when there is none."""
-    return HybridPrompt(
-        state_text=state_text if state_text.strip() else "(none)",
-        subgraph_text=render_subgraph(graph, keep),
-        segments_text=render_segments(segments),
-        task=task,
-        feedback=feedback,
-        summary=summary,
+    renders `graph` induced on `keep`."""
+    sections = (
+        ("STATE", summary.text()),
+        ("SUBGRAPH", render_subgraph(graph, keep)),
+        ("SEGMENTS", render_segments(segments)),
+        ("TASK", TASK_DIRECTIVE),
+        ("FEEDBACK", _render_feedback(feedback)),
     )
+    return HybridPrompt("".join(f"## {name}\n{body}\n" for name, body in sections), feedback, summary)
 
 
 # --- snapshot files -------------------------------------------------------

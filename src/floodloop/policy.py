@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,8 +39,9 @@ VERB_ORDER = tuple(Verb)
 VERB_INDEX = {verb: i for i, verb in enumerate(VERB_ORDER)}
 
 
-@dataclass(frozen=True, order=True)
-class HighLevelAction:
+class HighLevelAction(NamedTuple):
+    """A (verb, region) action; it hashes and orders as the plain tuple."""
+
     verb: Verb
     region: int
 

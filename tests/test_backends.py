@@ -18,7 +18,7 @@ from floodloop import backends as b
 from floodloop import policy as p
 from floodloop.config import PolicyConfig, RunConfig
 from floodloop.errors import BackendUnavailable, InvalidDistribution
-from floodloop.knowledge import FeedbackNote, build_prompt
+from floodloop.knowledge import FeedbackNote, KnowledgeGraph, build_prompt
 from floodloop.state import StateSummary
 
 SCORE_THRESHOLD = PolicyConfig().score_threshold
@@ -49,7 +49,7 @@ def summary_with(n_regions=4, flood=None, depth=None, blocked=None, congestion=N
 
 
 def prompt_for(summary, feedback=None):
-    return build_prompt(summary.text(), None, [], "dispatch", feedback, summary, None)
+    return build_prompt(summary, KnowledgeGraph(), [], feedback, set())
 
 
 # --- empty ---------------------------------------------------------------------
@@ -146,12 +146,6 @@ def test_ruled_feedback_escalates():
         )
 
     assert relief_share(esc) > relief_share(base)
-
-
-def test_ruled_requires_structured_summary():
-    prompt = build_prompt("bare text", None, [], "dispatch", None, None, None)
-    with pytest.raises(BackendUnavailable):
-        b.RuledBackend(SCORE_THRESHOLD).propose(prompt, 4, 1.2, 0)
 
 
 def test_ruled_same_prompt_object_returns_the_kept_proposal():

@@ -229,3 +229,20 @@ def test_run_rejects_a_scenario_file_shorter_than_the_run(tmp_path, capsys):
     assert record["error"] == "ConfigError"
     assert record["message"].startswith("scenario_file: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, name, content, field",
+    [
+        ("load --segments", "segments.jsonl", '{"text": "pumps deployed"}\n', "id"),
+        ("load --graph", "graph.json", json.dumps({"nodes": [{"type": "region"}]}), "id"),
+        ("run --steps 10 --out {out} --scenario-file", "scenario.json", json.dumps({"kind": "light", "seed": 0}), "curve"),
+    ],
+)
+def test_a_malformed_input_file_gives_an_error_record(tmp_path, capsys, command, name, content, field):
+    path = tmp_path / name
+    path.write_text(content)
+    assert cli.main([*command.format(out=tmp_path / "out").split(), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "KeyError", "message": repr(field)}

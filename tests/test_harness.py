@@ -57,3 +57,30 @@ def test_one_region_runs_complete_with_sds_undefined(tmp_path):
     header, row = (tmp_path / "semantic.csv").read_text().splitlines()
     assert header == "module_setting,stability,scs,sds"
     assert row.startswith("ruled/extreme,") and row.endswith(",")
+
+
+def test_a_ruled_run_reads_its_knowledge_from_files(tmp_path):
+    # no node of this graph is a region, so no cycle's seed regions are in it
+    graph = {
+        "nodes": [{"id": "road:row:0", "type": "road"}, {"id": "spot:harbour", "type": "flood_spot"}],
+        "edges": [{"src": "spot:harbour", "dst": "road:row:0", "type": "risks"}],
+    }
+    (tmp_path / "graph.json").write_text(json.dumps(graph))
+    ids = [f"log:{i}" for i in range(8)]
+    texts = ["standing water near the river", "pumps deployed downtown", "buses detoured at the bridge"]
+    lines = [json.dumps({"id": sid, "text": f"region {i} {texts[i % 3]}"}) for i, sid in enumerate(ids)]
+    (tmp_path / "segments.jsonl").write_text("\n".join(lines) + "\n")
+    cfg = tiny_matrix_config(str(tmp_path / "out"), workers=1)
+    cfg.strategy, cfg.scenario, cfg.steps = "ruled", "extreme", 20
+    cfg.knowledge.graph_file = str(tmp_path / "graph.json")
+    cfg.knowledge.segments_file = str(tmp_path / "segments.jsonl")
+    harness.run(cfg)
+    prompts = [json.loads(line)["text"] for line in (tmp_path / "out" / "prompts.jsonl").read_text().splitlines()]
+    assert len(prompts) == 4
+    # some cycle has seed regions to look up, none of which the graph holds
+    assert any("flooded_regions: region" in p or "congested_regions: region" in p for p in prompts)
+    for text in prompts:
+        assert "\n## SUBGRAPH\n(none)\n## SEGMENTS\n" in text
+        segments = text.split("## SEGMENTS\n")[1].split("\n## TASK\n")[0].splitlines()
+        assert len(segments) == 5
+        assert all(line.split("]")[0][1:] in ids for line in segments)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from floodloop import backends as b
 from floodloop.config import PolicyConfig
-from floodloop.knowledge import FeedbackNote, build_prompt
+from floodloop.knowledge import FeedbackNote, KnowledgeGraph, build_prompt
 from floodloop.policy import VERB_INDEX, HighLevelAction, PolicyDistribution, Verb
 from floodloop.state import StateSummary
 
@@ -115,7 +115,7 @@ def rule_cases(draw):
     feedback = None
     if draw(st.booleans()):
         feedback = FeedbackNote(draw(st.floats(0.0, 0.5)), (), draw(st.sampled_from(DEGRADED)), ())
-    return build_prompt(summary.text(), None, [], "dispatch", feedback, summary, None), n
+    return build_prompt(summary, KnowledgeGraph(), [], feedback, set()), n
 
 
 @settings(deadline=None, max_examples=500)
