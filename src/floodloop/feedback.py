@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -276,6 +277,13 @@ class DecisionLoop:
     def n_cycles(self) -> int:
         return -(-self.config.steps // self.config.feedback.cycle_len)
 
+    @cached_property
+    def _noop_vectors(self) -> tuple[np.ndarray, ...]:
+        """Each region's NoOp text embedded, in region order: the start of
+        every cycle's diversity set, embedded at the first cycle and kept."""
+        embed = self.knowledge.store.embedder.embed
+        return tuple(embed(f"noop region={region}") for region in range(self.config.world.n_regions))
+
     def ablated(self, name: str) -> bool:
         return name in self.config.ablations
 
@@ -325,10 +333,11 @@ class DecisionLoop:
             else:
                 instructions.append(wrapped)
                 self._log_instruction(cycle, wrapped, "accepted", "")
-        # the cycle's diversity set, in region order
-        texts = {region: f"noop region={region}" for region in plan.sampled}
-        texts.update((d.region, d.text()) for d in directives)
-        self.diversity_sets.append(tuple(self.knowledge.store.embedder.embed(t) for t in texts.values()))
+        # the cycle's diversity set, in region order: a region's directive, or its NoOp
+        vectors = list(self._noop_vectors)
+        for d in directives:
+            vectors[d.region] = self.knowledge.store.embedder.embed(d.text())
+        self.diversity_sets.append(tuple(vectors))
         eng.board.dispatch(instructions)
 
         steps_left = min(cfg.feedback.cycle_len, cfg.steps - start)
@@ -366,7 +375,7 @@ class DecisionLoop:
             n_instructions=len(instructions),
             n_rejected=len(rejections),
             accumulator=acc,
-            region_flood_end=tuple(float(v) for v in flood_scores(eng.world)),
+            region_flood_end=tuple(flood_scores(eng.world).tolist()),
         )
         self.reports.append(report)
         self._prev_snapshot = executed
@@ -399,7 +408,7 @@ class DecisionLoop:
         graph, store = self.knowledge.graph, self.knowledge.store
         segments, keep = [], set()
         if not self.ablated("dual_indexing"):
-            segments = retrieve_topk(embed_state(summary.text(), store.embedder), store, TOP_K)
+            segments = retrieve_topk(embed_state(summary.text, store.embedder), store, TOP_K)
             keep = extract_subgraph(graph, summary.seed_region_ids(), self.config.knowledge.subgraph_hops)
         return build_prompt(summary, graph, segments, self.pending_feedback, keep)
 

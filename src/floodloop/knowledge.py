@@ -361,7 +361,7 @@ def build_prompt(
     explicit (none) marker when a channel is empty. The subgraph section
     renders `graph` induced on `keep`."""
     sections = (
-        ("STATE", summary.text()),
+        ("STATE", summary.text),
         ("SUBGRAPH", render_subgraph(graph, keep)),
         ("SEGMENTS", render_segments(segments)),
         ("TASK", TASK_DIRECTIVE),
@@ -373,6 +373,10 @@ def build_prompt(
 # --- snapshot files -------------------------------------------------------
 
 def graph_from_json(data: dict) -> KnowledgeGraph:
+    """The graph of a snapshot record: a JSON object with optional `nodes`
+    and `edges` lists; any other top level is a `TypeError`."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a graph snapshot must be a JSON object, got {type(data).__name__}")
     g = KnowledgeGraph()
     for rec in data.get("nodes", []):
         g.add_node(

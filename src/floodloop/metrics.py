@@ -9,6 +9,14 @@ Four indicators feed one scalar cost J:
 All mean/stddev/variance here are population statistics. When every region
 is identical (sigma = 0) the sigmoid indices are defined as 0.5, the
 sigmoid's center, which keeps f and t continuous as variance shrinks.
+
+The per-region flood and congestion scores of a world state are computed
+here once, on the first ask, and kept read-only with that state
+(`WorldState.region_scores`). Every reader of a state shares them: the
+step-end `SimulationEngine.metrics_snapshot` (f and t),
+`state.summarize_world` at the next cycle's start, and
+`DecisionLoop.run_cycle`'s `region_flood_end`, all of which ask for the
+same cycle-boundary state.
 """
 
 from __future__ import annotations
@@ -49,14 +57,26 @@ def _sigmoid_scores(values: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _region_scores(world: WorldState, name: str, cells: np.ndarray) -> np.ndarray:
+    """The sigmoid scores of the region means of `cells`, a field of
+    `world`, computed on the first ask for `name` and kept, read-only,
+    with the state."""
+    scores = world.region_scores.get(name)
+    if scores is None:
+        scores = _sigmoid_scores(region_means(cells, world.region_id, world.n_regions))
+        scores.flags.writeable = False
+        world.region_scores[name] = scores
+    return scores
+
+
 def flood_scores(world: WorldState) -> np.ndarray:
-    """Per-region sigmoid flood index over mean region water depth."""
-    return _sigmoid_scores(region_means(world.water_depth, world.region_id, world.n_regions))
+    """Per-region sigmoid flood index over mean region water depth (read-only)."""
+    return _region_scores(world, "flood", world.water_depth)
 
 
 def congestion_scores(world: WorldState) -> np.ndarray:
-    """Per-region sigmoid congestion index over mean region car density."""
-    return _sigmoid_scores(region_means(world.car_density, world.region_id, world.n_regions))
+    """Per-region sigmoid congestion index over mean region car density (read-only)."""
+    return _region_scores(world, "congestion", world.car_density)
 
 
 def flood_index(world: WorldState) -> float:

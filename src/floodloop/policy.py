@@ -7,14 +7,21 @@ directive, drawn from probabilities whose conditional entropy is capped
 by the global entropy. The refinement is one `generate_regional` call per
 cycle over all of the cycle's refined actions, in region order. The
 penalty coefficient lambda tracks how far raw generation sits from tau.
+
+The local candidate weights read each region's flood and congestion
+scores from the cycle's `StateSummary`, which copies the scores that
+`metrics` computed once for the cycle-boundary world state; this module
+computes none of its own.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -97,9 +104,10 @@ class PolicyDistribution:
 
 
 def entropy_of(probs: Sequence[float]) -> float:
-    """Shannon entropy in nats with the 0*ln(0) = 0 convention."""
+    """Shannon entropy in nats with the 0*ln(0) = 0 convention; the
+    positive entries are picked out only when some entry is not positive."""
     arr = np.asarray(probs, dtype=np.float64)
-    nz = arr[arr > 0]
+    nz = arr if arr.size and arr.min() > 0.0 else arr[arr > 0]
     return float(-np.sum(nz * np.log(nz)))
 
 
@@ -120,10 +128,12 @@ def conditional_entropy(
     return total
 
 
-def _mix_toward_argmax(probs: np.ndarray, beta: float) -> np.ndarray:
-    onehot = np.zeros_like(probs)
-    onehot[int(np.argmax(probs))] = 1.0
-    return (1.0 - beta) * probs + beta * onehot
+def _mix_toward_argmax(probs: np.ndarray, top: int, beta: float) -> np.ndarray:
+    """(1 - beta) * probs + beta * onehot(top), as one array: beta is added
+    at `top` alone, and every other entry gains the one-hot's exact 0."""
+    mixed = (1.0 - beta) * probs
+    mixed[top] += beta
+    return mixed
 
 
 def project_entropy(probs: np.ndarray, tau: float) -> np.ndarray:
@@ -138,20 +148,21 @@ def project_entropy(probs: np.ndarray, tau: float) -> np.ndarray:
     """
     if entropy_of(probs) <= tau:
         return probs
+    top = int(np.argmax(probs))
     if tau <= PROJECTION_BAND:
-        return _mix_toward_argmax(probs, 1.0)
+        return _mix_toward_argmax(probs, top, 1.0)
     # the one-hot at hi = 1 has entropy 0, below tau - PROJECTION_BAND
     lo, hi, h_hi = 0.0, 1.0, 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        h_mid = entropy_of(_mix_toward_argmax(probs, mid))
+        h_mid = entropy_of(_mix_toward_argmax(probs, top, mid))
         if h_mid > tau:
             lo = mid
         else:
             hi, h_hi = mid, h_mid
         if h_hi >= tau - PROJECTION_BAND:
             break
-    return _mix_toward_argmax(probs, hi)
+    return _mix_toward_argmax(probs, top, hi)
 
 
 def update_lambda(lam: float, alpha: float, h: float, tau: float) -> float:
@@ -180,8 +191,7 @@ class EntropyController:
 
 # --- regional refinement ---------------------------------------------------
 
-@dataclass(frozen=True)
-class Directive:
+class Directive(NamedTuple):
     """One region-local executable intent produced by refinement."""
 
     kind: str
@@ -336,16 +346,18 @@ def sample_per_region(
     """One action per region, keyed in region order: the distribution
     restricted to a region is renormalized and sampled, visiting only the
     regions that carry mass, in region order; the others take the NoOp
-    and draw nothing."""
+    and draw nothing. Each draw is the one `choices(actions, weights, k=1)`
+    makes: `bisect` of `random() * total` into the cumulative weights."""
     by_region: dict[int, list[tuple[HighLevelAction, float]]] = {}
     for action, p in zip(dist.support, dist.probs):
         if p > 0:
             by_region.setdefault(action.region, []).append((action, p))
     sampled = dict(enumerate(action_vocabulary(n_regions)[VERB_INDEX[Verb.NOOP] * n_regions :]))
-    rng = pystream(seed, "policy-sample", cycle)
+    draw = pystream(seed, "policy-sample", cycle).random
     for region in sorted(by_region):
-        actions, weights = zip(*by_region[region])
-        sampled[region] = rng.choices(actions, weights=weights, k=1)[0]
+        pairs = by_region[region]
+        cum = list(accumulate(p for _, p in pairs))
+        sampled[region] = pairs[bisect(cum, draw() * (cum[-1] + 0.0), 0, len(cum) - 1)][0]
     return sampled
 
 

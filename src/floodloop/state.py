@@ -1,8 +1,16 @@
-"""Structured per-cycle state summary shared by retrieval and backends."""
+"""Structured per-cycle state summary shared by retrieval and backends.
+
+`summarize_world` reads the region scores that `metrics` keeps with the
+world state, so the cycle-boundary state's scores are the ones its
+step-end metrics snapshot computed, not a second computation. The
+summary's `text` is rendered once and serves both the retrieval query
+and the prompt's STATE block.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -39,8 +47,10 @@ class StateSummary:
         regions = sorted(set(self.flooded_regions) | set(self.congested_regions) | set(self.targeted_regions))
         return [f"region:{r}" for r in regions]
 
+    @cached_property
     def text(self) -> str:
-        """Canonical rendering used for embedding and the prompt STATE block."""
+        """Canonical rendering used for embedding and the prompt STATE block;
+        rendered on the first read and kept."""
         lines = [
             f"step: {self.step}",
             f"scenario: {self.scenario_kind}",
@@ -80,13 +90,13 @@ def summarize_world(
         step=world.step,
         scenario_kind=scenario_kind,
         intensity=float(intensity),
-        region_flood=tuple(float(v) for v in f_scores),
-        region_congestion=tuple(float(v) for v in t_scores),
-        region_max_depth=tuple(float(v) for v in max_depth),
-        region_blocked_roads=tuple(int(v) for v in blocked_counts),
+        region_flood=tuple(f_scores.tolist()),
+        region_congestion=tuple(t_scores.tolist()),
+        region_max_depth=tuple(max_depth.tolist()),
+        region_blocked_roads=tuple(blocked_counts.tolist()),
         blocking_depth=float(blocking_depth),
-        flooded_regions=tuple(int(i) for i in np.nonzero(f_scores > score_threshold)[0]),
-        congested_regions=tuple(int(i) for i in np.nonzero(t_scores > score_threshold)[0]),
+        flooded_regions=tuple(np.flatnonzero(f_scores > score_threshold).tolist()),
+        congested_regions=tuple(np.flatnonzero(t_scores > score_threshold).tolist()),
         targeted_regions=targeted_regions,
         spawned=spawned,
         arrived=arrived,

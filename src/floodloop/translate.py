@@ -14,9 +14,8 @@ reverts automatically when a window closes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +31,7 @@ class Tag(str, Enum):
     NOOP = "noop"
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     tag: Tag
     region: int
     cell: tuple[int, int] | None
@@ -41,11 +39,14 @@ class Instruction:
     window: tuple[int, int]
 
     def param(self, key: str) -> float:
-        return dict(self.params)[key]
+        """The value paired with `key` in `params`; the last pair wins, as in a dict."""
+        for name, value in reversed(self.params):
+            if name == key:
+                return value
+        raise KeyError(key)
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     instruction: Instruction
     reason: str
 

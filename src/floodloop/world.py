@@ -191,6 +191,10 @@ class WorldState:
     per-step fractions (`inflow_coeff`, `drainage_rate`, `diffusion_rate`),
     each in [0, 1]. They are taken as given: `RunConfig.validate` is where
     a value outside that range is rejected.
+
+    `region_scores` keeps the per-region scores that `metrics` computes
+    from this state, at most once each; `replace` starts the next state
+    with none, so they go away with the state they describe.
     """
 
     width: int
@@ -206,6 +210,7 @@ class WorldState:
     downhill_masks: tuple[np.ndarray, ...] = field(repr=False)
     downhill_counts: np.ndarray = field(repr=False)
     road_runs: RoadRuns = field(repr=False)
+    region_scores: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -246,3 +246,13 @@ def test_a_malformed_input_file_gives_an_error_record(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "KeyError", "message": repr(field)}
+
+
+@pytest.mark.parametrize("content, kind", [("[1]", "list"), ("3", "int"), ('"x"', "str")])
+def test_a_graph_file_that_is_not_a_json_object_gives_an_error_record(tmp_path, capsys, content, kind):
+    path = tmp_path / "graph.json"
+    path.write_text(content)
+    assert cli.main(["load", "--graph", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "TypeError", "message": f"a graph snapshot must be a JSON object, got {kind}"}

@@ -212,7 +212,7 @@ def one_region_summary():
 def test_prompt_empty_channels_have_markers():
     summary = one_region_summary()
     p = k.build_prompt(summary, k.KnowledgeGraph(), [], None, set())
-    assert p.text.startswith(f"## STATE\n{summary.text()}\n## SUBGRAPH\n")
+    assert p.text.startswith(f"## STATE\n{summary.text}\n## SUBGRAPH\n")
     assert "## SUBGRAPH\n(none)" in p.text
     assert "## SEGMENTS\n(none)" in p.text
     assert "## FEEDBACK\n(none)" in p.text

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from floodloop import harness
 from floodloop import metrics as m
 from floodloop import world as w
 from floodloop.config import FeedbackConfig, WorldConfig
@@ -26,6 +29,66 @@ def world_with_region_depths(depths):
 
 
 # --- sigmoid indices -----------------------------------------------------------
+
+def test_scores_are_kept_with_their_state_read_only_and_fresh_after_replace():
+    ws = world_with_region_depths([0.0, 1.0, 2.0, 3.0])
+    flood, congestion = m.flood_scores(ws), m.congestion_scores(ws)
+    assert m.flood_scores(ws) is flood and m.congestion_scores(ws) is congestion
+    for scores in (flood, congestion):
+        assert not scores.flags.writeable
+        with pytest.raises(ValueError):
+            scores[0] = 0.5
+    drier = dataclasses.replace(ws, water_depth=ws.water_depth[::-1].copy())
+    assert drier.region_scores == {}
+    fresh = m.flood_scores(drier)
+    assert fresh is not flood
+    assert fresh.tolist() == m._sigmoid_scores(w.region_means(drier.water_depth, ws.region_id, 4)).tolist()
+    assert fresh.tolist() != flood.tolist()
+    assert w.step_hydrology(ws, 1.0, None).region_scores == {}
+
+
+@pytest.mark.parametrize("name", ["ruled", "external"])
+def test_each_world_state_computes_its_scores_once(monkeypatch, tmp_path, name):
+    """The step-end snapshot, `run_cycle`'s `region_flood_end` and the next
+    cycle's summary ask for the same cycle-boundary state: one computation
+    of each score per state that is asked, one state per step."""
+    from test_golden import RUNS, external_config, golden_config, loopback_stub
+
+    asks: Counter[tuple[int, str]] = Counter()
+    computations: Counter[tuple[int, str]] = Counter()
+    states = []  # every state asked stays alive, so no id is reused
+    region_scores, sigmoid_scores = m._region_scores, m._sigmoid_scores
+    sigmoid_calls = []
+
+    def spy(world, key, cells):
+        states.append(world)
+        asks[id(world), key] += 1
+        computations[id(world), key] += key not in world.region_scores
+        return region_scores(world, key, cells)
+
+    def counting_sigmoid(values):
+        sigmoid_calls.append(values)
+        return sigmoid_scores(values)
+
+    monkeypatch.setattr(m, "_region_scores", spy)
+    monkeypatch.setattr(m, "_sigmoid_scores", counting_sigmoid)
+    if name == "external":
+        with loopback_stub() as stub:
+            cfg = external_config(str(tmp_path), stub.endpoint)
+            harness.run(cfg)
+    else:
+        cfg = golden_config(*RUNS[name], str(tmp_path))
+        harness.run(cfg)
+    assert set(computations) == set(asks)
+    assert set(computations.values()) == {1}
+    assert len(sigmoid_calls) == len(computations)
+    n_cycles = -(-cfg.steps // cfg.feedback.cycle_len)
+    for key in ("flood", "congestion"):
+        asked = [count for (_, k), count in asks.items() if k == key]
+        assert len(asked) == cfg.steps + 1  # the starting state and one per step
+        # each cycle asks for its last state's flood scores, and summarizes its first state
+        assert sum(asked) == len(asked) + (2 if key == "flood" else 1) * n_cycles
+
 
 def test_flood_index_uniform_is_half():
     ws = world_with_region_depths([0.7] * 4)

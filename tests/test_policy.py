@@ -177,7 +177,7 @@ def test_projection_monotone_in_mix():
     rng = np.random.default_rng(7)
     raw = rng.uniform(0, 1, size=10)
     probs = raw / raw.sum()
-    hs = [p.entropy_of(p._mix_toward_argmax(probs, b)) for b in np.linspace(0, 1, 50)]
+    hs = [p.entropy_of(p._mix_toward_argmax(probs, int(np.argmax(probs)), b)) for b in np.linspace(0, 1, 50)]
     assert all(b <= a + 1e-12 for a, b in zip(hs, hs[1:]))
 
 
@@ -365,6 +365,13 @@ def _before_candidate_directives(action, obs):
     return []
 
 
+def _former_mix_toward_argmax(probs, beta):
+    # the mix the oracles below called, verbatim; the package now takes the argmax once per projection
+    onehot = np.zeros_like(probs)
+    onehot[int(np.argmax(probs))] = 1.0
+    return (1.0 - beta) * probs + beta * onehot
+
+
 def _before_project_entropy(dist, tau):
     dist.validate()
     h = p.entropy_of(dist.probs)
@@ -372,18 +379,18 @@ def _before_project_entropy(dist, tau):
         return dist
     probs = np.asarray(dist.probs, dtype=np.float64)
     if tau <= p.PROJECTION_BAND:
-        out = p._mix_toward_argmax(probs, 1.0)
+        out = _former_mix_toward_argmax(probs, 1.0)
         return p.PolicyDistribution(support=dist.support, probs=tuple(out))
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if p.entropy_of(p._mix_toward_argmax(probs, mid)) > tau:
+        if p.entropy_of(_former_mix_toward_argmax(probs, mid)) > tau:
             lo = mid
         else:
             hi = mid
-        if p.entropy_of(p._mix_toward_argmax(probs, hi)) >= tau - p.PROJECTION_BAND:
+        if p.entropy_of(_former_mix_toward_argmax(probs, hi)) >= tau - p.PROJECTION_BAND:
             break
-    out = p._mix_toward_argmax(probs, hi)
+    out = _former_mix_toward_argmax(probs, hi)
     return p.PolicyDistribution(support=dist.support, probs=tuple(out))
 
 
@@ -522,17 +529,17 @@ def _per_action_project_entropy(probs, tau):
     if p.entropy_of(probs) <= tau:
         return probs
     if tau <= p.PROJECTION_BAND:
-        return p._mix_toward_argmax(probs, 1.0)
+        return _former_mix_toward_argmax(probs, 1.0)
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if p.entropy_of(p._mix_toward_argmax(probs, mid)) > tau:
+        if p.entropy_of(_former_mix_toward_argmax(probs, mid)) > tau:
             lo = mid
         else:
             hi = mid
-        if p.entropy_of(p._mix_toward_argmax(probs, hi)) >= tau - p.PROJECTION_BAND:
+        if p.entropy_of(_former_mix_toward_argmax(probs, hi)) >= tau - p.PROJECTION_BAND:
             break
-    return p._mix_toward_argmax(probs, hi)
+    return _former_mix_toward_argmax(probs, hi)
 
 
 def _per_action_local_distribution_for(action, obs, cap):

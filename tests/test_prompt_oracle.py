@@ -143,8 +143,8 @@ def build_prompt(state_text, graph, segments, task, feedback, summary, keep) -> 
 def _build_prompt(self, summary: StateSummary) -> HybridPrompt:
     feedback_note = self.pending_feedback if not self.ablated("feedback_loop") else None
     if self.ablated("dual_indexing"):
-        return build_prompt(summary.text(), None, [], TASK_DIRECTIVE, feedback_note, summary, None)
-    query = embed_state(summary.text(), self.knowledge.embedder)
+        return build_prompt(summary.text, None, [], TASK_DIRECTIVE, feedback_note, summary, None)
+    query = embed_state(summary.text, self.knowledge.embedder)
     segments = retrieve_topk(query, self.knowledge.store, TOP_K)
     seeds = summary.seed_region_ids()
     graph = keep = None
@@ -154,7 +154,7 @@ def _build_prompt(self, summary: StateSummary) -> HybridPrompt:
             graph = self.knowledge.graph
         except EmptySeed:
             pass
-    return build_prompt(summary.text(), graph, segments, TASK_DIRECTIVE, feedback_note, summary, keep)
+    return build_prompt(summary.text, graph, segments, TASK_DIRECTIVE, feedback_note, summary, keep)
 
 
 # --- cases ------------------------------------------------------------------------
