@@ -357,7 +357,7 @@ def sample_per_region(
     for region in sorted(by_region):
         pairs = by_region[region]
         cum = list(accumulate(p for _, p in pairs))
-        sampled[region] = pairs[bisect(cum, draw() * (cum[-1] + 0.0), 0, len(cum) - 1)][0]
+        sampled[region] = pairs[bisect(cum, draw() * cum[-1], 0, len(cum) - 1)][0]
     return sampled
 
 
