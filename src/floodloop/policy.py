@@ -130,7 +130,8 @@ def conditional_entropy(
 
 def _mix_toward_argmax(probs: np.ndarray, top: int, beta: float) -> np.ndarray:
     """(1 - beta) * probs + beta * onehot(top), as one array: beta is added
-    at `top` alone, and every other entry gains the one-hot's exact 0."""
+    at `top` alone, since adding the one-hot's 0 elsewhere changes no bit
+    of a row without a negative zero."""
     mixed = (1.0 - beta) * probs
     mixed[top] += beta
     return mixed
