@@ -61,7 +61,7 @@ from .policy import (
 from .rng import pystream
 from .state import StateSummary, summarize_world
 from .translate import Instruction, Rejection, translate, wrap_accuracy
-from .world import RainfallScenario, ScenarioKind, WorldState, generate_scenario
+from .world import RainfallScenario, ScenarioKind, generate_scenario
 
 FLOOD_SPOT_SCORE = 0.9
 WINDOW_LENGTH = 10  # cycles of gaps the trigger threshold spans
@@ -97,7 +97,6 @@ class CycleReport:
     triggered: bool
     delta_e: float
     planned: dict[str, float]
-    executed: dict[str, float]
     rejected_reasons: tuple[str, ...]
     backend_used: str
     fallback_used: bool
@@ -106,7 +105,6 @@ class CycleReport:
     h_conditional: float
     lam: float
     n_instructions: int
-    n_rejected: int
     accumulator: dict[str, int]  # event kind -> count over the cycle's steps
     region_flood_end: tuple[float, ...]
 
@@ -117,8 +115,9 @@ def trigger_replanning(report: CycleReport, graph: KnowledgeGraph) -> tuple[Feed
     only for a triggered cycle."""
     deltas = []
     degraded = []
+    executed = report.snapshot.as_map()
     for name in ("f", "t", "c", "r"):
-        d = report.executed[name] - report.planned[name]
+        d = executed[name] - report.planned[name]
         deltas.append((name, d))
         if name == "r":
             if d < -DEGRADED_EPS:
@@ -139,25 +138,6 @@ def trigger_replanning(report: CycleReport, graph: KnowledgeGraph) -> tuple[Feed
             new_nodes.append(Node(id=spot_id, type=NodeType.FLOOD_SPOT, attrs=(("region", str(region)),)))
             new_edges.append(Edge(src=spot_id, dst=f"region:{region}", type=EdgeType.RISKS))
     return note, update_graph(graph, new_nodes, new_edges)
-
-
-def worst_road_cells(world: WorldState) -> list[tuple[int, int] | None]:
-    """Per region, its deepest road cell, or None for a region without roads.
-
-    `WorldState.road_runs` lays the road cells out region by region, each
-    region's in row-major order. One pass over their depths takes each
-    run's maximum and then the first position holding it, so depth ties
-    go to the first cell in row-major order.
-    """
-    runs = world.road_runs
-    worst: list[tuple[int, int] | None] = [None] * world.n_regions
-    if runs.regions:
-        depth = world.water_depth.ravel()[runs.flat]
-        top = np.repeat(np.maximum.reduceat(depth, runs.starts), runs.sizes)
-        first = np.minimum.reduceat(np.where(depth == top, np.arange(depth.size), depth.size), runs.starts)
-        for region, i in zip(runs.regions, first.tolist()):
-            worst[region] = runs.cells[i]
-    return worst
 
 
 # --- knowledge bootstrap ----------------------------------------------------
@@ -195,9 +175,7 @@ def _default_graph(engine: SimulationEngine) -> KnowledgeGraph:
     world = engine.world
     side = math.isqrt(world.n_regions)
     graph = KnowledgeGraph()
-    road_counts = np.bincount(
-        world.region_id[world.is_road].ravel(), minlength=world.n_regions
-    )
+    road_counts = np.diff(world.road_runs.bounds)
     for region in range(world.n_regions):
         graph.add_node(
             Node(
@@ -296,16 +274,20 @@ class DecisionLoop:
         """One full pass: retrieval -> generation -> translation ->
         execution -> evaluation -> (conditional) replanning.
 
-        The regional pass is one call per stage over the cycle's refined
-        (not NoOp) actions, in region order: `generate_regional` draws
-        their directives, `translate` turns them into instructions, and
-        `wrap_accuracy` passes each instruction or rejects it.
+        The decide stages see the world only through the cycle's
+        `StateSummary`, taken once at its first step; the world is read
+        again only after execution, for `region_flood_end`. The regional
+        pass is one call per stage over the cycle's refined (not NoOp)
+        actions, in region order: `generate_regional` draws their
+        directives, anchoring closures on the summary's worst road cells,
+        `translate` turns them into instructions, and `wrap_accuracy`
+        passes each instruction or rejects it by the summary's road counts.
         """
         cfg = self.config
         eng = self.engine
-        start = eng.world.step
+        summary = self._summarize()
+        start = summary.step
         end = min(start + cfg.feedback.cycle_len - 1, cfg.steps - 1)
-        summary = self._summarize(start)
         prompt = self._build_prompt(summary)
         self.prompt_log.append((cycle, prompt.text))
 
@@ -318,15 +300,14 @@ class DecisionLoop:
         local = local_distribution_for(
             plan.projected, summary.region_flood, summary.region_congestion, summary.region_blocked_roads, cap
         )
-        worst = worst_road_cells(eng.world)
         h_cond = conditional_entropy(local.entropies, plan.projected)
 
         # a NoOp region draws nothing and dispatches nothing
         refined = [action for action in plan.sampled.values() if action.verb is not Verb.NOOP]
-        directives = generate_regional(refined, worst, local.probs, cfg.seed, cycle)
+        directives = generate_regional(refined, summary.region_worst_road, local.probs, cfg.seed, cycle)
         instructions: list[Instruction] = []
         rejections: list[Rejection] = []
-        for wrapped in wrap_accuracy(translate(directives, (start, end)), eng.world, cfg.mobility.resident_block_depth):
+        for wrapped in wrap_accuracy(translate(directives, (start, end)), summary):
             if isinstance(wrapped, Rejection):
                 rejections.append(wrapped)
                 self._log_instruction(cycle, wrapped.instruction, "rejected", wrapped.reason)
@@ -364,7 +345,6 @@ class DecisionLoop:
             triggered=triggered,
             delta_e=delta_e,
             planned=planned,
-            executed=executed.as_map(),
             rejected_reasons=tuple(r.reason for r in rejections),
             backend_used=backend_used,
             fallback_used=fallback_used,
@@ -373,7 +353,6 @@ class DecisionLoop:
             h_conditional=h_cond,
             lam=self.controller.lam,
             n_instructions=len(instructions),
-            n_rejected=len(rejections),
             accumulator=acc,
             region_flood_end=tuple(flood_scores(eng.world).tolist()),
         )
@@ -389,14 +368,14 @@ class DecisionLoop:
 
     # --- helpers -----------------------------------------------------------
 
-    def _summarize(self, step: int) -> StateSummary:
+    def _summarize(self) -> StateSummary:
         eng = self.engine
         return summarize_world(
             eng.world,
             self.config.scenario,
             eng.current_intensity(),
             self.config.mobility.resident_block_depth,
-            eng.board.active_regions(step),
+            eng.board.active_regions(eng.world.step),
             eng.trip_counts(),
             self.config.policy.score_threshold,
         )

@@ -128,7 +128,7 @@ def _cycle_rows(loop: DecisionLoop) -> Iterator[list]:
             int(r.triggered),
             csv_float(r.delta_e),
             r.n_instructions,
-            r.n_rejected,
+            len(r.rejected_reasons),
         ]
 
 
@@ -154,7 +154,7 @@ def _summarize_run(config: RunConfig, loop: DecisionLoop) -> dict:
         "cycles": loop.n_cycles,
         "triggers": sum(1 for r in loop.reports if r.triggered),
         "fallbacks": sum(1 for r in loop.reports if r.fallback_used),
-        "rejected_instructions": sum(r.n_rejected for r in loop.reports),
+        "rejected_instructions": sum(len(r.rejected_reasons) for r in loop.reports),
         "mean": {
             name: float(np.mean([getattr(r.snapshot, attr) for r in loop.reports]))
             for name, attr in (("f", "f"), ("t", "t"), ("c", "c"), ("r", "r"), ("J", "j"))

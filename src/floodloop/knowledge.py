@@ -68,11 +68,8 @@ class HashingEmbedder:
         if not tokens:
             raise EmptyQuery("cannot embed empty text")
         slots = self._slots
-        acc = [0.0] * self.dim
-        for token in tokens:
-            index, sign = slots.get(token) or self._slot(token)
-            acc[index] += sign
-        vec = np.array(acc, dtype=np.float64)
+        index, sign = zip(*[slots.get(token) or self._slot(token) for token in tokens])
+        vec = np.bincount(index, weights=sign, minlength=self.dim)
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             # pathological sign cancellation; pin a single deterministic axis

@@ -1,10 +1,14 @@
-"""Structured per-cycle state summary shared by retrieval and backends.
+"""Structured per-cycle state summary shared by retrieval, backends and
+the decide stages.
 
-`summarize_world` reads the region scores that `metrics` keeps with the
-world state, so the cycle-boundary state's scores are the ones its
-step-end metrics snapshot computed, not a second computation. The
-summary's `text` is rendered once and serves both the retrieval query
-and the prompt's STATE block.
+`summarize_world` is the dispatcher's one look at a cycle-boundary state;
+no decide stage reads the world itself. It reads the region scores that
+`metrics` keeps with the world state, so they are the ones the step-end
+metrics snapshot computed, not a second computation. It gathers the road
+cells' depths once, over `WorldState.road_runs`, and takes from that one
+gather each region's blocked road count and deepest road cell; the run
+bounds give each region's road count. The summary's `text` is rendered
+once and serves both the retrieval query and the prompt's STATE block.
 """
 
 from __future__ import annotations
@@ -24,6 +28,11 @@ class StateSummary:
     `targeted_regions` is asked on the engine's one step clock at the
     cycle's first step, before the cycle dispatches; every window ends
     inside its own cycle, so in the decision loop the field is empty.
+
+    `region_blocked_roads[r]` counts region r's road cells at least
+    `blocking_depth` deep, out of its `region_road_cells[r]`;
+    `region_worst_road[r]` is its deepest road cell, the first in
+    row-major order on a tie, or None for a region without roads.
     """
 
     step: int
@@ -33,6 +42,8 @@ class StateSummary:
     region_congestion: tuple[float, ...]
     region_max_depth: tuple[float, ...]
     region_blocked_roads: tuple[int, ...]
+    region_road_cells: tuple[int, ...]
+    region_worst_road: tuple[tuple[int, int] | None, ...]
     blocking_depth: float
     flooded_regions: tuple[int, ...]
     congested_regions: tuple[int, ...]
@@ -83,8 +94,17 @@ def summarize_world(
     f_scores = flood_scores(world)
     t_scores = congestion_scores(world)
     max_depth = _region_max(world.water_depth, world.region_id, world.n_regions)
-    blocked = world.is_road & (world.water_depth >= blocking_depth)
-    blocked_counts = np.bincount(world.region_id[blocked], minlength=world.n_regions)
+    runs = world.road_runs
+    blocked = np.zeros(world.n_regions, dtype=np.int64)
+    worst: list[tuple[int, int] | None] = [None] * world.n_regions
+    if runs.regions:
+        # reductions over the non-empty runs; a depth tie goes to the run's first cell
+        depth = world.water_depth.take(runs.flat)
+        blocked[list(runs.regions)] = np.add.reduceat(depth >= blocking_depth, runs.starts)
+        top = np.repeat(np.maximum.reduceat(depth, runs.starts), runs.sizes)
+        first = np.minimum.reduceat(np.where(depth == top, np.arange(depth.size), depth.size), runs.starts)
+        for region, i in zip(runs.regions, first.tolist()):
+            worst[region] = runs.cells[i]
     spawned, arrived, cancelled, enroute = trip_counts
     return StateSummary(
         step=world.step,
@@ -93,7 +113,9 @@ def summarize_world(
         region_flood=tuple(f_scores.tolist()),
         region_congestion=tuple(t_scores.tolist()),
         region_max_depth=tuple(max_depth.tolist()),
-        region_blocked_roads=tuple(blocked_counts.tolist()),
+        region_blocked_roads=tuple(blocked.tolist()),
+        region_road_cells=tuple(np.diff(runs.bounds).tolist()),
+        region_worst_road=tuple(worst),
         blocking_depth=float(blocking_depth),
         flooded_regions=tuple(np.flatnonzero(f_scores > score_threshold).tolist()),
         congested_regions=tuple(np.flatnonzero(t_scores > score_threshold).tolist()),

@@ -6,7 +6,8 @@ region order, and keep its order. The loop supplies every anchor, window
 and parameter: a closure's cell is its region's worst road cell, or None
 when the region has no roads, and the window lies inside the run. So the
 accuracy pass only rejects what cannot be deployed, a closure with no
-cell and a detour around a region without passable roads (the rejection
+cell and a detour around a region without passable roads; it reads the
+road counts of the cycle's `StateSummary`, not the world (the rejection
 reasons feed the next cycle's failure feedback). Dispatched instructions
 live on a board whose effects are queried per step, so everything
 reverts automatically when a window closes.
@@ -20,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .policy import Directive
-from .world import WorldState
+from .state import StateSummary
 
 
 class Tag(str, Enum):
@@ -77,16 +78,11 @@ def translate(directives: Sequence[Directive], window: tuple[int, int]) -> list[
     return instructions
 
 
-def wrap_accuracy(
-    instructions: Sequence[Instruction], world: WorldState, resident_block_depth: float
-) -> list[Instruction | Rejection]:
+def wrap_accuracy(instructions: Sequence[Instruction], summary: StateSummary) -> list[Instruction | Rejection]:
     """Feasibility pass over one cycle's instructions, in order: reject a
     closure without a road cell to anchor on and a detour around a region
-    whose roads are missing or all flooded; any other instruction passes
-    unchanged. Which regions are fully flooded is found in one pass over
-    `WorldState.road_runs`, and only when a detour is present."""
-    runs = world.road_runs
-    flooded: set[int] | None = None
+    whose roads are missing or all at least `summary.blocking_depth`
+    deep; any other instruction passes unchanged."""
     out: list[Instruction | Rejection] = []
     for instr in instructions:
         r = instr.region
@@ -94,22 +90,12 @@ def wrap_accuracy(
         if instr.tag is Tag.OBSTACLE and instr.cell is None:
             reason = f"no road cell in region {r} to anchor obstacle"
         elif instr.tag is Tag.ROUTING:
-            if runs.bounds[r] == runs.bounds[r + 1]:
+            if summary.region_road_cells[r] == 0:
                 reason = f"routing infeasible: region {r} has no road cells"
-            else:
-                if flooded is None:
-                    flooded = _fully_flooded(world, resident_block_depth)
-                if r in flooded:
-                    reason = f"routing infeasible: region {r} fully flooded"
+            elif summary.region_blocked_roads[r] == summary.region_road_cells[r]:
+                reason = f"routing infeasible: region {r} fully flooded"
         out.append(Rejection(instr, reason) if reason else instr)
     return out
-
-
-def _fully_flooded(world: WorldState, resident_block_depth: float) -> set[int]:
-    """The regions with roads whose every road cell is at least `resident_block_depth` deep."""
-    runs = world.road_runs
-    lowest = np.minimum.reduceat(world.water_depth.take(runs.flat), runs.starts)
-    return {region for region, full in zip(runs.regions, (lowest >= resident_block_depth).tolist()) if full}
 
 
 class InstructionBoard:

@@ -37,6 +37,8 @@ def summary_with(n_regions=4, flood=None, depth=None, blocked=None, congestion=N
         region_congestion=tuple(congestion),
         region_max_depth=tuple(depth),
         region_blocked_roads=tuple(blocked),
+        region_road_cells=tuple(max(b, 8) for b in blocked),
+        region_worst_road=((0, 0),) * n_regions,
         blocking_depth=0.3,
         flooded_regions=tuple(i for i, v in enumerate(flood) if v > 0.7),
         congested_regions=tuple(i for i, v in enumerate(congestion) if v > 0.7),

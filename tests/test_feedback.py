@@ -151,13 +151,12 @@ def test_should_replan_matches_brute_force():
 def report_with(**kw):
     defaults = dict(
         cycle=2,
-        snapshot=m.MetricsSnapshot(0.5, 0.5, 0.1, 0.6, 0.4, 29),
+        snapshot=m.MetricsSnapshot(0.5, 0.505, 0.1, 0.6, 0.4, 29),
         gap=0.05,
         delta=0.015,
         triggered=True,
         delta_e=0.1581,
         planned={"f": 0.5, "t": 0.5, "c": 0.0, "r": 0.8},
-        executed={"f": 0.5, "t": 0.505, "c": 0.1, "r": 0.6},
         rejected_reasons=("routing infeasible: region 3 fully flooded",),
         backend_used="empty",
         fallback_used=False,
@@ -166,7 +165,6 @@ def report_with(**kw):
         h_conditional=0.0,
         lam=1.0,
         n_instructions=4,
-        n_rejected=1,
         accumulator={},
         region_flood_end=(0.5, 0.95, 0.5, 0.5),
     )
@@ -313,14 +311,19 @@ def test_accuracy_pass_receives_windows_in_the_run_and_anchored_closures(monkeyp
     exactly when that region has no roads; so nothing is left to clip or
     snap, and no window is still in force when the next cycle summarizes
     its targeted regions."""
-    received, calls = [], []
-    wrap_accuracy = fb.wrap_accuracy
+    received, calls, summarized = [], [], {}
+    summarize_world, wrap_accuracy = fb.summarize_world, fb.wrap_accuracy
 
-    def spy(instructions, world, *args, **kwargs):
-        calls.append(world.step)
-        received.extend((instr, world.step, world) for instr in instructions)
-        return wrap_accuracy(instructions, world, *args, **kwargs)
+    def keep_world(world, *args):
+        summarized[world.step] = world
+        return summarize_world(world, *args)
 
+    def spy(instructions, summary):
+        calls.append(summary.step)
+        received.extend((instr, summary.step, summarized[summary.step]) for instr in instructions)
+        return wrap_accuracy(instructions, summary)
+
+    monkeypatch.setattr(fb, "summarize_world", keep_world)
     monkeypatch.setattr(fb, "wrap_accuracy", spy)
     cfg = run_config(name, str(tmp_path))
     harness.run(cfg)
@@ -436,7 +439,7 @@ def test_deviation_matches_formula_on_logged_maps():
     loop = make_loop(cfg)
     for report in loop.run():
         assert report.delta_e == pytest.approx(
-            m.execution_deviation(report.planned, report.executed), abs=1e-12
+            m.execution_deviation(report.planned, report.snapshot.as_map()), abs=1e-12
         )
 
 

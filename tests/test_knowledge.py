@@ -198,6 +198,8 @@ def one_region_summary():
         region_congestion=(0.5,),
         region_max_depth=(0.0,),
         region_blocked_roads=(0,),
+        region_road_cells=(0,),
+        region_worst_road=(None,),
         blocking_depth=0.3,
         flooded_regions=(),
         congested_regions=(),

@@ -175,6 +175,8 @@ def summaries(draw):
         region_congestion=(0.5,) * n,
         region_max_depth=tuple(draw(st.lists(st.floats(0.0, 2.0), min_size=n, max_size=n))),
         region_blocked_roads=tuple(draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))),
+        region_road_cells=(9,) * n,
+        region_worst_road=((0, 0),) * n,
         blocking_depth=0.3,
         flooded_regions=draw(regions),
         congested_regions=draw(regions),

@@ -9,10 +9,16 @@ mapped it onto one instruction, `wrap_accuracy` passed or rejected it,
 and the loop logged its `instructions.csv` row. The stage calls, each
 over a whole cycle's refined actions as `DecisionLoop.run_cycle` makes
 them, must give the same diversity texts, instructions, rejection reasons
-and rows. The cases cover every verb; probability rows (1, 0), (0, 1),
-capped ones and ones that put a region's own draw exactly on the split;
-regions without roads, regions flooded to exactly the blocking depth or
-deeper, and closures with no cell; and odd window spans.
+and rows. The stage calls read the anchors and road counts from the
+cycle's `StateSummary`; the former chain reads the world. The cases cover
+every verb; probability rows (1, 0), (0, 1), capped ones and ones that
+put a region's own draw exactly on the split; regions without roads,
+regions flooded to exactly the blocking depth or deeper or to one ulp
+below it, and closures with no cell; and odd window spans.
+
+The accuracy pass over the summary is also checked against the former
+list pass, which found the fully flooded regions with its own reduction
+over the world's road cells.
 """
 
 from __future__ import annotations
@@ -35,8 +41,10 @@ from floodloop import feedback as fb
 from floodloop.config import WorldConfig
 from floodloop.policy import Directive, HighLevelAction, Verb, project_entropy
 from floodloop.rng import pystream
+from floodloop.state import summarize_world
 from floodloop.translate import _DIRECTIVE_TABLE, Instruction, Rejection, Tag
 from floodloop.world import build_world, region_road_index
+from test_loop_properties import per_region_worst
 
 # --- the former per-directive chain ------------------------------------------------------
 
@@ -85,6 +93,35 @@ def former_wrap_accuracy(instr, world, resident_block_depth):
     return instr
 
 
+def former_list_wrap_accuracy(instructions, world, resident_block_depth):
+    """`wrap_accuracy` as it read the world, with `_fully_flooded`, kept verbatim as an oracle."""
+    runs = world.road_runs
+    flooded: set[int] | None = None
+    out: list[Instruction | Rejection] = []
+    for instr in instructions:
+        r = instr.region
+        reason = ""
+        if instr.tag is Tag.OBSTACLE and instr.cell is None:
+            reason = f"no road cell in region {r} to anchor obstacle"
+        elif instr.tag is Tag.ROUTING:
+            if runs.bounds[r] == runs.bounds[r + 1]:
+                reason = f"routing infeasible: region {r} has no road cells"
+            else:
+                if flooded is None:
+                    flooded = former_fully_flooded(world, resident_block_depth)
+                if r in flooded:
+                    reason = f"routing infeasible: region {r} fully flooded"
+        out.append(Rejection(instr, reason) if reason else instr)
+    return out
+
+
+def former_fully_flooded(world, resident_block_depth: float) -> set[int]:
+    """The regions with roads whose every road cell is at least `resident_block_depth` deep."""
+    runs = world.road_runs
+    lowest = np.minimum.reduceat(world.water_depth.take(runs.flat), runs.starts)
+    return {region for region, full in zip(runs.regions, (lowest >= resident_block_depth).tolist()) if full}
+
+
 def former_row(cycle, instr, status, reason):
     return {
         "cycle": cycle,
@@ -122,9 +159,9 @@ def stage_pass(case):
     """The same four outputs from one call per stage, composed as `run_cycle` composes them."""
     log = SimpleNamespace(instruction_rows=[])
     refined = [action for action in case.sampled.values() if action.verb is not Verb.NOOP]
-    directives = fb.generate_regional(refined, case.worst, case.probs, case.seed, case.cycle)
+    directives = fb.generate_regional(refined, case.summary.region_worst_road, case.probs, case.seed, case.cycle)
     instructions, reasons = [], []
-    for wrapped in fb.wrap_accuracy(fb.translate(directives, case.window), case.world, case.depth):
+    for wrapped in fb.wrap_accuracy(fb.translate(directives, case.window), case.summary):
         if isinstance(wrapped, Rejection):
             reasons.append(wrapped.reason)
             fb.DecisionLoop._log_instruction(log, case.cycle, wrapped.instruction, "rejected", wrapped.reason)
@@ -167,17 +204,18 @@ def regional_cases(draw):
     # random roads: some regions get none, so their closures have no cell
     is_road = draw(hnp.arrays(np.bool_, (height, width), elements=st.booleans()))
     depth = draw(st.sampled_from([0.0, 0.3, 0.45]))
+    below = float(np.nextafter(depth, 0.0))
     water = draw(
         hnp.arrays(
             np.float64,
             (height, width),
-            elements=st.one_of(st.sampled_from([0.0, 0.5 * depth, depth, depth + 0.1]), st.floats(0.0, 1.0)),
+            elements=st.one_of(st.sampled_from([0.0, 0.5 * depth, below, depth, depth + 0.1]), st.floats(0.0, 1.0)),
         )
     )
-    # fully flooded regions: at exactly the blocking depth, or deeper
+    # regions flooded at exactly the blocking depth, or deeper, and ones one ulp short of it
     for region in draw(st.sets(st.integers(0, n - 1))):
         at = world.region_id == region
-        water[at] = np.maximum(water[at], depth) if draw(st.booleans()) else depth
+        water[at] = draw(st.sampled_from([np.maximum(water[at], depth), depth, below]))
     world = dataclasses.replace(
         world, is_road=is_road, water_depth=water, road_runs=region_road_index(is_road, world.region_id, n)
     )
@@ -193,7 +231,8 @@ def regional_cases(draw):
     window = (start, start + draw(st.integers(0, 21)))
     return SimpleNamespace(
         sampled=sampled,
-        worst=fb.worst_road_cells(world),
+        worst=[per_region_worst(world, r) for r in range(n)],
+        summary=summarize_world(world, "extreme", 0.0, depth, (), (0, 0, 0, 0), 0.7),
         probs=probs,
         seed=seed,
         cycle=cycle,
@@ -212,6 +251,19 @@ def test_stage_calls_match_the_per_directive_chain(case):
     assert instructions == want_instructions
     assert reasons == want_reasons
     assert rows == want_rows
+
+
+@settings(deadline=None, max_examples=200)
+@given(regional_cases())
+def test_the_accuracy_pass_over_the_summary_equals_the_world_pass(case):
+    # every tag in every region, closures with and without a cell
+    instructions = [
+        Instruction(tag, region, cell, (), case.window)
+        for region in range(len(case.sampled))
+        for tag, cell in ((Tag.ROUTING, None), (Tag.OBSTACLE, None), (Tag.OBSTACLE, (0, 0)), (Tag.STOP, None))
+    ]
+    want = former_list_wrap_accuracy(instructions, case.world, case.depth)
+    assert fb.wrap_accuracy(instructions, case.summary) == want
 
 
 def test_cases_reach_every_verb_row_and_rejection():
@@ -237,6 +289,8 @@ def test_cases_reach_every_verb_row_and_rejection():
             lowest = case.world.water_depth.take(runs.flat[runs.bounds[region] : runs.bounds[region + 1]]).min()
             if lowest == case.depth > 0:
                 seen.add("flooded to exactly the blocking depth")
+            if lowest == np.nextafter(case.depth, 0.0) and case.depth > 0:
+                seen.add("flooded to one ulp below the blocking depth")
 
     collect()
     assert {v.value for v in Verb} <= seen
@@ -246,4 +300,5 @@ def test_cases_reach_every_verb_row_and_rejection():
         "routing infeasible: region r has no road cells",
         "routing infeasible: region r fully flooded",
         "flooded to exactly the blocking depth",
+        "flooded to one ulp below the blocking depth",
     } <= seen

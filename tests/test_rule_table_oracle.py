@@ -103,6 +103,8 @@ def rule_cases(draw):
         region_congestion=tuple(draw(st.lists(SCORES, min_size=m, max_size=m))),
         region_max_depth=tuple(draw(st.lists(depth_values, min_size=m, max_size=m))),
         region_blocked_roads=tuple(blocked),
+        region_road_cells=(12,) * m,
+        region_worst_road=((0, 0),) * m,
         blocking_depth=blocking_depth,
         flooded_regions=(),
         congested_regions=(),

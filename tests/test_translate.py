@@ -10,10 +10,15 @@ from floodloop import translate as tr
 from floodloop import world as w
 from floodloop.config import WorldConfig
 from floodloop.policy import Directive
+from floodloop.state import summarize_world
 
 
 def small_world():
     return w.build_world(WorldConfig(16, 16, 4), 4)
+
+
+def summary_of(world, blocking_depth=0.3):
+    return summarize_world(world, "extreme", 0.0, blocking_depth, (), (0, 0, 0, 0), 0.7)
 
 
 # --- translate ------------------------------------------------------------------
@@ -64,13 +69,13 @@ def test_wrap_road_anchor_unchanged():
     road_cell = ws.road_cells()[0]
     region = ws.region_of(road_cell)
     instr = tr.Instruction(tr.Tag.OBSTACLE, region, road_cell, (), (0, 9))
-    [out] = tr.wrap_accuracy([instr], ws, 0.3)
+    [out] = tr.wrap_accuracy([instr], summary_of(ws))
     assert out is instr
 
 
 def test_wrap_rejects_obstacle_without_cell():
     instr = tr.Instruction(tr.Tag.OBSTACLE, 2, None, (), (0, 9))
-    [out] = tr.wrap_accuracy([instr], small_world(), 0.3)
+    [out] = tr.wrap_accuracy([instr], summary_of(small_world()))
     assert out == tr.Rejection(instr, "no road cell in region 2 to anchor obstacle")
 
 
@@ -78,7 +83,7 @@ def test_wrap_rejects_routing_into_fully_flooded_region():
     ws = small_world()
     ws.water_depth[ws.region_id == 1] = 1.0
     instr = tr.Instruction(tr.Tag.ROUTING, 1, None, (("penalty", 4.0),), (0, 9))
-    [out] = tr.wrap_accuracy([instr], ws, 0.3)
+    [out] = tr.wrap_accuracy([instr], summary_of(ws))
     assert out == tr.Rejection(instr, "routing infeasible: region 1 fully flooded")
 
 
