@@ -15,8 +15,16 @@ The board is asked once per step for each effect (drain, closures,
 penalties, held regions), all at the index of the step being executed,
 so a window (s, e) acts on exactly steps s..e; the post-step index
 labels the record, dump and spawns and times departures.
-One `step_agent` call per agent takes its role's router and returns
-event kinds, which the step counts into `StepRecord.events`.
+Each non-terminal agent still costs one `step_agent` call per step,
+with its role's router; a resident whose next cell is open takes the
+short path there (one lookup in the router's blocked bytes), and the
+calls return event kinds, which the step counts into
+`StepRecord.events`. The loop reads each agent's status once after its
+call: terminal agents drop out of `active`, and the enroute ones are
+tallied, so `trip_counts` reads the enroute count from the last step and
+the trip log's running counts instead of scanning the agents (agents
+spawn waiting, so a spawn leaves the tally as it is). The car density is
+one `bincount` over the enroute agents' cells.
 `agents` keeps every agent ever spawned; `active` keeps, in id order,
 the ones not yet terminal, and only those are stepped and counted into
 the car density.
@@ -68,6 +76,7 @@ class SimulationEngine:
         self.trip_log = TripLog()
         self.agents: list[AgentRecord] = []
         self.active: list[AgentRecord] = []
+        self.enroute = 0  # agents spawn waiting, so none is enroute until a step
         self._next_id = 0
         self._detour_rng = pystream(config.seed, "detour-coins")
         self.pois: list[Poi] = default_pois(self.world, config.mobility.n_pois, config.seed)
@@ -129,8 +138,7 @@ class SimulationEngine:
 
     def trip_counts(self) -> tuple[int, int, int, int]:
         log = self.trip_log
-        enroute = sum(1 for a in self.active if a.status is Status.ENROUTE)
-        return (log.spawned, log.arrived, log.cancelled, enroute)
+        return (log.spawned, log.arrived, log.cancelled, self.enroute)
 
     # --- stepping ---------------------------------------------------------
 
@@ -154,16 +162,23 @@ class SimulationEngine:
         router_bus = Router(self._passable_mask(Role.BUS, closed), self.graph, cost)
         held = self.board.bus_held(step_idx)
 
+        world, rng, trip_log = self.world, self._detour_rng, self.trip_log
+        arrived, cancelled, enroute = Status.ARRIVED, Status.CANCELLED, Status.ENROUTE
         event_counts: dict[str, int] = {}
         still_active = []
+        n_enroute = 0
         for agent in self.active:
             router = router_bus if agent.role is Role.BUS else router_res
-            kinds = step_agent(agent, self.world, router, held, self._detour_rng, now, self.trip_log, WAIT_PROBABILITY)
-            for kind in kinds:
+            for kind in step_agent(agent, world, router, held, rng, now, trip_log, WAIT_PROBABILITY):
                 event_counts[kind] = event_counts.get(kind, 0) + 1
-            if not agent.status.terminal:
+            status = agent.status
+            if status is enroute:
+                n_enroute += 1
+                still_active.append(agent)
+            elif status is not arrived and status is not cancelled:
                 still_active.append(agent)
         self.active = still_active
+        self.enroute = n_enroute
 
         density = aggregate_flows(self.active, self.world)
         self.world = replace(self.world, car_density=density)

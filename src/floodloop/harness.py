@@ -26,7 +26,6 @@ from .backends import make_backend
 from .config import RunConfig, config_from_dict
 from .feedback import DecisionLoop
 from .heatmap import csv_float, save_density_dump, write_heatmap
-from .mobility import Status
 from .semeval import SemanticRow, scs, sds, stability_report
 from .world import load_scenario, save_scenario
 
@@ -144,6 +143,8 @@ def _write_prompt_log(path: Path, loop: DecisionLoop) -> None:
 
 
 def _summarize_run(config: RunConfig, loop: DecisionLoop) -> dict:
+    engine = loop.engine
+    enroute = engine.trip_counts()[3]
     summary = {
         "scenario": config.scenario,
         "strategy": config.strategy,
@@ -165,12 +166,13 @@ def _summarize_run(config: RunConfig, loop: DecisionLoop) -> dict:
         },
         "final_j": loop.reports[-1].snapshot.j,
         "trips": {
-            "spawned": loop.engine.trip_log.spawned,
-            "arrived": loop.engine.trip_log.arrived,
-            "on_time": loop.engine.trip_log.arrived_on_time,
-            "cancelled": loop.engine.trip_log.cancelled,
-            "enroute": loop.engine.trip_counts()[3],
-            "waiting": sum(1 for a in loop.engine.agents if a.status is Status.WAITING),
+            "spawned": engine.trip_log.spawned,
+            "arrived": engine.trip_log.arrived,
+            "on_time": engine.trip_log.arrived_on_time,
+            "cancelled": engine.trip_log.cancelled,
+            "enroute": enroute,
+            # the active agents are the ones not yet terminal: enroute or waiting
+            "waiting": len(engine.active) - enroute,
         },
         "scs": scs(loop.consistency_sets),
         # diversity is across regions, so it is undefined for a single one

@@ -63,7 +63,7 @@ def _region_scores(world: WorldState, name: str, cells: np.ndarray) -> np.ndarra
     with the state."""
     scores = world.region_scores.get(name)
     if scores is None:
-        scores = _sigmoid_scores(region_means(cells, world.region_id, world.n_regions))
+        scores = _sigmoid_scores(region_means(cells, world.region_id, world.region_cells))
         scores.flags.writeable = False
         world.region_scores[name] = scores
     return scores

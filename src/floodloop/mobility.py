@@ -32,6 +32,7 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -60,10 +61,6 @@ class Status(str, Enum):
     ENROUTE = "enroute"
     ARRIVED = "arrived"
     CANCELLED = "cancelled"
-
-    @property
-    def terminal(self) -> bool:
-        return self in (Status.ARRIVED, Status.CANCELLED)
 
 
 @dataclass
@@ -552,12 +549,13 @@ def spawn_demand(
     rng = pystream(seed, "demand", step)
     agents = []
     cells = [p.cell for p in poi_set]
-    weights = [p.weight for p in poi_set]
+    # the list `choices` would accumulate from `weights=` on every draw
+    cum_weights = list(accumulate(p.weight for p in poi_set))
     for i in range(rate):
-        origin = rng.choices(cells, weights=weights, k=1)[0]
+        origin = rng.choices(cells, cum_weights=cum_weights)[0]
         destination = origin
         for _ in range(16):
-            destination = rng.choices(cells, weights=weights, k=1)[0]
+            destination = rng.choices(cells, cum_weights=cum_weights)[0]
             if destination != origin:
                 break
         if destination == origin:
@@ -670,6 +668,11 @@ def step_agent(
     `wait_probability` (`WAIT_PROBABILITY` in a run). Patience burns on every
     non-advancing step (waits, failed replans); at zero the trip cancels.
     Held buses neither move nor lose patience.
+
+    The role is tested once. A resident whose next cell is open, most
+    steps of most agents, advances with one lookup in the router's blocked
+    bytes and returns; buses, and residents that cannot advance, take the
+    general path through `_advance` and `_replan`.
     """
     if agent.status is Status.WAITING:
         if step < agent.departure_step:
@@ -677,15 +680,30 @@ def step_agent(
         agent.status = Status.ENROUTE
     agent.travel_steps += 1
 
-    if agent.role is Role.BUS and world.region_of(agent.pos) in held_regions:
+    if agent.role is Role.RESIDENT:
+        if agent.pos == agent.destination:
+            return _finish(agent, Status.ARRIVED, trip_log, [])
+        # most steps end here: the next cell is open, so the resident takes it
+        i = agent.path_index + 1
+        if i < len(agent.path):
+            cell = agent.path[i]
+            if not router.blocked[(cell[0] + 1) * router.width + cell[1] + 1]:
+                agent.pos = cell
+                agent.path_index = i
+                if cell == agent.destination:
+                    return _finish(agent, Status.ARRIVED, trip_log, ["advanced"])
+                return ["advanced"]
+        advanced = False
+    elif world.region_of(agent.pos) in held_regions:
         return ["held"]
-    if agent.pos == agent.destination:
+    elif agent.pos == agent.destination:
         return _finish(agent, Status.ARRIVED, trip_log, [])
-    if agent.role is Role.BUS and agent.path_index + 1 >= len(agent.path):
-        # at an intermediate stop with the leg exhausted: open the next leg
-        _advance_bus_leg(agent, router)
+    else:
+        if agent.path_index + 1 >= len(agent.path):
+            # at an intermediate stop with the leg exhausted: open the next leg
+            _advance_bus_leg(agent, router)
+        advanced = _advance(agent, router)
 
-    advanced = _advance(agent, router)
     if advanced:
         kinds = ["advanced"]
     elif rng.random() < wait_probability:
@@ -759,8 +777,7 @@ def _replan(agent: AgentRecord, router: Router) -> bool:
 
 def aggregate_flows(agents: Iterable[AgentRecord], world: WorldState) -> np.ndarray:
     """Per-cell count of enroute agents this step."""
-    density = np.zeros(world.shape, dtype=np.float64)
-    cells = [agent.pos for agent in agents if agent.status is Status.ENROUTE]
-    if cells:
-        np.add.at(density, tuple(zip(*cells)), 1.0)
-    return density
+    width = world.width
+    flat = [r * width + c for r, c in (agent.pos for agent in agents if agent.status is Status.ENROUTE)]
+    counts = np.bincount(np.array(flat, dtype=np.intp), minlength=width * world.height)
+    return counts.astype(np.float64).reshape(world.shape)

@@ -168,19 +168,15 @@ def box_filter(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _shifted(a: np.ndarray, dr: int, dc: int, fill: float) -> np.ndarray:
-    """a shifted so out[r, c] = a[r + dr, c + dc], padded with fill."""
-    out = np.full_like(a, fill)
-    h, w = a.shape
-    rs_src = slice(max(dr, 0), h + min(dr, 0))
-    cs_src = slice(max(dc, 0), w + min(dc, 0))
-    rs_dst = slice(max(-dr, 0), h + min(-dr, 0))
-    cs_dst = slice(max(-dc, 0), w + min(-dc, 0))
-    out[rs_dst, cs_dst] = a[rs_src, cs_src]
-    return out
-
-
-_DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+# one (cells, neighbours) pair of slices per direction, up, down, left,
+# right: a[cells] lines up with the neighbours a[neighbours] in that
+# direction. They fit any grid shape; a 1-wide grid has none that way.
+_PAIRS = (
+    (np.s_[1:, :], np.s_[:-1, :]),
+    (np.s_[:-1, :], np.s_[1:, :]),
+    (np.s_[:, 1:], np.s_[:, :-1]),
+    (np.s_[:, :-1], np.s_[:, 1:]),
+)
 
 
 @dataclass
@@ -191,6 +187,12 @@ class WorldState:
     per-step fractions (`inflow_coeff`, `drainage_rate`, `diffusion_rate`),
     each in [0, 1]. They are taken as given: `RunConfig.validate` is where
     a value outside that range is rejected.
+
+    `downhill_masks` holds, per direction of `_PAIRS`, 1.0 where that
+    neighbour lies strictly lower and 0.0 elsewhere, `downhill_counts` the
+    number of such neighbours, and `region_cells` each region's cell
+    count; `build_world` takes all three once, as terrain and regions
+    never change during a run.
 
     `region_scores` keeps the per-region scores that `metrics` computes
     from this state, at most once each; `replace` starts the next state
@@ -209,6 +211,7 @@ class WorldState:
     params: WorldConfig
     downhill_masks: tuple[np.ndarray, ...] = field(repr=False)
     downhill_counts: np.ndarray = field(repr=False)
+    region_cells: np.ndarray = field(repr=False)
     road_runs: RoadRuns = field(repr=False)
     region_scores: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -224,13 +227,16 @@ class WorldState:
         return int(self.region_id[cell])
 
 
-def _downhill_structure(elevation: np.ndarray):
+def _downhill_structure(elevation: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Per direction, a float mask of the cells whose neighbour that way
+    lies strictly lower; and per cell, how many such neighbours it has."""
     masks = []
-    for dr, dc in _DIRECTIONS:
-        neighbor = _shifted(elevation, dr, dc, fill=np.inf)
-        masks.append(neighbor < elevation)
+    for cells, neighbours in _PAIRS:
+        mask = np.zeros(elevation.shape, dtype=bool)
+        mask[cells] = elevation[neighbours] < elevation[cells]
+        masks.append(mask)
     counts = np.sum(masks, axis=0)
-    return tuple(masks), counts
+    return tuple(mask.astype(np.float64) for mask in masks), counts
 
 
 @dataclass(frozen=True)
@@ -294,6 +300,7 @@ def build_world(config: WorldConfig, seed: int) -> WorldState:
         params=config,
         downhill_masks=masks,
         downhill_counts=counts,
+        region_cells=np.bincount(region_id.ravel(), minlength=config.n_regions),
         road_runs=region_road_index(is_road, region_id, config.n_regions),
     )
 
@@ -310,23 +317,33 @@ def _diffuse(depth: np.ndarray, elevation: np.ndarray, masks, counts, rate: floa
     `outflow / counts` drops whole units, and the total would drop them
     too. Where `share * counts` rounds above the water present, the cell
     empties instead of going negative.
+
+    Each direction's terms are products with its float mask (`masks`,
+    from `_downhill_structure`), taken over the slice pairs of `_PAIRS`
+    into one scratch array, and summed in direction order. A cell with no
+    neighbour that way gets no term, where shifted copies padded with
+    zeros would add +0.0: that changes nothing, since both sums start from
+    +0.0 (`np.maximum(x, 0.0)` is +0.0 for either zero x), and a sum that
+    starts from +0.0 never turns -0.0, so the bits are the same.
     """
     if rate <= 0:
         return depth
     surface = elevation + depth
+    scratch = np.empty_like(depth)
     neighbor_sum = np.zeros_like(depth)
-    for (dr, dc), mask in zip(_DIRECTIONS, masks):
-        neighbor_sum += _shifted(surface, dr, dc, 0.0) * mask
+    for (cells, neighbours), mask in zip(_PAIRS, masks):
+        term = np.multiply(surface[neighbours], mask[cells], out=scratch[cells])
+        neighbor_sum[cells] += term
     safe_counts = np.maximum(counts, 1)
     neighbor_mean = neighbor_sum / safe_counts
     excess = np.where(counts > 0, np.maximum(surface - neighbor_mean, 0.0), 0.0)
     outflow = np.minimum(rate * excess, depth)
     share = outflow / safe_counts
     new_depth = np.maximum(depth - share * counts, 0.0)
-    for (dr, dc), mask in zip(_DIRECTIONS, masks):
-        # flow from each cell to its downhill neighbor in (dr, dc): the
-        # neighbor at offset (dr, dc) receives it, so shift back by (-dr, -dc)
-        new_depth += _shifted(share * mask, -dr, -dc, 0.0)
+    for (cells, neighbours), mask in zip(_PAIRS, masks):
+        # each cell sends its share to its downhill neighbour this way
+        term = np.multiply(share[cells], mask[cells], out=scratch[cells])
+        new_depth[neighbours] += term
     return new_depth
 
 
@@ -350,11 +367,8 @@ def step_hydrology(world: WorldState, intensity: float, drain_multiplier: np.nda
     return replace(world, water_depth=depth, step=world.step + 1)
 
 
-def region_means(values: np.ndarray, region_id: np.ndarray, n_regions: int) -> np.ndarray:
-    """Per-region mean of a cell field; empty regions read as 0."""
-    flat = values.ravel()
-    ids = region_id.ravel()
-    sums = np.bincount(ids, weights=flat, minlength=n_regions)
-    counts = np.bincount(ids, minlength=n_regions)
-    return sums / np.maximum(counts, 1)
-
+def region_means(values: np.ndarray, region_id: np.ndarray, region_cells: np.ndarray) -> np.ndarray:
+    """Per-region mean of a cell field; empty regions read as 0.
+    `region_cells` is each region's cell count (`WorldState.region_cells`)."""
+    sums = np.bincount(region_id.ravel(), weights=values.ravel(), minlength=len(region_cells))
+    return sums / np.maximum(region_cells, 1)

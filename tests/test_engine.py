@@ -27,14 +27,23 @@ def scanned_flows(agents, shape):
     return density
 
 
+def assert_tallies_equal_scans(engine: SimulationEngine) -> None:
+    spawned, arrived, cancelled, enroute = engine.trip_counts()
+    assert enroute == sum(1 for a in engine.agents if a.status is Status.ENROUTE)
+    assert spawned == len(engine.agents)
+    assert np.array_equal(engine.world.car_density, scanned_flows(engine.agents, engine.world.shape))
+
+
 def test_running_counts_equal_scans():
     engine = small_engine()
+    # step 0: the initial residents and buses are spawned, none is enroute yet
+    assert_tallies_equal_scans(engine)
     for _ in range(30):
+        before = len(engine.agents)
         engine.step()
-        spawned, arrived, cancelled, enroute = engine.trip_counts()
-        assert enroute == sum(1 for a in engine.agents if a.status is Status.ENROUTE)
-        assert spawned == len(engine.agents)
-        assert np.array_equal(engine.world.car_density, scanned_flows(engine.agents, engine.world.shape))
+        assert len(engine.agents) > before  # the step ended with a spawn
+        assert_tallies_equal_scans(engine)
+    spawned, arrived, cancelled, enroute = engine.trip_counts()
     log = engine.trip_log
     assert log.arrived == sum(1 for r in log.records if r.outcome is Status.ARRIVED) > 0
     assert log.cancelled == sum(1 for r in log.records if r.outcome is Status.CANCELLED) > 0
@@ -56,7 +65,7 @@ def test_active_list_holds_the_non_terminal_agents_in_id_order():
     engine = small_engine()
     for _ in range(30):
         engine.step()
-        assert engine.active == [a for a in engine.agents if not a.status.terminal]
+        assert engine.active == [a for a in engine.agents if a.status not in (Status.ARRIVED, Status.CANCELLED)]
         assert [a.id for a in engine.agents] == list(range(len(engine.agents)))
         # `agents` still holds every agent ever spawned, terminal ones included
         assert len(engine.agents) == engine.trip_log.spawned

@@ -20,6 +20,7 @@ from floodloop.backends import (
 from floodloop.config import ENDPOINT_ENV_VAR, FeedbackConfig, PolicyConfig, RunConfig
 from floodloop.errors import BackendUnavailable, ConfigError
 from floodloop.knowledge import KnowledgeGraph, Node, NodeType
+from floodloop.mobility import Status
 from floodloop.policy import HighLevelAction, PolicyDistribution, Verb
 from floodloop.translate import _DIRECTIVE_TABLE, Tag
 from test_golden import RUNS, WET_RUNS, run_config
@@ -358,7 +359,7 @@ def test_the_package_calls_meet_the_preconditions_its_callees_state(monkeypatch,
         (fb, "execution_deviation"): lambda planned, executed: set(planned) == set(executed) == set("ftcr"),
         (fb, "trigger_replanning"): lambda report, graph: report.triggered,
         (engine, "spawn_demand"): lambda pois, *_, **__: len(pois) > 0,
-        (engine, "step_agent"): lambda agent, *_, **__: not agent.status.terminal,
+        (engine, "step_agent"): lambda agent, *_, **__: agent.status not in (Status.ARRIVED, Status.CANCELLED),
         (engine, "trip_rates"): lambda cancelled, on_time, spawned: spawned > 0,
     }
     calls: dict[str, int] = {}

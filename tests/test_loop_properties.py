@@ -83,6 +83,7 @@ def worlds(draw):
         width=width, height=height, n_regions=n_regions, step=0,
         region_id=region_id, is_road=is_road, water_depth=water_depth,
         car_density=np.zeros(shape), region_scores={}, blocking_depth=blocking_depth,
+        region_cells=np.bincount(region_id.ravel(), minlength=n_regions),
         road_runs=region_road_index(is_road, region_id, n_regions),
     )
 

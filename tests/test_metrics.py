@@ -42,7 +42,7 @@ def test_scores_are_kept_with_their_state_read_only_and_fresh_after_replace():
     assert drier.region_scores == {}
     fresh = m.flood_scores(drier)
     assert fresh is not flood
-    assert fresh.tolist() == m._sigmoid_scores(w.region_means(drier.water_depth, ws.region_id, 4)).tolist()
+    assert fresh.tolist() == m._sigmoid_scores(w.region_means(drier.water_depth, ws.region_id, ws.region_cells)).tolist()
     assert fresh.tolist() != flood.tolist()
     assert w.step_hydrology(ws, 1.0, None).region_scores == {}
 

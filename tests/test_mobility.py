@@ -257,7 +257,7 @@ def test_blocked_corridor_cancels_after_patience():
     blocked = {(0, 1)}  # single corridor, no detour
     steps = 0
     rng = pystream(1, "coin")
-    while not agent.status.terminal:
+    while agent.status not in (mob.Status.ARRIVED, mob.Status.CANCELLED):
         steps += 1
         mob.step_agent(
             agent,
@@ -330,7 +330,7 @@ def test_bus_visits_stops_in_order():
     for step in range(1, 40):
         mob.step_agent(bus, ws, road_router(ws), set(), rng, step, log, mob.WAIT_PROBABILITY)
         visited.append(bus.pos)
-        if bus.status.terminal:
+        if bus.status in (mob.Status.ARRIVED, mob.Status.CANCELLED):
             break
     assert bus.status is mob.Status.ARRIVED
     assert (0, 4) in visited and (4, 4) in visited
@@ -430,7 +430,7 @@ def test_trip_accounting_identity():
     rng = pystream(5, "coin")
     for step in range(1, 60):
         for agent in agents:
-            if not agent.status.terminal:
+            if agent.status not in (mob.Status.ARRIVED, mob.Status.CANCELLED):
                 mob.step_agent(agent, ws, road_router(ws), set(), rng, step, log, mob.WAIT_PROBABILITY)
         states = {s: sum(1 for a in agents if a.status is s) for s in mob.Status}
         assert sum(states.values()) == log.spawned

@@ -305,7 +305,7 @@ def test_partition_total_and_remainder():
 
 def test_depth_stats_all_zero():
     ws = flat_world(depth=0.0)
-    means = w.region_means(ws.water_depth, ws.region_id, ws.n_regions)
+    means = w.region_means(ws.water_depth, ws.region_id, ws.region_cells)
     assert (float(np.mean(means)), float(np.std(means))) == (0.0, 0.0)
 
 
@@ -315,7 +315,7 @@ def test_depth_stats_hand_computed():
     ws.water_depth[ws.region_id == 0] = 0.0
     ws.water_depth[ws.region_id == 1] = 1.0
     ws.water_depth[ws.region_id == 2] = 2.0
-    means = w.region_means(ws.water_depth, ws.region_id, 9)
+    means = w.region_means(ws.water_depth, ws.region_id, ws.region_cells)
     sub = means[:3]
     assert np.mean(sub) == pytest.approx(1.0)
     assert np.std(sub) == pytest.approx(0.816496580927726, abs=1e-9)
@@ -323,7 +323,7 @@ def test_depth_stats_hand_computed():
 
 def test_depth_stats_single_region():
     ws = flat_world(width=4, height=4, n_regions=1, depth=0.42)
-    means = w.region_means(ws.water_depth, ws.region_id, 1)
+    means = w.region_means(ws.water_depth, ws.region_id, ws.region_cells)
     mu, sigma = float(np.mean(means)), float(np.std(means))
     assert mu == pytest.approx(0.42)
     assert sigma == pytest.approx(0.0)
