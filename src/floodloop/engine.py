@@ -32,6 +32,7 @@ the car density.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -163,14 +164,14 @@ class SimulationEngine:
         held = self.board.bus_held(step_idx)
 
         world, rng, trip_log = self.world, self._detour_rng, self.trip_log
-        arrived, cancelled, enroute = Status.ARRIVED, Status.CANCELLED, Status.ENROUTE
-        event_counts: dict[str, int] = {}
+        # enum members read once: a read through the class costs ~0.1 us
+        bus, arrived, cancelled, enroute = Role.BUS, Status.ARRIVED, Status.CANCELLED, Status.ENROUTE
+        kinds: list[str] = []
         still_active = []
         n_enroute = 0
         for agent in self.active:
-            router = router_bus if agent.role is Role.BUS else router_res
-            for kind in step_agent(agent, world, router, held, rng, now, trip_log, WAIT_PROBABILITY):
-                event_counts[kind] = event_counts.get(kind, 0) + 1
+            router = router_bus if agent.role is bus else router_res
+            kinds += step_agent(agent, world, router, held, rng, now, trip_log, WAIT_PROBABILITY)
             status = agent.status
             if status is enroute:
                 n_enroute += 1
@@ -197,7 +198,7 @@ class SimulationEngine:
             self._admit(new_agents)
 
         snapshot = self.metrics_snapshot()
-        record = StepRecord(step=now, snapshot=snapshot, events=event_counts)
+        record = StepRecord(step=now, snapshot=snapshot, events=dict(Counter(kinds)))
         self.step_records.append(record)
         if now in self.config.heatmap_steps:
             self.density_dumps[now] = density.copy()
