@@ -100,8 +100,15 @@ elevations = st.one_of(st.sampled_from(SIGNED_ZEROS + [-1.5, 1.0]), st.floats(-1
 rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
+@st.composite
+def terrains(draw):
+    shape = draw(shapes)
+    depth = draw(hnp.arrays(np.float64, shape, elements=depths))
+    return depth, draw(hnp.arrays(np.float64, shape, elements=elevations))
+
+
 @settings(deadline=None, max_examples=500)
-@given(shapes.flatmap(lambda shape: st.tuples(hnp.arrays(np.float64, shape, elements=depths), hnp.arrays(np.float64, shape, elements=elevations))), rates)
+@given(terrains(), rates)
 def test_diffuse_holds_the_bits_of_the_shifted_field_version(fields, rate):
     depth, elevation = fields
     old_masks, old_counts = former_downhill_structure(elevation)
@@ -150,17 +157,17 @@ def test_aggregate_flows_holds_the_bits_of_the_add_at_version(crowd):
 values = st.one_of(st.sampled_from(SIGNED_ZEROS + [SUBNORMAL, -SUBNORMAL]), st.floats(-1e3, 1e3, allow_subnormal=True))
 
 
+@st.composite
+def region_fields(draw):
+    n_regions, shape = draw(st.integers(1, 9)), draw(shapes)
+    field = draw(hnp.arrays(np.float64, shape, elements=values))
+    return n_regions, field, draw(hnp.arrays(np.int64, shape, elements=st.integers(0, n_regions - 1)))
+
+
 @settings(deadline=None, max_examples=300)
-@given(st.integers(1, 9).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        shapes.flatmap(lambda shape: st.tuples(
-            hnp.arrays(np.float64, shape, elements=values), hnp.arrays(np.int64, shape, elements=st.integers(0, n - 1))
-        )),
-    )
-))
+@given(region_fields())
 def test_region_means_hold_the_bits_of_the_two_bincount_version(case):
-    n_regions, (field, region_id) = case
+    n_regions, field, region_id = case
     region_cells = np.bincount(region_id.ravel(), minlength=n_regions)
     got = w.region_means(field, region_id, region_cells)
     assert got.tobytes() == former_region_means(field, region_id, n_regions).tobytes()
