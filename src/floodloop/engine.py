@@ -6,15 +6,18 @@ agent against the fresh snapshot (ids ascending), write the aggregated
 car density back, then spawn new demand (newly spawned agents wait until
 the next step). Passability and routing costs are built as arrays once
 per step, since they only depend on depth, closures and penalties; each
-role's `Router` holds them, with connected components labelled over the
-road graph (free nodes joined along chains with no blocked cell, chain
-cells by the end nodes they reach), and every route planned in the step
-reads those arrays. The road graph the routers search is contracted
-once, when the engine is built, since roads never change during a run.
-The board is asked once per step for each effect (drain, closures,
-penalties, held regions), all at the index of the step being executed,
-so a window (s, e) acts on exactly steps s..e; the post-step index
-labels the record, dump and spawns and times departures.
+role's `Router` holds them, and every route planned in the step reads
+those arrays. A router labels its connected components over the road
+graph (free nodes joined along chains with no blocked cell, chain cells
+by the end nodes they reach) only when a replan or a failed search asks,
+so a step whose routes all succeed, the spawns' included, labels
+nothing. The road graph the routers search is contracted once, when the
+engine is built, since roads never change during a run. The board is
+asked once per step for each effect (drain, closures, penalties, held
+regions), all at the index of the step being executed, so a window
+(s, e) acts on exactly steps s..e; the post-step index labels the
+record, dump and spawns and times departures. With no relief active the
+board's drain multipliers are None, and the world drains at one rate.
 Each non-terminal agent still costs one `step_agent` call per step,
 with its role's router; a resident whose next cell is open takes the
 short path there (one lookup in the router's blocked bytes), and the
@@ -150,10 +153,7 @@ class SimulationEngine:
         step_idx = self.world.step
         intensity = self.scenario.curve[step_idx]
         self.board.prune(step_idx)
-        drain_mult = self.board.drain_multipliers(step_idx)
-        if np.all(drain_mult == 1.0):
-            drain_mult = None
-        self.world = step_hydrology(self.world, intensity, drain_mult)
+        self.world = step_hydrology(self.world, intensity, self.board.drain_multipliers(step_idx))
 
         now = self.world.step  # post-hydrology step index
         # this step's routing arrays; they stay fixed while the agents move

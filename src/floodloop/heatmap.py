@@ -76,15 +76,14 @@ def emit_heatmap(values: np.ndarray, palette_name: str) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width_px}" height="{height_px}" '
         f'viewBox="0 0 {width_px} {height_px}">'
     ]
-    colors: dict[float, str] = {}  # densities are mostly small counts, so few distinct values
-    for r, row in enumerate(values.tolist()):
-        for c, value in enumerate(row):
-            color = colors.get(value)
-            if color is None:
-                color = colors[value] = _color(value, lo, hi, palette)
-            parts.append(
-                f'<rect x="{c * CELL_PX}" y="{r * CELL_PX}" width="{CELL_PX}" height="{CELL_PX}" fill="{color}"/>'
-            )
+    rows = values.tolist()
+    # each <rect> is its column's head, its row's middle and its value's
+    # tail; densities are mostly small counts, so there are few tails
+    tails = {value: f'{_color(value, lo, hi, palette)}"/>' for value in set().union(*rows)}
+    heads = [f'<rect x="{c * CELL_PX}" y="' for c in range(w)]
+    for r, row in enumerate(rows):
+        middle = f'{r * CELL_PX}" width="{CELL_PX}" height="{CELL_PX}" fill="'
+        parts += [head + middle + tails[value] for head, value in zip(heads, row)]
     y = h * CELL_PX + 18
     parts.append(
         f'<text x="2" y="{y}" font-family="monospace" font-size="12">min={lo:.4f} max={hi:.4f}</text>'

@@ -47,14 +47,27 @@ class MetricsSnapshot:
         return {"f": self.f, "t": self.t, "c": self.c, "r": self.r}
 
 
+def _mean(values: np.ndarray) -> float:
+    """`np.mean` of a non-empty 1-D float array, without its dispatch: the
+    same pairwise sum divided by the count."""
+    return float(np.add.reduce(values) / len(values))
+
+
 def _sigmoid_scores(values: np.ndarray) -> np.ndarray:
-    """sigmoid((x - mu) / sigma) per entry; all 0.5 when sigma = 0."""
-    mu = float(np.mean(values))
-    sigma = float(np.std(values))
+    """sigmoid((x - mu) / sigma) per entry; all 0.5 when sigma = 0.
+
+    mu and sigma are what `np.mean` and `np.std` return, computed as
+    `np.std` computes them: the deviations from the mean, squared, summed
+    pairwise and divided by the count, then the square root. The
+    deviations are kept for z.
+    """
+    mu = _mean(values)
+    deviations = values - mu
+    sigma = float(np.sqrt(_mean(deviations * deviations)))
     if sigma == 0.0:
         return np.full_like(values, 0.5, dtype=np.float64)
-    z = (values - mu) / sigma
-    return 1.0 / (1.0 + np.exp(-z))
+    z = np.divide(deviations, -sigma, out=deviations)
+    return 1.0 / (1.0 + np.exp(z, out=z))
 
 
 def _region_scores(world: WorldState, name: str, cells: np.ndarray) -> np.ndarray:
@@ -80,11 +93,11 @@ def congestion_scores(world: WorldState) -> np.ndarray:
 
 
 def flood_index(world: WorldState) -> float:
-    return float(np.mean(flood_scores(world)))
+    return _mean(flood_scores(world))
 
 
 def congestion_index(world: WorldState) -> float:
-    return float(np.mean(congestion_scores(world)))
+    return _mean(congestion_scores(world))
 
 
 def trip_rates(cancelled: int, on_time_arrived: int, spawned: int) -> tuple[float, float]:

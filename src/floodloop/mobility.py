@@ -15,8 +15,9 @@ Routing is exact A* over the road graph, contracted once per road mask:
 nodes are junctions and dead ends, and each edge is a chain of degree-2
 cells (`RoadGraph`, built by `road_graph` and memoised per mask). One
 `Router` per step and role holds the step's flat padded arrays: the
-blocked cells, the costs and the component labels, which answer
-unreachable pairs without a search. The labels come from the graph: the
+blocked cells, the costs and, once a replan or a failed search asks for
+them, the component labels, which answer unreachable pairs without a
+search. The labels come from the graph: the
 free nodes are joined along the chains that hold no blocked cell, and a
 free cell inside a chain takes the label of an end node that no blocked
 cell cuts it off from, or one of its own when both ends are cut off. The
@@ -267,12 +268,15 @@ class Router:
     edges hold a blocked cell and what each costs, are computed on the
     first search, so a router that never searches pays nothing for them.
 
-    The component labels of the free cells (0 on blocked cells), also
-    computed on first use, decide reachability: `route(o, d)` searches
-    only when o == d, or when d's label is non-zero and equals the label of
-    o or of one of o's four neighbours. That is exactly when A* succeeds,
-    since A* may step off a blocked origin; every other pair is None
-    without a search. `route` memoises `plan_path` by (origin,
+    The component labels of the free cells (0 on blocked cells) decide
+    reachability once they exist: `route(o, d)` then searches only when
+    o == d, or when d's label is non-zero and equals the label of o or of
+    one of o's four neighbours. That is exactly when A* succeeds, since A*
+    may step off a blocked origin; every other pair is None without a
+    search. The labels are computed when something asks for them: a search
+    that fails, so the next refused pair costs none, and `_replan`, whose
+    pairs a blocked cell has often cut off. A router whose searches all
+    succeed never computes them. `route` memoises `plan_path` by (origin,
     destination); the memo is only as valid as the arrays, so build a new
     Router whenever the mask or the costs change.
     """
@@ -298,8 +302,7 @@ class Router:
 
     @property
     def labels(self) -> memoryview:
-        """One component label per padded cell, computed on first use: a
-        router that is never asked for a route pays nothing for them. 0 on
+        """One component label per padded cell, computed on first use. 0 on
         blocked cells, and two free cells share a label exactly when a
         4-connected walk over free cells joins them.
 
@@ -332,11 +335,9 @@ class Router:
 
     def with_unit_cost(self) -> "Router":
         """A router over the same mask with unit costs and its own path
-        memo; it shares this router's blocked bytes, component labels and
-        blocked edges instead of computing them again. The labels are
-        computed here if need be, since the twin is made to route."""
+        memo; it shares this router's blocked bytes, blocked edges and
+        component labels, if computed, instead of computing them again."""
         twin = copy.copy(self)
-        twin._labels = self.labels
         twin.cost = None
         twin._cost_weights = None
         twin._paths = {}
@@ -373,7 +374,12 @@ class Router:
     def route(self, origin: Cell, destination: Cell) -> list[Cell] | None:
         key = (origin, destination)
         if key not in self._paths:
-            path = plan_path(origin, destination, self) if self._reachable(origin, destination) else None
+            if self._labels is None or self._reachable(origin, destination):
+                path = plan_path(origin, destination, self)
+                if path is None:
+                    self.labels  # the search failed: let the labels refuse the next such pair
+            else:
+                path = None
             self._paths[key] = None if path is None else tuple(path)
         path = self._paths[key]
         return None if path is None else list(path)
@@ -766,7 +772,10 @@ def _advance_bus_leg(agent: AgentRecord, router: Router) -> None:
 
 
 def _replan(agent: AgentRecord, router: Router) -> bool:
-    # the blocked next cell already fails this step's mask, so A* avoids it
+    # the blocked next cell already fails this step's mask, so A* avoids
+    # it; the blockage often cuts the destination off too, and the labels
+    # refuse such a pair without a search that fails
+    router.labels
     if agent.role is Role.BUS:
         return reroute_bus(agent, router)
     if not router.passable(agent.pos):

@@ -156,11 +156,16 @@ class InstructionBoard:
         per step and hands the set to every `step_agent` call."""
         return {i.region for i in self.stops if self._active(i, step)}
 
-    def drain_multipliers(self, step: int) -> np.ndarray:
+    def drain_multipliers(self, step: int) -> np.ndarray | None:
+        """Each region's drainage multiplier at `step`: the largest of 1.0
+        and its active reliefs' multipliers. None when no relief is active,
+        which `step_hydrology` reads as all ones."""
+        active = [i for i in self.reliefs if self._active(i, step)]
+        if not active:
+            return None
         mult = np.ones(self.n_regions)
-        for i in self.reliefs:
-            if self._active(i, step):
-                mult[i.region] = max(mult[i.region], i.param("multiplier"))
+        for i in active:
+            mult[i.region] = max(mult[i.region], i.param("multiplier"))
         return mult
 
     def active_regions(self, step: int) -> tuple[int, ...]:

@@ -168,17 +168,6 @@ def box_filter(z: np.ndarray) -> np.ndarray:
     return z
 
 
-# one (cells, neighbours) pair of slices per direction, up, down, left,
-# right: a[cells] lines up with the neighbours a[neighbours] in that
-# direction. They fit any grid shape; a 1-wide grid has none that way.
-_PAIRS = (
-    (np.s_[1:, :], np.s_[:-1, :]),
-    (np.s_[:-1, :], np.s_[1:, :]),
-    (np.s_[:, 1:], np.s_[:, :-1]),
-    (np.s_[:, :-1], np.s_[:, 1:]),
-)
-
-
 @dataclass
 class WorldState:
     """One immutable-per-step snapshot of the grid environment.
@@ -188,11 +177,9 @@ class WorldState:
     each in [0, 1]. They are taken as given: `RunConfig.validate` is where
     a value outside that range is rejected.
 
-    `downhill_masks` holds, per direction of `_PAIRS`, 1.0 where that
-    neighbour lies strictly lower and 0.0 elsewhere, `downhill_counts` the
-    number of such neighbours, and `region_cells` each region's cell
-    count; `build_world` takes all three once, as terrain and regions
-    never change during a run.
+    `terrain` holds the fixed arrays of `step_hydrology` (`Terrain`) and
+    `region_cells` each region's cell count; `build_world` takes both
+    once, as terrain, roads and regions never change during a run.
 
     `region_scores` keeps the per-region scores that `metrics` computes
     from this state, at most once each; `replace` starts the next state
@@ -209,8 +196,7 @@ class WorldState:
     step: int
     n_regions: int
     params: WorldConfig
-    downhill_masks: tuple[np.ndarray, ...] = field(repr=False)
-    downhill_counts: np.ndarray = field(repr=False)
+    terrain: Terrain = field(repr=False)
     region_cells: np.ndarray = field(repr=False)
     road_runs: RoadRuns = field(repr=False)
     region_scores: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -227,16 +213,54 @@ class WorldState:
         return int(self.region_id[cell])
 
 
-def _downhill_structure(elevation: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Per direction, a float mask of the cells whose neighbour that way
-    lies strictly lower; and per cell, how many such neighbours it has."""
+@dataclass(frozen=True)
+class Terrain:
+    """The arrays `step_hydrology` reads on every step, taken once per
+    world by `terrain_of`.
+
+    All but `road` are flat over the grid padded by a one-cell ring, so
+    the neighbours of every cell lie at the fixed `offsets` (up, down,
+    left, right) and `_diffuse` reads each direction as one contiguous
+    slice. Per offset, a mask holds 1.0 where that neighbour lies strictly
+    lower, 0.0 where it does not, and -0.0 where there is none: on every
+    ring cell, and on an edge cell for the direction off the grid.
+    """
+
+    elevation: np.ndarray  # +0.0 on the ring
+    offsets: tuple[int, int, int, int]
+    masks: tuple[np.ndarray, ...]
+    counts: np.ndarray  # how many neighbours lie lower, as floats
+    safe_counts: np.ndarray  # max(counts, 1)
+    road: np.ndarray  # the road mask as floats, not padded
+
+
+def terrain_of(elevation: np.ndarray, is_road: np.ndarray) -> Terrain:
+    """The `Terrain` of an elevation field and its road mask."""
+    height, width = elevation.shape
+    row = width + 2
+    padded = np.zeros((height + 2, row))
+    padded[1:-1, 1:-1] = elevation
+    inside = np.zeros(padded.shape, dtype=bool)
+    inside[1:-1, 1:-1] = True
+    z, inside = padded.ravel(), inside.ravel()
+    # every cell of [lo, hi) has its four neighbours inside the padded grid
+    lo, hi = row + 1, z.size - row - 1
+    offsets = (-row, row, -1, 1)
     masks = []
-    for cells, neighbours in _PAIRS:
-        mask = np.zeros(elevation.shape, dtype=bool)
-        mask[cells] = elevation[neighbours] < elevation[cells]
+    for offset in offsets:
+        mask = np.full(z.size, -0.0)
+        neighbours = slice(lo + offset, hi + offset)
+        mask[lo:hi] = np.where(inside[lo:hi] & inside[neighbours], z[neighbours] < z[lo:hi], -0.0)
         masks.append(mask)
-    counts = np.sum(masks, axis=0)
-    return tuple(mask.astype(np.float64) for mask in masks), counts
+    counts = np.count_nonzero(np.array(masks) > 0, axis=0).astype(np.float64)
+    return Terrain(
+        elevation=z,
+        offsets=offsets,
+        masks=tuple(masks),
+        counts=counts,
+        safe_counts=np.maximum(counts, 1.0),
+        road=is_road.astype(np.float64),
+    )
 
 
 @dataclass(frozen=True)
@@ -286,7 +310,6 @@ def build_world(config: WorldConfig, seed: int) -> WorldState:
     # runoff; ponds then form on the road network at its low points
     elevation = elevation - ROAD_DEPRESSION * is_road
     region_id = partition_regions(width, height, config.n_regions)
-    masks, counts = _downhill_structure(elevation)
     return WorldState(
         width=width,
         height=height,
@@ -298,14 +321,13 @@ def build_world(config: WorldConfig, seed: int) -> WorldState:
         step=0,
         n_regions=config.n_regions,
         params=config,
-        downhill_masks=masks,
-        downhill_counts=counts,
+        terrain=terrain_of(elevation, is_road),
         region_cells=np.bincount(region_id.ravel(), minlength=config.n_regions),
         road_runs=region_road_index(is_road, region_id, config.n_regions),
     )
 
 
-def _diffuse(depth: np.ndarray, elevation: np.ndarray, masks, counts, rate: float) -> np.ndarray:
+def _diffuse(depth: np.ndarray, terrain: Terrain, rate: float) -> np.ndarray:
     """Move `rate` of each cell's water-surface excess over its
     downhill-neighbor mean surface, capped at the water present.
 
@@ -318,33 +340,43 @@ def _diffuse(depth: np.ndarray, elevation: np.ndarray, masks, counts, rate: floa
     too. Where `share * counts` rounds above the water present, the cell
     empties instead of going negative.
 
-    Each direction's terms are products with its float mask (`masks`,
-    from `_downhill_structure`), taken over the slice pairs of `_PAIRS`
-    into one scratch array, and summed in direction order. A cell with no
-    neighbour that way gets no term, where shifted copies padded with
-    zeros would add +0.0: that changes nothing, since both sums start from
-    +0.0 (`np.maximum(x, 0.0)` is +0.0 for either zero x), and a sum that
-    starts from +0.0 never turns -0.0, so the bits are the same.
+    The depth is copied into the padded layout of `terrain`, with +0.0 on
+    the ring, so each direction is one product of contiguous slices, at
+    the direction's offset, over the cells from the first interior one to
+    the last; the per-cell steps run over the whole padded grid, and the
+    interior is copied out at the end. Each cell's terms are summed in
+    direction order, starting from +0.0, as without the ring. Every term
+    that touches the ring is -0.0: the ring's surface and its share are
+    +0.0, and the mask is -0.0 on the ring and off the grid. Adding -0.0
+    leaves any sum as it is, so the bits are those of adding no term.
+
+    A cell with no lower neighbour needs no test: whatever finite share it
+    computes, it loses `share * 0` and sends a zero each way. A zero taken
+    away changes no depth after the clamp to 0.0 (which gives +0.0 for
+    either zero), and a zero added to a depth of at least +0.0 changes
+    none either.
     """
     if rate <= 0:
         return depth
-    surface = elevation + depth
-    scratch = np.empty_like(depth)
+    height, width = depth.shape
+    padded = np.zeros((height + 2, width + 2))
+    padded[1:-1, 1:-1] = depth
+    depth = padded.ravel()
+    lo, hi = width + 3, depth.size - width - 3
+    surface = terrain.elevation + depth
+    scratch = np.empty(hi - lo)
     neighbor_sum = np.zeros_like(depth)
-    for (cells, neighbours), mask in zip(_PAIRS, masks):
-        term = np.multiply(surface[neighbours], mask[cells], out=scratch[cells])
-        neighbor_sum[cells] += term
-    safe_counts = np.maximum(counts, 1)
-    neighbor_mean = neighbor_sum / safe_counts
-    excess = np.where(counts > 0, np.maximum(surface - neighbor_mean, 0.0), 0.0)
+    inner = neighbor_sum[lo:hi]
+    for offset, mask in zip(terrain.offsets, terrain.masks):
+        inner += np.multiply(surface[lo + offset : hi + offset], mask[lo:hi], out=scratch)
+    excess = np.maximum(surface - neighbor_sum / terrain.safe_counts, 0.0)
     outflow = np.minimum(rate * excess, depth)
-    share = outflow / safe_counts
-    new_depth = np.maximum(depth - share * counts, 0.0)
-    for (cells, neighbours), mask in zip(_PAIRS, masks):
+    share = outflow / terrain.safe_counts
+    new_depth = np.maximum(depth - share * terrain.counts, 0.0)
+    for offset, mask in zip(terrain.offsets, terrain.masks):
         # each cell sends its share to its downhill neighbour this way
-        term = np.multiply(share[cells], mask[cells], out=scratch[cells])
-        new_depth[neighbours] += term
-    return new_depth
+        new_depth[lo + offset : hi + offset] += np.multiply(share[lo:hi], mask[lo:hi], out=scratch)
+    return new_depth.reshape(padded.shape)[1:-1, 1:-1].copy()
 
 
 def step_hydrology(world: WorldState, intensity: float, drain_multiplier: np.ndarray | None) -> WorldState:
@@ -355,15 +387,14 @@ def step_hydrology(world: WorldState, intensity: float, drain_multiplier: np.nda
     - sum(d_cell * depth_cell), with drainage applied to the pre-step field
     and diffusion conserving the total exactly.
     """
-    p = world.params
-    depth = world.water_depth
-    d = np.full(world.shape, p.drainage_rate)
-    if drain_multiplier is not None:
-        d = np.clip(d * drain_multiplier[world.region_id], 0.0, 1.0)
-    depth = depth * (1.0 - d)
+    p, terrain = world.params, world.terrain
+    if drain_multiplier is None:
+        depth = world.water_depth * (1.0 - p.drainage_rate)
+    else:
+        depth = world.water_depth * (1.0 - np.clip(p.drainage_rate * drain_multiplier[world.region_id], 0.0, 1.0))
     if intensity > 0 and p.inflow_coeff > 0:
-        depth = depth + np.where(world.is_road, intensity * p.inflow_coeff, 0.0)
-    depth = _diffuse(depth, world.elevation, world.downhill_masks, world.downhill_counts, p.diffusion_rate)
+        depth = depth + terrain.road * (intensity * p.inflow_coeff)
+    depth = _diffuse(depth, terrain, p.diffusion_rate)
     return replace(world, water_depth=depth, step=world.step + 1)
 
 

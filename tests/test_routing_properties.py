@@ -1,12 +1,13 @@
 """A* over the contracted road graph against the per-cell-callable A*
 that the package first had, kept here as the oracle: every route must
 cost what the oracle's costs. Also the graph's structure, the per-step
-path memo, the unit-cost twin that shares a router's component labels,
-and the router's reachability rule. Its labels come from the graph: free
-nodes joined along chains with no blocked cell, and a free chain cell
-labelled by an end node it reaches, or on its own when blocked cells cut
-it off from both. Where scipy is installed, the rule is checked against
-the one the package had over `ndimage.label`'s 4-connected grid labels."""
+path memo, the unit-cost twin that shares a router's component labels
+once the router has them, when a router computes its labels, and the
+router's reachability rule. Its labels come from the graph: free nodes
+joined along chains with no blocked cell, and a free chain cell labelled
+by an end node it reaches, or on its own when blocked cells cut it off
+from both. Where scipy is installed, the rule is checked against the one
+the package had over `ndimage.label`'s 4-connected grid labels."""
 
 from __future__ import annotations
 
@@ -162,10 +163,12 @@ def test_route_memo_returns_the_planned_path(case, data):
 @given(routing_cases(n_pairs=4), st.data())
 def test_unit_cost_twin_routes_like_a_fresh_router(case, data):
     # the spawn router of a step with routing penalties shares the costed
-    # router's labels; its answers and memo must be those of its own router
+    # router's labels once computed; its answers and memo must be those of
+    # its own router
     mask, cost, pairs = case
     origins = [o for o, _ in pairs]
     costed = make_router(mask, cost, origins)
+    costed.labels
     twin = costed.with_unit_cost()
     fresh = make_router(mask, None, origins)
     assert twin.labels is costed.labels and twin.blocked is costed.blocked
@@ -346,6 +349,7 @@ def test_unreachable_result_is_memoised(monkeypatch):
     mask = np.ones((3, 3), dtype=bool)
     mask[:, 1] = False
     router = make_router(mask)
+    router.labels
     assert router.route((0, 0), (0, 2)) is None
     assert router.route((0, 0), (0, 2)) is None
     assert calls == []  # the component labels answer without a search
@@ -363,9 +367,63 @@ def test_route_searches_exactly_the_pairs_astar_can_join(case):
         calls = count_plans(mp)
         for origin, destination in pairs:
             found = plan(origin, destination, make_router(mask, cost, [origin])) is not None
+            router = make_router(mask, cost, [origin])
+            router.labels
             calls.clear()
-            assert (make_router(mask, cost, [origin]).route(origin, destination) is not None) == found
+            assert (router.route(origin, destination) is not None) == found
             assert calls == ([(origin, destination)] if found else [])
+
+
+def test_router_whose_routes_all_succeed_never_labels(monkeypatch):
+    calls = count_plans(monkeypatch)
+    mask = np.ones((5, 5), dtype=bool)
+    mask[2, 1:4] = False
+    router = make_router(mask)
+    twin = router.with_unit_cost()
+    for o, d in (((0, 0), (4, 4)), ((4, 0), (0, 2)), ((1, 2), (3, 2)), ((0, 0), (4, 4))):
+        assert router.route(o, d) is not None and twin.route(o, d) is not None
+    assert len(calls) == 6  # each pair searched once per router, the repeat from the memo
+    assert router._labels is None and twin._labels is None
+
+
+@settings(deadline=None, max_examples=200)
+@given(routing_cases(n_pairs=4))
+def test_failed_search_labels_and_the_next_refused_pair_costs_none(case):
+    mask, cost, pairs = case
+    router = make_router(mask, cost, [o for o, _ in pairs])
+    labelled = make_router(mask, cost, [o for o, _ in pairs])
+    labelled.labels
+    with pytest.MonkeyPatch.context() as mp:
+        calls = count_plans(mp)
+        failed = 0
+        for origin, destination in pairs:
+            searched = len(calls)
+            path = router.route(origin, destination)
+            assert path == labelled.route(origin, destination)
+            if path is None and len(calls) > searched:
+                failed += 1
+            assert (router._labels is None) == (failed == 0)
+        assert failed <= 1  # once the labels exist, no search fails
+
+
+def test_replan_labels_before_it_searches(monkeypatch):
+    mask = np.ones((3, 5), dtype=bool)
+    mask[:, 2] = False  # the middle column cuts the grid in two
+    router = make_router(mask)
+    seen = []
+    plan = mob.plan_path
+
+    def recording(origin, destination, r):
+        seen.append(r._labels is not None)
+        return plan(origin, destination, r)
+
+    monkeypatch.setattr(mob, "plan_path", recording)
+    near = mob.AgentRecord(0, mob.Role.RESIDENT, (2, 0), (0, 0), [(0, 0), (0, 1)], mob.Status.ENROUTE, 9, 0, 1)
+    assert mob._replan(near, router) and near.path[-1] == (2, 0)
+    assert seen == [True]
+    far = mob.AgentRecord(1, mob.Role.RESIDENT, (0, 4), (0, 0), [(0, 0), (0, 1)], mob.Status.ENROUTE, 9, 0, 1)
+    assert not mob._replan(far, router)
+    assert seen == [True]  # the labels refuse the cut-off destination without a search
 
 
 def test_new_step_router_recomputes(monkeypatch):

@@ -3,7 +3,6 @@ board's reversible effects."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from floodloop import translate as tr
@@ -95,7 +94,7 @@ def test_board_noop_records_only():
     assert board.closed_cells(5) == set()
     assert board.region_penalties(5) == {}
     assert board.bus_held(5) == set()
-    assert np.all(board.drain_multipliers(5) == 1.0)
+    assert board.drain_multipliers(5) is None
 
 
 def test_board_obstacle_window():
@@ -110,13 +109,13 @@ def test_board_obstacle_window():
 def test_board_relief_trace_reversible():
     board = tr.InstructionBoard(4)
     board.dispatch([tr.Instruction(tr.Tag.RELIEF, 2, None, (("multiplier", 3.0),), (5, 9))])
-    trace = {step: board.drain_multipliers(step)[2] for step in range(12)}
+    trace = {step: board.drain_multipliers(step) for step in range(12)}
     for step in range(5):
-        assert trace[step] == 1.0
+        assert trace[step] is None
     for step in range(5, 10):
-        assert trace[step] == 3.0
+        assert trace[step].tolist() == [1.0, 1.0, 3.0, 1.0]
     for step in (10, 11):
-        assert trace[step] == 1.0
+        assert trace[step] is None
 
 
 def test_board_stop_and_routing_queries():

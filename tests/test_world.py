@@ -41,10 +41,8 @@ def flat_world(width=8, height=8, n_regions=4, depth=0.0):
     config = WorldConfig(width, height, n_regions, inflow_coeff=0.0, drainage_rate=0.0, diffusion_rate=0.2)
     ws = w.build_world(config, 1)
     elevation = np.zeros((height, width))
-    masks, counts = w._downhill_structure(elevation)
     ws.elevation = elevation
-    ws.downhill_masks = masks
-    ws.downhill_counts = counts
+    ws.terrain = w.terrain_of(elevation, ws.is_road)
     ws.water_depth = np.full((height, width), float(depth))
     return ws
 
@@ -120,10 +118,8 @@ def test_single_wet_cell_conserved():
     # one raised cell so there is a gradient to diffuse along
     elevation = np.zeros((8, 8))
     elevation[4, 4] = 1.0
-    masks, counts = w._downhill_structure(elevation)
     ws.elevation = elevation
-    ws.downhill_masks = masks
-    ws.downhill_counts = counts
+    ws.terrain = w.terrain_of(elevation, ws.is_road)
     ws.water_depth[4, 4] = 1.0
     nxt = w.step_hydrology(ws, 0.0, None)
     assert nxt.water_depth.sum() == pytest.approx(1.0, rel=1e-12)
