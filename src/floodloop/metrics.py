@@ -59,7 +59,7 @@ def _sigmoid_scores(values: np.ndarray) -> np.ndarray:
     mu and sigma are what `np.mean` and `np.std` return, computed as
     `np.std` computes them: the deviations from the mean, squared, summed
     pairwise and divided by the count, then the square root. The
-    deviations are kept for z.
+    deviations divided by -sigma are exactly -z, the argument of `exp`.
     """
     mu = _mean(values)
     deviations = values - mu

@@ -177,9 +177,10 @@ class WorldState:
     each in [0, 1]. They are taken as given: `RunConfig.validate` is where
     a value outside that range is rejected.
 
-    `terrain` holds the fixed arrays of `step_hydrology` (`Terrain`) and
-    `region_cells` each region's cell count; `build_world` takes both
-    once, as terrain, roads and regions never change during a run.
+    `terrain` holds the elevation and the other fixed arrays of
+    `step_hydrology` (`Terrain`), and `region_cells` each region's cell
+    count; `build_world` takes both once, as terrain, roads and regions
+    never change during a run.
 
     `region_scores` keeps the per-region scores that `metrics` computes
     from this state, at most once each; `replace` starts the next state
@@ -188,7 +189,6 @@ class WorldState:
 
     width: int
     height: int
-    elevation: np.ndarray
     is_road: np.ndarray
     region_id: np.ndarray
     water_depth: np.ndarray
@@ -313,7 +313,6 @@ def build_world(config: WorldConfig, seed: int) -> WorldState:
     return WorldState(
         width=width,
         height=height,
-        elevation=elevation,
         is_road=is_road,
         region_id=region_id,
         water_depth=np.zeros((height, width), dtype=np.float64),

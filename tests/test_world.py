@@ -40,9 +40,7 @@ def flat_world(width=8, height=8, n_regions=4, depth=0.0):
     """Small world with flat elevation so diffusion has no downhill moves."""
     config = WorldConfig(width, height, n_regions, inflow_coeff=0.0, drainage_rate=0.0, diffusion_rate=0.2)
     ws = w.build_world(config, 1)
-    elevation = np.zeros((height, width))
-    ws.elevation = elevation
-    ws.terrain = w.terrain_of(elevation, ws.is_road)
+    ws.terrain = w.terrain_of(np.zeros((height, width)), ws.is_road)
     ws.water_depth = np.full((height, width), float(depth))
     return ws
 
@@ -118,7 +116,6 @@ def test_single_wet_cell_conserved():
     # one raised cell so there is a gradient to diffuse along
     elevation = np.zeros((8, 8))
     elevation[4, 4] = 1.0
-    ws.elevation = elevation
     ws.terrain = w.terrain_of(elevation, ws.is_road)
     ws.water_depth[4, 4] = 1.0
     nxt = w.step_hydrology(ws, 0.0, None)
