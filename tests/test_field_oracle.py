@@ -305,11 +305,6 @@ def test_sigmoid_scores_and_their_mean_hold_the_bits_of_np_mean_and_std(values):
         assert np.float64(m._mean(vector)).tobytes() == np.mean(vector).tobytes()
 
 
-def test_constant_vectors_score_one_half():
-    for values in (np.zeros(1), np.full(64, -0.0), np.full(1000, 1e8), np.full(3, SUBNORMAL)):
-        assert m._sigmoid_scores(values).tolist() == [0.5] * len(values)
-
-
 @st.composite
 def agent_crowds(draw):
     height, width = draw(shapes)
