@@ -4,10 +4,15 @@ The world is built from `RunConfig.world`, which it keeps as the
 parameters of its hydrology. Step order: rain/drain/diffuse the water field, step every non-terminal
 agent against the fresh snapshot (ids ascending), write the aggregated
 car density back, then spawn new demand (newly spawned agents wait until
-the next step). Passability and routing costs are built as arrays once
-per step, since they only depend on depth, closures and penalties; each
-role's `Router` holds them, and every route planned in the step reads
-those arrays. A router labels its connected components over the road
+the next step). Passability is built as arrays once per step, since it
+only depends on depth and closures; each role's `Router` holds them, and
+every route planned in the step reads those arrays. Routing costs depend
+on the penalties alone, which change far less often than every step: the
+engine keeps the last penalty set with its `RouteCosts`, which both of a
+step's routers share, and makes new ones only when the board's set
+changes. Their per-chain-cell and per-edge costs are built on the first
+search that reads them, so a penalty set that no search meets builds
+nothing. A router labels its connected components over the road
 graph (free nodes joined along chains with no blocked cell, chain cells
 by the end nodes they reach) only when a replan or a failed search asks,
 so a step whose routes all succeed, the spawns' included, labels
@@ -20,7 +25,8 @@ record, dump and spawns and times departures. With no relief active the
 board's drain multipliers are None, and the world drains at one rate.
 Each non-terminal agent still costs one `step_agent` call per step,
 with its role's router; a resident whose next cell is open takes the
-short path there (one lookup in the router's blocked bytes), and the
+short path there (one lookup in the router's blocked bytes), a blocked
+one that replans makes one `Router.replan` query, and the
 calls return event kinds, which the step counts into
 `StepRecord.events`. The loop reads each agent's status once after its
 call: terminal agents drop out of `active`, and the enroute ones are
@@ -48,6 +54,7 @@ from .mobility import (
     AgentRecord,
     Poi,
     Role,
+    RouteCosts,
     Router,
     Status,
     TripLog,
@@ -81,6 +88,9 @@ class SimulationEngine:
         self.agents: list[AgentRecord] = []
         self.active: list[AgentRecord] = []
         self.enroute = 0  # agents spawn waiting, so none is enroute until a step
+        # the last penalty set and its routing costs, None while it is empty
+        self._penalties: dict[int, float] = {}
+        self._costs: RouteCosts | None = None
         self._next_id = 0
         self._detour_rng = pystream(config.seed, "detour-coins")
         self.pois: list[Poi] = default_pois(self.world, config.mobility.n_pois, config.seed)
@@ -158,9 +168,13 @@ class SimulationEngine:
         now = self.world.step  # post-hydrology step index
         # this step's routing arrays; they stay fixed while the agents move
         closed = self.board.closed_cells(step_idx)
-        cost = self._cost_grid(self.board.region_penalties(step_idx))
-        router_res = Router(self._passable_mask(Role.RESIDENT, closed), self.graph, cost)
-        router_bus = Router(self._passable_mask(Role.BUS, closed), self.graph, cost)
+        penalties = self.board.region_penalties(step_idx)
+        if penalties != self._penalties:
+            grid = self._cost_grid(penalties)
+            self._penalties, self._costs = penalties, None if grid is None else RouteCosts(self.graph, grid)
+        costs = self._costs
+        router_res = Router(self._passable_mask(Role.RESIDENT, closed), self.graph, costs)
+        router_bus = Router(self._passable_mask(Role.BUS, closed), self.graph, costs)
         held = self.board.bus_held(step_idx)
 
         world, rng, trip_log = self.world, self._detour_rng, self.trip_log
@@ -191,7 +205,7 @@ class SimulationEngine:
                 mc.spawn_rate,
                 self.config.seed,
                 step=now,
-                router=router_res if cost is None else router_res.with_unit_cost(),
+                router=router_res if costs is None else router_res.with_unit_cost(),
                 id_start=self._next_id,
             )
             self._next_id += mc.spawn_rate

@@ -14,16 +14,18 @@ cancelled, held), the only part of an event that feedback reads.
 Routing is exact A* over the road graph, contracted once per road mask:
 nodes are junctions and dead ends, and each edge is a chain of degree-2
 cells (`RoadGraph`, built by `road_graph` and memoised per mask). One
-`Router` per step and role holds the step's flat padded arrays: the
-blocked cells, the costs and, once a replan or a failed search asks for
-them, the component labels, which answer unreachable pairs without a
-search. The labels come from the graph: the
-free nodes are joined along the chains that hold no blocked cell, and a
-free cell inside a chain takes the label of an end node that no blocked
-cell cuts it off from, or one of its own when both ends are cut off. The
-router derives which edges are blocked and what each costs on its first
-search. `plan_path` searches between nodes, enters and leaves chains at
-the origin and destination, and returns the full cell list.
+`Router` per step and role holds the step's flat padded blocked cells
+and, once a replan or a failed search asks for them, the component
+labels, which answer unreachable pairs without a search. The labels come
+from the graph: the free nodes are joined along the chains that hold no
+blocked cell, and a free cell inside a chain takes the label of an end
+node that no blocked cell cuts it off from, or one of its own when both
+ends are cut off. The router derives which edges are blocked on its
+first search. What each chain cell and edge costs comes from a
+`RouteCosts`, which routers share: the engine keeps one per penalty set,
+and it builds its costs on the first search that reads them. `plan_path`
+searches between nodes, enters and leaves chains at the origin and
+destination, and returns the full cell list.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -64,9 +66,10 @@ class Status(str, Enum):
     CANCELLED = "cancelled"
 
 
-# the members `step_agent` tests on every call: reading one through its
-# enum class costs about ten times reading a module global
+# the members `step_agent` and `TripLog.close` test: reading one through
+# its enum class costs about ten times reading a module global
 _RESIDENT, _WAITING = Role.RESIDENT, Status.WAITING
+_ARRIVED, _CANCELLED = Status.ARRIVED, Status.CANCELLED
 
 
 @dataclass
@@ -90,8 +93,7 @@ class AgentRecord:
     stop_index: int = 0
 
 
-@dataclass(frozen=True)
-class TripRecord:
+class TripRecord(NamedTuple):
     agent_id: int
     role: Role
     departure_step: int
@@ -101,7 +103,7 @@ class TripRecord:
 
     @property
     def on_time(self) -> bool:
-        return self.outcome is Status.ARRIVED and self.travel_steps <= ON_TIME_FACTOR * self.planned_steps
+        return self.outcome is _ARRIVED and self.travel_steps <= ON_TIME_FACTOR * self.planned_steps
 
 
 class TripLog:
@@ -119,19 +121,14 @@ class TripLog:
 
     def close(self, agent: AgentRecord) -> None:
         record = TripRecord(
-            agent_id=agent.id,
-            role=agent.role,
-            departure_step=agent.departure_step,
-            outcome=agent.status,
-            travel_steps=agent.travel_steps,
-            planned_steps=agent.planned_steps,
+            agent.id, agent.role, agent.departure_step, agent.status, agent.travel_steps, agent.planned_steps
         )
         self.records.append(record)
-        if record.outcome is Status.ARRIVED:
+        if record.outcome is _ARRIVED:
             self.arrived += 1
             if record.on_time:
                 self.arrived_on_time += 1
-        elif record.outcome is Status.CANCELLED:
+        elif record.outcome is _CANCELLED:
             self.cancelled += 1
 
 
@@ -154,7 +151,9 @@ class RoadGraph:
     (start, index, end) with `chain[index] == i` and the edge spanning
     `chain[start:end]`.
     `cells[i]` is the (row, col) of flat index `i`, and `distances[j][i]`
-    is |i - j|, the row and column terms of the heuristic.
+    is |i - j|, the row and column terms of the heuristic. `chain_grid`
+    holds each chain cell's flat index in the unpadded grid, where a cost
+    grid is read.
 
     For the component labels, the nodes are numbered in index order,
     `nodes[n]` being node n's flat index, and each chain is laid out once
@@ -227,6 +226,7 @@ class RoadGraph:
             self.out[u] = tuple((e, v) for _, e, v in sorted(edges))
         self.lengths = np.diff(self.offsets).astype(np.float64).tolist()
         self.chain_array = np.array(self.chain, dtype=np.intp)
+        self.chain_grid = (rows - 1)[self.chain_array] * width + (cols - 1)[self.chain_array]
         self.starts = np.array(self.offsets[:-1], dtype=np.intp)
         runs: list[int] = []
         spans: list[tuple[int, int]] = []
@@ -256,17 +256,38 @@ def _road_graph(shape: tuple[int, int], road: bytes) -> RoadGraph:
     return RoadGraph(np.frombuffer(road, dtype=bool).reshape(shape))
 
 
+class RouteCosts:
+    """The routing costs of one per-cell cost grid (values >= 1) over one
+    road graph: each chain cell's cost, as an array, and each edge's, the
+    sum of its chain's, as a list for A*. Both are built on the first ask,
+    so costs that no search reads cost nothing. The engine keeps one per
+    penalty set and hands it to every router, its step's and the next
+    steps', until the set changes."""
+
+    def __init__(self, graph: RoadGraph, grid: np.ndarray):
+        self.graph = graph
+        self.grid = grid
+        self._weights: tuple[np.ndarray, list[float]] | None = None
+
+    def weights(self) -> tuple[np.ndarray, list[float]]:
+        """The cost of each chain cell and of each edge."""
+        if self._weights is None:
+            chain = self.grid.ravel()[self.graph.chain_grid]
+            self._weights = (chain, np.add.reduceat(chain, self.graph.starts).tolist())
+        return self._weights
+
+
 class Router:
     """One step's routing arrays for one role, with a path memo.
 
     Built from a boolean passable mask, the `RoadGraph` of a road mask that
     covers every passable cell (the engine's, of the world's unflooded
-    road) and an optional per-cell cost grid (values >= 1; None means unit
-    cost).
-    The mask and costs are copied into flat arrays over the grid padded by
-    one blocked cell on every side. The edge weights over the graph, which
-    edges hold a blocked cell and what each costs, are computed on the
-    first search, so a router that never searches pays nothing for them.
+    road) and the `RouteCosts` of a per-cell cost grid over that graph,
+    which routers may share; None means unit cost.
+    The mask is copied into flat bytes over the grid padded by one blocked
+    cell on every side. Which edges hold a blocked cell is computed on the
+    first search, so a router that never searches pays nothing for it; the
+    edge costs are the `RouteCosts`' own, built once for all its routers.
 
     The component labels of the free cells (0 on blocked cells) decide
     reachability once they exist: `route(o, d)` then searches only when
@@ -274,14 +295,15 @@ class Router:
     one of o's four neighbours. That is exactly when A* succeeds, since A*
     may step off a blocked origin; every other pair is None without a
     search. The labels are computed when something asks for them: a search
-    that fails, so the next refused pair costs none, and `_replan`, whose
+    that fails, so the next refused pair costs none, and a replan, whose
     pairs a blocked cell has often cut off. A router whose searches all
     succeed never computes them. `route` memoises `plan_path` by (origin,
     destination); the memo is only as valid as the arrays, so build a new
-    Router whenever the mask or the costs change.
+    Router whenever the mask or the costs change. `replan` is the one
+    query of a blocked resident.
     """
 
-    def __init__(self, passable: np.ndarray, graph: RoadGraph, cost: np.ndarray | None = None):
+    def __init__(self, passable: np.ndarray, graph: RoadGraph, costs: RouteCosts | None = None):
         self.graph = graph
         if (passable > graph.road).any():
             raise ValueError("the road graph must cover every passable cell")
@@ -291,13 +313,8 @@ class Router:
         free[1:-1, 1:-1] = passable
         self.blocked = np.logical_not(free).view(np.uint8).tobytes()
         self._labels: memoryview | None = None
-        self.cost: np.ndarray | None = None
-        if cost is not None:
-            padded = np.ones(free.shape)
-            padded[1:-1, 1:-1] = cost
-            self.cost = padded.ravel()
+        self.costs = costs
         self._blocked_weights: tuple[bytes, bytes] | None = None
-        self._cost_weights: tuple[list[float] | None, list[float]] | None = None
         self._paths: dict[tuple[Cell, Cell], tuple[Cell, ...] | None] = {}
 
     @property
@@ -338,28 +355,22 @@ class Router:
         memo; it shares this router's blocked bytes, blocked edges and
         component labels, if computed, instead of computing them again."""
         twin = copy.copy(self)
-        twin.cost = None
-        twin._cost_weights = None
+        twin.costs = None
         twin._paths = {}
         return twin
 
     def passable(self, cell: Cell) -> bool:
         return not self.blocked[(cell[0] + 1) * self.width + cell[1] + 1]
 
-    def weights(self) -> tuple[bytes, bytes, list[float] | None, list[float]]:
-        """The blocked flag of each chain cell, of each edge, the cost of each
-        chain cell (None at unit cost) and of each edge."""
+    def weights(self) -> tuple[bytes, bytes, np.ndarray | None, list[float]]:
+        """The blocked flag of each chain cell and of each edge, computed on
+        the first call, then the cost of each chain cell, as an array (None
+        at unit cost), and of each edge, from the shared `RouteCosts`."""
         graph = self.graph
         if self._blocked_weights is None:
             blocked = np.frombuffer(self.blocked, dtype=np.uint8)[graph.chain_array]
             self._blocked_weights = (blocked.tobytes(), np.logical_or.reduceat(blocked, graph.starts).tobytes())
-        if self._cost_weights is None:
-            if self.cost is None:
-                self._cost_weights = (None, graph.lengths)
-            else:
-                cost = self.cost[graph.chain_array]
-                self._cost_weights = (cost.tolist(), np.add.reduceat(cost, graph.starts).tolist())
-        return self._blocked_weights + self._cost_weights
+        return self._blocked_weights + ((None, graph.lengths) if self.costs is None else self.costs.weights())
 
     def _reachable(self, origin: Cell, destination: Cell) -> bool:
         if origin == destination:
@@ -383,6 +394,32 @@ class Router:
             self._paths[key] = None if path is None else tuple(path)
         path = self._paths[key]
         return None if path is None else list(path)
+
+    def replan(self, origin: Cell, destination: Cell) -> list[Cell] | None:
+        """A blocked resident's new route from `origin`: None when `origin`
+        is itself blocked, as a resident standing on a flooded cell does not
+        replan, else what `route` answers.
+
+        After the origin's blocked byte it reads the memo, then the labels,
+        and searches only a pair they join, memoising the answer as `route`
+        does. With a free origin the rule of `_reachable` comes down to the
+        two cells sharing a label, since each free neighbour of the origin
+        shares the origin's; the search then succeeds."""
+        width = self.width
+        start = (origin[0] + 1) * width + origin[1] + 1
+        if self.blocked[start]:
+            return None
+        key = (origin, destination)
+        if key in self._paths:
+            path = self._paths[key]
+            return None if path is None else list(path)
+        labels = self.labels
+        if labels[start] != labels[(destination[0] + 1) * width + destination[1] + 1]:
+            self._paths[key] = None
+            return None
+        path = plan_path(origin, destination, self)
+        self._paths[key] = tuple(path)
+        return path
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -443,7 +480,7 @@ def plan_path(origin: Cell, destination: Cell, router: Router) -> list[Cell] | N
         if chain_blocked.find(1, lo, hi) != -1:
             return None
         segments.append((left, lo, hi))
-        return -len(segments), float(hi - lo) if chain_cost is None else sum(chain_cost[lo:hi])
+        return -len(segments), float(hi - lo) if chain_cost is None else sum(chain_cost[lo:hi].tolist())
 
     into_goal: dict[int, list[tuple[int, float]]] = {}
     goal_sides = graph.interior.get(goal, ())
@@ -682,8 +719,9 @@ def step_agent(
 
     The role is tested once. A resident whose next cell is open, most
     steps of most agents, advances with one lookup in the router's blocked
-    bytes and returns; buses, and residents that cannot advance, take the
-    general path through `_advance` and `_replan`.
+    bytes and returns; one that draws the replan coin makes one
+    `Router.replan` query. Buses take the general path through `_advance`
+    and `_replan`.
     """
     if agent.status is _WAITING:
         if step < agent.departure_step:
@@ -693,7 +731,7 @@ def step_agent(
 
     if agent.role is _RESIDENT:
         if agent.pos == agent.destination:
-            return _finish(agent, Status.ARRIVED, trip_log, [])
+            return _finish(agent, _ARRIVED, "arrived", trip_log, [])
         i = agent.path_index + 1
         if i < len(agent.path):
             cell = agent.path[i]
@@ -701,46 +739,50 @@ def step_agent(
                 agent.pos = cell
                 agent.path_index = i
                 if cell == agent.destination:
-                    return _finish(agent, Status.ARRIVED, trip_log, ["advanced"])
+                    return _finish(agent, _ARRIVED, "arrived", trip_log, ["advanced"])
                 return ["advanced"]
-        advanced = False
+        if rng.random() < wait_probability:
+            kinds, advanced = ["waited"], False
+        else:
+            path = router.replan(agent.pos, agent.destination)
+            if path is None:
+                kinds, advanced = ["blocked"], False
+            else:
+                agent.path, agent.path_index = path, 0
+                kinds, advanced = ["replanned"], _advance(agent, router)
     elif world.region_of(agent.pos) in held_regions:
         return ["held"]
     elif agent.pos == agent.destination:
-        return _finish(agent, Status.ARRIVED, trip_log, [])
+        return _finish(agent, _ARRIVED, "arrived", trip_log, [])
     else:
         if agent.path_index + 1 >= len(agent.path):
             # at an intermediate stop with the leg exhausted: open the next leg
             _advance_bus_leg(agent, router)
-        advanced = _advance(agent, router)
-
-    if advanced:
-        kinds = ["advanced"]
-    elif rng.random() < wait_probability:
-        kinds = ["waited"]
-    elif _replan(agent, router):
-        kinds = ["replanned"]
-        advanced = _advance(agent, router)
-    elif agent.status is Status.CANCELLED:
-        # bus rerouting found every remaining stop unreachable
-        return _finish(agent, Status.CANCELLED, trip_log, [])
-    else:
-        kinds = ["blocked"]
+        if _advance(agent, router):
+            kinds, advanced = ["advanced"], True
+        elif rng.random() < wait_probability:
+            kinds, advanced = ["waited"], False
+        elif _replan(agent, router):
+            kinds, advanced = ["replanned"], _advance(agent, router)
+        else:
+            # rerouting found every remaining stop unreachable
+            return _finish(agent, _CANCELLED, "cancelled", trip_log, [])
 
     if agent.pos == agent.destination:
-        return _finish(agent, Status.ARRIVED, trip_log, kinds)
+        return _finish(agent, _ARRIVED, "arrived", trip_log, kinds)
     if not advanced:
         agent.patience -= 1
         if agent.patience <= 0:
-            return _finish(agent, Status.CANCELLED, trip_log, kinds)
+            return _finish(agent, _CANCELLED, "cancelled", trip_log, kinds)
     return kinds
 
 
-def _finish(agent: AgentRecord, status: Status, trip_log: TripLog, kinds: list[str]) -> list[str]:
-    """End the trip with a terminal status: close it and add its event."""
+def _finish(agent: AgentRecord, status: Status, kind: str, trip_log: TripLog, kinds: list[str]) -> list[str]:
+    """End the trip with a terminal status: close it and add its event
+    `kind`, the status's value."""
     agent.status = status
     trip_log.close(agent)
-    kinds.append(status.value)
+    kinds.append(kind)
     return kinds
 
 
@@ -771,21 +813,13 @@ def _advance_bus_leg(agent: AgentRecord, router: Router) -> None:
         agent.path_index = 0
 
 
-def _replan(agent: AgentRecord, router: Router) -> bool:
+def _replan(bus: AgentRecord, router: Router) -> bool:
     # the blocked next cell already fails this step's mask, so A* avoids
-    # it; the blockage often cuts the destination off too, and the labels
-    # refuse such a pair without a search that fails
+    # it; the blockage often cuts stops off too, and the labels refuse
+    # such a leg without a search that fails. False only when `reroute_bus`
+    # has cancelled the bus.
     router.labels
-    if agent.role is Role.BUS:
-        return reroute_bus(agent, router)
-    if not router.passable(agent.pos):
-        return False  # standing on a blocked cell
-    path = router.route(agent.pos, agent.destination)
-    if path is None:
-        return False
-    agent.path = path
-    agent.path_index = 0
-    return True
+    return reroute_bus(bus, router)
 
 
 def aggregate_flows(agents: Iterable[AgentRecord], world: WorldState) -> np.ndarray:

@@ -7,8 +7,8 @@ Each test runs on a window of several steps and on a one-step window
 the board right before step s executes, as the decision loop dispatches
 at a cycle boundary. Each effect is observed where the engine hands it
 on, by wrapping the name where `floodloop.engine` looks it up: the drain
-multiplier passed to `step_hydrology`, the mask and the cost passed to
-`Router`, and the held-region set passed to `step_agent`. The world gets
+multiplier passed to `step_hydrology`, the mask and the costs passed to
+`Router` (their cost grid), and the held-region set passed to `step_agent`. The world gets
 no rain, so the closed road cell stays dry and only the closure can
 block it.
 """
@@ -90,7 +90,7 @@ def test_obstacle_closes_for_every_step_of_its_window(monkeypatch, window):
 @WINDOWS
 def test_routing_penalises_for_every_step_of_its_window(monkeypatch, window):
     def applied(cell, region, passable, graph, cost=None):
-        return cost is not None and cost[cell] == 1.0 + 8.0
+        return cost is not None and cost.grid[cell] == 1.0 + 8.0
 
     got = steps_in_force(monkeypatch, window, Tag.ROUTING, (("penalty", 8.0),), "Router", applied)
     assert got == executed(window)

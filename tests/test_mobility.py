@@ -23,7 +23,8 @@ def open_mask(shape, blocked=()):
 
 def open_router(shape, blocked=(), cost=None):
     # the road graph is the unflooded one, as in the engine: here every cell
-    return mob.Router(open_mask(shape, blocked), mob.road_graph(open_mask(shape)), cost)
+    graph = mob.road_graph(open_mask(shape))
+    return mob.Router(open_mask(shape, blocked), graph, None if cost is None else mob.RouteCosts(graph, cost))
 
 
 def road_mask(ws, blocked=()):

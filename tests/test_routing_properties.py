@@ -96,6 +96,11 @@ def routing_cases(draw, cost_values=st.integers(1, 4), n_pairs=1):
     return mask, cost, pairs
 
 
+def routed(mask, graph, cost=None):
+    """A Router over `graph` with the costs of the grid `cost`, unit when None."""
+    return mob.Router(mask, graph, None if cost is None else mob.RouteCosts(graph, cost))
+
+
 def make_router(mask, cost=None, origins=()):
     """A Router over the road graph of the passable cells and `origins`: as
     in the engine, whose graph is the unflooded road, an origin lies on the
@@ -103,7 +108,7 @@ def make_router(mask, cost=None, origins=()):
     road = mask.copy()
     for cell in origins:
         road[cell] = True
-    return mob.Router(mask, mob.road_graph(road), cost)
+    return routed(mask, mob.road_graph(road), cost)
 
 
 def oracle(mask, cost, origin, destination):
@@ -254,7 +259,7 @@ def test_small_spacings_route_like_cell_astar(spacing):
         mask[road[k]] = False  # flooded cells
     cost = rng.integers(1, 4, world.shape).astype(np.float64)
     for c in (None, cost):
-        router = mob.Router(mask, mob.road_graph(world.is_road), c)
+        router = routed(mask, mob.road_graph(world.is_road), c)
         for a, b in rng.choice(len(road), (60, 2)):
             o, d = road[a], road[b]
             got = mob.plan_path(o, d, router)
@@ -266,7 +271,7 @@ def lattice_router(blocked=(), cost=None):
     mask = world.is_road.copy()
     for cell in blocked:
         mask[cell] = False
-    return mask, mob.Router(mask, mob.road_graph(world.is_road), cost)
+    return mask, routed(mask, mob.road_graph(world.is_road), cost)
 
 
 def test_mid_chain_and_same_chain_pairs():
@@ -409,7 +414,8 @@ def test_failed_search_labels_and_the_next_refused_pair_costs_none(case):
 def test_replan_labels_before_it_searches(monkeypatch):
     mask = np.ones((3, 5), dtype=bool)
     mask[:, 2] = False  # the middle column cuts the grid in two
-    router = make_router(mask)
+    mask[1, 0] = False
+    router = make_router(mask, origins=[(1, 0)])
     seen = []
     plan = mob.plan_path
 
@@ -418,12 +424,15 @@ def test_replan_labels_before_it_searches(monkeypatch):
         return plan(origin, destination, r)
 
     monkeypatch.setattr(mob, "plan_path", recording)
-    near = mob.AgentRecord(0, mob.Role.RESIDENT, (2, 0), (0, 0), [(0, 0), (0, 1)], mob.Status.ENROUTE, 9, 0, 1)
-    assert mob._replan(near, router) and near.path[-1] == (2, 0)
+    assert router.replan((1, 0), (2, 0)) is None  # standing on a blocked cell
+    assert seen == [] and router._labels is None  # refused before the labels
+    near = router.replan((0, 0), (2, 1))
+    assert near[0] == (0, 0) and near[-1] == (2, 1)
     assert seen == [True]
-    far = mob.AgentRecord(1, mob.Role.RESIDENT, (0, 4), (0, 0), [(0, 0), (0, 1)], mob.Status.ENROUTE, 9, 0, 1)
-    assert not mob._replan(far, router)
+    assert router.replan((0, 0), (0, 4)) is None
     assert seen == [True]  # the labels refuse the cut-off destination without a search
+    assert router._paths == {((0, 0), (2, 1)): tuple(near), ((0, 0), (0, 4)): None}
+    assert router.replan((0, 0), (2, 1)) == near and seen == [True]  # the second ask from the memo
 
 
 def test_new_step_router_recomputes(monkeypatch):
