@@ -338,6 +338,23 @@ def test_bus_visits_stops_in_order():
     assert visited.index((0, 4)) < visited.index((4, 4))
 
 
+@pytest.mark.xfail(
+    strict=True, reason="step_agent closes a bus on stops[-1] even when that cell lies on an earlier leg"
+)
+def test_bus_does_not_close_on_its_last_stop_before_an_earlier_one():
+    # on a straight road the first leg, (0, 0) -> (0, 8), passes the last stop (0, 6)
+    ws = simple_world(width=10, height=1)
+    bus = mob.make_bus(1, [(0, 0), (0, 8), (0, 2), (0, 6)], 0, road_router(ws))
+    log = mob.TripLog()
+    log.note_spawn(1)
+    rng = pystream(3, "coin")
+    for step in range(1, 20):
+        mob.step_agent(bus, ws, road_router(ws), set(), rng, step, log, mob.WAIT_PROBABILITY)
+        if bus.pos == (0, 8) or bus.status is not mob.Status.ENROUTE:
+            break
+    assert (bus.pos, bus.status) == ((0, 8), mob.Status.ENROUTE)
+
+
 def test_reroute_skips_unreachable_stop():
     ws = grid_world()
     bus = mob.make_bus(1, [(0, 0), (0, 4), (4, 4)], 0, road_router(ws))

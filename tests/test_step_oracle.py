@@ -2,7 +2,9 @@
 
 The oracle below is the former `step_agent` with its helpers, kept
 verbatim except that each `StepEvent(kind, agent_id, region)` is reduced
-to its kind, as the engine only ever counted kinds. It asks a callable
+to its kind, as the engine only ever counted kinds, and that the router's
+former `passable(cell)` method is the local `passable(router, cell)`,
+which reads the same blocked byte. It asks a callable
 `bus_held(region)`, where the new version takes the step's set of held
 regions. Both run in lockstep over random small worlds, with a fresh
 blocked set and held set each step, on copies of the same residents and
@@ -27,6 +29,11 @@ from floodloop import world as w
 from floodloop.config import WorldConfig
 from floodloop.mobility import AgentRecord, Role, Router, Status, TripLog, road_graph
 from floodloop.rng import pystream
+
+
+def passable(router: Router, cell) -> bool:
+    """What the former `Router.passable` answered: the cell's blocked byte is 0."""
+    return not router.blocked[(cell[0] + 1) * router.width + cell[1] + 1]
 
 
 def oracle_reroute_bus(bus: AgentRecord, router: Router) -> tuple[AgentRecord, list]:
@@ -93,7 +100,7 @@ def oracle_step_agent(
 
     nxt = agent.path[agent.path_index + 1] if agent.path_index + 1 < len(agent.path) else None
     advanced = False
-    if nxt is not None and router.passable(nxt):
+    if nxt is not None and passable(router, nxt):
         agent.pos = nxt
         agent.path_index += 1
         advanced = True
@@ -110,7 +117,7 @@ def oracle_step_agent(
             if replanned:
                 events.append("replanned")
                 nxt2 = agent.path[agent.path_index + 1] if agent.path_index + 1 < len(agent.path) else None
-                if nxt2 is not None and router.passable(nxt2):
+                if nxt2 is not None and passable(router, nxt2):
                     agent.pos = nxt2
                     agent.path_index += 1
                     advanced = True
@@ -157,7 +164,7 @@ def oracle_replan(agent: AgentRecord, router: Router) -> bool:
     if agent.role is Role.BUS and len(agent.stops[agent.stop_index :]) >= 2:
         bus, _ = oracle_reroute_bus(agent, router)
         return bus.status is not Status.CANCELLED
-    if not router.passable(agent.pos):
+    if not passable(router, agent.pos):
         return False  # standing on a blocked cell
     path = router.route(agent.pos, agent.destination)
     if path is None:

@@ -1,8 +1,10 @@
 """No function in the package is there only for the tests.
 
 Every function and method defined in the package, nested ones included,
-must be referenced by name in the package: a module loads a name or an
-attribute of that name, or passes the name as a string to `getattr`. Its
+must be referenced in the package. A method, one defined straight in a
+class body, counts as referenced when a module loads an attribute of its
+name or passes the name as a string to `getattr`. A module-level or
+nested function counts through those and through a loaded name too. Its
 own `def` does not count, and neither do the tests. Dunder methods are
 called by Python itself and are exempt. Like the scan in
 `test_write_only_fields.py`, this one matches by name, not by binding: it
@@ -20,23 +22,28 @@ from test_write_only_fields import _modules, _read_names
 ALLOWED: dict[str, str] = {}
 
 
-def _referenced(tree: ast.Module):
-    yield from _read_names(tree)
+def _functions(tree: ast.Module):
+    """(name, is a method) for each function the module defines."""
+    methods = {id(stmt) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for stmt in cls.body}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, id(node) in methods
 
 
 def unreferenced_functions() -> set[str]:
     modules = _modules()
-    used = {name for tree in modules for name in _referenced(tree)}
-    return {
-        node.name
+    attributes = {name for tree in modules for name in _read_names(tree)}
+    names = attributes | {
+        node.id
         for tree in modules
         for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.name not in used
-        and not (node.name.startswith("__") and node.name.endswith("__"))
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return {
+        name
+        for tree in modules
+        for name, method in _functions(tree)
+        if name not in (attributes if method else names) and not (name.startswith("__") and name.endswith("__"))
     }
 
 
