@@ -23,13 +23,10 @@ regions), all at the index of the step being executed, so a window
 (s, e) acts on exactly steps s..e; the post-step index labels the
 record, dump and spawns and times departures. With no relief active the
 board's drain multipliers are None, and the world drains at one rate.
-Each non-terminal agent still costs one `step_agent` call per step,
-with its role's router; a resident whose next cell is open takes the
-short path there (one lookup in the router's blocked bytes), a blocked
-one that replans makes one `Router.replan` query, and the
-calls return event kinds, which the step counts into
-`StepRecord.events`. The loop reads each agent's status once after its
-call: terminal agents drop out of `active`, and the enroute ones are
+Each non-terminal agent costs one `step_agent` call per step, with its
+role's router, and the calls return event kinds, which the step counts
+into `StepRecord.events`. The loop reads each agent's status once after
+its call: terminal agents drop out of `active`, and the enroute ones are
 tallied, so `trip_counts` reads the enroute count from the last step and
 the trip log's running counts instead of scanning the agents (agents
 spawn waiting, so a spawn leaves the tally as it is). The car density is
