@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from floodloop import mobility as mob
 from floodloop.config import WorldConfig
+from floodloop.rng import pystream
 from floodloop.world import build_world
 
 Cell = tuple[int, int]
@@ -433,6 +434,28 @@ def test_replan_labels_before_it_searches(monkeypatch):
     assert seen == [True]  # the labels refuse the cut-off destination without a search
     assert router._paths == {((0, 0), (2, 1)): tuple(near), ((0, 0), (0, 4)): None}
     assert router.replan((0, 0), (2, 1)) == near and seen == [True]  # the second ask from the memo
+
+
+def test_bus_replan_labels_before_it_searches(monkeypatch):
+    # the bus's next cell (0, 1) is blocked and the middle column cuts its
+    # next stop (0, 4) off; the replan must refuse that leg without a search
+    world = build_world(WorldConfig(5, 3, 1, road_spacing=1), 0)
+    mask = np.ones((3, 5), dtype=bool)
+    mask[:, 2] = mask[0, 1] = False
+    bus = mob.make_bus(1, [(0, 0), (0, 4), (2, 1)], 0, make_router(np.ones((3, 5), dtype=bool)))
+    bus.status = mob.Status.ENROUTE
+    router = mob.Router(mask, mob.road_graph(world.is_road))
+    seen = []
+    plan = mob.plan_path
+
+    def recording(origin, destination, r):
+        seen.append((destination, r._labels is not None))
+        return plan(origin, destination, r)
+
+    monkeypatch.setattr(mob, "plan_path", recording)
+    events = mob.step_agent(bus, world, router, set(), pystream(0, "coin"), 1, mob.TripLog(), 0.0)
+    assert events == ["replanned"] and bus.stops == [(0, 0), (2, 1)] and bus.pos == (1, 0)
+    assert seen == [((2, 1), True)]
 
 
 def test_new_step_router_recomputes(monkeypatch):
