@@ -188,11 +188,10 @@ class ExternalBackend(StrategyBackend):
     """HTTP wire protocol for out-of-process strategy generators.
 
     Request JSON: {"prompt": str, "vocabulary": [action keys], "tau": float,
-    "cycle": int}. Response JSON carries either "probabilities" (one finite,
-    non-negative float per vocabulary entry; zeros are dropped) or
-    "ranking" (action keys of regions in [0, n_regions), best first,
-    converted to a distribution by softmax over negative ranks), plus an
-    optional "planned" map of expected f/t/c/r.
+    "cycle": int}. Response JSON is an object that carries "probabilities"
+    (one finite, non-negative float per vocabulary entry; zeros are
+    dropped) and may carry a "planned" map of expected f/t/c/r, each in
+    [0, 1]. Any other body is unusable.
 
     The consistency probes of a cycle resend the first call's request, and
     a stable endpoint answers them with the same bytes. So the last usable
@@ -256,26 +255,22 @@ def _parse_answer(raw: bytes, n_regions: int) -> BackendProposal:
     """The proposal of one response body, or BackendUnavailable."""
     try:
         body = json.loads(raw)
-    except ValueError as exc:  # a body that is not JSON
+    except (ValueError, RecursionError) as exc:  # a body that is not JSON, or nested too deep to parse
         raise BackendUnavailable(f"external backend failed: {exc}") from exc
-    planned = body.get("planned") if isinstance(body, dict) else None
+    if not isinstance(body, dict) or "probabilities" not in body:
+        raise BackendUnavailable("unusable external response: it carries no probabilities")
+    planned = body.get("planned")
     if planned is not None:
         try:
             planned = {k: float(planned[k]) for k in ("f", "t", "c", "r")}
+            for k, v in planned.items():
+                if not 0.0 <= v <= 1.0:  # also refuses NaN
+                    raise ValueError(f"{k} is {v!r}, not in [0, 1]")
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendUnavailable(f"malformed planned metrics: {exc}") from exc
     try:
-        if "probabilities" in body:
-            dist = _probabilities_to_distribution([float(p) for p in body["probabilities"]], n_regions)
-        elif "ranking" in body:
-            dist = ranking_to_distribution([str(k) for k in body["ranking"]])
-            for action in dist.support:
-                if not 0 <= action.region < n_regions:
-                    raise ValueError(f"ranked action {action.key()} is outside regions [0, {n_regions})")
-            dist.validate()
-        else:
-            raise ValueError("response carries neither probabilities nor ranking")
-    except Exception as exc:
+        dist = _probabilities_to_distribution([float(p) for p in body["probabilities"]], n_regions)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise BackendUnavailable(f"unusable external response: {exc}") from exc
     return BackendProposal(distribution=dist, planned_metrics=planned)
 
@@ -297,16 +292,6 @@ def _probabilities_to_distribution(probs: list[float], n_regions: int) -> Policy
     if not 0 < total < math.inf:
         raise ValueError(f"probabilities sum to {total!r}")
     return PolicyDistribution(tuple(vocab[i] for i in kept_at), tuple(p / total for p in kept))
-
-
-def ranking_to_distribution(ranked_keys: Sequence[str]) -> PolicyDistribution:
-    """Softmax over negative ranks: p_i proportional to exp(-i)."""
-    if not ranked_keys:
-        raise ValueError("empty ranking")
-    actions = tuple(HighLevelAction.parse(k) for k in ranked_keys)
-    weights = np.exp(-np.arange(len(actions), dtype=np.float64))
-    probs = weights / weights.sum()
-    return PolicyDistribution(support=actions, probs=tuple(float(p) for p in probs))
 
 
 def make_backend(strategy: str, config: RunConfig) -> StrategyBackend:

@@ -251,7 +251,7 @@ class SegmentStore:
         seg = Segment(id=seg_id, text=text)
         self.segments.append(seg)
         # normalised again: for some texts that moves the last bits of the
-        # embedder's unit vector, and the retrieval ranking and `sim=` text read these
+        # embedder's unit vector, and the retrieval order and `sim=` text read these
         self._units.append(_normalized(self.embedder.embed(text)))
         self._stacked = None
         self._ids.add(seg_id)
@@ -274,7 +274,7 @@ def retrieve_topk(query: np.ndarray, store: SegmentStore, k: int) -> list[tuple[
 
     One matrix product scores every segment and shortlists those within
     `SHORTLIST_SLACK` of the k-th best; only the shortlist is re-scored
-    with the per-segment `np.dot` whose value the ranking and the prompt's
+    with the per-segment `np.dot` whose value the order and the prompt's
     `sim=` text show. Every member of the exact top k, and every exact tie
     with its last member, is on the shortlist.
     """

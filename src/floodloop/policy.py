@@ -55,11 +55,6 @@ class HighLevelAction(NamedTuple):
     def key(self) -> str:
         return f"{self.verb.value}@{self.region}"
 
-    @staticmethod
-    def parse(key: str) -> "HighLevelAction":
-        verb, _, region = key.partition("@")
-        return HighLevelAction(Verb(verb), int(region))
-
 
 @lru_cache(maxsize=8)
 def action_vocabulary(n_regions: int) -> tuple[HighLevelAction, ...]:
@@ -77,9 +72,9 @@ def action_keys(n_regions: int) -> tuple[str, ...]:
 class PolicyDistribution:
     """Probability vector over a duplicate-free list of actions.
 
-    `validate` runs where a distribution enters the program from outside:
-    in `ScriptedBackend` and on `ExternalBackend`'s ranking path. Every
-    other distribution is valid by construction.
+    `validate` runs where a distribution enters the program from outside,
+    in `ScriptedBackend`. Every other distribution is valid by
+    construction.
     """
 
     support: tuple[HighLevelAction, ...]

@@ -9,7 +9,6 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -214,17 +213,6 @@ def test_scripted_rejects_an_invalid_distribution_when_built():
         b.ScriptedBackend([valid, unnormalized])
 
 
-# --- ranking conversion ---------------------------------------------------------------
-
-def test_ranking_softmax_over_negative_ranks():
-    keys = ["dispatch_relief@3", "reroute_region@1", "noop@0"]
-    dist = b.ranking_to_distribution(keys)
-    weights = np.exp(-np.arange(3))
-    expected = weights / weights.sum()
-    assert np.allclose(dist.probs, expected)
-    assert dist.support[0] == p.HighLevelAction(p.Verb.DISPATCH_RELIEF, 3)
-
-
 # --- external over HTTP ------------------------------------------------------------------
 
 class _Handler(BaseHTTPRequestHandler):
@@ -295,11 +283,7 @@ def test_external_probability_vector(http_backend):
     assert handler.raw_requests[2] == ("application/json", json.dumps(expected).encode("utf-8"))
 
 
-def test_external_ranking_response(http_backend):
-    url, handler = http_backend
-    handler.responses.append((200, {"ranking": ["close_road@2", "noop@0"]}))
-    proposal = b.ExternalBackend(url, timeout=2.0).propose(prompt_for(summary_with()), 4, 1.2, 1)
-    assert proposal.distribution.support[0] == p.HighLevelAction(p.Verb.CLOSE_ROAD, 2)
+PLANNED = {"f": 0.5, "t": 0.5, "c": 0.0, "r": 0.9}
 
 
 @pytest.mark.parametrize(
@@ -307,18 +291,29 @@ def test_external_ranking_response(http_backend):
     [
         (500, {"error": "boom"}),
         (200, {"probabilities": [0.5]}),
-        (200, {"ranking": []}),
-        (200, {"nothing": True}),
+        (200, {"nothing": True}, "it carries no probabilities"),
+        (200, {"ranking": ["close_road@2", "noop@0"]}, "it carries no probabilities"),
+        (200, [0.75, 0.25] + [0.0] * 18, "it carries no probabilities"),
+        (200, "probabilities", "it carries no probabilities"),
         (200, {"probabilities": []}),
         (503, {}),
         (200, b"<html>not json</html>"),
+        (200, b"[" * 100_000 + b"]" * 100_000),
+        (200, {"probabilities": "1.0"}, "could not convert string to float"),
+        (200, {"probabilities": 1.0}, "not iterable"),
+        (200, b'{"probabilities": [1' + b"0" * 400 + b"]}", "int too large to convert to float"),
         (200, {"probabilities": [float("nan")] + [0.05] * 19}, "probability of reroute_region@0 is nan"),
         (200, {"probabilities": [-0.25, 1.25] + [0.0] * 18}, "probability of reroute_region@0 is -0.25"),
         (200, {"probabilities": [float("inf")] + [0.0] * 19}, "probability of reroute_region@0 is inf"),
-        (200, {"ranking": ["close_road@1", "noop@4"]}, "ranked action noop@4 is outside regions [0, 4)"),
-        (200, {"ranking": ["close_road@-1"]}, "ranked action close_road@-1 is outside regions [0, 4)"),
         # each entry is finite, but their total overflows to inf
         (200, {"probabilities": [1e308, 1e308] + [0.0] * 18}, "probabilities sum to "),
+        # a usable vector, so only the planned map can make the answer fail
+        (200, {"probabilities": [1.0] + [0.0] * 19, "planned": PLANNED | {"f": float("nan")}}, "f is nan, not in [0, 1]"),
+        (200, {"probabilities": [1.0] + [0.0] * 19, "planned": PLANNED | {"t": float("inf")}}, "t is inf, not in [0, 1]"),
+        (200, {"probabilities": [1.0] + [0.0] * 19, "planned": PLANNED | {"r": 1.5}}, "r is 1.5, not in [0, 1]"),
+        (200, {"probabilities": [1.0] + [0.0] * 19, "planned": {"f": 0.5, "t": 0.5, "r": 0.9}}, "malformed planned"),
+        (200, {"probabilities": [1.0] + [0.0] * 19, "planned": PLANNED | {"c": "low"}}, "malformed planned"),
+        (200, {"probabilities": [1.0] + [0.0] * 19, "planned": [0.5, 0.5, 0.0, 0.9]}, "malformed planned"),
     ],
 )
 def test_external_failures_raise(http_backend, response):
@@ -373,11 +368,11 @@ def test_external_changed_answer_is_parsed_again(http_backend, parse_count):
 
 def test_external_same_answer_for_other_regions_is_parsed_again(http_backend, parse_count):
     url, handler = http_backend
-    handler.responses += [(200, {"ranking": ["close_road@2", "noop@0"]})] * 2
+    handler.responses += [probs_response(4, [0.75, 0.25])] * 2
     backend = b.ExternalBackend(url, timeout=2.0)
     prompt = prompt_for(summary_with())
     backend.propose(prompt, 4, 1.2, 0)
-    with pytest.raises(BackendUnavailable, match="outside regions"):
+    with pytest.raises(BackendUnavailable, match="expected 10 probabilities"):
         backend.propose(prompt, 2, 1.2, 0)
     assert len(parse_count) == 2
 
@@ -449,7 +444,7 @@ def test_external_timeout_raises(http_backend):
     url, handler = http_backend
     handler.delay = 0.5
     # a valid answer, so only the timeout can make the call fail
-    handler.responses.append((200, {"ranking": ["noop@0"]}))
+    handler.responses.append(probs_response(4, [1.0]))
     with pytest.raises(BackendUnavailable):
         b.ExternalBackend(url, timeout=0.1).propose(prompt_for(summary_with()), 4, 1.2, 0)
 

@@ -622,8 +622,3 @@ def test_vocab_ordering_verb_major():
     assert vocab[3] == p.HighLevelAction(p.Verb.CLOSE_ROAD, 0)
     assert len(vocab) == 15
     assert len(set(vocab)) == 15
-
-
-def test_action_key_roundtrip():
-    action = p.HighLevelAction(p.Verb.DISPATCH_RELIEF, 17)
-    assert p.HighLevelAction.parse(action.key()) == action
