@@ -239,9 +239,7 @@ def run_matrix(config: RunConfig, strategies: list[str], scenarios: list[str], r
             row["triggers_mean"] = float(np.mean([s["triggers"] for s in cell]))
             table_rows.append(row)
             if len(cell) >= 2:
-                stability_settings[label] = [
-                    {m: [s["mean"][m]] for m in ("f", "t", "c", "r")} for s in cell
-                ]
+                stability_settings[label] = [{m: s["mean"][m] for m in ("f", "t", "c", "r")} for s in cell]
                 cell_scs = [s["scs"] for s in cell if s["scs"] is not None]
                 cell_sds = [s["sds"] for s in cell if s["sds"] is not None]
                 if cell_scs:

@@ -135,8 +135,9 @@ def execution_deviation(planned: Mapping[str, float], executed: Mapping[str, flo
     return float(np.sqrt(np.mean(diffs**2)))
 
 
-def run_stability(runs: Sequence[Mapping[str, Sequence[float]]]) -> dict[str, float]:
-    """Population variance of each run-mean metric across runs.
+def run_stability(runs: Sequence[Mapping[str, float]]) -> dict[str, float]:
+    """Population variance of each metric across runs, given one value
+    (the run mean) per run and metric.
 
     The variance is taken on the sorted run means shifted by the
     smallest one (Chan, Golub & LeVeque 1983), so identical run means
@@ -147,7 +148,7 @@ def run_stability(runs: Sequence[Mapping[str, Sequence[float]]]) -> dict[str, fl
     keys = sorted(runs[0])
     out = {}
     for key in keys:
-        means = np.sort([np.mean(np.asarray(run[key], dtype=np.float64)) for run in runs])
+        means = np.sort(np.array([run[key] for run in runs], dtype=np.float64))
         out[key] = float(np.var(means - means[0]))
     return out
 

@@ -64,7 +64,7 @@ class SemanticRow:
 
 
 def stability_report(
-    settings: Mapping[str, Sequence[Mapping[str, Sequence[float]]]],
+    settings: Mapping[str, Sequence[Mapping[str, float]]],
     scs_scores: Mapping[str, float],
     sds_scores: Mapping[str, float],
 ) -> list[SemanticRow]:

@@ -268,21 +268,21 @@ def test_deviation_zero_iff_equal():
 # --- stability ---------------------------------------------------------------------
 
 def test_run_stability_identical_runs():
-    run = {"f": [0.4, 0.5], "t": [0.3, 0.3]}
+    run = {"f": 0.45, "t": 0.3}
     out = m.run_stability([run, dict(run), dict(run)])
     assert out == {"f": 0.0, "t": 0.0}
     # np.mean([0.4] * 3) is 0.4000000000000001, so an unshifted variance
-    # of these run means leaves a residue of about 3e-33.
-    assert m.run_stability([{"f": [0.4]}] * 3) == {"f": 0.0}
+    # of these run means would leave a residue of about 3e-33.
+    assert m.run_stability([{"f": 0.4}] * 3) == {"f": 0.0}
 
 
 def test_run_stability_hand_variance():
-    runs = [{"J": [0.4]}, {"J": [0.6]}]
+    runs = [{"J": 0.4}, {"J": 0.6}]
     assert m.run_stability(runs)["J"] == pytest.approx(0.01)
 
 
 def test_run_stability_permutation_invariant():
-    runs = [{"f": [0.1, 0.2]}, {"f": [0.5]}, {"f": [0.9, 1.0, 0.8]}]
+    runs = [{"f": 0.15}, {"f": 0.5}, {"f": 0.9}]
     a = m.run_stability(runs)
     b = m.run_stability(list(reversed(runs)))
     assert a == b
@@ -290,7 +290,7 @@ def test_run_stability_permutation_invariant():
 
 def test_run_stability_needs_two():
     with pytest.raises(InsufficientRuns):
-        m.run_stability([{"f": [0.1]}])
+        m.run_stability([{"f": 0.1}])
 
 
 # --- feedback window -----------------------------------------------------------------

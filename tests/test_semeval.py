@@ -106,14 +106,14 @@ def test_insufficient_responses():
 # --- stability report -----------------------------------------------------------------
 
 def test_stability_identical_runs_zero():
-    runs = [{"f": [0.4], "t": [0.5], "c": [0.0], "r": [1.0]}] * 3
+    runs = [{"f": 0.4, "t": 0.5, "c": 0.0, "r": 1.0}] * 3
     rows = se.stability_report({"full": runs}, {}, {})
     assert rows[0].stability == 0.0
     assert run_stability(runs) == {"f": 0.0, "t": 0.0, "c": 0.0, "r": 0.0}
 
 
 def test_stability_hand_variance():
-    runs = [{"f": [0.4]}, {"f": [0.6]}]
+    runs = [{"f": 0.4}, {"f": 0.6}]
     rows = se.stability_report({"setting": runs}, {"setting": 0.8}, {"setting": 0.4})
     assert rows[0].stability == pytest.approx(0.01)
     assert rows[0].scs == 0.8
