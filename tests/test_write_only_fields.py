@@ -1,16 +1,20 @@
 """No class in the package keeps a field that nothing reads.
 
 A field is a name annotated in a class body or assigned as
-`self.<name>` in one of the class's methods. It counts as read when a
-module of the package loads an attribute of that name, or passes the
-name as a string to `getattr`. The scan matches by name, not by type:
-it can miss a write-only field whose name some other class reads, but
-it never flags a field that is read.
+`self.<name>` in one of the class's methods. A `self.<name>` load in a
+method of class C reads the field of that name of C or of one of C's
+bases in the package, and no other class's. Any other attribute load,
+and a name passed as a string to `getattr`, reads every field of that
+name. Reads through other names (`summary.flood`, `other.queue`) are
+matched by name alone, not by type: the scan can miss a write-only field
+whose name is read that way for another class, but it never flags a
+field that is read.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "floodloop"
@@ -60,10 +64,58 @@ def _read_names(tree: ast.Module):
             yield node.args[1].value
 
 
+def _lineage(modules: list[ast.Module]) -> dict[str, set[str]]:
+    """Each class of the package with the names of its bases, theirs in
+    turn, and its own."""
+    bases = {
+        cls.name: [base.id for base in cls.bases if isinstance(base, ast.Name)]
+        for tree in modules
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+    }
+
+    def lineage(name: str) -> set[str]:
+        return {name}.union(*(lineage(base) for base in bases.get(name, ())))
+
+    return {name: lineage(name) for name in bases}
+
+
+def _self_loads(tree: ast.Module) -> dict[ast.Attribute, str]:
+    """Each `self.<name>` load in a method, with the class of the method."""
+    owner = {}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for stmt in cls.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(stmt):
+                    if (
+                        isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "self"
+                    ):
+                        # a nested class is walked after its outer one, so its methods win
+                        owner[node] = cls.name
+    return owner
+
+
 def write_only_fields() -> set[str]:
     modules = _modules()
-    read = {name for tree in modules for name in _read_names(tree)}
-    return {field for tree in modules for field, name in _fields(tree) if name not in read}
+    lineage = _lineage(modules)
+    by_name: Counter[str] = Counter()
+    by_class: set[tuple[str, str]] = set()
+    for tree in modules:
+        owner = _self_loads(tree)
+        # `_read_names` yields every self load too; what is left is read by name
+        by_name += Counter(_read_names(tree)) - Counter(node.attr for node in owner)
+        by_class |= {(base, node.attr) for node, cls in owner.items() for base in lineage[cls]}
+    return {
+        field
+        for tree in modules
+        for field, name in _fields(tree)
+        if name not in by_name and (field.partition(".")[0], name) not in by_class
+    }
 
 
 def test_every_field_is_read_or_allowed_with_a_reason():
