@@ -284,6 +284,7 @@ def test_external_probability_vector(http_backend):
 
 
 PLANNED = {"f": 0.5, "t": 0.5, "c": 0.0, "r": 0.9}
+POINT_MASS = [1.0] + [0.0] * 19
 
 
 @pytest.mark.parametrize(
@@ -308,12 +309,12 @@ PLANNED = {"f": 0.5, "t": 0.5, "c": 0.0, "r": 0.9}
         # each entry is finite, but their total overflows to inf
         (200, {"probabilities": [1e308, 1e308] + [0.0] * 18}, "probabilities sum to "),
         # a usable vector, so only the planned map can make the answer fail
-        (200, {"probabilities": [1.0] + [0.0] * 19, "planned": PLANNED | {"f": float("nan")}}, "f is nan, not in [0, 1]"),
-        (200, {"probabilities": [1.0] + [0.0] * 19, "planned": PLANNED | {"t": float("inf")}}, "t is inf, not in [0, 1]"),
-        (200, {"probabilities": [1.0] + [0.0] * 19, "planned": PLANNED | {"r": 1.5}}, "r is 1.5, not in [0, 1]"),
-        (200, {"probabilities": [1.0] + [0.0] * 19, "planned": {"f": 0.5, "t": 0.5, "r": 0.9}}, "malformed planned"),
-        (200, {"probabilities": [1.0] + [0.0] * 19, "planned": PLANNED | {"c": "low"}}, "malformed planned"),
-        (200, {"probabilities": [1.0] + [0.0] * 19, "planned": [0.5, 0.5, 0.0, 0.9]}, "malformed planned"),
+        (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"f": float("nan")}}, "f is nan, not in [0, 1]"),
+        (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"t": float("inf")}}, "t is inf, not in [0, 1]"),
+        (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"r": 1.5}}, "r is 1.5, not in [0, 1]"),
+        (200, {"probabilities": POINT_MASS, "planned": {"f": 0.5, "t": 0.5, "r": 0.9}}, "malformed planned"),
+        (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"c": "low"}}, "malformed planned"),
+        (200, {"probabilities": POINT_MASS, "planned": [0.5, 0.5, 0.0, 0.9]}, "malformed planned"),
     ],
 )
 def test_external_failures_raise(http_backend, response):

@@ -31,22 +31,28 @@ def _modules() -> list[ast.Module]:
     return [ast.parse(path.read_text(), filename=str(path)) for path in sorted(PACKAGE.glob("*.py"))]
 
 
-def _fields(tree: ast.Module):
+def _self_attributes(tree: ast.Module):
+    """(class, node) for each `self.<name>` in a method of the class; a
+    nested class is walked after its outer one."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
         for stmt in cls.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                yield f"{cls.name}.{stmt.target.id}", stmt.target.id
-            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for node in ast.walk(stmt):
-                    if (
-                        isinstance(node, ast.Attribute)
-                        and isinstance(node.ctx, ast.Store)
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id == "self"
-                    ):
-                        yield f"{cls.name}.{node.attr}", node.attr
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self":
+                        yield cls, node
+
+
+def _fields(tree: ast.Module):
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for stmt in cls.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield f"{cls.name}.{stmt.target.id}", stmt.target.id
+    for cls, node in _self_attributes(tree):
+        if isinstance(node.ctx, ast.Store):
+            yield f"{cls.name}.{node.attr}", node.attr
 
 
 def _read_names(tree: ast.Module):
@@ -80,33 +86,14 @@ def _lineage(modules: list[ast.Module]) -> dict[str, set[str]]:
     return {name: lineage(name) for name in bases}
 
 
-def _self_loads(tree: ast.Module) -> dict[ast.Attribute, str]:
-    """Each `self.<name>` load in a method, with the class of the method."""
-    owner = {}
-    for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        for stmt in cls.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for node in ast.walk(stmt):
-                    if (
-                        isinstance(node, ast.Attribute)
-                        and isinstance(node.ctx, ast.Load)
-                        and isinstance(node.value, ast.Name)
-                        and node.value.id == "self"
-                    ):
-                        # a nested class is walked after its outer one, so its methods win
-                        owner[node] = cls.name
-    return owner
-
-
 def write_only_fields() -> set[str]:
     modules = _modules()
     lineage = _lineage(modules)
     by_name: Counter[str] = Counter()
     by_class: set[tuple[str, str]] = set()
     for tree in modules:
-        owner = _self_loads(tree)
+        # a nested class's methods come last, so their class wins
+        owner = {node: cls.name for cls, node in _self_attributes(tree) if isinstance(node.ctx, ast.Load)}
         # `_read_names` yields every self load too; what is left is read by name
         by_name += Counter(_read_names(tree)) - Counter(node.attr for node in owner)
         by_class |= {(base, node.attr) for node, cls in owner.items() for base in lineage[cls]}
