@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -173,12 +174,49 @@ def test_run_rejects_config_naming_the_field(tmp_path, capsys, field, data):
 @pytest.mark.parametrize(
     "data, message",
     [
-        ({"external_timeout": 0}, "external_timeout: must be > 0 seconds, got 0"),
-        ({"policy": {"tau": 0}}, "policy.tau: must be positive"),
+        ({"external_timeout": 0}, "external_timeout: must be in (0.0, inf], got 0"),
+        ({"policy": {"tau": 0}}, "policy.tau: must be in (0.0, inf], got 0"),
     ],
 )
 def test_an_int_in_a_float_field_meets_the_range_rule(tmp_path, capsys, data, message):
     assert rejection(tmp_path, capsys, data) == message
+
+
+def ranged_settings():
+    """(dotted name, default, low, high, open low) of each setting declared
+    with a range."""
+    cfg = RunConfig()
+    sections = [f.name for f in dataclasses.fields(cfg) if dataclasses.is_dataclass(getattr(cfg, f.name))]
+    for prefix, owner in [("", cfg)] + [(f"{name}.", getattr(cfg, name)) for name in sections]:
+        for f in dataclasses.fields(owner):
+            if "range" in f.metadata:
+                yield pytest.param(prefix + f.name, f.default, *f.metadata["range"], id=prefix + f.name)
+
+
+@pytest.mark.parametrize("name, default, low, high, open_low", ranged_settings())
+def test_a_ranged_setting_is_accepted_at_its_edge_and_rejected_just_past_it(name, default, low, high, open_low):
+    section, _, leaf = name.rpartition(".")
+
+    def validate(value):
+        cfg = RunConfig()
+        setattr(getattr(cfg, section) if section else cfg, leaf, value)
+        cfg.validate()
+
+    def toward(edge, direction):
+        return edge + direction if isinstance(default, int) else math.nextafter(edge, direction * math.inf)
+
+    # an open edge is itself the first value past the range
+    inside, outside = (toward(low, 1), low) if open_low else (low, toward(low, -1))
+    cases = [(inside, outside)] + ([(high, toward(high, 1))] if high < math.inf else [])
+    for accepted, rejected in cases:
+        validate(accepted)
+        with pytest.raises(ConfigError, match=f"^{re.escape(name)}: must be in .*, got {re.escape(repr(rejected))}$"):
+            validate(rejected)
+
+
+def test_the_ranges_cover_both_edge_kinds():
+    ranges = [param.values for param in ranged_settings()]
+    assert any(open_low for *_, open_low in ranges) and any(high < math.inf for *_, high, _ in ranges)
 
 
 @pytest.mark.parametrize("data", [[], 5, "steps"])
