@@ -33,8 +33,12 @@ class ConfigError(FloodloopError):
     """Invalid run configuration; carries the offending field path."""
 
     def __init__(self, field: str, message: str):
+        # both arguments are kept in `args`, so the error unpickles from a worker process
+        super().__init__(field, message)
         self.field = field
-        super().__init__(f"{field}: {message}")
+
+    def __str__(self) -> str:
+        return ": ".join(self.args)
 
 
 class DumpError(FloodloopError):

@@ -1,6 +1,10 @@
 """Experiment harness: single runs, the strategy x scenario matrix,
 ablation diffs, and report emission.
 
+The matrix and the ablation suite are each a batch of variants of one
+config, and both run their batch through one launcher: the variants run
+in order, in a pool of `workers` processes when that is above 1.
+
 Every run writes the same artifact set into its own directory: per-step
 metrics CSV, cycle log, trip log, instruction log, prompt log, scenario
 record, density dumps with SVG heatmaps, and a JSON summary. Runs are
@@ -23,9 +27,10 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .backends import make_backend
-from .config import RunConfig, config_from_dict
+from .config import ABLATIONS, RunConfig, config_from_dict
 from .feedback import DecisionLoop
 from .heatmap import csv_float, save_density_dump, write_heatmap
+from .metrics import METRIC_NAMES
 from .semeval import SemanticRow, scs, sds, stability_report
 from .world import load_scenario, save_scenario
 
@@ -145,6 +150,7 @@ def _write_prompt_log(path: Path, loop: DecisionLoop) -> None:
 def _summarize_run(config: RunConfig, loop: DecisionLoop) -> dict:
     engine = loop.engine
     enroute = engine.trip_counts()[3]
+    per_cycle = {name: [getattr(r.snapshot, name.lower()) for r in loop.reports] for name in (*METRIC_NAMES, "J")}
     summary = {
         "scenario": config.scenario,
         "strategy": config.strategy,
@@ -156,14 +162,8 @@ def _summarize_run(config: RunConfig, loop: DecisionLoop) -> dict:
         "triggers": sum(1 for r in loop.reports if r.triggered),
         "fallbacks": sum(1 for r in loop.reports if r.fallback_used),
         "rejected_instructions": sum(len(r.rejected_reasons) for r in loop.reports),
-        "mean": {
-            name: float(np.mean([getattr(r.snapshot, attr) for r in loop.reports]))
-            for name, attr in (("f", "f"), ("t", "t"), ("c", "c"), ("r", "r"), ("J", "j"))
-        },
-        "variance": {
-            name: float(np.var([getattr(r.snapshot, attr) for r in loop.reports]))
-            for name, attr in (("f", "f"), ("t", "t"), ("c", "c"), ("r", "r"), ("J", "j"))
-        },
+        "mean": {name: float(np.mean(values)) for name, values in per_cycle.items()},
+        "variance": {name: float(np.var(values)) for name, values in per_cycle.items()},
         "final_j": loop.reports[-1].snapshot.j,
         "trips": {
             "spawned": engine.trip_log.spawned,
@@ -181,17 +181,24 @@ def _summarize_run(config: RunConfig, loop: DecisionLoop) -> dict:
     return summary
 
 
-# --- matrix -----------------------------------------------------------------
+# --- batches of runs ---------------------------------------------------------
 
-def _run_cell(args: tuple[dict, str, str, int, str]) -> dict:
-    """One matrix cell run in a worker process; returns its summary."""
-    base, strategy, scenario, seed, out_dir = args
-    config = config_from_dict(base)
-    config.strategy = strategy
-    config.scenario = scenario
-    config.seed = seed
-    config.out_dir = out_dir
-    return run(config).summary
+def _run_settings(settings: dict) -> dict:
+    """The summary of one run of a config given as a dict, so that a worker
+    process can take it."""
+    return run(config_from_dict(settings)).summary
+
+
+def _launch(config: RunConfig, variants: list[dict]) -> list[dict]:
+    """The summaries of the runs of `config` with each variant's top-level
+    settings in place of its own, in order; in a pool of `config.workers`
+    processes when that is above 1."""
+    base = dataclasses.asdict(config)
+    batch = [base | variant for variant in variants]
+    if config.workers > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            return list(pool.map(_run_settings, batch))
+    return [_run_settings(settings) for settings in batch]
 
 
 def run_matrix(config: RunConfig, strategies: list[str], scenarios: list[str], repeats: int) -> dict:
@@ -205,21 +212,13 @@ def run_matrix(config: RunConfig, strategies: list[str], scenarios: list[str], r
         raise ValueError("repeats must be >= 1")
     out_root = Path(config.out_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    base = dataclasses.asdict(config)
-
-    jobs = []
-    for strategy in strategies:
-        for scenario in scenarios:
-            for rep in range(repeats):
-                seed = config.seed + rep
-                cell_dir = out_root / f"{strategy}_{scenario}_seed{seed}"
-                jobs.append((base, strategy, scenario, seed, str(cell_dir)))
-
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            summaries = list(pool.map(_run_cell, jobs))
-    else:
-        summaries = [_run_cell(job) for job in jobs]
+    variants = [
+        {"strategy": st, "scenario": sc, "seed": seed, "out_dir": str(out_root / f"{st}_{sc}_seed{seed}")}
+        for st in strategies
+        for sc in scenarios
+        for seed in range(config.seed, config.seed + repeats)
+    ]
+    summaries = _launch(config, variants)
 
     table_rows = []
     stability_settings: dict[str, list] = {}
@@ -232,14 +231,14 @@ def run_matrix(config: RunConfig, strategies: list[str], scenarios: list[str], r
             ]
             label = f"{strategy}/{scenario}"
             row = {"strategy": strategy, "scenario": scenario, "repeats": len(cell)}
-            for metric in ("J", "f", "t", "c", "r"):
+            for metric in ("J", *METRIC_NAMES):
                 values = [s["mean"][metric] for s in cell]
                 row[f"mean_{metric}"] = float(np.mean(values))
                 row[f"var_{metric}"] = float(np.var(values))
             row["triggers_mean"] = float(np.mean([s["triggers"] for s in cell]))
             table_rows.append(row)
             if len(cell) >= 2:
-                stability_settings[label] = [{m: s["mean"][m] for m in ("f", "t", "c", "r")} for s in cell]
+                stability_settings[label] = [{m: s["mean"][m] for m in METRIC_NAMES} for s in cell]
                 cell_scs = [s["scs"] for s in cell if s["scs"] is not None]
                 cell_sds = [s["sds"] for s in cell if s["sds"] is not None]
                 if cell_scs:
@@ -254,7 +253,7 @@ def run_matrix(config: RunConfig, strategies: list[str], scenarios: list[str], r
     if stability_settings:
         rows = stability_report(stability_settings, scs_scores, sds_scores)
         write_semantic_table(out_root / "semantic.csv", rows)
-    result = {"rows": table_rows, "runs": len(jobs), "out_dir": str(out_root)}
+    result = {"rows": table_rows, "runs": len(variants), "out_dir": str(out_root)}
     (out_root / "matrix.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     return result
 
@@ -295,27 +294,14 @@ DIFFABLE_FILES = ("metrics.csv", "cycles.csv", "trips.csv", "instructions.csv", 
 def run_ablation_suite(config: RunConfig) -> dict:
     """Full run plus one run per single ablation, then a file-level diff."""
     out_root = Path(config.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    base = dataclasses.asdict(config)
-
-    variants = {"full": ()} | {ab: (ab,) for ab in ("dual_indexing", "entropy_control", "feedback_loop")}
-    dirs = {}
-    for label, ablations in variants.items():
-        cfg = config_from_dict(base)
-        cfg.ablations = tuple(ablations)
-        cfg.out_dir = str(out_root / label)
-        run(cfg)
-        dirs[label] = Path(cfg.out_dir)
-
-    diff = {}
-    for label in variants:
-        if label == "full":
-            continue
-        changed = []
-        for name in DIFFABLE_FILES:
-            if (dirs["full"] / name).read_bytes() != (dirs[label] / name).read_bytes():
-                changed.append(name)
-        diff[label] = changed
+    variants = [{"ablations": (), "out_dir": str(out_root / "full")}]
+    variants += [{"ablations": (ab,), "out_dir": str(out_root / ab)} for ab in ABLATIONS]
+    _launch(config, variants)
+    full = out_root / "full"
+    diff = {
+        ab: [name for name in DIFFABLE_FILES if (full / name).read_bytes() != (out_root / ab / name).read_bytes()]
+        for ab in ABLATIONS
+    }
     report = {"changed_files": diff, "out_dir": str(out_root)}
     (out_root / "ablation_report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report

@@ -1,11 +1,15 @@
-"""The strategy x scenario matrix."""
+"""The strategy x scenario matrix and the ablation suite."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
+
+import pytest
 
 from floodloop import harness
-from floodloop.config import RunConfig
+from floodloop.config import ABLATIONS, ENDPOINT_ENV_VAR, RunConfig
+from floodloop.errors import ConfigError
 
 
 def tiny_matrix_config(out_dir: str, workers: int) -> RunConfig:
@@ -30,6 +34,39 @@ def test_matrix_summaries_do_not_depend_on_workers(tmp_path):
     rows, cells = results[1]
     assert len(cells) == 4
     assert results[2] == (rows, cells)
+
+
+def written(out: Path) -> dict[str, bytes]:
+    """Every file under `out`, by its path relative to `out`."""
+    return {str(path.relative_to(out)): path.read_bytes() for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def test_ablation_suite_does_not_depend_on_workers(tmp_path):
+    out = tmp_path / "ablate"
+    files = {}
+    for workers in (1, 2):
+        report = harness.run_ablation_suite(tiny_matrix_config(str(out), workers))
+        assert sorted(report["changed_files"]) == sorted(ABLATIONS)
+        files[workers] = written(out)
+        for path in out.rglob("*"):
+            if path.is_file():
+                path.unlink()
+    assert {name.split("/")[0] for name in files[1]} == {"ablation_report.json", "full", *ABLATIONS}
+    assert files[1].keys() == files[2].keys()
+    for name, content in files[1].items():
+        if name.endswith("config.json"):
+            # each run records the config it ran, worker count included
+            assert json.loads(content) | {"workers": 2} == json.loads(files[2][name])
+        else:
+            assert content == files[2][name], name
+
+
+def test_a_rejected_variant_raises_its_config_error_from_a_worker_process(tmp_path, monkeypatch):
+    monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
+    cfg = tiny_matrix_config(str(tmp_path), workers=2)
+    with pytest.raises(ConfigError, match="^external_endpoint: external strategy needs an endpoint") as failure:
+        harness.run_matrix(cfg, ["ruled", "external"], ["light"], repeats=1)
+    assert failure.value.field == "external_endpoint"
 
 
 def test_run_validates_its_config_once(tmp_path, monkeypatch):
