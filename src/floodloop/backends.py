@@ -25,6 +25,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import BackendUnavailable
 from .knowledge import HybridPrompt
+from .metrics import METRIC_NAMES
 from .policy import VERB_INDEX, VERB_ORDER, HighLevelAction, PolicyDistribution, Verb, action_keys, action_vocabulary
 from .state import StateSummary
 
@@ -262,17 +263,26 @@ def _parse_answer(raw: bytes, n_regions: int) -> BackendProposal:
     planned = body.get("planned")
     if planned is not None:
         try:
-            planned = {k: float(planned[k]) for k in ("f", "t", "c", "r")}
+            planned = dict(zip(METRIC_NAMES, _numbers([planned[k] for k in METRIC_NAMES])))
             for k, v in planned.items():
                 if not 0.0 <= v <= 1.0:  # also refuses NaN
                     raise ValueError(f"{k} is {v!r}, not in [0, 1]")
         except (KeyError, TypeError, ValueError) as exc:
             raise BackendUnavailable(f"malformed planned metrics: {exc}") from exc
     try:
-        dist = _probabilities_to_distribution([float(p) for p in body["probabilities"]], n_regions)
+        dist = _probabilities_to_distribution(_numbers(body["probabilities"]), n_regions)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise BackendUnavailable(f"unusable external response: {exc}") from exc
     return BackendProposal(distribution=dist, planned_metrics=planned)
+
+
+def _numbers(values) -> list[float]:
+    """The entries of a JSON array of numbers as floats; `float` alone would
+    also take a string such as "0.5", a boolean, or a string's characters."""
+    floats = [float(v) for v in values]
+    if not set(map(type, values)) <= {int, float}:
+        raise TypeError(f"{next(v for v in values if type(v) not in (int, float))!r} is not a JSON number")
+    return floats
 
 
 def _probabilities_to_distribution(probs: list[float], n_regions: int) -> PolicyDistribution:

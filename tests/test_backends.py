@@ -315,6 +315,12 @@ POINT_MASS = [1.0] + [0.0] * 19
         (200, {"probabilities": POINT_MASS, "planned": {"f": 0.5, "t": 0.5, "r": 0.9}}, "malformed planned"),
         (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"c": "low"}}, "malformed planned"),
         (200, {"probabilities": POINT_MASS, "planned": [0.5, 0.5, 0.0, 0.9]}, "malformed planned"),
+        # `float` takes these, but none is a JSON number: a digit string would be a point mass
+        (200, {"probabilities": "1" + "0" * 19}, "'1' is not a JSON number"),
+        (200, {"probabilities": [str(w) for w in POINT_MASS]}, "'1.0' is not a JSON number"),
+        (200, {"probabilities": [True] + [False] * 19}, "True is not a JSON number"),
+        (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"f": "0.5"}}, "'0.5' is not a JSON number"),
+        (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"r": True}}, "True is not a JSON number"),
     ],
 )
 def test_external_failures_raise(http_backend, response):
