@@ -44,6 +44,7 @@ from .knowledge import (
     update_graph,
 )
 from .metrics import (
+    METRIC_NAMES,
     FeedbackWindow,
     MetricsSnapshot,
     adaptive_threshold,
@@ -116,7 +117,7 @@ def trigger_replanning(report: CycleReport, graph: KnowledgeGraph) -> tuple[Feed
     deltas = []
     degraded = []
     executed = report.snapshot.as_map()
-    for name in ("f", "t", "c", "r"):
+    for name in METRIC_NAMES:
         d = executed[name] - report.planned[name]
         deltas.append((name, d))
         if name == "r":

@@ -111,7 +111,7 @@ def generate_scenario(kind: ScenarioKind, steps: int, seed: int) -> RainfallScen
         noise_floor = 0.02  # keep the drizzle strictly nonzero
 
     noise = rng.uniform(-NOISE_AMPLITUDE, NOISE_AMPLITUDE, size=steps)
-    curve = np.clip(template + noise, noise_floor if kind is ScenarioKind.LIGHT else 0.0, 1.0)
+    curve = np.clip(template + noise, noise_floor, 1.0)
     if kind is ScenarioKind.EXTREME:
         peak = plateau_start + (plateau_end - plateau_start) // 2
         curve[peak] = 1.0
