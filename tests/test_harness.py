@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -48,9 +49,7 @@ def test_ablation_suite_does_not_depend_on_workers(tmp_path):
         report = harness.run_ablation_suite(tiny_matrix_config(str(out), workers))
         assert sorted(report["changed_files"]) == sorted(ABLATIONS)
         files[workers] = written(out)
-        for path in out.rglob("*"):
-            if path.is_file():
-                path.unlink()
+        shutil.rmtree(out)
     assert {name.split("/")[0] for name in files[1]} == {"ablation_report.json", "full", *ABLATIONS}
     assert files[1].keys() == files[2].keys()
     for name, content in files[1].items():
