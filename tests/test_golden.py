@@ -2,7 +2,8 @@
 
 Each run's `metrics.csv`, `cycles.csv`, `trips.csv`, `instructions.csv`,
 `prompts.jsonl` and `summary.json` are hashed (sha256) and compared with
-`tests/golden/digests.json`; so are the tables of one small matrix run. The `external` run is answered by the
+`tests/golden/digests.json`; so are the tables of one small matrix run and
+the report written from them. The `external` run is answered by the
 benchmark's loopback stub (`bench/stub.py`), so the wire protocol, the
 answer parsing and the fallback on a 503 are pinned as well.
 A change that moves a digest changes behaviour; re-baseline deliberately with
@@ -52,9 +53,9 @@ WET_RUNS = {
 # the external backend against the benchmark's loopback stub, on the
 # config in `external_config`
 EXTERNAL_RUN = "external"
-# empty and ruled on `golden_config`, two repeats each: the matrix tables
+# empty and ruled on `golden_config`, two repeats each: the matrix tables and its report
 MATRIX_RUN = "matrix"
-MATRIX_ARTIFACTS = ("comparison.csv", "semantic.csv")
+MATRIX_ARTIFACTS = ("comparison.csv", "semantic.csv", "report.md")
 
 
 def golden_config(strategy: str, ablations: tuple[str, ...], out_dir: str) -> RunConfig:
@@ -123,6 +124,7 @@ def run_config(name: str, out_dir: str) -> RunConfig:
 def run_digests(name: str, out_dir: Path) -> dict[str, str]:
     if name == MATRIX_RUN:
         harness.run_matrix(golden_config("ruled", (), str(out_dir)), ["empty", "ruled"], ["extreme"], 2)
+        harness.write_report(out_dir, None)
         return {a: hashlib.sha256((out_dir / a).read_bytes()).hexdigest() for a in MATRIX_ARTIFACTS}
     if name == EXTERNAL_RUN:
         with loopback_stub() as stub:
