@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat.add_argument("--palette", default="density", choices=["density", "water"])
     p_heat.add_argument("--out", help="output SVG path")
 
-    p_report = sub.add_parser("report", help="markdown digest of a matrix directory")
+    p_report = sub.add_parser("report", help="markdown digest of a matrix directory's comparison.csv")
     p_report.add_argument("matrix_dir")
     p_report.add_argument("--out", help="output markdown path")
 

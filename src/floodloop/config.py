@@ -179,6 +179,4 @@ def load_config(path: str | Path) -> RunConfig:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
-    cfg = config_from_dict(data)
-    cfg.validate()
-    return cfg
+    return config_from_dict(data)

@@ -2,8 +2,13 @@
 ablation diffs, and report emission.
 
 The matrix and the ablation suite are each a batch of variants of one
-config, and both run their batch through one launcher: the variants run
-in order, in a pool of `workers` processes when that is above 1.
+config, and both run their batch through one launcher. It validates every
+variant before the first run starts, so a batch that cannot run writes
+nothing; then the variants run in order, in a pool of `workers` processes
+when that is above 1. The matrix lays its variants out strategy x
+scenario x seed, so each (strategy, scenario) cell is one consecutive
+chunk of `repeats` summaries, read once to give that cell's row of
+`comparison.csv` and of `semantic.csv`. `report` reads `comparison.csv`.
 
 Every run writes the same artifact set into its own directory: per-step
 metrics CSV, cycle log, trip log, instruction log, prompt log, scenario
@@ -30,8 +35,8 @@ from .backends import make_backend
 from .config import ABLATIONS, RunConfig, config_from_dict
 from .feedback import DecisionLoop
 from .heatmap import csv_float, save_density_dump, write_heatmap
-from .metrics import METRIC_NAMES
-from .semeval import SemanticRow, scs, sds, stability_report
+from .metrics import METRIC_NAMES, run_stability
+from .semeval import scs, sds
 from .world import load_scenario, save_scenario
 
 METRICS_HEADER = ("step", "f", "t", "c", "r", "J", "gap", "delta", "triggered")
@@ -192,98 +197,78 @@ def _run_settings(settings: dict) -> dict:
 def _launch(config: RunConfig, variants: list[dict]) -> list[dict]:
     """The summaries of the runs of `config` with each variant's top-level
     settings in place of its own, in order; in a pool of `config.workers`
-    processes when that is above 1."""
+    processes when that is above 1. Every variant is validated before the
+    first run starts, so a batch with one that cannot run writes nothing."""
     base = dataclasses.asdict(config)
     batch = [base | variant for variant in variants]
+    for settings in batch:
+        config_from_dict(settings).validate()
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             return list(pool.map(_run_settings, batch))
     return [_run_settings(settings) for settings in batch]
 
 
-def run_matrix(config: RunConfig, strategies: list[str], scenarios: list[str], repeats: int) -> dict:
-    """strategies x scenarios x repeats runs; seeds config.seed ..
-    config.seed + repeats - 1.
-
-    Writes per-combination mean/variance of (J, f, t, c, r), the run-level
-    stability table, and semantic scores.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    out_root = Path(config.out_dir)
-    out_root.mkdir(parents=True, exist_ok=True)
-    variants = [
-        {"strategy": st, "scenario": sc, "seed": seed, "out_dir": str(out_root / f"{st}_{sc}_seed{seed}")}
-        for st in strategies
-        for sc in scenarios
-        for seed in range(config.seed, config.seed + repeats)
-    ]
-    summaries = _launch(config, variants)
-
-    table_rows = []
-    stability_settings: dict[str, list] = {}
-    scs_scores: dict[str, float] = {}
-    sds_scores: dict[str, float] = {}
-    for strategy in strategies:
-        for scenario in scenarios:
-            cell = [
-                s for s in summaries if s["strategy"] == strategy and s["scenario"] == scenario
-            ]
-            label = f"{strategy}/{scenario}"
-            row = {"strategy": strategy, "scenario": scenario, "repeats": len(cell)}
-            for metric in ("J", *METRIC_NAMES):
-                values = [s["mean"][metric] for s in cell]
-                row[f"mean_{metric}"] = float(np.mean(values))
-                row[f"var_{metric}"] = float(np.var(values))
-            row["triggers_mean"] = float(np.mean([s["triggers"] for s in cell]))
-            table_rows.append(row)
-            if len(cell) >= 2:
-                stability_settings[label] = [{m: s["mean"][m] for m in METRIC_NAMES} for s in cell]
-                cell_scs = [s["scs"] for s in cell if s["scs"] is not None]
-                cell_sds = [s["sds"] for s in cell if s["sds"] is not None]
-                if cell_scs:
-                    scs_scores[label] = float(np.mean(cell_scs))
-                if cell_sds:
-                    sds_scores[label] = float(np.mean(cell_sds))
-
-    comparison = (
-        [r[k] for k in COMPARISON_HEADER[:3]] + [csv_float(r[k]) for k in COMPARISON_HEADER[3:]] for r in table_rows
-    )
-    _write_csv(out_root / "comparison.csv", COMPARISON_HEADER, comparison)
-    if stability_settings:
-        rows = stability_report(stability_settings, scs_scores, sds_scores)
-        write_semantic_table(out_root / "semantic.csv", rows)
-    result = {"rows": table_rows, "runs": len(variants), "out_dir": str(out_root)}
-    (out_root / "matrix.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    return result
-
-
 COMPARISON_HEADER = (
     "strategy",
     "scenario",
     "repeats",
-    "mean_J",
-    "var_J",
-    "mean_f",
-    "var_f",
-    "mean_t",
-    "var_t",
-    "mean_c",
-    "var_c",
-    "mean_r",
-    "var_r",
+    *(f"{stat}_{metric}" for metric in ("J", *METRIC_NAMES) for stat in ("mean", "var")),
     "triggers_mean",
 )
-
-
 SEMANTIC_TABLE_HEADER = ("module_setting", "stability", "scs", "sds")
 
 
-def write_semantic_table(path: str | Path, rows: Sequence[SemanticRow]) -> None:
-    cells = (
-        [r.setting, csv_float(r.stability), *("" if v is None else csv_float(v) for v in (r.scs, r.sds))] for r in rows
-    )
-    _write_csv(path, SEMANTIC_TABLE_HEADER, cells)
+def run_matrix(config: RunConfig, strategies: list[str], scenarios: list[str], repeats: int) -> dict:
+    """strategies x scenarios x repeats runs; seeds config.seed ..
+    config.seed + repeats - 1.
+
+    Writes `comparison.csv`, the mean and variance over seeds of each
+    cell's run means of J, f, t, c and r, and, when repeats >= 2,
+    `semantic.csv`: each cell's stability (the mean over f, t, c and r of
+    the cross-run variance) with its mean SCS and SDS.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    for kind, names in (("strategy", strategies), ("scenario", scenarios)):
+        repeated = [name for i, name in enumerate(names) if name in names[:i]]
+        if repeated:
+            # each cell is one run directory per seed, and one chunk of the summaries below
+            raise ValueError(f"{kind} {repeated[0]!r} is listed more than once")
+    out_root = Path(config.out_dir)
+    cells = [(st, sc) for st in strategies for sc in scenarios]
+    variants = [
+        {"strategy": st, "scenario": sc, "seed": seed, "out_dir": str(out_root / f"{st}_{sc}_seed{seed}")}
+        for st, sc in cells
+        for seed in range(config.seed, config.seed + repeats)
+    ]
+    summaries = _launch(config, variants)
+    out_root.mkdir(parents=True, exist_ok=True)
+
+    rows, comparison, semantic = [], [], []
+    for i, (strategy, scenario) in enumerate(cells):
+        cell = summaries[i * repeats : (i + 1) * repeats]
+        stats = [float(f([s["mean"][m] for s in cell])) for m in ("J", *METRIC_NAMES) for f in (np.mean, np.var)]
+        stats.append(float(np.mean([s["triggers"] for s in cell])))
+        rows.append(dict(zip(COMPARISON_HEADER, (strategy, scenario, repeats, *stats))))
+        comparison.append([strategy, scenario, repeats, *map(csv_float, stats)])
+        if repeats >= 2:
+            variances = run_stability([{m: s["mean"][m] for m in METRIC_NAMES} for s in cell])
+            # every run of a cell has the same region count, so all or none of its SDS are defined
+            cell_sds = "" if cell[0]["sds"] is None else csv_float(np.mean([s["sds"] for s in cell]))
+            semantic.append(
+                [
+                    f"{strategy}/{scenario}",
+                    csv_float(np.mean(list(variances.values()))),
+                    csv_float(np.mean([s["scs"] for s in cell])),
+                    cell_sds,
+                ]
+            )
+
+    _write_csv(out_root / "comparison.csv", COMPARISON_HEADER, comparison)
+    if semantic:
+        _write_csv(out_root / "semantic.csv", SEMANTIC_TABLE_HEADER, semantic)
+    return {"rows": rows, "runs": len(variants), "out_dir": str(out_root)}
 
 
 # --- ablation diffs ----------------------------------------------------------
@@ -308,18 +293,18 @@ def run_ablation_suite(config: RunConfig) -> dict:
 
 
 def write_report(matrix_dir: str | Path, out_path: str | Path | None) -> str:
-    """Markdown comparison digest assembled from a matrix output directory,
+    """Markdown digest of the `comparison.csv` of a matrix output directory,
     written to `out_path`, or to its `report.md` when that is None."""
     matrix_dir = Path(matrix_dir)
-    data = json.loads((matrix_dir / "matrix.json").read_text())
     lines = ["# Comparison report", ""]
     header = "| strategy | scenario | mean J | var J | mean c | mean r | triggers |"
     lines += [header, "|" + "---|" * 7]
-    for row in data["rows"]:
-        lines.append(
-            f"| {row['strategy']} | {row['scenario']} | {row['mean_J']:.4f} | {row['var_J']:.6f} "
-            f"| {row['mean_c']:.4f} | {row['mean_r']:.4f} | {row['triggers_mean']:.1f} |"
-        )
+    with open(matrix_dir / "comparison.csv", newline="") as fh:
+        for row in csv.DictReader(fh):
+            lines.append(
+                f"| {row['strategy']} | {row['scenario']} | {float(row['mean_J']):.4f} | {float(row['var_J']):.6f} "
+                f"| {float(row['mean_c']):.4f} | {float(row['mean_r']):.4f} | {float(row['triggers_mean']):.1f} |"
+            )
     text = "\n".join(lines) + "\n"
     out_path = Path(out_path) if out_path else matrix_dir / "report.md"
     out_path.write_text(text)

@@ -10,13 +10,11 @@ mean pairwise cosine = (|sum e|^2 - n) / (n (n - 1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InsufficientResponses
-from .metrics import run_stability
 
 
 def _unit_rows(embeddings: Sequence[Sequence[float]]) -> np.ndarray:
@@ -53,33 +51,3 @@ def sds(sets: Sequence[Sequence[Sequence[float]]]) -> float:
     if not sets:
         raise InsufficientResponses("no response sets")
     return float(np.mean([1.0 - _mean_pairwise_cosine(s) for s in sets]))
-
-
-@dataclass(frozen=True)
-class SemanticRow:
-    setting: str
-    stability: float
-    scs: float | None
-    sds: float | None
-
-
-def stability_report(
-    settings: Mapping[str, Sequence[Mapping[str, float]]],
-    scs_scores: Mapping[str, float],
-    sds_scores: Mapping[str, float],
-) -> list[SemanticRow]:
-    """One row per module setting: stability (mean of the per-metric
-    cross-run variances, exactly 0 when every run agrees), SCS, SDS; a
-    setting missing from a score map has no score."""
-    rows = []
-    for setting, runs in settings.items():
-        variances = run_stability(runs)
-        rows.append(
-            SemanticRow(
-                setting=setting,
-                stability=float(np.mean([v for _, v in sorted(variances.items())])),
-                scs=scs_scores.get(setting),
-                sds=sds_scores.get(setting),
-            )
-        )
-    return rows

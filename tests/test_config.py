@@ -219,6 +219,15 @@ def test_the_ranges_cover_both_edge_kinds():
     assert any(open_low for *_, open_low in ranges) and any(high < math.inf for *_, high, _ in ranges)
 
 
+def test_a_flag_overrides_a_config_file_field_before_validation(tmp_path, capsys):
+    # the file alone cannot run: its step count is below the minimum
+    small = {"world": {"width": 16, "height": 16, "n_regions": 4}, "mobility": {"initial_population": 20}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"steps": 5, "out_dir": str(tmp_path / "out"), **small}))
+    assert cli.main(["run", "--config", str(path), "--steps", "12"]) == 0
+    assert json.loads(capsys.readouterr().out)["steps"] == 12
+
+
 @pytest.mark.parametrize("data", [[], 5, "steps"])
 def test_a_config_that_is_not_an_object_is_rejected(data):
     with pytest.raises(ConfigError, match="^config: must be a JSON object, got "):

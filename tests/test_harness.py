@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import csv
 import json
+import pickle
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from floodloop import harness
+from floodloop import cli, harness
 from floodloop.config import ABLATIONS, ENDPOINT_ENV_VAR, RunConfig
 from floodloop.errors import ConfigError
+from floodloop.metrics import METRIC_NAMES, run_stability
+from floodloop.world import ScenarioKind, generate_scenario, save_scenario
 
 
 def tiny_matrix_config(out_dir: str, workers: int) -> RunConfig:
@@ -60,12 +65,58 @@ def test_ablation_suite_does_not_depend_on_workers(tmp_path):
             assert content == files[2][name], name
 
 
-def test_a_rejected_variant_raises_its_config_error_from_a_worker_process(tmp_path, monkeypatch):
+def test_a_matrix_with_a_variant_that_cannot_run_writes_nothing(tmp_path, monkeypatch):
+    # the external variant is rejected before the ruled one, listed first, runs
     monkeypatch.delenv(ENDPOINT_ENV_VAR, raising=False)
-    cfg = tiny_matrix_config(str(tmp_path), workers=2)
+    out = tmp_path / "matrix"
     with pytest.raises(ConfigError, match="^external_endpoint: external strategy needs an endpoint") as failure:
-        harness.run_matrix(cfg, ["ruled", "external"], ["light"], repeats=1)
+        harness.run_matrix(tiny_matrix_config(str(out), workers=2), ["ruled", "external"], ["light"], repeats=1)
     assert failure.value.field == "external_endpoint"
+    # not even the ruled run's directory
+    assert not out.exists()
+
+
+def test_a_matrix_cli_run_that_cannot_run_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "matrix"
+    assert cli.main(["matrix", "--steps", "9", "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "ConfigError", "message": "steps: must be in [10, inf], got 9"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "strategies, scenarios, message",
+    [
+        (["ruled", "ruled"], ["extreme"], "strategy 'ruled' is listed more than once"),
+        (["empty", "ruled"], ["light", "extreme", "light"], "scenario 'light' is listed more than once"),
+    ],
+    ids=["strategy", "scenario"],
+)
+def test_a_matrix_rejects_a_repeated_strategy_or_scenario_before_any_run(tmp_path, strategies, scenarios, message):
+    # the runs of a repeated entry would share their directories
+    out = tmp_path / "matrix"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        harness.run_matrix(tiny_matrix_config(str(out), workers=1), strategies, scenarios, repeats=2)
+    assert not out.exists()
+
+
+def test_a_config_error_survives_a_pickle_round_trip():
+    # a worker process hands its error back to the pool pickled
+    back = pickle.loads(pickle.dumps(ConfigError("steps", "must be in [10, inf], got 9")))
+    assert type(back) is ConfigError
+    assert back.field == "steps"
+    assert back.args == ("steps", "must be in [10, inf], got 9")
+    assert str(back) == "steps: must be in [10, inf], got 9"
+
+
+def test_a_config_error_raised_in_a_worker_process_reaches_the_caller(tmp_path):
+    # a scenario file is read inside the run, so only the run itself can reject one too short for it
+    scenario = tmp_path / "scenario.json"
+    save_scenario(scenario, generate_scenario(ScenarioKind.LIGHT, 10, 0))
+    cfg = tiny_matrix_config(str(tmp_path / "matrix"), workers=2)
+    cfg.steps, cfg.scenario_file = 11, str(scenario)
+    with pytest.raises(ConfigError, match="^scenario_file: curve covers 10 steps, the run needs 11$"):
+        harness.run_matrix(cfg, ["empty", "ruled"], ["light"], repeats=1)
 
 
 def test_run_validates_its_config_once(tmp_path, monkeypatch):
@@ -90,9 +141,30 @@ def test_one_region_runs_complete_with_sds_undefined(tmp_path):
     summaries = [json.loads(p.read_text()) for p in sorted(tmp_path.glob("*/summary.json"))]
     assert len(summaries) == 2
     assert all(s["sds"] is None and isinstance(s["scs"], float) for s in summaries)
-    header, row = (tmp_path / "semantic.csv").read_text().splitlines()
-    assert header == "module_setting,stability,scs,sds"
-    assert row.startswith("ruled/extreme,") and row.endswith(",")
+    assert (tmp_path / "semantic.csv").read_text().splitlines()[0] == "module_setting,stability,scs,sds"
+    variances = run_stability([{m: s["mean"][m] for m in METRIC_NAMES} for s in summaries])
+    assert read_semantic_table(tmp_path / "semantic.csv") == [
+        {
+            "module_setting": "ruled/extreme",
+            "stability": np.mean(list(variances.values())),
+            "scs": np.mean([s["scs"] for s in summaries]),
+            "sds": None,
+        }
+    ]
+
+
+def read_semantic_table(path) -> list[dict[str, float | str | None]]:
+    """The rows of a matrix's `semantic.csv`, with empty scores as None."""
+    with open(path, newline="") as fh:
+        return [
+            {
+                "module_setting": rec["module_setting"],
+                "stability": float(rec["stability"]),
+                "scs": float(rec["scs"]) if rec["scs"] else None,
+                "sds": float(rec["sds"]) if rec["sds"] else None,
+            }
+            for rec in csv.DictReader(fh)
+        ]
 
 
 def test_a_ruled_run_reads_its_knowledge_from_files(tmp_path):

@@ -1,17 +1,14 @@
-"""Consistency/diversity scores and the stability report table."""
+"""Consistency and diversity scores."""
 
 from __future__ import annotations
 
-import csv
 import itertools
 
 import numpy as np
 import pytest
 
-from floodloop import harness
 from floodloop import semeval as se
 from floodloop.errors import InsufficientResponses
-from floodloop.metrics import run_stability
 
 
 def rset(embeddings):
@@ -101,45 +98,3 @@ def test_insufficient_responses():
         se.scs([rset([(1, 0)])])
     with pytest.raises(InsufficientResponses):
         se.sds([])
-
-
-# --- stability report -----------------------------------------------------------------
-
-def test_stability_identical_runs_zero():
-    runs = [{"f": 0.4, "t": 0.5, "c": 0.0, "r": 1.0}] * 3
-    rows = se.stability_report({"full": runs}, {}, {})
-    assert rows[0].stability == 0.0
-    assert run_stability(runs) == {"f": 0.0, "t": 0.0, "c": 0.0, "r": 0.0}
-
-
-def test_stability_hand_variance():
-    runs = [{"f": 0.4}, {"f": 0.6}]
-    rows = se.stability_report({"setting": runs}, {"setting": 0.8}, {"setting": 0.4})
-    assert rows[0].stability == pytest.approx(0.01)
-    assert rows[0].scs == 0.8
-    assert rows[0].sds == 0.4
-
-
-def read_semantic_table(path) -> list[dict[str, float | str | None]]:
-    """The rows `harness.write_semantic_table` wrote, with empty scores as None."""
-    with open(path, newline="") as fh:
-        return [
-            {
-                "module_setting": rec["module_setting"],
-                "stability": float(rec["stability"]),
-                "scs": float(rec["scs"]) if rec["scs"] else None,
-                "sds": float(rec["sds"]) if rec["sds"] else None,
-            }
-            for rec in csv.DictReader(fh)
-        ]
-
-
-def test_semantic_table_roundtrip_reference_row(tmp_path):
-    # the published-style reference row is a parsing fixture only
-    rows = [se.SemanticRow("full framework", 0.0047, 0.872, 0.443)]
-    path = tmp_path / "semantic.csv"
-    harness.write_semantic_table(path, rows)
-    back = read_semantic_table(path)
-    assert back[0]["stability"] == pytest.approx(0.0047)
-    assert back[0]["scs"] == pytest.approx(0.872)
-    assert back[0]["sds"] == pytest.approx(0.443)
