@@ -11,13 +11,14 @@ and logs the event.
 
 from __future__ import annotations
 
+import base64
 import http.client
 import json
 import math
-import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -194,6 +195,18 @@ class ExternalBackend(StrategyBackend):
     dropped) and may carry a "planned" map of expected f/t/c/r, each in
     [0, 1]. Any other body is unusable.
 
+    Each call is one `http.client` connection that POSTs the body with
+    `Connection: close` and is closed before the call returns. There is no
+    keep-alive yet: the loopback stub the benchmark measures against speaks
+    HTTP/1.0 and closes every connection, so a kept connection would save
+    nothing that can be measured. The route is fixed when the backend is
+    made, from the proxy environment as it stands then (`http_proxy`,
+    `https_proxy`, `no_proxy`): an http endpoint is POSTed to the proxy
+    with the absolute URL as target, an https one is tunnelled through it
+    with CONNECT, and credentials in the proxy URL are sent as Basic
+    `Proxy-Authorization`. A status outside 2xx is a failure, a redirect
+    included, since the body cannot follow it.
+
     The consistency probes of a cycle resend the first call's request, and
     a stable endpoint answers them with the same bytes. So the last usable
     answer is kept with its proposal: identical answer bytes are parsed
@@ -203,53 +216,84 @@ class ExternalBackend(StrategyBackend):
     name = "external"
 
     def __init__(self, endpoint: str, timeout: float):
-        # urllib would also open file:// and ftp:// URLs; the protocol is HTTP only
-        if urllib.parse.urlsplit(endpoint).scheme not in ("http", "https"):
+        url = urllib.parse.urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.netloc:
             raise ValueError(f"external endpoint must be an http(s) URL, got {endpoint!r}")
         self.endpoint = endpoint
         self.timeout = timeout
-        # honours the proxy environment as it stands when the backend is made
-        self._opener = urllib.request.build_opener()
+        self._headers = {"Host": url.netloc, "Content-Type": "application/json", "Connection": "close"}
+        self._target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._tunnel: tuple[str, dict[str, str]] | None = None
+        address, scheme = url.netloc, url.scheme
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc):
+            # a proxy changes only where the connection goes and what it asks for
+            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"{url.scheme}://{proxy}")
+            address = proxy_url.netloc.rpartition("@")[2]
+            auth = {}
+            if proxy_url.username and proxy_url.password:
+                credentials = f"{urllib.parse.unquote(proxy_url.username)}:{urllib.parse.unquote(proxy_url.password)}"
+                auth["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials.encode()).decode("ascii")
+            if url.scheme == "https":
+                self._tunnel = (url.netloc, auth)
+            else:
+                scheme = proxy_url.scheme
+                self._target = urllib.parse.urlunsplit(url._replace(fragment=""))
+                self._headers |= auth
+        connection = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        self._connect = partial(connection, address)
         self._body_key: tuple | None = None
         self._body = b""
         self._answer_key: tuple[bytes, int] | None = None
         self._answer: BackendProposal | None = None
 
     def _request_body(self, prompt, n_regions, tau, cycle) -> bytes:
-        """The UTF-8 JSON request; the first call and the probes of one
-        cycle send the same body, so the last one is kept."""
+        """The UTF-8 JSON request, byte for byte `json.dumps` of the request
+        with `allow_nan=False`; the first call and the probes of one cycle
+        send the same body, so the last one is kept."""
         key = (prompt.text, n_regions, tau, cycle)
         if key != self._body_key:
-            payload = {
-                "prompt": prompt.text,
-                "vocabulary": action_keys(n_regions),
-                "tau": tau,
-                "cycle": cycle,
-            }
-            self._body = json.dumps(payload, allow_nan=False).encode("utf-8")
+            self._body = b'{"prompt": %s, "vocabulary": %s, "tau": %s, "cycle": %s}' % (
+                json.dumps(prompt.text).encode(),
+                _vocabulary_json(n_regions),
+                json.dumps(tau, allow_nan=False).encode(),
+                json.dumps(cycle).encode(),
+            )
             self._body_key = key
         return self._body
 
+    def _post(self, body: bytes) -> bytes:
+        """The response body of one POST over a connection of its own."""
+        connection = self._connect(timeout=self.timeout)
+        try:
+            if self._tunnel is not None:
+                connection.set_tunnel(self._tunnel[0], headers=self._tunnel[1])
+            connection.request("POST", self._target, body, self._headers)
+            response = connection.getresponse()
+            raw = response.read()
+        finally:
+            connection.close()
+        if not 200 <= response.status < 300:
+            raise BackendUnavailable(f"external backend failed: HTTP Error {response.status}: {response.reason}")
+        return raw
+
     def propose(self, prompt, n_regions, tau, cycle):
         try:
-            data = self._request_body(prompt, n_regions, tau, cycle)
-            request = urllib.request.Request(
-                self.endpoint, data=data, headers={"Content-Type": "application/json"}, method="POST"
-            )
-            with self._opener.open(request, timeout=self.timeout) as resp:
-                raw = resp.read()
-        except urllib.error.HTTPError as exc:
-            exc.close()
-            raise BackendUnavailable(f"external backend failed: {exc}") from exc
+            raw = self._post(self._request_body(prompt, n_regions, tau, cycle))
         except (OSError, ValueError, http.client.HTTPException) as exc:
-            # OSError: refused connections, URLError and timeouts;
-            # ValueError: NaN in the payload
+            # OSError: refused connections and timeouts; ValueError: NaN in the payload
             raise BackendUnavailable(f"external backend failed: {exc}") from exc
         key = (raw, n_regions)
         if key != self._answer_key:
             self._answer = _parse_answer(raw, n_regions)
             self._answer_key = key
         return self._answer
+
+
+@lru_cache(maxsize=8)
+def _vocabulary_json(n_regions: int) -> bytes:
+    """The request's vocabulary array, encoded once per region count."""
+    return json.dumps(action_keys(n_regions)).encode()
 
 
 def _parse_answer(raw: bytes, n_regions: int) -> BackendProposal:

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import base64
+import contextlib
+import gc
+import http.client
 import json
 import math
+import re
+import socket
 import struct
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -222,12 +230,14 @@ class _Handler(BaseHTTPRequestHandler):
     responses = []
     requests = []
     raw_requests = []
+    connection_headers = []
     delay = 0.0
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         raw = self.rfile.read(length)
         _Handler.raw_requests.append((self.headers["Content-Type"], raw))
+        _Handler.connection_headers.append(self.headers["Connection"])
         _Handler.requests.append(json.loads(raw))
         status, body = _Handler.responses.pop(0)
         payload = body if isinstance(body, bytes) else json.dumps(body).encode()
@@ -242,18 +252,39 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def http_backend():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
+@contextlib.contextmanager
+def serving(handler):
+    """`handler` on an ephemeral loopback port; yields the server's URL."""
+    server = HTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def no_leaked_sockets():
+    """Fails the test if it left a socket open for the collector to find."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaked = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning) and "socket" in str(w.message)]
+    assert not leaked
+
+
+@pytest.fixture
+def http_backend(no_leaked_sockets):
     _Handler.responses = []
     _Handler.requests = []
     _Handler.raw_requests = []
+    _Handler.connection_headers = []
     _Handler.delay = 0.0
-    yield f"http://127.0.0.1:{server.server_port}/", _Handler
-    server.shutdown()
-    server.server_close()
+    with serving(_Handler) as url:
+        yield url, _Handler
 
 
 def test_external_probability_vector(http_backend):
@@ -281,6 +312,29 @@ def test_external_probability_vector(http_backend):
     assert handler.raw_requests[1] == handler.raw_requests[0]
     expected["cycle"] = 1
     assert handler.raw_requests[2] == ("application/json", json.dumps(expected).encode("utf-8"))
+    # no connection outlives its call
+    assert handler.connection_headers == ["close"] * 3
+
+
+_WIRE_TEXT = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_from('"\\\n\t\x00\x1f\x7f\u2028\ud800\udfff')))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WIRE_TEXT, st.sampled_from([1, 4, 256]), st.floats(allow_nan=False, allow_infinity=False), st.integers())
+def test_request_body_is_json_dumps_of_the_request(text, n_regions, tau, cycle):
+    request = {"prompt": text, "vocabulary": list(p.action_keys(n_regions)), "tau": tau, "cycle": cycle}
+    backend = b.ExternalBackend("http://127.0.0.1:1/", timeout=1.0)
+    body = backend._request_body(SimpleNamespace(text=text), n_regions, tau, cycle)
+    assert body == json.dumps(request, allow_nan=False).encode("utf-8")
+
+
+@pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf])
+def test_external_non_finite_tau_raises_before_any_request(http_backend, tau):
+    url, handler = http_backend
+    handler.responses.append(probs_response(4, [1.0]))
+    with pytest.raises(BackendUnavailable, match="Out of range float values"):
+        b.ExternalBackend(url, timeout=2.0).propose(prompt_for(summary_with()), 4, tau, 0)
+    assert handler.requests == []
 
 
 PLANNED = {"f": 0.5, "t": 0.5, "c": 0.0, "r": 0.9}
@@ -298,6 +352,9 @@ POINT_MASS = [1.0] + [0.0] * 19
         (200, "probabilities", "it carries no probabilities"),
         (200, {"probabilities": []}),
         (503, {}),
+        # a redirect is a failure: the POST body cannot follow it
+        (302, {}),
+        (307, {}),
         (200, b"<html>not json</html>"),
         (200, b"[" * 100_000 + b"]" * 100_000),
         (200, {"probabilities": "1.0"}, "could not convert string to float"),
@@ -461,10 +518,151 @@ def test_external_rejects_non_http_endpoint():
         b.ExternalBackend("file:///srv/answer.json", RunConfig().external_timeout)
 
 
-def test_external_unreachable_raises():
+def test_external_rejects_an_endpoint_without_a_host():
+    with pytest.raises(ValueError):
+        b.ExternalBackend("http:///propose", RunConfig().external_timeout)
+
+
+def test_external_unreachable_raises(no_leaked_sockets):
     backend = b.ExternalBackend("http://127.0.0.1:1/", timeout=0.2)
     with pytest.raises(BackendUnavailable):
         backend.propose(prompt_for(summary_with()), 4, 1.2, 0)
+
+
+def serve_once(reply: bytes):
+    """A loopback socket that reads one request and answers it with the raw
+    `reply` before closing; returns its URL and the serving thread."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+
+    def answer():
+        with listener, listener.accept()[0] as conn:
+            request = b""
+            while b"\r\n\r\n" not in request:
+                request += conn.recv(65536)
+            head, _, body = request.partition(b"\r\n\r\n")
+            length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+            while len(body) < length:
+                body += conn.recv(65536)
+            conn.sendall(reply)
+
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    return f"http://127.0.0.1:{listener.getsockname()[1]}/", thread
+
+
+@pytest.mark.parametrize(
+    "reply, cause",
+    [
+        (b'HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{"probabilities": [', http.client.IncompleteRead),
+        (b"garbage\r\n\r\n", http.client.BadStatusLine),
+    ],
+)
+def test_external_broken_http_raises(no_leaked_sockets, reply, cause):
+    url, thread = serve_once(reply)
+    with pytest.raises(BackendUnavailable) as failure:
+        b.ExternalBackend(url, timeout=2.0).propose(prompt_for(summary_with()), 4, 1.2, 0)
+    thread.join(timeout=5.0)
+    assert isinstance(failure.value.__cause__, cause)
+
+
+# --- external through a proxy ------------------------------------------------------------------
+
+class _Proxy(BaseHTTPRequestHandler):
+    """Records every request it is sent; answers a POST with a point mass
+    on the first action and refuses a CONNECT."""
+
+    seen = []
+
+    def do_POST(self):
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        _Proxy.seen.append((self.command, self.path, self.headers, raw))
+        payload = json.dumps(probs_response(4, [1.0])[1]).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def do_CONNECT(self):
+        _Proxy.seen.append((self.command, self.path, self.headers, b""))
+        self.send_error(502)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def proxy(http_backend, monkeypatch):
+    """A recording proxy on loopback, with every proxy variable cleared."""
+    for var in ("http_proxy", "https_proxy", "no_proxy", "all_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(var, raising=False)
+        monkeypatch.delenv(var.upper(), raising=False)
+    _Proxy.seen = []
+    with serving(_Proxy) as url:
+        yield url, _Proxy.seen
+
+
+def wire_request(n_regions=4, tau=1.2, cycle=0):
+    prompt = prompt_for(summary_with())
+    request = {"prompt": prompt.text, "vocabulary": list(p.action_keys(n_regions)), "tau": tau, "cycle": cycle}
+    return prompt, json.dumps(request).encode("utf-8")
+
+
+def test_external_posts_through_the_proxy_with_the_absolute_url(http_backend, proxy, monkeypatch):
+    url, handler = http_backend
+    proxy_url, seen = proxy
+    monkeypatch.setenv("http_proxy", proxy_url)
+    prompt, body = wire_request()
+    proposal = b.ExternalBackend(url + "propose?model=m", timeout=2.0).propose(prompt, 4, 1.2, 0)
+    assert proposal.distribution.probs == (1.0,)
+    [(command, target, headers, raw)] = seen
+    assert (command, target, raw) == ("POST", url + "propose?model=m", body)
+    assert headers["Host"] == url.split("/")[2]
+    assert "Proxy-Authorization" not in headers
+    assert handler.requests == []
+
+
+def test_external_sends_the_proxy_credentials(http_backend, proxy, monkeypatch):
+    url, handler = http_backend
+    proxy_url, seen = proxy
+    monkeypatch.setenv("http_proxy", proxy_url.replace("://", "://flood%20ops:p%40ss@"))
+    prompt, body = wire_request()
+    b.ExternalBackend(url, timeout=2.0).propose(prompt, 4, 1.2, 0)
+    [(command, target, headers, raw)] = seen
+    assert (command, target, raw) == ("POST", url, body)
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"flood ops:p@ss").decode()
+    assert handler.requests == []
+
+
+def test_external_goes_direct_when_no_proxy_covers_the_host(http_backend, proxy, monkeypatch):
+    url, handler = http_backend
+    proxy_url, seen = proxy
+    monkeypatch.setenv("http_proxy", proxy_url)
+    monkeypatch.setenv("no_proxy", "localhost,127.0.0.1")
+    handler.responses += [probs_response(4, [1.0])] * 2
+    prompt, body = wire_request()
+    b.ExternalBackend(url, timeout=2.0).propose(prompt, 4, 1.2, 0)
+    # a proxy set after the backend was made is not taken up
+    monkeypatch.delenv("no_proxy")
+    monkeypatch.delenv("http_proxy")
+    backend = b.ExternalBackend(url, timeout=2.0)
+    monkeypatch.setenv("http_proxy", proxy_url)
+    backend.propose(prompt, 4, 1.2, 0)
+    assert handler.raw_requests == [("application/json", body)] * 2
+    assert seen == []
+
+
+def test_external_tunnels_https_through_the_proxy(http_backend, proxy, monkeypatch):
+    url, handler = http_backend
+    proxy_url, seen = proxy
+    monkeypatch.setenv("https_proxy", proxy_url.replace("://", "://user:pw@"))
+    origin = url.split("/")[2]
+    with pytest.raises(BackendUnavailable):
+        b.ExternalBackend(f"https://{origin}/propose", timeout=2.0).propose(prompt_for(summary_with()), 4, 1.2, 0)
+    [(command, target, headers, raw)] = seen
+    assert (command, target) == ("CONNECT", origin)
+    assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
+    assert handler.requests == []
 
 
 # --- factory ---------------------------------------------------------------------------------
