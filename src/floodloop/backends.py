@@ -224,7 +224,7 @@ class ExternalBackend(StrategyBackend):
         self._headers = {"Host": url.netloc, "Content-Type": "application/json", "Connection": "close"}
         self._target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
         self._tunnel: tuple[str, dict[str, str]] | None = None
-        address, scheme = url.netloc, url.scheme
+        address = url.netloc
         proxy = urllib.request.getproxies().get(url.scheme)
         if proxy and not urllib.request.proxy_bypass(url.netloc):
             # a proxy changes only where the connection goes and what it asks for
@@ -237,10 +237,9 @@ class ExternalBackend(StrategyBackend):
             if url.scheme == "https":
                 self._tunnel = (url.netloc, auth)
             else:
-                scheme = proxy_url.scheme
                 self._target = urllib.parse.urlunsplit(url._replace(fragment=""))
                 self._headers |= auth
-        connection = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
+        connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
         self._connect = partial(connection, address)
         self._body_key: tuple | None = None
         self._body = b""

@@ -352,9 +352,6 @@ POINT_MASS = [1.0] + [0.0] * 19
         (200, "probabilities", "it carries no probabilities"),
         (200, {"probabilities": []}),
         (503, {}),
-        # a redirect is a failure: the POST body cannot follow it
-        (302, {}),
-        (307, {}),
         (200, b"<html>not json</html>"),
         (200, b"[" * 100_000 + b"]" * 100_000),
         (200, {"probabilities": "1.0"}, "could not convert string to float"),
@@ -378,6 +375,9 @@ POINT_MASS = [1.0] + [0.0] * 19
         (200, {"probabilities": [True] + [False] * 19}, "True is not a JSON number"),
         (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"f": "0.5"}}, "'0.5' is not a JSON number"),
         (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"r": True}}, "True is not a JSON number"),
+        # a redirect is a failure: the POST body cannot follow it
+        (302, {}),
+        (307, {}),
     ],
 )
 def test_external_failures_raise(http_backend, response):
