@@ -196,16 +196,18 @@ class ExternalBackend(StrategyBackend):
     [0, 1]. Any other body is unusable.
 
     Each call is one `http.client` connection that POSTs the body with
-    `Connection: close` and is closed before the call returns. There is no
-    keep-alive yet: the loopback stub the benchmark measures against speaks
-    HTTP/1.0 and closes every connection, so a kept connection would save
-    nothing that can be measured. The route is fixed when the backend is
-    made, from the proxy environment as it stands then (`http_proxy`,
-    `https_proxy`, `no_proxy`): an http endpoint is POSTed to the proxy
-    with the absolute URL as target, an https one is tunnelled through it
-    with CONNECT, and credentials in the proxy URL are sent as Basic
-    `Proxy-Authorization`. A status outside 2xx is a failure, a redirect
-    included, since the body cannot follow it.
+    `Connection: close` and is closed before the call returns; the request
+    head is header for header the one `urllib` sent, `User-Agent` included.
+    There is no keep-alive yet: the loopback stub the benchmark measures
+    against speaks HTTP/1.0 and closes every connection, so a kept
+    connection would save nothing that can be measured. The route is fixed
+    when the backend is made, from the proxy environment as it stands then
+    (`http_proxy`, `https_proxy`, `no_proxy`). An http endpoint is POSTed
+    to the proxy with the absolute URL as target, over TLS when the proxy
+    URL is https (any other proxy scheme is refused); an https one is
+    tunnelled through the proxy with CONNECT. Credentials in the proxy URL
+    are sent as Basic `Proxy-Authorization`. A status outside 2xx is a
+    failure, a redirect included, since the body cannot follow it.
 
     The consistency probes of a cycle resend the first call's request, and
     a stable endpoint answers them with the same bytes. So the last usable
@@ -221,13 +223,18 @@ class ExternalBackend(StrategyBackend):
             raise ValueError(f"external endpoint must be an http(s) URL, got {endpoint!r}")
         self.endpoint = endpoint
         self.timeout = timeout
-        self._headers = {"Host": url.netloc, "Content-Type": "application/json", "Connection": "close"}
+        # urllib's request head, header for header: http.client puts Accept-Encoding and
+        # Content-Length first, and Connection goes last, after any proxy credentials
+        self._headers = {
+            "Host": url.netloc,
+            "User-Agent": f"Python-urllib/{urllib.request.__version__}",
+            "Content-Type": "application/json",
+        }
         self._target = urllib.parse.urlunsplit(("", "", url.path or "/", url.query, ""))
         self._tunnel: tuple[str, dict[str, str]] | None = None
-        address = url.netloc
+        address, scheme = url.netloc, url.scheme
         proxy = urllib.request.getproxies().get(url.scheme)
         if proxy and not urllib.request.proxy_bypass(url.netloc):
-            # a proxy changes only where the connection goes and what it asks for
             proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"{url.scheme}://{proxy}")
             address = proxy_url.netloc.rpartition("@")[2]
             auth = {}
@@ -235,11 +242,17 @@ class ExternalBackend(StrategyBackend):
                 credentials = f"{urllib.parse.unquote(proxy_url.username)}:{urllib.parse.unquote(proxy_url.password)}"
                 auth["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials.encode()).decode("ascii")
             if url.scheme == "https":
+                # CONNECT goes to the proxy in the clear; TLS then runs end to end through the tunnel
                 self._tunnel = (url.netloc, auth)
             else:
+                # the request itself goes to the proxy, over TLS when the proxy URL says https
+                if proxy_url.scheme not in ("http", "https"):
+                    raise ValueError(f"proxy for an http endpoint must be an http(s) URL, got {proxy!r}")
+                scheme = proxy_url.scheme
                 self._target = urllib.parse.urlunsplit(url._replace(fragment=""))
                 self._headers |= auth
-        connection = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        self._headers["Connection"] = "close"
+        connection = http.client.HTTPSConnection if scheme == "https" else http.client.HTTPConnection
         self._connect = partial(connection, address)
         self._body_key: tuple | None = None
         self._body = b""

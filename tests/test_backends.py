@@ -11,6 +11,7 @@ import math
 import re
 import socket
 import struct
+import sys
 import threading
 import time
 import warnings
@@ -531,9 +532,11 @@ def test_external_unreachable_raises(no_leaked_sockets):
 
 def serve_once(reply: bytes):
     """A loopback socket that reads one request and answers it with the raw
-    `reply` before closing; returns its URL and the serving thread."""
+    `reply` before closing; returns its URL, the serving thread and a list
+    that receives the request's bytes."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(5.0)
+    received = []
 
     def answer():
         with listener, listener.accept()[0] as conn:
@@ -544,11 +547,12 @@ def serve_once(reply: bytes):
             length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
             while len(body) < length:
                 body += conn.recv(65536)
+            received.append(head + b"\r\n\r\n" + body)
             conn.sendall(reply)
 
     thread = threading.Thread(target=answer, daemon=True)
     thread.start()
-    return f"http://127.0.0.1:{listener.getsockname()[1]}/", thread
+    return f"http://127.0.0.1:{listener.getsockname()[1]}/", thread, received
 
 
 @pytest.mark.parametrize(
@@ -559,7 +563,7 @@ def serve_once(reply: bytes):
     ],
 )
 def test_external_broken_http_raises(no_leaked_sockets, reply, cause):
-    url, thread = serve_once(reply)
+    url, thread, _ = serve_once(reply)
     with pytest.raises(BackendUnavailable) as failure:
         b.ExternalBackend(url, timeout=2.0).propose(prompt_for(summary_with()), 4, 1.2, 0)
     thread.join(timeout=5.0)
@@ -592,11 +596,17 @@ class _Proxy(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def proxy(http_backend, monkeypatch):
-    """A recording proxy on loopback, with every proxy variable cleared."""
+def proxy_env(monkeypatch):
+    """Every proxy variable cleared; yields monkeypatch to set them."""
     for var in ("http_proxy", "https_proxy", "no_proxy", "all_proxy", "REQUEST_METHOD"):
         monkeypatch.delenv(var, raising=False)
         monkeypatch.delenv(var.upper(), raising=False)
+    return monkeypatch
+
+
+@pytest.fixture
+def proxy(http_backend, proxy_env):
+    """A recording proxy on loopback, with every proxy variable cleared."""
     _Proxy.seen = []
     with serving(_Proxy) as url:
         yield url, _Proxy.seen
@@ -663,6 +673,64 @@ def test_external_tunnels_https_through_the_proxy(http_backend, proxy, monkeypat
     assert (command, target) == ("CONNECT", origin)
     assert headers["Proxy-Authorization"] == "Basic " + base64.b64encode(b"user:pw").decode()
     assert handler.requests == []
+
+
+USER_AGENT = "Python-urllib/%d.%d" % sys.version_info[:2]
+
+
+def test_external_request_head(no_leaked_sockets, proxy_env):
+    prompt, body = wire_request()
+    url, thread, received = serve_once(b"HTTP/1.0 503 Busy\r\nContent-Length: 0\r\n\r\n")
+    with pytest.raises(BackendUnavailable):
+        b.ExternalBackend(url + "propose?model=m", timeout=2.0).propose(prompt, 4, 1.2, 0)
+    thread.join(timeout=5.0)
+    head = (
+        "POST /propose?model=m HTTP/1.1\r\nAccept-Encoding: identity\r\n"
+        f"Content-Length: {len(body)}\r\nHost: {url.split('/')[2]}\r\nUser-Agent: {USER_AGENT}\r\n"
+        "Content-Type: application/json\r\nConnection: close\r\n\r\n"
+    )
+    assert received == [head.encode() + body]
+
+
+def test_external_request_head_through_a_proxy(no_leaked_sockets, proxy_env):
+    prompt, body = wire_request()
+    proxy_url, thread, received = serve_once(b"HTTP/1.0 503 Busy\r\nContent-Length: 0\r\n\r\n")
+    proxy_env.setenv("http_proxy", proxy_url.replace("://", "://user:pw@"))
+    with pytest.raises(BackendUnavailable):
+        b.ExternalBackend("http://generator.invalid:8080/propose", timeout=2.0).propose(prompt, 4, 1.2, 0)
+    thread.join(timeout=5.0)
+    head = (
+        "POST http://generator.invalid:8080/propose HTTP/1.1\r\nAccept-Encoding: identity\r\n"
+        f"Content-Length: {len(body)}\r\nHost: generator.invalid:8080\r\nUser-Agent: {USER_AGENT}\r\n"
+        "Content-Type: application/json\r\nProxy-Authorization: Basic dXNlcjpwdw==\r\n"
+        "Connection: close\r\n\r\n"
+    )
+    assert received == [head.encode() + body]
+
+
+def test_external_speaks_tls_to_an_https_proxy(no_leaked_sockets, proxy_env):
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+    first = []
+
+    def record():
+        with listener, listener.accept()[0] as conn:
+            first.append(conn.recv(5))
+
+    thread = threading.Thread(target=record, daemon=True)
+    thread.start()
+    proxy_env.setenv("http_proxy", f"https://user:pw@127.0.0.1:{listener.getsockname()[1]}")
+    with pytest.raises(BackendUnavailable):
+        b.ExternalBackend("http://generator.invalid/propose", timeout=2.0).propose(prompt_for(summary_with()), 4, 1.2, 0)
+    thread.join(timeout=5.0)
+    # a TLS handshake record, not a POST with the credentials in the clear
+    assert first[0][:1] == b"\x16"
+
+
+def test_external_refuses_a_proxy_it_cannot_speak_to(proxy_env):
+    proxy_env.setenv("http_proxy", "socks5://user:pw@127.0.0.1:1080")
+    with pytest.raises(ValueError, match="socks5"):
+        b.ExternalBackend("http://generator.invalid/propose", timeout=2.0)
 
 
 # --- factory ---------------------------------------------------------------------------------
