@@ -10,7 +10,16 @@ class InsufficientRuns(FloodloopError):
 
 
 class EmptyQuery(FloodloopError):
-    """Embedding requested for empty text."""
+    """Embedding requested for a text with no token; `position` is the
+    text's place in the batch it came in."""
+
+    def __init__(self, message: str, position: int):
+        # both arguments are kept in `args`, so the error unpickles from a worker process
+        super().__init__(message, position)
+        self.position = position
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 class DanglingEdge(FloodloopError):

@@ -173,44 +173,49 @@ def build_knowledge_context(engine: SimulationEngine, config: RunConfig) -> Know
 
 
 def _default_graph(engine: SimulationEngine) -> KnowledgeGraph:
+    """Region nodes with their road-cell counts, each region adjacent to its
+    right and lower neighbours, and one road node per road row and column
+    that contains every region it crosses."""
     world = engine.world
     side = math.isqrt(world.n_regions)
+    region_ids = [f"region:{region}" for region in range(world.n_regions)]
     graph = KnowledgeGraph()
-    road_counts = np.diff(world.road_runs.bounds)
-    for region in range(world.n_regions):
-        graph.add_node(
-            Node(
-                id=f"region:{region}",
-                type=NodeType.REGION,
-                attrs=(("road_cells", str(int(road_counts[region]))),),
-            )
-        )
-    for region in range(world.n_regions):
+    graph.add_nodes(
+        Node(id=rid, type=NodeType.REGION, attrs=(("road_cells", str(count)),))
+        for rid, count in zip(region_ids, np.diff(world.road_runs.bounds).tolist())
+    )
+    adjacent = []
+    for region, rid in enumerate(region_ids):
         row, col = divmod(region, side)
-        for dr, dc in ((0, 1), (1, 0)):
-            nr, nc = row + dr, col + dc
-            if nr < side and nc < side:
-                other = nr * side + nc
-                graph.add_edge(Edge(f"region:{region}", f"region:{other}", EdgeType.ADJACENT))
+        if col + 1 < side:
+            adjacent.append(Edge(rid, region_ids[region + 1], EdgeType.ADJACENT))
+        if row + 1 < side:
+            adjacent.append(Edge(rid, region_ids[region + side], EdgeType.ADJACENT))
+    graph.add_edges(adjacent)
     spacing = engine.config.world.road_spacing
-    for kind, extent in (("row", world.height), ("col", world.width)):
-        for idx in range(0, extent, spacing):
-            road_id = f"road:{kind}:{idx}"
-            graph.add_node(Node(id=road_id, type=NodeType.ROAD, attrs=((kind, str(idx)),)))
-            touched = (
-                np.unique(world.region_id[idx, :]) if kind == "row" else np.unique(world.region_id[:, idx])
-            )
-            for region in touched:
-                graph.add_edge(Edge(f"region:{int(region)}", road_id, EdgeType.CONTAINS))
+    for kind, extent, lines in (
+        ("row", world.height, world.region_id[::spacing, :]),
+        ("col", world.width, world.region_id[:, ::spacing].T),
+    ):
+        indices = [str(idx) for idx in range(0, extent, spacing)]
+        road_ids = [f"road:{kind}:{idx}" for idx in indices]
+        graph.add_nodes(Node(id=road_id, type=NodeType.ROAD, attrs=((kind, idx),)) for road_id, idx in zip(road_ids, indices))
+        # crossed[i, r]: road line i crosses region r; its nonzeros run in road, then region order
+        crossed = np.zeros((len(lines), world.n_regions), dtype=bool)
+        crossed[np.arange(len(lines))[:, None], lines] = True
+        line, region = np.nonzero(crossed)
+        graph.add_edges(
+            Edge(region_ids[r], road_ids[i], EdgeType.CONTAINS) for i, r in zip(line.tolist(), region.tolist())
+        )
     return graph
 
 
 def _default_segments(engine: SimulationEngine, embedder: HashingEmbedder, seed: int) -> SegmentStore:
     store = SegmentStore(embedder)
     rng = pystream(seed, "segments")
-    for region in range(engine.world.n_regions):
-        template = rng.choice(_SEGMENT_TEMPLATES)
-        store.add(f"seg:{region:03d}", template.format(r=region))
+    store.extend(
+        (f"seg:{region:03d}", rng.choice(_SEGMENT_TEMPLATES).format(r=region)) for region in range(engine.world.n_regions)
+    )
     return store
 
 
@@ -260,8 +265,8 @@ class DecisionLoop:
     def _noop_vectors(self) -> tuple[np.ndarray, ...]:
         """Each region's NoOp text embedded, in region order: the start of
         every cycle's diversity set, embedded at the first cycle and kept."""
-        embed = self.knowledge.store.embedder.embed
-        return tuple(embed(f"noop region={region}") for region in range(self.config.world.n_regions))
+        texts = [f"noop region={region}" for region in range(self.config.world.n_regions)]
+        return tuple(self.knowledge.store.embedder.embed_many(texts))
 
     def ablated(self, name: str) -> bool:
         return name in self.config.ablations

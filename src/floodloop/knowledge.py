@@ -8,7 +8,10 @@ retrieval. Both feed a hybrid prompt, whose text is rendered when built.
 
 Embeddings come from deterministic feature hashing: no training, no
 model downloads, yet identical text always maps to the identical unit
-vector.
+vector. A run's fixed knowledge is built in bulk: the store embeds all
+its segments in one hashing pass (`SegmentStore.extend`), and the graph
+takes its nodes and edges in one insert pass each (`add_nodes`,
+`add_edges`); adding one item is the one-item case of the same routine.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import AbstractSet, Iterable, Sequence
 
@@ -37,46 +41,82 @@ TASK_DIRECTIVE = (
 )
 
 
-class HashingEmbedder:
-    """Signed feature hashing of tokens into a unit vector of `dim`
-    entries (`EMBED_DIM` in a run).
+class _SlotTable(dict):
+    """token -> (slot, sign) of feature hashing into `dim` slots, each
+    computed on its first lookup."""
 
-    Each token's (slot, sign) and each text's vector are computed once per
-    embedder and memoised; feature hashing is a pure function of the text.
-    The returned vectors are shared, so they are read-only.
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, token: str) -> tuple[int, float]:
+        h = int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
+        slot = self[token] = (h % self.dim, 1.0 if (h >> 63) & 1 else -1.0)
+        return slot
+
+
+class HashingEmbedder:
+    """Signed feature hashing (Weinberger et al., ICML 2009) of tokens into
+    unit vectors of `dim` entries (`EMBED_DIM` in a run).
+
+    Each token's (slot, sign) is computed once per embedder and memoised.
+    `embed_many` embeds a batch in one pass; `embed` is its one-text case
+    and memoises each text's vector, since feature hashing is a pure
+    function of the text. Every returned vector is read-only.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._slots: dict[str, tuple[int, float]] = {}
+        self._slots = _SlotTable(dim)
         self._vectors: dict[str, np.ndarray] = {}
-
-    def _slot(self, token: str) -> tuple[int, float]:
-        h = int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
-        slot = self._slots[token] = (h % self.dim, 1.0 if (h >> 63) & 1 else -1.0)
-        return slot
 
     def embed(self, text: str) -> np.ndarray:
         vec = self._vectors.get(text)
         if vec is None:
-            vec = self._vectors[text] = self._hash(text)
-            vec.flags.writeable = False
+            vec = self._vectors[text] = self._hash((text,), [_TOKEN_RE.findall(text.lower())])
         return vec
 
-    def _hash(self, text: str) -> np.ndarray:
-        tokens = _TOKEN_RE.findall(text.lower())
-        if not tokens:
-            raise EmptyQuery("cannot embed empty text")
-        slots = self._slots
-        index, sign = zip(*[slots.get(token) or self._slot(token) for token in tokens])
-        vec = np.bincount(index, weights=sign, minlength=self.dim)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            # pathological sign cancellation; pin a single deterministic axis
-            h = int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
-            vec[h % self.dim] = 1.0
-            norm = 1.0
-        return vec / norm
+    def embed_many(self, texts: Sequence[str]) -> np.ndarray:
+        """The unit vectors of `texts`, one read-only row each, not memoised;
+        row i equals `embed(texts[i])` bit for bit."""
+        if not texts:
+            return np.empty((0, self.dim))
+        return self._hash(texts, list(map(_TOKEN_RE.findall, map(str.lower, texts)))).reshape(len(texts), self.dim)
+
+    def _hash(self, texts: Sequence[str], tokens: Sequence[list[str]]) -> np.ndarray:
+        """The unit vectors of `texts`, given each one's tokens: a vector for
+        one text, one row each for more.
+
+        Each token adds its sign at its slot: one `bincount` over
+        `row * dim + slot` gives every text's counts. Those are sums of
+        ±1, so exact integers, and so are the squared norms in any
+        summation order; each row is therefore, bit for bit, its text's
+        counts divided by their own norm. One text is normed with scalars,
+        which cost less than the row-wise forms. A text with no token
+        raises `EmptyQuery` carrying its position in `texts`.
+        """
+        n, dim = len(texts), self.dim
+        if not all(tokens):
+            raise EmptyQuery("cannot embed empty text", tokens.index([]))
+        index, sign = zip(*map(self._slots.__getitem__, chain.from_iterable(tokens)))
+        if n > 1:
+            index = np.add(index, np.repeat(np.arange(0, n * dim, dim), list(map(len, tokens))))
+        counts = np.bincount(index, weights=sign, minlength=n * dim)
+        rows = counts.reshape(n, dim)
+        squares = [counts.dot(counts)] if n == 1 else np.einsum("ij,ij->i", rows, rows).tolist()
+        if 0.0 in squares:
+            for row in [row for row, square in enumerate(squares) if square == 0.0]:
+                # pathological sign cancellation; pin a single deterministic axis
+                h = int.from_bytes(hashlib.blake2b(texts[row].encode(), digest_size=8).digest(), "big")
+                counts[row * dim + h % dim] = 1.0
+                squares[row] = 1.0
+        if n == 1:
+            units = counts / np.sqrt(squares[0])
+        else:
+            units = rows
+            units /= np.sqrt(squares)[:, None]
+        units.flags.writeable = False
+        return units
 
 
 def embed_state(summary_text: str, embedder: HashingEmbedder) -> np.ndarray:
@@ -147,25 +187,44 @@ class KnowledgeGraph:
         return len(self.edges)
 
     def add_node(self, node: Node) -> None:
-        if node.id in self.nodes:
-            return
-        self.nodes[node.id] = node
-        self._neighbors[node.id] = set()
-        self._out[node.id] = {}
-        self._rendered = None
+        self.add_nodes((node,))
+
+    def add_nodes(self, nodes: Iterable[Node]) -> None:
+        """Insert nodes in order; an id already present keeps its node."""
+        known, neighbors, out = self.nodes, self._neighbors, self._out
+        before = len(known)
+        for node in nodes:
+            if node.id not in known:
+                known[node.id] = node
+                neighbors[node.id] = set()
+                out[node.id] = {}
+        if len(known) > before:
+            self._rendered = None
 
     def add_edge(self, edge: Edge) -> None:
-        if edge.src not in self.nodes or edge.dst not in self.nodes:
-            raise DanglingEdge(f"edge {edge.src}->{edge.dst} references a missing node")
-        out = self._out[edge.src]
-        key = (edge.dst, edge.type.value)
-        if key in out:
-            return
-        out[key] = edge
-        self.edges.append(edge)
-        self._neighbors[edge.src].add(edge.dst)
-        self._neighbors[edge.dst].add(edge.src)
-        self._rendered = None
+        self.add_edges((edge,))
+
+    def add_edges(self, edges: Iterable[Edge]) -> None:
+        """Insert edges in order. An edge with an endpoint missing from the
+        graph raises `DanglingEdge` once the edges before it are in, as
+        inserting them one at a time would."""
+        nodes, out, neighbors, inserted = self.nodes, self._out, self._neighbors, self.edges
+        before = len(inserted)
+        try:
+            for edge in edges:
+                src, dst = edge.src, edge.dst
+                if src not in nodes or dst not in nodes:
+                    raise DanglingEdge(f"edge {src}->{dst} references a missing node")
+                by_key = out[src]
+                key = (dst, edge.type.value)
+                if key not in by_key:
+                    by_key[key] = edge
+                    inserted.append(edge)
+                    neighbors[src].add(dst)
+                    neighbors[dst].add(src)
+        finally:
+            if len(inserted) > before:
+                self._rendered = None
 
     def neighbors(self, node_id: str) -> set[str]:
         """Undirected neighbor view used by extraction."""
@@ -193,10 +252,8 @@ def update_graph(graph: KnowledgeGraph, new_nodes: Iterable[Node], new_edges: It
     """Union update: G' = G + new nodes + new edges. Idempotent; existing
     ids and duplicate edge triples are left untouched."""
     out = graph.copy()
-    for node in new_nodes:
-        out.add_node(node)
-    for edge in new_edges:
-        out.add_edge(edge)
+    out.add_nodes(new_nodes)
+    out.add_edges(new_edges)
     return out
 
 
@@ -232,7 +289,8 @@ class SegmentStore:
     """Flat store of text segments with their embeddings; ids are unique.
 
     Each segment's unit vector is computed once, when it is added; their
-    stack, one row per segment, is built on first use and dropped by `add`.
+    stack, one row per segment, is built on first use and dropped by any
+    addition.
     """
 
     def __init__(self, embedder: HashingEmbedder):
@@ -246,16 +304,41 @@ class SegmentStore:
         return len(self.segments)
 
     def add(self, seg_id: str, text: str) -> Segment:
-        if seg_id in self._ids:
-            raise ValueError(f"duplicate segment id {seg_id!r}")
-        seg = Segment(id=seg_id, text=text)
-        self.segments.append(seg)
-        # normalised again: for some texts that moves the last bits of the
-        # embedder's unit vector, and the retrieval order and `sim=` text read these
-        self._units.append(_normalized(self.embedder.embed(text)))
+        return self.extend([(seg_id, text)])[0]
+
+    def extend(self, items: Iterable[tuple[str, str]], origins: Sequence[str] = ()) -> list[Segment]:
+        """Add (id, text) segments in order, all or none; `add` is the
+        one-segment case.
+
+        An id already in the store or repeated in `items` raises
+        `ValueError`, a text with no token `EmptyQuery`; either names the
+        segment's id, after its entry of `origins` (a file line, say) when
+        given.
+        """
+        segments = [Segment(id=seg_id, text=text) for seg_id, text in items]
+
+        def where(i: int) -> str:
+            return f"{origins[i]}: " if origins else ""
+
+        fresh: set[str] = set()
+        for i, seg in enumerate(segments):
+            if seg.id in self._ids or seg.id in fresh:
+                raise ValueError(f"{where(i)}duplicate segment id {seg.id!r}")
+            fresh.add(seg.id)
+        try:
+            vectors = self.embedder.embed_many([seg.text for seg in segments])
+        except EmptyQuery as exc:
+            i = exc.position
+            raise EmptyQuery(f"{where(i)}segment {segments[i].id!r} has no token to embed", i) from None
+        # normalised again, each row by its own `v.dot(v)` as `_normalized` does:
+        # for some texts that moves the last bits of the embedder's unit
+        # vector, and the retrieval order and `sim=` text read these
+        norms = np.sqrt([v.dot(v) for v in vectors])
+        self._units += list(vectors / norms[:, None])
+        self.segments += segments
+        self._ids |= fresh
         self._stacked = None
-        self._ids.add(seg_id)
-        return seg
+        return segments
 
     def units(self) -> np.ndarray:
         if self._stacked is None:
@@ -371,21 +454,21 @@ def build_prompt(
 
 def graph_from_json(data: dict) -> KnowledgeGraph:
     """The graph of a snapshot record: a JSON object with optional `nodes`
-    and `edges` lists; any other top level is a `TypeError`."""
+    and `edges` lists; any other top level, or a node's `attributes` that
+    is not an object, is a `TypeError`."""
     if not isinstance(data, dict):
         raise TypeError(f"a graph snapshot must be a JSON object, got {type(data).__name__}")
     g = KnowledgeGraph()
-    for rec in data.get("nodes", []):
-        g.add_node(
-            Node(
-                id=rec["id"],
-                type=NodeType(rec["type"]),
-                attrs=tuple(sorted((str(k), str(v)) for k, v in rec.get("attributes", {}).items())),
-            )
-        )
-    for rec in data.get("edges", []):
-        g.add_edge(Edge(src=rec["src"], dst=rec["dst"], type=EdgeType(rec["type"])))
+    g.add_nodes(map(_node_from_json, data.get("nodes", [])))
+    g.add_edges(Edge(src=rec["src"], dst=rec["dst"], type=EdgeType(rec["type"])) for rec in data.get("edges", []))
     return g
+
+
+def _node_from_json(rec: dict) -> Node:
+    node_id, node_type, attributes = rec["id"], NodeType(rec["type"]), rec.get("attributes", {})
+    if not isinstance(attributes, dict):
+        raise TypeError(f"node {node_id!r}: attributes must be a JSON object, got {type(attributes).__name__}")
+    return Node(id=node_id, type=node_type, attrs=tuple(sorted((str(k), str(v)) for k, v in attributes.items())))
 
 
 def load_graph(path: str | Path) -> KnowledgeGraph:
@@ -393,10 +476,22 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
 
 
 def load_segments(path: str | Path, embedder: HashingEmbedder) -> SegmentStore:
-    store = SegmentStore(embedder)
-    for line in Path(path).read_text().splitlines():
+    """The store of a JSON-lines file of `{"id": ..., "text": ...}`
+    records, both strings; blank lines are skipped, and every error about
+    a record names its line."""
+    origins, items = [], []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
         rec = json.loads(line)
-        store.add(rec["id"], rec["text"])
+        seg_id, text = rec["id"], rec["text"]
+        if not isinstance(seg_id, str) or not isinstance(text, str):
+            raise TypeError(
+                f"line {number}: segment {seg_id!r} needs a string id and text, "
+                f"got {type(seg_id).__name__} and {type(text).__name__}"
+            )
+        origins.append(f"line {number}")
+        items.append((seg_id, text))
+    store = SegmentStore(embedder)
+    store.extend(items, origins)
     return store

@@ -550,15 +550,17 @@ def default_pois(world: WorldState, n_pois: int, seed: int) -> list[Poi]:
     urban demand looks like and what makes street-level flooding bite.
     """
     rng = pystream(seed, "pois")
-    road = world.road_cells()
+    rows, cols = np.nonzero(world.is_road)  # `world.road_cells()`, row-major, as arrays
+    road = list(zip(rows.tolist(), cols.tolist()))
     if not road:
         return []
     n = min(n_pois, len(road))
     n_clusters = max(1, n // POI_CLUSTER_SIZE)
     centers = rng.sample(road, n_clusters)
     cells: set[Cell] = set()
-    for center in centers:
-        nearby = [c for c in road if abs(c[0] - center[0]) + abs(c[1] - center[1]) <= POI_CLUSTER_RADIUS]
+    for row, col in centers:
+        near = np.abs(rows - row) + np.abs(cols - col) <= POI_CLUSTER_RADIUS
+        nearby = [road[i] for i in np.flatnonzero(near).tolist()]
         # the cap honours an n below the cluster size; otherwise it never binds, since
         # before cluster k < n // POI_CLUSTER_SIZE at most k * POI_CLUSTER_SIZE cells exist
         take = min(POI_CLUSTER_SIZE, len(nearby), n - len(cells))

@@ -303,3 +303,47 @@ def test_a_graph_file_that_is_not_a_json_object_gives_an_error_record(tmp_path, 
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "TypeError", "message": f"a graph snapshot must be a JSON object, got {kind}"}
+
+
+@pytest.mark.parametrize(
+    "field, name, content, error, message",
+    [
+        (
+            "segments_file", "segments.jsonl", '{"id": "a", "text": 5}\n', "TypeError",
+            "line 1: segment 'a' needs a string id and text, got str and int",
+        ),
+        (
+            "segments_file", "segments.jsonl", '{"id": "a", "text": "pumps"}\n\n{"id": 5, "text": "rain"}\n', "TypeError",
+            "line 3: segment 5 needs a string id and text, got int and str",
+        ),
+        (
+            "segments_file", "segments.jsonl", '{"id": "a", "text": "pumps"}\n{"id": "b", "text": "?!"}\n', "EmptyQuery",
+            "line 2: segment 'b' has no token to embed",
+        ),
+        (
+            "segments_file", "segments.jsonl", '{"id": "a", "text": "pumps"}\n\n{"id": "a", "text": "rain"}\n', "ValueError",
+            "line 3: duplicate segment id 'a'",
+        ),
+        (
+            "graph_file", "graph.json", json.dumps({"nodes": [{"id": "region:0", "type": "region", "attributes": [1, 2]}]}),
+            "TypeError", "node 'region:0': attributes must be a JSON object, got list",
+        ),
+    ],
+)
+@pytest.mark.parametrize("command", ["run", "load"])
+def test_a_malformed_knowledge_record_gives_an_error_record_naming_it(
+    tmp_path, capsys, command, field, name, content, error, message
+):
+    path = tmp_path / name
+    path.write_text(content)
+    if command == "run":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"steps": 10, "out_dir": str(tmp_path / "out"), "knowledge": {field: str(path)}}))
+        argv = ["run", "--config", str(config)]
+    else:
+        argv = ["load", "--segments" if field == "segments_file" else "--graph", str(path)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": error, "message": message}
+    assert not (tmp_path / "out").exists()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,12 +20,13 @@ from floodloop.backends import (
     StrategyBackend,
     make_backend,
 )
-from floodloop.config import ENDPOINT_ENV_VAR, FeedbackConfig, PolicyConfig, RunConfig
+from floodloop.config import ENDPOINT_ENV_VAR, FeedbackConfig, PolicyConfig, RunConfig, WorldConfig
 from floodloop.errors import BackendUnavailable, ConfigError
-from floodloop.knowledge import KnowledgeGraph, Node, NodeType
+from floodloop.knowledge import Edge, EdgeType, KnowledgeGraph, Node, NodeType
 from floodloop.mobility import Status
 from floodloop.policy import HighLevelAction, PolicyDistribution, Verb
 from floodloop.translate import _DIRECTIVE_TABLE, Tag
+from floodloop.world import build_world
 from test_golden import RUNS, WET_RUNS, run_config
 
 SCORE_THRESHOLD = PolicyConfig().score_threshold
@@ -449,3 +453,50 @@ def test_external_endpoint_required(monkeypatch):
     cfg = tiny_config(strategy="external")
     with pytest.raises(ConfigError, match="^external_endpoint: "):
         cfg.validate()
+
+
+def former_default_graph(engine) -> KnowledgeGraph:
+    """`feedback._default_graph` before it built from lists, kept verbatim as the oracle."""
+    world = engine.world
+    side = math.isqrt(world.n_regions)
+    graph = KnowledgeGraph()
+    road_counts = np.diff(world.road_runs.bounds)
+    for region in range(world.n_regions):
+        graph.add_node(
+            Node(
+                id=f"region:{region}",
+                type=NodeType.REGION,
+                attrs=(("road_cells", str(int(road_counts[region]))),),
+            )
+        )
+    for region in range(world.n_regions):
+        row, col = divmod(region, side)
+        for dr, dc in ((0, 1), (1, 0)):
+            nr, nc = row + dr, col + dc
+            if nr < side and nc < side:
+                other = nr * side + nc
+                graph.add_edge(Edge(f"region:{region}", f"region:{other}", EdgeType.ADJACENT))
+    spacing = engine.config.world.road_spacing
+    for kind, extent in (("row", world.height), ("col", world.width)):
+        for idx in range(0, extent, spacing):
+            road_id = f"road:{kind}:{idx}"
+            graph.add_node(Node(id=road_id, type=NodeType.ROAD, attrs=((kind, str(idx)),)))
+            touched = (
+                np.unique(world.region_id[idx, :]) if kind == "row" else np.unique(world.region_id[:, idx])
+            )
+            for region in touched:
+                graph.add_edge(Edge(f"region:{int(region)}", road_id, EdgeType.CONTAINS))
+    return graph
+
+
+@pytest.mark.parametrize(
+    "width, height, n_regions, spacing", [(64, 64, 64, 4), (64, 64, 256, 4), (37, 21, 9, 5), (8, 30, 1, 1), (12, 12, 16, 7)]
+)
+def test_default_graph_equals_the_former_per_item_build(width, height, n_regions, spacing):
+    world = build_world(WorldConfig(width, height, n_regions, road_spacing=spacing), 3)
+    engine = SimpleNamespace(world=world, config=SimpleNamespace(world=SimpleNamespace(road_spacing=spacing)))
+    got, expected = fb._default_graph(engine), former_default_graph(engine)
+    assert list(got.nodes.items()) == list(expected.nodes.items())
+    assert got.edges == expected.edges
+    assert got._neighbors == expected._neighbors and got._out == expected._out
+    assert got.render_index() == expected.render_index()

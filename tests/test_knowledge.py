@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
@@ -12,9 +13,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from floodloop import knowledge as k
+from floodloop import mobility as mob
+from floodloop.config import WorldConfig
 from floodloop.errors import DanglingEdge, EmptyQuery
+from floodloop.rng import pystream
 from floodloop.semeval import scs, sds
 from floodloop.state import StateSummary
+from floodloop.world import build_world
 
 
 def make_node(nid, ntype=k.NodeType.REGION):
@@ -530,6 +535,9 @@ class TableEmbedder:
     def embed(self, text):
         return self.vectors[text]
 
+    def embed_many(self, texts):
+        return np.array([self.vectors[t] for t in texts]).reshape(len(texts), self.dim)
+
 
 def near_tied_store(size):
     """A unit query and `size` unit rows, each a copy of one base row with
@@ -594,3 +602,203 @@ def test_a_zero_query_scores_every_segment_zero_and_ranks_by_id():
     assert [seg.id for seg, _ in ranked] == ["seg:00", "seg:01", "seg:02", "seg:03"]
     assert [sim for _, sim in ranked] == [0.0] * 4
     assert_retrieves_like_per_call_code(np.zeros(k.EMBED_DIM), store, 4)
+
+
+# --- bulk builds against the per-item code they replaced --------------------------------
+
+
+class FormerEmbedder:
+    """`HashingEmbedder` before `embed_many`, kept verbatim as the oracle."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._slots: dict[str, tuple[int, float]] = {}
+        self._vectors: dict[str, np.ndarray] = {}
+
+    def _slot(self, token: str) -> tuple[int, float]:
+        h = int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
+        slot = self._slots[token] = (h % self.dim, 1.0 if (h >> 63) & 1 else -1.0)
+        return slot
+
+    def embed(self, text: str) -> np.ndarray:
+        vec = self._vectors.get(text)
+        if vec is None:
+            vec = self._vectors[text] = self._hash(text)
+            vec.flags.writeable = False
+        return vec
+
+    def _hash(self, text: str) -> np.ndarray:
+        tokens = k._TOKEN_RE.findall(text.lower())
+        if not tokens:
+            raise EmptyQuery("cannot embed empty text")
+        slots = self._slots
+        index, sign = zip(*[slots.get(token) or self._slot(token) for token in tokens])
+        vec = np.bincount(index, weights=sign, minlength=self.dim)
+        norm = float(np.linalg.norm(vec))
+        if norm == 0.0:
+            # pathological sign cancellation; pin a single deterministic axis
+            h = int.from_bytes(hashlib.blake2b(text.encode(), digest_size=8).digest(), "big")
+            vec[h % self.dim] = 1.0
+            norm = 1.0
+        return vec / norm
+
+
+def former_add_node(self, node):
+    """`KnowledgeGraph.add_node` before `add_nodes`, kept verbatim as the oracle."""
+    if node.id in self.nodes:
+        return
+    self.nodes[node.id] = node
+    self._neighbors[node.id] = set()
+    self._out[node.id] = {}
+    self._rendered = None
+
+
+def former_add_edge(self, edge):
+    """`KnowledgeGraph.add_edge` before `add_edges`, kept verbatim as the oracle."""
+    if edge.src not in self.nodes or edge.dst not in self.nodes:
+        raise DanglingEdge(f"edge {edge.src}->{edge.dst} references a missing node")
+    out = self._out[edge.src]
+    key = (edge.dst, edge.type.value)
+    if key in out:
+        return
+    out[key] = edge
+    self.edges.append(edge)
+    self._neighbors[edge.src].add(edge.dst)
+    self._neighbors[edge.dst].add(edge.src)
+    self._rendered = None
+
+
+def former_default_pois(world, n_pois: int, seed: int) -> list[mob.Poi]:
+    """`mobility.default_pois` before the road-cell mask, kept verbatim as the oracle."""
+    rng = pystream(seed, "pois")
+    road = world.road_cells()
+    if not road:
+        return []
+    n = min(n_pois, len(road))
+    n_clusters = max(1, n // mob.POI_CLUSTER_SIZE)
+    centers = rng.sample(road, n_clusters)
+    cells: set = set()
+    for center in centers:
+        nearby = [c for c in road if abs(c[0] - center[0]) + abs(c[1] - center[1]) <= mob.POI_CLUSTER_RADIUS]
+        # the cap honours an n below the cluster size; otherwise it never binds, since
+        # before cluster k < n // POI_CLUSTER_SIZE at most k * POI_CLUSTER_SIZE cells exist
+        take = min(mob.POI_CLUSTER_SIZE, len(nearby), n - len(cells))
+        cells.update(rng.sample(nearby, take))
+    while len(cells) < n:
+        cells.add(rng.choice(road))
+    return [mob.Poi(cell=c, weight=float(rng.randint(1, 5))) for c in sorted(cells)]
+
+
+# with EMBED_DIM slots both tokens hash to slot 31 with opposite signs
+CANCELLING = "rain river"
+
+
+def test_a_text_whose_tokens_cancel_is_pinned_to_one_axis_on_both_paths():
+    embedder = k.HashingEmbedder(k.EMBED_DIM)
+    (slot_a, sign_a), (slot_b, sign_b) = (embedder._slots[t] for t in CANCELLING.split())
+    assert slot_a == slot_b and sign_a == -sign_b  # the counts cancel: the norm is zero
+    h = int.from_bytes(hashlib.blake2b(CANCELLING.encode(), digest_size=8).digest(), "big")
+    pinned = np.zeros(k.EMBED_DIM)
+    pinned[h % k.EMBED_DIM] = 1.0
+    assert embedder.embed(CANCELLING).tobytes() == pinned.tobytes()
+    rows = k.HashingEmbedder(k.EMBED_DIM).embed_many(["flood", CANCELLING, "region 7", CANCELLING])
+    assert rows[1].tobytes() == rows[3].tobytes() == pinned.tobytes()
+    assert rows[1].tobytes() == FormerEmbedder(k.EMBED_DIM).embed(CANCELLING).tobytes()
+
+
+_ANY_TEXTS = st.lists(st.one_of(_TEXTS, st.just(CANCELLING), st.text(max_size=30)), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ANY_TEXTS, _DIMS)
+def test_embed_many_rows_equal_per_text_hashing_bitwise(texts, dim):
+    former = FormerEmbedder(dim)
+    embedder = k.HashingEmbedder(dim)
+    empty = [i for i, text in enumerate(texts) if not k._TOKEN_RE.findall(text.lower())]
+    if empty:
+        with pytest.raises(EmptyQuery) as caught:
+            embedder.embed_many(texts)
+        assert caught.value.position == empty[0]
+        return
+    rows = embedder.embed_many(texts)
+    assert rows.shape == (len(texts), dim)
+    if texts:
+        with pytest.raises(ValueError):
+            rows[..., 0] = 1.0
+    for text, row in zip(texts, rows):
+        assert row.tobytes() == former._hash(text).tobytes() == embedder.embed(text).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_TEXTS, st.just(CANCELLING)), max_size=25), st.integers(0, 3), _DIMS)
+def test_bulk_store_rows_equal_per_segment_normalisation_bitwise(texts, split, dim):
+    store = k.SegmentStore(k.HashingEmbedder(dim))
+    items = [(f"seg:{i:02d}", text) for i, text in enumerate(texts)]
+    store.extend(items[:split])
+    store.extend(items[split:])
+    former = FormerEmbedder(dim)
+    assert [(s.id, s.text) for s in store.segments] == items
+    assert [u.tobytes() for u in store._units] == [per_call_normalized(former.embed(t)).tobytes() for t in texts]
+    assert store.units().tobytes() == np.array(
+        [per_call_normalized(former.embed(t)) for t in texts], dtype=np.float64
+    ).reshape(len(texts), dim).tobytes()
+
+
+def test_a_failed_extend_adds_nothing_and_names_the_segment():
+    store = k.SegmentStore(k.HashingEmbedder(k.EMBED_DIM))
+    store.add("seg:a", "flood")
+    for items, error, message in (
+        ([("seg:b", "rain"), ("seg:a", "pump")], ValueError, "line 2: duplicate segment id 'seg:a'"),
+        ([("seg:b", "rain"), ("seg:b", "pump")], ValueError, "line 2: duplicate segment id 'seg:b'"),
+        ([("seg:b", "rain"), ("seg:c", "?!")], EmptyQuery, "line 2: segment 'seg:c' has no token to embed"),
+    ):
+        with pytest.raises(error) as caught:
+            store.extend(items, ["line 1", "line 2"])
+        assert str(caught.value) == message
+        assert [s.id for s in store.segments] == ["seg:a"] and len(store._units) == 1 and store._ids == {"seg:a"}
+    with pytest.raises(ValueError, match=r"^duplicate segment id 'seg:a'$"):
+        store.add("seg:a", "again")
+
+
+_NODE_IDS = _IDS[:6]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(_NODE_IDS), max_size=4), min_size=1, max_size=4),
+    st.lists(st.lists(_EDGES, max_size=12), min_size=1, max_size=4),
+    st.booleans(),
+)
+def test_bulk_inserts_equal_one_at_a_time_inserts(node_batches, edge_batches, render_between):
+    bulk, single = k.KnowledgeGraph(), k.KnowledgeGraph()
+    for ids, edges in zip(node_batches, edge_batches):
+        nodes = [make_node(nid) for nid in ids]
+        edges = [k.Edge(*e) for e in edges]
+        bulk.add_nodes(nodes)
+        for node in nodes:
+            former_add_node(single, node)
+        errors = []
+        for graph, insert in ((bulk, bulk.add_edges), (single, lambda es: [former_add_edge(single, e) for e in es])):
+            try:
+                insert(edges)
+                errors.append(None)
+            except DanglingEdge as exc:
+                errors.append(str(exc))
+        assert errors[0] == errors[1]
+        assert bulk.nodes == single.nodes and list(bulk.nodes) == list(single.nodes)
+        assert bulk.edges == single.edges
+        assert bulk._neighbors == single._neighbors and bulk._out == single._out
+        if render_between:
+            assert bulk.render_index() == single.render_index()
+    assert bulk.render_index() == single.render_index()
+    assert k.render_subgraph(bulk, set(bulk.nodes)) == per_call_render(single)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(4, 40), st.integers(4, 40), st.sampled_from([1, 4]), st.integers(1, 6),
+    st.integers(0, 10_000), st.integers(0, 80),
+)
+def test_default_pois_equal_the_former_list_scan(width, height, n_regions, spacing, seed, n_pois):
+    world = build_world(WorldConfig(width, height, n_regions, road_spacing=spacing), seed)
+    assert mob.default_pois(world, n_pois, seed) == former_default_pois(world, n_pois, seed)
