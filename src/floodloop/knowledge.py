@@ -21,7 +21,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
 from pathlib import Path
 from typing import AbstractSet, Iterable, Sequence
 
@@ -41,20 +40,6 @@ TASK_DIRECTIVE = (
 )
 
 
-class _SlotTable(dict):
-    """token -> (slot, sign) of feature hashing into `dim` slots, each
-    computed on its first lookup."""
-
-    def __init__(self, dim: int):
-        super().__init__()
-        self.dim = dim
-
-    def __missing__(self, token: str) -> tuple[int, float]:
-        h = int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
-        slot = self[token] = (h % self.dim, 1.0 if (h >> 63) & 1 else -1.0)
-        return slot
-
-
 class HashingEmbedder:
     """Signed feature hashing (Weinberger et al., ICML 2009) of tokens into
     unit vectors of `dim` entries (`EMBED_DIM` in a run).
@@ -67,8 +52,13 @@ class HashingEmbedder:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._slots = _SlotTable(dim)
+        self._slots: dict[str, tuple[int, float]] = {}
         self._vectors: dict[str, np.ndarray] = {}
+
+    def _slot(self, token: str) -> tuple[int, float]:
+        h = int.from_bytes(hashlib.blake2b(token.encode(), digest_size=8).digest(), "big")
+        slot = self._slots[token] = (h % self.dim, 1.0 if (h >> 63) & 1 else -1.0)
+        return slot
 
     def embed(self, text: str) -> np.ndarray:
         vec = self._vectors.get(text)
@@ -98,7 +88,8 @@ class HashingEmbedder:
         n, dim = len(texts), self.dim
         if not all(tokens):
             raise EmptyQuery("cannot embed empty text", tokens.index([]))
-        index, sign = zip(*map(self._slots.__getitem__, chain.from_iterable(tokens)))
+        slots = self._slots
+        index, sign = zip(*[slots.get(token) or self._slot(token) for row in tokens for token in row])
         if n > 1:
             index = np.add(index, np.repeat(np.arange(0, n * dim, dim), list(map(len, tokens))))
         counts = np.bincount(index, weights=sign, minlength=n * dim)

@@ -695,7 +695,7 @@ CANCELLING = "rain river"
 
 def test_a_text_whose_tokens_cancel_is_pinned_to_one_axis_on_both_paths():
     embedder = k.HashingEmbedder(k.EMBED_DIM)
-    (slot_a, sign_a), (slot_b, sign_b) = (embedder._slots[t] for t in CANCELLING.split())
+    (slot_a, sign_a), (slot_b, sign_b) = (embedder._slot(t) for t in CANCELLING.split())
     assert slot_a == slot_b and sign_a == -sign_b  # the counts cancel: the norm is zero
     h = int.from_bytes(hashlib.blake2b(CANCELLING.encode(), digest_size=8).digest(), "big")
     pinned = np.zeros(k.EMBED_DIM)
