@@ -104,8 +104,7 @@ class HashingEmbedder:
         if n == 1:
             units = counts / np.sqrt(squares[0])
         else:
-            units = rows
-            units /= np.sqrt(squares)[:, None]
+            units = rows / np.sqrt(squares)[:, None]
         units.flags.writeable = False
         return units
 
@@ -468,8 +467,9 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
 
 def load_segments(path: str | Path, embedder: HashingEmbedder) -> SegmentStore:
     """The store of a JSON-lines file of `{"id": ..., "text": ...}`
-    records, both strings; blank lines are skipped, and every error about
-    a record names its line."""
+    records; blank lines are skipped. A record whose id or text is not a
+    string, a repeated id and a text with no token each raise an error
+    that names the record's line and id."""
     origins, items = [], []
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
