@@ -199,7 +199,9 @@ def _default_graph(engine: SimulationEngine) -> KnowledgeGraph:
     ):
         indices = [str(idx) for idx in range(0, extent, spacing)]
         road_ids = [f"road:{kind}:{idx}" for idx in indices]
-        graph.add_nodes(Node(id=road_id, type=NodeType.ROAD, attrs=((kind, idx),)) for road_id, idx in zip(road_ids, indices))
+        graph.add_nodes(
+            Node(id=road_id, type=NodeType.ROAD, attrs=((kind, idx),)) for road_id, idx in zip(road_ids, indices)
+        )
         # crossed[i, r]: road line i crosses region r; its nonzeros run in road, then region order
         crossed = np.zeros((len(lines), world.n_regions), dtype=bool)
         crossed[np.arange(len(lines))[:, None], lines] = True
@@ -214,7 +216,8 @@ def _default_segments(engine: SimulationEngine, embedder: HashingEmbedder, seed:
     store = SegmentStore(embedder)
     rng = pystream(seed, "segments")
     store.extend(
-        (f"seg:{region:03d}", rng.choice(_SEGMENT_TEMPLATES).format(r=region)) for region in range(engine.world.n_regions)
+        (f"seg:{region:03d}", rng.choice(_SEGMENT_TEMPLATES).format(r=region))
+        for region in range(engine.world.n_regions)
     )
     return store
 
