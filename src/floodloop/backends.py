@@ -27,7 +27,7 @@ from .config import RunConfig
 from .errors import BackendUnavailable
 from .knowledge import HybridPrompt
 from .metrics import METRIC_NAMES
-from .policy import VERB_INDEX, VERB_ORDER, HighLevelAction, PolicyDistribution, Verb, action_keys, action_vocabulary
+from .policy import VERB_INDEX, VERB_ORDER, HighLevelAction, PolicyDistribution, Verb, action_vocabulary
 from .state import StateSummary
 
 PREEMPT_FRACTION = 0.5  # of the blocking depth: the bar for preventive pumping on open roads
@@ -305,7 +305,7 @@ class ExternalBackend(StrategyBackend):
 @lru_cache(maxsize=8)
 def _vocabulary_json(n_regions: int) -> bytes:
     """The request's vocabulary array, encoded once per region count."""
-    return json.dumps(action_keys(n_regions)).encode()
+    return json.dumps([a.key() for a in action_vocabulary(n_regions)]).encode()
 
 
 def _parse_answer(raw: bytes, n_regions: int) -> BackendProposal:

@@ -119,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
             record = {}
             if args.graph:
                 graph = load_graph(args.graph)
-                record["graph"] = {"nodes": graph.n_nodes(), "edges": graph.n_edges()}
+                record["graph"] = {"nodes": len(graph.nodes), "edges": len(graph.edges)}
             if args.segments:
                 store = load_segments(args.segments, HashingEmbedder(EMBED_DIM))
                 record["segments"] = len(store)

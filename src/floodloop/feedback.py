@@ -151,14 +151,11 @@ _SEGMENT_TEMPLATES = (
 )
 
 
-@dataclass
-class KnowledgeContext:
-    graph: KnowledgeGraph
-    store: SegmentStore
-
-
-def build_knowledge_context(engine: SimulationEngine, config: RunConfig) -> KnowledgeContext:
-    """Region/road graph plus a seeded store of historical log segments."""
+def build_knowledge_context(engine: SimulationEngine, config: RunConfig) -> tuple[KnowledgeGraph, SegmentStore]:
+    """The run's knowledge: its region/road graph and its store of
+    historical log segments, each loaded from the config's file when it
+    names one, else built from the world (the segments seeded by the
+    config's seed)."""
     embedder = HashingEmbedder(EMBED_DIM)
     kc = config.knowledge
     if kc.graph_file:
@@ -169,7 +166,7 @@ def build_knowledge_context(engine: SimulationEngine, config: RunConfig) -> Know
         store = load_segments(kc.segments_file, embedder)
     else:
         store = _default_segments(engine, embedder, config.seed)
-    return KnowledgeContext(graph=graph, store=store)
+    return graph, store
 
 
 def _default_graph(engine: SimulationEngine) -> KnowledgeGraph:
@@ -225,11 +222,14 @@ def _default_segments(engine: SimulationEngine, embedder: HashingEmbedder, seed:
 # --- the loop ---------------------------------------------------------------
 
 class DecisionLoop:
-    """Owns one run: engine, controller, window, knowledge, and backends.
+    """Owns one run: engine, controller, window, backends, and the run's
+    knowledge graph and segment store (`graph`, `store`); a triggered cycle
+    replaces `graph` with its updated copy.
 
     The config comes validated: `harness.run` checks it before it builds
-    the backends and this loop. `scenario` is a replayed rainfall record,
-    or None to generate the config's."""
+    the backends and this loop. `scenario` is a replayed rainfall record of
+    the config's kind and at least its steps, or None to generate the
+    config's."""
 
     def __init__(
         self,
@@ -244,13 +244,16 @@ class DecisionLoop:
         if len(scenario.curve) < config.steps:
             # every step reads its rain from the curve: a short one would leave steps without rain
             raise ConfigError("scenario_file", f"curve covers {len(scenario.curve)} steps, the run needs {config.steps}")
+        if scenario.kind.value != config.scenario:
+            # the prompts, summary.json and config.json name the config's kind, not the curve's
+            raise ConfigError("scenario_file", f"kind {scenario.kind.value}, but the run is {config.scenario}")
         self.scenario = scenario
         self.engine = SimulationEngine(config, scenario)
         self.backend = backend
         self.fallback = fallback
         self.controller = EntropyController(config.policy.tau)
         self.window = FeedbackWindow(WINDOW_LENGTH)
-        self.knowledge = build_knowledge_context(self.engine, config)
+        self.graph, self.store = build_knowledge_context(self.engine, config)
         self.pending_feedback: FeedbackNote | None = None
         self.reports: list[CycleReport] = []
         self.prompt_log: list[tuple[int, str]] = []
@@ -269,7 +272,7 @@ class DecisionLoop:
         """Each region's NoOp text embedded, in region order: the start of
         every cycle's diversity set, embedded at the first cycle and kept."""
         texts = [f"noop region={region}" for region in range(self.config.world.n_regions)]
-        return tuple(self.knowledge.store.embedder.embed_many(texts))
+        return tuple(self.store.embedder.embed_many(texts))
 
     def ablated(self, name: str) -> bool:
         return name in self.config.ablations
@@ -326,7 +329,7 @@ class DecisionLoop:
         # the cycle's diversity set, in region order: a region's directive, or its NoOp
         vectors = list(self._noop_vectors)
         for d in directives:
-            vectors[d.region] = self.knowledge.store.embedder.embed(d.text())
+            vectors[d.region] = self.store.embedder.embed(d.text())
         self.diversity_sets.append(tuple(vectors))
         eng.board.dispatch(instructions)
 
@@ -368,8 +371,7 @@ class DecisionLoop:
         self.reports.append(report)
         self._prev_snapshot = executed
         if triggered:
-            note, new_graph = trigger_replanning(report, self.knowledge.graph)
-            self.knowledge.graph = new_graph
+            note, self.graph = trigger_replanning(report, self.graph)
             self.pending_feedback = note
         else:
             self.pending_feedback = None
@@ -393,7 +395,7 @@ class DecisionLoop:
         """The cycle's prompt; under the `dual_indexing` ablation both
         knowledge channels stay empty. `pending_feedback` is None under the
         `feedback_loop` ablation, since no cycle triggers there."""
-        graph, store = self.knowledge.graph, self.knowledge.store
+        graph, store = self.graph, self.store
         segments, keep = [], set()
         if not self.ablated("dual_indexing"):
             segments = retrieve_topk(embed_state(summary.text, store.embedder), store, TOP_K)
@@ -425,7 +427,7 @@ class DecisionLoop:
         for p in proposals:
             if id(p) not in texts:
                 texts[id(p)] = _proposal_text(p)
-        self.consistency_sets.append(tuple(self.knowledge.store.embedder.embed(texts[id(p)]) for p in proposals))
+        self.consistency_sets.append(tuple(self.store.embedder.embed(texts[id(p)]) for p in proposals))
 
     def _log_instruction(self, cycle: int, instr: Instruction, status: str, reason: str) -> None:
         self.instruction_rows.append(

@@ -226,7 +226,8 @@ def run_matrix(config: RunConfig, strategies: list[str], scenarios: list[str], r
     Writes `comparison.csv`, the mean and variance over seeds of each
     cell's run means of J, f, t, c and r, and, when repeats >= 2,
     `semantic.csv`: each cell's stability (the mean over f, t, c and r of
-    the cross-run variance) with its mean SCS and SDS.
+    the cross-run variance) with its mean SCS and SDS. Returns the run
+    count and the output directory.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
@@ -245,12 +246,11 @@ def run_matrix(config: RunConfig, strategies: list[str], scenarios: list[str], r
     summaries = _launch(config, variants)
     out_root.mkdir(parents=True, exist_ok=True)
 
-    rows, comparison, semantic = [], [], []
+    comparison, semantic = [], []
     for i, (strategy, scenario) in enumerate(cells):
         cell = summaries[i * repeats : (i + 1) * repeats]
         stats = [float(f([s["mean"][m] for s in cell])) for m in ("J", *METRIC_NAMES) for f in (np.mean, np.var)]
         stats.append(float(np.mean([s["triggers"] for s in cell])))
-        rows.append(dict(zip(COMPARISON_HEADER, (strategy, scenario, repeats, *stats))))
         comparison.append([strategy, scenario, repeats, *map(csv_float, stats)])
         if repeats >= 2:
             variances = run_stability([{m: s["mean"][m] for m in METRIC_NAMES} for s in cell])
@@ -268,7 +268,7 @@ def run_matrix(config: RunConfig, strategies: list[str], scenarios: list[str], r
     _write_csv(out_root / "comparison.csv", COMPARISON_HEADER, comparison)
     if semantic:
         _write_csv(out_root / "semantic.csv", SEMANTIC_TABLE_HEADER, semantic)
-    return {"rows": rows, "runs": len(variants), "out_dir": str(out_root)}
+    return {"runs": len(variants), "out_dir": str(out_root)}
 
 
 # --- ablation diffs ----------------------------------------------------------

@@ -11,7 +11,7 @@ model downloads, yet identical text always maps to the identical unit
 vector. A run's fixed knowledge is built in bulk: the store embeds all
 its segments in one hashing pass (`SegmentStore.extend`), and the graph
 takes its nodes and edges in one insert pass each (`add_nodes`,
-`add_edges`); adding one item is the one-item case of the same routine.
+`add_edges`).
 """
 
 from __future__ import annotations
@@ -170,15 +170,6 @@ class KnowledgeGraph:
     def __contains__(self, node_id: str) -> bool:
         return node_id in self.nodes
 
-    def n_nodes(self) -> int:
-        return len(self.nodes)
-
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    def add_node(self, node: Node) -> None:
-        self.add_nodes((node,))
-
     def add_nodes(self, nodes: Iterable[Node]) -> None:
         """Insert nodes in order; an id already present keeps its node."""
         known, neighbors, out = self.nodes, self._neighbors, self._out
@@ -191,13 +182,9 @@ class KnowledgeGraph:
         if len(known) > before:
             self._rendered = None
 
-    def add_edge(self, edge: Edge) -> None:
-        self.add_edges((edge,))
-
     def add_edges(self, edges: Iterable[Edge]) -> None:
         """Insert edges in order. An edge with an endpoint missing from the
-        graph raises `DanglingEdge` once the edges before it are in, as
-        inserting them one at a time would."""
+        graph raises `DanglingEdge` once the edges before it are in."""
         nodes, out, neighbors, inserted = self.nodes, self._out, self._neighbors, self.edges
         before = len(inserted)
         try:
@@ -278,27 +265,22 @@ class Segment:
 class SegmentStore:
     """Flat store of text segments with their embeddings; ids are unique.
 
-    Each segment's unit vector is computed once, when it is added; their
-    stack, one row per segment, is built on first use and dropped by any
-    addition.
+    `units` holds each segment's unit vector as one row, in insertion
+    order; `extend` computes the rows of its segments once and appends
+    them.
     """
 
     def __init__(self, embedder: HashingEmbedder):
         self.embedder = embedder
         self.segments: list[Segment] = []
-        self._units: list[np.ndarray] = []
-        self._stacked: np.ndarray | None = None
+        self.units = np.empty((0, embedder.dim))
         self._ids: set[str] = set()
 
     def __len__(self) -> int:
         return len(self.segments)
 
-    def add(self, seg_id: str, text: str) -> Segment:
-        return self.extend([(seg_id, text)])[0]
-
     def extend(self, items: Iterable[tuple[str, str]], origins: Sequence[str] = ()) -> list[Segment]:
-        """Add (id, text) segments in order, all or none; `add` is the
-        one-segment case.
+        """Add (id, text) segments in order, all or none.
 
         An id already in the store or repeated in `items` raises
         `ValueError`, a text with no token `EmptyQuery`; either names the
@@ -324,16 +306,10 @@ class SegmentStore:
         # for some texts that moves the last bits of the embedder's unit
         # vector, and the retrieval order and `sim=` text read these
         norms = np.sqrt([v.dot(v) for v in vectors])
-        self._units += list(vectors / norms[:, None])
+        self.units = np.concatenate((self.units, vectors / norms[:, None]))
         self.segments += segments
         self._ids |= fresh
-        self._stacked = None
         return segments
-
-    def units(self) -> np.ndarray:
-        if self._stacked is None:
-            self._stacked = np.array(self._units, dtype=np.float64).reshape(len(self._units), self.embedder.dim)
-        return self._stacked
 
 
 # how far below the k-th shortlist score a row may score and still be
@@ -352,13 +328,13 @@ def retrieve_topk(query: np.ndarray, store: SegmentStore, k: int) -> list[tuple[
     with its last member, is on the shortlist.
     """
     q = _normalized(np.asarray(query, dtype=np.float64))
-    units = store.units()
+    units = store.units
     approx = units @ q
     rows = range(len(approx))
     if 0 < k < len(approx):
         kth = np.partition(approx, len(approx) - k)[len(approx) - k]
         rows = np.flatnonzero(approx >= kth - SHORTLIST_SLACK).tolist()
-    scored = [(store.segments[i], float(np.dot(q, store._units[i]))) for i in rows]
+    scored = [(store.segments[i], float(np.dot(q, units[i]))) for i in rows]
     scored.sort(key=lambda pair: (-pair[1], pair[0].id))
     return scored[:k]
 
@@ -467,14 +443,24 @@ def load_graph(path: str | Path) -> KnowledgeGraph:
 
 def load_segments(path: str | Path, embedder: HashingEmbedder) -> SegmentStore:
     """The store of a JSON-lines file of `{"id": ..., "text": ...}`
-    records; blank lines are skipped. A record whose id or text is not a
-    string, a repeated id and a text with no token each raise an error
-    that names the record's line and id."""
+    records; blank lines are skipped. Every record error names the
+    record's line: a line that is not JSON (`ValueError`, with json's
+    column), a record that is not an object (`TypeError`) or lacks its id
+    or text (`ValueError`), and, naming its id too, an id or text that is
+    not a string, a repeated id and a text with no token."""
     origins, items = [], []
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {number}: {exc.msg} at column {exc.colno}") from None
+        if not isinstance(rec, dict):
+            raise TypeError(f"line {number}: a segment record must be a JSON object, got {type(rec).__name__}")
+        missing = [key for key in ("id", "text") if key not in rec]
+        if missing:
+            raise ValueError(f"line {number}: segment record has no {' or '.join(missing)}")
         seg_id, text = rec["id"], rec["text"]
         if not isinstance(seg_id, str) or not isinstance(text, str):
             raise TypeError(

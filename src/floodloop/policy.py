@@ -62,12 +62,6 @@ def action_vocabulary(n_regions: int) -> tuple[HighLevelAction, ...]:
     return tuple(HighLevelAction(verb, region) for verb in VERB_ORDER for region in range(n_regions))
 
 
-@lru_cache(maxsize=8)
-def action_keys(n_regions: int) -> tuple[str, ...]:
-    """`key()` of every entry of `action_vocabulary(n_regions)`, in order."""
-    return tuple(a.key() for a in action_vocabulary(n_regions))
-
-
 @dataclass(frozen=True)
 class PolicyDistribution:
     """Probability vector over a duplicate-free list of actions.

@@ -323,7 +323,8 @@ _WIRE_TEXT = st.text(st.one_of(st.characters(exclude_categories=()), st.sampled_
 @settings(max_examples=300, deadline=None)
 @given(_WIRE_TEXT, st.sampled_from([1, 4, 256]), st.floats(allow_nan=False, allow_infinity=False), st.integers())
 def test_request_body_is_json_dumps_of_the_request(text, n_regions, tau, cycle):
-    request = {"prompt": text, "vocabulary": list(p.action_keys(n_regions)), "tau": tau, "cycle": cycle}
+    vocabulary = [a.key() for a in p.action_vocabulary(n_regions)]
+    request = {"prompt": text, "vocabulary": vocabulary, "tau": tau, "cycle": cycle}
     backend = b.ExternalBackend("http://127.0.0.1:1/", timeout=1.0)
     body = backend._request_body(SimpleNamespace(text=text), n_regions, tau, cycle)
     assert body == json.dumps(request, allow_nan=False).encode("utf-8")
@@ -614,7 +615,8 @@ def proxy(http_backend, proxy_env):
 
 def wire_request(n_regions=4, tau=1.2, cycle=0):
     prompt = prompt_for(summary_with())
-    request = {"prompt": prompt.text, "vocabulary": list(p.action_keys(n_regions)), "tau": tau, "cycle": cycle}
+    vocabulary = [a.key() for a in p.action_vocabulary(n_regions)]
+    request = {"prompt": prompt.text, "vocabulary": vocabulary, "tau": tau, "cycle": cycle}
     return prompt, json.dumps(request).encode("utf-8")
 
 

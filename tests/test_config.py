@@ -278,21 +278,63 @@ def test_run_rejects_a_scenario_file_shorter_than_the_run(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_rejects_a_scenario_file_of_another_kind(tmp_path, capsys):
+    # the prompts, summary.json and config.json would name the config's kind, not the curve's
+    scenario = tmp_path / "scenario.json"
+    save_scenario(scenario, generate_scenario(ScenarioKind.LIGHT, 10, 0))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--steps", "10", "--scenario-file", str(scenario), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ConfigError", "message": "scenario_file: kind light, but the run is extreme"}
+    assert not out.exists()
+
+
+def test_a_scenario_file_replays_under_its_own_kind(tmp_path):
+    scenario = tmp_path / "scenario.json"
+    save_scenario(scenario, generate_scenario(ScenarioKind.LIGHT, 10, 0))
+    out = tmp_path / "out"
+    argv = ["run", "--steps", "10", "--scenario", "light", "--scenario-file", str(scenario), "--out", str(out)]
+    assert cli.main(argv) == 0
+    prompts = [json.loads(line)["text"] for line in (out / "prompts.jsonl").read_text().splitlines()]
+    assert prompts and all("\nscenario: light\n" in text for text in prompts)
+    assert json.loads((out / "summary.json").read_text())["scenario"] == "light"
+    assert (out / "scenario.json").read_bytes() == scenario.read_bytes()
+
+
 @pytest.mark.parametrize(
-    "command, name, content, field",
+    "command, name, content, error, message",
     [
-        ("load --segments", "segments.jsonl", '{"text": "pumps deployed"}\n', "id"),
-        ("load --graph", "graph.json", json.dumps({"nodes": [{"type": "region"}]}), "id"),
-        ("run --steps 10 --out {out} --scenario-file", "scenario.json", json.dumps({"kind": "light", "seed": 0}), "curve"),
+        (
+            "load --segments", "segments.jsonl", '{"text": "pumps deployed"}\n', "ValueError",
+            "line 1: segment record has no id",
+        ),
+        (
+            "load --segments", "segments.jsonl", '{"id": "a", "text": "pumps"}\n{"id": "b"}\n', "ValueError",
+            "line 2: segment record has no text",
+        ),
+        (
+            "load --segments", "segments.jsonl", '{"id": "a", "text": "pumps"}\n\n{bad\n', "ValueError",
+            "line 3: Expecting property name enclosed in double quotes at column 2",
+        ),
+        (
+            "load --segments", "segments.jsonl", '{"id": "a", "text": "pumps"}\n[1, 2]\n', "TypeError",
+            "line 2: a segment record must be a JSON object, got list",
+        ),
+        ("load --graph", "graph.json", json.dumps({"nodes": [{"type": "region"}]}), "KeyError", "'id'"),
+        (
+            "run --steps 10 --out {out} --scenario-file", "scenario.json", json.dumps({"kind": "light", "seed": 0}),
+            "KeyError", "'curve'",
+        ),
     ],
 )
-def test_a_malformed_input_file_gives_an_error_record(tmp_path, capsys, command, name, content, field):
+def test_a_malformed_input_file_gives_an_error_record(tmp_path, capsys, command, name, content, error, message):
     path = tmp_path / name
     path.write_text(content)
     assert cli.main([*command.format(out=tmp_path / "out").split(), str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert json.loads(err) == {"error": "KeyError", "message": repr(field)}
+    assert json.loads(err) == {"error": error, "message": message}
 
 
 @pytest.mark.parametrize("content, kind", [("[1]", "list"), ("3", "int"), ('"x"', "str")])

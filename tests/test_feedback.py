@@ -180,7 +180,7 @@ def report_with(**kw):
 def region_graph(n=4):
     g = KnowledgeGraph()
     for i in range(n):
-        g.add_node(Node(f"region:{i}", NodeType.REGION, ()))
+        g.add_nodes((Node(f"region:{i}", NodeType.REGION, ()),))
     return g
 
 
@@ -197,10 +197,10 @@ def test_trigger_replanning_adds_floodspot_idempotent():
     g = region_graph()
     _, g2 = fb.trigger_replanning(report_with(), g)
     assert "floodspot:1" in g2.nodes
-    assert g2.n_nodes() == g.n_nodes() + 1
+    assert len(g2.nodes) == len(g.nodes) + 1
     _, g3 = fb.trigger_replanning(report_with(), g2)
-    assert g3.n_nodes() == g2.n_nodes()
-    assert g3.n_edges() == g2.n_edges()
+    assert len(g3.nodes) == len(g2.nodes)
+    assert len(g3.edges) == len(g2.edges)
 
 
 def test_no_rejections_only_metric_deltas():
@@ -462,11 +462,13 @@ def former_default_graph(engine) -> KnowledgeGraph:
     graph = KnowledgeGraph()
     road_counts = np.diff(world.road_runs.bounds)
     for region in range(world.n_regions):
-        graph.add_node(
-            Node(
-                id=f"region:{region}",
-                type=NodeType.REGION,
-                attrs=(("road_cells", str(int(road_counts[region]))),),
+        graph.add_nodes(
+            (
+                Node(
+                    id=f"region:{region}",
+                    type=NodeType.REGION,
+                    attrs=(("road_cells", str(int(road_counts[region]))),),
+                ),
             )
         )
     for region in range(world.n_regions):
@@ -475,17 +477,17 @@ def former_default_graph(engine) -> KnowledgeGraph:
             nr, nc = row + dr, col + dc
             if nr < side and nc < side:
                 other = nr * side + nc
-                graph.add_edge(Edge(f"region:{region}", f"region:{other}", EdgeType.ADJACENT))
+                graph.add_edges((Edge(f"region:{region}", f"region:{other}", EdgeType.ADJACENT),))
     spacing = engine.config.world.road_spacing
     for kind, extent in (("row", world.height), ("col", world.width)):
         for idx in range(0, extent, spacing):
             road_id = f"road:{kind}:{idx}"
-            graph.add_node(Node(id=road_id, type=NodeType.ROAD, attrs=((kind, str(idx)),)))
+            graph.add_nodes((Node(id=road_id, type=NodeType.ROAD, attrs=((kind, str(idx)),)),))
             touched = (
                 np.unique(world.region_id[idx, :]) if kind == "row" else np.unique(world.region_id[:, idx])
             )
             for region in touched:
-                graph.add_edge(Edge(f"region:{int(region)}", road_id, EdgeType.CONTAINS))
+                graph.add_edges((Edge(f"region:{int(region)}", road_id, EdgeType.CONTAINS),))
     return graph
 
 

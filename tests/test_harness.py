@@ -34,12 +34,12 @@ def test_matrix_summaries_do_not_depend_on_workers(tmp_path):
     results = {}
     for workers in (1, 2):
         out = tmp_path / f"workers{workers}"
-        result = harness.run_matrix(tiny_matrix_config(str(out), workers), ["empty", "ruled"], ["extreme"], repeats=2)
+        harness.run_matrix(tiny_matrix_config(str(out), workers), ["empty", "ruled"], ["extreme"], repeats=2)
         cells = {p.parent.name: json.loads(p.read_text()) for p in sorted(out.glob("*/summary.json"))}
-        results[workers] = (result["rows"], cells)
-    rows, cells = results[1]
+        results[workers] = ((out / "comparison.csv").read_bytes(), cells)
+    comparison, cells = results[1]
     assert len(cells) == 4
-    assert results[2] == (rows, cells)
+    assert results[2] == (comparison, cells)
 
 
 def written(out: Path) -> dict[str, bytes]:

@@ -29,9 +29,9 @@ def make_node(nid, ntype=k.NodeType.REGION):
 def path_graph(n):
     g = k.KnowledgeGraph()
     for i in range(n):
-        g.add_node(make_node(f"n{i}"))
+        g.add_nodes((make_node(f"n{i}"),))
     for i in range(n - 1):
-        g.add_edge(k.Edge(f"n{i}", f"n{i+1}", k.EdgeType.ADJACENT))
+        g.add_edges((k.Edge(f"n{i}", f"n{i+1}", k.EdgeType.ADJACENT),))
     return g
 
 
@@ -90,11 +90,11 @@ def test_bfs_frontier_oracle_random_graphs():
         n = int(rng.integers(5, 60))
         g = k.KnowledgeGraph()
         for i in range(n):
-            g.add_node(make_node(f"v{i}"))
+            g.add_nodes((make_node(f"v{i}"),))
         for _ in range(n * 2):
             a, b = rng.integers(0, n, size=2)
             if a != b:
-                g.add_edge(k.Edge(f"v{a}", f"v{b}", k.EdgeType.ADJACENT))
+                g.add_edges((k.Edge(f"v{a}", f"v{b}", k.EdgeType.ADJACENT),))
         seeds = [f"v{int(i)}" for i in rng.choice(n, size=min(3, n), replace=False)]
         hops = int(rng.integers(0, 4))
 
@@ -122,8 +122,8 @@ def test_absent_seeds_extract_nothing():
 
 def test_exact_match_ranks_first():
     store = k.SegmentStore(k.HashingEmbedder(32))
-    store.add("seg:a", "flooding near the river")
-    store.add("seg:b", "buses rerouted downtown")
+    store.extend([("seg:a", "flooding near the river")])
+    store.extend([("seg:b", "buses rerouted downtown")])
     query = store.embedder.embed(store.segments[0].text)
     ranked = k.retrieve_topk(query, store, 2)
     assert ranked[0][0].id == "seg:a"
@@ -132,8 +132,8 @@ def test_exact_match_ranks_first():
 
 def test_k_larger_than_store():
     store = k.SegmentStore(k.HashingEmbedder(k.EMBED_DIM))
-    store.add("seg:a", "alpha")
-    store.add("seg:b", "beta")
+    store.extend([("seg:a", "alpha")])
+    store.extend([("seg:b", "beta")])
     assert len(k.retrieve_topk(np.ones(64), store, 10)) == 2
 
 
@@ -148,7 +148,7 @@ def test_ranking_matches_exhaustive_sort():
         store = k.SegmentStore(embedder)
         for i in range(50):
             words = rng.choice(["rain", "flood", "bus", "road", "pump", "region", str(i)], size=4)
-            store.add(f"seg:{i:02d}", " ".join(words) + f" {trial}")
+            store.extend([(f"seg:{i:02d}", " ".join(words) + f" {trial}")])
         query = embedder.embed("flood region bus")
         ranked = k.retrieve_topk(query, store, 50)
 
@@ -171,9 +171,9 @@ def test_ranking_matches_exhaustive_sort():
 def test_ranking_exact_ties_break_by_id():
     embedder = k.HashingEmbedder(16)
     store = k.SegmentStore(embedder)
-    store.add("seg:b", "identical flood note")
-    store.add("seg:a", "identical flood note")
-    store.add("seg:c", "identical flood note")
+    store.extend([("seg:b", "identical flood note")])
+    store.extend([("seg:a", "identical flood note")])
+    store.extend([("seg:c", "identical flood note")])
     query = embedder.embed("identical flood note")
     ranked = k.retrieve_topk(query, store, 3)
     assert [s.id for s, _ in ranked] == ["seg:a", "seg:b", "seg:c"]
@@ -184,10 +184,10 @@ def test_ranking_insertion_order_invariant():
     texts = [(f"seg:{i}", f"note about region {i} and rain") for i in range(10)]
     a = k.SegmentStore(embedder)
     for sid, text in texts:
-        a.add(sid, text)
+        a.extend([(sid, text)])
     b = k.SegmentStore(embedder)
     for sid, text in reversed(texts):
-        b.add(sid, text)
+        b.extend([(sid, text)])
     query = embedder.embed("region rain")
     assert [s.id for s, _ in k.retrieve_topk(query, a, 5)] == [s.id for s, _ in k.retrieve_topk(query, b, 5)]
 
@@ -230,7 +230,7 @@ def test_prompt_empty_channels_have_markers():
 def test_prompt_byte_identical():
     g = path_graph(3)
     store = k.SegmentStore(k.HashingEmbedder(k.EMBED_DIM))
-    store.add("seg:x", "alpha beta")
+    store.extend([("seg:x", "alpha beta")])
     segs = k.retrieve_topk(np.ones(64), store, 1)
     a = k.build_prompt(one_region_summary(), g, segs, None, set(g.nodes))
     b = k.build_prompt(one_region_summary(), g, segs, None, set(g.nodes))
@@ -258,23 +258,23 @@ def test_update_graph_empty_is_identity():
     g = path_graph(3)
     g2 = k.update_graph(g, [], [])
     assert set(g2.nodes) == set(g.nodes)
-    assert g2.n_edges() == g.n_edges()
+    assert len(g2.edges) == len(g.edges)
 
 
 def test_update_graph_idempotent():
     g = path_graph(2)
     node = make_node("n0")
     g2 = k.update_graph(g, [node], [k.Edge("n0", "n1", k.EdgeType.ADJACENT)])
-    assert g2.n_nodes() == g.n_nodes()
-    assert g2.n_edges() == g.n_edges()
+    assert len(g2.nodes) == len(g.nodes)
+    assert len(g2.edges) == len(g.edges)
 
 
 def test_update_graph_floodspot_reachable():
     g = path_graph(3)
     spot = make_node("floodspot:1", k.NodeType.FLOOD_SPOT)
     g2 = k.update_graph(g, [spot], [k.Edge("floodspot:1", "n1", k.EdgeType.RISKS)])
-    assert g2.n_nodes() == g.n_nodes() + 1
-    assert g2.n_edges() == g.n_edges() + 1
+    assert len(g2.nodes) == len(g.nodes) + 1
+    assert len(g2.edges) == len(g.edges) + 1
     assert "floodspot:1" in k.extract_subgraph(g2, ["n1"], 1)
     # source graph untouched
     assert "floodspot:1" not in g.nodes
@@ -284,11 +284,11 @@ def test_update_graph_monotone_random():
     rng = np.random.default_rng(5)
     g = path_graph(4)
     for _ in range(20):
-        n_before, e_before = g.n_nodes(), g.n_edges()
+        n_before, e_before = len(g.nodes), len(g.edges)
         nid = f"extra{int(rng.integers(0, 8))}"
         g = k.update_graph(g, [make_node(nid)], [k.Edge(nid, "n0", k.EdgeType.CONTAINS)])
-        assert g.n_nodes() >= n_before
-        assert g.n_edges() >= e_before
+        assert len(g.nodes) >= n_before
+        assert len(g.edges) >= e_before
 
 
 def test_dangling_edge_rejected():
@@ -321,8 +321,8 @@ def save_segments(path, store: k.SegmentStore) -> None:
 
 def test_graph_file_roundtrip(tmp_path):
     g = path_graph(3)
-    g.add_node(make_node("floodspot:2", k.NodeType.FLOOD_SPOT))
-    g.add_edge(k.Edge("floodspot:2", "n2", k.EdgeType.RISKS))
+    g.add_nodes((make_node("floodspot:2", k.NodeType.FLOOD_SPOT),))
+    g.add_edges((k.Edge("floodspot:2", "n2", k.EdgeType.RISKS),))
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph_to_json(g), indent=2))
     back = k.load_graph(path)
@@ -338,8 +338,8 @@ def test_graph_file_roundtrip(tmp_path):
 
 def test_segments_file_roundtrip(tmp_path):
     store = k.SegmentStore(k.HashingEmbedder(k.EMBED_DIM))
-    store.add("seg:1", "first note")
-    store.add("seg:2", "second note")
+    store.extend([("seg:1", "first note")])
+    store.extend([("seg:2", "second note")])
     path = tmp_path / "segments.jsonl"
     save_segments(path, store)
     back = k.load_segments(path, k.HashingEmbedder(k.EMBED_DIM))
@@ -348,9 +348,9 @@ def test_segments_file_roundtrip(tmp_path):
 
 def test_duplicate_segment_id_rejected():
     store = k.SegmentStore(k.HashingEmbedder(k.EMBED_DIM))
-    store.add("seg:1", "first")
+    store.extend([("seg:1", "first")])
     with pytest.raises(ValueError):
-        store.add("seg:1", "again")
+        store.extend([("seg:1", "again")])
 
 
 # --- indexes against the per-call code they replaced -------------------------------------
@@ -379,16 +379,16 @@ def per_call_extract(graph, seed_ids, hops):
             break
     sub = k.KnowledgeGraph()
     for nid in sorted(retained):
-        sub.add_node(graph.nodes[nid])
+        sub.add_nodes((graph.nodes[nid],))
     for edge in graph.edges:
         if edge.src in retained and edge.dst in retained:
-            sub.add_edge(edge)
+            sub.add_edges((edge,))
     return sub
 
 
 def per_call_render(sub):
     """`render_subgraph` before the render index, kept verbatim as the oracle."""
-    if sub is None or sub.n_nodes() == 0:
+    if sub is None or len(sub.nodes) == 0:
         return "(none)"
     lines = []
     for nid in sorted(sub.nodes):
@@ -437,9 +437,9 @@ def graphs(draw):
     g = k.KnowledgeGraph()
     for nid in _IDS:
         attrs = draw(st.lists(st.tuples(st.sampled_from(["label", "region"]), st.sampled_from(["0", "7", "a b"])), max_size=2))
-        g.add_node(k.Node(nid, draw(st.sampled_from(list(k.NodeType))), tuple(attrs)))
+        g.add_nodes((k.Node(nid, draw(st.sampled_from(list(k.NodeType))), tuple(attrs)),))
     for src, dst, etype in draw(st.lists(_EDGES, max_size=30)):
-        g.add_edge(k.Edge(src, dst, etype))
+        g.add_edges((k.Edge(src, dst, etype),))
     return g
 
 
@@ -472,7 +472,7 @@ def test_subgraph_text_equals_per_call_code(g, data):
     edge = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(list(k.EdgeType)))
     grown = k.update_graph(g, new_nodes, [k.Edge(*e) for e in data.draw(st.lists(edge, max_size=4))])
     assert_extracts_like_per_call_code(grown, data.draw(_SEEDS), data.draw(hops))
-    grown.add_edge(k.Edge(*data.draw(edge)))
+    grown.add_edges((k.Edge(*data.draw(edge)),))
     assert_extracts_like_per_call_code(grown, data.draw(_SEEDS), data.draw(hops))
     assert_extracts_like_per_call_code(g, data.draw(_SEEDS), data.draw(hops))
 
@@ -483,7 +483,7 @@ def test_retrieval_equals_per_call_code_bitwise(texts, data, dim):
     embedder = k.HashingEmbedder(dim)
     store = k.SegmentStore(embedder)
     for i, text in zip(data.draw(st.permutations(range(len(texts)))), texts):
-        store.add(f"seg:{i:02d}", text)  # ids out of insertion order; equal texts tie exactly
+        store.extend([(f"seg:{i:02d}", text)])  # ids out of insertion order; equal texts tie exactly
     query = data.draw(
         st.one_of(_TEXTS.map(embedder.embed), hnp.arrays(np.float64, dim, elements=st.integers(-3, 3).map(float)))
     )
@@ -554,7 +554,7 @@ def near_tied_store(size):
         vectors[f"row {j}"] = v
     store = k.SegmentStore(TableEmbedder(vectors))
     for j in rng.permutation(size).tolist():
-        store.add(f"seg:{j:02d}", f"row {j}")
+        store.extend([(f"seg:{j:02d}", f"row {j}")])
     return query, store
 
 
@@ -567,12 +567,12 @@ def assert_retrieves_like_per_call_code(query, store, top_k):
 
 def test_shortlist_keeps_rows_one_ulp_around_the_kth_score():
     query, store = near_tied_store(40)
-    exact = [float(np.dot(query, u)) for u in store._units]
+    exact = [float(np.dot(query, u)) for u in store.units]
     distinct = sorted(set(exact))
     # a real check: exact scores one ulp apart and tied, which the matrix product reorders
     assert any(b == np.nextafter(a, np.inf) for a, b in zip(distinct, distinct[1:]))
     assert len(distinct) < len(exact)
-    assert np.any(store.units() @ query != np.array(exact))
+    assert np.any(store.units @ query != np.array(exact))
     for top_k in range(1, len(store) + 2):
         assert_retrieves_like_per_call_code(query, store, top_k)
 
@@ -588,10 +588,10 @@ def test_a_store_grown_after_a_retrieval_is_searched_whole():
     embedder = k.HashingEmbedder(k.EMBED_DIM)
     store = k.SegmentStore(embedder)
     for i in range(12):
-        store.add(f"seg:{i:02d}", f"region {i} reported standing water after rain")
+        store.extend([(f"seg:{i:02d}", f"region {i} reported standing water after rain")])
     query = embedder.embed("pumps cleared the flooded underpass")
     assert_retrieves_like_per_call_code(query, store, 3)
-    store.add("seg:new", "pumps cleared the flooded underpass")
+    store.extend([("seg:new", "pumps cleared the flooded underpass")])
     assert k.retrieve_topk(query, store, 3)[0][0].id == "seg:new"
     assert_retrieves_like_per_call_code(query, store, 3)
 
@@ -738,15 +738,15 @@ def test_bulk_store_rows_equal_per_segment_normalisation_bitwise(texts, split, d
     store.extend(items[split:])
     former = FormerEmbedder(dim)
     assert [(s.id, s.text) for s in store.segments] == items
-    assert [u.tobytes() for u in store._units] == [per_call_normalized(former.embed(t)).tobytes() for t in texts]
-    assert store.units().tobytes() == np.array(
+    assert [u.tobytes() for u in store.units] == [per_call_normalized(former.embed(t)).tobytes() for t in texts]
+    assert store.units.tobytes() == np.array(
         [per_call_normalized(former.embed(t)) for t in texts], dtype=np.float64
     ).reshape(len(texts), dim).tobytes()
 
 
 def test_a_failed_extend_adds_nothing_and_names_the_segment():
     store = k.SegmentStore(k.HashingEmbedder(k.EMBED_DIM))
-    store.add("seg:a", "flood")
+    store.extend([("seg:a", "flood")])
     for items, error, message in (
         ([("seg:b", "rain"), ("seg:a", "pump")], ValueError, "line 2: duplicate segment id 'seg:a'"),
         ([("seg:b", "rain"), ("seg:b", "pump")], ValueError, "line 2: duplicate segment id 'seg:b'"),
@@ -755,9 +755,9 @@ def test_a_failed_extend_adds_nothing_and_names_the_segment():
         with pytest.raises(error) as caught:
             store.extend(items, ["line 1", "line 2"])
         assert str(caught.value) == message
-        assert [s.id for s in store.segments] == ["seg:a"] and len(store._units) == 1 and store._ids == {"seg:a"}
+        assert [s.id for s in store.segments] == ["seg:a"] and len(store.units) == 1 and store._ids == {"seg:a"}
     with pytest.raises(ValueError, match=r"^duplicate segment id 'seg:a'$"):
-        store.add("seg:a", "again")
+        store.extend([("seg:a", "again")])
 
 
 _NODE_IDS = _IDS[:6]

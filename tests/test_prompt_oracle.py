@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from floodloop.config import ABLATIONS, KnowledgeConfig, RunConfig
-from floodloop.feedback import DecisionLoop, KnowledgeContext
+from floodloop.feedback import DecisionLoop
 from floodloop.knowledge import (
     EMBED_DIM,
     TOP_K,
@@ -197,11 +197,11 @@ def graphs(draw, n_regions: int):
     others = draw(st.lists(st.sampled_from(["road:row:0", "road:col:4", "floodspot:2"]), unique=True))
     ids = [f"region:{r}" for r in present] + others
     for nid in ids:
-        g.add_node(Node(nid, draw(st.sampled_from(list(NodeType))), (("label", nid),)))
+        g.add_nodes((Node(nid, draw(st.sampled_from(list(NodeType))), (("label", nid),)),))
     if ids:
         edge = st.tuples(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(list(EdgeType)))
         for src, dst, etype in draw(st.lists(edge, max_size=12)):
-            g.add_edge(Edge(src, dst, etype))
+            g.add_edges((Edge(src, dst, etype),))
     return g
 
 
@@ -224,19 +224,19 @@ def prompt_cases(draw):
     store = SegmentStore(HashingEmbedder(EMBED_DIM))
     texts = st.lists(st.sampled_from(WORDS), min_size=1, max_size=5).map(" ".join)
     for i, text in enumerate(draw(st.lists(texts, max_size=TOP_K + 2))):
-        store.add(f"seg:{i:03d}", text)
+        store.extend([(f"seg:{i:03d}", text)])
     ablations = tuple(draw(st.lists(st.sampled_from(ABLATIONS), unique=True)))
     # under the feedback_loop ablation no cycle triggers, so none is pending
     pending = None if "feedback_loop" in ablations else draw(feedback_notes)
     loop = DecisionLoop.__new__(DecisionLoop)
     loop.config = RunConfig(ablations=ablations, knowledge=KnowledgeConfig(subgraph_hops=draw(st.integers(0, 2))))
-    loop.knowledge = KnowledgeContext(graph=graph, store=store)
+    loop.graph, loop.store = graph, store
     loop.pending_feedback = pending
     return loop, summary
 
 
 def former_prompt(loop: DecisionLoop, summary: StateSummary) -> HybridPrompt:
-    graph, store = loop.knowledge.graph, loop.knowledge.store
+    graph, store = loop.graph, loop.store
     former = SimpleNamespace(
         config=loop.config,
         knowledge=SimpleNamespace(graph=graph, store=store, embedder=store.embedder),
@@ -266,11 +266,11 @@ def test_cases_reach_every_channel_state():
     def collect(case):
         loop, summary = case
         seeds = summary.seed_region_ids()
-        present = [s for s in seeds if s in loop.knowledge.graph]
+        present = [s for s in seeds if s in loop.graph]
         seen.add("no seeds" if not seeds else "no seed present" if not present else
                  "all seeds present" if len(present) == len(seeds) else "some seeds present")
         seen.add(f"hops {loop.config.knowledge.subgraph_hops}")
-        seen.add(f"segments {min(len(loop.knowledge.store), TOP_K)}")
+        seen.add(f"segments {min(len(loop.store), TOP_K)}")
         note = loop.pending_feedback
         seen.add("no feedback" if note is None else "rejections" if note.rejected_reasons else "feedback")
         seen.update(loop.config.ablations)

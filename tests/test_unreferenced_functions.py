@@ -24,10 +24,7 @@ import ast
 from test_write_only_fields import _modules, _read_names
 
 # referenced by no module of the package, kept on purpose
-ALLOWED: dict[str, str] = {
-    "add_node": "KnowledgeGraph's one-node case of add_nodes, which the package builds with; the oracles call it",
-    "add_edge": "KnowledgeGraph's one-edge case of add_edges, which the package builds with; the oracles call it",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def _functions(tree: ast.Module):
