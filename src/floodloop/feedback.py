@@ -395,12 +395,11 @@ class DecisionLoop:
         """The cycle's prompt; under the `dual_indexing` ablation both
         knowledge channels stay empty. `pending_feedback` is None under the
         `feedback_loop` ablation, since no cycle triggers there."""
-        graph, store = self.graph, self.store
         segments, keep = [], set()
         if not self.ablated("dual_indexing"):
-            segments = retrieve_topk(embed_state(summary.text, store.embedder), store, TOP_K)
-            keep = extract_subgraph(graph, summary.seed_region_ids(), self.config.knowledge.subgraph_hops)
-        return build_prompt(summary, graph, segments, self.pending_feedback, keep)
+            segments = retrieve_topk(embed_state(summary.text, self.store.embedder), self.store, TOP_K)
+            keep = extract_subgraph(self.graph, summary.seed_region_ids(), self.config.knowledge.subgraph_hops)
+        return build_prompt(summary, self.graph, segments, self.pending_feedback, keep)
 
     def _propose(self, prompt: HybridPrompt, cycle: int) -> tuple[BackendProposal, str, bool]:
         cfg = self.config
