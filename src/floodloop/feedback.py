@@ -53,7 +53,6 @@ from .metrics import (
 )
 from .policy import (
     EntropyController,
-    Verb,
     conditional_entropy,
     generate_global,
     generate_regional,
@@ -62,7 +61,7 @@ from .policy import (
 from .rng import pystream
 from .state import StateSummary, summarize_world
 from .translate import Instruction, Rejection, translate, wrap_accuracy
-from .world import RainfallScenario, ScenarioKind, generate_scenario
+from .world import RainfallScenario, ScenarioKind, generate_scenario, load_scenario
 
 FLOOD_SPOT_SCORE = 0.9
 WINDOW_LENGTH = 10  # cycles of gaps the trigger threshold spans
@@ -221,34 +220,35 @@ def _default_segments(engine: SimulationEngine, embedder: HashingEmbedder, seed:
 
 # --- the loop ---------------------------------------------------------------
 
+def run_scenario(config: RunConfig) -> RainfallScenario:
+    """The run's rainfall: the config's scenario file record, or else the
+    curve generated for its kind, steps and seed. A record that covers
+    fewer steps than the run, or of another kind, is a `ConfigError`."""
+    if not config.scenario_file:
+        return generate_scenario(ScenarioKind(config.scenario), config.steps, config.seed)
+    scenario = load_scenario(config.scenario_file)
+    if len(scenario.curve) < config.steps:
+        # every step reads its rain from the curve: a short one would leave steps without rain
+        raise ConfigError("scenario_file", f"curve covers {len(scenario.curve)} steps, the run needs {config.steps}")
+    if scenario.kind.value != config.scenario:
+        # the prompts, summary.json and config.json name the config's kind, not the curve's
+        raise ConfigError("scenario_file", f"kind {scenario.kind.value}, but the run is {config.scenario}")
+    return scenario
+
+
 class DecisionLoop:
-    """Owns one run: engine, controller, window, backends, and the run's
-    knowledge graph and segment store (`graph`, `store`); a triggered cycle
-    replaces `graph` with its updated copy.
+    """Owns one run: its rainfall (`run_scenario`), engine, controller,
+    window, backends, and the run's knowledge graph and segment store
+    (`graph`, `store`); a triggered cycle replaces `graph` with its updated
+    copy.
 
     The config comes validated: `harness.run` checks it before it builds
-    the backends and this loop. `scenario` is a replayed rainfall record of
-    the config's kind and at least its steps, or None to generate the
-    config's."""
+    the backends and this loop."""
 
-    def __init__(
-        self,
-        config: RunConfig,
-        backend: StrategyBackend,
-        fallback: StrategyBackend,
-        scenario: RainfallScenario | None,
-    ):
+    def __init__(self, config: RunConfig, backend: StrategyBackend, fallback: StrategyBackend):
         self.config = config
-        if scenario is None:
-            scenario = generate_scenario(ScenarioKind(config.scenario), config.steps, config.seed)
-        if len(scenario.curve) < config.steps:
-            # every step reads its rain from the curve: a short one would leave steps without rain
-            raise ConfigError("scenario_file", f"curve covers {len(scenario.curve)} steps, the run needs {config.steps}")
-        if scenario.kind.value != config.scenario:
-            # the prompts, summary.json and config.json name the config's kind, not the curve's
-            raise ConfigError("scenario_file", f"kind {scenario.kind.value}, but the run is {config.scenario}")
-        self.scenario = scenario
-        self.engine = SimulationEngine(config, scenario)
+        self.scenario = run_scenario(config)
+        self.engine = SimulationEngine(config, self.scenario)
         self.backend = backend
         self.fallback = fallback
         self.controller = EntropyController(config.policy.tau)
@@ -289,8 +289,8 @@ class DecisionLoop:
         The decide stages see the world only through the cycle's
         `StateSummary`, taken once at its first step; the world is read
         again only after execution, for `region_flood_end`. The regional
-        pass is one call per stage over the cycle's refined (not NoOp)
-        actions, in region order: `generate_regional` draws their
+        pass is one call per stage over the cycle's sampled actions, the
+        regions that act, in region order: `generate_regional` draws their
         directives, anchoring closures on the summary's worst road cells,
         `translate` turns them into instructions, and `wrap_accuracy`
         passes each instruction or rejects it by the summary's road counts.
@@ -299,24 +299,21 @@ class DecisionLoop:
         eng = self.engine
         summary = self._summarize()
         start = summary.step
-        end = min(start + cfg.feedback.cycle_len - 1, cfg.steps - 1)
+        end = min(start + cfg.feedback.cycle_len, cfg.steps) - 1
         prompt = self._build_prompt(summary)
         self.prompt_log.append((cycle, prompt.text))
 
         proposal, backend_used, fallback_used = self._propose(prompt, cycle)
-        self._probe_consistency(prompt, cycle, proposal)
 
         entropy_on = not self.ablated("entropy_control")
-        plan = generate_global(proposal.distribution, self.controller, cfg.seed, cycle, cfg.world.n_regions, entropy_on)
+        plan = generate_global(proposal.distribution, self.controller, cfg.seed, cycle, entropy_on)
         cap = min(plan.h_projected, self.controller.tau) if entropy_on else math.inf
         local = local_distribution_for(
             plan.projected, summary.region_flood, summary.region_congestion, summary.region_blocked_roads, cap
         )
         h_cond = conditional_entropy(local.entropies, plan.projected)
 
-        # a NoOp region draws nothing and dispatches nothing
-        refined = [action for action in plan.sampled.values() if action.verb is not Verb.NOOP]
-        directives = generate_regional(refined, summary.region_worst_road, local.probs, cfg.seed, cycle)
+        directives = generate_regional(plan.sampled, summary.region_worst_road, local.probs, cfg.seed, cycle)
         instructions: list[Instruction] = []
         rejections: list[Rejection] = []
         for wrapped in wrap_accuracy(translate(directives, (start, end)), summary):
@@ -333,9 +330,8 @@ class DecisionLoop:
         self.diversity_sets.append(tuple(vectors))
         eng.board.dispatch(instructions)
 
-        steps_left = min(cfg.feedback.cycle_len, cfg.steps - start)
-        records = eng.run_steps(steps_left)
-        executed = records[-1].snapshot if records else eng.metrics_snapshot()
+        records = eng.run_steps(end - start + 1)
+        executed = records[-1].snapshot
 
         planned = dict(proposal.planned_metrics) if proposal.planned_metrics else self._prev_snapshot.as_map()
         delta_e = execution_deviation(planned, executed.as_map())
@@ -402,31 +398,30 @@ class DecisionLoop:
         return build_prompt(summary, self.graph, segments, self.pending_feedback, keep)
 
     def _propose(self, prompt: HybridPrompt, cycle: int) -> tuple[BackendProposal, str, bool]:
-        cfg = self.config
-        try:
-            proposal = self.backend.propose(prompt, cfg.world.n_regions, self.controller.tau, cycle)
-            return proposal, self.backend.name, False
-        except BackendUnavailable:
-            proposal = self.fallback.propose(prompt, cfg.world.n_regions, self.controller.tau, cycle)
-            return proposal, self.fallback.name, True
-
-    def _probe_consistency(self, prompt: HybridPrompt, cycle: int, first: BackendProposal) -> None:
-        """Query the backend repeatedly with the identical prompt and embed
-        the serialized proposals; identical answers give consistency 1."""
-        proposals = [first]
-        for _ in range(CONSISTENCY_PROBES - 1):
+        """The cycle's proposal, its backend's name, and whether that is the
+        fallback. The backend is asked the same prompt `CONSISTENCY_PROBES`
+        times: the first answer is the proposal, the fallback's when the
+        backend fails, and a failed later probe counts as the proposal. The
+        answers, serialized and embedded, are the cycle's consistency set."""
+        args = (prompt, self.config.world.n_regions, self.controller.tau, cycle)
+        proposals: list[BackendProposal] = []
+        fallback_used = False
+        for _ in range(CONSISTENCY_PROBES):
             try:
-                proposals.append(
-                    self.backend.propose(prompt, self.config.world.n_regions, self.controller.tau, cycle)
-                )
+                proposals.append(self.backend.propose(*args))
             except BackendUnavailable:
-                proposals.append(first)
+                if proposals:
+                    proposals.append(proposals[0])
+                else:
+                    fallback_used = True
+                    proposals.append(self.fallback.propose(*args))
         # a backend that memoises its answer returns the same object again
         texts: dict[int, str] = {}
         for p in proposals:
             if id(p) not in texts:
                 texts[id(p)] = _proposal_text(p)
         self.consistency_sets.append(tuple(self.store.embedder.embed(texts[id(p)]) for p in proposals))
+        return proposals[0], (self.fallback if fallback_used else self.backend).name, fallback_used
 
     def _log_instruction(self, cycle: int, instr: Instruction, status: str, reason: str) -> None:
         self.instruction_rows.append(

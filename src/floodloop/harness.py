@@ -3,7 +3,8 @@ ablation diffs, and report emission.
 
 The matrix and the ablation suite are each a batch of variants of one
 config, and both run their batch through one launcher. It validates every
-variant before the first run starts, so a batch that cannot run writes
+variant and takes its rainfall before the first run starts, so a batch
+that cannot run, or whose scenario file fits not every variant, writes
 nothing; then the variants run in order, in a pool of `workers` processes
 when that is above 1. The matrix lays its variants out strategy x
 scenario x seed, so each (strategy, scenario) cell is one consecutive
@@ -33,11 +34,11 @@ import numpy as np
 
 from .backends import make_backend
 from .config import ABLATIONS, RunConfig, config_from_dict
-from .feedback import DecisionLoop
+from .feedback import DecisionLoop, run_scenario
 from .heatmap import csv_float, save_density_dump, write_heatmap
 from .metrics import METRIC_NAMES, run_stability
 from .semeval import scs, sds
-from .world import load_scenario, save_scenario
+from .world import save_scenario
 
 METRICS_HEADER = ("step", "f", "t", "c", "r", "J", "gap", "delta", "triggered")
 CYCLE_HEADER = (
@@ -76,10 +77,9 @@ class RunArtifacts:
 def run(config: RunConfig, keep_loop: bool = False) -> RunArtifacts:
     """Execute one full run and write its artifact set."""
     config.validate()
-    scenario = load_scenario(config.scenario_file) if config.scenario_file else None
     backend = make_backend(config.strategy, config)
     fallback = make_backend("ruled", config)
-    loop = DecisionLoop(config, backend, fallback, scenario)
+    loop = DecisionLoop(config, backend, fallback)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     loop.run()
@@ -111,13 +111,13 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 
 
 def _metrics_rows(loop: DecisionLoop) -> Iterator[list]:
-    cycle_len = loop.config.feedback.cycle_len
-    by_cycle = {r.cycle: r for r in loop.reports}
+    """One row per step; a cycle's last step carries its trigger columns."""
+    by_step = {r.snapshot.step: r for r in loop.reports}
     for rec in loop.engine.step_records:
-        report = by_cycle.get((rec.step - 1) // cycle_len)
+        report = by_step.get(rec.step)
         s = rec.snapshot
         row = [rec.step, *map(csv_float, (s.f, s.t, s.c, s.r, s.j))]
-        if report is not None and rec.step == report.snapshot.step:
+        if report is not None:
             yield row + [csv_float(report.gap), csv_float(report.delta), str(int(report.triggered))]
         else:
             yield row + ["", "", ""]
@@ -197,12 +197,15 @@ def _run_settings(settings: dict) -> dict:
 def _launch(config: RunConfig, variants: list[dict]) -> list[dict]:
     """The summaries of the runs of `config` with each variant's top-level
     settings in place of its own, in order; in a pool of `config.workers`
-    processes when that is above 1. Every variant is validated before the
-    first run starts, so a batch with one that cannot run writes nothing."""
+    processes when that is above 1. Every variant is validated, and its
+    rainfall taken, before the first run starts, so a batch with one that
+    cannot run writes nothing."""
     base = dataclasses.asdict(config)
     batch = [base | variant for variant in variants]
     for settings in batch:
-        config_from_dict(settings).validate()
+        variant = config_from_dict(settings)
+        variant.validate()
+        run_scenario(variant)
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             return list(pool.map(_run_settings, batch))

@@ -418,23 +418,39 @@ def build_prompt(
 
 # --- snapshot files -------------------------------------------------------
 
+def _fields(rec: dict, where: str, *names: str) -> list:
+    """`rec`'s values of `names`, in order; a missing one is a `ValueError`
+    that names `where` and every field it lacks."""
+    missing = [name for name in names if name not in rec]
+    if missing:
+        raise ValueError(f"{where} has no {' or '.join(missing)}")
+    return [rec[name] for name in names]
+
+
 def graph_from_json(data: dict) -> KnowledgeGraph:
     """The graph of a snapshot record: a JSON object with optional `nodes`
-    and `edges` lists; any other top level, or a node's `attributes` that
-    is not an object, is a `TypeError`."""
+    and `edges` lists. A node or edge that lacks a field is a `ValueError`
+    that names its index and the field; any other top level, or a node's
+    `attributes` that is not an object, is a `TypeError`."""
     if not isinstance(data, dict):
         raise TypeError(f"a graph snapshot must be a JSON object, got {type(data).__name__}")
     g = KnowledgeGraph()
-    g.add_nodes(map(_node_from_json, data.get("nodes", [])))
-    g.add_edges(Edge(src=rec["src"], dst=rec["dst"], type=EdgeType(rec["type"])) for rec in data.get("edges", []))
+    g.add_nodes(_node_from_json(rec, f"node {i}") for i, rec in enumerate(data.get("nodes", [])))
+    g.add_edges(_edge_from_json(rec, f"edge {i}") for i, rec in enumerate(data.get("edges", [])))
     return g
 
 
-def _node_from_json(rec: dict) -> Node:
-    node_id, node_type, attributes = rec["id"], NodeType(rec["type"]), rec.get("attributes", {})
+def _node_from_json(rec: dict, where: str) -> Node:
+    node_id, node_type = _fields(rec, where, "id", "type")
+    attributes = rec.get("attributes", {})
     if not isinstance(attributes, dict):
         raise TypeError(f"node {node_id!r}: attributes must be a JSON object, got {type(attributes).__name__}")
-    return Node(id=node_id, type=node_type, attrs=tuple(sorted((str(k), str(v)) for k, v in attributes.items())))
+    return Node(node_id, NodeType(node_type), tuple(sorted((str(k), str(v)) for k, v in attributes.items())))
+
+
+def _edge_from_json(rec: dict, where: str) -> Edge:
+    src, dst, edge_type = _fields(rec, where, "src", "dst", "type")
+    return Edge(src, dst, EdgeType(edge_type))
 
 
 def load_graph(path: str | Path) -> KnowledgeGraph:
@@ -458,10 +474,7 @@ def load_segments(path: str | Path, embedder: HashingEmbedder) -> SegmentStore:
             raise ValueError(f"line {number}: {exc.msg} at column {exc.colno}") from None
         if not isinstance(rec, dict):
             raise TypeError(f"line {number}: a segment record must be a JSON object, got {type(rec).__name__}")
-        missing = [key for key in ("id", "text") if key not in rec]
-        if missing:
-            raise ValueError(f"line {number}: segment record has no {' or '.join(missing)}")
-        seg_id, text = rec["id"], rec["text"]
+        seg_id, text = _fields(rec, f"line {number}: segment record", "id", "text")
         if not isinstance(seg_id, str) or not isinstance(text, str):
             raise TypeError(
                 f"line {number}: segment {seg_id!r} needs a string id and text, "

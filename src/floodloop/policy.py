@@ -2,11 +2,12 @@
 
 A global distribution over (verb, region) actions is projected so its
 Shannon entropy never exceeds the threshold tau, then one action is
-sampled per region; each that is not NoOp is refined into one local
-directive, drawn from probabilities whose conditional entropy is capped
-by the global entropy. The refinement is one `generate_regional` call per
-cycle over all of the cycle's refined actions, in region order. The
-penalty coefficient lambda tracks how far raw generation sits from tau.
+sampled per region; the regions whose draw is not NoOp act, each refined
+into one local directive, drawn from probabilities whose conditional
+entropy is capped by the global entropy. The refinement is one
+`generate_regional` call per cycle over all the acting regions, in region
+order. The penalty coefficient lambda tracks how far raw generation sits
+from tau.
 
 The local candidate weights read each region's flood and congestion
 scores from the cycle's `StateSummary`, which copies the scores that
@@ -319,36 +320,34 @@ def generate_regional(
 
 @dataclass
 class GlobalPlan:
-    """Outcome of one global generation pass."""
+    """Outcome of one global generation pass; `sampled` holds the drawn
+    actions that are not NoOp, in region order."""
 
     projected: PolicyDistribution
-    sampled: dict[int, HighLevelAction]  # one action per region, in region order
+    sampled: list[HighLevelAction]
     h_raw: float
     h_projected: float
 
 
-def sample_per_region(
-    dist: PolicyDistribution,
-    n_regions: int,
-    seed: int,
-    cycle: int,
-) -> dict[int, HighLevelAction]:
-    """One action per region, keyed in region order: the distribution
-    restricted to a region is renormalized and sampled, visiting only the
-    regions that carry mass, in region order; the others take the NoOp
-    and draw nothing. Each draw is the one `choices(actions, weights, k=1)`
-    makes: `bisect` of `random() * total` into the cumulative weights."""
+def sample_per_region(dist: PolicyDistribution, seed: int, cycle: int) -> list[HighLevelAction]:
+    """The drawn actions that are not NoOp, in region order: the
+    distribution restricted to a region is renormalized and sampled,
+    visiting only the regions that carry mass, in region order. Each draw
+    is the one `choices(actions, weights, k=1)` makes: `bisect` of
+    `random() * total` into the cumulative weights."""
     by_region: dict[int, list[tuple[HighLevelAction, float]]] = {}
     for action, p in zip(dist.support, dist.probs):
         if p > 0:
             by_region.setdefault(action.region, []).append((action, p))
-    sampled = dict(enumerate(action_vocabulary(n_regions)[VERB_INDEX[Verb.NOOP] * n_regions :]))
     draw = pystream(seed, "policy-sample", cycle).random
+    acting = []
     for region in sorted(by_region):
         pairs = by_region[region]
         cum = list(accumulate(p for _, p in pairs))
-        sampled[region] = pairs[bisect(cum, draw() * cum[-1], 0, len(cum) - 1)][0]
-    return sampled
+        action = pairs[bisect(cum, draw() * cum[-1], 0, len(cum) - 1)][0]
+        if action.verb is not Verb.NOOP:
+            acting.append(action)
+    return acting
 
 
 def generate_global(
@@ -356,7 +355,6 @@ def generate_global(
     controller: EntropyController,
     seed: int,
     cycle: int,
-    n_regions: int,
     entropy_control: bool,
 ) -> GlobalPlan:
     """Project a backend's raw distribution, sample actions, update lambda;
@@ -372,10 +370,9 @@ def generate_global(
         probs = project_entropy(np.asarray(proposal_dist.probs, dtype=np.float64), controller.tau)
         projected = PolicyDistribution(proposal_dist.support, tuple(probs.tolist()))
         controller.observe(h_raw)
-    sampled = sample_per_region(projected, n_regions, seed, cycle)
     return GlobalPlan(
         projected=projected,
-        sampled=sampled,
+        sampled=sample_per_region(projected, seed, cycle),
         h_raw=h_raw,
         h_projected=entropy_of(projected.probs),
     )

@@ -55,6 +55,16 @@ class RainfallScenario:
 
     @staticmethod
     def from_record(record: dict) -> "RainfallScenario":
+        """The scenario of a saved record; a missing field, or a curve
+        entry that is not a JSON number in [0, 1], is a `ValueError` that
+        names it."""
+        missing = [key for key in ("kind", "curve", "seed") if key not in record]
+        if missing:
+            raise ValueError(f"scenario record has no {' or '.join(missing)}")
+        for i, v in enumerate(record["curve"]):
+            # NaN fails the range test too
+            if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
+                raise ValueError(f"scenario curve[{i}]: must be a number in [0, 1], got {v!r}")
         return RainfallScenario(
             kind=ScenarioKind(record["kind"]),
             curve=tuple(float(v) for v in record["curve"]),

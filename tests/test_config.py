@@ -14,7 +14,7 @@ import pytest
 from floodloop import cli
 from floodloop.config import RunConfig, config_from_dict
 from floodloop.errors import ConfigError
-from floodloop.world import ScenarioKind, generate_scenario, save_scenario
+from floodloop.world import RainfallScenario, ScenarioKind, generate_scenario, save_scenario
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -303,6 +303,38 @@ def test_a_scenario_file_replays_under_its_own_kind(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "curve, message",
+    [
+        # NaN rain would act as no rain, since hydrology rains only where the intensity is above 0
+        ([math.nan] * 5 + [-3.0, 7.0, 0.2, 0.2, 0.2], "curve[0]: must be a number in [0, 1], got nan"),
+        ([0.2] * 5 + [-3.0] + [0.2] * 4, "curve[5]: must be a number in [0, 1], got -3.0"),
+        ([0.2] * 6 + [7.0] + [0.2] * 3, "curve[6]: must be a number in [0, 1], got 7.0"),
+        ([0.2] * 9 + [math.inf], "curve[9]: must be a number in [0, 1], got inf"),
+        ([0.2] * 9 + [-math.inf], "curve[9]: must be a number in [0, 1], got -inf"),
+        ([0.2, "0.2"] + [0.2] * 8, "curve[1]: must be a number in [0, 1], got '0.2'"),
+        ([0.2, True] + [0.2] * 8, "curve[1]: must be a number in [0, 1], got True"),
+        ([0.2, None] + [0.2] * 8, "curve[1]: must be a number in [0, 1], got None"),
+    ],
+    ids=["nan", "negative", "above-one", "inf", "minus-inf", "string", "bool", "null"],
+)
+def test_a_replayed_rain_curve_holds_numbers_in_the_unit_interval(tmp_path, capsys, curve, message):
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"kind": "light", "steps": 10, "seed": 0, "curve": curve}))
+    out = tmp_path / "out"
+    argv = ["run", "--steps", "10", "--scenario", "light", "--scenario-file", str(scenario), "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError", "message": f"scenario {message}"}
+    assert not out.exists()
+
+
+def test_a_replayed_rain_curve_may_hold_both_bounds_as_ints_or_floats():
+    record = {"kind": "light", "steps": 4, "seed": 0, "curve": [0, 1, 0.0, 1.0]}
+    assert RainfallScenario.from_record(record).curve == (0.0, 1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
     "command, name, content, error, message",
     [
         (
@@ -321,10 +353,15 @@ def test_a_scenario_file_replays_under_its_own_kind(tmp_path):
             "load --segments", "segments.jsonl", '{"id": "a", "text": "pumps"}\n[1, 2]\n', "TypeError",
             "line 2: a segment record must be a JSON object, got list",
         ),
-        ("load --graph", "graph.json", json.dumps({"nodes": [{"type": "region"}]}), "KeyError", "'id'"),
+        ("load --graph", "graph.json", json.dumps({"nodes": [{"type": "region"}]}), "ValueError", "node 0 has no id"),
+        (
+            "load --graph", "graph.json",
+            json.dumps({"nodes": [{"id": "a", "type": "road"}], "edges": [{"src": "a", "dst": "a", "type": "risks"}, {}]}),
+            "ValueError", "edge 1 has no src or dst or type",
+        ),
         (
             "run --steps 10 --out {out} --scenario-file", "scenario.json", json.dumps({"kind": "light", "seed": 0}),
-            "KeyError", "'curve'",
+            "ValueError", "scenario record has no curve",
         ),
     ],
 )

@@ -84,6 +84,20 @@ def test_a_matrix_cli_run_that_cannot_run_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_a_matrix_with_a_scenario_file_that_fits_one_variant_writes_nothing(tmp_path, capsys, workers):
+    # the light record would replay under the light run, listed first, but the extreme run rejects it
+    scenario = tmp_path / "light.json"
+    save_scenario(scenario, generate_scenario(ScenarioKind.LIGHT, 10, 0))
+    out = tmp_path / "out"
+    argv = ["matrix", "--steps", "10", "--strategies", "empty", "--scenarios", "light", "extreme", "--repeats", "1"]
+    assert cli.main([*argv, "--scenario-file", str(scenario), "--out", str(out), "--workers", workers]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ConfigError", "message": "scenario_file: kind light, but the run is extreme"}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "strategies, scenarios, message",
     [
@@ -109,8 +123,10 @@ def test_a_config_error_survives_a_pickle_round_trip():
     assert str(back) == "steps: must be in [10, inf], got 9"
 
 
-def test_a_config_error_raised_in_a_worker_process_reaches_the_caller(tmp_path):
-    # a scenario file is read inside the run, so only the run itself can reject one too short for it
+def test_a_config_error_raised_in_a_worker_process_reaches_the_caller(tmp_path, monkeypatch):
+    # the launcher reads every variant's scenario file before any run starts; with that read
+    # skipped here, the run's own read rejects the file, in a worker process
+    monkeypatch.setattr(harness, "run_scenario", lambda config: None)
     scenario = tmp_path / "scenario.json"
     save_scenario(scenario, generate_scenario(ScenarioKind.LIGHT, 10, 0))
     cfg = tiny_matrix_config(str(tmp_path / "matrix"), workers=2)

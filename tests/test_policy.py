@@ -215,7 +215,7 @@ def test_lambda_dynamics():
 def test_generate_global_projects_and_updates_lambda():
     ctl = p.EntropyController(tau=1.2)
     d = dist_over([0.125] * 8, n_regions=8)
-    plan = p.generate_global(d, ctl, seed=5, cycle=0, n_regions=8, entropy_control=True)
+    plan = p.generate_global(d, ctl, seed=5, cycle=0, entropy_control=True)
     assert plan.h_raw == pytest.approx(math.log(8))
     assert plan.h_projected <= 1.2 + 1e-9
     expected_lam = 1.0 + 0.05 * (math.log(8) - 1.2)
@@ -225,24 +225,23 @@ def test_generate_global_projects_and_updates_lambda():
 def test_generate_global_ablated_controls():
     ctl = controller()
     d = dist_over([0.125] * 8, n_regions=8)
-    plan = p.generate_global(d, ctl, seed=5, cycle=0, n_regions=8, entropy_control=False)
+    plan = p.generate_global(d, ctl, seed=5, cycle=0, entropy_control=False)
     assert plan.h_projected == pytest.approx(math.log(8))
     assert ctl.lam == 1.0  # frozen
 
 
 def test_generate_global_sampling_deterministic():
     d = dist_over([0.5, 0.25, 0.25], n_regions=4)
-    a = p.generate_global(d, controller(), seed=9, cycle=3, n_regions=4, entropy_control=True)
-    b = p.generate_global(d, controller(), seed=9, cycle=3, n_regions=4, entropy_control=True)
+    a = p.generate_global(d, controller(), seed=9, cycle=3, entropy_control=True)
+    b = p.generate_global(d, controller(), seed=9, cycle=3, entropy_control=True)
     assert a.sampled == b.sampled
 
 
 def test_sample_per_region_covers_all_regions():
     d = dist_over([1.0])  # mass only on region 0
-    sampled = p.sample_per_region(d, 4, seed=1, cycle=0)
-    assert set(sampled) == {0, 1, 2, 3}
-    for region in (1, 2, 3):
-        assert sampled[region] == p.HighLevelAction(p.Verb.NOOP, region)
+    sampled = p.sample_per_region(d, seed=1, cycle=0)
+    # the regions without mass do not act
+    assert sampled == [d.support[0]]
 
 
 def former_sample_per_region(dist, n_regions, seed, cycle):
@@ -286,8 +285,9 @@ def sparse_distributions(draw):
 @given(sparse_distributions(), st.integers(0, 2**31), st.integers(0, 50))
 def test_sample_per_region_matches_the_loop_over_every_region(case, seed, cycle):
     dist, n_regions = case
-    got = p.sample_per_region(dist, n_regions, seed, cycle)
-    assert list(got.items()) == list(former_sample_per_region(dist, n_regions, seed, cycle).items())
+    got = p.sample_per_region(dist, seed, cycle)
+    former = former_sample_per_region(dist, n_regions, seed, cycle)
+    assert got == [action for action in former.values() if action.verb is not p.Verb.NOOP]
 
 
 # --- regional refinement -----------------------------------------------------------------------
@@ -506,7 +506,6 @@ def test_local_entropy_within_global_and_tau(global_probs, observation, verb):
         controller(TAU),
         seed=0,
         cycle=0,
-        n_regions=len(global_probs),
         entropy_control=True,
     )
     cap = min(plan.h_projected, TAU)
