@@ -1,4 +1,5 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the field check of
+the records read from input files."""
 
 
 class FloodloopError(Exception):
@@ -52,3 +53,12 @@ class ConfigError(FloodloopError):
 
 class DumpError(FloodloopError):
     """Density dump is malformed (ragged rows or non-numeric values)."""
+
+
+def record_fields(rec: dict, where: str, *names: str) -> list:
+    """`rec`'s values of `names`, in order; a missing one is a `ValueError`
+    that names `where` and every field it lacks."""
+    missing = [name for name in names if name not in rec]
+    if missing:
+        raise ValueError(f"{where} has no {' or '.join(missing)}")
+    return [rec[name] for name in names]

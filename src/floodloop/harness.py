@@ -111,7 +111,6 @@ def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 
 
 def _metrics_rows(loop: DecisionLoop) -> Iterator[list]:
-    """One row per step; a cycle's last step carries its trigger columns."""
     by_step = {r.snapshot.step: r for r in loop.reports}
     for rec in loop.engine.step_records:
         report = by_step.get(rec.step)

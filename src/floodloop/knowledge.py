@@ -26,7 +26,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DanglingEdge, EmptyQuery
+from .errors import DanglingEdge, EmptyQuery, record_fields
 from .state import StateSummary
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -418,15 +418,6 @@ def build_prompt(
 
 # --- snapshot files -------------------------------------------------------
 
-def _fields(rec: dict, where: str, *names: str) -> list:
-    """`rec`'s values of `names`, in order; a missing one is a `ValueError`
-    that names `where` and every field it lacks."""
-    missing = [name for name in names if name not in rec]
-    if missing:
-        raise ValueError(f"{where} has no {' or '.join(missing)}")
-    return [rec[name] for name in names]
-
-
 def graph_from_json(data: dict) -> KnowledgeGraph:
     """The graph of a snapshot record: a JSON object with optional `nodes`
     and `edges` lists. A node or edge that lacks a field is a `ValueError`
@@ -441,7 +432,7 @@ def graph_from_json(data: dict) -> KnowledgeGraph:
 
 
 def _node_from_json(rec: dict, where: str) -> Node:
-    node_id, node_type = _fields(rec, where, "id", "type")
+    node_id, node_type = record_fields(rec, where, "id", "type")
     attributes = rec.get("attributes", {})
     if not isinstance(attributes, dict):
         raise TypeError(f"node {node_id!r}: attributes must be a JSON object, got {type(attributes).__name__}")
@@ -449,7 +440,7 @@ def _node_from_json(rec: dict, where: str) -> Node:
 
 
 def _edge_from_json(rec: dict, where: str) -> Edge:
-    src, dst, edge_type = _fields(rec, where, "src", "dst", "type")
+    src, dst, edge_type = record_fields(rec, where, "src", "dst", "type")
     return Edge(src, dst, EdgeType(edge_type))
 
 
@@ -474,7 +465,7 @@ def load_segments(path: str | Path, embedder: HashingEmbedder) -> SegmentStore:
             raise ValueError(f"line {number}: {exc.msg} at column {exc.colno}") from None
         if not isinstance(rec, dict):
             raise TypeError(f"line {number}: a segment record must be a JSON object, got {type(rec).__name__}")
-        seg_id, text = _fields(rec, f"line {number}: segment record", "id", "text")
+        seg_id, text = record_fields(rec, f"line {number}: segment record", "id", "text")
         if not isinstance(seg_id, str) or not isinstance(text, str):
             raise TypeError(
                 f"line {number}: segment {seg_id!r} needs a string id and text, "

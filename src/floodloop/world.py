@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import WorldConfig
+from .errors import record_fields
 from .rng import substream
 
 NOISE_AMPLITUDE = 0.05
@@ -58,18 +59,12 @@ class RainfallScenario:
         """The scenario of a saved record; a missing field, or a curve
         entry that is not a JSON number in [0, 1], is a `ValueError` that
         names it."""
-        missing = [key for key in ("kind", "curve", "seed") if key not in record]
-        if missing:
-            raise ValueError(f"scenario record has no {' or '.join(missing)}")
-        for i, v in enumerate(record["curve"]):
+        kind, curve, seed = record_fields(record, "scenario record", "kind", "curve", "seed")
+        for i, v in enumerate(curve):
             # NaN fails the range test too
             if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
                 raise ValueError(f"scenario curve[{i}]: must be a number in [0, 1], got {v!r}")
-        return RainfallScenario(
-            kind=ScenarioKind(record["kind"]),
-            curve=tuple(float(v) for v in record["curve"]),
-            seed=int(record["seed"]),
-        )
+        return RainfallScenario(kind=ScenarioKind(kind), curve=tuple(float(v) for v in curve), seed=int(seed))
 
 
 def save_scenario(path: str | Path, scenario: RainfallScenario) -> None:
