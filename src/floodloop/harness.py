@@ -4,12 +4,12 @@ ablation diffs, and report emission.
 The matrix and the ablation suite are each a batch of variants of one
 config, and both run their batch through one launcher. It validates every
 variant and takes its rainfall before the first run starts, so a batch
-that cannot run, or whose scenario file fits not every variant, writes
-nothing; then the variants run in order, in a pool of `workers` processes
-when that is above 1. The matrix lays its variants out strategy x
-scenario x seed, so each (strategy, scenario) cell is one consecutive
-chunk of `repeats` summaries, read once to give that cell's row of
-`comparison.csv` and of `semantic.csv`. `report` reads `comparison.csv`.
+that cannot run, or whose scenario file does not fit every variant,
+writes nothing; then the variants run in order, in a pool of `workers`
+processes when that is above 1. The matrix lays its variants out
+strategy x scenario x seed, so each (strategy, scenario) cell is one
+consecutive chunk of `repeats` summaries, read once to give that cell's
+row of `comparison.csv` and `semantic.csv`. `report` reads `comparison.csv`.
 
 Every run writes the same artifact set into its own directory: per-step
 metrics CSV, cycle log, trip log, instruction log, prompt log, scenario

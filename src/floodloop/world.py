@@ -58,8 +58,10 @@ class RainfallScenario:
     def from_record(record: dict) -> "RainfallScenario":
         """The scenario of a saved record; a missing field, or a curve
         entry that is not a JSON number in [0, 1], is a `ValueError` that
-        names it."""
+        names it, and a curve that is not a list is a `TypeError`."""
         kind, curve, seed = record_fields(record, "scenario record", "kind", "curve", "seed")
+        if not isinstance(curve, list):
+            raise TypeError(f"scenario curve must be a JSON list, got {type(curve).__name__}")
         for i, v in enumerate(curve):
             # NaN fails the range test too
             if type(v) not in (int, float) or not 0.0 <= v <= 1.0:

@@ -363,6 +363,11 @@ def test_a_replayed_rain_curve_may_hold_both_bounds_as_ints_or_floats():
             "run --steps 10 --out {out} --scenario-file", "scenario.json", json.dumps({"kind": "light", "seed": 0}),
             "ValueError", "scenario record has no curve",
         ),
+        (
+            "run --steps 10 --out {out} --scenario-file", "scenario.json",
+            json.dumps({"kind": "light", "seed": 0, "curve": "0.2" * 10}),
+            "TypeError", "scenario curve must be a JSON list, got str",
+        ),
     ],
 )
 def test_a_malformed_input_file_gives_an_error_record(tmp_path, capsys, command, name, content, error, message):
