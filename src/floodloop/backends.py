@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import RunConfig
-from .errors import BackendUnavailable
+from .errors import BackendUnavailable, is_json, parse_json, record_fields
 from .knowledge import HybridPrompt
 from .metrics import METRIC_NAMES
 from .policy import VERB_INDEX, VERB_ORDER, HighLevelAction, PolicyDistribution, Verb, action_vocabulary
@@ -309,36 +309,27 @@ def _vocabulary_json(n_regions: int) -> bytes:
 
 
 def _parse_answer(raw: bytes, n_regions: int) -> BackendProposal:
-    """The proposal of one response body, or BackendUnavailable."""
+    """The proposal of one response body: a JSON object whose
+    `probabilities` array holds a JSON number per vocabulary entry, with
+    an optional `planned` object of the four metrics in [0, 1]. Any other
+    body is a BackendUnavailable that says what is wrong with it."""
     try:
-        body = json.loads(raw)
-    except (ValueError, RecursionError) as exc:  # a body that is not JSON, or nested too deep to parse
-        raise BackendUnavailable(f"external backend failed: {exc}") from exc
-    if not isinstance(body, dict) or "probabilities" not in body:
-        raise BackendUnavailable("unusable external response: it carries no probabilities")
-    planned = body.get("planned")
-    if planned is not None:
-        try:
-            planned = dict(zip(METRIC_NAMES, _numbers([planned[k] for k in METRIC_NAMES])))
+        body = parse_json(raw, "the body")
+        (probs,) = record_fields(body, "the body", probabilities=list)
+        planned = body.get("planned")
+        if planned is not None:
+            values = record_fields(planned, "the planned map", **dict.fromkeys(METRIC_NAMES, float))
+            planned = dict(zip(METRIC_NAMES, map(float, values)))
             for k, v in planned.items():
                 if not 0.0 <= v <= 1.0:  # also refuses NaN
                     raise ValueError(f"{k} is {v!r}, not in [0, 1]")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BackendUnavailable(f"malformed planned metrics: {exc}") from exc
-    try:
-        dist = _probabilities_to_distribution(_numbers(body["probabilities"]), n_regions)
+        # one pass over the types: an answer holds one entry per vocabulary action
+        if not set(map(type, probs)) <= {int, float}:
+            raise TypeError(f"{next(v for v in probs if not is_json(v, float))!r} is not a JSON number")
+        dist = _probabilities_to_distribution([float(v) for v in probs], n_regions)
     except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise BackendUnavailable(f"unusable external response: {exc}") from exc
     return BackendProposal(distribution=dist, planned_metrics=planned)
-
-
-def _numbers(values) -> list[float]:
-    """The entries of a JSON array of numbers as floats; `float` alone would
-    also take a string such as "0.5", a boolean, or a string's characters."""
-    floats = [float(v) for v in values]
-    if not set(map(type, values)) <= {int, float}:
-        raise TypeError(f"{next(v for v in values if type(v) not in (int, float))!r} is not a JSON number")
-    return floats
 
 
 def _probabilities_to_distribution(probs: list[float], n_regions: int) -> PolicyDistribution:

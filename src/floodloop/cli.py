@@ -2,7 +2,10 @@
 
 Subcommands: run, matrix, ablate, heatmap, report, load. Exits 0 on
 success; on failure prints a machine-readable JSON error record to stderr
-and exits 2.
+and exits 2. Every JSON input file (config, scenario record, graph
+snapshot, segment lines) is read through `errors.parse_json` and
+`errors.record_fields`, so a file that is not JSON, nests too deep to
+parse, or holds a record of the wrong shape is such a failure too.
 """
 
 from __future__ import annotations
@@ -126,8 +129,8 @@ def main(argv: list[str] | None = None) -> int:
             if not record:
                 raise FloodloopError("nothing to load: pass --graph and/or --segments")
             print(json.dumps(record, indent=2, sort_keys=True))
-    except (FloodloopError, OSError, ValueError, KeyError, TypeError) as exc:
-        # KeyError and TypeError: a graph, segment or scenario record that lacks a field or has the wrong shape
+    except (FloodloopError, OSError, ValueError, TypeError) as exc:
+        # ValueError and TypeError: an input file that is not JSON, or a record that lacks a field or has the wrong kind
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 2

@@ -18,7 +18,7 @@ import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, is_json, parse_json
 
 ENDPOINT_ENV_VAR = "FLOODLOOP_EXTERNAL_ENDPOINT"
 
@@ -126,13 +126,13 @@ _hints = functools.cache(typing.get_type_hints)
 
 
 def _fits(hint, value) -> bool:
-    """Whether `value` has the type `hint`; a float field takes an int, and
-    no field takes a bool."""
+    """Whether `value` has the type `hint`, by `is_json`'s rule: a float
+    field takes an int, and no field takes a bool."""
     if typing.get_origin(hint) is tuple:
         return isinstance(value, tuple) and all(_fits(typing.get_args(hint)[0], v) for v in value)
     if isinstance(hint, types.UnionType):
         return any(_fits(h, value) for h in typing.get_args(hint))
-    return not isinstance(value, bool) and isinstance(value, (int, float) if hint is float else hint)
+    return is_json(value, hint)
 
 
 def _check_fields(section, prefix: str) -> None:
@@ -176,7 +176,7 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
+        data = parse_json(Path(path).read_text(), "the file")
+    except ValueError as exc:
+        raise ConfigError(str(path), str(exc)) from None
     return config_from_dict(data)

@@ -17,7 +17,6 @@ takes its nodes and edges in one insert pass each (`add_nodes`,
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,7 +25,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DanglingEdge, EmptyQuery, record_fields
+from .errors import DanglingEdge, EmptyQuery, parse_json, record_fields
 from .state import StateSummary
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -420,59 +419,46 @@ def build_prompt(
 
 def graph_from_json(data: dict) -> KnowledgeGraph:
     """The graph of a snapshot record: a JSON object with optional `nodes`
-    and `edges` lists. A node or edge that lacks a field is a `ValueError`
-    that names its index and the field; any other top level, or a node's
-    `attributes` that is not an object, is a `TypeError`."""
-    if not isinstance(data, dict):
-        raise TypeError(f"a graph snapshot must be a JSON object, got {type(data).__name__}")
+    and `edges` arrays of objects, whose fields are strings. A missing
+    field is a `ValueError`, and a record or field of another JSON kind a
+    `TypeError`; each names its node or edge by index."""
+    record_fields(data, "a graph snapshot")
+    nodes, edges = record_fields({"nodes": [], "edges": []} | data, "a graph snapshot", nodes=list, edges=list)
     g = KnowledgeGraph()
-    g.add_nodes(_node_from_json(rec, f"node {i}") for i, rec in enumerate(data.get("nodes", [])))
-    g.add_edges(_edge_from_json(rec, f"edge {i}") for i, rec in enumerate(data.get("edges", [])))
+    g.add_nodes(_node_from_json(rec, f"node {i}") for i, rec in enumerate(nodes))
+    g.add_edges(_edge_from_json(rec, f"edge {i}") for i, rec in enumerate(edges))
     return g
 
 
 def _node_from_json(rec: dict, where: str) -> Node:
-    node_id, node_type = record_fields(rec, where, "id", "type")
+    node_id, node_type = record_fields(rec, where, id=str, type=str)
     attributes = rec.get("attributes", {})
-    if not isinstance(attributes, dict):
-        raise TypeError(f"node {node_id!r}: attributes must be a JSON object, got {type(attributes).__name__}")
+    record_fields(attributes, f"the attributes of {where}")
     return Node(node_id, NodeType(node_type), tuple(sorted((str(k), str(v)) for k, v in attributes.items())))
 
 
 def _edge_from_json(rec: dict, where: str) -> Edge:
-    src, dst, edge_type = record_fields(rec, where, "src", "dst", "type")
+    src, dst, edge_type = record_fields(rec, where, src=str, dst=str, type=str)
     return Edge(src, dst, EdgeType(edge_type))
 
 
 def load_graph(path: str | Path) -> KnowledgeGraph:
-    return graph_from_json(json.loads(Path(path).read_text()))
+    return graph_from_json(parse_json(Path(path).read_text(), "a graph snapshot"))
 
 
 def load_segments(path: str | Path, embedder: HashingEmbedder) -> SegmentStore:
     """The store of a JSON-lines file of `{"id": ..., "text": ...}`
-    records; blank lines are skipped. Every record error names the
-    record's line: a line that is not JSON (`ValueError`, with json's
-    column), a record that is not an object (`TypeError`) or lacks its id
-    or text (`ValueError`), and, naming its id too, an id or text that is
-    not a string, a repeated id and a text with no token."""
+    records with string fields; blank lines are skipped. Every record
+    error names the record's line: a line that is not JSON (`ValueError`,
+    with json's position in the line), a record or field of another JSON
+    kind (`TypeError`), a record that lacks its id or text (`ValueError`),
+    and, naming its id too, a repeated id and a text with no token."""
     origins, items = [], []
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {number}: {exc.msg} at column {exc.colno}") from None
-        if not isinstance(rec, dict):
-            raise TypeError(f"line {number}: a segment record must be a JSON object, got {type(rec).__name__}")
-        seg_id, text = record_fields(rec, f"line {number}: segment record", "id", "text")
-        if not isinstance(seg_id, str) or not isinstance(text, str):
-            raise TypeError(
-                f"line {number}: segment {seg_id!r} needs a string id and text, "
-                f"got {type(seg_id).__name__} and {type(text).__name__}"
-            )
-        origins.append(f"line {number}")
-        items.append((seg_id, text))
+        if line.strip():
+            where = f"line {number}: segment record"
+            items.append(tuple(record_fields(parse_json(line, where), where, id=str, text=str)))
+            origins.append(f"line {number}")
     store = SegmentStore(embedder)
     store.extend(items, origins)
     return store

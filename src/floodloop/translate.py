@@ -108,24 +108,13 @@ class InstructionBoard:
 
     def __init__(self, n_regions: int):
         self.n_regions = n_regions
-        self.obstacles: list[Instruction] = []
-        self.routings: list[Instruction] = []
-        self.stops: list[Instruction] = []
-        self.reliefs: list[Instruction] = []
-        self.noops: list[Instruction] = []
+        self._groups: dict[Tag, list[Instruction]] = {tag: [] for tag in Tag}
+        # the same lists by name, in `Tag`'s order
+        self.routings, self.obstacles, self.stops, self.reliefs, self.noops = self._groups.values()
 
     def dispatch(self, instructions: list[Instruction]) -> None:
         for instr in instructions:
-            if instr.tag is Tag.OBSTACLE:
-                self.obstacles.append(instr)
-            elif instr.tag is Tag.ROUTING:
-                self.routings.append(instr)
-            elif instr.tag is Tag.STOP:
-                self.stops.append(instr)
-            elif instr.tag is Tag.RELIEF:
-                self.reliefs.append(instr)
-            else:
-                self.noops.append(instr)
+            self._groups[instr.tag].append(instr)
 
     def prune(self, step: int) -> None:
         """Drop instructions whose window ended before `step`.
@@ -133,7 +122,7 @@ class InstructionBoard:
         Valid while queries never ask for an earlier step than `step`: the
         engine prunes and queries at the step it executes; future windows stay.
         """
-        for group in (self.obstacles, self.routings, self.stops, self.reliefs, self.noops):
+        for group in self._groups.values():
             group[:] = [i for i in group if i.window[1] >= step]
 
     @staticmethod

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import WorldConfig
-from .errors import record_fields
+from .errors import is_json, parse_json, record_fields
 from .rng import substream
 
 NOISE_AMPLITUDE = 0.05
@@ -56,17 +56,19 @@ class RainfallScenario:
 
     @staticmethod
     def from_record(record: dict) -> "RainfallScenario":
-        """The scenario of a saved record; a missing field, or a curve
-        entry that is not a JSON number in [0, 1], is a `ValueError` that
-        names it, and a curve that is not a list is a `TypeError`."""
-        kind, curve, seed = record_fields(record, "scenario record", "kind", "curve", "seed")
-        if not isinstance(curve, list):
-            raise TypeError(f"scenario curve must be a JSON list, got {type(curve).__name__}")
+        """The scenario of a saved record: a JSON object with a string
+        `kind`, an integer `seed` and a `curve` array of `steps` numbers
+        in [0, 1]. A record or field of another JSON kind is a `TypeError`;
+        a missing field, a `steps` that is not the curve's length and a
+        curve entry out of range are a `ValueError`. Each names its field."""
+        kind, steps, curve, seed = record_fields(record, "scenario record", kind=str, steps=int, curve=list, seed=int)
+        if steps != len(curve):
+            raise ValueError(f"scenario record has steps {steps}, but its curve holds {len(curve)} entries")
         for i, v in enumerate(curve):
             # NaN fails the range test too
-            if type(v) not in (int, float) or not 0.0 <= v <= 1.0:
+            if not is_json(v, float) or not 0.0 <= v <= 1.0:
                 raise ValueError(f"scenario curve[{i}]: must be a number in [0, 1], got {v!r}")
-        return RainfallScenario(kind=ScenarioKind(kind), curve=tuple(float(v) for v in curve), seed=int(seed))
+        return RainfallScenario(kind=ScenarioKind(kind), curve=tuple(float(v) for v in curve), seed=seed)
 
 
 def save_scenario(path: str | Path, scenario: RainfallScenario) -> None:
@@ -74,7 +76,7 @@ def save_scenario(path: str | Path, scenario: RainfallScenario) -> None:
 
 
 def load_scenario(path: str | Path) -> RainfallScenario:
-    return RainfallScenario.from_record(json.loads(Path(path).read_text()))
+    return RainfallScenario.from_record(parse_json(Path(path).read_text(), "scenario record"))
 
 
 def generate_scenario(kind: ScenarioKind, steps: int, seed: int) -> RainfallScenario:

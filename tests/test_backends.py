@@ -348,16 +348,16 @@ POINT_MASS = [1.0] + [0.0] * 19
     [
         (500, {"error": "boom"}),
         (200, {"probabilities": [0.5]}),
-        (200, {"nothing": True}, "it carries no probabilities"),
-        (200, {"ranking": ["close_road@2", "noop@0"]}, "it carries no probabilities"),
-        (200, [0.75, 0.25] + [0.0] * 18, "it carries no probabilities"),
-        (200, "probabilities", "it carries no probabilities"),
+        (200, {"nothing": True}, "the body has no probabilities"),
+        (200, {"ranking": ["close_road@2", "noop@0"]}, "the body has no probabilities"),
+        (200, [0.75, 0.25] + [0.0] * 18, "the body must be a JSON object, got array"),
+        (200, "probabilities", "the body must be a JSON object, got string"),
         (200, {"probabilities": []}),
         (503, {}),
-        (200, b"<html>not json</html>"),
-        (200, b"[" * 100_000 + b"]" * 100_000),
-        (200, {"probabilities": "1.0"}, "could not convert string to float"),
-        (200, {"probabilities": 1.0}, "not iterable"),
+        (200, b"<html>not json</html>", "the body is not JSON: Expecting value: line 1 column 1 (char 0)"),
+        (200, b"[" * 100_000 + b"]" * 100_000, "the body nests too deep to parse"),
+        (200, {"probabilities": "1.0"}, "the body's probabilities must be a JSON array, got string"),
+        (200, {"probabilities": 1.0}, "the body's probabilities must be a JSON array, got number"),
         (200, b'{"probabilities": [1' + b"0" * 400 + b"]}", "int too large to convert to float"),
         (200, {"probabilities": [float("nan")] + [0.05] * 19}, "probability of reroute_region@0 is nan"),
         (200, {"probabilities": [-0.25, 1.25] + [0.0] * 18}, "probability of reroute_region@0 is -0.25"),
@@ -368,15 +368,27 @@ POINT_MASS = [1.0] + [0.0] * 19
         (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"f": float("nan")}}, "f is nan, not in [0, 1]"),
         (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"t": float("inf")}}, "t is inf, not in [0, 1]"),
         (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"r": 1.5}}, "r is 1.5, not in [0, 1]"),
-        (200, {"probabilities": POINT_MASS, "planned": {"f": 0.5, "t": 0.5, "r": 0.9}}, "malformed planned"),
-        (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"c": "low"}}, "malformed planned"),
-        (200, {"probabilities": POINT_MASS, "planned": [0.5, 0.5, 0.0, 0.9]}, "malformed planned"),
+        (200, {"probabilities": POINT_MASS, "planned": {"f": 0.5, "t": 0.5, "r": 0.9}}, "the planned map has no c"),
+        (
+            200, {"probabilities": POINT_MASS, "planned": PLANNED | {"c": "low"}},
+            "the planned map's c must be a JSON number, got string",
+        ),
+        (
+            200, {"probabilities": POINT_MASS, "planned": [0.5, 0.5, 0.0, 0.9]},
+            "the planned map must be a JSON object, got array",
+        ),
         # `float` takes these, but none is a JSON number: a digit string would be a point mass
-        (200, {"probabilities": "1" + "0" * 19}, "'1' is not a JSON number"),
+        (200, {"probabilities": "1" + "0" * 19}, "the body's probabilities must be a JSON array, got string"),
         (200, {"probabilities": [str(w) for w in POINT_MASS]}, "'1.0' is not a JSON number"),
         (200, {"probabilities": [True] + [False] * 19}, "True is not a JSON number"),
-        (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"f": "0.5"}}, "'0.5' is not a JSON number"),
-        (200, {"probabilities": POINT_MASS, "planned": PLANNED | {"r": True}}, "True is not a JSON number"),
+        (
+            200, {"probabilities": POINT_MASS, "planned": PLANNED | {"f": "0.5"}},
+            "the planned map's f must be a JSON number, got string",
+        ),
+        (
+            200, {"probabilities": POINT_MASS, "planned": PLANNED | {"r": True}},
+            "the planned map's r must be a JSON number, got boolean",
+        ),
         # a redirect is a failure: the POST body cannot follow it
         (302, {}),
         (307, {}),

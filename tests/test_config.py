@@ -334,6 +334,10 @@ def test_a_replayed_rain_curve_may_hold_both_bounds_as_ints_or_floats():
     assert RainfallScenario.from_record(record).curve == (0.0, 1.0, 0.0, 1.0)
 
 
+# deeper than json.loads can recurse; RFC 8259 section 9 lets a parser refuse it
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 @pytest.mark.parametrize(
     "command, name, content, error, message",
     [
@@ -347,13 +351,38 @@ def test_a_replayed_rain_curve_may_hold_both_bounds_as_ints_or_floats():
         ),
         (
             "load --segments", "segments.jsonl", '{"id": "a", "text": "pumps"}\n\n{bad\n', "ValueError",
-            "line 3: Expecting property name enclosed in double quotes at column 2",
+            "line 3: segment record is not JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
         ),
         (
             "load --segments", "segments.jsonl", '{"id": "a", "text": "pumps"}\n[1, 2]\n', "TypeError",
-            "line 2: a segment record must be a JSON object, got list",
+            "line 2: segment record must be a JSON object, got array",
+        ),
+        pytest.param(
+            "load --segments", "segments.jsonl", '{"id": "a", "text": "pumps"}\n' + DEEP + "\n", "ValueError",
+            "line 2: segment record nests too deep to parse", id="segments-deep",
         ),
         ("load --graph", "graph.json", json.dumps({"nodes": [{"type": "region"}]}), "ValueError", "node 0 has no id"),
+        pytest.param(
+            "load --graph", "graph.json", DEEP, "ValueError", "a graph snapshot nests too deep to parse",
+            id="graph-deep",
+        ),
+        (
+            "load --graph", "graph.json", json.dumps({"nodes": ["id type"]}), "TypeError",
+            "node 0 must be a JSON object, got string",
+        ),
+        (
+            "load --graph", "graph.json", json.dumps({"edges": [3]}), "TypeError",
+            "edge 0 must be a JSON object, got integer",
+        ),
+        (
+            "load --graph", "graph.json", json.dumps({"nodes": [{"id": 3, "type": "region"}]}), "TypeError",
+            "node 0's id must be a JSON string, got integer",
+        ),
+        (
+            "load --graph", "graph.json", json.dumps({"nodes": 3}), "TypeError",
+            "a graph snapshot's nodes must be a JSON array, got integer",
+        ),
         (
             "load --graph", "graph.json",
             json.dumps({"nodes": [{"id": "a", "type": "road"}], "edges": [{"src": "a", "dst": "a", "type": "risks"}, {}]}),
@@ -361,12 +390,41 @@ def test_a_replayed_rain_curve_may_hold_both_bounds_as_ints_or_floats():
         ),
         (
             "run --steps 10 --out {out} --scenario-file", "scenario.json", json.dumps({"kind": "light", "seed": 0}),
-            "ValueError", "scenario record has no curve",
+            "ValueError", "scenario record has no steps or curve",
         ),
         (
             "run --steps 10 --out {out} --scenario-file", "scenario.json",
-            json.dumps({"kind": "light", "seed": 0, "curve": "0.2" * 10}),
-            "TypeError", "scenario curve must be a JSON list, got str",
+            json.dumps({"kind": "light", "steps": 10, "seed": 0, "curve": "0.2" * 10}),
+            "TypeError", "scenario record's curve must be a JSON array, got string",
+        ),
+        pytest.param(
+            "run --steps 10 --out {out} --scenario-file", "scenario.json", DEEP,
+            "ValueError", "scenario record nests too deep to parse", id="scenario-deep",
+        ),
+        *(
+            (
+                "run --steps 10 --out {out} --scenario-file", "scenario.json",
+                json.dumps({"kind": "light", "steps": 10, "seed": seed, "curve": [0.2] * 10}),
+                "TypeError", f"scenario record's seed must be a JSON integer, got {kind}",
+            )
+            for seed, kind in [(7.9, "number"), ("7", "string"), (True, "boolean")]
+        ),
+        (
+            "run --steps 10 --out {out} --scenario-file", "scenario.json", "3",
+            "TypeError", "scenario record must be a JSON object, got integer",
+        ),
+        (
+            "run --steps 10 --out {out} --scenario-file", "scenario.json", "[1]",
+            "TypeError", "scenario record must be a JSON object, got array",
+        ),
+        (
+            "run --steps 10 --out {out} --scenario-file", "scenario.json",
+            json.dumps({"kind": "light", "steps": 99, "seed": 0, "curve": [0.2] * 10}),
+            "ValueError", "scenario record has steps 99, but its curve holds 10 entries",
+        ),
+        pytest.param(
+            "run --steps 10 --out {out} --config", "config.json", DEEP,
+            "ConfigError", "{path}: the file nests too deep to parse", id="config-deep",
         ),
     ],
 )
@@ -376,10 +434,11 @@ def test_a_malformed_input_file_gives_an_error_record(tmp_path, capsys, command,
     assert cli.main([*command.format(out=tmp_path / "out").split(), str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert json.loads(err) == {"error": error, "message": message}
+    assert json.loads(err) == {"error": error, "message": message.format(path=path)}
+    assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("content, kind", [("[1]", "list"), ("3", "int"), ('"x"', "str")])
+@pytest.mark.parametrize("content, kind", [("[1]", "array"), ("3", "integer"), ('"x"', "string")])
 def test_a_graph_file_that_is_not_a_json_object_gives_an_error_record(tmp_path, capsys, content, kind):
     path = tmp_path / "graph.json"
     path.write_text(content)
@@ -394,11 +453,11 @@ def test_a_graph_file_that_is_not_a_json_object_gives_an_error_record(tmp_path, 
     [
         (
             "segments_file", "segments.jsonl", '{"id": "a", "text": 5}\n', "TypeError",
-            "line 1: segment 'a' needs a string id and text, got str and int",
+            "line 1: segment record's text must be a JSON string, got integer",
         ),
         (
             "segments_file", "segments.jsonl", '{"id": "a", "text": "pumps"}\n\n{"id": 5, "text": "rain"}\n', "TypeError",
-            "line 3: segment 5 needs a string id and text, got int and str",
+            "line 3: segment record's id must be a JSON string, got integer",
         ),
         (
             "segments_file", "segments.jsonl", '{"id": "a", "text": "pumps"}\n{"id": "b", "text": "?!"}\n', "EmptyQuery",
@@ -410,7 +469,7 @@ def test_a_graph_file_that_is_not_a_json_object_gives_an_error_record(tmp_path, 
         ),
         (
             "graph_file", "graph.json", json.dumps({"nodes": [{"id": "region:0", "type": "region", "attributes": [1, 2]}]}),
-            "TypeError", "node 'region:0': attributes must be a JSON object, got list",
+            "TypeError", "the attributes of node 0 must be a JSON object, got array",
         ),
     ],
 )
